@@ -33,7 +33,6 @@ from .matroids import (
     ParallelPartition,
     PartitionMatroid,
     UniformMatroid,
-    contract_matroid,
     parallel_partition,
     to_setfunction,
     validate_explicit,
@@ -42,7 +41,6 @@ from .polynomials import (
     HomogenizedPolynomial,
     MultiaffinePolynomial,
     derive,
-    evaluate,
     generating_poly,
     homogenize,
     quadratic_hessian,
@@ -64,6 +62,7 @@ from .coverage2 import (
     StrongCertificate,
     TwoCoverageCertificate,
     TwoCoverageWitness,
+    decide_2cov,
     search_2cov_feasible,
     synth_2cov_indicator,
     synth_strong_from_parts,

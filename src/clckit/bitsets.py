@@ -51,6 +51,22 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+def subset_transform(values: list, inverse: bool = False) -> list:
+    """Zeta transform in place over a list of length 2^n (values[m] becomes
+    the sum of values[t] over t inside m), or its Moebius inversion; returns
+    the list. Bits run outermost and masks ascending, so float inputs always
+    see the same sequence of additions."""
+    size = len(values)
+    bit = 1
+    while bit < size:
+        for m in range(size):
+            if m & bit:
+                low = values[m ^ bit]
+                values[m] = values[m] - low if inverse else values[m] + low
+        bit <<= 1
+    return values
+
+
 def compress(mask: int, positions: tuple[int, ...]) -> int:
     """Repack the bits of mask found at the given 0-based positions into bits 0..len-1."""
     out = 0

@@ -18,7 +18,7 @@ from . import jsonio
 from .bitsets import labels_of, mask_of
 from .jsonio import _setkey
 from .coverage2 import (
-    search_2cov_feasible,
+    decide_2cov,
     synth_2cov_indicator,
     synth_strong_from_parts,
     synth_strong_matroid,
@@ -37,7 +37,7 @@ from .logconcave import (
     ulc_check,
 )
 from .polynomials import quadratic_hessian
-from .setfn import level_sequence, materialize, mobius_coverage_weights
+from .setfn import level_sequence, mobius_coverage_weights
 from .walk import (
     RNG_SCHEME,
     histogram_tv,
@@ -251,41 +251,21 @@ def _cmd_certify_2cov(args) -> int:
             args.format,
         )
         return EXIT_PASS if check.ok else EXIT_FAIL
-    # --search: complete decision at this degree
-    from .logconcave import is_indecomposable
-    from .polynomials import derive, generating_poly
-    from .bitsets import masks_of_size
-    from .setfn import homogeneous_restrict
-
-    kwargs = _cap_kwargs(args)
-    p = generating_poly(homogeneous_restrict(f, args.d))
-    for size in range(args.d - 1):
-        for tmask in masks_of_size(f.n, size):
-            tau = labels_of(tmask)
-            if not is_indecomposable(derive(p, tau)):
-                payload = {"two_coverage": False, "reason": "decomposable", "tau": list(tau)}
-                _emit(payload, [f"not 2-coverage: decomposable at tau={list(tau)}"], args.format)
-                return EXIT_FAIL
-    for tmask in masks_of_size(f.n, args.d - 2):
-        tau = labels_of(tmask)
-        result = search_2cov_feasible(f, args.d, tau, **kwargs)
-        if not result.feasible:
-            payload = {
-                "two_coverage": False,
-                "reason": "infeasible",
-                "tau": list(tau),
-                "phase1_optimum": jsonio.frac_str(result.infeasibility),
-            }
-            _emit(
-                payload,
-                [f"not 2-coverage: no witness exists at tau={list(tau)} "
-                 f"(phase-1 optimum {jsonio.frac_str(result.infeasibility)})"],
-                args.format,
-            )
-            return EXIT_FAIL
-    payload = {"two_coverage": True, "d": args.d}
-    _emit(payload, [f"2-coverage at d={args.d}: witnesses exist for every tau"], args.format)
-    return EXIT_PASS
+    decision = decide_2cov(f, args.d, **_cap_kwargs(args))
+    if decision.two_coverage:
+        payload = {"two_coverage": True, "d": args.d}
+        _emit(payload, [f"2-coverage at d={args.d}: witnesses exist for every tau"], args.format)
+        return EXIT_PASS
+    tau = list(decision.tau)
+    payload = {"two_coverage": False, "reason": decision.reason, "tau": tau}
+    if decision.reason == "decomposable":
+        line = f"not 2-coverage: decomposable at tau={tau}"
+    else:
+        optimum = jsonio.frac_str(decision.infeasibility)
+        payload["phase1_optimum"] = optimum
+        line = f"not 2-coverage: no witness exists at tau={tau} (phase-1 optimum {optimum})"
+    _emit(payload, [line], args.format)
+    return EXIT_FAIL
 
 
 def _cmd_certify_strong(args) -> int:

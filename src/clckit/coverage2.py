@@ -25,11 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .bitsets import compress, labels_of, mask_of, masks_of_size
+from .bitsets import compress, labels_of, mask_of, masks_of_size, submasks
 from .errors import CapExceededError, InternalCheckError, MissingWitnessError
-from .logconcave import is_indecomposable
+from .logconcave import contraction_cells
 from .matroids import Matroid, parallel_partition, to_setfunction
-from .polynomials import derive, generating_poly
 from .setfn import (
     CoverageInstance,
     CoverageWeights,
@@ -37,7 +36,6 @@ from .setfn import (
     SetFunctionTable,
     ZERO,
     exact,
-    homogeneous_restrict,
     materialize,
     mobius_coverage_weights,
 )
@@ -107,16 +105,13 @@ def verify_2cov(
         raise ValueError("two-coverage needs d >= 2")
     if cert.n != n or cert.d != d:
         raise ValueError("certificate dimensions do not match the table")
-    p = generating_poly(homogeneous_restrict(f, d))
     checks = 0
-    for size in range(d - 1):
-        for tmask in masks_of_size(n, size):
-            tau = labels_of(tmask)
-            checks += 1
-            if not is_indecomposable(derive(p, tau)):
-                return CertificateCheck(
-                    False, checks, "contracted restriction is decomposable", tau
-                )
+    for tmask, _, comps, _ in contraction_cells(f, d):
+        checks += 1
+        if len(comps) > 1:
+            return CertificateCheck(
+                False, checks, "contracted restriction is decomposable", labels_of(tmask)
+            )
     for tmask in masks_of_size(n, d - 2):
         tau = labels_of(tmask)
         pairs, touched = _pair_support(f, tmask)
@@ -334,24 +329,26 @@ def synth_strong_from_parts(parts, table: SetFunctionTable | None = None) -> Str
 
 
 def _synth_strong_coverage(inst: CoverageInstance) -> StrongCertificate:
+    """One Moebius inversion x of the table serves every tau: since
+    f(tau + T) - f(tau) = sum of x_U over U missing tau and meeting T, the
+    witness at tau is x restricted to the complement of tau."""
     n = inst.n
+    table = materialize(inst)
+    mob = mobius_coverage_weights(table)
+    if not mob.is_coverage:
+        raise InternalCheckError("coverage instance produced negative weights")
+    x = mob.weights.x
+    full = (1 << n) - 1
     witnesses: dict[tuple[int, ...], CoverageWeights] = {}
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
-            tau = labels_of(tmask)
-            covered = frozenset().union(
-                *(inst.sets[t - 1] for t in tau)
-            ) if tau else frozenset()
-            rest = [i for i in range(1, n + 1) if not tmask >> (i - 1) & 1]
-            sub = CoverageInstance(
-                inst.universe, tuple(inst.sets[i - 1] - covered for i in rest)
+            rest = tuple(b for b in range(n) if not tmask >> b & 1)
+            witnesses[labels_of(tmask)] = CoverageWeights(
+                len(rest),
+                {compress(u, rest): x[u] for u in submasks(full ^ tmask) if u in x},
             )
-            mob = mobius_coverage_weights(materialize(sub))
-            if not mob.is_coverage:
-                raise InternalCheckError("coverage instance produced negative weights")
-            witnesses[tau] = CoverageWeights(len(rest), dict(mob.weights.x))
     cert = StrongCertificate(n, witnesses)
-    check = verify_strong2cov(materialize(inst), cert)
+    check = verify_strong2cov(table, cert)
     if not check:
         raise InternalCheckError(
             f"coverage-built certificate failed verification: {check.failure} at tau={check.tau}"
@@ -369,6 +366,32 @@ class SearchResult:
 
     def __bool__(self) -> bool:
         return self.feasible
+
+
+@dataclass(frozen=True)
+class TwoCoverageDecision:
+    two_coverage: bool
+    reason: str | None = None  # "decomposable" | "infeasible"
+    tau: tuple[int, ...] | None = None
+    infeasibility: Fraction | None = None  # positive phase-1 optimum when infeasible
+
+
+def decide_2cov(f: SetFunctionTable, d: int, cap: int = 10) -> TwoCoverageDecision:
+    """Decide two-coverage at degree d completely: every contracted derivative
+    down to the quadratics must be indecomposable, and every |tau| = d-2 must
+    admit a (g, l) witness, which search_2cov_feasible decides by exact LP.
+    The first failure is reported; cap bounds each LP's support size."""
+    if d < 2:
+        raise ValueError("two-coverage needs d >= 2")
+    for tmask, _, comps, _ in contraction_cells(f, d):
+        if len(comps) > 1:
+            return TwoCoverageDecision(False, "decomposable", labels_of(tmask))
+    for tmask in masks_of_size(f.n, d - 2):
+        tau = labels_of(tmask)
+        result = search_2cov_feasible(f, d, tau, cap)
+        if not result:
+            return TwoCoverageDecision(False, "infeasible", tau, result.infeasibility)
+    return TwoCoverageDecision(True)
 
 
 def search_2cov_feasible(

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .bitsets import labels_of, mask_of
+from .bitsets import labels_of, mask_of, subset_transform
 from .errors import CapExceededError
 
 IDENTITY_TOL = 1e-9
@@ -141,23 +141,14 @@ def entropy_decomposition(joint: JointDistribution, cap: int = 8) -> EntropyDeco
     below = [0.0] * size
     for t, w in weights.items():
         below[t] = w
-    for b in range(n):
-        bit = 1 << b
-        for m in range(size):
-            if m & bit:
-                below[m] += below[m ^ bit]
+    subset_transform(below)
     total = below[full]
     residual = max(
         abs(values[s] - (total - below[full ^ s])) for s in range(size)
     )
     # uniqueness cross-check: the Moebius inversion of the entropy table must
     # reproduce the recursive weights
-    mob = [values[full] - values[full ^ u] for u in range(size)]
-    for b in range(n):
-        bit = 1 << b
-        for m in range(size):
-            if m & bit:
-                mob[m] -= mob[m ^ bit]
+    mob = subset_transform([values[full] - values[full ^ u] for u in range(size)], inverse=True)
     mobius_diff = max(abs(weights[t] - mob[t]) for t in range(1, size)) if n else 0.0
     min_weight = min(weights.values()) if weights else 0.0
     return EntropyDecomposition(

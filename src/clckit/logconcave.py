@@ -21,24 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .bitsets import labels_of, mask_of, masks_of_size
+from .bitsets import labels_of, masks_of_size
 from .errors import CapExceededError, InternalCheckError
-from .polynomials import (
-    HomogenizedPolynomial,
-    MultiaffinePolynomial,
-    Polynomial,
-    derive,
-    generating_poly,
-    homogenize,
-    quadratic_hessian,
-    scale,
-)
+from .polynomials import MultiaffinePolynomial, Polynomial, quadratic_hessian
 from .setfn import (
     CoverageInstance,
     SetFunctionTable,
     ZERO,
     exact,
-    homogeneous_restrict,
     materialize,
     mobius_coverage_weights,
 )
@@ -114,17 +104,6 @@ def inertia(matrix: Sequence[Sequence]) -> Inertia:
     return Inertia(pos, zero, neg)
 
 
-def congruence(p: Sequence[Sequence], h: Sequence[Sequence]) -> list[list[Fraction]]:
-    """P H P^T, exact; the inertia of the result equals that of H for invertible P."""
-    rows = len(p)
-    inner = len(p[0])
-    ph = [[sum((exact(p[i][t]) * exact(h[t][j]) for t in range(inner)), ZERO) for j in range(inner)] for i in range(rows)]
-    return [
-        [sum((ph[i][t] * exact(p[j][t]) for t in range(inner)), ZERO) for j in range(rows)]
-        for i in range(rows)
-    ]
-
-
 @dataclass(frozen=True)
 class IndecompResult:
     indecomposable: bool
@@ -134,55 +113,44 @@ class IndecompResult:
         return self.indecomposable
 
 
-def _monomial_vars(p: Polynomial) -> list[tuple[int, ...]]:
-    monos: list[tuple[int, ...]] = []
-    degrees = set()
-    if isinstance(p, MultiaffinePolynomial):
-        for m in p.coeffs:
-            if m == 0:
-                raise ValueError("constant term present")
-            monos.append(labels_of(m))
-            degrees.add(m.bit_count())
-    else:
-        for ypow, m in p.coeffs:
-            if ypow == 0 and m == 0:
-                raise ValueError("constant term present")
-            vars_ = ((0,) if ypow else ()) + labels_of(m)
-            monos.append(vars_)
-            degrees.add(ypow + m.bit_count())
-    if len(degrees) > 1:
-        raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degrees)}")
-    return monos
+def _components(monomials: Iterable[int]) -> list[int]:
+    """Connected components of the variable co-occurrence graph, as variable
+    masks: each monomial merges every component it overlaps. A monomial is
+    the mask of its variables, with bit 0 for y and bit i for x_i."""
+    comps: list[int] = []
+    for m in monomials:
+        keep = []
+        for c in comps:
+            if c & m:
+                m |= c
+            else:
+                keep.append(c)
+        keep.append(m)
+        comps = keep
+    return comps
+
+
+def _component_labels(comps: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Variable indices (0 = y) per component, components by smallest index."""
+    return tuple(
+        tuple(v - 1 for v in labels_of(c)) for c in sorted(comps, key=lambda c: c & -c)
+    )
 
 
 def is_indecomposable(p: Polynomial) -> IndecompResult:
     """Connectivity of the variable co-occurrence graph; zero counts as
     indecomposable by convention."""
-    monos = _monomial_vars(p)
-    if not monos:
+    multiaffine = isinstance(p, MultiaffinePolynomial)
+    keys = [(0, key) if multiaffine else key for key in p.coeffs]  # (y-power, mask)
+    if (0, 0) in keys:
+        raise ValueError("constant term present")
+    degrees = {ypow + m.bit_count() for ypow, m in keys}
+    if len(degrees) > 1:
+        raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degrees)}")
+    comps = _components(m << 1 | (ypow > 0) for ypow, m in keys)
+    if len(comps) <= 1:
         return IndecompResult(True, ())
-    parent: dict[int, int] = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for vars_ in monos:
-        for v in vars_:
-            parent.setdefault(v, v)
-        for a, b in zip(vars_, vars_[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for v in parent:
-        groups.setdefault(find(v), []).append(v)
-    if len(groups) <= 1:
-        return IndecompResult(True, ())
-    comps = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
-    return IndecompResult(False, comps)
+    return IndecompResult(False, _component_labels(comps))
 
 
 def quadratic_log_concave(p: Polynomial) -> bool:
@@ -216,6 +184,89 @@ class CertificationReport:
         return self.verdict in (VERDICT_CERTIFIED, VERDICT_VACUOUS)
 
 
+def contraction_cells(f: SetFunctionTable, d: int | None):
+    """Sweep the contracted derivatives of f^(d), or of q_f when d is None.
+
+    Yields (tau mask, k, components, quadratic) per cell: contraction sets tau
+    by increasing size in masks_of_size order and, for q_f, the y-orders k of
+    d^tau d_y^k q_f nested inside. Only supports are tracked: a cell's support
+    is its parent's (tau minus its largest element) filtered by that element,
+    and `components` lists the cell's connected variable masks (empty for a
+    zero cell). f^(d) has the cells |tau| <= d-2 with k None; q_f has
+    k + |tau| <= n-1, where the monomial x^S keeps y^(n+1-|S|-k).
+    `quadratic` marks the last cells, those of degree 2.
+    """
+    n = f.n
+    if d is None:
+        support, last = f.support(), n - 1
+    else:
+        if not 0 <= d <= n:
+            raise ValueError(f"degree {d} out of range for n={n}")
+        support, last = f.support(d), d - 2
+    prev = {0: support}
+    for size in range(last + 1):
+        level = {}
+        for tmask in masks_of_size(n, size):
+            top = tmask and 1 << (tmask.bit_length() - 1)
+            sup = level[tmask] = [s for s in prev[tmask ^ top] if s & top == top]
+            if d is not None:
+                yield tmask, None, _components((s ^ tmask) << 1 for s in sup), size == last
+                continue
+            for k in range(n - size):
+                ydeg = n + 1 - k
+                monos = (
+                    (s ^ tmask) << 1 | (s.bit_count() < ydeg)
+                    for s in sup
+                    if s.bit_count() <= ydeg
+                )
+                yield tmask, k, _components(monos), k == last - size
+        prev = level
+
+
+def _quadratic_hessian(f: SetFunctionTable, tmask: int, k: int | None) -> list[list[Fraction]]:
+    """Hessian of a quadratic cell straight from table entries, on the
+    coordinates outside tau: f(tau+ij) off the diagonal and, for the q_f cell
+    scaled by 1/k! (a positive constant), y in row 0 with (m+1)m f(tau) and
+    m f(tau+i), where m = n - |tau|."""
+    vals = f.values
+    rest = [1 << b for b in range(f.n) if not tmask >> b & 1]
+    h = [[vals[tmask | a | b] if a != b else ZERO for b in rest] for a in rest]
+    if k is None:
+        return h
+    m = len(rest)
+    return [[(m + 1) * m * vals[tmask]] + [m * vals[tmask | a] for a in rest]] + [
+        [m * vals[tmask | a]] + row for a, row in zip(rest, h)
+    ]
+
+
+def _certify(f: SetFunctionTable, d: int | None) -> CertificationReport:
+    """Both drivers: the sufficient conditions on f^(d), or on q_f when d is None."""
+    checks = 0
+    for tmask, k, comps, quadratic in contraction_cells(f, d):
+        if not checks and not comps:
+            # the first cell is the polynomial itself
+            return CertificationReport(VERDICT_VACUOUS, 0)
+        checks += 1
+        # a plain quadratic (d = 2) is decided by its Hessian even when decomposable
+        if comps and quadratic and (d == 2 or len(comps) == 1):
+            n_pos = inertia(_quadratic_hessian(f, tmask, k)).n_pos
+            checks += 1
+            if n_pos > 1:
+                verdict = VERDICT_REFUTED if d == 2 else VERDICT_CONDITIONS_FAIL
+                return CertificationReport(
+                    verdict, checks, CertFailure(labels_of(tmask), k, "inertia", n_pos=n_pos)
+                )
+        if len(comps) > 1:
+            return CertificationReport(
+                VERDICT_CONDITIONS_FAIL,
+                checks,
+                CertFailure(
+                    labels_of(tmask), k, "decomposable", components=_component_labels(comps)
+                ),
+            )
+    return CertificationReport(VERDICT_CERTIFIED, checks)
+
+
 def certify_clc_homogeneous(
     f: SetFunctionTable, d: int, cap: int = 14
 ) -> CertificationReport:
@@ -232,43 +283,7 @@ def certify_clc_homogeneous(
         raise CapExceededError(f"n={n} exceeds cap {cap}")
     if not 2 <= d <= n:
         raise ValueError(f"need 2 <= d <= n, got d={d}, n={n}")
-    p = generating_poly(homogeneous_restrict(f, d))
-    if p.is_zero():
-        return CertificationReport(VERDICT_VACUOUS, 0)
-    checks = 0
-    for size in range(d - 1):
-        for tmask in masks_of_size(n, size):
-            tau = labels_of(tmask)
-            q = derive(p, tau)
-            checks += 1
-            ind = is_indecomposable(q)
-            if not ind:
-                if d == 2:
-                    # quadratic case: decide by the exact Hessian criterion
-                    iner = inertia(quadratic_hessian(q))
-                    checks += 1
-                    if iner.n_pos > 1:
-                        return CertificationReport(
-                            VERDICT_REFUTED,
-                            checks,
-                            CertFailure(tau, None, "inertia", n_pos=iner.n_pos),
-                        )
-                return CertificationReport(
-                    VERDICT_CONDITIONS_FAIL,
-                    checks,
-                    CertFailure(tau, None, "decomposable", components=ind.components),
-                )
-            if size == d - 2 and not q.is_zero():
-                iner = inertia(quadratic_hessian(q))
-                checks += 1
-                if iner.n_pos > 1:
-                    verdict = VERDICT_REFUTED if d == 2 else VERDICT_CONDITIONS_FAIL
-                    return CertificationReport(
-                        verdict,
-                        checks,
-                        CertFailure(tau, None, "inertia", n_pos=iner.n_pos),
-                    )
-    return CertificationReport(VERDICT_CERTIFIED, checks)
+    return _certify(f, d)
 
 
 def certify_clc_homogenization(
@@ -277,42 +292,15 @@ def certify_clc_homogenization(
     """Run the sufficient conditions on the homogenization q_f of degree n+1.
 
     Cells are the mixed derivatives d^tau d_y^k q_f with k + |tau| <= n - 1;
-    the cells with k + |tau| = n - 1 are quadratic and get the Hessian check
-    after exact division by (n-1-|tau|)! (a positive constant, kept so the
-    matrices take their conventional normalized form).
+    the cells with k + |tau| = n - 1 are quadratic and get the Hessian check,
+    with entries read straight from the table after scaling by the positive
+    constant 1/k!, which keeps the matrices in their conventional normalized
+    form without changing any eigenvalue sign.
     """
     n = f.n
     if n > cap:
         raise CapExceededError(f"n={n} exceeds cap {cap}")
-    q = homogenize(f)
-    if q.is_zero():
-        return CertificationReport(VERDICT_VACUOUS, 0)
-    checks = 0
-    for size in range(n):
-        for tmask in masks_of_size(n, size):
-            tau = labels_of(tmask)
-            base = derive(q, tau)
-            for k in range(n - size):
-                qd = derive(base, (), k)
-                checks += 1
-                ind = is_indecomposable(qd)
-                if not ind:
-                    return CertificationReport(
-                        VERDICT_CONDITIONS_FAIL,
-                        checks,
-                        CertFailure(tau, k, "decomposable", components=ind.components),
-                    )
-                if k == n - 1 - size and not qd.is_zero():
-                    quad = scale(qd, Fraction(1, math.factorial(n - 1 - size)))
-                    iner = inertia(quadratic_hessian(quad))
-                    checks += 1
-                    if iner.n_pos > 1:
-                        return CertificationReport(
-                            VERDICT_CONDITIONS_FAIL,
-                            checks,
-                            CertFailure(tau, k, "inertia", n_pos=iner.n_pos),
-                        )
-    return CertificationReport(VERDICT_CERTIFIED, checks)
+    return _certify(f, None)
 
 
 def two_by_two_log_concave(a, b, c, d) -> bool:

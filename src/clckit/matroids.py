@@ -12,9 +12,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .bitsets import labels_of, mask_of
+from .bitsets import mask_of
 from .errors import CapExceededError, NotAMatroidError
-from .setfn import SetFunctionTable, ZERO
+from .setfn import HARD_CAP, SetFunctionTable, ZERO
 
 
 class Matroid:
@@ -49,10 +49,6 @@ class Matroid:
         if isinstance(self, ContractedMatroid):
             return ContractedMatroid(self.base, self.tau | t)
         return ContractedMatroid(self, t)
-
-
-def contract_matroid(m: Matroid, tau: Iterable[int]) -> Matroid:
-    return m.contract(tau)
 
 
 class UniformMatroid(Matroid):
@@ -279,7 +275,7 @@ def to_setfunction(m: Matroid, mode: str = "rank") -> SetFunctionTable:
         raise ValueError(f"unknown mode {mode!r}")
     els = tuple(sorted(m.elements))
     k = len(els)
-    if k > 24:
+    if k > HARD_CAP:
         raise CapExceededError(f"{k} elements exceed the materialization cap")
     vals = [ZERO] * (1 << k)
     for mask in range(1, 1 << k):

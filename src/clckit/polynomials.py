@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 from .bitsets import labels_of, mask_of
 from .setfn import SetFunctionTable, ZERO, exact
@@ -140,35 +140,3 @@ def quadratic_hessian(p: Polynomial) -> list[list[Fraction]]:
             h[i][j] = c
             h[j][i] = c
     return h
-
-
-def evaluate(p: Polynomial, assignment: Sequence) -> Fraction:
-    """Exact evaluation; homogenized polynomials take (y, x_1..x_n)."""
-    if isinstance(p, MultiaffinePolynomial):
-        if len(assignment) != p.n:
-            raise ValueError(f"need {p.n} values, got {len(assignment)}")
-        xs = [exact(v) for v in assignment]
-        total = ZERO
-        for m, c in p.coeffs.items():
-            term = c
-            rest = m
-            while rest:
-                low = rest & -rest
-                term *= xs[low.bit_length() - 1]
-                rest ^= low
-            total += term
-        return total
-    if len(assignment) != p.n + 1:
-        raise ValueError(f"need {p.n + 1} values (y first), got {len(assignment)}")
-    y = exact(assignment[0])
-    xs = [exact(v) for v in assignment[1:]]
-    total = ZERO
-    for (ypow, m), c in p.coeffs.items():
-        term = c * y**ypow
-        rest = m
-        while rest:
-            low = rest & -rest
-            term *= xs[low.bit_length() - 1]
-            rest ^= low
-        total += term
-    return total

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .bitsets import expand, labels_of, mask_of, submasks
+from .bitsets import expand, labels_of, mask_of, submasks, subset_transform
 from .errors import CapExceededError, InternalCheckError
 
 HARD_CAP = 24
@@ -273,11 +273,7 @@ def _materialize_weights(cw: CoverageWeights) -> SetFunctionTable:
     below = [ZERO] * size
     for t, v in cw.x.items():
         below[t] = v
-    for b in range(n):
-        bit = 1 << b
-        for m in range(size):
-            if m & bit:
-                below[m] += below[m ^ bit]
+    subset_transform(below)
     total = below[size - 1]
     full = size - 1
     vals = [total - below[full ^ s] for s in range(size)]
@@ -440,19 +436,9 @@ def mobius_coverage_weights(f: SetFunctionTable) -> MobiusResult:
     size = 1 << n
     full = size - 1
     top = f.values[full]
-    x = [top - f.values[full ^ u] for u in range(size)]
-    for b in range(n):
-        bit = 1 << b
-        for m in range(size):
-            if m & bit:
-                x[m] -= x[m ^ bit]
+    x = subset_transform([top - f.values[full ^ u] for u in range(size)], inverse=True)
     # independent re-check: zeta(x) must reproduce f through the defining sums
-    z = x[:]
-    for b in range(n):
-        bit = 1 << b
-        for m in range(size):
-            if m & bit:
-                z[m] += z[m ^ bit]
+    z = subset_transform(x[:])
     for s in range(size):
         if z[full] - z[full ^ s] != f.values[s]:
             raise InternalCheckError(

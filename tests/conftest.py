@@ -15,10 +15,12 @@ import pytest
 from clckit import (
     CoverageInstance,
     GraphicMatroid,
+    MultiaffinePolynomial,
     PartitionMatroid,
     SetFunctionTable,
     UniformMatroid,
 )
+from clckit.setfn import ZERO, exact
 
 
 def coverage_example() -> CoverageInstance:
@@ -106,3 +108,49 @@ def float_npos(h, tol: float = 1e-9) -> int:
     if peak > 0:
         arr = arr / peak
     return int((np.linalg.eigvalsh(arr) > tol).sum())
+
+
+# --- oracle helpers ------------------------------------------------------------
+
+
+def congruence(p, h) -> list[list[Fraction]]:
+    """P H P^T, exact; the inertia of the result equals that of H for invertible P."""
+    rows = len(p)
+    inner = len(p[0])
+    ph = [[sum((exact(p[i][t]) * exact(h[t][j]) for t in range(inner)), ZERO) for j in range(inner)] for i in range(rows)]
+    return [
+        [sum((ph[i][t] * exact(p[j][t]) for t in range(inner)), ZERO) for j in range(rows)]
+        for i in range(rows)
+    ]
+
+
+def evaluate(p, assignment) -> Fraction:
+    """Exact evaluation; homogenized polynomials take (y, x_1..x_n)."""
+    if isinstance(p, MultiaffinePolynomial):
+        if len(assignment) != p.n:
+            raise ValueError(f"need {p.n} values, got {len(assignment)}")
+        xs = [exact(v) for v in assignment]
+        total = ZERO
+        for m, c in p.coeffs.items():
+            term = c
+            rest = m
+            while rest:
+                low = rest & -rest
+                term *= xs[low.bit_length() - 1]
+                rest ^= low
+            total += term
+        return total
+    if len(assignment) != p.n + 1:
+        raise ValueError(f"need {p.n + 1} values (y first), got {len(assignment)}")
+    y = exact(assignment[0])
+    xs = [exact(v) for v in assignment[1:]]
+    total = ZERO
+    for (ypow, m), c in p.coeffs.items():
+        term = c * y**ypow
+        rest = m
+        while rest:
+            low = rest & -rest
+            term *= xs[low.bit_length() - 1]
+            rest ^= low
+        total += term
+    return total

@@ -44,9 +44,9 @@ from clckit.cli import run
 from clckit.counterexamples import budget_additive_function, triangle_quadratic, triangle_table
 from clckit.entropy import JointDistribution, entropy_decomposition
 from clckit.jsonio import dump_set_function
-from clckit.logconcave import congruence
 
 from conftest import (
+    congruence,
     coverage_example,
     k4,
     rand_coverage_instance,

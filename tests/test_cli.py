@@ -105,6 +105,24 @@ def test_certify_2cov_search_triangle(tmp_path, capsys):
     assert out["reason"] == "infeasible"
 
 
+@pytest.mark.parametrize("d", ["1", "0"])
+def test_certify_2cov_search_rejects_degree_below_2(tmp_path, capsys, d):
+    path = _write(tmp_path, "tri.json", jsonio.dump_set_function(triangle_table()))
+    code = run(["certify-2cov", "--input", path, "--d", d, "--search"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: two-coverage needs d >= 2\n"
+
+
+def test_certify_2cov_search_decomposable(tmp_path, capsys):
+    # two disjoint pairs: the degree-2 part splits into {1,2} and {3,4}
+    doc = {"n": 4, "entries": [{"set": [1, 2], "value": 1}, {"set": [3, 4], "value": 1}]}
+    path = _write(tmp_path, "split.json", doc)
+    code = run(["certify-2cov", "--input", path, "--d", "2", "--search", "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out == {"two_coverage": False, "reason": "decomposable", "tau": []}
+
+
 def test_certify_2cov_matroid_synthesis(tmp_path, capsys):
     mpath = _write(tmp_path, "u23.json", {"type": "uniform", "r": 2, "n": 3})
     cert_path = str(tmp_path / "cert.json")

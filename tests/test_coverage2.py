@@ -16,6 +16,7 @@ from clckit import (
     certify_clc_homogeneous,
     certify_clc_homogenization,
     combine,
+    decide_2cov,
     materialize,
     predicates,
     search_2cov_feasible,
@@ -234,6 +235,19 @@ def test_search_zero_trivially_feasible():
     res = search_2cov_feasible(zero, 2, ())
     assert res.feasible
     assert res.support == ()
+
+
+def test_decide_2cov():
+    assert decide_2cov(to_setfunction(UniformMatroid(2, 4), "indicator"), 2).two_coverage
+    tri = decide_2cov(triangle_table(), 2)
+    assert (tri.two_coverage, tri.reason, tri.tau) == (False, "infeasible", ())
+    assert tri.infeasibility > 0
+    split = SetFunctionTable.from_entries(4, {(1, 2): 1, (3, 4): 1})
+    res = decide_2cov(split, 2)
+    assert (res.two_coverage, res.reason, res.tau) == (False, "decomposable", ())
+    for d, message in ((1, "d >= 2"), (0, "d >= 2"), (5, "out of range")):
+        with pytest.raises(ValueError, match=message):
+            decide_2cov(split, d)
 
 
 def test_search_support_cap():

@@ -26,9 +26,9 @@ from clckit import (
     ulc_check,
 )
 from clckit.counterexamples import budget_additive_function, triangle_quadratic
-from clckit.logconcave import congruence
 
 from conftest import (
+    congruence,
     coverage_example,
     float_npos,
     k4,

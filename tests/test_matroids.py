@@ -8,7 +8,6 @@ from clckit import (
     GraphicMatroid,
     PartitionMatroid,
     UniformMatroid,
-    contract_matroid,
     parallel_partition,
     predicates,
     to_setfunction,
@@ -38,7 +37,7 @@ def test_explicit_contracted_rank():
 
 def test_contract_by_empty_is_identity():
     m = UniformMatroid(2, 3)
-    assert contract_matroid(m, []) is m
+    assert m.contract([]) is m
 
 
 def test_contract_uniform_pairs():

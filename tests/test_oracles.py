@@ -4,18 +4,40 @@ Each oracle here derives the same quantity by a different route: inertia via
 exact characteristic polynomials and Descartes' rule (exact for symmetric
 matrices, whose roots are all real), LP feasibility via basic-solution
 enumeration, multivariate mutual information via its closed alternating-sum
-form, and the homogenization quadratics via their closed entry formulas
-computed straight from the table.
+form, the homogenization quadratics via their closed entry formulas computed
+straight from the table, the support-mask contraction sweep via derived
+polynomials and a breadth-first search, and strong coverage synthesis via
+one Moebius inversion per contraction.
 """
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
-from clckit import SetFunctionTable, derive, homogenize, inertia, mmi, quadratic_hessian
+from clckit import (
+    CoverageInstance,
+    CoverageWeights,
+    SetFunctionTable,
+    StrongCertificate,
+    certify_clc_homogeneous,
+    certify_clc_homogenization,
+    derive,
+    generating_poly,
+    homogeneous_restrict,
+    homogenize,
+    inertia,
+    materialize,
+    mmi,
+    mobius_coverage_weights,
+    quadratic_hessian,
+    synth_strong_from_parts,
+)
+from clckit.jsonio import dump_certificate
 from clckit.polynomials import scale
 from clckit.simplex import phase1
 
-from conftest import rand_symmetric
+from conftest import rand_coverage_instance, rand_symmetric
 
 
 # --- inertia vs exact characteristic polynomial -----------------------------
@@ -221,3 +243,149 @@ def test_homogenization_quadratic_hessian_entries():
                     pair = f[tmask | (1 << i) | (1 << j)]
                     expect[i + 1][j + 1] = expect[j + 1][i + 1] = pair
             assert h == expect
+
+
+# --- the contraction sweep vs a polynomial-level reference ---------------------
+
+
+def bfs_components(p):
+    """Variable groups (0 = y) of the co-occurrence graph of p's monomials,
+    by breadth-first search, ordered by smallest member."""
+    adj = {}
+    for key in p.coeffs:
+        ypow, m = key if isinstance(key, tuple) else (0, key)
+        group = ({0} if ypow else set()) | {i + 1 for i in range(p.n) if m >> i & 1}
+        for v in group:
+            adj.setdefault(v, set()).update(group)
+    seen, comps = set(), []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, comp = deque([start]), []
+        while queue:
+            v = queue.popleft()
+            comp.append(v)
+            for w in adj[v] - seen:
+                seen.add(w)
+                queue.append(w)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def reference_homogeneous(f, d):
+    """(verdict, checks, failure) of the sufficient conditions on f^(d), from
+    derived polynomials; the failure is (tau, k, reason, n_pos, components)."""
+    p = generating_poly(homogeneous_restrict(f, d))
+    if p.is_zero():
+        return ("vacuous", 0, None)
+    checks = 0
+    for size in range(d - 1):
+        for tau in combinations(range(1, f.n + 1), size):
+            q = derive(p, tau)
+            checks += 1
+            comps = bfs_components(q)
+            quadratic = size == d - 2 and not q.is_zero()
+            if quadratic and (d == 2 or len(comps) == 1):
+                n_pos = inertia(quadratic_hessian(q)).n_pos
+                checks += 1
+                if n_pos > 1:
+                    verdict = "refuted" if d == 2 else "conditions-fail"
+                    return (verdict, checks, (tau, None, "inertia", n_pos, None))
+            if len(comps) > 1:
+                return ("conditions-fail", checks, (tau, None, "decomposable", None, comps))
+    return ("certified", checks, None)
+
+
+def reference_homogenization(f):
+    """The same on q_f, with each quadratic cell scaled by 1/k!."""
+    n = f.n
+    q = homogenize(f)
+    if q.is_zero():
+        return ("vacuous", 0, None)
+    checks = 0
+    for size in range(n):
+        for tau in combinations(range(1, n + 1), size):
+            base = derive(q, tau)
+            for k in range(n - size):
+                qd = derive(base, (), k)
+                checks += 1
+                comps = bfs_components(qd)
+                if len(comps) > 1:
+                    return ("conditions-fail", checks, (tau, k, "decomposable", None, comps))
+                if k == n - 1 - size and not qd.is_zero():
+                    quad = scale(qd, Fraction(1, factorial(k)))
+                    n_pos = inertia(quadratic_hessian(quad)).n_pos
+                    checks += 1
+                    if n_pos > 1:
+                        return ("conditions-fail", checks, (tau, k, "inertia", n_pos, None))
+    return ("certified", checks, None)
+
+
+def as_tuple(report):
+    f = report.failure
+    if f is None:
+        return (report.verdict, report.checks, None)
+    return (report.verdict, report.checks, (f.tau, f.k, f.reason, f.n_pos, f.components))
+
+
+def rand_sweep_table(rng, n):
+    kind = rng.choice(("dense", "sparse", "levels", "zero"))
+    vals = [Fraction(0)] * (1 << n)
+    sizes = set(rng.sample(range(1, n + 1), rng.randint(1, n)))
+    for m in range(1, 1 << n):
+        if kind == "dense":
+            vals[m] = Fraction(rng.randint(0, 4), rng.randint(1, 3))
+        elif kind == "sparse" and rng.random() < 0.2:
+            vals[m] = Fraction(rng.randint(1, 5))
+        elif kind == "levels" and m.bit_count() in sizes and rng.random() < 0.7:
+            vals[m] = Fraction(rng.randint(1, 2))
+    return SetFunctionTable(n, tuple(vals))
+
+
+def test_sweep_matches_polynomial_reference():
+    rng = random.Random(43)
+    outcomes = set()
+    for _ in range(320):
+        f = rand_sweep_table(rng, rng.randint(2, 6))
+        pairs = [(as_tuple(certify_clc_homogenization(f)), reference_homogenization(f))]
+        for d in range(2, f.n + 1):
+            pairs.append((as_tuple(certify_clc_homogeneous(f, d)), reference_homogeneous(f, d)))
+        for got, want in pairs:
+            assert got == want
+            outcomes.add((got[0], got[2] and got[2][2]))
+    # every verdict and failure kind is exercised
+    assert outcomes >= {
+        ("vacuous", None),
+        ("certified", None),
+        ("refuted", "inertia"),
+        ("conditions-fail", "inertia"),
+        ("conditions-fail", "decomposable"),
+    }
+
+
+# --- strong coverage synthesis vs per-tau sub-instances ------------------------
+
+
+def reference_strong_coverage(inst):
+    """Moebius-invert the sub-instance left after tau covers its part of the
+    universe, separately for every tau."""
+    n = inst.n
+    witnesses = {}
+    for size in range(n - 1):
+        for tau in combinations(range(1, n + 1), size):
+            covered = frozenset().union(*(inst.sets[t - 1] for t in tau))
+            rest = [i for i in range(1, n + 1) if i not in tau]
+            sub = CoverageInstance(inst.universe, tuple(inst.sets[i - 1] - covered for i in rest))
+            mob = mobius_coverage_weights(materialize(sub))
+            assert mob.is_coverage
+            witnesses[tau] = CoverageWeights(len(rest), dict(mob.weights.x))
+    return StrongCertificate(n, witnesses)
+
+
+def test_strong_coverage_synthesis_matches_per_tau_reference():
+    rng = random.Random(47)
+    for _ in range(36):
+        inst = rand_coverage_instance(rng, rng.randint(1, 6), rng.randint(1, 6))
+        got = dump_certificate(synth_strong_from_parts(inst))
+        assert got == dump_certificate(reference_strong_coverage(inst))

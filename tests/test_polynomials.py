@@ -9,7 +9,6 @@ from clckit import (
     MultiaffinePolynomial,
     SetFunctionTable,
     derive,
-    evaluate,
     generating_poly,
     homogenize,
     level_sequence,
@@ -17,7 +16,7 @@ from clckit import (
     quadratic_hessian,
 )
 
-from conftest import coverage_example, rand_table
+from conftest import coverage_example, evaluate, rand_table
 
 
 def cardinality_table(n):
