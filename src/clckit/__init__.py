@@ -55,7 +55,6 @@ from .logconcave import (
     is_indecomposable,
     mainpsd_witness,
     quadratic_log_concave,
-    two_by_two_log_concave,
     ulc_check,
 )
 from .coverage2 import (
@@ -76,7 +75,6 @@ from .walk import (
     is_irreducible,
     mixing_time_exact,
     sample_chain,
-    step,
     transition_matrix,
     walk_instance,
 )

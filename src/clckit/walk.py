@@ -7,17 +7,26 @@ chain never leaves the support. The stationary distribution is f / sum(f)
 and detailed balance holds exactly; transition_matrix re-verifies both
 rather than assuming them.
 
+A sampled chain caches, for each base R it visits, the candidate targets
+and their cumulative weights scaled to integers by the lcm of their
+denominators, so a step is two rejection draws and a bisection. Mixing
+powers integer rows over one common denominator.
+
 Randomness comes from numpy's Philox4x64-10 counter-based generator, scheme
-"philox4x64-10/v1": the key is the user seed and draws are raw bytes reduced
-by rejection sampling, so trajectories are reproducible across platforms and
-the exact rational step probabilities are sampled without float bias.
+"philox4x64-10/v1": the key is the user seed, an n-byte draw is the first n
+little-endian bytes of ceil(n/4) uint32 words, and draws are reduced by
+masked rejection sampling, so trajectories are reproducible across platforms
+and the exact rational step probabilities are sampled without float bias.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import accumulate, repeat
+from operator import mul, sub
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -26,23 +35,41 @@ from .errors import CapExceededError, InternalCheckError
 from .setfn import SetFunctionTable, ZERO, exact
 
 RNG_SCHEME = "philox4x64-10/v1"
+WORD_BLOCK = 1024  # uint32 words drawn from the generator per numpy call
 
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _uniform_below(rng: np.random.Generator, bound: int) -> int:
+def philox_words(rng: np.random.Generator) -> Iterator[int]:
+    """The uint32 word stream behind `rng.bytes`, drawn WORD_BLOCK words at a time.
+
+    `Generator.bytes(n)` is `integers(0, 2**32, size=ceil(n/4), dtype=uint32)`
+    as little-endian bytes cut to n, and those words continue one stream
+    across calls, so reading the words in blocks yields the same stream.
+    """
+    while True:
+        yield from rng.integers(0, 2**32, size=WORD_BLOCK, dtype=np.uint32).tolist()
+
+
+def _draw(next_word: Callable[[], int], nbytes: int) -> int:
+    """`int.from_bytes(rng.bytes(nbytes), "little")`, read from the word stream."""
+    r = next_word()
+    for shift in range(32, 8 * nbytes, 32):
+        r |= next_word() << shift
+    return r & ((1 << 8 * nbytes) - 1)
+
+
+def _uniform_below(next_word: Callable[[], int], bound: int) -> int:
     """Exact uniform integer in [0, bound) via rejection on raw bytes."""
-    if bound <= 0:
-        raise ValueError("bound must be positive")
     if bound == 1:
         return 0
     bits = (bound - 1).bit_length()
     nbytes = (bits + 7) // 8
     mask = (1 << bits) - 1
     while True:
-        r = int.from_bytes(rng.bytes(nbytes), "little") & mask
+        r = _draw(next_word, nbytes) & mask
         if r < bound:
             return r
 
@@ -93,27 +120,29 @@ def _candidates(w: WalkInstance, base: int) -> list[tuple[int, Fraction]]:
     return out
 
 
-def step(w: WalkInstance, state: int, rng: np.random.Generator) -> int:
-    """One down-up transition; deterministic given the seeded rng stream."""
-    if state not in w.index:
-        raise ValueError(f"state {labels_of(state)} is not in the support")
-    members = labels_of(state)
-    drop = members[_uniform_below(rng, w.d)]
-    base = state & ~(1 << (drop - 1))
+def _candidate_row(w: WalkInstance, base: int) -> tuple[tuple[int, ...], list[int]]:
+    """Targets from `base` and their cumulative weights, scaled to integers by
+    the lcm of the weight denominators."""
     cands = _candidates(w, base)
     if not cands:
         raise InternalCheckError("no candidate after dropping; support corrupted")
-    denom = 1
-    for _, weight in cands:
-        denom = denom * weight.denominator // math.gcd(denom, weight.denominator)
-    scaled = [int(weight * denom) for _, weight in cands]
-    r = _uniform_below(rng, sum(scaled))
-    acc = 0
-    for (t, _), s in zip(cands, scaled):
-        acc += s
-        if r < acc:
-            return t
-    raise InternalCheckError("sampling fell off the cumulative weights")
+    denom = math.lcm(*(weight.denominator for _, weight in cands))
+    scaled = (weight.numerator * (denom // weight.denominator) for _, weight in cands)
+    return tuple(t for t, _ in cands), list(accumulate(scaled))
+
+
+def step(w: WalkInstance, state: int, next_word: Callable[[], int], cache: dict) -> int:
+    """One down-up transition; deterministic given the chain's word stream.
+
+    `cache` maps each base the chain has visited to its `_candidate_row`.
+    """
+    drop = labels_of(state)[_uniform_below(next_word, w.d)]
+    base = state & ~(1 << (drop - 1))
+    row = cache.get(base)
+    if row is None:
+        row = cache[base] = _candidate_row(w, base)
+    targets, cumulative = row
+    return targets[bisect_right(cumulative, _uniform_below(next_word, cumulative[-1]))]
 
 
 @dataclass(frozen=True)
@@ -157,21 +186,23 @@ class MixingResult:
     switched_to_float_at: int | None
 
 
-def _max_tv(dist_rows, mu) -> Fraction:
-    best = ZERO
-    for row in dist_rows:
-        tv = sum((abs(p - q) for p, q in zip(row, mu)), ZERO) / 2
-        if tv > best:
-            best = tv
-    return best
+def _exact_tv(rows: list[list[int]], scale: int, w_int: list[int], w_sum: int) -> Fraction:
+    """max_i TV(rows[i] / scale, w_int / w_sum), exactly."""
+    target = [scale * x for x in w_int]
+    worst = max(sum(map(abs, map(sub, map(mul, row, repeat(w_sum)), target))) for row in rows)
+    return Fraction(worst, 2 * scale * w_sum)
 
 
-def _max_bits(rows) -> int:
-    worst = 0
+def _exceeds_bits(rows: list[list[int]], scale: int, max_bits: int) -> bool:
+    """Whether some nonzero a / scale in lowest terms has a numerator or
+    denominator of more than max_bits bits."""
     for row in rows:
-        for v in row:
-            worst = max(worst, v.numerator.bit_length(), v.denominator.bit_length())
-    return worst
+        for a in row:
+            if a:
+                g = math.gcd(a, scale)
+                if max((a // g).bit_length(), (scale // g).bit_length()) > max_bits:
+                    return True
+    return False
 
 
 def mixing_time_exact(
@@ -183,10 +214,17 @@ def mixing_time_exact(
 ) -> MixingResult:
     """Smallest t with max-over-starts TV(P^t(S0, .), mu) <= eps.
 
-    Powering is exact rational until entries exceed max_bits bits, then
-    switches to binary64 with 1e-12 slack on the eps comparison. The TV curve
-    must be nonincreasing; in exact mode a violation raises (it would be a
-    bug), in float mode a 1e-12 wobble is tolerated.
+    P is written N / L, with L the lcm of its entries' denominators and N
+    sparse integer rows (at most d(n-d)+1 nonzeros each). Powering keeps the
+    integer rows N^t over the one denominator L^t, and the TV after t steps
+    is the exact ratio max_i sum_j |N^t[i][j] W - L^t w_j| / (2 L^t W), with
+    w the weights scaled to integers and W their sum. Powering stays exact
+    until some entry N^t[i][j] / L^t, in lowest terms, has a numerator or
+    denominator of more than max_bits bits (never while L^t itself fits in
+    max_bits), then switches to binary64 with 1e-12 slack on the eps
+    comparison. The TV curve must be nonincreasing; in exact mode a
+    violation raises (it would be a bug), in float mode a 1e-12 wobble is
+    tolerated.
     """
     eps = exact(eps) if not isinstance(eps, float) else Fraction(eps)
     if not 0 < eps < 1:
@@ -195,13 +233,23 @@ def mixing_time_exact(
     if k > cap:
         raise CapExceededError(f"support size {k} exceeds cap {cap}")
     tm = transition_matrix(w, cap=max(cap, 5000))
-    p = [list(row) for row in tm.rows]
-    mu = [wt / w.total for wt in w.weights]
-    rows = [[Fraction(1) if i == j else ZERO for j in range(k)] for i in range(k)]
+    big_l = math.lcm(*(v.denominator for row in tm.rows for v in row if v))
+    # column j of N as (row indices, integer entries)
+    cols = [([], []) for _ in range(k)]
+    for i, row in enumerate(tm.rows):
+        for j, v in enumerate(row):
+            if v:
+                cols[j][0].append(i)
+                cols[j][1].append(v.numerator * (big_l // v.denominator))
+    w_den = math.lcm(*(wt.denominator for wt in w.weights))
+    w_int = [wt.numerator * (w_den // wt.denominator) for wt in w.weights]
+    w_sum = sum(w_int)
+    rows = [[int(i == j) for j in range(k)] for i in range(k)]
+    scale = 1  # L^t
     exact_mode = True
     switched_at = None
     t = 0
-    tv = _max_tv(rows, mu)
+    tv = _exact_tv(rows, scale, w_int, w_sum)
     curve = [tv]
     eps_f = float(eps)
 
@@ -214,21 +262,17 @@ def mixing_time_exact(
         if t >= max_steps:
             return MixingResult(None, None, tuple(curve), False, switched_at)
         if exact_mode:
-            rows = [
-                [
-                    sum((rows[i][l] * p[l][j] for l in range(k) if rows[i][l]), ZERO)
-                    for j in range(k)
-                ]
-                for i in range(k)
-            ]
+            for i, row in enumerate(rows):
+                rows[i] = [sum(map(mul, map(row.__getitem__, idx), vals)) for idx, vals in cols]
+            scale *= big_l
             t += 1
-            new_tv = _max_tv(rows, mu)
+            new_tv = _exact_tv(rows, scale, w_int, w_sum)
             if new_tv > tv:
                 raise InternalCheckError("TV increased during exact powering")
-            if _max_bits(rows) > max_bits:
-                rows = np.array([[float(v) for v in row] for row in rows])
-                p = np.array([[float(v) for v in row] for row in p])
-                mu = np.array([float(v) for v in mu])
+            if scale.bit_length() > max_bits and _exceeds_bits(rows, scale, max_bits):
+                rows = np.array([[a / scale for a in row] for row in rows])
+                p = np.array([[float(v) for v in row] for row in tm.rows])
+                mu = np.array([float(wt / w.total) for wt in w.weights])
                 exact_mode = False
                 switched_at = t
                 new_tv = float(new_tv)
@@ -259,12 +303,15 @@ def sample_chain(w: WalkInstance, start: int, steps: int, seed: int) -> ChainRes
         raise ValueError(f"start {labels_of(start)} is not in the support")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    rng = make_rng(seed)
+    # the generator is private to this chain, so the words left unread in
+    # its last block are never observed
+    next_word = philox_words(make_rng(seed)).__next__
+    cache: dict = {}
     hist: dict[int, int] = {}
     state = start
     hist[state] = 1
     for _ in range(steps):
-        state = step(w, state, rng)
+        state = step(w, state, next_word, cache)
         hist[state] = hist.get(state, 0) + 1
     return ChainResult(final=state, histogram=hist, steps=steps, seed=seed)
 

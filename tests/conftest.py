@@ -6,6 +6,7 @@ suite draw from the same families.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,9 @@ from clckit import (
     SetFunctionTable,
     UniformMatroid,
 )
+from clckit.bitsets import labels_of
 from clckit.setfn import ZERO, exact
+from clckit.walk import MixingResult, make_rng, transition_matrix
 
 
 def coverage_example() -> CoverageInstance:
@@ -154,3 +157,101 @@ def evaluate(p, assignment) -> Fraction:
             rest ^= low
         total += term
     return total
+
+
+def _uniform_below_oracle(rng: np.random.Generator, bound: int) -> int:
+    """Exact uniform integer in [0, bound) via rejection on `rng.bytes`."""
+    if bound == 1:
+        return 0
+    bits = (bound - 1).bit_length()
+    nbytes = (bits + 7) // 8
+    mask = (1 << bits) - 1
+    while True:
+        r = int.from_bytes(rng.bytes(nbytes), "little") & mask
+        if r < bound:
+            return r
+
+
+def step_oracle(w, state: int, rng: np.random.Generator) -> int:
+    """One down-up transition, rebuilding the candidates and their Fraction
+    weights at every step and drawing one `rng.bytes` call per draw."""
+    members = labels_of(state)
+    drop = members[_uniform_below_oracle(rng, w.d)]
+    base = state & ~(1 << (drop - 1))
+    cands = []
+    for j in range(w.n):
+        if not base >> j & 1:
+            t = base | (1 << j)
+            if w.weight(t) != 0:
+                cands.append((t, w.weight(t)))
+    denom = 1
+    for _, weight in cands:
+        denom = denom * weight.denominator // math.gcd(denom, weight.denominator)
+    scaled = [int(weight * denom) for _, weight in cands]
+    r = _uniform_below_oracle(rng, sum(scaled))
+    acc = 0
+    for (t, _), s in zip(cands, scaled):
+        acc += s
+        if r < acc:
+            return t
+    raise AssertionError("sampling fell off the cumulative weights")
+
+
+def sample_chain_oracle(w, start: int, steps: int, seed: int) -> tuple[int, dict[int, int]]:
+    """(final state, visit histogram) of `steps` oracle transitions."""
+    rng = make_rng(seed)
+    state = start
+    hist = {state: 1}
+    for _ in range(steps):
+        state = step_oracle(w, state, rng)
+        hist[state] = hist.get(state, 0) + 1
+    return state, hist
+
+
+def mixing_time_oracle(w, eps, cap: int = 2000, max_steps: int = 10**6, max_bits: int = 4096):
+    """Mixing time by dense Fraction powering of the transition matrix,
+    switching to binary64 once an entry exceeds max_bits bits."""
+    def max_tv(dist_rows, mu):
+        return max(sum((abs(p - q) for p, q in zip(row, mu)), ZERO) / 2 for row in dist_rows)
+
+    def widest(rows):
+        return max(max(v.numerator.bit_length(), v.denominator.bit_length()) for row in rows for v in row)
+
+    eps = exact(eps) if not isinstance(eps, float) else Fraction(eps)
+    k = len(w.support)
+    p = [list(row) for row in transition_matrix(w, cap=max(cap, 5000)).rows]
+    mu = [wt / w.total for wt in w.weights]
+    rows = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    exact_mode = True
+    switched_at = None
+    t = 0
+    tv = max_tv(rows, mu)
+    curve = [tv]
+    eps_f = float(eps)
+    while not (tv <= eps if exact_mode else tv <= eps_f + 1e-12):
+        if t >= max_steps:
+            return MixingResult(None, None, tuple(curve), False, switched_at)
+        if exact_mode:
+            rows = [
+                [sum((rows[i][l] * p[l][j] for l in range(k) if rows[i][l]), ZERO) for j in range(k)]
+                for i in range(k)
+            ]
+            t += 1
+            new_tv = max_tv(rows, mu)
+            assert new_tv <= tv
+            if widest(rows) > max_bits:
+                rows = np.array([[float(v) for v in row] for row in rows])
+                p = np.array([[float(v) for v in row] for row in p])
+                mu = np.array([float(v) for v in mu])
+                exact_mode = False
+                switched_at = t
+                new_tv = float(new_tv)
+        else:
+            rows = rows @ p
+            t += 1
+            new_tv = float(np.max(np.abs(rows - mu).sum(axis=1)) / 2.0)
+            assert new_tv <= float(tv) + 1e-12
+        tv = new_tv
+        curve.append(tv)
+    ratio = t / (w.d * math.log(w.d / eps_f)) if t else 0.0
+    return MixingResult(t, ratio, tuple(curve), True, switched_at)

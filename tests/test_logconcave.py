@@ -22,10 +22,10 @@ from clckit import (
     quadratic_hessian,
     quadratic_log_concave,
     to_setfunction,
-    two_by_two_log_concave,
     ulc_check,
 )
 from clckit.counterexamples import budget_additive_function, triangle_quadratic
+from clckit.logconcave import two_by_two_log_concave
 
 from conftest import (
     congruence,

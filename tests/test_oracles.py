@@ -6,8 +6,10 @@ matrices, whose roots are all real), LP feasibility via basic-solution
 enumeration, multivariate mutual information via its closed alternating-sum
 form, the homogenization quadratics via their closed entry formulas computed
 straight from the table, the support-mask contraction sweep via derived
-polynomials and a breadth-first search, and strong coverage synthesis via
-one Moebius inversion per contraction.
+polynomials and a breadth-first search, strong coverage synthesis via
+one Moebius inversion per contraction, and the walk's integer kernels via
+dense Fraction powering and a per-step Fraction candidate rebuild drawing
+one `rng.bytes` call per draw.
 """
 import random
 from collections import deque
@@ -27,17 +29,26 @@ from clckit import (
     homogeneous_restrict,
     homogenize,
     inertia,
+    is_irreducible,
     materialize,
+    mixing_time_exact,
     mmi,
     mobius_coverage_weights,
     quadratic_hessian,
+    sample_chain,
     synth_strong_from_parts,
+    walk_instance,
 )
 from clckit.jsonio import dump_certificate
 from clckit.polynomials import scale
 from clckit.simplex import phase1
 
-from conftest import rand_coverage_instance, rand_symmetric
+from conftest import (
+    mixing_time_oracle,
+    rand_coverage_instance,
+    rand_symmetric,
+    sample_chain_oracle,
+)
 
 
 # --- inertia vs exact characteristic polynomial -----------------------------
@@ -389,3 +400,49 @@ def test_strong_coverage_synthesis_matches_per_tau_reference():
         inst = rand_coverage_instance(rng, rng.randint(1, 6), rng.randint(1, 6))
         got = dump_certificate(synth_strong_from_parts(inst))
         assert got == dump_certificate(reference_strong_coverage(inst))
+
+
+# --- walk integer kernels vs Fraction powering and per-step rebuilds -----------
+
+
+def rand_walk_instance(rng):
+    """A size-d level with random rational weights, some of it dropped; a
+    level split between {1..cut} and {cut+1..n} is reducible."""
+    n = rng.randint(2, 6)
+    d = rng.randint(1, min(3, n))
+    density = rng.choice((0.5, 0.8, 1.0))
+    level = list(combinations(range(1, n + 1), d))
+    if d >= 2 and n >= 2 * d and rng.random() < 0.5:
+        cut = rng.randint(d, n - d)
+        level = [s for s in level if s[-1] <= cut or s[0] > cut]
+    entries = {
+        s: Fraction(rng.randint(1, 9), rng.randint(1, 7)) for s in level if rng.random() < density
+    }
+    if not entries:
+        entries[level[0]] = Fraction(rng.randint(1, 9), rng.randint(1, 7))
+    return walk_instance(SetFunctionTable.from_entries(n, entries), d)
+
+
+def test_walk_kernels_match_fraction_reference():
+    rng = random.Random(53)
+    switched = exact_only = unconverged = 0
+    for _ in range(110):
+        w = rand_walk_instance(rng)
+        eps = Fraction(1, rng.choice((2, 5, 10, 100)))
+        max_steps = 10**6 if is_irreducible(w) else rng.choice((3, 12))
+        for max_bits in (32, 64, 200, 4096):
+            got = mixing_time_exact(w, eps, max_steps=max_steps, max_bits=max_bits)
+            want = mixing_time_oracle(w, eps, max_steps=max_steps, max_bits=max_bits)
+            assert (got.t_mix, got.converged, got.switched_to_float_at, got.ratio) == (
+                want.t_mix, want.converged, want.switched_to_float_at, want.ratio
+            )
+            assert got.tv_curve == want.tv_curve
+            assert [type(v) for v in got.tv_curve] == [type(v) for v in want.tv_curve]
+            switched += got.switched_to_float_at is not None
+            exact_only += got.switched_to_float_at is None and bool(got.t_mix)
+            unconverged += not got.converged
+        start = w.support[rng.randrange(len(w.support))]
+        seed = rng.randrange(2**32)
+        chain = sample_chain(w, start, 300, seed)
+        assert (chain.final, chain.histogram) == sample_chain_oracle(w, start, 300, seed)
+    assert switched >= 20 and exact_only >= 20 and unconverged >= 20, (switched, exact_only, unconverged)

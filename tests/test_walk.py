@@ -1,5 +1,7 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,12 +14,11 @@ from clckit import (
     is_irreducible,
     mixing_time_exact,
     sample_chain,
-    step,
     to_setfunction,
     transition_matrix,
     walk_instance,
 )
-from clckit.walk import histogram_tv, make_rng
+from clckit.walk import _draw, histogram_tv, make_rng, philox_words, step
 
 from conftest import k4
 
@@ -55,31 +56,95 @@ def test_transition_matrix_single_state():
 def test_step_stays_on_single_support():
     f = SetFunctionTable.from_entries(3, {(1, 2): 5})
     w = walk_instance(f, 2)
-    rng = make_rng(0)
+    next_word, cache = philox_words(make_rng(0)).__next__, {}
     state = w.support[0]
     for _ in range(10):
-        state = step(w, state, rng)
+        state = step(w, state, next_word, cache)
         assert state == w.support[0]
+    assert sample_chain(w, state, 10, seed=0).histogram == {state: 11}
 
 
 def test_step_empirical_matches_exact_row():
     w = uniform_pairs_of_3()
     tm = transition_matrix(w)
     start = w.support[0]
-    rng = make_rng(12345)
+    next_word, cache = philox_words(make_rng(12345)).__next__, {}
     counts = {s: 0 for s in w.support}
     trials = 4000
     for _ in range(trials):
-        counts[step(w, start, rng)] += 1
+        counts[step(w, start, next_word, cache)] += 1
     row = tm.rows[0]
     for s, p in zip(w.support, row):
         assert counts[s] / trials == pytest.approx(float(p), abs=0.03)
 
 
 def test_step_rejects_foreign_state():
+    # the step kernel only ever sees states of the support: the chain checks
+    # its start, and every step moves to a cached candidate
     w = uniform_pairs_of_3()
     with pytest.raises(ValueError):
-        step(w, 0b111, make_rng(0))
+        sample_chain(w, 0b111, 5, seed=0)
+
+
+def test_block_words_reproduce_rng_bytes():
+    # 6000 draws of 1..9 bytes read about 10 000 words, across several blocks
+    rng = random.Random(8)
+    for seed in (0, 1, 2**63 + 5):
+        ref = make_rng(seed)
+        next_word = philox_words(make_rng(seed)).__next__
+        for _ in range(6000):
+            n = rng.randint(1, 9)
+            assert _draw(next_word, n) == int.from_bytes(ref.bytes(n), "little")
+
+
+# Golden philox4x64-10/v1 trajectories: (table, d, seed, steps), then the
+# final state and the sha256 of the sorted histogram, as produced by a
+# per-step Fraction sampler drawing one rng.bytes call per draw
+# (conftest.sample_chain_oracle).
+PRIMES = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069, 1087, 1091, 1093)
+GOLDEN = {
+    "d1": (
+        lambda: SetFunctionTable.from_entries(5, {(1,): 1, (2,): 3, (3,): 2, (4,): 5, (5,): 1}),
+        1, 11, 2000,
+        2, "a4ed2e949eb5cdccac0943b901b47d8cf043b90e3131bdc607e5f84baa024643",
+    ),
+    "d2": (
+        lambda: SetFunctionTable.from_entries(
+            5, {p: (sum(p) * 7) % 5 + 1 for p in combinations(range(1, 6), 2)}
+        ),
+        2, 7, 3000,
+        17, "ade3f7fcaac09da4f9326d739f3950ee037a63aec635ad373437d8adbfa85d97",
+    ),
+    "d3": (
+        lambda: SetFunctionTable.from_entries(
+            6, {p: (p[0] * p[1] + p[2]) % 4 + 1 for p in combinations(range(1, 7), 3)}
+        ),
+        3, 2024, 3000,
+        56, "f17c8dbbf4bd1d72ed7b785487684afc51346629f032269eb5e71a514369148d",
+    ),
+    # coprime denominators: every scaled candidate total exceeds 2**32, so
+    # each target draw spans two words
+    "coprime": (
+        lambda: SetFunctionTable.from_entries(
+            6,
+            {
+                p: Fraction(i + 2, q)
+                for i, (p, q) in enumerate(zip(combinations(range(1, 7), 2), PRIMES))
+            },
+        ),
+        2, 5, 2000,
+        6, "0715d57f6dac35f98ff334d808d95822532a8ae104880120e91eb13c35d5c4fd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_sample_chain_golden_trajectory(name):
+    table, d, seed, steps, final, digest = GOLDEN[name]
+    w = walk_instance(table(), d)
+    res = sample_chain(w, w.support[0], steps, seed)
+    assert res.final == final
+    assert hashlib.sha256(repr(sorted(res.histogram.items())).encode()).hexdigest() == digest
 
 
 def test_mixing_uniform_pairs_exact():
