@@ -39,6 +39,7 @@ from .setfn import (
     materialize,
     mobius_coverage_weights,
 )
+from .simplex import phase1
 
 
 @dataclass(frozen=True)
@@ -402,10 +403,9 @@ def search_2cov_feasible(
     Variables are all 2^|S| - 1 coverage weights plus the l values; the pair
     equations are equalities and l({i}) <= g({i}) gets a slack. Weights on
     sets of size >= 3 matter (they feed several pair overlaps at once), so the
-    search is complete and an infeasible verdict is a proof.
+    search is complete and an infeasible verdict is a proof. Coefficients
+    are plain ints except the -1/2 on the l values.
     """
-    from .simplex import phase1
-
     tmask = mask_of(tau)
     if tmask.bit_length() > f.n:
         raise ValueError("tau outside the ground set")
@@ -419,33 +419,24 @@ def search_2cov_feasible(
     if m == 0:
         return SearchResult(True, (), CoverageWeights(0, {}), LinearFunction(0, ()), ZERO)
     spos = {lab: i for i, lab in enumerate(support)}
-    num_x = (1 << m) - 1  # x_T for T = 1..2^m-1
-    num_cols = num_x + m + m  # + l_i + slack_i
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    half = Fraction(1, 2)
+    num_x = (1 << m) - 1  # x_T for T = 1..2^m-1, then l_i, then slack_i
+    rows: list[list] = []
+    rhs: list = []
+    minus_half = Fraction(-1, 2)
     for pm, value in pairs.items():
         la, lb = labels_of(pm)
         if la not in spos or lb not in spos:
             continue  # pair values off the support are zero by construction
         gm = (1 << spos[la]) | (1 << spos[lb])
-        row = [ZERO] * num_cols
-        for t in range(1, 1 << m):
-            if t & gm:
-                row[t - 1] = Fraction(1)
-        row[num_x + spos[la]] = -half
-        row[num_x + spos[lb]] = -half
+        row = [1 if t & gm else 0 for t in range(1, 1 << m)] + [0] * (2 * m)
+        row[num_x + spos[la]] = row[num_x + spos[lb]] = minus_half
         rows.append(row)
         rhs.append(value)
     for i in range(m):
-        row = [ZERO] * num_cols
-        for t in range(1, 1 << m):
-            if t >> i & 1:
-                row[t - 1] = Fraction(1)
-        row[num_x + i] = Fraction(-1)
-        row[num_x + m + i] = Fraction(-1)
+        row = [t >> i & 1 for t in range(1, 1 << m)] + [0] * (2 * m)
+        row[num_x + i] = row[num_x + m + i] = -1
         rows.append(row)
-        rhs.append(ZERO)
+        rhs.append(0)
     result = phase1(rows, rhs)
     if not result:
         return SearchResult(False, support, None, None, result.infeasibility)

@@ -71,9 +71,19 @@ def _load_floats(path: str):
 def load_set_function(path: str) -> SetFunctionTable:
     doc = _load(path)
     n = int(doc["n"])
-    entries = {}
-    for entry in doc.get("entries", []):
-        entries[tuple(entry["set"])] = parse_exact(entry["value"])
+    listed = doc.get("entries", [])
+    entries: dict[int, Fraction] = {}
+    for k, entry in enumerate(listed):
+        labels = entry["set"]
+        mask = mask_of(labels)
+        if mask.bit_count() != len(labels):
+            raise ValueError(f"entries[{k}]: set {labels} repeats a label")
+        if mask in entries:
+            first = next(i for i, e in enumerate(listed) if mask_of(e["set"]) == mask)
+            raise ValueError(f"entries[{k}]: set {labels} repeats the subset of entries[{first}]")
+        if mask >> n:
+            raise ValueError(f"entries[{k}]: set {labels} out of range for n={n}")
+        entries[mask] = parse_exact(entry["value"])
     return SetFunctionTable.from_entries(n, entries)
 
 

@@ -153,28 +153,38 @@ class TransitionMatrix:
 
 def transition_matrix(w: WalkInstance, cap: int = 5000) -> TransitionMatrix:
     """Exact transition matrix; row sums and detailed balance are re-verified
-    entrywise before returning."""
+    over every nonzero entry before returning (a pair that is zero both ways
+    balances trivially; one nonzero either way is seen from its row)."""
     k = len(w.support)
     if k > cap:
         raise CapExceededError(f"support size {k} exceeds cap {cap}")
-    rows = [[ZERO] * k for _ in range(k)]
+    sparse: list[dict[int, Fraction]] = []  # per row: column -> nonzero entry
     d = Fraction(w.d)
-    for si, s in enumerate(w.support):
+    for s in w.support:
+        row: dict[int, Fraction] = {}
         for drop in labels_of(s):
             base = s & ~(1 << (drop - 1))
             cands = _candidates(w, base)
             denom = sum((weight for _, weight in cands), ZERO)
             for t, weight in cands:
-                rows[si][w.index[t]] += weight / (d * denom)
-    for si in range(k):
-        if sum(rows[si], ZERO) != 1:
+                ti = w.index[t]
+                row[ti] = row.get(ti, ZERO) + weight / (d * denom)
+        sparse.append(row)
+    for si, row in enumerate(sparse):
+        if sum(row.values(), ZERO) != 1:
             raise InternalCheckError(f"row {si} does not sum to 1")
-        for ti in range(si + 1, k):
-            if w.weights[si] * rows[si][ti] != w.weights[ti] * rows[ti][si]:
+        for ti, p in row.items():
+            if w.weights[si] * p != w.weights[ti] * sparse[ti].get(si, ZERO):
                 raise InternalCheckError(
-                    f"detailed balance violated between states {si} and {ti}"
+                    f"detailed balance violated between states {min(si, ti)} and {max(si, ti)}"
                 )
-    return TransitionMatrix(w.support, tuple(tuple(r) for r in rows))
+    rows = []
+    for row in sparse:
+        dense = [ZERO] * k
+        for ti, p in row.items():
+            dense[ti] = p
+        rows.append(tuple(dense))
+    return TransitionMatrix(w.support, tuple(rows))
 
 
 @dataclass(frozen=True)

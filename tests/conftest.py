@@ -23,6 +23,7 @@ from clckit import (
 )
 from clckit.bitsets import labels_of
 from clckit.setfn import ZERO, exact
+from clckit.simplex import LPFeasibility
 from clckit.walk import MixingResult, make_rng, transition_matrix
 
 
@@ -125,6 +126,55 @@ def congruence(p, h) -> list[list[Fraction]]:
         [sum((ph[i][t] * exact(p[j][t]) for t in range(inner)), ZERO) for j in range(rows)]
         for i in range(rows)
     ]
+
+
+def phase1_oracle(a, b) -> LPFeasibility:
+    """Phase-1 simplex with Bland's rule on a `Fraction` tableau, pivot by
+    pivot the rational version of `clckit.simplex.phase1`."""
+    m = len(a)
+    if m == 0:
+        return LPFeasibility(True, (), ZERO)
+    n = len(a[0])
+    total = n + m  # artificial variable n+i sits on row i
+    tableau = []
+    for i in range(m):
+        row = [exact(v) for v in a[i]] + [Fraction(int(k == i)) for k in range(m)]
+        rhs = exact(b[i])
+        if rhs < 0:
+            row = [-v for v in row[:n]] + row[n:]
+            rhs = -rhs
+        tableau.append(row + [rhs])
+    basis = list(range(n, total))
+    # z[j] = c_j - sum_i c_basis(i) * T[i][j]
+    z = [(1 if n <= j < total else 0) - sum((r[j] for r in tableau), ZERO) for j in range(total + 1)]
+    pivots = 0
+    while True:
+        enter = next((j for j in range(total) if z[j] < 0), None)
+        if enter is None:
+            break
+        leave = best = None
+        for i in range(m):
+            coef = tableau[i][enter]
+            if coef > 0:
+                ratio = tableau[i][total] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        prow = tableau[leave]
+        inv = 1 / prow[enter]
+        prow[:] = [v * inv for v in prow]
+        for other in (*tableau, z):
+            factor = other[enter]
+            if other is not prow and factor:
+                other[:] = [v - factor * p for v, p in zip(other, prow)]
+        basis[leave] = enter
+        pivots += 1
+    if z[total] < 0:
+        return LPFeasibility(False, None, -z[total], pivots)
+    point = [ZERO] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            point[var] = tableau[i][total]
+    return LPFeasibility(True, tuple(point), ZERO, pivots)
 
 
 def evaluate(p, assignment) -> Fraction:

@@ -232,6 +232,24 @@ def test_input_error_exit_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[[2], 1], [[1, 1], 1]], "entries[1]: set [1, 1] repeats a label"),
+        ([[[1, 2], 2], [[1], 1], [[2, 1], 3]], "entries[2]: set [2, 1] repeats the subset of entries[0]"),
+        ([[[1], 1], [[3], 1]], "entries[1]: set [3] out of range for n=2"),
+    ],
+    ids=["repeated-label", "repeated-subset", "out-of-range"],
+)
+def test_malformed_table_entry_exit_3(tmp_path, capsys, entries, message):
+    doc = {"n": 2, "entries": [{"set": labels, "value": v} for labels, v in entries]}
+    code = run(["mobius", "--input", _write(tmp_path, "bad.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_usage_error_exit_3(capsys):
     assert run(["certify-clc"]) == 3
     capsys.readouterr()

@@ -7,7 +7,8 @@ enumeration, multivariate mutual information via its closed alternating-sum
 form, the homogenization quadratics via their closed entry formulas computed
 straight from the table, the support-mask contraction sweep via derived
 polynomials and a breadth-first search, strong coverage synthesis via
-one Moebius inversion per contraction, and the walk's integer kernels via
+one Moebius inversion per contraction, the integer phase-1 tableau via
+the same pivots on a Fraction tableau, and the walk's integer kernels via
 dense Fraction powering and a per-step Fraction candidate rebuild drawing
 one `rng.bytes` call per draw.
 """
@@ -39,14 +40,19 @@ from clckit import (
     synth_strong_from_parts,
     walk_instance,
 )
+from clckit import coverage2
 from clckit.jsonio import dump_certificate
+from clckit.matroids import to_setfunction
 from clckit.polynomials import scale
 from clckit.simplex import phase1
 
 from conftest import (
     mixing_time_oracle,
+    phase1_oracle,
     rand_coverage_instance,
+    rand_partition_matroid,
     rand_symmetric,
+    rand_table,
     sample_chain_oracle,
 )
 
@@ -174,6 +180,92 @@ def test_phase1_matches_brute_force():
         else:
             agree_infeasible += 1
     assert agree_feasible and agree_infeasible  # both branches exercised
+
+
+# --- integer phase-1 tableau vs the Fraction tableau -----------------------------
+
+
+def rand_lp(rng):
+    """A small system A x = b with mixed denominators, negative right-hand
+    sides, and (by family) feasible right-hand sides, redundant or
+    contradictory copies of rows, and 0/1 rows whose ratios tie."""
+    m, n = rng.randint(1, 5), rng.randint(1, 7)
+    family = rng.choice(("mixed", "planted", "redundant", "ties"))
+    if family == "ties":
+        a = [[rng.choice((0, 1, 1, 2)) for _ in range(n)] for _ in range(m)]
+        b = [rng.choice((0, 1, 2)) for _ in range(m)]
+        return a, b
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+
+    a = [[entry() for _ in range(n)] for _ in range(m)]
+    if family == "planted":
+        x0 = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) * (rng.random() < 0.5) for _ in range(n)]
+        b = [sum(row[j] * x0[j] for j in range(n)) for row in a]
+    else:
+        b = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m)]
+    if family == "redundant":
+        c1, c2 = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(1, 3))
+        i, k = rng.randrange(m), rng.randrange(m)
+        a.append([c1 * x + c2 * y for x, y in zip(a[i], a[k])])
+        b.append(c1 * b[i] + c2 * b[k] + rng.choice((0, 0, 1)))
+    return a, b
+
+
+def first_pivot_ties(a, b) -> bool:
+    """Whether the first entering column of the phase-1 tableau has two rows
+    at the minimum ratio, so Bland's tie-break picks the leaving row."""
+    rows = [[-Fraction(v) for v in (*r, s)] if s < 0 else [Fraction(v) for v in (*r, s)] for r, s in zip(a, b)]
+    n = len(a[0])
+    enter = next((j for j in range(n) if sum(r[j] for r in rows) > 0), None)
+    if enter is None:
+        return False
+    ratios = sorted(r[n] / r[enter] for r in rows if r[enter] > 0)
+    return len(ratios) > 1 and ratios[0] == ratios[1]
+
+
+def test_integer_phase1_matches_fraction_tableau():
+    rng = random.Random(4)
+    feasible = infeasible = ties = 0
+    for _ in range(400):
+        a, b = rand_lp(rng)
+        got = phase1(a, b)
+        assert got == phase1_oracle(a, b)  # verdict, point, optimum and pivots
+        feasible += got.feasible
+        infeasible += not got.feasible
+        ties += first_pivot_ties(a, b)
+    assert feasible >= 100 and infeasible >= 100 and ties >= 30
+
+
+def test_search_lps_match_fraction_tableau(monkeypatch):
+    rng = random.Random(9)
+    verdicts = []
+
+    def both(a, b):
+        got = phase1(a, b)
+        assert got == phase1_oracle(a, b)
+        verdicts.append(got.feasible)
+        return got
+
+    monkeypatch.setattr(coverage2, "phase1", both)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        d = rng.randint(2, min(3, n))
+        kind = rng.choice(("random", "random", "coverage", "matroid"))
+        if kind == "random":
+            q = rng.randint(1, 3)
+            f = rand_table(rng, n, max_value=rng.choice((1, 4)))
+            f = SetFunctionTable(n, tuple(v / q for v in f.values))
+        elif kind == "coverage":
+            f = materialize(rand_coverage_instance(rng, n, universe_size=4))
+        else:
+            f = to_setfunction(rand_partition_matroid(rng, n), "indicator")
+        for tau in combinations(range(1, n + 1), d - 2):
+            coverage2.search_2cov_feasible(f, d, tau)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
 # --- recursive MMI vs its closed alternating-sum form -------------------------

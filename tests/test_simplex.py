@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from clckit import simplex
+from clckit.errors import InternalCheckError
 from clckit.simplex import phase1
 
 
@@ -54,3 +56,47 @@ def test_solution_satisfies_system_randomized():
         for i in range(m):
             assert sum(a[i][j] * res.point[j] for j in range(n)) == b[i]
         assert all(v >= 0 for v in res.point)
+
+
+def test_pivot_count_and_optimum_denominator():
+    # x1 + x2 = 2, x1 - x2 = 0: two pivots bring x1 and x2 into the basis
+    res = phase1([[1, 1], [1, -1]], [2, 0])
+    assert res.pivots == 2
+    assert phase1([], []).pivots == 0
+    # the optimum comes back over the caller's denominators, not L or D
+    res = phase1([[Fraction(2, 3), 1], [Fraction(2, 3), 1]], [Fraction(1, 5), Fraction(1, 7)])
+    assert not res.feasible
+    assert res.infeasibility == Fraction(1, 5) - Fraction(1, 7)
+
+
+def _corrupt_pivot(monkeypatch, at, corrupt):
+    """Let pivot number `at` (1-based) leave a corrupted tableau behind."""
+    real = simplex._pivot
+    count = [0]
+
+    def pivot(tableau, z, row, col, denom):
+        new = real(tableau, z, row, col, denom)
+        count[0] += 1
+        if count[0] == at:
+            corrupt(tableau, z, new)
+        return new
+
+    monkeypatch.setattr(simplex, "_pivot", pivot)
+
+
+def test_feasible_point_is_rechecked(monkeypatch):
+    def shift_rhs(tableau, z, denom):
+        tableau[0][-1] += denom  # one unit more on row 0's basic variable
+
+    _corrupt_pivot(monkeypatch, 2, shift_rhs)  # the last of the two pivots
+    with pytest.raises(InternalCheckError, match="does not solve"):
+        phase1([[1, 1], [1, -1]], [2, 0])
+
+
+def test_farkas_vector_is_rechecked(monkeypatch):
+    def shift_dual(tableau, z, denom):
+        z[2] += denom  # reduced cost of row 0's artificial: y_0 one less
+
+    _corrupt_pivot(monkeypatch, 1, shift_dual)  # the only pivot
+    with pytest.raises(InternalCheckError, match="Farkas"):
+        phase1([[1, 0], [1, 0]], [1, 2])

@@ -18,6 +18,8 @@ from clckit import (
     transition_matrix,
     walk_instance,
 )
+from clckit import walk
+from clckit.errors import InternalCheckError
 from clckit.walk import _draw, histogram_tv, make_rng, philox_words, step
 
 from conftest import k4
@@ -51,6 +53,19 @@ def test_transition_matrix_single_state():
     f = SetFunctionTable.from_entries(3, {(1, 2): 5})
     tm = transition_matrix(walk_instance(f, 2))
     assert tm.rows == ((1,),)
+
+
+def test_transition_matrix_sees_balance_broken_one_way(monkeypatch):
+    # base {1} forgetting its target {1,3} makes P({1,3} -> {1,2}) = 1/2 while
+    # P({1,2} -> {1,3}) = 0; the pair is only nonzero in the row of {1,3}
+    real = walk._candidates
+
+    def forgetful(w, base):
+        return [c for c in real(w, base) if (base, c[0]) != (0b001, 0b101)]
+
+    monkeypatch.setattr(walk, "_candidates", forgetful)
+    with pytest.raises(InternalCheckError, match="detailed balance violated between states 0 and 1"):
+        transition_matrix(uniform_pairs_of_3())
 
 
 def test_step_stays_on_single_support():
