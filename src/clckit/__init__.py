@@ -26,7 +26,6 @@ from .setfn import (
     predicates,
 )
 from .matroids import (
-    ContractedMatroid,
     ExplicitMatroid,
     GraphicMatroid,
     Matroid,

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 from .bitsets import compress, labels_of, mask_of, masks_of_size, submasks
 from .errors import CapExceededError, InternalCheckError, MissingWitnessError
 from .logconcave import contraction_cells
-from .matroids import Matroid, parallel_partition, to_setfunction
+from .matroids import ONE, Matroid, independence_indicator, parallel_partition, to_setfunction
 from .setfn import (
     CoverageInstance,
     CoverageWeights,
@@ -200,7 +200,7 @@ def _class_weights(partition, positions: Sequence[int]) -> CoverageWeights:
     pos_of = {lab: i for i, lab in enumerate(positions)}
     x = {}
     for cls in partition.classes:
-        x[mask_of(pos_of[lab] + 1 for lab in cls)] = Fraction(1)
+        x[mask_of(pos_of[lab] + 1 for lab in cls)] = ONE
     return CoverageWeights(len(positions), x)
 
 
@@ -209,29 +209,18 @@ def synth_strong_matroid(m: Matroid, cap: int = 14) -> StrongCertificate:
 
     After contracting tau, elements fall into loops and parallel classes; unit
     weight on each class realizes the contracted rank on singletons and pairs.
+    The classes are read off the rank table, which also verifies the result.
     """
-    els = tuple(sorted(m.elements))
-    n = len(els)
+    n = len(m.elements)
     if n > cap:
         raise CapExceededError(f"{n} elements exceed cap {cap}")
+    table = to_setfunction(m, "rank")
     witnesses: dict[tuple[int, ...], CoverageWeights] = {}
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
-            tau_labels = labels_of(tmask)  # positions 1..n
-            tau_els = frozenset(els[t - 1] for t in tau_labels)
-            part = parallel_partition(m.contract(tau_els))
-            remaining = [p + 1 for p in range(n) if not tmask >> p & 1]
-            # map element labels back to table positions before indexing
-            el_to_pos = {e: i + 1 for i, e in enumerate(els)}
-            part_positions = type(part)(
-                loops=tuple(sorted(el_to_pos[e] for e in part.loops)),
-                classes=tuple(
-                    tuple(sorted(el_to_pos[e] for e in cls)) for cls in part.classes
-                ),
-            )
-            witnesses[tau_labels] = _class_weights(part_positions, remaining)
+            rest = [p + 1 for p in range(n) if not tmask >> p & 1]
+            witnesses[labels_of(tmask)] = _class_weights(parallel_partition(table, tmask), rest)
     cert = StrongCertificate(n, witnesses)
-    table = to_setfunction(m, "rank")
     check = verify_strong2cov(table, cert)
     if not check:
         raise InternalCheckError(
@@ -246,40 +235,32 @@ def synth_2cov_indicator(m: Matroid, d: int, cap: int = 14) -> TwoCoverageCertif
     For each independent tau of size d-2, the support is the non-loops of the
     contraction, g puts unit weight on each parallel class, and l is
     identically one; dependent tau get the empty witness since every
-    contracted pair value vanishes.
+    contracted pair value vanishes. Independence, the classes and the
+    indicator checked against all come from one rank table.
     """
-    els = tuple(sorted(m.elements))
-    n = len(els)
+    n = len(m.elements)
     if n > cap:
         raise CapExceededError(f"{n} elements exceed cap {cap}")
-    if not 2 <= d <= m.full_rank():
-        raise ValueError(f"d={d} exceeds the matroid rank {m.full_rank()}")
-    el_to_pos = {e: i + 1 for i, e in enumerate(els)}
+    table = to_setfunction(m, "rank")
+    full_rank = table.values[-1]
+    if not 2 <= d <= full_rank:
+        raise ValueError(f"d={d} exceeds the matroid rank {full_rank}")
     witnesses: dict[tuple[int, ...], TwoCoverageWitness] = {}
     for tmask in masks_of_size(n, d - 2):
-        tau_labels = labels_of(tmask)
-        tau_els = frozenset(els[t - 1] for t in tau_labels)
-        if m._rank(tau_els) < len(tau_els):
-            witnesses[tau_labels] = TwoCoverageWitness(
+        if table.values[tmask] < d - 2:
+            witnesses[labels_of(tmask)] = TwoCoverageWitness(
                 (), CoverageWeights(0, {}), LinearFunction(0, ())
             )
             continue
-        part = parallel_partition(m.contract(tau_els))
-        support = tuple(
-            sorted(el_to_pos[e] for cls in part.classes for e in cls)
-        )
-        spos = {lab: i for i, lab in enumerate(support)}
-        x = {}
-        for cls in part.classes:
-            x[mask_of(spos[el_to_pos[e]] + 1 for e in cls)] = Fraction(1)
-        witnesses[tau_labels] = TwoCoverageWitness(
+        part = parallel_partition(table, tmask)
+        support = tuple(sorted(lab for cls in part.classes for lab in cls))
+        witnesses[labels_of(tmask)] = TwoCoverageWitness(
             support,
-            CoverageWeights(len(support), x),
-            LinearFunction(len(support), (Fraction(1),) * len(support)),
+            _class_weights(part, support),
+            LinearFunction(len(support), (ONE,) * len(support)),
         )
     cert = TwoCoverageCertificate(n, d, witnesses)
-    table = to_setfunction(m, "indicator")
-    check = verify_2cov(table, d, cert)
+    check = verify_2cov(independence_indicator(table), d, cert)
     if not check:
         raise InternalCheckError(
             f"synthesized indicator certificate failed verification: {check.failure} at tau={check.tau}"

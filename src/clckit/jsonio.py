@@ -11,15 +11,15 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from fractions import Fraction
-from typing import Mapping
 
-from .bitsets import labels_of, mask_of
+from .bitsets import compress, labels_of
 from .coverage2 import (
     StrongCertificate,
     TwoCoverageCertificate,
     TwoCoverageWitness,
 )
 from .entropy import JointDistribution
+from .errors import CapExceededError
 from .matroids import (
     ExplicitMatroid,
     GraphicMatroid,
@@ -31,6 +31,7 @@ from .polynomials import HomogenizedPolynomial, MultiaffinePolynomial
 from .setfn import (
     CoverageInstance,
     CoverageWeights,
+    HARD_CAP,
     LinearFunction,
     SetFunctionTable,
     ZERO,
@@ -63,6 +64,46 @@ def _load(path: str):
         return json.load(fh, parse_float=lambda s: Fraction(Decimal(s)))
 
 
+def _subset(labels, at: str, item, ground: int, scope: str, seen: dict) -> int:
+    """Bitmask of the JSON list of 1-based labels found at `at.format(item)`.
+
+    Rejects a label that is not an integer, lies outside the mask `ground`
+    (named by `scope` in the message) or repeats, and a subset already in
+    `seen`, which maps each subset read from the same field to its item;
+    records the subset there.
+    """
+    def bad(problem):
+        return ValueError(f"{at.format(item)}: {problem}")
+
+    if not isinstance(labels, list):
+        raise bad(f"{labels!r} is not a list of labels")
+    top = ground.bit_length()
+    mask = 0
+    for lab in labels:
+        if type(lab) is not int:
+            raise bad(f"label {lab!r} is not an integer")
+        if not 0 < lab <= top:
+            raise bad(f"set {labels} out of range for {scope}")
+        mask |= 1 << (lab - 1)
+    if mask.bit_count() != len(labels):
+        raise bad(f"set {labels} repeats a label")
+    if mask & ~ground:
+        raise bad(f"set {labels} out of range for {scope}")
+    if mask in seen:
+        raise bad(f"set {labels} repeats the subset of {at.format(seen[mask])}")
+    seen[mask] = item
+    return mask
+
+
+def _key(key: str, at: str):
+    """A JSON-encoded dict key (a label list, or one label) decoded; `at`
+    locates it as in `_subset`."""
+    try:
+        return json.loads(key)
+    except json.JSONDecodeError:
+        raise ValueError(f"{at.format(key)}: key {key!r} is not valid JSON") from None
+
+
 def _load_floats(path: str):
     with open(path) as fh:
         return json.load(fh)
@@ -71,20 +112,15 @@ def _load_floats(path: str):
 def load_set_function(path: str) -> SetFunctionTable:
     doc = _load(path)
     n = int(doc["n"])
-    listed = doc.get("entries", [])
-    entries: dict[int, Fraction] = {}
-    for k, entry in enumerate(listed):
-        labels = entry["set"]
-        mask = mask_of(labels)
-        if mask.bit_count() != len(labels):
-            raise ValueError(f"entries[{k}]: set {labels} repeats a label")
-        if mask in entries:
-            first = next(i for i, e in enumerate(listed) if mask_of(e["set"]) == mask)
-            raise ValueError(f"entries[{k}]: set {labels} repeats the subset of entries[{first}]")
-        if mask >> n:
-            raise ValueError(f"entries[{k}]: set {labels} out of range for n={n}")
-        entries[mask] = parse_exact(entry["value"])
-    return SetFunctionTable.from_entries(n, entries)
+    if n > HARD_CAP:  # before allocating 2^n values
+        raise CapExceededError(f"n={n} exceeds the hard cap {HARD_CAP}")
+    full = (1 << n) - 1
+    values = [ZERO] * (full + 1)
+    seen: dict[int, int] = {}
+    for k, entry in enumerate(doc.get("entries", [])):
+        mask = _subset(entry["set"], "entries[{}]", k, full, f"n={n}", seen)
+        values[mask] = parse_exact(entry["value"])
+    return SetFunctionTable(n, tuple(values))
 
 
 def dump_set_function(f: SetFunctionTable) -> dict:
@@ -120,42 +156,26 @@ def load_matroid(path: str) -> Matroid:
 
 def load_polynomial(path: str):
     """Terms carry a y-power, a variable set and a coefficient; a file whose
-    terms all have y = 0 loads as a plain multiaffine polynomial."""
+    terms all have y = 0 loads as a plain multiaffine polynomial. A (y, set)
+    pair may appear in one term only."""
     doc = _load(path)
     n = int(doc["n"])
-    terms = doc.get("terms", [])
-    if all(int(t.get("y", 0)) == 0 for t in terms):
-        coeffs: dict[int, Fraction] = {}
-        for t in terms:
-            mask = mask_of(t["set"])
-            coeffs[mask] = coeffs.get(mask, ZERO) + parse_exact(t["coeff"])
-        return MultiaffinePolynomial(n, coeffs)
-    hcoeffs: dict[tuple[int, int], Fraction] = {}
-    for t in terms:
-        key = (int(t.get("y", 0)), mask_of(t["set"]))
-        hcoeffs[key] = hcoeffs.get(key, ZERO) + parse_exact(t["coeff"])
-    return HomogenizedPolynomial(n, hcoeffs)
+    full = (1 << n) - 1
+    seen: dict[int, dict[int, int]] = {}
+    coeffs: dict[tuple[int, int], Fraction] = {}
+    for k, t in enumerate(doc.get("terms", [])):
+        y = int(t.get("y", 0))
+        mask = _subset(t["set"], "terms[{}]", k, full, f"n={n}", seen.setdefault(y, {}))
+        coeffs[y, mask] = parse_exact(t["coeff"])
+    if all(y == 0 for y in seen):
+        return MultiaffinePolynomial(n, {mask: c for (_, mask), c in coeffs.items()})
+    return HomogenizedPolynomial(n, coeffs)
 
 
 def load_joint_distribution(path: str) -> JointDistribution:
     doc = _load_floats(path)
     pmf = {tuple(row["outcome"]): float(row["p"]) for row in doc["pmf"]}
     return JointDistribution(tuple(int(k) for k in doc["alphabets"]), pmf)
-
-
-def _weights_dict(w: CoverageWeights) -> dict:
-    return {
-        _setkey(labels_of(t)): frac_str(v)
-        for t, v in sorted(w.x.items())
-    }
-
-
-def _weights_from(doc: Mapping, n: int) -> CoverageWeights:
-    x = {}
-    for key, v in doc.items():
-        labels = json.loads(key) if isinstance(key, str) else key
-        x[mask_of(labels)] = parse_exact(v)
-    return CoverageWeights(n, x)
 
 
 def dump_certificate(cert) -> dict:
@@ -198,36 +218,48 @@ def dump_certificate(cert) -> dict:
 
 def load_certificate(path: str):
     """A document with a top-level "d" is a two-coverage certificate;
-    otherwise a strong one."""
+    otherwise a strong one. The labels in g and l keys must lie in the
+    witness's ground set: S for two-coverage, the complement of tau for a
+    strong certificate."""
     doc = _load(path)
     n = int(doc["n"])
-    if "d" in doc:
-        witnesses = {}
-        for w in doc["witnesses"]:
-            tau = tuple(sorted(w["tau"]))
-            support = tuple(sorted(w["S"]))
-            spos = {lab: i for i, lab in enumerate(support)}
-            g = {}
-            for key, v in w.get("g", {}).items():
-                labels = json.loads(key) if isinstance(key, str) else key
-                g[mask_of(spos[lab] + 1 for lab in labels)] = parse_exact(v)
-            ell = [ZERO] * len(support)
-            for key, v in w.get("l", {}).items():
-                ell[spos[int(key)]] = parse_exact(v)
-            witnesses[tau] = TwoCoverageWitness(
-                support,
-                CoverageWeights(len(support), g),
-                LinearFunction(len(support), tuple(ell)),
-            )
-        return TwoCoverageCertificate(n, int(doc["d"]), witnesses)
+    full = (1 << n) - 1
+    in_n = f"n={n}"
+    two_coverage = "d" in doc
+    listed = doc["witnesses"]
     witnesses = {}
-    for w in doc["witnesses"]:
+    for k, w in enumerate(listed):
+        tmask = _subset(w["tau"], "witnesses[{}].tau", k, full, in_n, {})
         tau = tuple(sorted(w["tau"]))
-        rest = [i for i in range(1, n + 1) if i not in tau]
-        rpos = {lab: i for i, lab in enumerate(rest)}
+        if tau in witnesses:  # found again, not indexed: an index of every tau costs memory
+            first = next(i for i, v in enumerate(listed) if tuple(sorted(v["tau"])) == tau)
+            raise ValueError(
+                f"witnesses[{k}].tau: set {w['tau']} repeats the subset of witnesses[{first}].tau"
+            )
+        if two_coverage:
+            ground, scope = _subset(w["S"], "witnesses[{}].S", k, full, in_n, {}), "S"
+        else:
+            ground, scope = full & ~tmask, "the complement of tau"
+        bits = tuple([b for b in range(n) if ground >> b & 1])
+        at = f"witnesses[{k}].g[{{!r}}]"
+        seen_g: dict[int, str] = {}
         g = {}
         for key, v in w.get("g", {}).items():
-            labels = json.loads(key) if isinstance(key, str) else key
-            g[mask_of(rpos[lab] + 1 for lab in labels)] = parse_exact(v)
-        witnesses[tau] = CoverageWeights(len(rest), g)
+            mask = _subset(_key(key, at), at, key, ground, scope, seen_g)
+            g[compress(mask, bits)] = parse_exact(v)
+        weights = CoverageWeights(len(bits), g)
+        if not two_coverage:
+            witnesses[tau] = weights
+            continue
+        at = f"witnesses[{k}].l[{{!r}}]"
+        seen_l: dict[int, str] = {}
+        ell = [ZERO] * len(bits)
+        for key, v in w.get("l", {}).items():
+            bit = _subset([_key(key, at)], at, key, ground, scope, seen_l)
+            ell[bits.index(bit.bit_length() - 1)] = parse_exact(v)
+        witnesses[tau] = TwoCoverageWitness(
+            tuple(b + 1 for b in bits), weights, LinearFunction(len(bits), tuple(ell))
+        )
+    if two_coverage:
+        return TwoCoverageCertificate(n, int(doc["d"]), witnesses)
     return StrongCertificate(n, witnesses)

@@ -1,20 +1,19 @@
-"""Matroid oracles: uniform, partition, graphic, explicit, and contractions.
+"""Matroid oracles: uniform, partition, graphic and explicit.
 
-Ranks are exact integers; ground elements are 1-based labels. Contracting by
-tau keeps the parent's labels (the ground set shrinks), and rank then means
-rk(S + tau) - rk(tau). Tables produced from an oracle are indexed by the
-surviving labels in ascending order.
+Ranks are exact integers; ground elements are 1-based labels. Tables
+produced from an oracle are indexed by the labels in ascending order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .bitsets import mask_of
 from .errors import CapExceededError, NotAMatroidError
 from .setfn import HARD_CAP, SetFunctionTable, ZERO
+
+ONE = Fraction(1)
 
 
 class Matroid:
@@ -34,21 +33,6 @@ class Matroid:
 
     def full_rank(self) -> int:
         return self._rank(frozenset(self.elements))
-
-    def is_independent(self, subset: Iterable[int]) -> bool:
-        s = frozenset(subset)
-        return self.rank(s) == len(s)
-
-    def contract(self, tau: Iterable[int]) -> "Matroid":
-        t = frozenset(tau)
-        if not t:
-            return self
-        extra = t.difference(self.elements)
-        if extra:
-            raise ValueError(f"invalid contraction set: {sorted(extra)}")
-        if isinstance(self, ContractedMatroid):
-            return ContractedMatroid(self.base, self.tau | t)
-        return ContractedMatroid(self, t)
 
 
 class UniformMatroid(Matroid):
@@ -197,25 +181,6 @@ class ExplicitMatroid(Matroid):
         return f"ExplicitMatroid(n={self.n}, |family|={len(self.family)})"
 
 
-class ContractedMatroid(Matroid):
-    """M/tau with the parent's labels; rank(S) = rk(S + tau) - rk(tau)."""
-
-    def __init__(self, base: Matroid, tau: frozenset):
-        extra = tau.difference(base.elements)
-        if extra:
-            raise ValueError(f"invalid contraction set: {sorted(extra)}")
-        self.base = base
-        self.tau = frozenset(tau)
-        self.elements = tuple(e for e in base.elements if e not in tau)
-        self._tau_rank = base._rank(self.tau)
-
-    def _rank(self, s: frozenset) -> int:
-        return self.base._rank(s | self.tau) - self._tau_rank
-
-    def __repr__(self):
-        return f"{self.base!r} / {sorted(self.tau)}"
-
-
 @dataclass(frozen=True)
 class ParallelPartition:
     """Loops plus parallel classes covering the rest of the ground set."""
@@ -224,52 +189,56 @@ class ParallelPartition:
     classes: tuple[tuple[int, ...], ...]
 
 
-def parallel_partition(m: Matroid) -> ParallelPartition:
-    """Group elements into loops and parallel classes, then verify the
-    pairwise rank case table (0 loop-loop, 1 within a class or with a loop,
-    2 across classes) on every pair."""
+def parallel_partition(rank: SetFunctionTable, tau: int = 0) -> ParallelPartition:
+    """Loops and parallel classes of M/tau, read off the rank table of M.
+
+    Over the positions outside the mask tau, i is a loop iff r(tau+i) = r(tau),
+    and nonloops i and j are parallel iff r(tau+ij) = r(tau)+1. The contracted
+    pair ranks r(tau+ij) - r(tau) are then checked against the case table
+    (0 loop-loop, 1 within a class or with a loop, 2 across classes) on every
+    pair. Labels are 1-based table positions.
+    """
+    r = rank.values
+    base = r[tau]
+    level = (base, base + 1, base + 2)  # r(tau) plus contracted rank 0, 1, 2
+    outside = [b for b in range(rank.n) if not tau >> b & 1]
     loops = []
-    nonloops = []
-    for x in m.elements:
-        (loops if m._rank(frozenset((x,))) == 0 else nonloops).append(x)
     classes: list[list[int]] = []
-    for x in nonloops:
+    for b in outside:
+        with_b = tau | 1 << b
+        if r[with_b] == base:
+            loops.append(b)
+            continue
         for cls in classes:
-            if m._rank(frozenset((x, cls[0]))) == 1:
-                cls.append(x)
+            if r[with_b | 1 << cls[0]] == level[1]:
+                cls.append(b)
                 break
         else:
-            classes.append([x])
-    cls_of = {}
-    for idx, cls in enumerate(classes):
-        for x in cls:
-            cls_of[x] = idx
-    loop_set = set(loops)
-    for x, y in combinations(m.elements, 2):
-        if x in loop_set and y in loop_set:
-            expected = 0
-        elif x in loop_set or y in loop_set:
-            expected = 1
-        elif cls_of[x] == cls_of[y]:
-            expected = 1
-        else:
-            expected = 2
-        actual = m._rank(frozenset((x, y)))
-        if actual != expected:
-            raise NotAMatroidError(
-                f"pair rank case table violated at ({x},{y}): rank {actual}, expected {expected}"
-            )
+            classes.append([b])
+    cls_of = {b: idx for idx, cls in enumerate(classes) for b in cls}
+    for ia, a in enumerate(outside):
+        ca = cls_of.get(a)
+        for b in outside[ia + 1:]:
+            cb = cls_of.get(b)
+            # one per nonloop, less one when both sit in the same class
+            expected = (ca is not None) + (cb is not None) - (ca is not None and ca == cb)
+            if r[tau | 1 << a | 1 << b] != level[expected]:
+                actual = r[tau | 1 << a | 1 << b] - base
+                raise NotAMatroidError(
+                    f"pair rank case table violated at ({a + 1},{b + 1}): rank {actual}, expected {expected}"
+                )
     return ParallelPartition(
-        loops=tuple(sorted(loops)),
-        classes=tuple(tuple(sorted(c)) for c in sorted(classes, key=min)),
+        loops=tuple(b + 1 for b in loops),
+        classes=tuple(tuple(b + 1 for b in cls) for cls in classes),
     )
 
 
 def to_setfunction(m: Matroid, mode: str = "rank") -> SetFunctionTable:
     """Rank table or 0/1 independence indicator over the sorted ground labels.
 
-    The indicator stores 0 at the empty set (the table convention wins over
-    the combinatorial value 1; degree->=1 restrictions are unaffected).
+    Entries share one Fraction per rank value. The indicator stores 0 at the
+    empty set (the table convention wins over the combinatorial value 1;
+    degree->=1 restrictions are unaffected).
     """
     if mode not in ("rank", "indicator"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -277,12 +246,17 @@ def to_setfunction(m: Matroid, mode: str = "rank") -> SetFunctionTable:
     k = len(els)
     if k > HARD_CAP:
         raise CapExceededError(f"{k} elements exceed the materialization cap")
+    ranks = [ZERO] + [Fraction(r) for r in range(1, k + 1)]
     vals = [ZERO] * (1 << k)
     for mask in range(1, 1 << k):
-        s = frozenset(els[b] for b in range(k) if mask >> b & 1)
-        r = m._rank(s)
-        if mode == "rank":
-            vals[mask] = Fraction(r)
-        else:
-            vals[mask] = Fraction(1) if r == len(s) else ZERO
-    return SetFunctionTable(k, tuple(vals))
+        vals[mask] = ranks[m._rank(frozenset(els[b] for b in range(k) if mask >> b & 1))]
+    table = SetFunctionTable(k, tuple(vals))
+    return table if mode == "rank" else independence_indicator(table)
+
+
+def independence_indicator(rank: SetFunctionTable) -> SetFunctionTable:
+    """The 0/1 indicator of r(S) = |S|, read off a rank table; 0 at the empty set."""
+    return SetFunctionTable(
+        rank.n,
+        tuple(ONE if s and r == s.bit_count() else ZERO for s, r in enumerate(rank.values)),
+    )

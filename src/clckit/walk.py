@@ -148,7 +148,7 @@ def step(w: WalkInstance, state: int, next_word: Callable[[], int], cache: dict)
 @dataclass(frozen=True)
 class TransitionMatrix:
     states: tuple[int, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[dict[int, Fraction], ...]  # per row: column -> nonzero entry
 
 
 def transition_matrix(w: WalkInstance, cap: int = 5000) -> TransitionMatrix:
@@ -158,7 +158,7 @@ def transition_matrix(w: WalkInstance, cap: int = 5000) -> TransitionMatrix:
     k = len(w.support)
     if k > cap:
         raise CapExceededError(f"support size {k} exceeds cap {cap}")
-    sparse: list[dict[int, Fraction]] = []  # per row: column -> nonzero entry
+    sparse: list[dict[int, Fraction]] = []
     d = Fraction(w.d)
     for s in w.support:
         row: dict[int, Fraction] = {}
@@ -178,13 +178,7 @@ def transition_matrix(w: WalkInstance, cap: int = 5000) -> TransitionMatrix:
                 raise InternalCheckError(
                     f"detailed balance violated between states {min(si, ti)} and {max(si, ti)}"
                 )
-    rows = []
-    for row in sparse:
-        dense = [ZERO] * k
-        for ti, p in row.items():
-            dense[ti] = p
-        rows.append(tuple(dense))
-    return TransitionMatrix(w.support, tuple(rows))
+    return TransitionMatrix(w.support, tuple(sparse))
 
 
 @dataclass(frozen=True)
@@ -243,14 +237,13 @@ def mixing_time_exact(
     if k > cap:
         raise CapExceededError(f"support size {k} exceeds cap {cap}")
     tm = transition_matrix(w, cap=max(cap, 5000))
-    big_l = math.lcm(*(v.denominator for row in tm.rows for v in row if v))
+    big_l = math.lcm(*(v.denominator for row in tm.rows for v in row.values()))
     # column j of N as (row indices, integer entries)
     cols = [([], []) for _ in range(k)]
     for i, row in enumerate(tm.rows):
-        for j, v in enumerate(row):
-            if v:
-                cols[j][0].append(i)
-                cols[j][1].append(v.numerator * (big_l // v.denominator))
+        for j, v in row.items():
+            cols[j][0].append(i)
+            cols[j][1].append(v.numerator * (big_l // v.denominator))
     w_den = math.lcm(*(wt.denominator for wt in w.weights))
     w_int = [wt.numerator * (w_den // wt.denominator) for wt in w.weights]
     w_sum = sum(w_int)
@@ -281,7 +274,10 @@ def mixing_time_exact(
                 raise InternalCheckError("TV increased during exact powering")
             if scale.bit_length() > max_bits and _exceeds_bits(rows, scale, max_bits):
                 rows = np.array([[a / scale for a in row] for row in rows])
-                p = np.array([[float(v) for v in row] for row in tm.rows])
+                p = np.zeros((k, k))
+                for i, row in enumerate(tm.rows):
+                    for j, v in row.items():
+                        p[i, j] = float(v)
                 mu = np.array([float(wt / w.total) for wt in w.weights])
                 exact_mode = False
                 switched_at = t

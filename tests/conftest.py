@@ -9,19 +9,25 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from clckit import (
     CoverageInstance,
+    CoverageWeights,
     GraphicMatroid,
+    LinearFunction,
     MultiaffinePolynomial,
     PartitionMatroid,
     SetFunctionTable,
+    StrongCertificate,
+    TwoCoverageCertificate,
+    TwoCoverageWitness,
     UniformMatroid,
 )
-from clckit.bitsets import labels_of
+from clckit.bitsets import labels_of, mask_of
 from clckit.setfn import ZERO, exact
 from clckit.simplex import LPFeasibility
 from clckit.walk import MixingResult, make_rng, transition_matrix
@@ -177,6 +183,66 @@ def phase1_oracle(a, b) -> LPFeasibility:
     return LPFeasibility(True, tuple(point), ZERO, pivots)
 
 
+def contracted_classes(m, tau) -> list[list[int]]:
+    """Parallel classes of M/tau (loops left out), asking the oracle for the
+    contracted rank rk(S + tau) - rk(tau) one set at a time."""
+    t = frozenset(tau)
+    base = m._rank(t)
+
+    def rank(*xs):
+        return m._rank(t | frozenset(xs)) - base
+
+    classes = []
+    for x in m.elements:
+        if x in t or rank(x) == 0:
+            continue
+        for cls in classes:
+            if rank(x, cls[0]) == 1:
+                cls.append(x)
+                break
+        else:
+            classes.append([x])
+    return classes
+
+
+def _unit_classes(classes, positions) -> CoverageWeights:
+    return CoverageWeights(
+        len(positions),
+        {mask_of(positions.index(e) + 1 for e in cls): Fraction(1) for cls in classes},
+    )
+
+
+def reference_strong_matroid(m) -> StrongCertificate:
+    """Unit weight on each parallel class of M/tau, built separately for
+    every tau from the oracle."""
+    n = len(m.elements)
+    witnesses = {}
+    for size in range(n - 1):
+        for tau in combinations(range(1, n + 1), size):
+            rest = [e for e in range(1, n + 1) if e not in tau]
+            witnesses[tau] = _unit_classes(contracted_classes(m, tau), rest)
+    return StrongCertificate(n, witnesses)
+
+
+def reference_2cov_indicator(m, d) -> TwoCoverageCertificate:
+    """Per independent tau of size d-2: support the nonloops of M/tau, unit
+    weight on each class, l = 1; a dependent tau gets the empty witness."""
+    n = len(m.elements)
+    witnesses = {}
+    for tau in combinations(range(1, n + 1), d - 2):
+        if m._rank(frozenset(tau)) < len(tau):
+            witnesses[tau] = TwoCoverageWitness((), CoverageWeights(0, {}), LinearFunction(0, ()))
+            continue
+        classes = contracted_classes(m, tau)
+        support = tuple(sorted(e for cls in classes for e in cls))
+        witnesses[tau] = TwoCoverageWitness(
+            support,
+            _unit_classes(classes, support),
+            LinearFunction(len(support), (Fraction(1),) * len(support)),
+        )
+    return TwoCoverageCertificate(n, d, witnesses)
+
+
 def evaluate(p, assignment) -> Fraction:
     """Exact evaluation; homogenized polynomials take (y, x_1..x_n)."""
     if isinstance(p, MultiaffinePolynomial):
@@ -269,7 +335,7 @@ def mixing_time_oracle(w, eps, cap: int = 2000, max_steps: int = 10**6, max_bits
 
     eps = exact(eps) if not isinstance(eps, float) else Fraction(eps)
     k = len(w.support)
-    p = [list(row) for row in transition_matrix(w, cap=max(cap, 5000)).rows]
+    p = [[row.get(j, ZERO) for j in range(k)] for row in transition_matrix(w, cap=max(cap, 5000)).rows]
     mu = [wt / w.total for wt in w.weights]
     rows = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
     exact_mode = True

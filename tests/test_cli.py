@@ -238,12 +238,81 @@ def test_input_error_exit_3(tmp_path, capsys):
         ([[[2], 1], [[1, 1], 1]], "entries[1]: set [1, 1] repeats a label"),
         ([[[1, 2], 2], [[1], 1], [[2, 1], 3]], "entries[2]: set [2, 1] repeats the subset of entries[0]"),
         ([[[1], 1], [[3], 1]], "entries[1]: set [3] out of range for n=2"),
+        ([[["1"], 1]], "entries[0]: label '1' is not an integer"),
     ],
-    ids=["repeated-label", "repeated-subset", "out-of-range"],
+    ids=["repeated-label", "repeated-subset", "out-of-range", "non-integer-label"],
 )
 def test_malformed_table_entry_exit_3(tmp_path, capsys, entries, message):
     doc = {"n": 2, "entries": [{"set": labels, "value": v} for labels, v in entries]}
     code = run(["mobius", "--input", _write(tmp_path, "bad.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def _u23_file(tmp_path, mode):
+    from clckit import UniformMatroid, to_setfunction
+
+    table = to_setfunction(UniformMatroid(2, 3), mode)
+    return _write(tmp_path, f"u23-{mode}.json", jsonio.dump_set_function(table))
+
+
+@pytest.mark.parametrize(
+    "witnesses, message",
+    [
+        ([{"tau": [], "g": {"[1,1]": "1", "[1]": "5"}}],
+         "witnesses[0].g['[1,1]']: set [1, 1] repeats a label"),
+        ([{"tau": [], "g": {"[1,2]": "1", "[2,1]": "1"}}],
+         "witnesses[0].g['[2,1]']: set [2, 1] repeats the subset of witnesses[0].g['[1,2]']"),
+        ([{"tau": [1], "g": {"[1,2]": "1"}}],
+         "witnesses[0].g['[1,2]']: set [1, 2] out of range for the complement of tau"),
+        ([{"tau": [2], "g": {}}, {"tau": [2], "g": {}}],
+         "witnesses[1].tau: set [2] repeats the subset of witnesses[0].tau"),
+        ([{"tau": ["1"], "g": {}}], "witnesses[0].tau: label '1' is not an integer"),
+    ],
+    ids=["repeated-label", "repeated-subset", "inside-tau", "repeated-tau", "non-integer-label"],
+)
+def test_malformed_strong_certificate_exit_3(tmp_path, capsys, witnesses, message):
+    cert = _write(tmp_path, "cert.json", {"n": 3, "witnesses": witnesses})
+    code = run(["certify-strong", "--input", _u23_file(tmp_path, "rank"), "--cert", cert])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "witness, message",
+    [
+        ({"S": [1, 1], "g": {}, "l": {}}, "witnesses[0].S: set [1, 1] repeats a label"),
+        ({"S": [1, 2], "g": {"[3]": "1"}, "l": {}},
+         "witnesses[0].g['[3]']: set [3] out of range for S"),
+        ({"S": [1, 2], "g": {"[1,2]": "1"}, "l": {"3": "1"}},
+         "witnesses[0].l['3']: set [3] out of range for S"),
+    ],
+    ids=["repeated-support-label", "g-outside-support", "l-outside-support"],
+)
+def test_malformed_two_coverage_certificate_exit_3(tmp_path, capsys, witness, message):
+    cert = _write(tmp_path, "cert.json", {"d": 2, "n": 3, "witnesses": [{"tau": [], **witness}]})
+    code = run(["certify-2cov", "--input", _u23_file(tmp_path, "indicator"), "--d", "2", "--cert", cert])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ([[[1, 2], 1], [[2, 1], 1]], "terms[1]: set [2, 1] repeats the subset of terms[0]"),
+        ([[[1, 1], 1]], "terms[0]: set [1, 1] repeats a label"),
+    ],
+    ids=["repeated-subset", "repeated-label"],
+)
+def test_malformed_polynomial_term_exit_3(tmp_path, capsys, terms, message):
+    doc = {"n": 2, "terms": [{"set": labels, "coeff": c} for labels, c in terms]}
+    code = run(["certify-clc", "--poly", _write(tmp_path, "p.json", doc)])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -7,12 +8,14 @@ from clckit import (
     ExplicitMatroid,
     GraphicMatroid,
     PartitionMatroid,
+    SetFunctionTable,
     UniformMatroid,
     parallel_partition,
     predicates,
     to_setfunction,
     validate_explicit,
 )
+from clckit.bitsets import mask_of, masks_of_size
 from clckit.errors import NotAMatroidError
 
 from conftest import k4, rand_partition_matroid
@@ -29,52 +32,70 @@ def test_uniform_rank():
 
 
 def test_explicit_contracted_rank():
+    # rk({1,2,3}) - rk({1}) = 1: after contracting 1, elements 2 and 3 are parallel
     bases = [[1, 2], [1, 3], [2, 3]]
     family = [[]] + [[i] for i in (1, 2, 3)] + bases
-    m = ExplicitMatroid(3, family).contract([1])
-    assert m.rank([2, 3]) == 1  # rk({1,2,3}) - rk({1})
+    pp = parallel_partition(to_setfunction(ExplicitMatroid(3, family)), 0b001)
+    assert pp.loops == ()
+    assert pp.classes == ((2, 3),)
 
 
 def test_contract_by_empty_is_identity():
-    m = UniformMatroid(2, 3)
-    assert m.contract([]) is m
+    rk = to_setfunction(UniformMatroid(2, 3))
+    assert parallel_partition(rk, 0) == parallel_partition(rk)
+    assert parallel_partition(rk).classes == ((1,), (2,), (3,))
 
 
 def test_contract_uniform_pairs():
-    m = UniformMatroid(2, 3).contract([1])
-    for pair in ([2, 3],):
-        assert m.rank(pair) == 1
+    # every element of U(2,3) / {1} has rank 1, and every pair too
+    pp = parallel_partition(to_setfunction(UniformMatroid(2, 3)), 0b001)
+    assert pp.loops == ()
+    assert pp.classes == ((2, 3),)
 
 
 def test_contract_k4_parallel_edges():
     # contracting e12 makes e13 (edge 2) and e23 (edge 4) parallel
-    m = k4().contract([1])
-    assert m.rank([2]) == 1
-    assert m.rank([2, 4]) == 1
-    pp = parallel_partition(m)
-    classes = {frozenset(c) for c in pp.classes}
-    assert frozenset((2, 4)) in classes  # e13 with e23
-    assert frozenset((3, 5)) in classes  # e14 with e24
-    assert frozenset((6,)) in classes
+    pp = parallel_partition(to_setfunction(k4()), 0b000001)
+    assert pp.loops == ()
+    assert pp.classes == ((2, 4), (3, 5), (6,))  # e13 with e23, e14 with e24
 
 
 def test_parallel_partition_u13():
-    pp = parallel_partition(UniformMatroid(1, 3))
+    pp = parallel_partition(to_setfunction(UniformMatroid(1, 3)))
     assert pp.loops == ()
     assert pp.classes == ((1, 2, 3),)
 
 
 def test_parallel_partition_self_loop():
     m = GraphicMatroid(2, [(1, 1), (1, 2)])
-    pp = parallel_partition(m)
+    pp = parallel_partition(to_setfunction(m))
     assert pp.loops == (1,)
     assert pp.classes == ((2,),)
 
 
 def test_parallel_partition_contracted_uniform():
-    pp = parallel_partition(UniformMatroid(2, 3).contract([1]))
-    assert pp.loops == ()
-    assert pp.classes == ((2, 3),)
+    # contracting a basis of U(2,3) turns every other element into a loop
+    pp = parallel_partition(to_setfunction(UniformMatroid(2, 3)), 0b011)
+    assert pp.loops == (3,)
+    assert pp.classes == ()
+
+
+@pytest.mark.parametrize(
+    "r, n, tau, subset, value",
+    [
+        (1, 3, (), (2, 3), 2),
+        (1, 3, (), (1, 2), 0),
+        (2, 4, (1,), (1, 2, 4), 3),
+        (2, 4, (1,), (1, 2, 3), 1),
+    ],
+    ids=["transitivity", "nonloops-rank-0", "contracted-transitivity", "contracted-rank-drop"],
+)
+def test_parallel_partition_rejects_corrupted_pair(r, n, tau, subset, value):
+    # U(r,n) with the rank of one set tau + pair changed; singletons keep theirs
+    rk = list(to_setfunction(UniformMatroid(r, n)).values)
+    rk[mask_of(subset)] = Fraction(value)
+    with pytest.raises(NotAMatroidError, match="pair rank case table violated"):
+        parallel_partition(SetFunctionTable(n, tuple(rk)), mask_of(tau))
 
 
 def test_to_setfunction_uniform():
@@ -144,10 +165,8 @@ def test_rank_axioms_exhaustively():
 def test_parallel_case_table_under_contraction():
     rng = random.Random(9)
     for m in _all_matroid_fixtures(rng):
-        els = m.elements
-        for t_size in range(min(3, len(els) - 1)):
-            for tau in combinations(els, t_size):
-                mc = m.contract(tau)
-                if len(mc.elements) < 2:
-                    continue
-                parallel_partition(mc)  # raises NotAMatroidError on violation
+        rk = to_setfunction(m)
+        n = rk.n
+        for t_size in range(min(3, n - 1)):
+            for tmask in masks_of_size(n, t_size):
+                parallel_partition(rk, tmask)  # raises NotAMatroidError on violation

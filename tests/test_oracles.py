@@ -7,11 +7,14 @@ enumeration, multivariate mutual information via its closed alternating-sum
 form, the homogenization quadratics via their closed entry formulas computed
 straight from the table, the support-mask contraction sweep via derived
 polynomials and a breadth-first search, strong coverage synthesis via
-one Moebius inversion per contraction, the integer phase-1 tableau via
+one Moebius inversion per contraction, matroid certificates read off the
+rank table via parallel classes asked of the oracle per contraction, the
+integer phase-1 tableau via
 the same pivots on a Fraction tableau, and the walk's integer kernels via
 dense Fraction powering and a per-step Fraction candidate rebuild drawing
 one `rng.bytes` call per draw.
 """
+import json
 import random
 from collections import deque
 from fractions import Fraction
@@ -21,8 +24,11 @@ from math import factorial
 from clckit import (
     CoverageInstance,
     CoverageWeights,
+    ExplicitMatroid,
+    GraphicMatroid,
     SetFunctionTable,
     StrongCertificate,
+    UniformMatroid,
     certify_clc_homogeneous,
     certify_clc_homogenization,
     derive,
@@ -53,6 +59,8 @@ from conftest import (
     rand_partition_matroid,
     rand_symmetric,
     rand_table,
+    reference_2cov_indicator,
+    reference_strong_matroid,
     sample_chain_oracle,
 )
 
@@ -492,6 +500,44 @@ def test_strong_coverage_synthesis_matches_per_tau_reference():
         inst = rand_coverage_instance(rng, rng.randint(1, 6), rng.randint(1, 6))
         got = dump_certificate(synth_strong_from_parts(inst))
         assert got == dump_certificate(reference_strong_coverage(inst))
+
+
+# --- matroid certificates vs per-tau contracted oracles ------------------------
+
+
+def rand_matroid(rng, kind):
+    """A random matroid on 2..7 elements; graphic ones (and the explicit ones
+    listing a graphic matroid's independent sets) have self-loops and
+    parallel edges."""
+    n = rng.randint(2, 7)
+    if kind == "uniform":
+        return UniformMatroid(rng.randint(0, n), n)
+    if kind == "partition":
+        return rand_partition_matroid(rng, n)
+    v = rng.randint(2, 4)
+    graph = GraphicMatroid(v, [(rng.randint(1, v), rng.randint(1, v)) for _ in range(n)])
+    if kind == "graphic":
+        return graph
+    return ExplicitMatroid(
+        n, [s for k in range(n + 1) for s in combinations(range(1, n + 1), k) if graph.rank(s) == k]
+    )
+
+
+def test_matroid_synthesis_matches_per_tau_reference():
+    rng = random.Random(61)
+    loops = big_classes = 0
+    for kind in ("uniform", "partition", "graphic", "explicit") * 8:
+        m = rand_matroid(rng, kind)
+        strong = dump_certificate(coverage2.synth_strong_matroid(m))
+        assert strong == dump_certificate(reference_strong_matroid(m))
+        for d in range(2, m.full_rank() + 1):
+            got = dump_certificate(coverage2.synth_2cov_indicator(m, d))
+            assert got == dump_certificate(reference_2cov_indicator(m, d))
+        for w in strong["witnesses"]:
+            classes = [json.loads(key) for key in w["g"]]
+            loops += len(m.elements) - len(w["tau"]) - sum(map(len, classes))
+            big_classes += any(len(c) >= 3 for c in classes)
+    assert loops >= 50 and big_classes >= 50, (loops, big_classes)
 
 
 # --- walk integer kernels vs Fraction powering and per-step rebuilds -----------
