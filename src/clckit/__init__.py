@@ -10,15 +10,12 @@ and runs the down-up sampling walk with exact mixing diagnostics.
 
 from .setfn import (
     BudgetAdditive,
-    Contraction,
     CoverageInstance,
     CoverageWeights,
     LinearFunction,
     MobiusResult,
     PredicateReport,
     SetFunctionTable,
-    combine,
-    contract,
     homogeneous_restrict,
     level_sequence,
     materialize,
@@ -53,7 +50,7 @@ from .logconcave import (
     inertia,
     is_indecomposable,
     mainpsd_witness,
-    quadratic_log_concave,
+    quadratic_inertia,
     ulc_check,
 )
 from .coverage2 import (

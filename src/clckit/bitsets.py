@@ -66,20 +66,3 @@ def subset_transform(values: list, inverse: bool = False) -> list:
         bit <<= 1
     return values
 
-
-def compress(mask: int, positions: tuple[int, ...]) -> int:
-    """Repack the bits of mask found at the given 0-based positions into bits 0..len-1."""
-    out = 0
-    for new, old in enumerate(positions):
-        if mask >> old & 1:
-            out |= 1 << new
-    return out
-
-
-def expand(mask: int, positions: tuple[int, ...]) -> int:
-    """Inverse of compress: move bit i of mask to the i-th listed position."""
-    out = 0
-    for new, old in enumerate(positions):
-        if mask >> new & 1:
-            out |= 1 << old
-    return out

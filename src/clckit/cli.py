@@ -33,10 +33,9 @@ from .logconcave import (
     VERDICT_VACUOUS,
     certify_clc_homogeneous,
     certify_clc_homogenization,
-    inertia,
+    quadratic_inertia,
     ulc_check,
 )
-from .polynomials import quadratic_hessian
 from .setfn import level_sequence, mobius_coverage_weights
 from .walk import (
     RNG_SCHEME,
@@ -185,8 +184,7 @@ def _cmd_certify_clc(args) -> int:
     if (args.input is None) == (args.poly is None):
         raise _UsageError("provide exactly one of --input or --poly")
     if args.poly is not None:
-        p = jsonio.load_polynomial(args.poly)
-        iner = inertia(quadratic_hessian(p))
+        iner = quadratic_inertia(jsonio.load_polynomial(args.poly))
         ok = iner.n_pos <= 1
         payload = {
             "log_concave": ok,

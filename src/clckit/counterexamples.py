@@ -18,10 +18,9 @@ from .coverage2 import search_2cov_feasible
 from .logconcave import (
     VERDICT_REFUTED,
     certify_clc_homogeneous,
-    inertia,
-    quadratic_log_concave,
+    quadratic_inertia,
 )
-from .polynomials import MultiaffinePolynomial, quadratic_hessian
+from .polynomials import MultiaffinePolynomial
 from .setfn import (
     BudgetAdditive,
     SetFunctionTable,
@@ -84,9 +83,8 @@ def check_budget_additive() -> CounterexampleOutcome:
 
 
 def check_triangle() -> CounterexampleOutcome:
-    p = triangle_quadratic()
-    iner = inertia(quadratic_hessian(p))
-    lc = quadratic_log_concave(p)
+    iner = quadratic_inertia(triangle_quadratic())
+    lc = iner.n_pos <= 1
     search = search_2cov_feasible(triangle_table(), 2, ())
     ok = iner.as_tuple() == (1, 0, 2) and lc and not search.feasible
     return CounterexampleOutcome(

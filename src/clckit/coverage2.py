@@ -5,16 +5,21 @@ set tau, witnesses that pin down the contracted pair values:
 
   * two-coverage at degree d: for each |tau| = d-2, a support S inside the
     complement of tau, a coverage function g on S given by nonnegative
-    weights, and a nonnegative linear function l with l({i}) <= g({i}), such
-    that f(tau + {i,j}) = g({i,j}) - (l_i + l_j)/2 on pairs inside S and 0 on
-    pairs leaving S. Indecomposability of every contracted derivative down to
-    the quadratics is part of the definition and is checked directly from f.
+    weights on subsets of S, and a nonnegative linear function l, zero
+    outside S, with l({i}) <= g({i}), such that f(tau + {i,j}) =
+    g({i,j}) - (l_i + l_j)/2 on pairs inside S and 0 on pairs leaving S.
+    Indecomposability of every contracted derivative down to the quadratics
+    is part of the definition and is checked directly from f.
     S is required to be exactly the set of elements that appear with tau in a
     nonzero size-d set (a larger zero-extended S would satisfy the equations
     literally, but verification pins the canonical choice).
 
   * strongly two-coverage: for each |tau| <= n-2, a coverage g on the whole
     complement of tau with f(tau + T) = g(T) + f(tau) for |T| in {1, 2}.
+
+Every witness is indexed by bitmasks over the table's own ground set [n]:
+g is a CoverageWeights(n, ...) whose masks lie in the witness's ground set,
+and l is a LinearFunction(n, ...).
 
 Synthesis verifies eagerly: the constructions encode proofs, so a synthesized
 certificate that fails its own verification raises InternalCheckError.
@@ -23,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .bitsets import compress, labels_of, mask_of, masks_of_size, submasks
+from .bitsets import labels_of, mask_of, masks_of_size, submasks
 from .errors import CapExceededError, InternalCheckError, MissingWitnessError
 from .logconcave import contraction_cells
 from .matroids import ONE, Matroid, independence_indicator, parallel_partition, to_setfunction
@@ -35,7 +40,6 @@ from .setfn import (
     LinearFunction,
     SetFunctionTable,
     ZERO,
-    exact,
     materialize,
     mobius_coverage_weights,
 )
@@ -44,13 +48,9 @@ from .simplex import phase1
 
 @dataclass(frozen=True)
 class TwoCoverageWitness:
-    support: tuple[int, ...]  # S, ascending positions of the ground set
-    g: CoverageWeights  # over positions 1..len(S), aligned with support
-    ell: LinearFunction  # same indexing
-
-    def __post_init__(self):
-        if self.g.n != len(self.support) or self.ell.n != len(self.support):
-            raise ValueError("witness pieces must live on the support")
+    support: tuple[int, ...]  # S, ascending labels of the ground set
+    g: CoverageWeights  # masks over [n], inside S
+    ell: LinearFunction  # over [n], zero outside S
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class TwoCoverageCertificate:
 @dataclass(frozen=True)
 class StrongCertificate:
     n: int
-    witnesses: Mapping[tuple[int, ...], CoverageWeights]  # g over sorted complement of tau
+    witnesses: Mapping[tuple[int, ...], CoverageWeights]  # g: masks over [n] outside tau
 
 
 @dataclass(frozen=True)
@@ -77,23 +77,21 @@ class CertificateCheck:
         return self.ok
 
 
-def _pair_support(f: SetFunctionTable, tmask: int) -> tuple[dict[int, Fraction], set[int]]:
+def _pair_support(f: SetFunctionTable, tmask: int) -> tuple[dict[int, Fraction], int]:
     """Pair values of the contraction and the elements they touch.
 
-    Returns ({pair mask over original positions: f(tau + pair)}, support labels).
+    Returns ({pair mask: f(tau + pair)} over the pairs outside tau, the mask
+    of elements in a nonzero pair).
     """
-    n = f.n
-    outside = [b for b in range(n) if not tmask >> b & 1]
+    outside = [1 << b for b in range(f.n) if not tmask >> b & 1]
     pairs: dict[int, Fraction] = {}
-    touched: set[int] = set()
+    touched = 0
     for a in range(len(outside)):
         for b in range(a + 1, len(outside)):
-            pm = (1 << outside[a]) | (1 << outside[b])
-            v = f.values[tmask | pm]
-            pairs[pm] = v
+            pm = outside[a] | outside[b]
+            pairs[pm] = v = f.values[tmask | pm]
             if v != 0:
-                touched.add(outside[a] + 1)
-                touched.add(outside[b] + 1)
+                touched |= pm
     return pairs, touched
 
 
@@ -122,31 +120,30 @@ def verify_2cov(
                 raise MissingWitnessError(tau)
             checks += 1
             continue
-        support = witness.support
-        if tuple(sorted(touched)) != support:
+        support, g, ell = witness.support, witness.g, witness.ell.ell
+        if len(ell) != n:
+            raise ValueError(f"witness at tau={tau} has l over {len(ell)} elements, not n={n}")
+        smask = mask_of(support)
+        off_support = any(v for b, v in enumerate(ell) if not smask >> b & 1)
+        if off_support or any(t & ~smask for t in g.x):
+            raise ValueError(f"witness at tau={tau} reaches outside S={support}")
+        if labels_of(touched) != support:
             return CertificateCheck(
                 False,
                 checks + 1,
-                f"support mismatch: expected {tuple(sorted(touched))}, witness has {support}",
+                f"support mismatch: expected {labels_of(touched)}, witness has {support}",
                 tau,
             )
-        spos = {lab: i for i, lab in enumerate(support)}
-        for i, lab in enumerate(support):
+        for lab in support:
             checks += 1
-            if witness.ell.ell[i] > witness.g.value(1 << i):
+            if ell[lab - 1] > g.value(1 << (lab - 1)):
                 return CertificateCheck(
                     False, checks, f"l({lab}) exceeds g({lab})", tau
                 )
         for pm, value in pairs.items():
             la, lb = labels_of(pm)
             checks += 1
-            if la in spos and lb in spos:
-                gm = (1 << spos[la]) | (1 << spos[lb])
-                want = witness.g.value(gm) - Fraction(
-                    witness.ell.ell[spos[la]] + witness.ell.ell[spos[lb]], 2
-                )
-            else:
-                want = ZERO
+            want = ZERO if pm & ~smask else g.value(pm) - Fraction(ell[la - 1] + ell[lb - 1], 2)
             if value != want:
                 return CertificateCheck(
                     False,
@@ -164,6 +161,7 @@ def verify_strong2cov(
     n = f.n
     if cert.n != n:
         raise ValueError("certificate dimensions do not match the table")
+    full = (1 << n) - 1
     checks = 0
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
@@ -171,21 +169,20 @@ def verify_strong2cov(
             g = cert.witnesses.get(tau)
             if g is None:
                 raise MissingWitnessError(tau)
+            if any(t & ~(full ^ tmask) for t in g.x):
+                raise ValueError(f"witness at tau={tau} reaches outside the complement of tau")
             outside = [b for b in range(n) if not tmask >> b & 1]
-            if g.n != len(outside):
-                raise ValueError(f"witness at tau={tau} has the wrong ground size")
             base = f.values[tmask]
             for ia, a in enumerate(outside):
                 checks += 1
-                if f.values[tmask | (1 << a)] != g.value(1 << ia) + base:
+                if f.values[tmask | (1 << a)] != g.value(1 << a) + base:
                     return CertificateCheck(
                         False, checks, f"singleton equation failed at {a + 1}", tau
                     )
-                for ib in range(ia + 1, len(outside)):
-                    b = outside[ib]
+                for b in outside[ia + 1:]:
+                    pm = (1 << a) | (1 << b)
                     checks += 1
-                    gm = (1 << ia) | (1 << ib)
-                    if f.values[tmask | (1 << a) | (1 << b)] != g.value(gm) + base:
+                    if f.values[tmask | pm] != g.value(pm) + base:
                         return CertificateCheck(
                             False,
                             checks,
@@ -193,15 +190,6 @@ def verify_strong2cov(
                             tau,
                         )
     return CertificateCheck(True, checks)
-
-
-def _class_weights(partition, positions: Sequence[int]) -> CoverageWeights:
-    """Unit weight on each full parallel class, indexed against `positions`."""
-    pos_of = {lab: i for i, lab in enumerate(positions)}
-    x = {}
-    for cls in partition.classes:
-        x[mask_of(pos_of[lab] + 1 for lab in cls)] = ONE
-    return CoverageWeights(len(positions), x)
 
 
 def synth_strong_matroid(m: Matroid, cap: int = 14) -> StrongCertificate:
@@ -218,8 +206,8 @@ def synth_strong_matroid(m: Matroid, cap: int = 14) -> StrongCertificate:
     witnesses: dict[tuple[int, ...], CoverageWeights] = {}
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
-            rest = [p + 1 for p in range(n) if not tmask >> p & 1]
-            witnesses[labels_of(tmask)] = _class_weights(parallel_partition(table, tmask), rest)
+            classes = parallel_partition(table, tmask).classes
+            witnesses[labels_of(tmask)] = CoverageWeights(n, {mask_of(c): ONE for c in classes})
     cert = StrongCertificate(n, witnesses)
     check = verify_strong2cov(table, cert)
     if not check:
@@ -233,8 +221,8 @@ def synth_2cov_indicator(m: Matroid, d: int, cap: int = 14) -> TwoCoverageCertif
     """Two-coverage certificate for the independence indicator of a matroid.
 
     For each independent tau of size d-2, the support is the non-loops of the
-    contraction, g puts unit weight on each parallel class, and l is
-    identically one; dependent tau get the empty witness since every
+    contraction, g puts unit weight on each parallel class, and l is one on
+    the support; dependent tau get the empty witness since every
     contracted pair value vanishes. Independence, the classes and the
     indicator checked against all come from one rank table.
     """
@@ -247,17 +235,13 @@ def synth_2cov_indicator(m: Matroid, d: int, cap: int = 14) -> TwoCoverageCertif
         raise ValueError(f"d={d} exceeds the matroid rank {full_rank}")
     witnesses: dict[tuple[int, ...], TwoCoverageWitness] = {}
     for tmask in masks_of_size(n, d - 2):
-        if table.values[tmask] < d - 2:
-            witnesses[labels_of(tmask)] = TwoCoverageWitness(
-                (), CoverageWeights(0, {}), LinearFunction(0, ())
-            )
-            continue
-        part = parallel_partition(table, tmask)
-        support = tuple(sorted(lab for cls in part.classes for lab in cls))
+        independent = table.values[tmask] == d - 2
+        classes = parallel_partition(table, tmask).classes if independent else ()
+        smask = mask_of(lab for c in classes for lab in c)
         witnesses[labels_of(tmask)] = TwoCoverageWitness(
-            support,
-            _class_weights(part, support),
-            LinearFunction(len(support), (ONE,) * len(support)),
+            labels_of(smask),
+            CoverageWeights(n, {mask_of(c): ONE for c in classes}),
+            LinearFunction(n, tuple(ONE if smask >> b & 1 else ZERO for b in range(n))),
         )
     cert = TwoCoverageCertificate(n, d, witnesses)
     check = verify_2cov(independence_indicator(table), d, cert)
@@ -268,52 +252,11 @@ def synth_2cov_indicator(m: Matroid, d: int, cap: int = 14) -> TwoCoverageCertif
     return cert
 
 
-def synth_strong_from_parts(parts, table: SetFunctionTable | None = None) -> StrongCertificate:
-    """Combine strong certificates with nonnegative coefficients, or build one
-    directly from a coverage instance (sets shrink by the tau-covered part).
-
-    All certificate equations are linear in (f, g), so a combination of
-    verified certificates is valid for the combined function by linearity;
-    pass `table` to re-verify against an explicit combined table anyway.
-    A coverage instance is always verified against its own materialization.
-    """
-    if isinstance(parts, CoverageInstance):
-        return _synth_strong_coverage(parts)
-    parts = list(parts)
-    if not parts:
-        raise ValueError("need at least one certificate")
-    n = parts[0][0].n
-    combined: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for cert, coeff in parts:
-        coeff = exact(coeff)
-        if coeff < 0:
-            raise ValueError("coefficients must be nonnegative")
-        if cert.n != n:
-            raise ValueError("dimension mismatch between certificates")
-        for tau, g in cert.witnesses.items():
-            bucket = combined.setdefault(tau, {})
-            for t, v in g.x.items():
-                bucket[t] = bucket.get(t, ZERO) + coeff * v
-    witnesses = {}
-    for size in range(n - 1):
-        for tmask in masks_of_size(n, size):
-            tau = labels_of(tmask)
-            m = n - size
-            witnesses[tau] = CoverageWeights(m, combined.get(tau, {}))
-    cert = StrongCertificate(n, witnesses)
-    if table is not None:
-        check = verify_strong2cov(table, cert)
-        if not check:
-            raise InternalCheckError(
-                f"combined certificate failed verification: {check.failure} at tau={check.tau}"
-            )
-    return cert
-
-
-def _synth_strong_coverage(inst: CoverageInstance) -> StrongCertificate:
-    """One Moebius inversion x of the table serves every tau: since
-    f(tau + T) - f(tau) = sum of x_U over U missing tau and meeting T, the
-    witness at tau is x restricted to the complement of tau."""
+def synth_strong_from_parts(inst: CoverageInstance) -> StrongCertificate:
+    """Strong certificate of a coverage instance, verified against its own
+    materialization. One Moebius inversion x of the table serves every tau:
+    since f(tau + T) - f(tau) = sum of x_U over U missing tau and meeting T,
+    the witness at tau is x restricted to the complement of tau."""
     n = inst.n
     table = materialize(inst)
     mob = mobius_coverage_weights(table)
@@ -324,10 +267,8 @@ def _synth_strong_coverage(inst: CoverageInstance) -> StrongCertificate:
     witnesses: dict[tuple[int, ...], CoverageWeights] = {}
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
-            rest = tuple(b for b in range(n) if not tmask >> b & 1)
             witnesses[labels_of(tmask)] = CoverageWeights(
-                len(rest),
-                {compress(u, rest): x[u] for u in submasks(full ^ tmask) if u in x},
+                n, {u: x[u] for u in submasks(full ^ tmask) if u in x}
             )
     cert = StrongCertificate(n, witnesses)
     check = verify_strong2cov(table, cert)
@@ -392,29 +333,31 @@ def search_2cov_feasible(
         raise ValueError("tau outside the ground set")
     if tmask.bit_count() != d - 2:
         raise ValueError(f"tau must have size d-2={d - 2}")
-    pairs, touched = _pair_support(f, tmask)
-    support = tuple(sorted(touched))
+    pairs, smask = _pair_support(f, tmask)
+    support = labels_of(smask)
     m = len(support)
     if m > cap:
         raise CapExceededError(f"|S|={m} exceeds cap {cap}")
+    n = f.n
     if m == 0:
-        return SearchResult(True, (), CoverageWeights(0, {}), LinearFunction(0, ()), ZERO)
-    spos = {lab: i for i, lab in enumerate(support)}
-    num_x = (1 << m) - 1  # x_T for T = 1..2^m-1, then l_i, then slack_i
+        return SearchResult(True, (), CoverageWeights(n, {}), LinearFunction(n, (ZERO,) * n), ZERO)
+    bits = [1 << (lab - 1) for lab in support]
+    cols = list(submasks(smask))[-2::-1]  # x_T for T inside S ascending, then l_i, then slack_i
+    num_x = len(cols)
     rows: list[list] = []
     rhs: list = []
     minus_half = Fraction(-1, 2)
     for pm, value in pairs.items():
-        la, lb = labels_of(pm)
-        if la not in spos or lb not in spos:
+        if pm & ~smask:
             continue  # pair values off the support are zero by construction
-        gm = (1 << spos[la]) | (1 << spos[lb])
-        row = [1 if t & gm else 0 for t in range(1, 1 << m)] + [0] * (2 * m)
-        row[num_x + spos[la]] = row[num_x + spos[lb]] = minus_half
+        row = [1 if t & pm else 0 for t in cols] + [0] * (2 * m)
+        for i, bit in enumerate(bits):
+            if pm & bit:
+                row[num_x + i] = minus_half
         rows.append(row)
         rhs.append(value)
-    for i in range(m):
-        row = [t >> i & 1 for t in range(1, 1 << m)] + [0] * (2 * m)
+    for i, bit in enumerate(bits):
+        row = [1 if t & bit else 0 for t in cols] + [0] * (2 * m)
         row[num_x + i] = row[num_x + m + i] = -1
         rows.append(row)
         rhs.append(0)
@@ -422,8 +365,8 @@ def search_2cov_feasible(
     if not result:
         return SearchResult(False, support, None, None, result.infeasibility)
     point = result.point
-    g = CoverageWeights(
-        m, {t: point[t - 1] for t in range(1, 1 << m) if point[t - 1] != 0}
-    )
-    ell = LinearFunction(m, tuple(point[num_x + i] for i in range(m)))
-    return SearchResult(True, support, g, ell, ZERO)
+    g = CoverageWeights(n, {t: v for t, v in zip(cols, point) if v != 0})
+    ell = [ZERO] * n
+    for i, lab in enumerate(support):
+        ell[lab - 1] = point[num_x + i]
+    return SearchResult(True, support, g, LinearFunction(n, tuple(ell)), ZERO)

@@ -12,7 +12,7 @@ import json
 from decimal import Decimal
 from fractions import Fraction
 
-from .bitsets import compress, labels_of
+from .bitsets import labels_of
 from .coverage2 import (
     StrongCertificate,
     TwoCoverageCertificate,
@@ -57,6 +57,19 @@ def parse_exact(v) -> Fraction:
     if isinstance(v, float):
         raise TypeError("floats are not accepted in exact files; use strings")
     raise TypeError(f"cannot parse {v!r} as a rational")
+
+
+_KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string",
+          bool: "a boolean", Fraction: "a decimal", float: "a decimal", type(None): "null"}
+
+
+def _typed(value, kind: type, at: str):
+    """value, if its JSON type is exactly `kind` (int, list or dict): a bool
+    is no integer, and a decimal is refused, never truncated. `at` names the
+    field."""
+    if type(value) is not kind:
+        raise ValueError(f"{at}: expected {_KINDS[kind]}, found {_KINDS[type(value)]}")
+    return value
 
 
 def _load(path: str):
@@ -111,13 +124,14 @@ def _load_floats(path: str):
 
 def load_set_function(path: str) -> SetFunctionTable:
     doc = _load(path)
-    n = int(doc["n"])
+    n = _typed(doc["n"], int, "n")
     if n > HARD_CAP:  # before allocating 2^n values
         raise CapExceededError(f"n={n} exceeds the hard cap {HARD_CAP}")
     full = (1 << n) - 1
     values = [ZERO] * (full + 1)
     seen: dict[int, int] = {}
-    for k, entry in enumerate(doc.get("entries", [])):
+    for k, entry in enumerate(_typed(doc.get("entries", []), list, "entries")):
+        _typed(entry, dict, f"entries[{k}]")
         mask = _subset(entry["set"], "entries[{}]", k, full, f"n={n}", seen)
         values[mask] = parse_exact(entry["value"])
     return SetFunctionTable(n, tuple(values))
@@ -144,13 +158,14 @@ def load_matroid(path: str) -> Matroid:
     doc = _load(path)
     kind = doc["type"]
     if kind == "uniform":
-        return UniformMatroid(int(doc["r"]), int(doc["n"]))
+        return UniformMatroid(_typed(doc["r"], int, "r"), _typed(doc["n"], int, "n"))
     if kind == "partition":
         return PartitionMatroid(doc["blocks"], doc["caps"])
     if kind == "graphic":
-        return GraphicMatroid(int(doc["vertices"]), [tuple(e) for e in doc["edges"]])
+        edges = [tuple(e) for e in doc["edges"]]
+        return GraphicMatroid(_typed(doc["vertices"], int, "vertices"), edges)
     if kind == "explicit":
-        return ExplicitMatroid(int(doc["n"]), doc["independent"])
+        return ExplicitMatroid(_typed(doc["n"], int, "n"), doc["independent"])
     raise ValueError(f"unknown matroid type {kind!r}")
 
 
@@ -159,12 +174,13 @@ def load_polynomial(path: str):
     terms all have y = 0 loads as a plain multiaffine polynomial. A (y, set)
     pair may appear in one term only."""
     doc = _load(path)
-    n = int(doc["n"])
+    n = _typed(doc["n"], int, "n")
     full = (1 << n) - 1
     seen: dict[int, dict[int, int]] = {}
     coeffs: dict[tuple[int, int], Fraction] = {}
-    for k, t in enumerate(doc.get("terms", [])):
-        y = int(t.get("y", 0))
+    for k, t in enumerate(_typed(doc.get("terms", []), list, "terms")):
+        _typed(t, dict, f"terms[{k}]")
+        y = _typed(t.get("y", 0), int, f"terms[{k}].y")
         mask = _subset(t["set"], "terms[{}]", k, full, f"n={n}", seen.setdefault(y, {}))
         coeffs[y, mask] = parse_exact(t["coeff"])
     if all(y == 0 for y in seen):
@@ -175,10 +191,17 @@ def load_polynomial(path: str):
 def load_joint_distribution(path: str) -> JointDistribution:
     doc = _load_floats(path)
     pmf = {tuple(row["outcome"]): float(row["p"]) for row in doc["pmf"]}
-    return JointDistribution(tuple(int(k) for k in doc["alphabets"]), pmf)
+    alphabets = tuple(_typed(k, int, f"alphabets[{i}]") for i, k in enumerate(doc["alphabets"]))
+    return JointDistribution(alphabets, pmf)
+
+
+def _weights_doc(g: CoverageWeights) -> dict:
+    return {_setkey(labels_of(t)): frac_str(v) for t, v in sorted(g.x.items())}
 
 
 def dump_certificate(cert) -> dict:
+    """Masks over [n] are written as label lists: S, the keys of g, and
+    one key of l per label of S."""
     if isinstance(cert, TwoCoverageCertificate):
         return {
             "d": cert.d,
@@ -187,32 +210,20 @@ def dump_certificate(cert) -> dict:
                 {
                     "tau": list(tau),
                     "S": list(w.support),
-                    "g": {
-                        _setkey(w.support[b] for b in range(w.g.n) if t >> b & 1): frac_str(v)
-                        for t, v in sorted(w.g.x.items())
-                    },
-                    "l": {
-                        str(w.support[i]): frac_str(w.ell.ell[i])
-                        for i in range(w.ell.n)
-                    },
+                    "g": _weights_doc(w.g),
+                    "l": {str(lab): frac_str(w.ell.ell[lab - 1]) for lab in w.support},
                 }
                 for tau, w in sorted(cert.witnesses.items())
             ],
         }
     if isinstance(cert, StrongCertificate):
-        out = []
-        for tau, g in sorted(cert.witnesses.items()):
-            rest = [i for i in range(1, cert.n + 1) if i not in tau]
-            out.append(
-                {
-                    "tau": list(tau),
-                    "g": {
-                        _setkey(rest[b] for b in range(g.n) if t >> b & 1): frac_str(v)
-                        for t, v in sorted(g.x.items())
-                    },
-                }
-            )
-        return {"n": cert.n, "witnesses": out}
+        return {
+            "n": cert.n,
+            "witnesses": [
+                {"tau": list(tau), "g": _weights_doc(g)}
+                for tau, g in sorted(cert.witnesses.items())
+            ],
+        }
     raise TypeError(f"cannot dump {type(cert).__name__}")
 
 
@@ -220,17 +231,18 @@ def load_certificate(path: str):
     """A document with a top-level "d" is a two-coverage certificate;
     otherwise a strong one. The labels in g and l keys must lie in the
     witness's ground set: S for two-coverage, the complement of tau for a
-    strong certificate."""
+    strong certificate. Masks are kept over [n]."""
     doc = _load(path)
-    n = int(doc["n"])
+    n = _typed(doc["n"], int, "n")
     full = (1 << n) - 1
     in_n = f"n={n}"
     two_coverage = "d" in doc
-    listed = doc["witnesses"]
+    listed = _typed(doc["witnesses"], list, "witnesses")
     witnesses = {}
     for k, w in enumerate(listed):
+        _typed(w, dict, f"witnesses[{k}]")
         tmask = _subset(w["tau"], "witnesses[{}].tau", k, full, in_n, {})
-        tau = tuple(sorted(w["tau"]))
+        tau = labels_of(tmask)
         if tau in witnesses:  # found again, not indexed: an index of every tau costs memory
             first = next(i for i, v in enumerate(listed) if tuple(sorted(v["tau"])) == tau)
             raise ValueError(
@@ -240,26 +252,23 @@ def load_certificate(path: str):
             ground, scope = _subset(w["S"], "witnesses[{}].S", k, full, in_n, {}), "S"
         else:
             ground, scope = full & ~tmask, "the complement of tau"
-        bits = tuple([b for b in range(n) if ground >> b & 1])
         at = f"witnesses[{k}].g[{{!r}}]"
         seen_g: dict[int, str] = {}
         g = {}
-        for key, v in w.get("g", {}).items():
-            mask = _subset(_key(key, at), at, key, ground, scope, seen_g)
-            g[compress(mask, bits)] = parse_exact(v)
-        weights = CoverageWeights(len(bits), g)
+        for key, v in _typed(w.get("g", {}), dict, f"witnesses[{k}].g").items():
+            g[_subset(_key(key, at), at, key, ground, scope, seen_g)] = parse_exact(v)
+        weights = CoverageWeights(n, g)
         if not two_coverage:
             witnesses[tau] = weights
             continue
         at = f"witnesses[{k}].l[{{!r}}]"
         seen_l: dict[int, str] = {}
-        ell = [ZERO] * len(bits)
-        for key, v in w.get("l", {}).items():
+        ell = [ZERO] * n
+        for key, v in _typed(w.get("l", {}), dict, f"witnesses[{k}].l").items():
             bit = _subset([_key(key, at)], at, key, ground, scope, seen_l)
-            ell[bits.index(bit.bit_length() - 1)] = parse_exact(v)
-        witnesses[tau] = TwoCoverageWitness(
-            tuple(b + 1 for b in bits), weights, LinearFunction(len(bits), tuple(ell))
-        )
+            ell[bit.bit_length() - 1] = parse_exact(v)
+        ell = LinearFunction(n, tuple(ell))
+        witnesses[tau] = TwoCoverageWitness(labels_of(ground), weights, ell)
     if two_coverage:
-        return TwoCoverageCertificate(n, int(doc["d"]), witnesses)
+        return TwoCoverageCertificate(n, _typed(doc["d"], int, "d"), witnesses)
     return StrongCertificate(n, witnesses)

@@ -153,16 +153,16 @@ def is_indecomposable(p: Polynomial) -> IndecompResult:
     return IndecompResult(False, _component_labels(comps))
 
 
-def quadratic_log_concave(p: Polynomial) -> bool:
-    """Exact characterization for 2-homogeneous polynomials with nonnegative
-    coefficients: log-concave iff the (constant) Hessian has at most one
-    positive eigenvalue. The zero polynomial counts as log-concave."""
-    if not p.coeffs:
-        return True
-    for c in p.coeffs.values():
+def quadratic_inertia(p: Polynomial) -> Inertia:
+    """Inertia of the constant Hessian of a 2-homogeneous polynomial with
+    nonnegative coefficients, which is log-concave iff n_pos <= 1 (the zero
+    polynomial included). A negative coefficient raises ValueError naming
+    its monomial, since the criterion does not hold for it."""
+    for key, c in p.coeffs.items():
         if c < 0:
-            raise ValueError("coefficients must be nonnegative")
-    return inertia(quadratic_hessian(p)).n_pos <= 1
+            term = labels_of(key) if isinstance(key, int) else f"(y^{key[0]}, {labels_of(key[1])})"
+            raise ValueError(f"negative coefficient {c} on monomial {term}")
+    return inertia(quadratic_hessian(p))
 
 
 @dataclass(frozen=True)

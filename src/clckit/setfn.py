@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
-from .bitsets import expand, labels_of, mask_of, submasks, subset_transform
+from .bitsets import labels_of, mask_of, submasks, subset_transform
 from .errors import CapExceededError, InternalCheckError
 
 HARD_CAP = 24
@@ -280,37 +280,6 @@ def _materialize_weights(cw: CoverageWeights) -> SetFunctionTable:
     return SetFunctionTable(n, tuple(vals))
 
 
-@dataclass(frozen=True)
-class Contraction:
-    """Result of contracting a table by tau.
-
-    table holds g(S) = f(S + tau) on the surviving ground set (compacted to
-    positions 1..m, original labels in `elements`); g(empty) would be f(tau),
-    which tables cannot store, so it is carried separately as `base`. The
-    table is *not* shifted by base; consumers read base explicitly.
-    """
-
-    base: Fraction
-    table: SetFunctionTable
-    elements: tuple[int, ...]
-
-
-def contract(f: SetFunctionTable, tau: Iterable[int]) -> Contraction:
-    tmask = mask_of(tau)
-    if tmask >= 1 << f.n:
-        raise ValueError(f"tau {labels_of(tmask)} not inside the ground set")
-    kept = tuple(b for b in range(f.n) if not tmask >> b & 1)
-    m = len(kept)
-    vals = [ZERO] * (1 << m)
-    for sub in range(1, 1 << m):
-        vals[sub] = f.values[expand(sub, kept) | tmask]
-    return Contraction(
-        base=f.values[tmask],
-        table=SetFunctionTable(m, tuple(vals)),
-        elements=tuple(b + 1 for b in kept),
-    )
-
-
 def homogeneous_restrict(f: SetFunctionTable, d: int) -> SetFunctionTable:
     """Keep values on sets of size d, zero elsewhere."""
     if not 0 <= d <= f.n:
@@ -449,32 +418,6 @@ def mobius_coverage_weights(f: SetFunctionTable) -> MobiusResult:
         n, {m: v for m in range(1, size) if (v := x[m]) != 0}, diagnostic=True
     )
     return MobiusResult(weights, min_weight >= 0, min_weight)
-
-
-def combine(
-    fs: Sequence[SetFunctionTable], coeffs: Sequence
-) -> SetFunctionTable:
-    """Pointwise nonnegative combination sum(a_i * f_i)."""
-    if len(fs) != len(coeffs):
-        raise ValueError("need one coefficient per table")
-    if not fs:
-        raise ValueError("need at least one table")
-    n = fs[0].n
-    for g in fs:
-        if g.n != n:
-            raise ValueError(f"dimension mismatch: n={g.n} vs n={n}")
-    cs = [exact(c) for c in coeffs]
-    for c in cs:
-        if c < 0:
-            raise ValueError(f"negative coefficient {c}")
-    size = 1 << n
-    vals = [ZERO] * size
-    for g, c in zip(fs, cs):
-        if c == 0:
-            continue
-        for m in range(size):
-            vals[m] += c * g.values[m]
-    return SetFunctionTable(n, tuple(vals))
 
 
 def level_sequence(f: SetFunctionTable) -> tuple[Fraction, ...]:

@@ -151,13 +151,10 @@ class TransitionMatrix:
     rows: tuple[dict[int, Fraction], ...]  # per row: column -> nonzero entry
 
 
-def transition_matrix(w: WalkInstance, cap: int = 5000) -> TransitionMatrix:
+def transition_matrix(w: WalkInstance) -> TransitionMatrix:
     """Exact transition matrix; row sums and detailed balance are re-verified
     over every nonzero entry before returning (a pair that is zero both ways
     balances trivially; one nonzero either way is seen from its row)."""
-    k = len(w.support)
-    if k > cap:
-        raise CapExceededError(f"support size {k} exceeds cap {cap}")
     sparse: list[dict[int, Fraction]] = []
     d = Fraction(w.d)
     for s in w.support:
@@ -236,7 +233,7 @@ def mixing_time_exact(
     k = len(w.support)
     if k > cap:
         raise CapExceededError(f"support size {k} exceeds cap {cap}")
-    tm = transition_matrix(w, cap=max(cap, 5000))
+    tm = transition_matrix(w)
     big_l = math.lcm(*(v.denominator for row in tm.rows for v in row.values()))
     # column j of N as (row indices, integer entries)
     cols = [([], []) for _ in range(k)]

@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -123,6 +124,24 @@ def float_npos(h, tol: float = 1e-9) -> int:
 # --- oracle helpers ------------------------------------------------------------
 
 
+class Contraction(NamedTuple):
+    """g(S) = f(S + tau) on the positions outside tau, renumbered 1..m (their
+    labels in `elements`), with g(empty) = f(tau) carried as `base`."""
+
+    base: Fraction
+    table: SetFunctionTable
+    elements: tuple[int, ...]
+
+
+def contract(f: SetFunctionTable, tau) -> Contraction:
+    tmask = mask_of(tau)
+    kept = [b for b in range(f.n) if not tmask >> b & 1]
+    vals = [ZERO] * (1 << len(kept))
+    for sub in range(1, len(vals)):
+        vals[sub] = f.values[tmask | sum(1 << b for i, b in enumerate(kept) if sub >> i & 1)]
+    return Contraction(f.values[tmask], SetFunctionTable(len(kept), tuple(vals)), tuple(b + 1 for b in kept))
+
+
 def congruence(p, h) -> list[list[Fraction]]:
     """P H P^T, exact; the inertia of the result equals that of H for invertible P."""
     rows = len(p)
@@ -205,11 +224,8 @@ def contracted_classes(m, tau) -> list[list[int]]:
     return classes
 
 
-def _unit_classes(classes, positions) -> CoverageWeights:
-    return CoverageWeights(
-        len(positions),
-        {mask_of(positions.index(e) + 1 for e in cls): Fraction(1) for cls in classes},
-    )
+def _unit_classes(classes, n) -> CoverageWeights:
+    return CoverageWeights(n, {mask_of(cls): Fraction(1) for cls in classes})
 
 
 def reference_strong_matroid(m) -> StrongCertificate:
@@ -219,8 +235,7 @@ def reference_strong_matroid(m) -> StrongCertificate:
     witnesses = {}
     for size in range(n - 1):
         for tau in combinations(range(1, n + 1), size):
-            rest = [e for e in range(1, n + 1) if e not in tau]
-            witnesses[tau] = _unit_classes(contracted_classes(m, tau), rest)
+            witnesses[tau] = _unit_classes(contracted_classes(m, tau), n)
     return StrongCertificate(n, witnesses)
 
 
@@ -230,15 +245,12 @@ def reference_2cov_indicator(m, d) -> TwoCoverageCertificate:
     n = len(m.elements)
     witnesses = {}
     for tau in combinations(range(1, n + 1), d - 2):
-        if m._rank(frozenset(tau)) < len(tau):
-            witnesses[tau] = TwoCoverageWitness((), CoverageWeights(0, {}), LinearFunction(0, ()))
-            continue
-        classes = contracted_classes(m, tau)
+        classes = contracted_classes(m, tau) if m._rank(frozenset(tau)) == len(tau) else []
         support = tuple(sorted(e for cls in classes for e in cls))
         witnesses[tau] = TwoCoverageWitness(
             support,
-            _unit_classes(classes, support),
-            LinearFunction(len(support), (Fraction(1),) * len(support)),
+            _unit_classes(classes, n),
+            LinearFunction(n, tuple(Fraction(e in support) for e in range(1, n + 1))),
         )
     return TwoCoverageCertificate(n, d, witnesses)
 
@@ -335,7 +347,7 @@ def mixing_time_oracle(w, eps, cap: int = 2000, max_steps: int = 10**6, max_bits
 
     eps = exact(eps) if not isinstance(eps, float) else Fraction(eps)
     k = len(w.support)
-    p = [[row.get(j, ZERO) for j in range(k)] for row in transition_matrix(w, cap=max(cap, 5000)).rows]
+    p = [[row.get(j, ZERO) for j in range(k)] for row in transition_matrix(w).rows]
     mu = [wt / w.total for wt in w.weights]
     rows = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
     exact_mode = True

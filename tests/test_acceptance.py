@@ -16,7 +16,6 @@ from clckit import (
     UniformMatroid,
     certify_clc_homogeneous,
     certify_clc_homogenization,
-    contract,
     homogeneous_restrict,
     inertia,
     is_irreducible,
@@ -47,6 +46,7 @@ from clckit.jsonio import dump_set_function
 
 from conftest import (
     congruence,
+    contract,
     coverage_example,
     k4,
     rand_coverage_instance,

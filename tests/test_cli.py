@@ -270,8 +270,14 @@ def _u23_file(tmp_path, mode):
         ([{"tau": [2], "g": {}}, {"tau": [2], "g": {}}],
          "witnesses[1].tau: set [2] repeats the subset of witnesses[0].tau"),
         ([{"tau": ["1"], "g": {}}], "witnesses[0].tau: label '1' is not an integer"),
+        ([{"tau": [], "g": []}], "witnesses[0].g: expected an object, found a list"),
+        ({"tau": [], "g": {}}, "witnesses: expected a list, found an object"),
+        ([[]], "witnesses[0]: expected an object, found a list"),
     ],
-    ids=["repeated-label", "repeated-subset", "inside-tau", "repeated-tau", "non-integer-label"],
+    ids=[
+        "repeated-label", "repeated-subset", "inside-tau", "repeated-tau", "non-integer-label",
+        "g-not-object", "witnesses-not-list", "witness-not-object",
+    ],
 )
 def test_malformed_strong_certificate_exit_3(tmp_path, capsys, witnesses, message):
     cert = _write(tmp_path, "cert.json", {"n": 3, "witnesses": witnesses})
@@ -290,8 +296,14 @@ def test_malformed_strong_certificate_exit_3(tmp_path, capsys, witnesses, messag
          "witnesses[0].g['[3]']: set [3] out of range for S"),
         ({"S": [1, 2], "g": {"[1,2]": "1"}, "l": {"3": "1"}},
          "witnesses[0].l['3']: set [3] out of range for S"),
+        ({"S": [1, 2], "g": [], "l": {}}, "witnesses[0].g: expected an object, found a list"),
+        ({"S": [1, 2], "g": {}, "l": ["1"]}, "witnesses[0].l: expected an object, found a list"),
+        ({"S": [1, 2], "g": {}, "l": "1"}, "witnesses[0].l: expected an object, found a string"),
     ],
-    ids=["repeated-support-label", "g-outside-support", "l-outside-support"],
+    ids=[
+        "repeated-support-label", "g-outside-support", "l-outside-support",
+        "g-not-object", "l-not-object", "l-string",
+    ],
 )
 def test_malformed_two_coverage_certificate_exit_3(tmp_path, capsys, witness, message):
     cert = _write(tmp_path, "cert.json", {"d": 2, "n": 3, "witnesses": [{"tau": [], **witness}]})
@@ -307,12 +319,63 @@ def test_malformed_two_coverage_certificate_exit_3(tmp_path, capsys, witness, me
     [
         ([[[1, 2], 1], [[2, 1], 1]], "terms[1]: set [2, 1] repeats the subset of terms[0]"),
         ([[[1, 1], 1]], "terms[0]: set [1, 1] repeats a label"),
+        ([[[1, 2], "-1"]], "negative coefficient -1 on monomial (1, 2)"),
     ],
-    ids=["repeated-subset", "repeated-label"],
+    ids=["repeated-subset", "repeated-label", "negative-coefficient"],
 )
 def test_malformed_polynomial_term_exit_3(tmp_path, capsys, terms, message):
     doc = {"n": 2, "terms": [{"set": labels, "coeff": c} for labels, c in terms]}
     code = run(["certify-clc", "--poly", _write(tmp_path, "p.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def _cert_args(tmp_path, doc):
+    table = _u23_file(tmp_path, "indicator")
+    return ["certify-2cov", "--input", table, "--d", "2", "--cert", _write(tmp_path, "c.json", doc)]
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("ulc", {"n": 2.5, "entries": []}, "n: expected an integer, found a decimal"),
+        ("ulc", {"n": True, "entries": []}, "n: expected an integer, found a boolean"),
+        ("mobius", {"n": 2.0, "entries": []}, "n: expected an integer, found a decimal"),
+        ("poly", {"n": 2, "terms": [{"y": 1.5, "set": [1], "coeff": 1}]},
+         "terms[0].y: expected an integer, found a decimal"),
+        ("matroid", {"type": "uniform", "r": 2.5, "n": 3}, "r: expected an integer, found a decimal"),
+        ("matroid", {"type": "uniform", "r": 2, "n": "3"}, "n: expected an integer, found a string"),
+        ("matroid", {"type": "graphic", "vertices": 3.5, "edges": [[1, 2], [2, 3]]},
+         "vertices: expected an integer, found a decimal"),
+        ("matroid", {"type": "explicit", "n": 2.5, "independent": [[]]},
+         "n: expected an integer, found a decimal"),
+        ("cert", {"d": 2.5, "n": 3, "witnesses": []}, "d: expected an integer, found a decimal"),
+        ("cert", {"d": 2, "n": 3.5, "witnesses": []}, "n: expected an integer, found a decimal"),
+        ("entropy", {"alphabets": [2.5, 2], "pmf": [{"outcome": [0, 0], "p": 1.0}]},
+         "alphabets[0]: expected an integer, found a decimal"),
+        ("ulc", {"n": 2, "entries": {"a": 1}}, "entries: expected a list, found an object"),
+        ("ulc", {"n": 2, "entries": [[1]]}, "entries[0]: expected an object, found a list"),
+        ("poly", {"n": 2, "terms": {"a": 1}}, "terms: expected a list, found an object"),
+        ("poly", {"n": 2, "terms": [[1]]}, "terms[0]: expected an object, found a list"),
+    ],
+    ids=[
+        "table-n-decimal", "table-n-bool", "table-n-integral-decimal", "poly-y", "uniform-r",
+        "uniform-n-string", "graphic-vertices", "explicit-n", "cert-d", "cert-n", "alphabet",
+        "table-entries-object", "table-entry-list", "poly-terms-object", "poly-term-list",
+    ],
+)
+def test_malformed_size_or_shape_exit_3(tmp_path, capsys, command, doc, message):
+    path = _write(tmp_path, "doc.json", doc)
+    argv = {
+        "ulc": ["ulc", "--input", path],
+        "mobius": ["mobius", "--input", path],
+        "poly": ["certify-clc", "--poly", path],
+        "matroid": ["certify-2cov", "--matroid", path, "--d", "2"],
+        "entropy": ["entropy", "--input", path],
+    }.get(command) or _cert_args(tmp_path, doc)
+    code = run(argv)
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

@@ -15,7 +15,6 @@ from clckit import (
     UniformMatroid,
     certify_clc_homogeneous,
     certify_clc_homogenization,
-    combine,
     decide_2cov,
     materialize,
     predicates,
@@ -27,6 +26,8 @@ from clckit import (
     verify_2cov,
     verify_strong2cov,
 )
+from clckit import coverage2
+from clckit.bitsets import mask_of
 from clckit.counterexamples import budget_additive_function, triangle_table
 from clckit.errors import MissingWitnessError
 from clckit.simplex import phase1
@@ -88,12 +89,42 @@ def test_verify_2cov_rejects_support_padding():
     assert "support mismatch" in check.failure
 
 
+def test_verify_2cov_rejects_witness_outside_support():
+    # U(2,3) indicator plus a fourth element in no nonzero pair: S = {1,2,3}
+    f = SetFunctionTable.from_entries(4, {pair: 1 for pair in ((1, 2), (1, 3), (2, 3))})
+    units = {0b001: 1, 0b010: 1, 0b100: 1}
+    ones = LinearFunction(4, (1, 1, 1, 0))
+    good = TwoCoverageWitness((1, 2, 3), CoverageWeights(4, units), ones)
+    assert verify_2cov(f, 2, TwoCoverageCertificate(4, 2, {(): good})).ok
+    for g, ell in (
+        ({**units, 0b1000: 1}, ones),  # g on {4}
+        ({0b1001: 1, 0b010: 1, 0b100: 1}, ones),  # g on a set leaving S
+        (units, LinearFunction(4, (1, 1, 1, 1))),  # l nonzero at 4
+    ):
+        bad = TwoCoverageWitness((1, 2, 3), CoverageWeights(4, g), ell)
+        with pytest.raises(ValueError, match=r"witness at tau=\(\) reaches outside S=\(1, 2, 3\)"):
+            verify_2cov(f, 2, TwoCoverageCertificate(4, 2, {(): bad}))
+    short = TwoCoverageWitness((1, 2, 3), CoverageWeights(4, units), LinearFunction(3, (1, 1, 1)))
+    with pytest.raises(ValueError, match=r"witness at tau=\(\) has l over 3 elements, not n=4"):
+        verify_2cov(f, 2, TwoCoverageCertificate(4, 2, {(): short}))
+
+
+def test_verify_strong_rejects_witness_meeting_tau():
+    m = UniformMatroid(2, 3)
+    table = to_setfunction(m)
+    cert = synth_strong_matroid(m)
+    for bad in ({0b001: 1}, {0b011: 1}, {0b1000: 1}):
+        witnesses = {**cert.witnesses, (1,): CoverageWeights(4, bad)}
+        with pytest.raises(ValueError, match=r"witness at tau=\(1,\) reaches outside the complement of tau"):
+            verify_strong2cov(table, StrongCertificate(3, witnesses))
+
+
 def test_synth_strong_uniform():
     cert = synth_strong_matroid(UniformMatroid(2, 3))
     # no parallel pairs at tau = (): three singleton classes
     assert cert.witnesses[()].x == {0b001: 1, 0b010: 1, 0b100: 1}
     # after contracting 1, the rest collapses into one class
-    assert cert.witnesses[(1,)].x == {0b11: 1}
+    assert cert.witnesses[(1,)].x == {0b110: 1}
 
 
 def test_synth_strong_u13():
@@ -115,9 +146,8 @@ def test_strong_cardinality_disjoint_singletons():
 
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
-            m = n - size
             witnesses[labels_of(tmask)] = CoverageWeights(
-                m, {1 << i: Fraction(1) for i in range(m)}
+                n, {1 << b: Fraction(1) for b in range(n) if not tmask >> b & 1}
             )
     assert verify_strong2cov(f, StrongCertificate(n, witnesses)).ok
 
@@ -130,9 +160,8 @@ def test_budget_additive_not_strongly_2coverage():
 
     for size in range(f.n - 1):
         for tmask in masks_of_size(f.n, size):
-            m = f.n - size
             lin_cert_wit[labels_of(tmask)] = CoverageWeights(
-                m, {1 << i: Fraction(1) for i in range(m)}
+                f.n, {1 << b: Fraction(1) for b in range(f.n) if not tmask >> b & 1}
             )
     check = verify_strong2cov(f, StrongCertificate(f.n, lin_cert_wit))
     assert not check.ok
@@ -188,27 +217,15 @@ def test_synth_2cov_uniform_rank_d():
         assert all(t.bit_count() == 1 for t in w.g.x)
 
 
-def test_synth_strong_from_parts_sum():
-    m = UniformMatroid(1, 2)
-    cert = synth_strong_matroid(m)
-    table = to_setfunction(m)
-    doubled = synth_strong_from_parts(
-        [(cert, 1), (cert, 1)], table=combine([table, table], [1, 1])
-    )
-    assert doubled.witnesses[()].x == {
-        t: 2 * v for t, v in cert.witnesses[()].x.items()
-    }
-    zeroed = synth_strong_from_parts([(cert, 0)])
-    assert all(not g.x for g in zeroed.witnesses.values())
-
-
 def test_synth_strong_from_coverage_instance():
     inst = coverage_example()
     cert = synth_strong_from_parts(inst)
     # tau = {2}: A_1 and A_3 are swallowed by A_2, so g vanishes
     g = cert.witnesses[(2,)]
-    assert g.value(0b01) == 0
-    assert g.value(0b10) == 0
+    assert g.value(0b001) == 0
+    assert g.value(0b100) == 0
+    # tau = {}: x_{1,2} = x_{2,3} = 1 (elements a and b), read over [n]
+    assert cert.witnesses[()].x == {0b011: 1, 0b110: 1}
     assert verify_strong2cov(materialize(inst), cert).ok
 
 
@@ -223,11 +240,50 @@ def test_search_uniform_indicator_feasible():
     res = search_2cov_feasible(f, 2, ())
     assert res.feasible
     # the found witness satisfies the pair equations
-    spos = {lab: i for i, lab in enumerate(res.support)}
     for pair in ((1, 2), (1, 3), (2, 3)):
-        gm = (1 << spos[pair[0]]) | (1 << spos[pair[1]])
-        got = res.g.value(gm) - (res.ell.ell[spos[pair[0]]] + res.ell.ell[spos[pair[1]]]) / 2
-        assert got == f.value_of(pair)
+        pm = mask_of(pair)
+        assert res.g.value(pm) - res.ell.value(pm) / 2 == f.value_of(pair)
+
+
+def test_search_witness_lives_on_support_over_n():
+    # U(2,3) indicator contracted by {4} inside a 5-element table: S = {1,2,3}
+    f = SetFunctionTable.from_entries(5, {(a, b, 4): 1 for a, b in ((1, 2), (1, 3), (2, 3))})
+    res = search_2cov_feasible(f, 3, (4,))
+    assert res.feasible and res.support == (1, 2, 3)
+    assert res.g.n == res.ell.n == 5
+    assert all(t & ~0b00111 == 0 for t in res.g.x)
+    assert res.ell.ell[3:] == (0, 0)
+    witnesses = {}
+    for tau in ((1,), (2,), (3,), (4,), (5,)):
+        found = search_2cov_feasible(f, 3, tau)
+        witnesses[tau] = TwoCoverageWitness(found.support, found.g, found.ell)
+    assert verify_2cov(f, 3, TwoCoverageCertificate(5, 3, witnesses)).ok
+
+
+def test_search_lp_shape_and_pivots_pinned(monkeypatch):
+    # (rows, columns, Bland pivots) of each search LP: the x columns are the
+    # nonempty subsets of S in ascending mask order, and another column
+    # order moves the pivots
+    lps = []
+
+    def spy(a, b):
+        result = phase1(a, b)
+        lps.append((len(a), len(a[0]), result.pivots))
+        return result
+
+    monkeypatch.setattr(coverage2, "phase1", spy)
+    cov = materialize(CoverageInstance.build(
+        [("a", 1), ("b", 2), ("c", 1)], [["a"], ["a", "b"], ["b", "c"], ["c"], ["a", "c"]]
+    ))
+    for f, d, tau in (
+        (to_setfunction(UniformMatroid(2, 7), "indicator"), 2, ()),
+        (to_setfunction(UniformMatroid(3, 7), "indicator"), 3, (2,)),
+        (triangle_table(), 2, ()),
+        (cov, 2, ()),
+        (cov, 3, (5,)),
+    ):
+        coverage2.search_2cov_feasible(f, d, tau)
+    assert lps == [(28, 141, 59), (21, 75, 42), (6, 13, 6), (15, 41, 22), (10, 23, 13)]
 
 
 def test_search_zero_trivially_feasible():

@@ -2,11 +2,17 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clckit import (
+    CoverageInstance,
+    GraphicMatroid,
+    PartitionMatroid,
     UniformMatroid,
     materialize,
     synth_2cov_indicator,
+    synth_strong_from_parts,
     synth_strong_matroid,
     to_setfunction,
     verify_2cov,
@@ -125,6 +131,54 @@ def test_two_coverage_certificate_round_trip(tmp_path):
     again = jsonio.load_certificate(path)
     assert again.d == 2
     assert verify_2cov(to_setfunction(m, "indicator"), 2, again).ok
+
+
+@st.composite
+def matroids(draw):
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("uniform", "partition", "graphic")))
+    if kind == "uniform":
+        return UniformMatroid(draw(st.integers(0, n)), n)
+    if kind == "partition":
+        labels = draw(st.permutations(range(1, n + 1)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        blocks = [labels[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        return PartitionMatroid(blocks, [draw(st.integers(1, len(b))) for b in blocks])
+    v = draw(st.integers(2, 4))
+    ends = st.integers(1, v)
+    return GraphicMatroid(v, draw(st.lists(st.tuples(ends, ends), min_size=n, max_size=n)))
+
+
+@st.composite
+def coverage_instances(draw):
+    ids = [f"u{i}" for i in range(draw(st.integers(1, 5)))]
+    universe = [(e, draw(st.fractions(0, 4, max_denominator=3))) for e in ids]
+    sets = draw(st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=6))
+    return CoverageInstance.build(universe, sets)
+
+
+def _round_trip(directory, cert):
+    path = directory / "cert.json"
+    path.write_text(json.dumps(jsonio.dump_certificate(cert)))
+    return jsonio.load_certificate(str(path))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=matroids())
+def test_matroid_certificates_round_trip(tmp_path_factory, m):
+    directory = tmp_path_factory.mktemp("matroid")
+    strong = synth_strong_matroid(m)
+    assert _round_trip(directory, strong) == strong
+    for d in range(2, m.full_rank() + 1):
+        cert = synth_2cov_indicator(m, d)
+        assert _round_trip(directory, cert) == cert
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=coverage_instances())
+def test_coverage_certificate_round_trip(tmp_path_factory, inst):
+    cert = synth_strong_from_parts(inst)
+    assert _round_trip(tmp_path_factory.mktemp("coverage"), cert) == cert
 
 
 def test_frac_str():

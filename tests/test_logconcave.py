@@ -11,7 +11,6 @@ from clckit import (
     UniformMatroid,
     certify_clc_homogeneous,
     certify_clc_homogenization,
-    contract,
     homogeneous_restrict,
     inertia,
     is_indecomposable,
@@ -20,7 +19,7 @@ from clckit import (
     materialize,
     mobius_coverage_weights,
     quadratic_hessian,
-    quadratic_log_concave,
+    quadratic_inertia,
     to_setfunction,
     ulc_check,
 )
@@ -29,6 +28,7 @@ from clckit.logconcave import two_by_two_log_concave
 
 from conftest import (
     congruence,
+    contract,
     coverage_example,
     float_npos,
     k4,
@@ -117,12 +117,18 @@ def test_indecomposable_rejects_constant_term():
 
 
 def test_quadratic_log_concave_examples():
-    assert quadratic_log_concave(MultiaffinePolynomial(2, {0b11: 1}))
-    assert quadratic_log_concave(triangle_quadratic())
+    assert quadratic_inertia(MultiaffinePolynomial(2, {0b11: 1})).n_pos <= 1
+    assert quadratic_inertia(MultiaffinePolynomial(3, {})).as_tuple() == (0, 3, 0)
+    assert quadratic_inertia(triangle_quadratic()).as_tuple() == (1, 0, 2)
     f2 = homogeneous_restrict(materialize(budget_additive_function()), 2)
     from clckit import generating_poly
 
-    assert not quadratic_log_concave(generating_poly(f2))
+    assert quadratic_inertia(generating_poly(f2)).n_pos == 2
+    # the Hessian criterion needs nonnegative coefficients
+    with pytest.raises(ValueError, match=r"negative coefficient -1 on monomial \(1, 2\)"):
+        quadratic_inertia(MultiaffinePolynomial(2, {0b11: -1}))
+    with pytest.raises(ValueError, match=r"on monomial \(y\^1, \(2,\)\)"):
+        quadratic_inertia(HomogenizedPolynomial(2, {(2, 0): 1, (1, 0b10): Fraction(-1, 2)}))
 
 
 def test_quadratic_log_concave_float_cross_check():
@@ -136,7 +142,7 @@ def test_quadratic_log_concave_float_cross_check():
             i, j = rng.sample(range(m), 2)
             coeffs[(1 << i) | (1 << j)] = Fraction(rng.randint(1, 9), rng.randint(1, 3))
         p = MultiaffinePolynomial(m, coeffs)
-        assert quadratic_log_concave(p) == (float_npos(quadratic_hessian(p)) <= 1)
+        assert (quadratic_inertia(p).n_pos <= 1) == (float_npos(quadratic_hessian(p)) <= 1)
 
 
 # --- certification drivers ---------------------------------------------------

@@ -47,6 +47,7 @@ from clckit import (
     walk_instance,
 )
 from clckit import coverage2
+from clckit.bitsets import mask_of
 from clckit.jsonio import dump_certificate
 from clckit.matroids import to_setfunction
 from clckit.polynomials import scale
@@ -478,6 +479,11 @@ def test_sweep_matches_polynomial_reference():
 # --- strong coverage synthesis vs per-tau sub-instances ------------------------
 
 
+def expand(mask, labels):
+    """Move bit i of a mask over the sub-instance to the bit of labels[i] over [n]."""
+    return mask_of(lab for i, lab in enumerate(labels) if mask >> i & 1)
+
+
 def reference_strong_coverage(inst):
     """Moebius-invert the sub-instance left after tau covers its part of the
     universe, separately for every tau."""
@@ -490,7 +496,9 @@ def reference_strong_coverage(inst):
             sub = CoverageInstance(inst.universe, tuple(inst.sets[i - 1] - covered for i in rest))
             mob = mobius_coverage_weights(materialize(sub))
             assert mob.is_coverage
-            witnesses[tau] = CoverageWeights(len(rest), dict(mob.weights.x))
+            witnesses[tau] = CoverageWeights(
+                n, {expand(t, rest): v for t, v in mob.weights.x.items()}
+            )
     return StrongCertificate(n, witnesses)
 
 

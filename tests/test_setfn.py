@@ -12,8 +12,6 @@ from clckit import (
     LinearFunction,
     SetFunctionTable,
     UniformMatroid,
-    combine,
-    contract,
     homogeneous_restrict,
     level_sequence,
     materialize,
@@ -24,7 +22,7 @@ from clckit import (
 from clckit.bitsets import labels_of, mask_of
 from clckit.errors import CapExceededError
 
-from conftest import coverage_example, rand_coverage_instance
+from conftest import contract, coverage_example, rand_coverage_instance
 
 
 def test_table_invariants():
@@ -164,22 +162,6 @@ def test_mobius_linear_singletons():
     mob = mobius_coverage_weights(f)
     assert mob.weights.x == {0b001: 1, 0b010: 1, 0b100: 1}
     assert mob.is_coverage
-
-
-def test_combine():
-    f = materialize(coverage_example())
-    zero = combine([f], [0])
-    assert zero.is_zero()
-    assert combine([f], [1]).values == f.values
-    r12 = to_setfunction(UniformMatroid(1, 2))
-    r22 = to_setfunction(UniformMatroid(2, 2))
-    s = combine([r12, r22], [1, 1])
-    assert s.value_of([1]) == 2
-    assert s.value_of([1, 2]) == 3
-    with pytest.raises(ValueError):
-        combine([f, r12], [1, 1])
-    with pytest.raises(ValueError):
-        combine([f], [-1])
 
 
 def test_level_sequence():
