@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import counterexamples as cx
 from . import jsonio
@@ -36,7 +35,7 @@ from .logconcave import (
     quadratic_inertia,
     ulc_check,
 )
-from .setfn import level_sequence, mobius_coverage_weights
+from .setfn import exact, level_sequence, mobius_coverage_weights
 from .walk import (
     RNG_SCHEME,
     histogram_tv,
@@ -64,9 +63,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="clckit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, cap=True):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--cap", type=int, default=None, help="override the enumeration cap (with a warning)")
+        if cap:
+            p.add_argument("--cap", type=int, default=None, help="override the enumeration cap (with a warning)")
 
     p = sub.add_parser("certify-clc", help="sufficient conditions on a degree-d restriction")
     p.add_argument("--input", help="set-function JSON")
@@ -97,11 +97,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("mobius", help="coverage weights by Moebius inversion")
     p.add_argument("--input", required=True)
-    common(p)
+    common(p, cap=False)
 
     p = sub.add_parser("ulc", help="ultra-log-concavity of the level sequence")
     p.add_argument("--input", required=True)
-    common(p)
+    common(p, cap=False)
 
     p = sub.add_parser("entropy", help="mutual-information decomposition of a joint pmf")
     p.add_argument("--input", required=True)
@@ -113,16 +113,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--start", help="comma-separated start state, e.g. 1,3")
-    common(p)
+    common(p, cap=False)
 
     p = sub.add_parser("mix", help="exact mixing time by matrix powering")
     p.add_argument("--input", required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--epsilon", required=True)
+    p.add_argument("--epsilon", required=True, type=exact)
     common(p)
 
     p = sub.add_parser("counterexamples", help="reproduce the two built-in negative results")
-    common(p)
+    common(p, cap=False)
 
     return parser
 
@@ -259,7 +259,7 @@ def _cmd_certify_2cov(args) -> int:
     if decision.reason == "decomposable":
         line = f"not 2-coverage: decomposable at tau={tau}"
     else:
-        optimum = jsonio.frac_str(decision.infeasibility)
+        optimum = str(decision.infeasibility)
         payload["phase1_optimum"] = optimum
         line = f"not 2-coverage: no witness exists at tau={tau} (phase-1 optimum {optimum})"
     _emit(payload, [line], args.format)
@@ -301,17 +301,17 @@ def _cmd_mobius(args) -> int:
     f = jsonio.load_set_function(args.input)
     result = mobius_coverage_weights(f)
     weights = {
-        _setkey(labels_of(t)): jsonio.frac_str(v)
+        _setkey(labels_of(t)): str(v)
         for t, v in sorted(result.weights.x.items())
     }
     payload = {
         "is_coverage": result.is_coverage,
-        "min_weight": jsonio.frac_str(result.min_weight),
+        "min_weight": str(result.min_weight),
         "weights": weights,
     }
     lines = [
         f"is-coverage: {str(result.is_coverage).lower()}",
-        f"min-weight: {jsonio.frac_str(result.min_weight)}",
+        f"min-weight: {result.min_weight}",
     ] + [f"x{key} = {v}" for key, v in weights.items()]
     _emit(payload, lines, args.format)
     return EXIT_PASS if result.is_coverage else EXIT_FAIL
@@ -322,12 +322,12 @@ def _cmd_ulc(args) -> int:
     seq = level_sequence(f)
     result = ulc_check(seq)
     payload = {
-        "sequence": [jsonio.frac_str(c) for c in seq],
+        "sequence": [str(c) for c in seq],
         "ultra_log_concave": result.holds,
         "failing_k": result.failing_k,
     }
     lines = [
-        "levels: (" + ", ".join(jsonio.frac_str(c) for c in seq) + ")",
+        "levels: (" + ", ".join(map(str, seq)) + ")",
         f"ultra-log-concave: {str(result.holds).lower()}",
     ]
     if not result.holds:
@@ -340,7 +340,7 @@ def _cmd_entropy(args) -> int:
     from .entropy import IDENTITY_TOL, entropy_decomposition
 
     joint = jsonio.load_joint_distribution(args.input)
-    dec = entropy_decomposition(joint)
+    dec = entropy_decomposition(joint, **_cap_kwargs(args))
     payload = {
         "n": dec.n,
         "entropies": {
@@ -405,18 +405,16 @@ def _cmd_sample(args) -> int:
 def _cmd_mix(args) -> int:
     f = jsonio.load_set_function(args.input)
     w = walk_instance(f, args.d)
-    eps = Fraction(args.epsilon)
-    kwargs = _cap_kwargs(args)
-    result = mixing_time_exact(w, eps, **kwargs)
+    result = mixing_time_exact(w, args.epsilon, **_cap_kwargs(args))
     payload = {
-        "epsilon": jsonio.frac_str(eps),
+        "epsilon": str(args.epsilon),
         "converged": result.converged,
         "t_mix": result.t_mix,
         "ratio": result.ratio,
         "tv_curve": [float(v) for v in result.tv_curve],
         "switched_to_float_at": result.switched_to_float_at,
     }
-    lines = [f"epsilon: {jsonio.frac_str(eps)}"]
+    lines = [f"epsilon: {args.epsilon}"]
     if result.converged:
         lines.append(f"t_mix: {result.t_mix}")
         lines.append(f"ratio t_mix / (d ln(d/eps)): {result.ratio}")

@@ -35,28 +35,13 @@ from .setfn import (
     LinearFunction,
     SetFunctionTable,
     ZERO,
+    exact,
 )
-
-
-def frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _setkey(labels) -> str:
     """Subset dict keys are compact JSON arrays, e.g. "[2,3]"."""
     return json.dumps(list(labels), separators=(",", ":"))
-
-
-def parse_exact(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, float):
-        raise TypeError("floats are not accepted in exact files; use strings")
-    raise TypeError(f"cannot parse {v!r} as a rational")
 
 
 _KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string",
@@ -70,6 +55,22 @@ def _typed(value, kind: type, at: str):
     if type(value) is not kind:
         raise ValueError(f"{at}: expected {_KINDS[kind]}, found {_KINDS[type(value)]}")
     return value
+
+
+def _rational(obj: dict, key, at: str) -> Fraction:
+    """exact(obj[key]); a missing or unreadable value is an error naming
+    the field `at`."""
+    if key not in obj:
+        raise ValueError(f"{at}: missing")
+    try:
+        return exact(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{at}: {exc}") from None
+
+
+def _ints(value, at: str) -> list[int]:
+    """The JSON list of integers at `at`, each read by `_typed`."""
+    return [_typed(v, int, f"{at}[{i}]") for i, v in enumerate(_typed(value, list, at))]
 
 
 def _load(path: str):
@@ -133,7 +134,7 @@ def load_set_function(path: str) -> SetFunctionTable:
     for k, entry in enumerate(_typed(doc.get("entries", []), list, "entries")):
         _typed(entry, dict, f"entries[{k}]")
         mask = _subset(entry["set"], "entries[{}]", k, full, f"n={n}", seen)
-        values[mask] = parse_exact(entry["value"])
+        values[mask] = _rational(entry, "value", f"entries[{k}].value")
     return SetFunctionTable(n, tuple(values))
 
 
@@ -141,7 +142,7 @@ def dump_set_function(f: SetFunctionTable) -> dict:
     return {
         "n": f.n,
         "entries": [
-            {"set": list(labels_of(m)), "value": frac_str(v)}
+            {"set": list(labels_of(m)), "value": str(v)}
             for m, v in enumerate(f.values)
             if v != 0
         ],
@@ -150,22 +151,30 @@ def dump_set_function(f: SetFunctionTable) -> dict:
 
 def load_coverage_instance(path: str) -> CoverageInstance:
     doc = _load(path)
-    universe = [(u["id"], parse_exact(u["weight"])) for u in doc["universe"]]
-    return CoverageInstance.build(universe, doc["sets"])
+    universe = []
+    for k, u in enumerate(_typed(doc["universe"], list, "universe")):
+        at = f"universe[{k}]"
+        _typed(u, dict, at)
+        universe.append((_typed(u["id"], str, f"{at}.id"), _rational(u, "weight", f"{at}.weight")))
+    sets = [_typed(a, list, f"sets[{k}]") for k, a in enumerate(_typed(doc["sets"], list, "sets"))]
+    return CoverageInstance.build(universe, sets)
 
 
 def load_matroid(path: str) -> Matroid:
     doc = _load(path)
-    kind = doc["type"]
+    kind = _typed(doc["type"], str, "type")
     if kind == "uniform":
         return UniformMatroid(_typed(doc["r"], int, "r"), _typed(doc["n"], int, "n"))
     if kind == "partition":
-        return PartitionMatroid(doc["blocks"], doc["caps"])
+        blocks = [_ints(b, f"blocks[{k}]") for k, b in enumerate(_typed(doc["blocks"], list, "blocks"))]
+        return PartitionMatroid(blocks, _ints(doc["caps"], "caps"))
     if kind == "graphic":
-        edges = [tuple(e) for e in doc["edges"]]
+        edges = [tuple(_ints(e, f"edges[{k}]")) for k, e in enumerate(_typed(doc["edges"], list, "edges"))]
         return GraphicMatroid(_typed(doc["vertices"], int, "vertices"), edges)
     if kind == "explicit":
-        return ExplicitMatroid(_typed(doc["n"], int, "n"), doc["independent"])
+        independent = _typed(doc["independent"], list, "independent")
+        family = [_ints(i, f"independent[{k}]") for k, i in enumerate(independent)]
+        return ExplicitMatroid(_typed(doc["n"], int, "n"), family)
     raise ValueError(f"unknown matroid type {kind!r}")
 
 
@@ -182,7 +191,7 @@ def load_polynomial(path: str):
         _typed(t, dict, f"terms[{k}]")
         y = _typed(t.get("y", 0), int, f"terms[{k}].y")
         mask = _subset(t["set"], "terms[{}]", k, full, f"n={n}", seen.setdefault(y, {}))
-        coeffs[y, mask] = parse_exact(t["coeff"])
+        coeffs[y, mask] = _rational(t, "coeff", f"terms[{k}].coeff")
     if all(y == 0 for y in seen):
         return MultiaffinePolynomial(n, {mask: c for (_, mask), c in coeffs.items()})
     return HomogenizedPolynomial(n, coeffs)
@@ -196,7 +205,7 @@ def load_joint_distribution(path: str) -> JointDistribution:
 
 
 def _weights_doc(g: CoverageWeights) -> dict:
-    return {_setkey(labels_of(t)): frac_str(v) for t, v in sorted(g.x.items())}
+    return {_setkey(labels_of(t)): str(v) for t, v in sorted(g.x.items())}
 
 
 def dump_certificate(cert) -> dict:
@@ -211,7 +220,7 @@ def dump_certificate(cert) -> dict:
                     "tau": list(tau),
                     "S": list(w.support),
                     "g": _weights_doc(w.g),
-                    "l": {str(lab): frac_str(w.ell.ell[lab - 1]) for lab in w.support},
+                    "l": {str(lab): str(w.ell.ell[lab - 1]) for lab in w.support},
                 }
                 for tau, w in sorted(cert.witnesses.items())
             ],
@@ -255,8 +264,9 @@ def load_certificate(path: str):
         at = f"witnesses[{k}].g[{{!r}}]"
         seen_g: dict[int, str] = {}
         g = {}
-        for key, v in _typed(w.get("g", {}), dict, f"witnesses[{k}].g").items():
-            g[_subset(_key(key, at), at, key, ground, scope, seen_g)] = parse_exact(v)
+        g_doc = _typed(w.get("g", {}), dict, f"witnesses[{k}].g")
+        for key in g_doc:
+            g[_subset(_key(key, at), at, key, ground, scope, seen_g)] = _rational(g_doc, key, at.format(key))
         weights = CoverageWeights(n, g)
         if not two_coverage:
             witnesses[tau] = weights
@@ -264,9 +274,10 @@ def load_certificate(path: str):
         at = f"witnesses[{k}].l[{{!r}}]"
         seen_l: dict[int, str] = {}
         ell = [ZERO] * n
-        for key, v in _typed(w.get("l", {}), dict, f"witnesses[{k}].l").items():
+        l_doc = _typed(w.get("l", {}), dict, f"witnesses[{k}].l")
+        for key in l_doc:
             bit = _subset([_key(key, at)], at, key, ground, scope, seen_l)
-            ell[bit.bit_length() - 1] = parse_exact(v)
+            ell[bit.bit_length() - 1] = _rational(l_doc, key, at.format(key))
         ell = LinearFunction(n, tuple(ell))
         witnesses[tau] = TwoCoverageWitness(labels_of(ground), weights, ell)
     if two_coverage:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from numbers import Rational
+from typing import Iterable, Mapping, Sequence
 
 from .bitsets import labels_of, mask_of, submasks, subset_transform
 from .errors import CapExceededError, InternalCheckError
@@ -22,12 +23,26 @@ ZERO = Fraction(0)
 
 
 def exact(value) -> Fraction:
-    """Coerce to Fraction, rejecting floats (binary64 noise has no place here)."""
+    """The one coercion into Fraction: an int, a rational or a "p/q" or
+    decimal string. Floats (binary64 noise has no place here) and booleans
+    are refused, and a zero denominator is a ValueError."""
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r} in an exact context; pass int, Fraction or a string"
         )
-    return Fraction(value)
+    if isinstance(value, bool) or not isinstance(value, (Rational, str)):
+        raise TypeError(f"cannot parse {value!r} as a rational")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+
+
+def integer_scaled(values: Sequence) -> tuple[list[int], int]:
+    """The integer numerators of `values` (ints or Fractions) over their
+    least common denominator L, and L: values[i] == nums[i] / L."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 @dataclass(frozen=True)
@@ -191,19 +206,9 @@ class BudgetAdditive:
         return len(self.weights)
 
 
-Representation = Union[CoverageInstance, LinearFunction, BudgetAdditive, CoverageWeights]
-
-
-def materialize(rep, mode: str = "rank") -> SetFunctionTable:
-    """Exhaustively evaluate a representation into a table.
-
-    Accepts the four concrete representations above or a matroid oracle
-    (mode selects its rank function or independence indicator).
-    """
-    from . import matroids  # local import: matroids builds tables through this module
-
-    if isinstance(rep, matroids.Matroid):
-        return matroids.to_setfunction(rep, mode)
+def materialize(rep) -> SetFunctionTable:
+    """Exhaustively evaluate one of the four representations above into a
+    table (a matroid's tables come from `matroids.to_setfunction`)."""
     if isinstance(rep, CoverageInstance):
         return _materialize_coverage(rep)
     if isinstance(rep, LinearFunction):
@@ -308,10 +313,7 @@ def predicates(f: SetFunctionTable) -> PredicateReport:
     n = f.n
     # every inequality is homogeneous in f, so scale to integers once and let
     # the 3^n sweeps run on plain ints
-    scale = 1
-    for v in f.values:
-        scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    vals = [int(v * scale) for v in f.values]
+    vals, _ = integer_scaled(f.values)
     witnesses: dict[str, tuple] = {}
 
     mono = _monotone_witness(n, vals)

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Sequence
 
 from .errors import InternalCheckError
-from .setfn import ZERO, exact
+from .setfn import ZERO, exact, integer_scaled
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,8 @@ def phase1(a: Sequence[Sequence], b: Sequence) -> LPFeasibility:
         if len(a[i]) != n:
             raise ValueError("ragged constraint matrix")
         rows.append([v if type(v) is int else exact(v) for v in (*a[i], b[i])])
-    scale = lcm(*(v.denominator for row in rows for v in row))
-    scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    flat, scale = integer_scaled([v for row in rows for v in row])
+    scaled = [flat[i : i + n + 1] for i in range(0, len(flat), n + 1)]
     signs = [-1 if row[n] < 0 else 1 for row in scaled]
 
     total = n + m  # artificial variable n+i sits on row i

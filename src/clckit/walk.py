@@ -7,10 +7,11 @@ chain never leaves the support. The stationary distribution is f / sum(f)
 and detailed balance holds exactly; transition_matrix re-verifies both
 rather than assuming them.
 
-A sampled chain caches, for each base R it visits, the candidate targets
-and their cumulative weights scaled to integers by the lcm of their
-denominators, so a step is two rejection draws and a bisection. Mixing
-powers integer rows over one common denominator.
+Each base R has one candidate row: its targets and their cumulative
+weights scaled to integers by the lcm of their denominators. A sampled
+chain caches the row of each base it visits, so a step is two rejection
+draws and a bisection; the transition matrix is read off the row of every
+base. Mixing powers integer rows over one common denominator.
 
 Randomness comes from numpy's Philox4x64-10 counter-based generator, scheme
 "philox4x64-10/v1": the key is the user seed, an n-byte draw is the first n
@@ -32,7 +33,7 @@ import numpy as np
 
 from .bitsets import labels_of
 from .errors import CapExceededError, InternalCheckError
-from .setfn import SetFunctionTable, ZERO, exact
+from .setfn import SetFunctionTable, ZERO, exact, integer_scaled
 
 RNG_SCHEME = "philox4x64-10/v1"
 WORD_BLOCK = 1024  # uint32 words drawn from the generator per numpy call
@@ -83,14 +84,6 @@ class WalkInstance:
     total: Fraction
     index: Mapping[int, int] = field(repr=False)
 
-    def mu(self, mask: int) -> Fraction:
-        pos = self.index.get(mask)
-        return self.weights[pos] / self.total if pos is not None else ZERO
-
-    def weight(self, mask: int) -> Fraction:
-        pos = self.index.get(mask)
-        return self.weights[pos] if pos is not None else ZERO
-
 
 def walk_instance(f: SetFunctionTable, d: int) -> WalkInstance:
     if not 1 <= d <= f.n:
@@ -109,26 +102,15 @@ def walk_instance(f: SetFunctionTable, d: int) -> WalkInstance:
     )
 
 
-def _candidates(w: WalkInstance, base: int) -> list[tuple[int, Fraction]]:
-    out = []
-    for j in range(w.n):
-        if not base >> j & 1:
-            t = base | (1 << j)
-            weight = w.weight(t)
-            if weight != 0:
-                out.append((t, weight))
-    return out
-
-
 def _candidate_row(w: WalkInstance, base: int) -> tuple[tuple[int, ...], list[int]]:
-    """Targets from `base` and their cumulative weights, scaled to integers by
-    the lcm of the weight denominators."""
-    cands = _candidates(w, base)
-    if not cands:
+    """Targets R + {j} in the support from the base R, ascending, and their
+    cumulative weights scaled to integers by the lcm of the weight
+    denominators; the walk's one enumeration of candidates."""
+    targets = tuple(t for j in range(w.n) if (t := base | 1 << j) != base and t in w.index)
+    if not targets:
         raise InternalCheckError("no candidate after dropping; support corrupted")
-    denom = math.lcm(*(weight.denominator for _, weight in cands))
-    scaled = (weight.numerator * (denom // weight.denominator) for _, weight in cands)
-    return tuple(t for t, _ in cands), list(accumulate(scaled))
+    scaled, _ = integer_scaled([w.weights[w.index[t]] for t in targets])
+    return targets, list(accumulate(scaled))
 
 
 def step(w: WalkInstance, state: int, next_word: Callable[[], int], cache: dict) -> int:
@@ -152,21 +134,27 @@ class TransitionMatrix:
 
 
 def transition_matrix(w: WalkInstance) -> TransitionMatrix:
-    """Exact transition matrix; row sums and detailed balance are re-verified
-    over every nonzero entry before returning (a pair that is zero both ways
-    balances trivially; one nonzero either way is seen from its row)."""
-    sparse: list[dict[int, Fraction]] = []
-    d = Fraction(w.d)
-    for s in w.support:
-        row: dict[int, Fraction] = {}
-        for drop in labels_of(s):
-            base = s & ~(1 << (drop - 1))
-            cands = _candidates(w, base)
-            denom = sum((weight for _, weight in cands), ZERO)
-            for t, weight in cands:
-                ti = w.index[t]
-                row[ti] = row.get(ti, ZERO) + weight / (d * denom)
-        sparse.append(row)
+    """Exact transition matrix, built base by base.
+
+    P(S, T) = (1/d) sum over bases R inside S and T of c_T / C_R, with c the
+    candidate row of R and C_R its total, so each distinct base R adds
+    c_T / (d C_R) to the entry of every ordered pair of its targets. Row sums
+    and detailed balance are re-verified over every nonzero entry before
+    returning (a pair that is zero both ways balances trivially; one nonzero
+    either way is seen from its row)."""
+    sparse: list[dict[int, Fraction]] = [{} for _ in w.support]
+    bases = {s & ~(1 << (drop - 1)) for s in w.support for drop in labels_of(s)}
+    for base in sorted(bases):
+        targets, cumulative = _candidate_row(w, base)
+        denom = w.d * cumulative[-1]
+        probs = [
+            (w.index[t], Fraction(c, denom))
+            for t, c in zip(targets, map(sub, cumulative, [0, *cumulative]))
+        ]
+        for si, _ in probs:
+            row = sparse[si]
+            for ti, p in probs:
+                row[ti] = row[ti] + p if ti in row else p
     for si, row in enumerate(sparse):
         if sum(row.values(), ZERO) != 1:
             raise InternalCheckError(f"row {si} does not sum to 1")
@@ -227,22 +215,22 @@ def mixing_time_exact(
     violation raises (it would be a bug), in float mode a 1e-12 wobble is
     tolerated.
     """
-    eps = exact(eps) if not isinstance(eps, float) else Fraction(eps)
+    eps = exact(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must lie strictly between 0 and 1")
     k = len(w.support)
     if k > cap:
         raise CapExceededError(f"support size {k} exceeds cap {cap}")
     tm = transition_matrix(w)
-    big_l = math.lcm(*(v.denominator for row in tm.rows for v in row.values()))
+    entries, big_l = integer_scaled([v for row in tm.rows for v in row.values()])
     # column j of N as (row indices, integer entries)
     cols = [([], []) for _ in range(k)]
+    numerators = iter(entries)
     for i, row in enumerate(tm.rows):
-        for j, v in row.items():
+        for j in row:
             cols[j][0].append(i)
-            cols[j][1].append(v.numerator * (big_l // v.denominator))
-    w_den = math.lcm(*(wt.denominator for wt in w.weights))
-    w_int = [wt.numerator * (w_den // wt.denominator) for wt in w.weights]
+            cols[j][1].append(next(numerators))
+    w_int, _ = integer_scaled(w.weights)
     w_sum = sum(w_int)
     rows = [[int(i == j) for j in range(k)] for i in range(k)]
     scale = 1  # L^t
@@ -342,7 +330,7 @@ def is_irreducible(w: WalkInstance) -> bool:
         s = queue.pop()
         for drop in labels_of(s):
             base = s & ~(1 << (drop - 1))
-            for t, _ in _candidates(w, base):
+            for t in _candidate_row(w, base)[0]:
                 if t not in seen:
                     seen.add(t)
                     queue.append(t)

@@ -31,7 +31,7 @@ from clckit import (
 from clckit.bitsets import labels_of, mask_of
 from clckit.setfn import ZERO, exact
 from clckit.simplex import LPFeasibility
-from clckit.walk import MixingResult, make_rng, transition_matrix
+from clckit.walk import MixingResult, make_rng
 
 
 def coverage_example() -> CoverageInstance:
@@ -300,18 +300,24 @@ def _uniform_below_oracle(rng: np.random.Generator, bound: int) -> int:
             return r
 
 
+def _candidates_oracle(w, base: int) -> list[tuple[int, Fraction]]:
+    """(target, Fraction weight) for every R + {j} in the support, ascending."""
+    out = []
+    for j in range(w.n):
+        if not base >> j & 1:
+            t = base | (1 << j)
+            if t in w.index:
+                out.append((t, w.weights[w.index[t]]))
+    return out
+
+
 def step_oracle(w, state: int, rng: np.random.Generator) -> int:
     """One down-up transition, rebuilding the candidates and their Fraction
     weights at every step and drawing one `rng.bytes` call per draw."""
     members = labels_of(state)
     drop = members[_uniform_below_oracle(rng, w.d)]
     base = state & ~(1 << (drop - 1))
-    cands = []
-    for j in range(w.n):
-        if not base >> j & 1:
-            t = base | (1 << j)
-            if w.weight(t) != 0:
-                cands.append((t, w.weight(t)))
+    cands = _candidates_oracle(w, base)
     denom = 1
     for _, weight in cands:
         denom = denom * weight.denominator // math.gcd(denom, weight.denominator)
@@ -336,18 +342,36 @@ def sample_chain_oracle(w, start: int, steps: int, seed: int) -> tuple[int, dict
     return state, hist
 
 
+def transition_matrix_oracle(w) -> tuple[dict[int, Fraction], ...]:
+    """Sparse rows of the transition matrix, summed state by state and drop
+    by drop in Fractions: P(S, T) = (1/d) sum over i in S of f(T) / (sum of
+    f over the candidates of S - {i})."""
+    d = Fraction(w.d)
+    rows = []
+    for s in w.support:
+        row: dict[int, Fraction] = {}
+        for drop in labels_of(s):
+            cands = _candidates_oracle(w, s & ~(1 << (drop - 1)))
+            denom = sum((weight for _, weight in cands), ZERO)
+            for t, weight in cands:
+                ti = w.index[t]
+                row[ti] = row.get(ti, ZERO) + weight / (d * denom)
+        rows.append(row)
+    return tuple(rows)
+
+
 def mixing_time_oracle(w, eps, cap: int = 2000, max_steps: int = 10**6, max_bits: int = 4096):
-    """Mixing time by dense Fraction powering of the transition matrix,
-    switching to binary64 once an entry exceeds max_bits bits."""
+    """Mixing time by dense Fraction powering of the oracle transition
+    matrix, switching to binary64 once an entry exceeds max_bits bits."""
     def max_tv(dist_rows, mu):
         return max(sum((abs(p - q) for p, q in zip(row, mu)), ZERO) / 2 for row in dist_rows)
 
     def widest(rows):
         return max(max(v.numerator.bit_length(), v.denominator.bit_length()) for row in rows for v in row)
 
-    eps = exact(eps) if not isinstance(eps, float) else Fraction(eps)
+    eps = exact(eps)
     k = len(w.support)
-    p = [[row.get(j, ZERO) for j in range(k)] for row in transition_matrix(w).rows]
+    p = [[row.get(j, ZERO) for j in range(k)] for row in transition_matrix_oracle(w)]
     mu = [wt / w.total for wt in w.weights]
     rows = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
     exact_mode = True

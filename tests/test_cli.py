@@ -1,6 +1,11 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clckit import jsonio, materialize
 from clckit.cli import run
@@ -239,8 +244,14 @@ def test_input_error_exit_3(tmp_path, capsys):
         ([[[1, 2], 2], [[1], 1], [[2, 1], 3]], "entries[2]: set [2, 1] repeats the subset of entries[0]"),
         ([[[1], 1], [[3], 1]], "entries[1]: set [3] out of range for n=2"),
         ([[["1"], 1]], "entries[0]: label '1' is not an integer"),
+        ([[[1], "1/0"]], "entries[0].value: zero denominator in '1/0'"),
+        ([[[1], True]], "entries[0].value: cannot parse True as a rational"),
+        ([[[1], None]], "entries[0].value: cannot parse None as a rational"),
     ],
-    ids=["repeated-label", "repeated-subset", "out-of-range", "non-integer-label"],
+    ids=[
+        "repeated-label", "repeated-subset", "out-of-range", "non-integer-label",
+        "zero-denominator", "boolean-value", "null-value",
+    ],
 )
 def test_malformed_table_entry_exit_3(tmp_path, capsys, entries, message):
     doc = {"n": 2, "entries": [{"set": labels, "value": v} for labels, v in entries]}
@@ -273,10 +284,11 @@ def _u23_file(tmp_path, mode):
         ([{"tau": [], "g": []}], "witnesses[0].g: expected an object, found a list"),
         ({"tau": [], "g": {}}, "witnesses: expected a list, found an object"),
         ([[]], "witnesses[0]: expected an object, found a list"),
+        ([{"tau": [], "g": {"[1]": "1/0"}}], "witnesses[0].g['[1]']: zero denominator in '1/0'"),
     ],
     ids=[
         "repeated-label", "repeated-subset", "inside-tau", "repeated-tau", "non-integer-label",
-        "g-not-object", "witnesses-not-list", "witness-not-object",
+        "g-not-object", "witnesses-not-list", "witness-not-object", "g-zero-denominator",
     ],
 )
 def test_malformed_strong_certificate_exit_3(tmp_path, capsys, witnesses, message):
@@ -320,8 +332,9 @@ def test_malformed_two_coverage_certificate_exit_3(tmp_path, capsys, witness, me
         ([[[1, 2], 1], [[2, 1], 1]], "terms[1]: set [2, 1] repeats the subset of terms[0]"),
         ([[[1, 1], 1]], "terms[0]: set [1, 1] repeats a label"),
         ([[[1, 2], "-1"]], "negative coefficient -1 on monomial (1, 2)"),
+        ([[[1, 2], "1/0"]], "terms[0].coeff: zero denominator in '1/0'"),
     ],
-    ids=["repeated-subset", "repeated-label", "negative-coefficient"],
+    ids=["repeated-subset", "repeated-label", "negative-coefficient", "coeff-zero-denominator"],
 )
 def test_malformed_polynomial_term_exit_3(tmp_path, capsys, terms, message):
     doc = {"n": 2, "terms": [{"set": labels, "coeff": c} for labels, c in terms]}
@@ -359,11 +372,22 @@ def _cert_args(tmp_path, doc):
         ("ulc", {"n": 2, "entries": [[1]]}, "entries[0]: expected an object, found a list"),
         ("poly", {"n": 2, "terms": {"a": 1}}, "terms: expected a list, found an object"),
         ("poly", {"n": 2, "terms": [[1]]}, "terms[0]: expected an object, found a list"),
+        ("ulc", {"n": 2, "entries": [{"set": [1]}]}, "entries[0].value: missing"),
+        ("coverage", {"universe": [{"id": "a", "weight": "1/0"}], "sets": [["a"]]},
+         "universe[0].weight: zero denominator in '1/0'"),
+        ("matroid", {"type": "partition", "blocks": [1, 2], "caps": [1, 1]},
+         "blocks[0]: expected a list, found an integer"),
+        ("matroid", {"type": "graphic", "vertices": 3, "edges": [1, 2]},
+         "edges[0]: expected a list, found an integer"),
+        ("coverage", {"universe": {"id": "a", "weight": "1"}, "sets": [["a"]]},
+         "universe: expected a list, found an object"),
     ],
     ids=[
         "table-n-decimal", "table-n-bool", "table-n-integral-decimal", "poly-y", "uniform-r",
         "uniform-n-string", "graphic-vertices", "explicit-n", "cert-d", "cert-n", "alphabet",
         "table-entries-object", "table-entry-list", "poly-terms-object", "poly-term-list",
+        "table-value-missing", "coverage-weight-zero-denominator", "partition-block-integer",
+        "graphic-edge-integer", "coverage-universe-object",
     ],
 )
 def test_malformed_size_or_shape_exit_3(tmp_path, capsys, command, doc, message):
@@ -372,6 +396,7 @@ def test_malformed_size_or_shape_exit_3(tmp_path, capsys, command, doc, message)
         "ulc": ["ulc", "--input", path],
         "mobius": ["mobius", "--input", path],
         "poly": ["certify-clc", "--poly", path],
+        "coverage": ["certify-strong", "--coverage", path],
         "matroid": ["certify-2cov", "--matroid", path, "--d", "2"],
         "entropy": ["entropy", "--input", path],
     }.get(command) or _cert_args(tmp_path, doc)
@@ -380,6 +405,130 @@ def test_malformed_size_or_shape_exit_3(tmp_path, capsys, command, doc, message)
     assert code == 3
     assert captured.out == ""
     assert message in captured.err
+
+
+PAIRS = {
+    "n": 3,
+    "entries": [
+        {"set": [1, 2], "value": 1},
+        {"set": [1, 3], "value": 1},
+        {"set": [2, 3], "value": 1},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mix", "--input", "IN", "--d", "2", "--epsilon", "1/0"],
+         "argument --epsilon: invalid exact value: '1/0'"),
+        (["mobius", "--input", "IN", "--cap", "20"], "unrecognized arguments: --cap 20"),
+        (["ulc", "--input", "IN", "--cap", "20"], "unrecognized arguments: --cap 20"),
+        (["sample", "--input", "IN", "--d", "2", "--steps", "5", "--seed", "1", "--cap", "20"],
+         "unrecognized arguments: --cap 20"),
+        (["counterexamples", "--cap", "20"], "unrecognized arguments: --cap 20"),
+    ],
+    ids=["epsilon-zero-denominator", "mobius-cap", "ulc-cap", "sample-cap", "counterexamples-cap"],
+)
+def test_bad_flag_exit_3(tmp_path, capsys, argv, message):
+    path = _write(tmp_path, "pairs.json", PAIRS)
+    code = run([path if a == "IN" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_entropy_cap_override(tmp_path, capsys):
+    doc = {"alphabets": [2] * 9, "pmf": [{"outcome": [0] * 9, "p": 1.0}]}
+    path = _write(tmp_path, "point.json", doc)
+    assert run(["entropy", "--input", path]) == 3
+    assert capsys.readouterr().err == "error: n=9 exceeds cap 8\n"
+    assert run(["entropy", "--input", path, "--cap", "9"]) == 0
+    assert capsys.readouterr().err == "warning: enumeration cap overridden to 9\n"
+
+
+# Loader fuzz: one valid document per file kind, the command that reads it,
+# and the value and size fields a bad scalar is put into, by path and by the
+# name the error must carry.
+_TABLE_U12 = {"n": 2, "entries": [{"set": [1], "value": "1"}, {"set": [1, 2], "value": "2"}]}
+_FUZZ_DOCS = {
+    "table": (_TABLE_U12, ["ulc", "--input", "DOC"]),
+    "poly": (
+        {"n": 2, "terms": [{"y": 0, "set": [1, 2], "coeff": "1"}]},
+        ["certify-clc", "--poly", "DOC"],
+    ),
+    "coverage": (
+        {"universe": [{"id": "a", "weight": "1"}], "sets": [["a"], ["a"]]},
+        ["certify-strong", "--coverage", "DOC"],
+    ),
+    "uniform": ({"type": "uniform", "r": 1, "n": 2}, ["certify-strong", "--matroid", "DOC"]),
+    "partition": (
+        {"type": "partition", "blocks": [[1], [2]], "caps": [1, 1]},
+        ["certify-strong", "--matroid", "DOC"],
+    ),
+    "graphic": (
+        {"type": "graphic", "vertices": 2, "edges": [[1, 2]]},
+        ["certify-strong", "--matroid", "DOC"],
+    ),
+    "explicit": (
+        {"type": "explicit", "n": 2, "independent": [[], [1], [2]]},
+        ["certify-strong", "--matroid", "DOC"],
+    ),
+    "strong": (
+        {"n": 2, "witnesses": [{"tau": [], "g": {"[1]": "1", "[2]": "1"}}]},
+        ["certify-strong", "--input", "TABLE", "--cert", "DOC"],
+    ),
+    "two-coverage": (
+        {"d": 2, "n": 2,
+         "witnesses": [{"tau": [], "S": [1, 2], "g": {"[1,2]": "1"}, "l": {"1": "0", "2": "0"}}]},
+        ["certify-2cov", "--input", "TABLE", "--d", "2", "--cert", "DOC"],
+    ),
+}
+_FUZZ_FIELDS = [
+    ("table", ("n",), "n"),
+    ("table", ("entries", 0, "value"), "entries[0].value"),
+    ("poly", ("n",), "n"),
+    ("poly", ("terms", 0, "y"), "terms[0].y"),
+    ("poly", ("terms", 0, "coeff"), "terms[0].coeff"),
+    ("coverage", ("universe", 0, "weight"), "universe[0].weight"),
+    ("uniform", ("r",), "r"),
+    ("uniform", ("n",), "n"),
+    ("partition", ("caps", 0), "caps[0]"),
+    ("partition", ("blocks", 1, 0), "blocks[1][0]"),
+    ("graphic", ("vertices",), "vertices"),
+    ("graphic", ("edges", 0, 1), "edges[0][1]"),
+    ("explicit", ("n",), "n"),
+    ("explicit", ("independent", 1, 0), "independent[1][0]"),
+    ("strong", ("n",), "n"),
+    ("strong", ("witnesses", 0, "g", "[2]"), "witnesses[0].g['[2]']"),
+    ("two-coverage", ("d",), "d"),
+    ("two-coverage", ("n",), "n"),
+    ("two-coverage", ("witnesses", 0, "g", "[1,2]"), "witnesses[0].g['[1,2]']"),
+    ("two-coverage", ("witnesses", 0, "l", "1"), "witnesses[0].l['1']"),
+]
+_BAD_SCALARS = [True, None, "1/0", "x", [], {}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(_FUZZ_FIELDS), bad=st.sampled_from(_BAD_SCALARS))
+def test_loader_fuzz_bad_scalar_exit_3(tmp_path_factory, field, bad):
+    kind, path, name = field
+    doc, argv = _FUZZ_DOCS[kind]
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    directory = tmp_path_factory.mktemp("fuzz")
+    files = {"DOC": _write(directory, "doc.json", doc), "TABLE": _write(directory, "t.json", _TABLE_U12)}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([files.get(a, a) for a in argv])
+    assert code == 3
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith(f"error: {name}: ")
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 def test_usage_error_exit_3(capsys):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from clckit import (
     CoverageInstance,
+    CoverageWeights,
     GraphicMatroid,
     PartitionMatroid,
+    StrongCertificate,
     UniformMatroid,
     materialize,
     synth_2cov_indicator,
@@ -181,6 +183,8 @@ def test_coverage_certificate_round_trip(tmp_path_factory, inst):
     assert _round_trip(tmp_path_factory.mktemp("coverage"), cert) == cert
 
 
-def test_frac_str():
-    assert jsonio.frac_str(Fraction(3)) == "3"
-    assert jsonio.frac_str(Fraction(-1, 2)) == "-1/2"
+def test_rationals_written_as_p_over_q():
+    g = CoverageWeights(2, {0b01: 3, 0b11: Fraction(-1, 2)}, diagnostic=True)
+    assert jsonio.dump_certificate(StrongCertificate(2, {(): g}))["witnesses"][0]["g"] == {
+        "[1]": "3", "[1,2]": "-1/2"
+    }

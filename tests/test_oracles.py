@@ -44,6 +44,7 @@ from clckit import (
     quadratic_hessian,
     sample_chain,
     synth_strong_from_parts,
+    transition_matrix,
     walk_instance,
 )
 from clckit import coverage2
@@ -63,6 +64,7 @@ from conftest import (
     reference_2cov_indicator,
     reference_strong_matroid,
     sample_chain_oracle,
+    transition_matrix_oracle,
 )
 
 
@@ -548,7 +550,7 @@ def test_matroid_synthesis_matches_per_tau_reference():
     assert loops >= 50 and big_classes >= 50, (loops, big_classes)
 
 
-# --- walk integer kernels vs Fraction powering and per-step rebuilds -----------
+# --- walk integer kernels vs Fraction rows, powering and per-step rebuilds -----
 
 
 def rand_walk_instance(rng):
@@ -574,6 +576,7 @@ def test_walk_kernels_match_fraction_reference():
     switched = exact_only = unconverged = 0
     for _ in range(110):
         w = rand_walk_instance(rng)
+        assert transition_matrix(w).rows == transition_matrix_oracle(w)
         eps = Fraction(1, rng.choice((2, 5, 10, 100)))
         max_steps = 10**6 if is_irreducible(w) else rng.choice((3, 12))
         for max_bits in (32, 64, 200, 4096):

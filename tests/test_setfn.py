@@ -21,6 +21,7 @@ from clckit import (
 )
 from clckit.bitsets import labels_of, mask_of
 from clckit.errors import CapExceededError
+from clckit.setfn import exact, integer_scaled
 
 from conftest import contract, coverage_example, rand_coverage_instance
 
@@ -37,6 +38,35 @@ def test_table_invariants():
 def test_table_rejects_floats():
     with pytest.raises(TypeError):
         SetFunctionTable.from_entries(2, {(1,): 0.5})
+
+
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        (True, TypeError, "cannot parse True as a rational"),
+        (None, TypeError, "cannot parse None as a rational"),
+        ("1/0", ValueError, "zero denominator in '1/0'"),
+    ],
+    ids=["boolean", "null", "zero-denominator"],
+)
+def test_exact_refuses(value, error, message):
+    with pytest.raises(error) as info:
+        exact(value)
+    assert str(info.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-99, 99), st.fractions(max_denominator=60)), max_size=12))
+def test_integer_scaled_numerators_over_lcm(values):
+    nums, scale = integer_scaled(values)
+    assert all(type(x) is int for x in nums)
+    assert [Fraction(x, scale) for x in nums] == values
+    # scale makes every value integral, and no scale / p for a prime p does
+    assert all((v * scale).denominator == 1 for v in map(Fraction, values))
+    for p in (p for p in range(2, 61) if scale % p == 0 and all(p % q for q in range(2, p))):
+        assert any((v * (scale // p)).denominator != 1 for v in map(Fraction, values))
+    if all(type(v) is int for v in values):
+        assert (nums, scale) == (values, 1)
 
 
 def test_materialize_cap():

@@ -56,15 +56,19 @@ def test_transition_matrix_single_state():
 
 
 def test_transition_matrix_sees_balance_broken_one_way(monkeypatch):
-    # base {1} forgetting its target {1,3} makes P({1,3} -> {1,2}) = 1/2 while
-    # P({1,2} -> {1,3}) = 0; the pair is only nonzero in the row of {1,3}
-    real = walk._candidates
+    # the matrix is read off one candidate row per base. Base {1} doubling
+    # the weight of {1,2} makes P({1,2} -> {1,3}) = 1/6 but P({1,3} -> {1,2})
+    # = 1/3; base {1} forgetting {1,3} leaves the row of {1,3} at 1/2
+    real = walk._candidate_row
 
-    def forgetful(w, base):
-        return [c for c in real(w, base) if (base, c[0]) != (0b001, 0b101)]
+    def patched(row):
+        return lambda w, base: row if base == 0b001 else real(w, base)
 
-    monkeypatch.setattr(walk, "_candidates", forgetful)
+    monkeypatch.setattr(walk, "_candidate_row", patched(((0b011, 0b101), [2, 3])))
     with pytest.raises(InternalCheckError, match="detailed balance violated between states 0 and 1"):
+        transition_matrix(uniform_pairs_of_3())
+    monkeypatch.setattr(walk, "_candidate_row", patched(((0b011,), [1])))
+    with pytest.raises(InternalCheckError, match="row 1 does not sum to 1"):
         transition_matrix(uniform_pairs_of_3())
 
 
