@@ -9,10 +9,8 @@ and runs the down-up sampling walk with exact mixing diagnostics.
 """
 
 from .setfn import (
-    BudgetAdditive,
     CoverageInstance,
     CoverageWeights,
-    LinearFunction,
     MobiusResult,
     PredicateReport,
     SetFunctionTable,

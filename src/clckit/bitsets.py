@@ -7,7 +7,7 @@ the shared vocabulary for tables, polynomials and matroid conversions.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def mask_of(labels: Iterable[int]) -> int:
@@ -49,6 +49,25 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def coverage_values(x: Sequence) -> list:
+    """f(S) = sum of x[T] over the T meeting S, for every mask S, where x has
+    length 2^n and is indexed by mask: the zeta transform of x, read over
+    complements. Works on any numbers; x itself is left alone."""
+    below = subset_transform(list(x))
+    full = len(below) - 1
+    total = below[full]
+    return [total - below[full ^ s] for s in range(full + 1)]
+
+
+def coverage_weights(f: Sequence) -> list:
+    """The x that `coverage_values` maps to f, for f[0] = 0: the Moebius
+    inversion of f(full) - f(full - U), which is the sum of x[T] over T
+    inside U. x[0] is always 0."""
+    full = len(f) - 1
+    top = f[full]
+    return subset_transform([top - f[full ^ u] for u in range(full + 1)], inverse=True)
 
 
 def subset_transform(values: list, inverse: bool = False) -> list:

@@ -302,7 +302,7 @@ def _cmd_mobius(args) -> int:
     result = mobius_coverage_weights(f)
     weights = {
         _setkey(labels_of(t)): str(v)
-        for t, v in sorted(result.weights.x.items())
+        for t, v in sorted(result.weights.items())
     }
     payload = {
         "is_coverage": result.is_coverage,

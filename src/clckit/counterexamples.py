@@ -21,20 +21,18 @@ from .logconcave import (
     quadratic_inertia,
 )
 from .polynomials import MultiaffinePolynomial
-from .setfn import (
-    BudgetAdditive,
-    SetFunctionTable,
-    _monotone_witness,
-    _submodular_witness,
-    materialize,
-)
+from .setfn import ZERO, SetFunctionTable, _monotone_witness, _submodular_witness
 
 
-def budget_additive_function() -> BudgetAdditive:
-    return BudgetAdditive(
-        weights=tuple(Fraction(w) for w in (1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 0, 0)),
-        budget=Fraction(2),
-    )
+def budget_additive_table() -> SetFunctionTable:
+    """Counterexample A as a table: min(sum of w_i over S, 2) on every S."""
+    weights = (1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 0, 0)
+    sums = [0] * (1 << len(weights))
+    for s in range(1, len(sums)):
+        low = s & -s
+        sums[s] = sums[s ^ low] + weights[low.bit_length() - 1]
+    capped = (ZERO, Fraction(1), Fraction(2))
+    return SetFunctionTable(len(weights), tuple(capped[min(v, 2)] for v in sums))
 
 
 def triangle_quadratic() -> MultiaffinePolynomial:
@@ -57,7 +55,7 @@ class CounterexampleOutcome:
 
 
 def check_budget_additive() -> CounterexampleOutcome:
-    f = materialize(budget_additive_function())
+    f = budget_additive_table()
     monotone = _monotone_witness(f.n, f.values) is None
     submodular = _submodular_witness(f.n, f.values) is None
     report = certify_clc_homogeneous(f, 2)

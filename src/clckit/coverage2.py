@@ -19,7 +19,7 @@ set tau, witnesses that pin down the contracted pair values:
 
 Every witness is indexed by bitmasks over the table's own ground set [n]:
 g is a CoverageWeights(n, ...) whose masks lie in the witness's ground set,
-and l is a LinearFunction(n, ...).
+and l is an n-tuple of values, one per element of [n].
 
 Synthesis verifies eagerly: the constructions encode proofs, so a synthesized
 certificate that fails its own verification raises InternalCheckError.
@@ -37,11 +37,9 @@ from .matroids import ONE, Matroid, independence_indicator, parallel_partition, 
 from .setfn import (
     CoverageInstance,
     CoverageWeights,
-    LinearFunction,
     SetFunctionTable,
     ZERO,
     materialize,
-    mobius_coverage_weights,
 )
 from .simplex import phase1
 
@@ -50,7 +48,7 @@ from .simplex import phase1
 class TwoCoverageWitness:
     support: tuple[int, ...]  # S, ascending labels of the ground set
     g: CoverageWeights  # masks over [n], inside S
-    ell: LinearFunction  # over [n], zero outside S
+    ell: tuple[Fraction, ...]  # l_i for i in [n], zero outside S
 
 
 @dataclass(frozen=True)
@@ -120,9 +118,11 @@ def verify_2cov(
                 raise MissingWitnessError(tau)
             checks += 1
             continue
-        support, g, ell = witness.support, witness.g, witness.ell.ell
+        support, g, ell = witness.support, witness.g, witness.ell
         if len(ell) != n:
             raise ValueError(f"witness at tau={tau} has l over {len(ell)} elements, not n={n}")
+        if any(v < 0 for v in ell):
+            raise ValueError(f"witness at tau={tau} has a negative l value {min(ell)}")
         smask = mask_of(support)
         off_support = any(v for b, v in enumerate(ell) if not smask >> b & 1)
         if off_support or any(t & ~smask for t in g.x):
@@ -241,7 +241,7 @@ def synth_2cov_indicator(m: Matroid, d: int, cap: int = 14) -> TwoCoverageCertif
         witnesses[labels_of(tmask)] = TwoCoverageWitness(
             labels_of(smask),
             CoverageWeights(n, {mask_of(c): ONE for c in classes}),
-            LinearFunction(n, tuple(ONE if smask >> b & 1 else ZERO for b in range(n))),
+            tuple(ONE if smask >> b & 1 else ZERO for b in range(n)),
         )
     cert = TwoCoverageCertificate(n, d, witnesses)
     check = verify_2cov(independence_indicator(table), d, cert)
@@ -254,15 +254,13 @@ def synth_2cov_indicator(m: Matroid, d: int, cap: int = 14) -> TwoCoverageCertif
 
 def synth_strong_from_parts(inst: CoverageInstance) -> StrongCertificate:
     """Strong certificate of a coverage instance, verified against its own
-    materialization. One Moebius inversion x of the table serves every tau:
-    since f(tau + T) - f(tau) = sum of x_U over U missing tau and meeting T,
-    the witness at tau is x restricted to the complement of tau."""
+    materialization. The instance's weights x serve every tau: since
+    f(tau + T) - f(tau) = sum of x_U over U missing tau and meeting T, the
+    witness at tau is x restricted to the complement of tau."""
     n = inst.n
-    table = materialize(inst)
-    mob = mobius_coverage_weights(table)
-    if not mob.is_coverage:
-        raise InternalCheckError("coverage instance produced negative weights")
-    x = mob.weights.x
+    weights = inst.weights()
+    table = materialize(weights)
+    x = weights.x
     full = (1 << n) - 1
     witnesses: dict[tuple[int, ...], CoverageWeights] = {}
     for size in range(n - 1):
@@ -284,7 +282,7 @@ class SearchResult:
     feasible: bool
     support: tuple[int, ...]
     g: CoverageWeights | None
-    ell: LinearFunction | None
+    ell: tuple[Fraction, ...] | None
     infeasibility: Fraction  # phase-1 optimum; positive certifies infeasibility
 
     def __bool__(self) -> bool:
@@ -340,7 +338,7 @@ def search_2cov_feasible(
         raise CapExceededError(f"|S|={m} exceeds cap {cap}")
     n = f.n
     if m == 0:
-        return SearchResult(True, (), CoverageWeights(n, {}), LinearFunction(n, (ZERO,) * n), ZERO)
+        return SearchResult(True, (), CoverageWeights(n, {}), (ZERO,) * n, ZERO)
     bits = [1 << (lab - 1) for lab in support]
     cols = list(submasks(smask))[-2::-1]  # x_T for T inside S ascending, then l_i, then slack_i
     num_x = len(cols)
@@ -369,4 +367,4 @@ def search_2cov_feasible(
     ell = [ZERO] * n
     for i, lab in enumerate(support):
         ell[lab - 1] = point[num_x + i]
-    return SearchResult(True, support, g, LinearFunction(n, tuple(ell)), ZERO)
+    return SearchResult(True, support, g, tuple(ell), ZERO)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .bitsets import labels_of, mask_of, subset_transform
+from .bitsets import coverage_values, coverage_weights, labels_of, mask_of
 from .errors import CapExceededError
 
 IDENTITY_TOL = 1e-9
@@ -137,18 +137,11 @@ def entropy_decomposition(joint: JointDistribution, cap: int = 8) -> EntropyDeco
     weights = {
         t: calc.mmi(labels_of(t), full ^ t) for t in range(1, size)
     }
-    # identity residual via a float zeta transform over complements
-    below = [0.0] * size
-    for t, w in weights.items():
-        below[t] = w
-    subset_transform(below)
-    total = below[full]
-    residual = max(
-        abs(values[s] - (total - below[full ^ s])) for s in range(size)
-    )
+    rebuilt = coverage_values([0.0] + [weights[t] for t in range(1, size)])
+    residual = max(abs(v - r) for v, r in zip(values, rebuilt))
     # uniqueness cross-check: the Moebius inversion of the entropy table must
     # reproduce the recursive weights
-    mob = subset_transform([values[full] - values[full ^ u] for u in range(size)], inverse=True)
+    mob = coverage_weights(values)
     mobius_diff = max(abs(weights[t] - mob[t]) for t in range(1, size)) if n else 0.0
     min_weight = min(weights.values()) if weights else 0.0
     return EntropyDecomposition(

@@ -9,6 +9,7 @@ appear only in joint-pmf files.
 from __future__ import annotations
 
 import json
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -32,7 +33,6 @@ from .setfn import (
     CoverageInstance,
     CoverageWeights,
     HARD_CAP,
-    LinearFunction,
     SetFunctionTable,
     ZERO,
     exact,
@@ -57,13 +57,22 @@ def _typed(value, kind: type, at: str):
     return value
 
 
+def _field(obj: dict, key: str, kind: type | None = None, at: str | None = None):
+    """obj[key], read by `_typed` when `kind` is given; every required key
+    is read here, so a missing one is an error naming the field `at` (by
+    default the key itself)."""
+    at = key if at is None else at
+    if key not in obj:
+        raise ValueError(f"{at}: missing")
+    return obj[key] if kind is None else _typed(obj[key], kind, at)
+
+
 def _rational(obj: dict, key, at: str) -> Fraction:
     """exact(obj[key]); a missing or unreadable value is an error naming
     the field `at`."""
-    if key not in obj:
-        raise ValueError(f"{at}: missing")
+    value = _field(obj, key, at=at)
     try:
-        return exact(obj[key])
+        return exact(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{at}: {exc}") from None
 
@@ -73,9 +82,25 @@ def _ints(value, at: str) -> list[int]:
     return [_typed(v, int, f"{at}[{i}]") for i, v in enumerate(_typed(value, list, at))]
 
 
-def _load(path: str):
+def _decimal(literal: str) -> Fraction:
+    return Fraction(Decimal(literal))
+
+
+def _load(path: str, parse_float=_decimal, object_pairs_hook=None) -> dict:
+    """The JSON object in the file at `path`, decimals read exactly unless
+    `parse_float` says otherwise."""
     with open(path) as fh:
-        return json.load(fh, parse_float=lambda s: Fraction(Decimal(s)))
+        doc = json.load(fh, parse_float=parse_float, object_pairs_hook=object_pairs_hook)
+    return _typed(doc, dict, "document")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """An object_pairs_hook that refuses a key repeated within one object."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
 
 
 def _subset(labels, at: str, item, ground: int, scope: str, seen: dict) -> int:
@@ -118,14 +143,9 @@ def _key(key: str, at: str):
         raise ValueError(f"{at.format(key)}: key {key!r} is not valid JSON") from None
 
 
-def _load_floats(path: str):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def load_set_function(path: str) -> SetFunctionTable:
     doc = _load(path)
-    n = _typed(doc["n"], int, "n")
+    n = _field(doc, "n", int)
     if n > HARD_CAP:  # before allocating 2^n values
         raise CapExceededError(f"n={n} exceeds the hard cap {HARD_CAP}")
     full = (1 << n) - 1
@@ -133,7 +153,8 @@ def load_set_function(path: str) -> SetFunctionTable:
     seen: dict[int, int] = {}
     for k, entry in enumerate(_typed(doc.get("entries", []), list, "entries")):
         _typed(entry, dict, f"entries[{k}]")
-        mask = _subset(entry["set"], "entries[{}]", k, full, f"n={n}", seen)
+        labels = _field(entry, "set", at=f"entries[{k}].set")
+        mask = _subset(labels, "entries[{}]", k, full, f"n={n}", seen)
         values[mask] = _rational(entry, "value", f"entries[{k}].value")
     return SetFunctionTable(n, tuple(values))
 
@@ -152,29 +173,28 @@ def dump_set_function(f: SetFunctionTable) -> dict:
 def load_coverage_instance(path: str) -> CoverageInstance:
     doc = _load(path)
     universe = []
-    for k, u in enumerate(_typed(doc["universe"], list, "universe")):
+    for k, u in enumerate(_field(doc, "universe", list)):
         at = f"universe[{k}]"
         _typed(u, dict, at)
-        universe.append((_typed(u["id"], str, f"{at}.id"), _rational(u, "weight", f"{at}.weight")))
-    sets = [_typed(a, list, f"sets[{k}]") for k, a in enumerate(_typed(doc["sets"], list, "sets"))]
+        universe.append((_field(u, "id", str, f"{at}.id"), _rational(u, "weight", f"{at}.weight")))
+    sets = [_typed(a, list, f"sets[{k}]") for k, a in enumerate(_field(doc, "sets", list))]
     return CoverageInstance.build(universe, sets)
 
 
 def load_matroid(path: str) -> Matroid:
     doc = _load(path)
-    kind = _typed(doc["type"], str, "type")
+    kind = _field(doc, "type", str)
     if kind == "uniform":
-        return UniformMatroid(_typed(doc["r"], int, "r"), _typed(doc["n"], int, "n"))
+        return UniformMatroid(_field(doc, "r", int), _field(doc, "n", int))
     if kind == "partition":
-        blocks = [_ints(b, f"blocks[{k}]") for k, b in enumerate(_typed(doc["blocks"], list, "blocks"))]
-        return PartitionMatroid(blocks, _ints(doc["caps"], "caps"))
+        blocks = [_ints(b, f"blocks[{k}]") for k, b in enumerate(_field(doc, "blocks", list))]
+        return PartitionMatroid(blocks, _ints(_field(doc, "caps"), "caps"))
     if kind == "graphic":
-        edges = [tuple(_ints(e, f"edges[{k}]")) for k, e in enumerate(_typed(doc["edges"], list, "edges"))]
-        return GraphicMatroid(_typed(doc["vertices"], int, "vertices"), edges)
+        edges = [tuple(_ints(e, f"edges[{k}]")) for k, e in enumerate(_field(doc, "edges", list))]
+        return GraphicMatroid(_field(doc, "vertices", int), edges)
     if kind == "explicit":
-        independent = _typed(doc["independent"], list, "independent")
-        family = [_ints(i, f"independent[{k}]") for k, i in enumerate(independent)]
-        return ExplicitMatroid(_typed(doc["n"], int, "n"), family)
+        family = [_ints(i, f"independent[{k}]") for k, i in enumerate(_field(doc, "independent", list))]
+        return ExplicitMatroid(_field(doc, "n", int), family)
     raise ValueError(f"unknown matroid type {kind!r}")
 
 
@@ -183,14 +203,15 @@ def load_polynomial(path: str):
     terms all have y = 0 loads as a plain multiaffine polynomial. A (y, set)
     pair may appear in one term only."""
     doc = _load(path)
-    n = _typed(doc["n"], int, "n")
+    n = _field(doc, "n", int)
     full = (1 << n) - 1
     seen: dict[int, dict[int, int]] = {}
     coeffs: dict[tuple[int, int], Fraction] = {}
     for k, t in enumerate(_typed(doc.get("terms", []), list, "terms")):
         _typed(t, dict, f"terms[{k}]")
         y = _typed(t.get("y", 0), int, f"terms[{k}].y")
-        mask = _subset(t["set"], "terms[{}]", k, full, f"n={n}", seen.setdefault(y, {}))
+        labels = _field(t, "set", at=f"terms[{k}].set")
+        mask = _subset(labels, "terms[{}]", k, full, f"n={n}", seen.setdefault(y, {}))
         coeffs[y, mask] = _rational(t, "coeff", f"terms[{k}].coeff")
     if all(y == 0 for y in seen):
         return MultiaffinePolynomial(n, {mask: c for (_, mask), c in coeffs.items()})
@@ -198,9 +219,27 @@ def load_polynomial(path: str):
 
 
 def load_joint_distribution(path: str) -> JointDistribution:
-    doc = _load_floats(path)
-    pmf = {tuple(row["outcome"]): float(row["p"]) for row in doc["pmf"]}
-    alphabets = tuple(_typed(k, int, f"alphabets[{i}]") for i, k in enumerate(doc["alphabets"]))
+    """Each `p` must be a finite JSON number (int or float, never a bool)
+    and each outcome a list of integers, listed once."""
+    doc = _load(path, parse_float=float)
+    pmf = {}
+    for k, row in enumerate(_field(doc, "pmf", list)):
+        at = f"pmf[{k}]"
+        _typed(row, dict, at)
+        outcome = tuple(_ints(_field(row, "outcome", at=f"{at}.outcome"), f"{at}.outcome"))
+        if outcome in pmf:
+            raise ValueError(f"{at}.outcome: {list(outcome)} is listed twice")
+        p = _field(row, "p", at=f"{at}.p")
+        if type(p) not in (int, float):
+            raise ValueError(f"{at}.p: expected a number, found {_KINDS[type(p)]}")
+        try:
+            p = float(p)
+        except OverflowError:
+            raise ValueError(f"{at}.p: integer too large for a float") from None
+        if not math.isfinite(p):
+            raise ValueError(f"{at}.p: {p} is not a finite number")
+        pmf[outcome] = p
+    alphabets = tuple(_ints(_field(doc, "alphabets"), "alphabets"))
     return JointDistribution(alphabets, pmf)
 
 
@@ -220,7 +259,7 @@ def dump_certificate(cert) -> dict:
                     "tau": list(tau),
                     "S": list(w.support),
                     "g": _weights_doc(w.g),
-                    "l": {str(lab): str(w.ell.ell[lab - 1]) for lab in w.support},
+                    "l": {str(lab): str(w.ell[lab - 1]) for lab in w.support},
                 }
                 for tau, w in sorted(cert.witnesses.items())
             ],
@@ -240,17 +279,19 @@ def load_certificate(path: str):
     """A document with a top-level "d" is a two-coverage certificate;
     otherwise a strong one. The labels in g and l keys must lie in the
     witness's ground set: S for two-coverage, the complement of tau for a
-    strong certificate. Masks are kept over [n]."""
-    doc = _load(path)
-    n = _typed(doc["n"], int, "n")
+    strong certificate. Masks are kept over [n], and a key repeated within
+    one object is refused."""
+    doc = _load(path, object_pairs_hook=_unique_keys)
+    n = _field(doc, "n", int)
     full = (1 << n) - 1
     in_n = f"n={n}"
     two_coverage = "d" in doc
-    listed = _typed(doc["witnesses"], list, "witnesses")
+    listed = _field(doc, "witnesses", list)
     witnesses = {}
     for k, w in enumerate(listed):
         _typed(w, dict, f"witnesses[{k}]")
-        tmask = _subset(w["tau"], "witnesses[{}].tau", k, full, in_n, {})
+        labels = _field(w, "tau", at=f"witnesses[{k}].tau")
+        tmask = _subset(labels, "witnesses[{}].tau", k, full, in_n, {})
         tau = labels_of(tmask)
         if tau in witnesses:  # found again, not indexed: an index of every tau costs memory
             first = next(i for i, v in enumerate(listed) if tuple(sorted(v["tau"])) == tau)
@@ -258,7 +299,8 @@ def load_certificate(path: str):
                 f"witnesses[{k}].tau: set {w['tau']} repeats the subset of witnesses[{first}].tau"
             )
         if two_coverage:
-            ground, scope = _subset(w["S"], "witnesses[{}].S", k, full, in_n, {}), "S"
+            labels = _field(w, "S", at=f"witnesses[{k}].S")
+            ground, scope = _subset(labels, "witnesses[{}].S", k, full, in_n, {}), "S"
         else:
             ground, scope = full & ~tmask, "the complement of tau"
         at = f"witnesses[{k}].g[{{!r}}]"
@@ -278,8 +320,7 @@ def load_certificate(path: str):
         for key in l_doc:
             bit = _subset([_key(key, at)], at, key, ground, scope, seen_l)
             ell[bit.bit_length() - 1] = _rational(l_doc, key, at.format(key))
-        ell = LinearFunction(n, tuple(ell))
-        witnesses[tau] = TwoCoverageWitness(labels_of(ground), weights, ell)
+        witnesses[tau] = TwoCoverageWitness(labels_of(ground), weights, tuple(ell))
     if two_coverage:
-        return TwoCoverageCertificate(n, _typed(doc["d"], int, "d"), witnesses)
+        return TwoCoverageCertificate(n, _field(doc, "d", int), witnesses)
     return StrongCertificate(n, witnesses)

@@ -30,7 +30,6 @@ from .setfn import (
     ZERO,
     exact,
     materialize,
-    mobius_coverage_weights,
 )
 
 VERDICT_CERTIFIED = "certified"
@@ -358,7 +357,8 @@ def mainpsd_witness(instance: CoverageInstance, cap: int = 12) -> MainPSDWitness
     m = instance.n
     if m > cap:
         raise CapExceededError(f"m={m} exceeds cap {cap}")
-    table = materialize(instance)
+    weights = instance.weights()
+    table = materialize(weights)
     g1 = [table.values[1 << i] for i in range(m)]
     r = [[ZERO] * m for _ in range(m)]
     for i in range(m):
@@ -366,13 +366,8 @@ def mainpsd_witness(instance: CoverageInstance, cap: int = 12) -> MainPSDWitness
         for j in range(i + 1, m):
             pair = table.values[(1 << i) | (1 << j)]
             r[i][j] = r[j][i] = g1[i] + g1[j] - pair
-    mob = mobius_coverage_weights(table)
-    if not mob.is_coverage:
-        raise InternalCheckError(
-            f"coverage instance produced a negative weight {mob.min_weight}"
-        )
     bsum = [[ZERO] * m for _ in range(m)]
-    for t, x in mob.weights.x.items():
+    for t, x in weights.x.items():
         members = [b for b in range(m) if t >> b & 1]
         for a in members:
             bsum[a][a] += x
@@ -397,6 +392,6 @@ def mainpsd_witness(instance: CoverageInstance, cap: int = 12) -> MainPSDWitness
         m=m,
         diag=tuple(g1),
         r_matrix=tuple(tuple(row) for row in r),
-        weights=mob.weights.x,
+        weights=weights.x,
         r_minus_d_inertia=iner,
     )

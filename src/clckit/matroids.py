@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bitsets import mask_of
+from .bitsets import labels_of, mask_of
 from .errors import CapExceededError, NotAMatroidError
 from .setfn import HARD_CAP, SetFunctionTable, ZERO
 
@@ -87,9 +87,16 @@ class GraphicMatroid(Matroid):
             if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
                 raise ValueError(f"edge ({u},{v}) references an unknown vertex")
         self.elements = tuple(range(1, len(self.edges) + 1))
+        # union-find runs over the endpoints only, renumbered from 0, so a
+        # rank query costs the same whatever the vertex count
+        index: dict[int, int] = {}
+        self._ends = tuple(
+            (index.setdefault(u, len(index)), index.setdefault(v, len(index))) for u, v in self.edges
+        )
+        self._touched = len(index)
 
     def _rank(self, s: frozenset) -> int:
-        parent = list(range(self.num_vertices + 1))
+        parent = list(range(self._touched))
 
         def find(a):
             while parent[a] != a:
@@ -99,7 +106,7 @@ class GraphicMatroid(Matroid):
 
         rank = 0
         for e in sorted(s):
-            u, v = self.edges[e - 1]
+            u, v = self._ends[e - 1]
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
@@ -121,8 +128,21 @@ class ExplicitValidation:
 
 
 def validate_explicit(n: int, family: Iterable[Iterable[int]]) -> ExplicitValidation:
-    """Check the independence axioms; violations come back as return values."""
+    """Check the independence axioms; violations come back as return values.
+    The exchange axiom is checked on the rank table (see `_rank_table`)."""
     fam = {frozenset(i) for i in family}
+    check = _check_listing(n, fam)
+    return _rank_table(n, fam)[1] if check else check
+
+
+def _require(check: ExplicitValidation) -> None:
+    if not check:
+        raise NotAMatroidError(f"{check.kind}: witness {check.witness}")
+
+
+def _check_listing(n: int, fam) -> ExplicitValidation:
+    """The axioms that the listing alone decides, at O(|family| n) cost: it
+    is nonempty, inside [n] and closed under taking subsets."""
     if not fam:
         return ExplicitValidation(False, "empty", None)
     ground = frozenset(range(1, n + 1))
@@ -135,46 +155,72 @@ def validate_explicit(n: int, family: Iterable[Iterable[int]]) -> ExplicitValida
                 return ExplicitValidation(
                     False, "not-downward-closed", (tuple(sorted(i)), tuple(sorted(i - {e})))
                 )
-    members = sorted(fam, key=lambda s: (len(s), sorted(s)))
-    for a in members:
-        for b in members:
-            if len(a) < len(b):
-                if not any(a | {x} in fam for x in b - a):
-                    return ExplicitValidation(
-                        False, "exchange-failure", (tuple(sorted(a)), tuple(sorted(b)))
-                    )
     return ExplicitValidation(True)
 
 
+def _rank_table(n: int, fam) -> tuple[list[int] | None, ExplicitValidation]:
+    """(r, ok), where r(S) is the size of a largest listed subset of S for
+    every mask S, or (None, the first exchange failure met).
+
+    A nonempty downward-closed listing makes r grow by at most one per
+    element, so it lists the independent sets of a matroid exactly when r is
+    submodular: r(S+i) + r(S+j) >= r(S+i+j) + r(S) everywhere. A violation
+    forces r(S+i) = r(S+j) = r(S) = r(S+i+j) - 1, so a largest listed a
+    inside S and b inside S+i+j fail augmentation: no a + x with x in b - a
+    is listed. It cannot occur at a listed S+i+j (S is listed too), so only
+    the pairs of `drop`, the elements of an unlisted mask m whose removal
+    lowers r, are tried. The pass reaches m after every subset of it, so
+    one pass fills the table and checks it at O(2^n n) cost plus the pairs.
+    """
+    listed = {mask_of(i) for i in fam}
+    r = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        if m in listed:
+            r[m] = m.bit_count()
+            continue
+        below, rest = [], m
+        while rest:
+            i = rest & -rest
+            rest ^= i
+            below.append((r[m ^ i], i))
+        top = r[m] = max(below)[0]
+        drop = [i for v, i in below if v < top]
+        for a, i in enumerate(drop):
+            for j in drop[a + 1:]:
+                s = m ^ i ^ j
+                if r[s] == top - 1:
+                    witness = (_largest_listed(r, listed, s), _largest_listed(r, listed, m))
+                    return None, ExplicitValidation(False, "exchange-failure", witness)
+    return r, ExplicitValidation(True)
+
+
+def _largest_listed(r: list[int], listed: set[int], s: int) -> tuple[int, ...]:
+    """The labels of a listed subset of s of size r(s), found by dropping
+    elements that leave r unchanged."""
+    while s not in listed:
+        s = next(t for t in (s & ~(1 << b) for b in range(s.bit_length())) if t != s and r[t] == r[s])
+    return labels_of(s)
+
+
 class ExplicitMatroid(Matroid):
-    """Matroid given by listing its independent sets; validated eagerly."""
+    """Matroid given by listing its independent sets. The listing is checked
+    when given; the exchange axiom, which needs the 2^n rank table, when the
+    table is first asked for, so a size cap can be checked before any
+    exponential work."""
 
     def __init__(self, n: int, independent: Iterable[Iterable[int]]):
         fam = frozenset(frozenset(i) for i in independent)
-        check = validate_explicit(n, fam)
-        if not check:
-            raise NotAMatroidError(f"{check.kind}: witness {check.witness}")
+        _require(_check_listing(n, fam))
         self.n = n
         self.family = fam
         self.elements = tuple(range(1, n + 1))
-        # rank(S) = max |I| over independent I inside S, tabulated bottom-up
-        size = 1 << n
-        table = [0] * size
-        fam_masks = {mask_of(i) for i in fam}
-        for m in range(1, size):
-            if m in fam_masks:
-                table[m] = m.bit_count()
-            else:
-                best = 0
-                rest = m
-                while rest:
-                    low = rest & -rest
-                    best = max(best, table[m ^ low])
-                    rest ^= low
-                table[m] = best
-        self._table = table
+        self._table: list[int] | None = None
 
     def _rank(self, s: frozenset) -> int:
+        if self._table is None:
+            table, check = _rank_table(self.n, self.family)
+            _require(check)
+            self._table = table
         return self._table[mask_of(s)]
 
     def __repr__(self):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
-from .bitsets import labels_of, mask_of, submasks, subset_transform
+from .bitsets import coverage_values, coverage_weights, labels_of, mask_of, submasks
 from .errors import CapExceededError, InternalCheckError
 
 HARD_CAP = 24
@@ -133,18 +133,28 @@ class CoverageInstance:
     def n(self) -> int:
         return len(self.sets)
 
+    def weights(self) -> "CoverageWeights":
+        """The instance as coverage weights: each universe element adds its
+        weight at the mask of the sets that contain it, so x_T is the weight
+        of the elements lying in exactly the sets A_i, i in T."""
+        member = dict.fromkeys((e for e, _ in self.universe), 0)
+        for i, a in enumerate(self.sets):
+            for e in a:
+                member[e] |= 1 << i
+        x: dict[int, Fraction] = {}
+        for e, w in self.universe:
+            if member[e]:
+                x[member[e]] = x.get(member[e], ZERO) + w
+        return CoverageWeights(self.n, dict(sorted(x.items())))
+
 
 @dataclass(frozen=True)
 class CoverageWeights:
-    """Weights x_T on nonempty subsets; f(S) = sum of x_T over T meeting S.
-
-    In certificate mode all weights are nonnegative; diagnostic=True relaxes
-    that so Moebius inversion can report negative weights as evidence.
-    """
+    """Nonnegative weights x_T on nonempty subsets; f(S) = sum of x_T over T
+    meeting S. This is the one representation of a coverage function."""
 
     n: int
     x: Mapping[int, Fraction]  # mask -> weight, zero entries absent
-    diagnostic: bool = False
 
     def __post_init__(self):
         cleaned = {}
@@ -154,7 +164,7 @@ class CoverageWeights:
             if mask >= 1 << self.n:
                 raise ValueError(f"subset mask {mask} out of range for n={self.n}")
             v = exact(v)
-            if v < 0 and not self.diagnostic:
+            if v < 0:
                 raise ValueError(f"negative weight {v} on {labels_of(mask)}")
             if v != 0:
                 cleaned[mask] = v
@@ -165,124 +175,22 @@ class CoverageWeights:
         return sum((v for t, v in self.x.items() if t & mask), ZERO)
 
 
-@dataclass(frozen=True)
-class LinearFunction:
-    """f(T) = sum of per-element values over T."""
-
-    n: int
-    ell: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.ell) != self.n:
-            raise ValueError("need one value per element")
-        object.__setattr__(self, "ell", tuple(exact(v) for v in self.ell))
-        for v in self.ell:
-            if v < 0:
-                raise ValueError(f"negative value {v}")
-
-    def value(self, mask: int) -> Fraction:
-        total = ZERO
-        for i in range(self.n):
-            if mask >> i & 1:
-                total += self.ell[i]
-        return total
-
-
-@dataclass(frozen=True)
-class BudgetAdditive:
-    """f(S) = min(sum of weights over S, budget)."""
-
-    weights: tuple[Fraction, ...]
-    budget: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(exact(w) for w in self.weights))
-        object.__setattr__(self, "budget", exact(self.budget))
-        if any(w < 0 for w in self.weights) or self.budget < 0:
-            raise ValueError("weights and budget must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-
-def materialize(rep) -> SetFunctionTable:
-    """Exhaustively evaluate one of the four representations above into a
-    table (a matroid's tables come from `matroids.to_setfunction`)."""
-    if isinstance(rep, CoverageInstance):
-        return _materialize_coverage(rep)
-    if isinstance(rep, LinearFunction):
-        return _materialize_linear(rep)
-    if isinstance(rep, BudgetAdditive):
-        return _materialize_budget(rep)
-    if isinstance(rep, CoverageWeights):
-        return _materialize_weights(rep)
-    raise TypeError(f"cannot materialize {type(rep).__name__}")
-
-
-def _check_cap(n: int):
-    if n > HARD_CAP:
+def materialize(rep: CoverageWeights) -> SetFunctionTable:
+    """Exhaustively evaluate a coverage function, given by its weights (an
+    instance's come from `CoverageInstance.weights`), into a table (a
+    matroid's tables come from `matroids.to_setfunction`). The weights are
+    scaled to integers over one denominator and pushed through
+    `coverage_values` as ints."""
+    n = rep.n
+    if n > HARD_CAP:  # before allocating 2^n values
         raise CapExceededError(f"n={n} exceeds the hard cap {HARD_CAP}")
-
-
-def _materialize_coverage(inst: CoverageInstance) -> SetFunctionTable:
-    n = inst.n
-    _check_cap(n)
-    pos = {e: i for i, (e, _) in enumerate(inst.universe)}
-    weights = [w for _, w in inst.universe]
-    setmask = [mask_of(pos[e] + 1 for e in a) for a in inst.sets]
-    size = 1 << n
-    unions = [0] * size
-    for s in range(1, size):
-        low = s & -s
-        unions[s] = unions[s ^ low] | setmask[low.bit_length() - 1]
-    weight_of: dict[int, Fraction] = {0: ZERO}
-    vals = [ZERO] * size
-    for s in range(1, size):
-        u = unions[s]
-        w = weight_of.get(u)
-        if w is None:
-            w = sum((weights[b] for b in range(len(weights)) if u >> b & 1), ZERO)
-            weight_of[u] = w
-        vals[s] = w
-    return SetFunctionTable(n, tuple(vals))
-
-
-def _materialize_linear(lin: LinearFunction) -> SetFunctionTable:
-    n = lin.n
-    _check_cap(n)
-    size = 1 << n
-    vals = [ZERO] * size
-    for s in range(1, size):
-        low = s & -s
-        vals[s] = vals[s ^ low] + lin.ell[low.bit_length() - 1]
-    return SetFunctionTable(n, tuple(vals))
-
-
-def _materialize_budget(ba: BudgetAdditive) -> SetFunctionTable:
-    n = ba.n
-    _check_cap(n)
-    size = 1 << n
-    sums = [ZERO] * size
-    for s in range(1, size):
-        low = s & -s
-        sums[s] = sums[s ^ low] + ba.weights[low.bit_length() - 1]
-    return SetFunctionTable(n, tuple(min(v, ba.budget) for v in sums))
-
-
-def _materialize_weights(cw: CoverageWeights) -> SetFunctionTable:
-    n = cw.n
-    _check_cap(n)
-    size = 1 << n
-    # f(S) = total - sum over T inside the complement of S  (zeta transform)
-    below = [ZERO] * size
-    for t, v in cw.x.items():
-        below[t] = v
-    subset_transform(below)
-    total = below[size - 1]
-    full = size - 1
-    vals = [total - below[full ^ s] for s in range(size)]
-    return SetFunctionTable(n, tuple(vals))
+    nums, scale = integer_scaled(list(rep.x.values()))
+    x = [0] * (1 << n)
+    for t, v in zip(rep.x, nums):
+        x[t] = v
+    vals = coverage_values(x)
+    shared = {v: Fraction(v, scale) for v in set(vals)}
+    return SetFunctionTable(n, tuple(shared[v] for v in vals))
 
 
 def homogeneous_restrict(f: SetFunctionTable, d: int) -> SetFunctionTable:
@@ -391,7 +299,7 @@ def _almost_witness(n, vals):
 
 @dataclass(frozen=True)
 class MobiusResult:
-    weights: CoverageWeights  # diagnostic mode: negative entries allowed
+    weights: Mapping[int, Fraction]  # nonempty mask -> x_T, zero entries absent; may be negative
     is_coverage: bool
     min_weight: Fraction
 
@@ -399,26 +307,20 @@ class MobiusResult:
 def mobius_coverage_weights(f: SetFunctionTable) -> MobiusResult:
     """Solve f(S) = sum over T meeting S of x_T for the unique x.
 
-    Sets y(U) = f([n]) - f([n] \\ U), which equals the sum of x_T over T
-    inside U, then inverts by the Moebius transform. The reconstruction
-    identity is re-verified exactly before returning.
+    Runs `coverage_weights` on the integer numerators of f over their common
+    denominator, then re-checks the reconstruction `coverage_values(x) == f`
+    exactly on the same ints before returning.
     """
-    n = f.n
-    size = 1 << n
-    full = size - 1
-    top = f.values[full]
-    x = subset_transform([top - f.values[full ^ u] for u in range(size)], inverse=True)
+    nums, scale = integer_scaled(f.values)
+    x = coverage_weights(nums)
     # independent re-check: zeta(x) must reproduce f through the defining sums
-    z = subset_transform(x[:])
-    for s in range(size):
-        if z[full] - z[full ^ s] != f.values[s]:
+    for s, (got, want) in enumerate(zip(coverage_values(x), nums)):
+        if got != want:
             raise InternalCheckError(
                 f"Moebius reconstruction failed at S={labels_of(s)}"
             )
-    min_weight = min(x[1:]) if n else ZERO
-    weights = CoverageWeights(
-        n, {m: v for m in range(1, size) if (v := x[m]) != 0}, diagnostic=True
-    )
+    min_weight = Fraction(min(x[1:]), scale) if f.n else ZERO
+    weights = {m: Fraction(v, scale) for m, v in enumerate(x) if m and v}
     return MobiusResult(weights, min_weight >= 0, min_weight)
 
 

@@ -14,12 +14,12 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from clckit import (
     CoverageInstance,
     CoverageWeights,
     GraphicMatroid,
-    LinearFunction,
     MultiaffinePolynomial,
     PartitionMatroid,
     SetFunctionTable,
@@ -29,6 +29,7 @@ from clckit import (
     UniformMatroid,
 )
 from clckit.bitsets import labels_of, mask_of
+from clckit.matroids import ExplicitValidation
 from clckit.setfn import ZERO, exact
 from clckit.simplex import LPFeasibility
 from clckit.walk import MixingResult, make_rng
@@ -39,6 +40,11 @@ def coverage_example() -> CoverageInstance:
     return CoverageInstance.build(
         [("a", 1), ("b", 1)], [["a"], ["a", "b"], ["b"]]
     )
+
+
+def cardinality(n: int) -> CoverageWeights:
+    """f(S) = |S|: unit weight on every singleton."""
+    return CoverageWeights(n, {1 << b: Fraction(1) for b in range(n)})
 
 
 def k4() -> GraphicMatroid:
@@ -54,6 +60,16 @@ def rand_coverage_instance(rng: random.Random, n: int, universe_size: int = 5) -
     for _ in range(n):
         size = rng.randint(0, universe_size)
         sets.append(rng.sample([e for e, _ in universe], size))
+    return CoverageInstance.build(universe, sets)
+
+
+@st.composite
+def coverage_instances(draw):
+    """Up to 5 elements with weights in [0, 4] over denominators up to 3 (zero
+    weights and elements in no set included), and 1 to 6 sets."""
+    ids = [f"u{i}" for i in range(draw(st.integers(1, 5)))]
+    universe = [(e, draw(st.fractions(0, 4, max_denominator=3))) for e in ids]
+    sets = draw(st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=6))
     return CoverageInstance.build(universe, sets)
 
 
@@ -153,6 +169,46 @@ def congruence(p, h) -> list[list[Fraction]]:
     ]
 
 
+def materialize_oracle(inst: CoverageInstance) -> SetFunctionTable:
+    """f(S) = w(union of A_i, i in S), one union per mask built from the
+    union without its lowest set, and one weight sum per distinct union."""
+    n = inst.n
+    pos = {e: i for i, (e, _) in enumerate(inst.universe)}
+    weights = [w for _, w in inst.universe]
+    setmask = [mask_of(pos[e] + 1 for e in a) for a in inst.sets]
+    size = 1 << n
+    unions = [0] * size
+    for s in range(1, size):
+        low = s & -s
+        unions[s] = unions[s ^ low] | setmask[low.bit_length() - 1]
+    weight_of: dict[int, Fraction] = {0: ZERO}
+    vals = [ZERO] * size
+    for s in range(1, size):
+        u = unions[s]
+        w = weight_of.get(u)
+        if w is None:
+            w = sum((weights[b] for b in range(len(weights)) if u >> b & 1), ZERO)
+            weight_of[u] = w
+        vals[s] = w
+    return SetFunctionTable(n, tuple(vals))
+
+
+def mobius_oracle(f: SetFunctionTable) -> dict[int, Fraction]:
+    """The x with f(S) = sum of x_T over T meeting S, by Moebius inversion
+    of y(U) = f([n]) - f([n] - U) on Fractions, one bit at a time; zero
+    entries left out."""
+    size = 1 << f.n
+    full = size - 1
+    y = [f.values[full] - f.values[full ^ u] for u in range(size)]
+    bit = 1
+    while bit < size:
+        for m in range(size):
+            if m & bit:
+                y[m] -= y[m ^ bit]
+        bit <<= 1
+    return {m: v for m, v in enumerate(y) if m and v}
+
+
 def phase1_oracle(a, b) -> LPFeasibility:
     """Phase-1 simplex with Bland's rule on a `Fraction` tableau, pivot by
     pivot the rational version of `clckit.simplex.phase1`."""
@@ -224,6 +280,33 @@ def contracted_classes(m, tau) -> list[list[int]]:
     return classes
 
 
+def validate_explicit_oracle(n, family) -> ExplicitValidation:
+    """The independence axioms on frozensets, the exchange axiom by trying
+    every pair of listed sets of different sizes."""
+    fam = {frozenset(i) for i in family}
+    if not fam:
+        return ExplicitValidation(False, "empty", None)
+    ground = frozenset(range(1, n + 1))
+    for i in fam:
+        if not i <= ground:
+            return ExplicitValidation(False, "out-of-range", (tuple(sorted(i)),))
+    for i in fam:
+        for e in i:
+            if i - {e} not in fam:
+                return ExplicitValidation(
+                    False, "not-downward-closed", (tuple(sorted(i)), tuple(sorted(i - {e})))
+                )
+    members = sorted(fam, key=lambda s: (len(s), sorted(s)))
+    for a in members:
+        for b in members:
+            if len(a) < len(b):
+                if not any(a | {x} in fam for x in b - a):
+                    return ExplicitValidation(
+                        False, "exchange-failure", (tuple(sorted(a)), tuple(sorted(b)))
+                    )
+    return ExplicitValidation(True)
+
+
 def _unit_classes(classes, n) -> CoverageWeights:
     return CoverageWeights(n, {mask_of(cls): Fraction(1) for cls in classes})
 
@@ -250,7 +333,7 @@ def reference_2cov_indicator(m, d) -> TwoCoverageCertificate:
         witnesses[tau] = TwoCoverageWitness(
             support,
             _unit_classes(classes, n),
-            LinearFunction(n, tuple(Fraction(e in support) for e in range(1, n + 1))),
+            tuple(Fraction(e in support) for e in range(1, n + 1)),
         )
     return TwoCoverageCertificate(n, d, witnesses)
 

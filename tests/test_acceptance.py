@@ -40,7 +40,7 @@ from clckit import (
 )
 from clckit.bitsets import labels_of, submasks
 from clckit.cli import run
-from clckit.counterexamples import budget_additive_function, triangle_quadratic, triangle_table
+from clckit.counterexamples import budget_additive_table, triangle_quadratic, triangle_table
 from clckit.entropy import JointDistribution, entropy_decomposition
 from clckit.jsonio import dump_set_function
 
@@ -86,7 +86,7 @@ def _matroid_fixtures():
 
 def test_criterion_1_budget_additive_counterexample(tmp_path, capsys):
     with criterion(1, "budget-additive degree-2 restriction refuted (n_pos = 2)", 1.0):
-        f = materialize(budget_additive_function())
+        f = budget_additive_table()
         report = certify_clc_homogeneous(f, 2)
         assert report.verdict == "refuted"
         assert report.failure.n_pos == 2
@@ -128,7 +128,7 @@ def test_criterion_4_homogenization_end_to_end():
         drawn = 0
         while drawn < 20:
             inst = rand_coverage_instance(rng, rng.randint(2, 6))
-            table = materialize(inst)
+            table = materialize(inst.weights())
             if table.is_zero():
                 continue
             drawn += 1
@@ -160,10 +160,10 @@ def test_criterion_6_mobius_round_trip():
                 x[mask] = x.get(mask, Fraction(0)) + Fraction(rng.randint(0, 6), rng.randint(1, 3))
             w = CoverageWeights(n, x)
             mob = mobius_coverage_weights(materialize(w))
-            assert mob.weights.x == w.x
+            assert mob.weights == w.x
             assert mob.is_coverage
         r23 = mobius_coverage_weights(to_setfunction(UniformMatroid(2, 3)))
-        assert r23.weights.x[0b111] == -1
+        assert r23.weights[0b111] == -1
         assert not r23.is_coverage
 
 

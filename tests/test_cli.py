@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from clckit import jsonio, materialize
 from clckit.cli import run
-from clckit.counterexamples import budget_additive_function, triangle_table
+from clckit.counterexamples import budget_additive_table, triangle_table
 
 from conftest import coverage_example
 
@@ -22,13 +22,13 @@ def _write(tmp_path, name, doc):
 
 def _budget_file(tmp_path):
     return _write(
-        tmp_path, "budget.json", jsonio.dump_set_function(materialize(budget_additive_function()))
+        tmp_path, "budget.json", jsonio.dump_set_function(budget_additive_table())
     )
 
 
 def _coverage_table_file(tmp_path):
     return _write(
-        tmp_path, "cov.json", jsonio.dump_set_function(materialize(coverage_example()))
+        tmp_path, "cov.json", jsonio.dump_set_function(materialize(coverage_example().weights()))
     )
 
 
@@ -262,6 +262,28 @@ def test_malformed_table_entry_exit_3(tmp_path, capsys, entries, message):
     assert message in captured.err
 
 
+def test_certificate_repeated_key_exit_3(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"n": 3, "witnesses": [{"tau": [], "g": {"[1]": "1", "[1]": "5"}}]}')
+    code = run(["certify-strong", "--input", _u23_file(tmp_path, "rank"), "--cert", str(cert)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: repeated key '[1]'\n"
+
+
+def test_matroid_cap_checked_before_tabulating(tmp_path, capsys):
+    # neither file may cost 2^n or per-vertex work before the synthesis cap
+    explicit = _write(tmp_path, "explicit.json", {"type": "explicit", "n": 20, "independent": [[]]})
+    assert run(["certify-strong", "--matroid", explicit]) == 3
+    assert capsys.readouterr().err == "error: 20 elements exceed cap 14\n"
+    far = 10**9
+    edges = [[1, 2], [2, far], [far, 1], [1, 2], [5, 5], [far - 1, far]]
+    graphic = _write(tmp_path, "graphic.json", {"type": "graphic", "vertices": far, "edges": edges})
+    assert run(["certify-strong", "--matroid", graphic, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"synthesized": True, "witnesses": 57}
+
+
 def _u23_file(tmp_path, mode):
     from clckit import UniformMatroid, to_setfunction
 
@@ -311,10 +333,12 @@ def test_malformed_strong_certificate_exit_3(tmp_path, capsys, witnesses, messag
         ({"S": [1, 2], "g": [], "l": {}}, "witnesses[0].g: expected an object, found a list"),
         ({"S": [1, 2], "g": {}, "l": ["1"]}, "witnesses[0].l: expected an object, found a list"),
         ({"S": [1, 2], "g": {}, "l": "1"}, "witnesses[0].l: expected an object, found a string"),
+        ({"S": [1, 2, 3], "g": {"[1,2,3]": "1"}, "l": {"2": "-1/2"}},
+         "witness at tau=() has a negative l value -1/2"),
     ],
     ids=[
         "repeated-support-label", "g-outside-support", "l-outside-support",
-        "g-not-object", "l-not-object", "l-string",
+        "g-not-object", "l-not-object", "l-string", "negative-l",
     ],
 )
 def test_malformed_two_coverage_certificate_exit_3(tmp_path, capsys, witness, message):
@@ -381,13 +405,36 @@ def _cert_args(tmp_path, doc):
          "edges[0]: expected a list, found an integer"),
         ("coverage", {"universe": {"id": "a", "weight": "1"}, "sets": [["a"]]},
          "universe: expected a list, found an object"),
+        ("ulc", {"entries": []}, "n: missing"),
+        ("ulc", {"n": 2, "entries": [{"value": "1"}]}, "entries[0].set: missing"),
+        ("ulc", [], "document: expected an object, found a list"),
+        ("poly", {"n": 2, "terms": [{"coeff": "1"}]}, "terms[0].set: missing"),
+        ("coverage", {"sets": [["a"]]}, "universe: missing"),
+        ("matroid", {"r": 1, "n": 2}, "type: missing"),
+        ("matroid", {"type": "graphic", "edges": [[1, 2]]}, "vertices: missing"),
+        ("cert", {"d": 2, "n": 3, "witnesses": [{"S": [1, 2]}]}, "witnesses[0].tau: missing"),
+        ("cert", {"d": 2, "n": 3, "witnesses": [{"tau": []}]}, "witnesses[0].S: missing"),
+        ("entropy", {"alphabets": [2], "pmf": [{"p": 1.0}]}, "pmf[0].outcome: missing"),
+        ("entropy", {"pmf": []}, "alphabets: missing"),
+        ("entropy", "x", "document: expected an object, found a string"),
+        ("entropy", {"alphabets": [1], "pmf": [{"outcome": [0], "p": float("nan")}]},
+         "pmf[0].p: nan is not a finite number"),
+        ("entropy", {"alphabets": [2], "pmf": [{"outcome": [0], "p": 0.5}, {"outcome": [0], "p": 0.5},
+                                               {"outcome": [1], "p": 0.5}]},
+         "pmf[1].outcome: [0] is listed twice"),
+        ("entropy", {"alphabets": [1], "pmf": [{"outcome": [0], "p": 10**400}]},
+         "pmf[0].p: integer too large for a float"),
     ],
     ids=[
         "table-n-decimal", "table-n-bool", "table-n-integral-decimal", "poly-y", "uniform-r",
         "uniform-n-string", "graphic-vertices", "explicit-n", "cert-d", "cert-n", "alphabet",
         "table-entries-object", "table-entry-list", "poly-terms-object", "poly-term-list",
         "table-value-missing", "coverage-weight-zero-denominator", "partition-block-integer",
-        "graphic-edge-integer", "coverage-universe-object",
+        "graphic-edge-integer", "coverage-universe-object", "table-n-missing",
+        "table-set-missing", "table-document-list", "poly-set-missing", "coverage-universe-missing",
+        "matroid-type-missing", "graphic-vertices-missing", "cert-tau-missing", "cert-support-missing",
+        "pmf-outcome-missing", "alphabets-missing", "pmf-document-string", "pmf-p-nan", "pmf-outcome-repeated",
+        "pmf-p-huge-integer",
     ],
 )
 def test_malformed_size_or_shape_exit_3(tmp_path, capsys, command, doc, message):
@@ -479,6 +526,10 @@ _FUZZ_DOCS = {
         {"n": 2, "witnesses": [{"tau": [], "g": {"[1]": "1", "[2]": "1"}}]},
         ["certify-strong", "--input", "TABLE", "--cert", "DOC"],
     ),
+    "entropy": (
+        {"alphabets": [2], "pmf": [{"outcome": [0], "p": 0.5}, {"outcome": [1], "p": 0.5}]},
+        ["entropy", "--input", "DOC"],
+    ),
     "two-coverage": (
         {"d": 2, "n": 2,
          "witnesses": [{"tau": [], "S": [1, 2], "g": {"[1,2]": "1"}, "l": {"1": "0", "2": "0"}}]},
@@ -506,6 +557,9 @@ _FUZZ_FIELDS = [
     ("two-coverage", ("n",), "n"),
     ("two-coverage", ("witnesses", 0, "g", "[1,2]"), "witnesses[0].g['[1,2]']"),
     ("two-coverage", ("witnesses", 0, "l", "1"), "witnesses[0].l['1']"),
+    ("entropy", ("alphabets", 0), "alphabets[0]"),
+    ("entropy", ("pmf", 0, "p"), "pmf[0].p"),
+    ("entropy", ("pmf", 1, "outcome", 0), "pmf[1].outcome[0]"),
 ]
 _BAD_SCALARS = [True, None, "1/0", "x", [], {}]
 

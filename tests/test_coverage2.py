@@ -7,7 +7,6 @@ from clckit import (
     CoverageInstance,
     CoverageWeights,
     GraphicMatroid,
-    LinearFunction,
     SetFunctionTable,
     StrongCertificate,
     TwoCoverageCertificate,
@@ -28,11 +27,13 @@ from clckit import (
 )
 from clckit import coverage2
 from clckit.bitsets import mask_of
-from clckit.counterexamples import budget_additive_function, triangle_table
+from clckit.counterexamples import budget_additive_table, triangle_table
 from clckit.errors import MissingWitnessError
+from clckit.matroids import ONE
+from clckit.setfn import ZERO
 from clckit.simplex import phase1
 
-from conftest import coverage_example, k4, rand_coverage_instance, rand_partition_matroid
+from conftest import cardinality, coverage_example, k4, rand_coverage_instance, rand_partition_matroid
 
 
 def test_verify_2cov_uniform_indicator():
@@ -44,7 +45,7 @@ def test_verify_2cov_uniform_indicator():
     assert w.support == (1, 2, 3)
     # three singleton classes, so g(pair) = 2 and l = 1 realizes f = 2 - 1
     assert w.g.value(0b011) == 2
-    assert w.ell.ell == (1, 1, 1)
+    assert w.ell == (1, 1, 1)
 
 
 def test_verify_2cov_triangle_fails_any_cert():
@@ -53,7 +54,7 @@ def test_verify_2cov_triangle_fails_any_cert():
     witness = TwoCoverageWitness(
         (1, 2, 3),
         CoverageWeights(3, {0b001: 1, 0b010: 1, 0b100: 1}),
-        LinearFunction(3, (0, 0, 0)),
+        (ZERO,) * 3,
     )
     check = verify_2cov(f, 2, TwoCoverageCertificate(3, 2, {(): witness}))
     assert not check.ok
@@ -80,7 +81,7 @@ def test_verify_2cov_rejects_support_padding():
     witness = TwoCoverageWitness(
         (1, 2),
         CoverageWeights(2, {0b01: Fraction(1), 0b10: Fraction(1)}),
-        LinearFunction(2, (1, 1)),
+        (ONE, ONE),
     )
     assert verify_2cov(f, 2, TwoCoverageCertificate(2, 2, {(): witness})).ok
     zero = SetFunctionTable(2, (Fraction(0),) * 4)
@@ -93,18 +94,18 @@ def test_verify_2cov_rejects_witness_outside_support():
     # U(2,3) indicator plus a fourth element in no nonzero pair: S = {1,2,3}
     f = SetFunctionTable.from_entries(4, {pair: 1 for pair in ((1, 2), (1, 3), (2, 3))})
     units = {0b001: 1, 0b010: 1, 0b100: 1}
-    ones = LinearFunction(4, (1, 1, 1, 0))
+    ones = (ONE, ONE, ONE, ZERO)
     good = TwoCoverageWitness((1, 2, 3), CoverageWeights(4, units), ones)
     assert verify_2cov(f, 2, TwoCoverageCertificate(4, 2, {(): good})).ok
     for g, ell in (
         ({**units, 0b1000: 1}, ones),  # g on {4}
         ({0b1001: 1, 0b010: 1, 0b100: 1}, ones),  # g on a set leaving S
-        (units, LinearFunction(4, (1, 1, 1, 1))),  # l nonzero at 4
+        (units, (ONE,) * 4),  # l nonzero at 4
     ):
         bad = TwoCoverageWitness((1, 2, 3), CoverageWeights(4, g), ell)
         with pytest.raises(ValueError, match=r"witness at tau=\(\) reaches outside S=\(1, 2, 3\)"):
             verify_2cov(f, 2, TwoCoverageCertificate(4, 2, {(): bad}))
-    short = TwoCoverageWitness((1, 2, 3), CoverageWeights(4, units), LinearFunction(3, (1, 1, 1)))
+    short = TwoCoverageWitness((1, 2, 3), CoverageWeights(4, units), (ONE,) * 3)
     with pytest.raises(ValueError, match=r"witness at tau=\(\) has l over 3 elements, not n=4"):
         verify_2cov(f, 2, TwoCoverageCertificate(4, 2, {(): short}))
 
@@ -140,7 +141,7 @@ def test_verify_strong_uniform_rank():
 
 def test_strong_cardinality_disjoint_singletons():
     n = 4
-    f = materialize(LinearFunction(n, (Fraction(1),) * n))
+    f = materialize(cardinality(n))
     witnesses = {}
     from clckit.bitsets import labels_of, masks_of_size
 
@@ -153,7 +154,7 @@ def test_strong_cardinality_disjoint_singletons():
 
 
 def test_budget_additive_not_strongly_2coverage():
-    f = materialize(budget_additive_function())
+    f = budget_additive_table()
     # wrong certificate (built for cardinality) fails outright
     lin_cert_wit = {}
     from clckit.bitsets import labels_of, masks_of_size
@@ -226,7 +227,7 @@ def test_synth_strong_from_coverage_instance():
     assert g.value(0b100) == 0
     # tau = {}: x_{1,2} = x_{2,3} = 1 (elements a and b), read over [n]
     assert cert.witnesses[()].x == {0b011: 1, 0b110: 1}
-    assert verify_strong2cov(materialize(inst), cert).ok
+    assert verify_strong2cov(materialize(inst.weights()), cert).ok
 
 
 def test_search_triangle_infeasible():
@@ -242,7 +243,7 @@ def test_search_uniform_indicator_feasible():
     # the found witness satisfies the pair equations
     for pair in ((1, 2), (1, 3), (2, 3)):
         pm = mask_of(pair)
-        assert res.g.value(pm) - res.ell.value(pm) / 2 == f.value_of(pair)
+        assert res.g.value(pm) - sum(res.ell[i - 1] for i in pair) / 2 == f.value_of(pair)
 
 
 def test_search_witness_lives_on_support_over_n():
@@ -250,9 +251,9 @@ def test_search_witness_lives_on_support_over_n():
     f = SetFunctionTable.from_entries(5, {(a, b, 4): 1 for a, b in ((1, 2), (1, 3), (2, 3))})
     res = search_2cov_feasible(f, 3, (4,))
     assert res.feasible and res.support == (1, 2, 3)
-    assert res.g.n == res.ell.n == 5
+    assert res.g.n == len(res.ell) == 5
     assert all(t & ~0b00111 == 0 for t in res.g.x)
-    assert res.ell.ell[3:] == (0, 0)
+    assert res.ell[3:] == (0, 0)
     witnesses = {}
     for tau in ((1,), (2,), (3,), (4,), (5,)):
         found = search_2cov_feasible(f, 3, tau)
@@ -274,7 +275,7 @@ def test_search_lp_shape_and_pivots_pinned(monkeypatch):
     monkeypatch.setattr(coverage2, "phase1", spy)
     cov = materialize(CoverageInstance.build(
         [("a", 1), ("b", 2), ("c", 1)], [["a"], ["a", "b"], ["b", "c"], ["c"], ["a", "c"]]
-    ))
+    ).weights())
     for f, d, tau in (
         (to_setfunction(UniformMatroid(2, 7), "indicator"), 2, ()),
         (to_setfunction(UniformMatroid(3, 7), "indicator"), 3, (2,)),
@@ -309,10 +310,10 @@ def test_decide_2cov():
 def test_search_support_cap():
     from clckit.errors import CapExceededError
 
-    f = materialize(LinearFunction(12, (Fraction(1),) * 12))
+    f = materialize(cardinality(12))
     with pytest.raises(CapExceededError):
         search_2cov_feasible(f, 2, ())
-    small = materialize(LinearFunction(4, (Fraction(1),) * 4))
+    small = materialize(cardinality(4))
     with pytest.raises(CapExceededError):
         search_2cov_feasible(small, 2, (), cap=3)
     assert search_2cov_feasible(small, 2, ()).feasible

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clckit import (
-    CoverageInstance,
     CoverageWeights,
     GraphicMatroid,
     PartitionMatroid,
+    SetFunctionTable,
     StrongCertificate,
     UniformMatroid,
     materialize,
@@ -21,8 +21,9 @@ from clckit import (
     verify_strong2cov,
 )
 from clckit import jsonio
+from clckit.cli import run
 
-from conftest import coverage_example
+from conftest import coverage_example, coverage_instances
 
 
 def _write(tmp_path, name, doc):
@@ -32,7 +33,7 @@ def _write(tmp_path, name, doc):
 
 
 def test_set_function_round_trip(tmp_path):
-    f = materialize(coverage_example())
+    f = materialize(coverage_example().weights())
     path = _write(tmp_path, "f.json", jsonio.dump_set_function(f))
     again = jsonio.load_set_function(path)
     assert again.values == f.values
@@ -65,7 +66,7 @@ def test_coverage_instance(tmp_path):
         "sets": [["a"], ["a", "b"], ["b"]],
     }
     inst = jsonio.load_coverage_instance(_write(tmp_path, "c.json", doc))
-    assert materialize(inst).values == materialize(coverage_example()).values
+    assert materialize(inst.weights()).values == materialize(coverage_example().weights()).values
 
 
 def test_matroid_loaders(tmp_path):
@@ -151,14 +152,6 @@ def matroids(draw):
     return GraphicMatroid(v, draw(st.lists(st.tuples(ends, ends), min_size=n, max_size=n)))
 
 
-@st.composite
-def coverage_instances(draw):
-    ids = [f"u{i}" for i in range(draw(st.integers(1, 5)))]
-    universe = [(e, draw(st.fractions(0, 4, max_denominator=3))) for e in ids]
-    sets = draw(st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=6))
-    return CoverageInstance.build(universe, sets)
-
-
 def _round_trip(directory, cert):
     path = directory / "cert.json"
     path.write_text(json.dumps(jsonio.dump_certificate(cert)))
@@ -183,8 +176,15 @@ def test_coverage_certificate_round_trip(tmp_path_factory, inst):
     assert _round_trip(tmp_path_factory.mktemp("coverage"), cert) == cert
 
 
-def test_rationals_written_as_p_over_q():
-    g = CoverageWeights(2, {0b01: 3, 0b11: Fraction(-1, 2)}, diagnostic=True)
+def test_rationals_written_as_p_over_q(tmp_path, capsys):
+    g = CoverageWeights(2, {0b01: 3, 0b11: Fraction(1, 2)})
     assert jsonio.dump_certificate(StrongCertificate(2, {(): g}))["witnesses"][0]["g"] == {
-        "[1]": "3", "[1,2]": "-1/2"
+        "[1]": "3", "[1,2]": "1/2"
     }
+    # negative weights are written by the mobius report: U(2,3)'s rank table halved
+    ranks = to_setfunction(UniformMatroid(2, 3))
+    half = SetFunctionTable(3, tuple(v / 2 for v in ranks.values))
+    assert run(["mobius", "--input", _write(tmp_path, "half.json", jsonio.dump_set_function(half)),
+                "--format", "json"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["weights"]["[1,2,3]"] == out["min_weight"] == "-1/2"

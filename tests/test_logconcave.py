@@ -23,7 +23,7 @@ from clckit import (
     to_setfunction,
     ulc_check,
 )
-from clckit.counterexamples import budget_additive_function, triangle_quadratic
+from clckit.counterexamples import budget_additive_table, triangle_quadratic
 from clckit.logconcave import two_by_two_log_concave
 
 from conftest import (
@@ -120,7 +120,7 @@ def test_quadratic_log_concave_examples():
     assert quadratic_inertia(MultiaffinePolynomial(2, {0b11: 1})).n_pos <= 1
     assert quadratic_inertia(MultiaffinePolynomial(3, {})).as_tuple() == (0, 3, 0)
     assert quadratic_inertia(triangle_quadratic()).as_tuple() == (1, 0, 2)
-    f2 = homogeneous_restrict(materialize(budget_additive_function()), 2)
+    f2 = homogeneous_restrict(budget_additive_table(), 2)
     from clckit import generating_poly
 
     assert quadratic_inertia(generating_poly(f2)).n_pos == 2
@@ -156,7 +156,7 @@ def test_certify_k4_rank_degree_2():
 
 
 def test_certify_budget_additive_refuted():
-    f = materialize(budget_additive_function())
+    f = budget_additive_table()
     report = certify_clc_homogeneous(f, 2)
     assert report.verdict == "refuted"
     assert report.failure.tau == ()
@@ -176,14 +176,14 @@ def test_certify_homogenization_uniform_rank():
 
 
 def test_certify_homogenization_coverage_example():
-    report = certify_clc_homogenization(materialize(coverage_example()))
+    report = certify_clc_homogenization(materialize(coverage_example().weights()))
     assert report.verdict == "certified"
 
 
 def test_certify_homogenization_budget_additive_fails():
     # not strongly 2-coverage: its degree-2 part is not log-concave, and the
     # driver must find a failing quadratic cell
-    f = materialize(budget_additive_function())
+    f = budget_additive_table()
     report = certify_clc_homogenization(f, cap=12)
     assert report.verdict == "conditions-fail"
     assert report.failure.reason == "inertia"
@@ -286,7 +286,7 @@ def test_homogenization_certified_implies_ulc():
     tables = [
         to_setfunction(UniformMatroid(2, 3)),
         to_setfunction(k4()),
-        materialize(coverage_example()),
+        materialize(coverage_example().weights()),
     ]
     for f in tables:
         assert certify_clc_homogenization(f).verdict == "certified"

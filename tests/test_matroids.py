@@ -18,7 +18,7 @@ from clckit import (
 from clckit.bitsets import mask_of, masks_of_size
 from clckit.errors import NotAMatroidError
 
-from conftest import k4, rand_partition_matroid
+from conftest import k4, rand_partition_matroid, validate_explicit_oracle
 
 
 def test_graphic_k4_triangle_rank():
@@ -130,6 +130,59 @@ def test_validate_explicit_exchange_failure():
     res = validate_explicit(3, [[], [1], [2], [3], [1, 2]])
     assert not res
     assert res.kind == "exchange-failure"
+
+
+def _rand_family(rng):
+    """A random family on [n], n <= 5: arbitrary, or closed under subsets
+    (so only the exchange axiom can fail), sometimes with a label n + 1."""
+    n = rng.randint(0, 5)
+    top = n + (rng.random() < 0.1)
+    family = {frozenset(s) for _ in range(rng.randint(0, 6) if rng.random() < 0.1 else rng.randint(2, 6))
+              for s in [rng.sample(range(1, top + 1), rng.randint(0, top))]}
+    if rng.random() < 0.7:
+        family = {frozenset(c) for s in family for k in range(len(s) + 1) for c in combinations(s, k)}
+    return n, [sorted(s) for s in family]
+
+
+def test_validate_explicit_matches_pairwise_exchange_oracle():
+    rng = random.Random(13)
+    kinds = set()
+    for _ in range(400):
+        n, family = _rand_family(rng)
+        got, want = validate_explicit(n, family), validate_explicit_oracle(n, family)
+        assert (got.ok, got.kind) == (want.ok, want.kind), (n, family)
+        kinds.add(got.kind)
+        if got.kind == "exchange-failure":
+            # the witness is a genuine augmentation failure
+            listed = {frozenset(s) for s in family}
+            a, b = map(frozenset, got.witness)
+            assert a in listed and b in listed and len(a) < len(b)
+            assert not any(a | {x} in listed for x in b - a)
+        elif got.kind is not None:
+            assert got.witness == want.witness
+    assert kinds == {None, "empty", "out-of-range", "not-downward-closed", "exchange-failure"}
+
+
+def test_explicit_exchange_failure_raised_at_first_rank():
+    m = ExplicitMatroid(3, [[], [1], [2], [3], [1, 2]])  # the listing alone is fine
+    with pytest.raises(NotAMatroidError, match="exchange-failure"):
+        m.rank([1])
+
+
+def test_rank_tables_of_listings_and_relabelled_graphs():
+    rng = random.Random(21)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        v = rng.randint(1, 4)
+        edges = [(rng.randint(1, v), rng.randint(1, v)) for _ in range(n)]
+        graph = GraphicMatroid(v, edges)
+        table = to_setfunction(graph)
+        far = 10**9 - v  # the same graph on far-away vertex numbers
+        assert to_setfunction(GraphicMatroid(10**9, [(a + far, b + far) for a, b in edges])) == table
+        for m in (graph, rand_partition_matroid(rng, n), UniformMatroid(rng.randint(0, n), n)):
+            listing = [s for k in range(n + 1) for s in combinations(range(1, n + 1), k)
+                       if m.rank(s) == k]
+            assert to_setfunction(ExplicitMatroid(n, listing)) == to_setfunction(m)
 
 
 def _all_matroid_fixtures(rng):

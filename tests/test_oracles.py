@@ -21,6 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
+from hypothesis import given, settings
+
 from clckit import (
     CoverageInstance,
     CoverageWeights,
@@ -40,7 +42,6 @@ from clckit import (
     materialize,
     mixing_time_exact,
     mmi,
-    mobius_coverage_weights,
     quadratic_hessian,
     sample_chain,
     synth_strong_from_parts,
@@ -55,7 +56,10 @@ from clckit.polynomials import scale
 from clckit.simplex import phase1
 
 from conftest import (
+    coverage_instances,
+    materialize_oracle,
     mixing_time_oracle,
+    mobius_oracle,
     phase1_oracle,
     rand_coverage_instance,
     rand_partition_matroid,
@@ -271,7 +275,7 @@ def test_search_lps_match_fraction_tableau(monkeypatch):
             f = rand_table(rng, n, max_value=rng.choice((1, 4)))
             f = SetFunctionTable(n, tuple(v / q for v in f.values))
         elif kind == "coverage":
-            f = materialize(rand_coverage_instance(rng, n, universe_size=4))
+            f = materialize(rand_coverage_instance(rng, n, universe_size=4).weights())
         else:
             f = to_setfunction(rand_partition_matroid(rng, n), "indicator")
         for tau in combinations(range(1, n + 1), d - 2):
@@ -496,12 +500,29 @@ def reference_strong_coverage(inst):
             covered = frozenset().union(*(inst.sets[t - 1] for t in tau))
             rest = [i for i in range(1, n + 1) if i not in tau]
             sub = CoverageInstance(inst.universe, tuple(inst.sets[i - 1] - covered for i in rest))
-            mob = mobius_coverage_weights(materialize(sub))
-            assert mob.is_coverage
-            witnesses[tau] = CoverageWeights(
-                n, {expand(t, rest): v for t, v in mob.weights.x.items()}
-            )
+            x = mobius_oracle(materialize_oracle(sub))
+            witnesses[tau] = CoverageWeights(n, {expand(t, rest): v for t, v in x.items()})
     return StrongCertificate(n, witnesses)
+
+
+def moebius_built_strong_coverage(inst):
+    """One Fraction Moebius inversion x of the union-built table, restricted
+    to the complement of each tau."""
+    n = inst.n
+    x = mobius_oracle(materialize_oracle(inst))
+    full = (1 << n) - 1
+    return StrongCertificate(n, {
+        tau: CoverageWeights(n, {t: v for t, v in x.items() if not t & ~(full ^ mask_of(tau))})
+        for size in range(n - 1)
+        for tau in combinations(range(1, n + 1), size)
+    })
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=coverage_instances())
+def test_strong_coverage_certificate_bytes_match_moebius_built(inst):
+    got = json.dumps(dump_certificate(synth_strong_from_parts(inst)), indent=2)
+    assert got == json.dumps(dump_certificate(moebius_built_strong_coverage(inst)), indent=2)
 
 
 def test_strong_coverage_synthesis_matches_per_tau_reference():

@@ -5,7 +5,6 @@ import pytest
 
 from clckit import (
     HomogenizedPolynomial,
-    LinearFunction,
     MultiaffinePolynomial,
     SetFunctionTable,
     derive,
@@ -16,11 +15,11 @@ from clckit import (
     quadratic_hessian,
 )
 
-from conftest import coverage_example, evaluate, rand_table
+from conftest import cardinality, coverage_example, evaluate, rand_table
 
 
 def cardinality_table(n):
-    return materialize(LinearFunction(n, (Fraction(1),) * n))
+    return materialize(cardinality(n))
 
 
 def test_generating_poly_cardinality():
@@ -34,7 +33,7 @@ def test_generating_poly_zero():
 
 
 def test_generating_poly_coverage_example():
-    p = generating_poly(materialize(coverage_example()))
+    p = generating_poly(materialize(coverage_example().weights()))
     assert len(p.coeffs) == 7
     assert p.coeffs[0b111] == 2
 

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clckit import (
-    BudgetAdditive,
     CoverageInstance,
     CoverageWeights,
-    LinearFunction,
     SetFunctionTable,
     UniformMatroid,
     homogeneous_restrict,
@@ -19,11 +17,21 @@ from clckit import (
     predicates,
     to_setfunction,
 )
-from clckit.bitsets import labels_of, mask_of
+from clckit.bitsets import coverage_values, coverage_weights, labels_of, mask_of
 from clckit.errors import CapExceededError
-from clckit.setfn import exact, integer_scaled
+from clckit.setfn import ZERO, exact, integer_scaled
 
-from conftest import contract, coverage_example, rand_coverage_instance
+from clckit.counterexamples import budget_additive_table
+
+from conftest import (
+    cardinality,
+    contract,
+    coverage_example,
+    coverage_instances,
+    materialize_oracle,
+    mobius_oracle,
+    rand_coverage_instance,
+)
 
 
 def test_table_invariants():
@@ -69,13 +77,59 @@ def test_integer_scaled_numerators_over_lcm(values):
         assert (nums, scale) == (values, 1)
 
 
+_NUMBERS = {
+    "int": st.integers(-9, 9),
+    "fraction": st.fractions(-4, 4, max_denominator=6),
+    "float": st.integers(-64, 64).map(lambda k: k / 8),  # dyadic: every sum below is exact
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(0, 5), kind=st.sampled_from(sorted(_NUMBERS)))
+def test_coverage_transform_pair_round_trip(data, n, kind):
+    x = [0] + data.draw(st.lists(_NUMBERS[kind], min_size=(1 << n) - 1, max_size=(1 << n) - 1))
+    kept = list(x)
+    f = coverage_values(x)
+    assert x == kept
+    assert f == [sum(v for t, v in enumerate(x) if t & s) for s in range(1 << n)]
+    assert coverage_weights(f) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=coverage_instances())
+def test_materialize_matches_union_oracle(inst):
+    assert materialize(inst.weights()) == materialize_oracle(inst)
+
+
+def test_instance_weights_drop_uncovered_and_zero():
+    inst = CoverageInstance.build(
+        [("a", 1), ("b", "1/2"), ("c", 3), ("d", 0), ("e", 2)], [["a", "b"], ["b"], ["d"]]
+    )
+    # a lies in A_1 only, b in A_1 and A_2, d (weight 0) in A_3 only, c and e in no set
+    assert inst.weights().x == {0b001: 1, 0b011: Fraction(1, 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.fractions(0, 5, max_denominator=4), min_size=(1 << n) - 1, max_size=(1 << n) - 1)
+))
+def test_mobius_matches_fraction_oracle(rest):
+    n = len(rest).bit_length()
+    f = SetFunctionTable(n, (ZERO, *rest))
+    x = mobius_oracle(f)
+    mob = mobius_coverage_weights(f)
+    assert mob.weights == x
+    lowest = min((x.get(m, ZERO) for m in range(1, 1 << n)), default=ZERO)
+    assert (mob.min_weight, mob.is_coverage) == (lowest, lowest >= 0)
+
+
 def test_materialize_cap():
     with pytest.raises(CapExceededError):
-        materialize(LinearFunction(25, (Fraction(1),) * 25))
+        materialize(cardinality(25))
 
 
 def test_materialize_coverage_example():
-    f = materialize(coverage_example())
+    f = materialize(coverage_example().weights())
     assert f.value_of([1]) == 1
     assert f.value_of([2]) == 2
     assert f.value_of([1, 3]) == 2
@@ -83,14 +137,13 @@ def test_materialize_coverage_example():
 
 
 def test_materialize_linear_is_cardinality():
-    f = materialize(LinearFunction(2, (Fraction(1), Fraction(1))))
+    f = materialize(cardinality(2))
     for mask in range(4):
         assert f[mask] == mask.bit_count()
 
 
 def test_materialize_budget_additive_values():
-    ba = BudgetAdditive((1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 0, 0), 2)
-    f = materialize(ba)
+    f = budget_additive_table()
     assert f.value_of([7, 8]) == 2
     assert f.value_of([11, 12]) == 0
     assert f.value_of([1]) == 1
@@ -102,7 +155,7 @@ def test_materialize_rejects_unknown_elements():
 
 
 def test_contract_cardinality():
-    f = materialize(LinearFunction(3, (Fraction(1),) * 3))
+    f = materialize(cardinality(3))
     c = contract(f, [1])
     assert c.base == 1
     assert c.elements == (2, 3)
@@ -112,7 +165,7 @@ def test_contract_cardinality():
 
 
 def test_contract_empty_is_identity():
-    f = materialize(coverage_example())
+    f = materialize(coverage_example().weights())
     c = contract(f, [])
     assert c.base == 0
     assert c.table.values == f.values
@@ -127,19 +180,19 @@ def test_contract_uniform_rank():
 
 
 def test_homogeneous_restrict():
-    f = materialize(LinearFunction(3, (Fraction(1),) * 3))
+    f = materialize(cardinality(3))
     f1 = homogeneous_restrict(f, 1)
     assert all(
         f1[m] == (1 if m.bit_count() == 1 else 0) for m in range(8)
     )
     assert homogeneous_restrict(f, 0).is_zero()
-    f2 = homogeneous_restrict(materialize(coverage_example()), 2)
+    f2 = homogeneous_restrict(materialize(coverage_example().weights()), 2)
     assert [f2.value_of(s) for s in ([1, 2], [1, 3], [2, 3])] == [2, 2, 2]
     assert f2.value_of([1]) == 0
 
 
 def test_predicates_budget_additive():
-    report = predicates(materialize(BudgetAdditive((1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 0, 0), 2)))
+    report = predicates(budget_additive_table())
     assert report.monotone and report.submodular
 
 
@@ -156,17 +209,17 @@ def test_predicates_square_cardinality_not_submodular():
 
 
 def test_predicates_coverage_example_almost_log_submodular():
-    report = predicates(materialize(coverage_example()))
+    report = predicates(materialize(coverage_example().weights()))
     assert report.almost_log_submodular
 
 
 def test_mobius_uniform_rank_examples():
     r12 = mobius_coverage_weights(to_setfunction(UniformMatroid(1, 2)))
-    assert r12.weights.x == {0b11: Fraction(1)}
+    assert r12.weights == {0b11: Fraction(1)}
     assert r12.is_coverage
 
     r23 = mobius_coverage_weights(to_setfunction(UniformMatroid(2, 3)))
-    assert r23.weights.x == {
+    assert r23.weights == {
         0b011: Fraction(1),
         0b101: Fraction(1),
         0b110: Fraction(1),
@@ -182,20 +235,20 @@ def test_mobius_brute_force_cross_check():
     mob = mobius_coverage_weights(rk)
     for s in range(8):
         total = sum(
-            (v for t, v in mob.weights.x.items() if t & s), Fraction(0)
+            (v for t, v in mob.weights.items() if t & s), Fraction(0)
         )
         assert total == rk[s]
 
 
 def test_mobius_linear_singletons():
-    f = materialize(LinearFunction(3, (Fraction(1),) * 3))
+    f = materialize(cardinality(3))
     mob = mobius_coverage_weights(f)
-    assert mob.weights.x == {0b001: 1, 0b010: 1, 0b100: 1}
+    assert mob.weights == {0b001: 1, 0b010: 1, 0b100: 1}
     assert mob.is_coverage
 
 
 def test_level_sequence():
-    assert level_sequence(materialize(coverage_example())) == (0, 4, 6, 2)
+    assert level_sequence(materialize(coverage_example().weights())) == (0, 4, 6, 2)
     zero = SetFunctionTable(3, (Fraction(0),) * 8)
     assert level_sequence(zero) == (0, 0, 0, 0)
     ones = SetFunctionTable(3, tuple(Fraction(0 if m == 0 else 1) for m in range(8)))
@@ -223,14 +276,14 @@ def test_mobius_round_trip_is_identity(case):
     w = CoverageWeights(n, x)
     mob = mobius_coverage_weights(materialize(w))
     assert mob.is_coverage
-    assert mob.weights.x == w.x
+    assert mob.weights == w.x
 
 
 def test_mobius_of_coverage_instances_is_nonnegative():
     rng = random.Random(11)
     for _ in range(50):
         inst = rand_coverage_instance(rng, rng.randint(1, 5))
-        assert mobius_coverage_weights(materialize(inst)).is_coverage
+        assert mobius_coverage_weights(materialize(inst.weights())).is_coverage
 
 
 def test_monotone_submodular_tables_are_log_submodular():
@@ -246,7 +299,7 @@ def test_monotone_submodular_tables_are_log_submodular():
             assert report.log_submodular, f.values
     for _ in range(25):
         inst = rand_coverage_instance(rng, rng.randint(1, 6))
-        report = predicates(materialize(inst))
+        report = predicates(materialize(inst.weights()))
         assert report.monotone and report.submodular and report.log_submodular
 
 
