@@ -21,7 +21,7 @@ from .logconcave import (
     quadratic_inertia,
 )
 from .polynomials import MultiaffinePolynomial
-from .setfn import ZERO, SetFunctionTable, _monotone_witness, _submodular_witness
+from .setfn import ZERO, SetFunctionTable, _monotone_witness, _submodular_witness, integer_scaled
 
 
 def budget_additive_table() -> SetFunctionTable:
@@ -56,8 +56,9 @@ class CounterexampleOutcome:
 
 def check_budget_additive() -> CounterexampleOutcome:
     f = budget_additive_table()
-    monotone = _monotone_witness(f.n, f.values) is None
-    submodular = _submodular_witness(f.n, f.values) is None
+    vals, _ = integer_scaled(f.values)  # both predicates are homogeneous in f
+    monotone = _monotone_witness(f.n, vals) is None
+    submodular = _submodular_witness(f.n, vals) is None
     report = certify_clc_homogeneous(f, 2)
     ok = (
         monotone

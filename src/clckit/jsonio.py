@@ -177,7 +177,10 @@ def load_coverage_instance(path: str) -> CoverageInstance:
         at = f"universe[{k}]"
         _typed(u, dict, at)
         universe.append((_field(u, "id", str, f"{at}.id"), _rational(u, "weight", f"{at}.weight")))
-    sets = [_typed(a, list, f"sets[{k}]") for k, a in enumerate(_field(doc, "sets", list))]
+    sets = [
+        [_typed(x, str, f"sets[{k}][{i}]") for i, x in enumerate(_typed(a, list, f"sets[{k}]"))]
+        for k, a in enumerate(_field(doc, "sets", list))
+    ]
     return CoverageInstance.build(universe, sets)
 
 

@@ -2,8 +2,9 @@
 
 Every sign decision is made by exact congruence diagonalization of a rational
 symmetric matrix (Sylvester's law of inertia keeps the sign counts invariant
-under congruence), never by a floating eigensolver. Floating point appears
-only in test oracles that cross-check these routines.
+under congruence), never by a floating eigensolver, and fraction-free: the
+drivers scale the table to integers once and every Hessian is eliminated by
+Bareiss's rule. Floats appear only in test oracles cross-checking these.
 
 The two certification drivers apply the standard sufficient conditions for
 complete log-concavity of a homogeneous multiaffine polynomial: every mixed
@@ -29,6 +30,7 @@ from .setfn import (
     SetFunctionTable,
     ZERO,
     exact,
+    integer_scaled,
     materialize,
 )
 
@@ -51,23 +53,32 @@ class Inertia:
 
 
 def inertia(matrix: Sequence[Sequence]) -> Inertia:
-    """Exact inertia by symmetric congruence diagonalization.
+    """Exact inertia by fraction-free symmetric congruence diagonalization.
 
-    A zero pivot with a nonzero off-diagonal entry is repaired by the
-    congruence "add row/column j to row/column k", which turns the 2x2
-    hyperbolic block into a regular pivot pair contributing (1, 0, 1).
+    Scaled to integers by the lcm of the denominators (ints pass through), the
+    matrix is eliminated by Bareiss's rule T'[i][j] = (p T[i][j] - T[i][k]
+    T[k][j]) // prev, p the pivot and prev the one before (1 at first). The
+    trailing block is prev times the Schur complement, so each pivot counts an
+    eigenvalue of the sign of p / prev: positive iff (p > 0) == (prev > 0). A
+    zero pivot is swapped with a nonzero diagonal entry further down or else
+    repaired by "add row/column j to row/column k", making the 2x2 hyperbolic
+    block a pivot pair (1, 0, 1); both congruences are unimodular, so every
+    division stays exact.
     """
     m = len(matrix)
-    a = [[exact(x) for x in row] for row in matrix]
-    for row in a:
-        if len(row) != m:
-            raise ValueError("matrix must be square")
+    if any(len(row) != m for row in matrix):
+        raise ValueError("matrix must be square")
+    a = [list(row) for row in matrix]
+    if not all(type(x) is int for row in a for x in row):
+        nums, _ = integer_scaled([exact(x) for row in a for x in row])
+        a = [nums[i : i + m] for i in range(0, m * m, m)]
     for i in range(m):
         for j in range(i + 1, m):
             if a[i][j] != a[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
 
-    pos = neg = zero = 0
+    pos = zero = 0
+    prev = 1
     for k in range(m):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, m) if a[i][i] != 0), None)
@@ -82,25 +93,17 @@ def inertia(matrix: Sequence[Sequence]) -> Inertia:
                     continue
                 # all trailing diagonal entries are zero here, so the new
                 # pivot is exactly 2*a[off][k] != 0
-                for t in range(m):
-                    a[k][t] += a[off][t]
-                for t in range(m):
-                    a[t][k] += a[t][off]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        rowk = a[k]
-        for i in range(k + 1, m):
-            aik = a[i][k]
-            if aik:
-                f = aik / d
-                rowi = a[i]
-                for j in range(k + 1, m):
-                    if rowk[j]:
-                        rowi[j] -= f * rowk[j]
-    return Inertia(pos, zero, neg)
+                a[k] = [x + y for x, y in zip(a[k], a[off])]
+                for row in a:
+                    row[k] += row[off]
+        p = a[k][k]
+        pos += (p > 0) == (prev > 0)
+        tail = a[k][k + 1 :]
+        for row in a[k + 1 :]:
+            aik = row[k]
+            row[k + 1 :] = [(p * x - aik * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = p
+    return Inertia(pos, zero, m - pos - zero)
 
 
 @dataclass(frozen=True)
@@ -222,14 +225,13 @@ def contraction_cells(f: SetFunctionTable, d: int | None):
         prev = level
 
 
-def _quadratic_hessian(f: SetFunctionTable, tmask: int, k: int | None) -> list[list[Fraction]]:
-    """Hessian of a quadratic cell straight from table entries, on the
-    coordinates outside tau: f(tau+ij) off the diagonal and, for the q_f cell
-    scaled by 1/k! (a positive constant), y in row 0 with (m+1)m f(tau) and
-    m f(tau+i), where m = n - |tau|."""
-    vals = f.values
-    rest = [1 << b for b in range(f.n) if not tmask >> b & 1]
-    h = [[vals[tmask | a | b] if a != b else ZERO for b in rest] for a in rest]
+def _quadratic_hessian(vals: Sequence[int], n: int, tmask: int, k: int | None) -> list[list[int]]:
+    """Hessian of a quadratic cell on the coordinates outside tau, read from
+    the integer-scaled table `vals` over [n]: f(tau+ij) off the diagonal and,
+    for the q_f cell scaled by 1/k! (a positive constant), y in row 0 with
+    (m+1)m f(tau) and m f(tau+i), where m = n - |tau|."""
+    rest = [1 << b for b in range(n) if not tmask >> b & 1]
+    h = [[vals[tmask | a | b] if a != b else 0 for b in rest] for a in rest]
     if k is None:
         return h
     m = len(rest)
@@ -240,7 +242,7 @@ def _quadratic_hessian(f: SetFunctionTable, tmask: int, k: int | None) -> list[l
 
 def _certify(f: SetFunctionTable, d: int | None) -> CertificationReport:
     """Both drivers: the sufficient conditions on f^(d), or on q_f when d is None."""
-    checks = 0
+    checks, vals = 0, None  # vals: f scaled to ints, from the first Hessian on
     for tmask, k, comps, quadratic in contraction_cells(f, d):
         if not checks and not comps:
             # the first cell is the polynomial itself
@@ -248,7 +250,8 @@ def _certify(f: SetFunctionTable, d: int | None) -> CertificationReport:
         checks += 1
         # a plain quadratic (d = 2) is decided by its Hessian even when decomposable
         if comps and quadratic and (d == 2 or len(comps) == 1):
-            n_pos = inertia(_quadratic_hessian(f, tmask, k)).n_pos
+            vals = vals or integer_scaled(f.values)[0]
+            n_pos = inertia(_quadratic_hessian(vals, f.n, tmask, k)).n_pos
             checks += 1
             if n_pos > 1:
                 verdict = VERDICT_REFUTED if d == 2 else VERDICT_CONDITIONS_FAIL
@@ -370,11 +373,8 @@ def mainpsd_witness(instance: CoverageInstance, cap: int = 12) -> MainPSDWitness
     for t, x in weights.x.items():
         members = [b for b in range(m) if t >> b & 1]
         for a in members:
-            bsum[a][a] += x
             for b in members:
-                if b > a:
-                    bsum[a][b] += x
-                    bsum[b][a] += x
+                bsum[a][b] += x
     for i in range(m):
         for j in range(m):
             expected = bsum[i][j] + (g1[i] if i == j else ZERO)
@@ -382,10 +382,7 @@ def mainpsd_witness(instance: CoverageInstance, cap: int = 12) -> MainPSDWitness
                 raise InternalCheckError(
                     f"witness identity failed at ({i + 1},{j + 1}): {r[i][j]} != {expected}"
                 )
-    r_minus_d = [
-        [r[i][j] - (g1[i] if i == j else ZERO) for j in range(m)] for i in range(m)
-    ]
-    iner = inertia(r_minus_d)
+    iner = inertia(bsum)  # R - D, by the identity just checked
     if iner.n_neg != 0:
         raise InternalCheckError(f"R - D came out indefinite: {iner}")
     return MainPSDWitness(

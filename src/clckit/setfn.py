@@ -127,7 +127,12 @@ class CoverageInstance:
     @classmethod
     def build(cls, universe, sets) -> "CoverageInstance":
         uni = tuple((str(e), exact(w)) for e, w in universe)
-        return cls(uni, tuple(frozenset(str(x) for x in a) for a in sets))
+        sets = [[str(x) for x in a] for a in sets]
+        for k, a in enumerate(sets):
+            if len(set(a)) != len(a):
+                again = next(x for i, x in enumerate(a) if x in a[:i])
+                raise ValueError(f"sets[{k}]: repeated label {again!r}")
+        return cls(uni, tuple(frozenset(a) for a in sets))
 
     @property
     def n(self) -> int:

@@ -29,6 +29,7 @@ from clckit import (
     UniformMatroid,
 )
 from clckit.bitsets import labels_of, mask_of
+from clckit.logconcave import Inertia
 from clckit.matroids import ExplicitValidation
 from clckit.setfn import ZERO, exact
 from clckit.simplex import LPFeasibility
@@ -98,6 +99,31 @@ def rand_symmetric(rng: random.Random, m: int, span: int = 5) -> list[list[Fract
         for j in range(i + 1, m):
             v = Fraction(rng.randint(-span, span), rng.randint(1, 3))
             h[i][j] = h[j][i] = v
+    return h
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices of dim 1 to 9, entries over denominators up
+    to 7: dense, hollow (an all-zero diagonal, so elimination starts with a
+    swap-free repair) or rank-deficient (G E G^T with fewer columns in G than
+    the dim, so some eigenvalues are exactly zero)."""
+    m = draw(st.integers(1, 9))
+    entry = st.fractions(-5, 5, max_denominator=7)
+    kind = draw(st.sampled_from(("dense", "hollow", "rank-deficient")))
+    if kind == "rank-deficient":
+        r = draw(st.integers(0, m - 1))
+        g = [[draw(entry) for _ in range(r)] for _ in range(m)]
+        e = [draw(entry) for _ in range(r)]
+        return [
+            [sum((g[i][t] * e[t] * g[j][t] for t in range(r)), ZERO) for j in range(m)]
+            for i in range(m)
+        ]
+    h = [[ZERO] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            if i != j or kind == "dense":
+                h[i][j] = h[j][i] = draw(entry)
     return h
 
 
@@ -207,6 +233,47 @@ def mobius_oracle(f: SetFunctionTable) -> dict[int, Fraction]:
                 y[m] -= y[m ^ bit]
         bit <<= 1
     return {m: v for m, v in enumerate(y) if m and v}
+
+
+def inertia_oracle(matrix) -> Inertia:
+    """Symmetric congruence diagonalization on `Fraction`s, step by step the
+    rational version of `clckit.logconcave.inertia`: the same zero-pivot swap
+    and "add row/column j to row/column k" repair, and one eigenvalue per
+    pivot by its own sign."""
+    m = len(matrix)
+    a = [[exact(x) for x in row] for row in matrix]
+    pos = neg = zero = 0
+    for k in range(m):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, m) if a[i][i] != 0), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                off = next((i for i in range(k + 1, m) if a[i][k] != 0), None)
+                if off is None:
+                    zero += 1
+                    continue
+                for t in range(m):
+                    a[k][t] += a[off][t]
+                for t in range(m):
+                    a[t][k] += a[t][off]
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        rowk = a[k]
+        for i in range(k + 1, m):
+            aik = a[i][k]
+            if aik:
+                f = aik / d
+                rowi = a[i]
+                for j in range(k + 1, m):
+                    if rowk[j]:
+                        rowi[j] -= f * rowk[j]
+    return Inertia(pos, zero, neg)
 
 
 def phase1_oracle(a, b) -> LPFeasibility:

@@ -410,6 +410,10 @@ def _cert_args(tmp_path, doc):
         ("ulc", [], "document: expected an object, found a list"),
         ("poly", {"n": 2, "terms": [{"coeff": "1"}]}, "terms[0].set: missing"),
         ("coverage", {"sets": [["a"]]}, "universe: missing"),
+        ("coverage", {"universe": [{"id": "a", "weight": "1"}, {"id": "b", "weight": "1"}],
+                      "sets": [["a", "a"], ["b"]]}, "error: sets[0]: repeated label 'a'\n"),
+        ("coverage", {"universe": [{"id": "1", "weight": "1"}], "sets": [[1]]},
+         "sets[0][0]: expected a string, found an integer"),
         ("matroid", {"r": 1, "n": 2}, "type: missing"),
         ("matroid", {"type": "graphic", "edges": [[1, 2]]}, "vertices: missing"),
         ("cert", {"d": 2, "n": 3, "witnesses": [{"S": [1, 2]}]}, "witnesses[0].tau: missing"),
@@ -432,6 +436,7 @@ def _cert_args(tmp_path, doc):
         "table-value-missing", "coverage-weight-zero-denominator", "partition-block-integer",
         "graphic-edge-integer", "coverage-universe-object", "table-n-missing",
         "table-set-missing", "table-document-list", "poly-set-missing", "coverage-universe-missing",
+        "coverage-set-repeated-label", "coverage-set-integer-label",
         "matroid-type-missing", "graphic-vertices-missing", "cert-tau-missing", "cert-support-missing",
         "pmf-outcome-missing", "alphabets-missing", "pmf-document-string", "pmf-p-nan", "pmf-outcome-repeated",
         "pmf-p-huge-integer",

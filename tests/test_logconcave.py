@@ -68,6 +68,20 @@ def test_inertia_rejects_asymmetric():
         inertia([[0, 1], [2, 0]])
 
 
+def test_inertia_input_checks():
+    with pytest.raises(TypeError, match="refusing float"):
+        inertia([[1.0]])
+    with pytest.raises(TypeError, match="cannot parse"):
+        inertia([[True]])
+    with pytest.raises(ValueError, match="square"):
+        inertia([[1, 0]])
+    # ints, rationals and strings scale together over one denominator
+    assert inertia([[Fraction(1, 3), 2], [2, "1/5"]]).as_tuple() == (1, 0, 1)
+    big = 10**40
+    assert inertia([[big, big + 1], [big + 1, big]]).as_tuple() == (1, 0, 1)
+    assert inertia([]).as_tuple() == (0, 0, 0)
+
+
 def test_inertia_matches_float_oracle():
     rng = random.Random(77)
     for _ in range(200):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from clckit import (
     CoverageInstance,
@@ -57,6 +57,7 @@ from clckit.simplex import phase1
 
 from conftest import (
     coverage_instances,
+    inertia_oracle,
     materialize_oracle,
     mixing_time_oracle,
     mobius_oracle,
@@ -68,6 +69,7 @@ from conftest import (
     reference_2cov_indicator,
     reference_strong_matroid,
     sample_chain_oracle,
+    symmetric_matrices,
     transition_matrix_oracle,
 )
 
@@ -118,6 +120,15 @@ def test_inertia_matches_characteristic_polynomial():
         m = rng.randint(1, 6)
         h = rand_symmetric(rng, m)
         assert inertia(h).as_tuple() == descartes_inertia(h)
+
+
+@given(symmetric_matrices())
+@example([[0, 1], [1, 2]])  # zero pivot, swap
+@example([[0, 1, 0], [1, 0, 0], [0, 0, 0]])  # repair, then a zero row
+@example([[0, -3], [-3, 0]])
+@settings(max_examples=150, deadline=None)
+def test_inertia_matches_fraction_oracle(h):
+    assert inertia(h) == inertia_oracle(h)
 
 
 def test_inertia_on_degenerate_matrices():
@@ -391,9 +402,10 @@ def bfs_components(p):
     return tuple(comps)
 
 
-def reference_homogeneous(f, d):
+def reference_homogeneous(f, d, inertia_of=inertia):
     """(verdict, checks, failure) of the sufficient conditions on f^(d), from
-    derived polynomials; the failure is (tau, k, reason, n_pos, components)."""
+    derived polynomials and their `Fraction` Hessians; the failure is (tau, k,
+    reason, n_pos, components)."""
     p = generating_poly(homogeneous_restrict(f, d))
     if p.is_zero():
         return ("vacuous", 0, None)
@@ -405,7 +417,7 @@ def reference_homogeneous(f, d):
             comps = bfs_components(q)
             quadratic = size == d - 2 and not q.is_zero()
             if quadratic and (d == 2 or len(comps) == 1):
-                n_pos = inertia(quadratic_hessian(q)).n_pos
+                n_pos = inertia_of(quadratic_hessian(q)).n_pos
                 checks += 1
                 if n_pos > 1:
                     verdict = "refuted" if d == 2 else "conditions-fail"
@@ -415,7 +427,7 @@ def reference_homogeneous(f, d):
     return ("certified", checks, None)
 
 
-def reference_homogenization(f):
+def reference_homogenization(f, inertia_of=inertia):
     """The same on q_f, with each quadratic cell scaled by 1/k!."""
     n = f.n
     q = homogenize(f)
@@ -433,7 +445,7 @@ def reference_homogenization(f):
                     return ("conditions-fail", checks, (tau, k, "decomposable", None, comps))
                 if k == n - 1 - size and not qd.is_zero():
                     quad = scale(qd, Fraction(1, factorial(k)))
-                    n_pos = inertia(quadratic_hessian(quad)).n_pos
+                    n_pos = inertia_of(quadratic_hessian(quad)).n_pos
                     checks += 1
                     if n_pos > 1:
                         return ("conditions-fail", checks, (tau, k, "inertia", n_pos, None))
@@ -475,6 +487,36 @@ def test_sweep_matches_polynomial_reference():
     # every verdict and failure kind is exercised
     assert outcomes >= {
         ("vacuous", None),
+        ("certified", None),
+        ("refuted", "inertia"),
+        ("conditions-fail", "inertia"),
+        ("conditions-fail", "decomposable"),
+    }
+
+
+def test_drivers_match_oracle_reference_on_mixed_denominators():
+    # the drivers scale each table to integers once, over the lcm of values
+    # with several denominators; the reference reads the Fraction Hessians
+    # of derived polynomials and diagonalizes them with the Fraction oracle
+    rng = random.Random(53)
+    outcomes = set()
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        dense = rng.random()
+        vals = [Fraction(0)] * (1 << n)
+        for m in range(1, 1 << n):
+            if rng.random() < dense:
+                vals[m] = Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 5, 7, 9)))
+        f = SetFunctionTable(n, tuple(vals))
+        pairs = [(as_tuple(certify_clc_homogenization(f)), reference_homogenization(f, inertia_oracle))]
+        for d in range(2, n + 1):
+            pairs.append(
+                (as_tuple(certify_clc_homogeneous(f, d)), reference_homogeneous(f, d, inertia_oracle))
+            )
+        for got, want in pairs:
+            assert got == want
+            outcomes.add((got[0], got[2] and got[2][2]))
+    assert outcomes >= {
         ("certified", None),
         ("refuted", "inertia"),
         ("conditions-fail", "inertia"),
