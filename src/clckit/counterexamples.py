@@ -12,7 +12,6 @@ submodular extension that is nonnegative on nonempty sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .coverage2 import search_2cov_feasible
 from .logconcave import (
@@ -21,7 +20,7 @@ from .logconcave import (
     quadratic_inertia,
 )
 from .polynomials import MultiaffinePolynomial
-from .setfn import ZERO, SetFunctionTable, _monotone_witness, _submodular_witness, integer_scaled
+from .setfn import SetFunctionTable, _monotone_witness, _submodular_witness
 
 
 def budget_additive_table() -> SetFunctionTable:
@@ -31,14 +30,11 @@ def budget_additive_table() -> SetFunctionTable:
     for s in range(1, len(sums)):
         low = s & -s
         sums[s] = sums[s ^ low] + weights[low.bit_length() - 1]
-    capped = (ZERO, Fraction(1), Fraction(2))
-    return SetFunctionTable(len(weights), tuple(capped[min(v, 2)] for v in sums))
+    return SetFunctionTable(len(weights), [min(v, 2) for v in sums])
 
 
 def triangle_quadratic() -> MultiaffinePolynomial:
-    return MultiaffinePolynomial(
-        3, {0b011: Fraction(3), 0b101: Fraction(1), 0b110: Fraction(1)}
-    )
+    return MultiaffinePolynomial(3, {0b011: 3, 0b101: 1, 0b110: 1})
 
 
 def triangle_table() -> SetFunctionTable:
@@ -56,9 +52,8 @@ class CounterexampleOutcome:
 
 def check_budget_additive() -> CounterexampleOutcome:
     f = budget_additive_table()
-    vals, _ = integer_scaled(f.values)  # both predicates are homogeneous in f
-    monotone = _monotone_witness(f.n, vals) is None
-    submodular = _submodular_witness(f.n, vals) is None
+    monotone = _monotone_witness(f.n, f.nums) is None
+    submodular = _submodular_witness(f.n, f.nums) is None
     report = certify_clc_homogeneous(f, 2)
     ok = (
         monotone

@@ -33,10 +33,11 @@ from typing import Mapping
 from .bitsets import labels_of, mask_of, masks_of_size, submasks
 from .errors import CapExceededError, InternalCheckError, MissingWitnessError
 from .logconcave import contraction_cells
-from .matroids import ONE, Matroid, independence_indicator, parallel_partition, to_setfunction
+from .matroids import Matroid, independence_indicator, parallel_partition, to_setfunction
 from .setfn import (
     CoverageInstance,
     CoverageWeights,
+    ONE,
     SetFunctionTable,
     ZERO,
     materialize,
@@ -87,7 +88,7 @@ def _pair_support(f: SetFunctionTable, tmask: int) -> tuple[dict[int, Fraction],
     for a in range(len(outside)):
         for b in range(a + 1, len(outside)):
             pm = outside[a] | outside[b]
-            pairs[pm] = v = f.values[tmask | pm]
+            pairs[pm] = v = f[tmask | pm]
             if v != 0:
                 touched |= pm
     return pairs, touched
@@ -162,6 +163,7 @@ def verify_strong2cov(
     if cert.n != n:
         raise ValueError("certificate dimensions do not match the table")
     full = (1 << n) - 1
+    nums, scale = f.nums, f.scale  # f(S) = nums[S] / scale
     checks = 0
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
@@ -172,17 +174,17 @@ def verify_strong2cov(
             if any(t & ~(full ^ tmask) for t in g.x):
                 raise ValueError(f"witness at tau={tau} reaches outside the complement of tau")
             outside = [b for b in range(n) if not tmask >> b & 1]
-            base = f.values[tmask]
+            base = nums[tmask]
             for ia, a in enumerate(outside):
                 checks += 1
-                if f.values[tmask | (1 << a)] != g.value(1 << a) + base:
+                if nums[tmask | (1 << a)] - base != g.value(1 << a) * scale:
                     return CertificateCheck(
                         False, checks, f"singleton equation failed at {a + 1}", tau
                     )
                 for b in outside[ia + 1:]:
                     pm = (1 << a) | (1 << b)
                     checks += 1
-                    if f.values[tmask | pm] != g.value(pm) + base:
+                    if nums[tmask | pm] - base != g.value(pm) * scale:
                         return CertificateCheck(
                             False,
                             checks,
@@ -230,12 +232,12 @@ def synth_2cov_indicator(m: Matroid, d: int, cap: int = 14) -> TwoCoverageCertif
     if n > cap:
         raise CapExceededError(f"{n} elements exceed cap {cap}")
     table = to_setfunction(m, "rank")
-    full_rank = table.values[-1]
+    full_rank = table.nums[-1]  # a rank table's scale is 1
     if not 2 <= d <= full_rank:
         raise ValueError(f"d={d} exceeds the matroid rank {full_rank}")
     witnesses: dict[tuple[int, ...], TwoCoverageWitness] = {}
     for tmask in masks_of_size(n, d - 2):
-        independent = table.values[tmask] == d - 2
+        independent = table.nums[tmask] == d - 2
         classes = parallel_partition(table, tmask).classes if independent else ()
         smask = mask_of(lab for c in classes for lab in c)
         witnesses[labels_of(tmask)] = TwoCoverageWitness(

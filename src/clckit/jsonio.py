@@ -86,11 +86,12 @@ def _decimal(literal: str) -> Fraction:
     return Fraction(Decimal(literal))
 
 
-def _load(path: str, parse_float=_decimal, object_pairs_hook=None) -> dict:
+def _load(path: str, parse_float=_decimal) -> dict:
     """The JSON object in the file at `path`, decimals read exactly unless
-    `parse_float` says otherwise."""
+    `parse_float` says otherwise; a key repeated within one object is
+    refused, in every kind of document."""
     with open(path) as fh:
-        doc = json.load(fh, parse_float=parse_float, object_pairs_hook=object_pairs_hook)
+        doc = json.load(fh, parse_float=parse_float, object_pairs_hook=_unique_keys)
     return _typed(doc, dict, "document")
 
 
@@ -149,23 +150,23 @@ def load_set_function(path: str) -> SetFunctionTable:
     if n > HARD_CAP:  # before allocating 2^n values
         raise CapExceededError(f"n={n} exceeds the hard cap {HARD_CAP}")
     full = (1 << n) - 1
-    values = [ZERO] * (full + 1)
+    values = [0] * (full + 1)
     seen: dict[int, int] = {}
     for k, entry in enumerate(_typed(doc.get("entries", []), list, "entries")):
         _typed(entry, dict, f"entries[{k}]")
         labels = _field(entry, "set", at=f"entries[{k}].set")
         mask = _subset(labels, "entries[{}]", k, full, f"n={n}", seen)
         values[mask] = _rational(entry, "value", f"entries[{k}].value")
-    return SetFunctionTable(n, tuple(values))
+    return SetFunctionTable.of(n, values)
 
 
 def dump_set_function(f: SetFunctionTable) -> dict:
     return {
         "n": f.n,
         "entries": [
-            {"set": list(labels_of(m)), "value": str(v)}
-            for m, v in enumerate(f.values)
-            if v != 0
+            {"set": list(labels_of(m)), "value": str(f[m])}
+            for m, v in enumerate(f.nums)
+            if v
         ],
     }
 
@@ -282,9 +283,8 @@ def load_certificate(path: str):
     """A document with a top-level "d" is a two-coverage certificate;
     otherwise a strong one. The labels in g and l keys must lie in the
     witness's ground set: S for two-coverage, the complement of tau for a
-    strong certificate. Masks are kept over [n], and a key repeated within
-    one object is refused."""
-    doc = _load(path, object_pairs_hook=_unique_keys)
+    strong certificate. Masks are kept over [n]."""
+    doc = _load(path)
     n = _field(doc, "n", int)
     full = (1 << n) - 1
     in_n = f"n={n}"

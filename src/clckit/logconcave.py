@@ -3,8 +3,9 @@
 Every sign decision is made by exact congruence diagonalization of a rational
 symmetric matrix (Sylvester's law of inertia keeps the sign counts invariant
 under congruence), never by a floating eigensolver, and fraction-free: the
-drivers scale the table to integers once and every Hessian is eliminated by
-Bareiss's rule. Floats appear only in test oracles cross-checking these.
+drivers read each Hessian off the table's integer numerators and eliminate
+it by Bareiss's rule. Floats appear only in test oracles cross-checking
+these.
 
 The two certification drivers apply the standard sufficient conditions for
 complete log-concavity of a homogeneous multiaffine polynomial: every mixed
@@ -227,9 +228,10 @@ def contraction_cells(f: SetFunctionTable, d: int | None):
 
 def _quadratic_hessian(vals: Sequence[int], n: int, tmask: int, k: int | None) -> list[list[int]]:
     """Hessian of a quadratic cell on the coordinates outside tau, read from
-    the integer-scaled table `vals` over [n]: f(tau+ij) off the diagonal and,
-    for the q_f cell scaled by 1/k! (a positive constant), y in row 0 with
-    (m+1)m f(tau) and m f(tau+i), where m = n - |tau|."""
+    the table's numerators `vals` over [n] (scaled by f's positive
+    denominator): f(tau+ij) off the diagonal and, for the q_f cell scaled by
+    1/k! (a positive constant), y in row 0 with (m+1)m f(tau) and m f(tau+i),
+    where m = n - |tau|."""
     rest = [1 << b for b in range(n) if not tmask >> b & 1]
     h = [[vals[tmask | a | b] if a != b else 0 for b in rest] for a in rest]
     if k is None:
@@ -242,7 +244,7 @@ def _quadratic_hessian(vals: Sequence[int], n: int, tmask: int, k: int | None) -
 
 def _certify(f: SetFunctionTable, d: int | None) -> CertificationReport:
     """Both drivers: the sufficient conditions on f^(d), or on q_f when d is None."""
-    checks, vals = 0, None  # vals: f scaled to ints, from the first Hessian on
+    checks = 0
     for tmask, k, comps, quadratic in contraction_cells(f, d):
         if not checks and not comps:
             # the first cell is the polynomial itself
@@ -250,8 +252,7 @@ def _certify(f: SetFunctionTable, d: int | None) -> CertificationReport:
         checks += 1
         # a plain quadratic (d = 2) is decided by its Hessian even when decomposable
         if comps and quadratic and (d == 2 or len(comps) == 1):
-            vals = vals or integer_scaled(f.values)[0]
-            n_pos = inertia(_quadratic_hessian(vals, f.n, tmask, k)).n_pos
+            n_pos = inertia(_quadratic_hessian(f.nums, f.n, tmask, k)).n_pos
             checks += 1
             if n_pos > 1:
                 verdict = VERDICT_REFUTED if d == 2 else VERDICT_CONDITIONS_FAIL
@@ -362,12 +363,12 @@ def mainpsd_witness(instance: CoverageInstance, cap: int = 12) -> MainPSDWitness
         raise CapExceededError(f"m={m} exceeds cap {cap}")
     weights = instance.weights()
     table = materialize(weights)
-    g1 = [table.values[1 << i] for i in range(m)]
+    g1 = [table[1 << i] for i in range(m)]
     r = [[ZERO] * m for _ in range(m)]
     for i in range(m):
         r[i][i] = 2 * g1[i]
         for j in range(i + 1, m):
-            pair = table.values[(1 << i) | (1 << j)]
+            pair = table[(1 << i) | (1 << j)]
             r[i][j] = r[j][i] = g1[i] + g1[j] - pair
     bsum = [[ZERO] * m for _ in range(m)]
     for t, x in weights.x.items():

@@ -11,9 +11,7 @@ from typing import Iterable, Sequence
 
 from .bitsets import labels_of, mask_of
 from .errors import CapExceededError, NotAMatroidError
-from .setfn import HARD_CAP, SetFunctionTable, ZERO
-
-ONE = Fraction(1)
+from .setfn import HARD_CAP, SetFunctionTable
 
 
 class Matroid:
@@ -244,9 +242,9 @@ def parallel_partition(rank: SetFunctionTable, tau: int = 0) -> ParallelPartitio
     (0 loop-loop, 1 within a class or with a loop, 2 across classes) on every
     pair. Labels are 1-based table positions.
     """
-    r = rank.values
+    r, unit = rank.nums, rank.scale
     base = r[tau]
-    level = (base, base + 1, base + 2)  # r(tau) plus contracted rank 0, 1, 2
+    level = (base, base + unit, base + 2 * unit)  # r(tau) plus contracted rank 0, 1, 2
     outside = [b for b in range(rank.n) if not tau >> b & 1]
     loops = []
     classes: list[list[int]] = []
@@ -269,7 +267,7 @@ def parallel_partition(rank: SetFunctionTable, tau: int = 0) -> ParallelPartitio
             # one per nonloop, less one when both sit in the same class
             expected = (ca is not None) + (cb is not None) - (ca is not None and ca == cb)
             if r[tau | 1 << a | 1 << b] != level[expected]:
-                actual = r[tau | 1 << a | 1 << b] - base
+                actual = Fraction(r[tau | 1 << a | 1 << b] - base, unit)
                 raise NotAMatroidError(
                     f"pair rank case table violated at ({a + 1},{b + 1}): rank {actual}, expected {expected}"
                 )
@@ -282,9 +280,8 @@ def parallel_partition(rank: SetFunctionTable, tau: int = 0) -> ParallelPartitio
 def to_setfunction(m: Matroid, mode: str = "rank") -> SetFunctionTable:
     """Rank table or 0/1 independence indicator over the sorted ground labels.
 
-    Entries share one Fraction per rank value. The indicator stores 0 at the
-    empty set (the table convention wins over the combinatorial value 1;
-    degree->=1 restrictions are unaffected).
+    The indicator stores 0 at the empty set (the table convention wins over
+    the combinatorial value 1; degree->=1 restrictions are unaffected).
     """
     if mode not in ("rank", "indicator"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -292,17 +289,15 @@ def to_setfunction(m: Matroid, mode: str = "rank") -> SetFunctionTable:
     k = len(els)
     if k > HARD_CAP:
         raise CapExceededError(f"{k} elements exceed the materialization cap")
-    ranks = [ZERO] + [Fraction(r) for r in range(1, k + 1)]
-    vals = [ZERO] * (1 << k)
+    vals = [0] * (1 << k)
     for mask in range(1, 1 << k):
-        vals[mask] = ranks[m._rank(frozenset(els[b] for b in range(k) if mask >> b & 1))]
-    table = SetFunctionTable(k, tuple(vals))
+        vals[mask] = m._rank(frozenset(els[b] for b in range(k) if mask >> b & 1))
+    table = SetFunctionTable(k, vals)
     return table if mode == "rank" else independence_indicator(table)
 
 
 def independence_indicator(rank: SetFunctionTable) -> SetFunctionTable:
     """The 0/1 indicator of r(S) = |S|, read off a rank table; 0 at the empty set."""
     return SetFunctionTable(
-        rank.n,
-        tuple(ONE if s and r == s.bit_count() else ZERO for s, r in enumerate(rank.values)),
+        rank.n, [1 if s and r == s.bit_count() * rank.scale else 0 for s, r in enumerate(rank.nums)]
     )

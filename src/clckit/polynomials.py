@@ -71,7 +71,7 @@ Polynomial = Union[MultiaffinePolynomial, HomogenizedPolynomial]
 def generating_poly(f: SetFunctionTable) -> MultiaffinePolynomial:
     """coeff(x^S) = f(S)."""
     return MultiaffinePolynomial(
-        f.n, {m: v for m, v in enumerate(f.values) if v != 0}
+        f.n, {m: f[m] for m, v in enumerate(f.nums) if v}
     )
 
 
@@ -79,7 +79,7 @@ def homogenize(f: SetFunctionTable) -> HomogenizedPolynomial:
     """q(y, x) = sum over S of f(S) y^(n+1-|S|) x^S, homogeneous of degree n+1."""
     return HomogenizedPolynomial(
         f.n,
-        {(f.n + 1 - m.bit_count(), m): v for m, v in enumerate(f.values) if v != 0},
+        {(f.n + 1 - m.bit_count(), m): f[m] for m, v in enumerate(f.nums) if v},
     )
 
 

@@ -1,10 +1,11 @@
 """Exact set-function tables and the representations that generate them.
 
-Everything here is exact rational arithmetic (fractions.Fraction): all the
-downstream certification logic consists of sign conditions, so no tolerances
-belong in this layer. Tables materialize a function f: 2^[n] -> Q>=0 as a
-dense array indexed by subset bitmask, with f(empty) = 0 as a standing
-convention. Floats are rejected on input; parse decimal strings instead.
+Everything here is exact rational arithmetic: all the downstream
+certification logic consists of sign conditions, so no tolerances belong in
+this layer. A table holds f: 2^[n] -> Q>=0 densely by subset bitmask, as
+integer numerators over one denominator, with f(empty) = 0 as a standing
+convention; this module alone maps it to Fractions. Floats are rejected on
+input; parse decimal strings instead.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .errors import CapExceededError, InternalCheckError
 HARD_CAP = 24
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def exact(value) -> Fraction:
@@ -47,59 +49,71 @@ def integer_scaled(values: Sequence) -> tuple[list[int], int]:
 
 @dataclass(frozen=True)
 class SetFunctionTable:
-    """Exhaustive values of f: 2^[n] -> Q>=0, indexed by subset bitmask."""
+    """f: 2^[n] -> Q>=0, indexed by subset bitmask, as integer numerators over
+    one denominator: f(S) = nums[S] / scale. The pair is kept in lowest terms
+    (gcd(scale, *nums) == 1), so tables of one function compare equal.
+    Indexing and `value_of` return Fractions; integer kernels read `nums`."""
 
     n: int
-    values: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    scale: int = 1
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("ground-set size must be nonnegative")
         if self.n > HARD_CAP:
             raise CapExceededError(f"n={self.n} exceeds the hard cap {HARD_CAP}")
-        if len(self.values) != 1 << self.n:
-            raise ValueError(f"expected {1 << self.n} values, got {len(self.values)}")
-        if self.values[0] != 0:
+        nums, scale = tuple(self.nums), self.scale
+        if len(nums) != 1 << self.n:
+            raise ValueError(f"expected {1 << self.n} values, got {len(nums)}")
+        if type(scale) is not int or scale <= 0:
+            raise ValueError(f"scale must be a positive integer, got {scale!r}")
+        if not {int}.issuperset(map(type, nums)):
+            raise TypeError("table numerators must be ints")
+        if nums[0] != 0:
             raise ValueError("f(empty set) must be 0")
-        for v in self.values:
-            if v < 0:
-                raise ValueError(f"negative value {v}")
+        if min(nums) < 0:
+            raise ValueError(f"negative value {Fraction(next(v for v in nums if v < 0), scale)}")
+        g = math.gcd(scale, *nums)
+        object.__setattr__(self, "nums", nums if g == 1 else tuple(v // g for v in nums))
+        object.__setattr__(self, "scale", scale // g)
+
+    @classmethod
+    def of(cls, n: int, values: Sequence) -> "SetFunctionTable":
+        """The table of exact values (ints or Fractions) listed by mask."""
+        return cls(n, *integer_scaled(values))
 
     @classmethod
     def from_entries(cls, n: int, entries: Mapping) -> "SetFunctionTable":
         """Build from {labels-or-mask: value}; unspecified subsets default to 0."""
-        vals = [ZERO] * (1 << n)
+        vals = [0] * (1 << n)
         for key, v in entries.items():
             mask = key if isinstance(key, int) else mask_of(key)
             if mask >= 1 << n:
                 raise ValueError(f"subset {key} out of range for n={n}")
             vals[mask] = exact(v)
-        return cls(n, tuple(vals))
+        return cls.of(n, vals)
 
     def __getitem__(self, mask: int) -> Fraction:
-        return self.values[mask]
+        return Fraction(self.nums[mask], self.scale)
 
     def value_of(self, labels: Iterable[int]) -> Fraction:
-        return self.values[mask_of(labels)]
+        return self[mask_of(labels)]
 
     def degree(self) -> int:
         """Largest |S| with f(S) != 0; 0 for the zero function."""
-        best = 0
-        for mask, v in enumerate(self.values):
-            if v != 0:
-                best = max(best, mask.bit_count())
-        return best
+        return max((m.bit_count() for m, v in enumerate(self.nums) if v), default=0)
 
     def support(self, size: int | None = None) -> tuple[int, ...]:
         """Masks with f > 0, optionally restricted to one cardinality."""
         return tuple(
             m
-            for m, v in enumerate(self.values)
-            if v != 0 and (size is None or m.bit_count() == size)
+            for m, v in enumerate(self.nums)
+            if v and (size is None or m.bit_count() == size)
         )
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.nums)
 
 
 @dataclass(frozen=True)
@@ -193,19 +207,15 @@ def materialize(rep: CoverageWeights) -> SetFunctionTable:
     x = [0] * (1 << n)
     for t, v in zip(rep.x, nums):
         x[t] = v
-    vals = coverage_values(x)
-    shared = {v: Fraction(v, scale) for v in set(vals)}
-    return SetFunctionTable(n, tuple(shared[v] for v in vals))
+    return SetFunctionTable(n, coverage_values(x), scale)
 
 
 def homogeneous_restrict(f: SetFunctionTable, d: int) -> SetFunctionTable:
     """Keep values on sets of size d, zero elsewhere."""
     if not 0 <= d <= f.n:
         raise ValueError(f"degree {d} out of range for n={f.n}")
-    vals = tuple(
-        v if m.bit_count() == d else ZERO for m, v in enumerate(f.values)
-    )
-    return SetFunctionTable(f.n, vals)
+    nums = [v if m.bit_count() == d else 0 for m, v in enumerate(f.nums)]
+    return SetFunctionTable(f.n, nums, f.scale)
 
 
 @dataclass(frozen=True)
@@ -223,10 +233,7 @@ def predicates(f: SetFunctionTable) -> PredicateReport:
     Log-submodularity is checked multiplicatively, f(S+i) f(T) >= f(T+i) f(S)
     for S inside T, so zero values need no special casing.
     """
-    n = f.n
-    # every inequality is homogeneous in f, so scale to integers once and let
-    # the 3^n sweeps run on plain ints
-    vals, _ = integer_scaled(f.values)
+    n, vals = f.n, f.nums  # every inequality is homogeneous in f
     witnesses: dict[str, tuple] = {}
 
     mono = _monotone_witness(n, vals)
@@ -312,27 +319,25 @@ class MobiusResult:
 def mobius_coverage_weights(f: SetFunctionTable) -> MobiusResult:
     """Solve f(S) = sum over T meeting S of x_T for the unique x.
 
-    Runs `coverage_weights` on the integer numerators of f over their common
-    denominator, then re-checks the reconstruction `coverage_values(x) == f`
-    exactly on the same ints before returning.
+    Runs `coverage_weights` on the table's integer numerators, then re-checks
+    the reconstruction `coverage_values(x) == f` exactly on the same ints
+    before returning.
     """
-    nums, scale = integer_scaled(f.values)
-    x = coverage_weights(nums)
+    x = coverage_weights(f.nums)
     # independent re-check: zeta(x) must reproduce f through the defining sums
-    for s, (got, want) in enumerate(zip(coverage_values(x), nums)):
+    for s, (got, want) in enumerate(zip(coverage_values(x), f.nums)):
         if got != want:
             raise InternalCheckError(
                 f"Moebius reconstruction failed at S={labels_of(s)}"
             )
-    min_weight = Fraction(min(x[1:]), scale) if f.n else ZERO
-    weights = {m: Fraction(v, scale) for m, v in enumerate(x) if m and v}
+    min_weight = Fraction(min(x[1:]), f.scale) if f.n else ZERO
+    weights = {m: Fraction(v, f.scale) for m, v in enumerate(x) if m and v}
     return MobiusResult(weights, min_weight >= 0, min_weight)
 
 
 def level_sequence(f: SetFunctionTable) -> tuple[Fraction, ...]:
     """c_i = sum of f over sets of size i, for i = 0..n."""
-    out = [ZERO] * (f.n + 1)
-    for m, v in enumerate(f.values):
-        if v != 0:
-            out[m.bit_count()] += v
-    return tuple(out)
+    out = [0] * (f.n + 1)
+    for m, v in enumerate(f.nums):
+        out[m.bit_count()] += v
+    return tuple(Fraction(c, f.scale) for c in out)

@@ -8,10 +8,10 @@ and detailed balance holds exactly; transition_matrix re-verifies both
 rather than assuming them.
 
 Each base R has one candidate row: its targets and their cumulative
-weights scaled to integers by the lcm of their denominators. A sampled
-chain caches the row of each base it visits, so a step is two rejection
-draws and a bisection; the transition matrix is read off the row of every
-base. Mixing powers integer rows over one common denominator.
+weights, the table's numerators divided by gcd(scale, row). A sampled chain
+caches the row of each base it visits, so a step is two rejection draws and
+a bisection; the transition matrix is read off the row of every base.
+Mixing powers integer rows over one common denominator.
 
 Randomness comes from numpy's Philox4x64-10 counter-based generator, scheme
 "philox4x64-10/v1": the key is the user seed, an n-byte draw is the first n
@@ -80,8 +80,9 @@ class WalkInstance:
     n: int
     d: int
     support: tuple[int, ...]  # size-d masks with f > 0, ascending
-    weights: tuple[Fraction, ...]  # f values aligned with support
-    total: Fraction
+    weights: tuple[int, ...]  # f's numerators aligned with support
+    total: int  # their sum
+    scale: int  # f's denominator: f(support[i]) = weights[i] / scale
     index: Mapping[int, int] = field(repr=False)
 
 
@@ -91,26 +92,28 @@ def walk_instance(f: SetFunctionTable, d: int) -> WalkInstance:
     support = f.support(size=d)
     if not support:
         raise ValueError(f"f has no nonzero sets of size {d}")
-    weights = tuple(f.values[m] for m in support)
+    weights = tuple(f.nums[m] for m in support)
     return WalkInstance(
         n=f.n,
         d=d,
         support=support,
         weights=weights,
-        total=sum(weights, ZERO),
+        total=sum(weights),
+        scale=f.scale,
         index={m: i for i, m in enumerate(support)},
     )
 
 
 def _candidate_row(w: WalkInstance, base: int) -> tuple[tuple[int, ...], list[int]]:
     """Targets R + {j} in the support from the base R, ascending, and their
-    cumulative weights scaled to integers by the lcm of the weight
-    denominators; the walk's one enumeration of candidates."""
+    cumulative weights over the lcm of the weight denominators, which is
+    scale / gcd(scale, row); the walk's one enumeration of candidates."""
     targets = tuple(t for j in range(w.n) if (t := base | 1 << j) != base and t in w.index)
     if not targets:
         raise InternalCheckError("no candidate after dropping; support corrupted")
-    scaled, _ = integer_scaled([w.weights[w.index[t]] for t in targets])
-    return targets, list(accumulate(scaled))
+    row = [w.weights[w.index[t]] for t in targets]
+    g = math.gcd(w.scale, *row)
+    return targets, list(accumulate(v // g for v in row))
 
 
 def step(w: WalkInstance, state: int, next_word: Callable[[], int], cache: dict) -> int:
@@ -175,11 +178,11 @@ class MixingResult:
     switched_to_float_at: int | None
 
 
-def _exact_tv(rows: list[list[int]], scale: int, w_int: list[int], w_sum: int) -> Fraction:
-    """max_i TV(rows[i] / scale, w_int / w_sum), exactly."""
-    target = [scale * x for x in w_int]
-    worst = max(sum(map(abs, map(sub, map(mul, row, repeat(w_sum)), target))) for row in rows)
-    return Fraction(worst, 2 * scale * w_sum)
+def _exact_tv(rows: list[list[int]], scale: int, w: WalkInstance) -> Fraction:
+    """max_i TV(rows[i] / scale, w.weights / w.total), exactly."""
+    target = [scale * x for x in w.weights]
+    worst = max(sum(map(abs, map(sub, map(mul, row, repeat(w.total)), target))) for row in rows)
+    return Fraction(worst, 2 * scale * w.total)
 
 
 def _exceeds_bits(rows: list[list[int]], scale: int, max_bits: int) -> bool:
@@ -207,11 +210,11 @@ def mixing_time_exact(
     sparse integer rows (at most d(n-d)+1 nonzeros each). Powering keeps the
     integer rows N^t over the one denominator L^t, and the TV after t steps
     is the exact ratio max_i sum_j |N^t[i][j] W - L^t w_j| / (2 L^t W), with
-    w the weights scaled to integers and W their sum. Powering stays exact
-    until some entry N^t[i][j] / L^t, in lowest terms, has a numerator or
-    denominator of more than max_bits bits (never while L^t itself fits in
-    max_bits), then switches to binary64 with 1e-12 slack on the eps
-    comparison. The TV curve must be nonincreasing; in exact mode a
+    w the integer weights and W their sum (the ratio is homogeneous in w).
+    Powering stays exact until some entry N^t[i][j] / L^t, in lowest terms,
+    has a numerator or denominator of more than max_bits bits (never while
+    L^t itself fits in max_bits), then switches to binary64 with 1e-12 slack
+    on the eps comparison. The TV curve must be nonincreasing; in exact mode a
     violation raises (it would be a bug), in float mode a 1e-12 wobble is
     tolerated.
     """
@@ -230,14 +233,12 @@ def mixing_time_exact(
         for j in row:
             cols[j][0].append(i)
             cols[j][1].append(next(numerators))
-    w_int, _ = integer_scaled(w.weights)
-    w_sum = sum(w_int)
     rows = [[int(i == j) for j in range(k)] for i in range(k)]
     scale = 1  # L^t
     exact_mode = True
     switched_at = None
     t = 0
-    tv = _exact_tv(rows, scale, w_int, w_sum)
+    tv = _exact_tv(rows, scale, w)
     curve = [tv]
     eps_f = float(eps)
 
@@ -254,7 +255,7 @@ def mixing_time_exact(
                 rows[i] = [sum(map(mul, map(row.__getitem__, idx), vals)) for idx, vals in cols]
             scale *= big_l
             t += 1
-            new_tv = _exact_tv(rows, scale, w_int, w_sum)
+            new_tv = _exact_tv(rows, scale, w)
             if new_tv > tv:
                 raise InternalCheckError("TV increased during exact powering")
             if scale.bit_length() > max_bits and _exceeds_bits(rows, scale, max_bits):
@@ -263,7 +264,7 @@ def mixing_time_exact(
                 for i, row in enumerate(tm.rows):
                     for j, v in row.items():
                         p[i, j] = float(v)
-                mu = np.array([float(wt / w.total) for wt in w.weights])
+                mu = np.array([wt / w.total for wt in w.weights])
                 exact_mode = False
                 switched_at = t
                 new_tv = float(new_tv)
@@ -315,7 +316,7 @@ def histogram_tv(w: WalkInstance, histogram: Mapping[int, int]) -> float:
     acc = 0.0
     for mask, weight in zip(w.support, w.weights):
         emp = histogram.get(mask, 0) / total
-        acc += abs(emp - float(weight / w.total))
+        acc += abs(emp - weight / w.total)
     extra = sum(v for m, v in histogram.items() if m not in w.index)
     return (acc + extra / total) / 2.0
 

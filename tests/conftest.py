@@ -89,7 +89,7 @@ def rand_partition_matroid(rng: random.Random, n: int) -> PartitionMatroid:
 def rand_table(rng: random.Random, n: int, max_value: int = 4) -> SetFunctionTable:
     vals = [Fraction(rng.randint(0, max_value)) for _ in range(1 << n)]
     vals[0] = Fraction(0)
-    return SetFunctionTable(n, tuple(vals))
+    return SetFunctionTable.of(n, vals)
 
 
 def rand_symmetric(rng: random.Random, m: int, span: int = 5) -> list[list[Fraction]]:
@@ -180,8 +180,8 @@ def contract(f: SetFunctionTable, tau) -> Contraction:
     kept = [b for b in range(f.n) if not tmask >> b & 1]
     vals = [ZERO] * (1 << len(kept))
     for sub in range(1, len(vals)):
-        vals[sub] = f.values[tmask | sum(1 << b for i, b in enumerate(kept) if sub >> i & 1)]
-    return Contraction(f.values[tmask], SetFunctionTable(len(kept), tuple(vals)), tuple(b + 1 for b in kept))
+        vals[sub] = f[tmask | sum(1 << b for i, b in enumerate(kept) if sub >> i & 1)]
+    return Contraction(f[tmask], SetFunctionTable.of(len(kept), vals), tuple(b + 1 for b in kept))
 
 
 def congruence(p, h) -> list[list[Fraction]]:
@@ -216,7 +216,7 @@ def materialize_oracle(inst: CoverageInstance) -> SetFunctionTable:
             w = sum((weights[b] for b in range(len(weights)) if u >> b & 1), ZERO)
             weight_of[u] = w
         vals[s] = w
-    return SetFunctionTable(n, tuple(vals))
+    return SetFunctionTable.of(n, vals)
 
 
 def mobius_oracle(f: SetFunctionTable) -> dict[int, Fraction]:
@@ -225,7 +225,7 @@ def mobius_oracle(f: SetFunctionTable) -> dict[int, Fraction]:
     entries left out."""
     size = 1 << f.n
     full = size - 1
-    y = [f.values[full] - f.values[full ^ u] for u in range(size)]
+    y = [f[full] - f[full ^ u] for u in range(size)]
     bit = 1
     while bit < size:
         for m in range(size):
@@ -457,7 +457,7 @@ def _candidates_oracle(w, base: int) -> list[tuple[int, Fraction]]:
         if not base >> j & 1:
             t = base | (1 << j)
             if t in w.index:
-                out.append((t, w.weights[w.index[t]]))
+                out.append((t, Fraction(w.weights[w.index[t]], w.scale)))
     return out
 
 
@@ -522,7 +522,7 @@ def mixing_time_oracle(w, eps, cap: int = 2000, max_steps: int = 10**6, max_bits
     eps = exact(eps)
     k = len(w.support)
     p = [[row.get(j, ZERO) for j in range(k)] for row in transition_matrix_oracle(w)]
-    mu = [wt / w.total for wt in w.weights]
+    mu = [Fraction(wt, w.total) for wt in w.weights]
     rows = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
     exact_mode = True
     switched_at = None

@@ -272,6 +272,37 @@ def test_certificate_repeated_key_exit_3(tmp_path, capsys):
     assert captured.err == "error: repeated key '[1]'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, text, key",
+    [
+        (["mobius", "--input", "DOC"],
+         '{"n": 3, "n": 2, "entries": [{"set": [1], "value": "1"}]}', "n"),
+        (["ulc", "--input", "DOC"],
+         '{"n": 2, "entries": [{"set": [1], "value": "1", "value": "2"}]}', "value"),
+        (["certify-clc", "--poly", "DOC"],
+         '{"n": 2, "terms": [{"set": [1, 2], "coeff": "1", "coeff": "3"}]}', "coeff"),
+        (["certify-strong", "--matroid", "DOC"], '{"type": "uniform", "r": 2, "r": 1, "n": 3}', "r"),
+        (["certify-strong", "--coverage", "DOC"],
+         '{"universe": [{"id": "a", "weight": "1", "weight": "2"}], "sets": [["a"]]}', "weight"),
+        (["entropy", "--input", "DOC"],
+         '{"alphabets": [2], "pmf": [{"outcome": [0], "p": 0.5, "p": 1.0}, {"outcome": [1], "p": 0.5}]}',
+         "p"),
+        (["certify-2cov", "--input", "TABLE", "--d", "2", "--cert", "DOC"],
+         '{"d": 2, "n": 2, "d": 3, "witnesses": []}', "d"),
+    ],
+    ids=["table-n", "table-value", "poly-coeff", "uniform-r", "coverage-weight", "pmf-p", "cert-d"],
+)
+def test_repeated_key_exit_3_in_every_loader(tmp_path, capsys, argv, text, key):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    files = {"DOC": str(doc), "TABLE": _write(tmp_path, "t.json", _TABLE_U12)}
+    code = run([files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: repeated key {key!r}\n"
+
+
 def test_matroid_cap_checked_before_tabulating(tmp_path, capsys):
     # neither file may cost 2^n or per-vertex work before the synthesis cap
     explicit = _write(tmp_path, "explicit.json", {"type": "explicit", "n": 20, "independent": [[]]})

@@ -29,8 +29,7 @@ from clckit import coverage2
 from clckit.bitsets import mask_of
 from clckit.counterexamples import budget_additive_table, triangle_table
 from clckit.errors import MissingWitnessError
-from clckit.matroids import ONE
-from clckit.setfn import ZERO
+from clckit.setfn import ONE, ZERO
 from clckit.simplex import phase1
 
 from conftest import cardinality, coverage_example, k4, rand_coverage_instance, rand_partition_matroid
@@ -62,7 +61,7 @@ def test_verify_2cov_triangle_fails_any_cert():
 
 
 def test_verify_2cov_zero_function_empty_cert():
-    zero = SetFunctionTable(3, (Fraction(0),) * 8)
+    zero = SetFunctionTable.of(3, (Fraction(0),) * 8)
     check = verify_2cov(zero, 2, TwoCoverageCertificate(3, 2, {}))
     assert check.ok
 
@@ -84,7 +83,7 @@ def test_verify_2cov_rejects_support_padding():
         (ONE, ONE),
     )
     assert verify_2cov(f, 2, TwoCoverageCertificate(2, 2, {(): witness})).ok
-    zero = SetFunctionTable(2, (Fraction(0),) * 4)
+    zero = SetFunctionTable.of(2, (Fraction(0),) * 4)
     check = verify_2cov(zero, 2, TwoCoverageCertificate(2, 2, {(): witness}))
     assert not check.ok
     assert "support mismatch" in check.failure
@@ -288,7 +287,7 @@ def test_search_lp_shape_and_pivots_pinned(monkeypatch):
 
 
 def test_search_zero_trivially_feasible():
-    zero = SetFunctionTable(4, (Fraction(0),) * 16)
+    zero = SetFunctionTable.of(4, (Fraction(0),) * 16)
     res = search_2cov_feasible(zero, 2, ())
     assert res.feasible
     assert res.support == ()

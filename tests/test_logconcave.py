@@ -179,7 +179,7 @@ def test_certify_budget_additive_refuted():
 
 
 def test_certify_vacuous():
-    zero = SetFunctionTable(4, (Fraction(0),) * 16)
+    zero = SetFunctionTable.of(4, (Fraction(0),) * 16)
     assert certify_clc_homogeneous(zero, 2).verdict == "vacuous"
     assert certify_clc_homogenization(zero).verdict == "vacuous"
 

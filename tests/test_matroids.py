@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -80,6 +79,14 @@ def test_parallel_partition_contracted_uniform():
     assert pp.classes == ()
 
 
+def test_parallel_partition_reads_ranks_as_rationals():
+    # U(1,3)'s ranks halved: every pair sits at contracted rank 1/2, which
+    # fits no case (numerator steps are not rank steps once the scale is 2)
+    half = SetFunctionTable(3, to_setfunction(UniformMatroid(1, 3)).nums, 2)
+    with pytest.raises(NotAMatroidError, match=r"at \(1,2\): rank 1/2, expected 2$"):
+        parallel_partition(half)
+
+
 @pytest.mark.parametrize(
     "r, n, tau, subset, value",
     [
@@ -92,10 +99,10 @@ def test_parallel_partition_contracted_uniform():
 )
 def test_parallel_partition_rejects_corrupted_pair(r, n, tau, subset, value):
     # U(r,n) with the rank of one set tau + pair changed; singletons keep theirs
-    rk = list(to_setfunction(UniformMatroid(r, n)).values)
-    rk[mask_of(subset)] = Fraction(value)
+    rk = list(to_setfunction(UniformMatroid(r, n)).nums)
+    rk[mask_of(subset)] = value
     with pytest.raises(NotAMatroidError, match="pair rank case table violated"):
-        parallel_partition(SetFunctionTable(n, tuple(rk)), mask_of(tau))
+        parallel_partition(SetFunctionTable(n, rk), mask_of(tau))
 
 
 def test_to_setfunction_uniform():

@@ -284,7 +284,7 @@ def test_search_lps_match_fraction_tableau(monkeypatch):
         if kind == "random":
             q = rng.randint(1, 3)
             f = rand_table(rng, n, max_value=rng.choice((1, 4)))
-            f = SetFunctionTable(n, tuple(v / q for v in f.values))
+            f = SetFunctionTable.of(n, [f[m] / q for m in range(1 << n)])
         elif kind == "coverage":
             f = materialize(rand_coverage_instance(rng, n, universe_size=4).weights())
         else:
@@ -347,7 +347,7 @@ def test_homogenization_quadratic_hessian_entries():
     for _ in range(40):
         n = rng.randint(2, 5)
         vals = [Fraction(0)] + [Fraction(rng.randint(0, 5)) for _ in range(2**n - 1)]
-        f = SetFunctionTable(n, tuple(vals))
+        f = SetFunctionTable.of(n, vals)
         q = homogenize(f)
         for tmask in range(1 << n):
             size = tmask.bit_count()
@@ -470,7 +470,7 @@ def rand_sweep_table(rng, n):
             vals[m] = Fraction(rng.randint(1, 5))
         elif kind == "levels" and m.bit_count() in sizes and rng.random() < 0.7:
             vals[m] = Fraction(rng.randint(1, 2))
-    return SetFunctionTable(n, tuple(vals))
+    return SetFunctionTable.of(n, vals)
 
 
 def test_sweep_matches_polynomial_reference():
@@ -507,7 +507,7 @@ def test_drivers_match_oracle_reference_on_mixed_denominators():
         for m in range(1, 1 << n):
             if rng.random() < dense:
                 vals[m] = Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 5, 7, 9)))
-        f = SetFunctionTable(n, tuple(vals))
+        f = SetFunctionTable.of(n, vals)
         pairs = [(as_tuple(certify_clc_homogenization(f)), reference_homogenization(f, inertia_oracle))]
         for d in range(2, n + 1):
             pairs.append(

@@ -28,7 +28,7 @@ def test_generating_poly_cardinality():
 
 
 def test_generating_poly_zero():
-    zero = SetFunctionTable(2, (Fraction(0),) * 4)
+    zero = SetFunctionTable.of(2, (Fraction(0),) * 4)
     assert generating_poly(zero).is_zero()
 
 
@@ -52,7 +52,7 @@ def test_homogenize_cardinality():
 
 
 def test_homogenize_zero():
-    assert homogenize(SetFunctionTable(2, (Fraction(0),) * 4)).is_zero()
+    assert homogenize(SetFunctionTable.of(2, (Fraction(0),) * 4)).is_zero()
 
 
 def test_derive_y():

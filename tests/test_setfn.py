@@ -1,3 +1,5 @@
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from clckit import (
     predicates,
     to_setfunction,
 )
+from clckit import jsonio
 from clckit.bitsets import coverage_values, coverage_weights, labels_of, mask_of
 from clckit.errors import CapExceededError
 from clckit.setfn import ZERO, exact, integer_scaled
@@ -36,11 +39,58 @@ from conftest import (
 
 def test_table_invariants():
     with pytest.raises(ValueError):
-        SetFunctionTable(1, (Fraction(1), Fraction(0)))  # f(empty) != 0
+        SetFunctionTable.of(1, (Fraction(1), Fraction(0)))  # f(empty) != 0
     with pytest.raises(ValueError):
-        SetFunctionTable(1, (Fraction(0), Fraction(-1)))
+        SetFunctionTable.of(1, (Fraction(0), Fraction(-1)))
     with pytest.raises(CapExceededError):
         SetFunctionTable(25, tuple())
+
+
+@pytest.mark.parametrize(
+    "nums, scale, error, message",
+    [
+        ((0, Fraction(1)), 1, TypeError, "table numerators must be ints"),
+        ((0, True), 1, TypeError, "table numerators must be ints"),
+        ((0, 1), 0, ValueError, "scale must be a positive integer, got 0"),
+        ((0, 1), -2, ValueError, "scale must be a positive integer, got -2"),
+        ((0, 1), Fraction(2), ValueError, "scale must be a positive integer, got Fraction(2, 1)"),
+        ((0, -1), 2, ValueError, "negative value -1/2"),
+        ((1, 0), 1, ValueError, "f(empty set) must be 0"),
+    ],
+    ids=["fraction-numerator", "bool-numerator", "zero-scale", "negative-scale", "fraction-scale",
+         "negative-value", "nonzero-empty-set"],
+)
+def test_table_refuses(nums, scale, error, message):
+    with pytest.raises(error) as info:
+        SetFunctionTable(1, nums, scale)
+    assert str(info.value) == message
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=coverage_instances(), k=st.integers(1, 6))
+def test_table_is_one_function_in_lowest_terms(tmp_path_factory, inst, k):
+    f = materialize(inst.weights())
+    vals = [f[m] for m in range(1 << f.n)]
+    assert all(type(v) is Fraction for v in vals)
+    assert all(type(v) is int for v in f.nums)
+    assert math.gcd(f.scale, *f.nums) == 1
+    assert f == SetFunctionTable.of(f.n, vals)
+    assert f == SetFunctionTable(f.n, [k * v for v in f.nums], k * f.scale)
+    path = tmp_path_factory.mktemp("table") / "f.json"
+    path.write_text(json.dumps(jsonio.dump_set_function(f)))
+    assert jsonio.load_set_function(str(path)) == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.fractions(0, 5, max_denominator=6), min_size=(1 << n) - 1, max_size=(1 << n) - 1)
+))
+def test_table_of_reads_back_its_values(rest):
+    n = len(rest).bit_length()
+    vals = [ZERO, *rest]
+    f = SetFunctionTable.of(n, vals)
+    assert [f[m] for m in range(1 << n)] == vals
+    assert math.gcd(f.scale, *f.nums) == 1
 
 
 def test_table_rejects_floats():
@@ -115,7 +165,7 @@ def test_instance_weights_drop_uncovered_and_zero():
 ))
 def test_mobius_matches_fraction_oracle(rest):
     n = len(rest).bit_length()
-    f = SetFunctionTable(n, (ZERO, *rest))
+    f = SetFunctionTable.of(n, (ZERO, *rest))
     x = mobius_oracle(f)
     mob = mobius_coverage_weights(f)
     assert mob.weights == x
@@ -168,7 +218,7 @@ def test_contract_empty_is_identity():
     f = materialize(coverage_example().weights())
     c = contract(f, [])
     assert c.base == 0
-    assert c.table.values == f.values
+    assert c.table == f
 
 
 def test_contract_uniform_rank():
@@ -198,7 +248,7 @@ def test_predicates_budget_additive():
 
 def test_predicates_square_cardinality_not_submodular():
     vals = tuple(Fraction(m.bit_count() ** 2) for m in range(8))
-    report = predicates(SetFunctionTable(3, vals))
+    report = predicates(SetFunctionTable.of(3, vals))
     assert report.monotone
     assert not report.submodular
     s, i, j = report.witnesses["submodular"]
@@ -249,9 +299,9 @@ def test_mobius_linear_singletons():
 
 def test_level_sequence():
     assert level_sequence(materialize(coverage_example().weights())) == (0, 4, 6, 2)
-    zero = SetFunctionTable(3, (Fraction(0),) * 8)
+    zero = SetFunctionTable.of(3, (Fraction(0),) * 8)
     assert level_sequence(zero) == (0, 0, 0, 0)
-    ones = SetFunctionTable(3, tuple(Fraction(0 if m == 0 else 1) for m in range(8)))
+    ones = SetFunctionTable.of(3, tuple(Fraction(0 if m == 0 else 1) for m in range(8)))
     assert level_sequence(ones) == (0, 3, 3, 1)
 
 
@@ -292,11 +342,11 @@ def test_monotone_submodular_tables_are_log_submodular():
     found = 0
     while found < 25:
         vals = [Fraction(0)] + [Fraction(rng.randint(0, 4)) for _ in range(7)]
-        f = SetFunctionTable(3, tuple(vals))
+        f = SetFunctionTable.of(3, vals)
         report = predicates(f)
         if report.monotone and report.submodular:
             found += 1
-            assert report.log_submodular, f.values
+            assert report.log_submodular, f.nums
     for _ in range(25):
         inst = rand_coverage_instance(rng, rng.randint(1, 6))
         report = predicates(materialize(inst.weights()))
@@ -311,7 +361,7 @@ def test_contract_commutes_with_derivative():
     for _ in range(30):
         n = rng.randint(2, 6)
         vals = [Fraction(0)] + [Fraction(rng.randint(0, 3)) for _ in range(2**n - 1)]
-        f = SetFunctionTable(n, tuple(vals))
+        f = SetFunctionTable.of(n, vals)
         tau = [i for i in range(1, n + 1) if rng.random() < 0.4]
         c = contract(f, tau)
         q = derive(generating_poly(f), tau)

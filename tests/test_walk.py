@@ -45,7 +45,7 @@ def test_transition_matrix_d1_rows_equal_mu():
     f = SetFunctionTable.from_entries(3, {(1,): 1, (2,): 2, (3,): 1})
     w = walk_instance(f, 1)
     tm = transition_matrix(w)
-    mu = {j: v / w.total for j, v in enumerate(w.weights)}
+    mu = {j: Fraction(v, w.total) for j, v in enumerate(w.weights)}
     assert all(row == mu for row in tm.rows)
 
 
