@@ -142,33 +142,17 @@ def _cap_kwargs(args) -> dict:
     return {"cap": args.cap}
 
 
-def _report_payload(report) -> dict:
+def _report(report, fmt: str) -> int:
+    """Report a certification: pass on certified or vacuous, fail on refuted."""
     failure = None
-    if report.failure is not None:
-        failure = {
-            "tau": list(report.failure.tau),
-            "k": report.failure.k,
-            "reason": report.failure.reason,
-        }
-        if report.failure.n_pos is not None:
-            failure["n_pos"] = report.failure.n_pos
-        if report.failure.components is not None:
-            failure["components"] = [list(c) for c in report.failure.components]
-    return {"verdict": report.verdict, "checks": report.checks, "failure": failure}
-
-
-def _report_exit(report) -> int:
-    if report.verdict in (VERDICT_CERTIFIED, VERDICT_VACUOUS):
-        return EXIT_PASS
-    if report.verdict == VERDICT_REFUTED:
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
-
-
-def _report_lines(report) -> list[str]:
     lines = [f"verdict: {report.verdict}", f"checks: {report.checks}"]
-    if report.failure is not None:
-        f = report.failure
+    f = report.failure
+    if f is not None:
+        failure = {"tau": list(f.tau), "k": f.k, "reason": f.reason}
+        if f.n_pos is not None:
+            failure["n_pos"] = f.n_pos
+        if f.components is not None:
+            failure["components"] = [list(c) for c in f.components]
         at = f"tau={list(f.tau)}" + (f", k={f.k}" if f.k is not None else "")
         extra = f" n_pos={f.n_pos}" if f.n_pos is not None else ""
         lines.append(f"failure: {f.reason} at {at}{extra}")
@@ -177,7 +161,10 @@ def _report_lines(report) -> list[str]:
             "note: the conditions checked are sufficient, not necessary; "
             "this verdict does not prove the function is not completely log-concave"
         )
-    return lines
+    _emit({"verdict": report.verdict, "checks": report.checks, "failure": failure}, lines, fmt)
+    if report.verdict in (VERDICT_CERTIFIED, VERDICT_VACUOUS):
+        return EXIT_PASS
+    return EXIT_FAIL if report.verdict == VERDICT_REFUTED else EXIT_INCONCLUSIVE
 
 
 def _cmd_certify_clc(args) -> int:
@@ -202,25 +189,37 @@ def _cmd_certify_clc(args) -> int:
     if args.d is None:
         raise _UsageError("--d is required with --input")
     f = jsonio.load_set_function(args.input)
-    report = certify_clc_homogeneous(f, args.d, **_cap_kwargs(args))
-    _emit(_report_payload(report), _report_lines(report), args.format)
-    return _report_exit(report)
+    return _report(certify_clc_homogeneous(f, args.d, **_cap_kwargs(args)), args.format)
 
 
 def _cmd_certify_hom(args) -> int:
     f = jsonio.load_set_function(args.input)
-    report = certify_clc_homogenization(f, **_cap_kwargs(args))
-    _emit(_report_payload(report), _report_lines(report), args.format)
-    return _report_exit(report)
+    return _report(certify_clc_homogenization(f, **_cap_kwargs(args)), args.format)
 
 
-def _check_payload(check) -> dict:
-    return {
+def _check_report(check, fmt: str) -> int:
+    """Report a certificate verification: pass iff every check held."""
+    payload = {
         "ok": check.ok,
         "checks": check.checks,
         "failure": check.failure,
         "tau": list(check.tau) if check.tau is not None else None,
     }
+    lines = [f"ok: {str(check.ok).lower()}", f"checks: {check.checks}"]
+    if not check.ok:
+        lines.append(f"failure: {check.failure} at tau={list(check.tau)}")
+    _emit(payload, lines, fmt)
+    return EXIT_PASS if check.ok else EXIT_FAIL
+
+
+def _synth_report(cert, args, **fields) -> int:
+    """Write a synthesized certificate to --output, if given, and report it."""
+    if args.output:
+        with open(args.output, "w") as fh:
+            json.dump(jsonio.dump_certificate(cert), fh, indent=2)
+    payload = {"synthesized": True, **fields, "witnesses": len(cert.witnesses)}
+    _emit(payload, [f"synthesized and verified: {len(cert.witnesses)} witnesses"], args.format)
+    return EXIT_PASS
 
 
 def _cmd_certify_2cov(args) -> int:
@@ -229,26 +228,12 @@ def _cmd_certify_2cov(args) -> int:
         raise _UsageError("provide exactly one of --cert, --search or --matroid")
     if args.matroid:
         m = jsonio.load_matroid(args.matroid)
-        cert = synth_2cov_indicator(m, args.d, **_cap_kwargs(args))
-        if args.output:
-            with open(args.output, "w") as fh:
-                json.dump(jsonio.dump_certificate(cert), fh, indent=2)
-        payload = {"synthesized": True, "d": args.d, "witnesses": len(cert.witnesses)}
-        _emit(payload, [f"synthesized and verified: {len(cert.witnesses)} witnesses"], args.format)
-        return EXIT_PASS
+        return _synth_report(synth_2cov_indicator(m, args.d, **_cap_kwargs(args)), args, d=args.d)
     if args.input is None:
         raise _UsageError("--input is required with --cert/--search")
     f = jsonio.load_set_function(args.input)
     if args.cert:
-        cert = jsonio.load_certificate(args.cert)
-        check = verify_2cov(f, args.d, cert)
-        _emit(
-            _check_payload(check),
-            [f"ok: {str(check.ok).lower()}", f"checks: {check.checks}"]
-            + ([f"failure: {check.failure} at tau={list(check.tau)}"] if not check.ok else []),
-            args.format,
-        )
-        return EXIT_PASS if check.ok else EXIT_FAIL
+        return _check_report(verify_2cov(f, args.d, jsonio.load_certificate(args.cert)), args.format)
     decision = decide_2cov(f, args.d, **_cap_kwargs(args))
     if decision.two_coverage:
         payload = {"two_coverage": True, "d": args.d}
@@ -274,27 +259,12 @@ def _cmd_certify_strong(args) -> int:
         if args.input is None:
             raise _UsageError("--input is required with --cert")
         f = jsonio.load_set_function(args.input)
-        cert = jsonio.load_certificate(args.cert)
-        check = verify_strong2cov(f, cert)
-        _emit(
-            _check_payload(check),
-            [f"ok: {str(check.ok).lower()}", f"checks: {check.checks}"]
-            + ([f"failure: {check.failure} at tau={list(check.tau)}"] if not check.ok else []),
-            args.format,
-        )
-        return EXIT_PASS if check.ok else EXIT_FAIL
+        return _check_report(verify_strong2cov(f, jsonio.load_certificate(args.cert)), args.format)
     if args.matroid:
-        m = jsonio.load_matroid(args.matroid)
-        cert = synth_strong_matroid(m, **_cap_kwargs(args))
+        cert = synth_strong_matroid(jsonio.load_matroid(args.matroid), **_cap_kwargs(args))
     else:
-        inst = jsonio.load_coverage_instance(args.coverage)
-        cert = synth_strong_from_parts(inst)
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(jsonio.dump_certificate(cert), fh, indent=2)
-    payload = {"synthesized": True, "witnesses": len(cert.witnesses)}
-    _emit(payload, [f"synthesized and verified: {len(cert.witnesses)} witnesses"], args.format)
-    return EXIT_PASS
+        cert = synth_strong_from_parts(jsonio.load_coverage_instance(args.coverage))
+    return _synth_report(cert, args)
 
 
 def _cmd_mobius(args) -> int:

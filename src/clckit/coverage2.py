@@ -19,16 +19,19 @@ set tau, witnesses that pin down the contracted pair values:
 
 Every witness is indexed by bitmasks over the table's own ground set [n]:
 g is a CoverageWeights(n, ...) whose masks lie in the witness's ground set,
-and l is an n-tuple of values, one per element of [n].
+and l is an n-tuple of integer numerators over g's denominator, one per
+element of [n]. Verification compares integer numerators by
+cross-multiplication; a Fraction is built only for a failure message.
 
 Synthesis verifies eagerly: the constructions encode proofs, so a synthesized
 certificate that fails its own verification raises InternalCheckError.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .bitsets import labels_of, mask_of, masks_of_size, submasks
 from .errors import CapExceededError, InternalCheckError, MissingWitnessError
@@ -37,9 +40,9 @@ from .matroids import Matroid, independence_indicator, parallel_partition, to_se
 from .setfn import (
     CoverageInstance,
     CoverageWeights,
-    ONE,
     SetFunctionTable,
     ZERO,
+    integer_scaled,
     materialize,
 )
 from .simplex import phase1
@@ -49,7 +52,18 @@ from .simplex import phase1
 class TwoCoverageWitness:
     support: tuple[int, ...]  # S, ascending labels of the ground set
     g: CoverageWeights  # masks over [n], inside S
-    ell: tuple[Fraction, ...]  # l_i for i in [n], zero outside S
+    ell: tuple[int, ...]  # l_i * g.scale for i in [n], zero outside S
+
+    def __post_init__(self):
+        if not {int}.issuperset(map(type, self.ell)):
+            raise TypeError("l numerators must be ints")
+
+    @classmethod
+    def of(cls, support, n: int, g: Mapping, ell: Sequence) -> "TwoCoverageWitness":
+        """The witness of exact values, g as {mask: x_T} and l as n values,
+        written over one denominator in lowest terms."""
+        nums, scale = integer_scaled([*g.values(), *ell])
+        return cls(tuple(support), CoverageWeights(n, dict(zip(g, nums)), scale), tuple(nums[len(g):]))
 
 
 @dataclass(frozen=True)
@@ -76,19 +90,25 @@ class CertificateCheck:
         return self.ok
 
 
-def _pair_support(f: SetFunctionTable, tmask: int) -> tuple[dict[int, Fraction], int]:
-    """Pair values of the contraction and the elements they touch.
+def _expect(cert, kind: type) -> None:
+    """Refuse a certificate of the wrong kind, naming both kinds."""
+    if not isinstance(cert, kind):
+        raise ValueError(f"expected a {kind.__name__}, found a {type(cert).__name__}")
 
-    Returns ({pair mask: f(tau + pair)} over the pairs outside tau, the mask
-    of elements in a nonzero pair).
+
+def _pair_support(f: SetFunctionTable, tmask: int) -> tuple[dict[int, int], int]:
+    """Pair numerators of the contraction and the elements they touch.
+
+    Returns ({pair mask: f(tau + pair) * f.scale} over the pairs outside tau,
+    the mask of elements in a nonzero pair).
     """
     outside = [1 << b for b in range(f.n) if not tmask >> b & 1]
-    pairs: dict[int, Fraction] = {}
+    pairs: dict[int, int] = {}
     touched = 0
     for a in range(len(outside)):
         for b in range(a + 1, len(outside)):
             pm = outside[a] | outside[b]
-            pairs[pm] = v = f[tmask | pm]
+            pairs[pm] = v = f.nums[tmask | pm]
             if v != 0:
                 touched |= pm
     return pairs, touched
@@ -101,6 +121,7 @@ def verify_2cov(
     n = f.n
     if d < 2:
         raise ValueError("two-coverage needs d >= 2")
+    _expect(cert, TwoCoverageCertificate)
     if cert.n != n or cert.d != d:
         raise ValueError("certificate dimensions do not match the table")
     checks = 0
@@ -123,7 +144,7 @@ def verify_2cov(
         if len(ell) != n:
             raise ValueError(f"witness at tau={tau} has l over {len(ell)} elements, not n={n}")
         if any(v < 0 for v in ell):
-            raise ValueError(f"witness at tau={tau} has a negative l value {min(ell)}")
+            raise ValueError(f"witness at tau={tau} has a negative l value {Fraction(min(ell), g.scale)}")
         smask = mask_of(support)
         off_support = any(v for b, v in enumerate(ell) if not smask >> b & 1)
         if off_support or any(t & ~smask for t in g.x):
@@ -137,19 +158,20 @@ def verify_2cov(
             )
         for lab in support:
             checks += 1
-            if ell[lab - 1] > g.value(1 << (lab - 1)):
+            if ell[lab - 1] > g.num(1 << (lab - 1)):
                 return CertificateCheck(
                     False, checks, f"l({lab}) exceeds g({lab})", tau
                 )
         for pm, value in pairs.items():
             la, lb = labels_of(pm)
             checks += 1
-            want = ZERO if pm & ~smask else g.value(pm) - Fraction(ell[la - 1] + ell[lb - 1], 2)
-            if value != want:
+            want = 0 if pm & ~smask else 2 * g.num(pm) - ell[la - 1] - ell[lb - 1]
+            if value * 2 * g.scale != want * f.scale:
                 return CertificateCheck(
                     False,
                     checks,
-                    f"pair equation failed on {{{la},{lb}}}: f_tau={value}, certificate gives {want}",
+                    f"pair equation failed on {{{la},{lb}}}: f_tau={Fraction(value, f.scale)}, "
+                    f"certificate gives {Fraction(want, 2 * g.scale)}",
                     tau,
                 )
     return CertificateCheck(True, checks)
@@ -160,10 +182,11 @@ def verify_strong2cov(
 ) -> CertificateCheck:
     """Check f(tau + T) = g_tau(T) + f(tau) on all |T| in {1, 2}, all |tau| <= n-2."""
     n = f.n
+    _expect(cert, StrongCertificate)
     if cert.n != n:
         raise ValueError("certificate dimensions do not match the table")
     full = (1 << n) - 1
-    nums, scale = f.nums, f.scale  # f(S) = nums[S] / scale
+    nums, scale = f.nums, f.scale
     checks = 0
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
@@ -174,17 +197,17 @@ def verify_strong2cov(
             if any(t & ~(full ^ tmask) for t in g.x):
                 raise ValueError(f"witness at tau={tau} reaches outside the complement of tau")
             outside = [b for b in range(n) if not tmask >> b & 1]
-            base = nums[tmask]
+            base, gscale = nums[tmask], g.scale
             for ia, a in enumerate(outside):
                 checks += 1
-                if nums[tmask | (1 << a)] - base != g.value(1 << a) * scale:
+                if (nums[tmask | (1 << a)] - base) * gscale != g.num(1 << a) * scale:
                     return CertificateCheck(
                         False, checks, f"singleton equation failed at {a + 1}", tau
                     )
                 for b in outside[ia + 1:]:
                     pm = (1 << a) | (1 << b)
                     checks += 1
-                    if nums[tmask | pm] - base != g.value(pm) * scale:
+                    if (nums[tmask | pm] - base) * gscale != g.num(pm) * scale:
                         return CertificateCheck(
                             False,
                             checks,
@@ -192,6 +215,13 @@ def verify_strong2cov(
                             tau,
                         )
     return CertificateCheck(True, checks)
+
+
+def _verified(cert, check: CertificateCheck, what: str):
+    """cert, once its own verification has passed; a failure is a bug."""
+    if not check:
+        raise InternalCheckError(f"{what} failed verification: {check.failure} at tau={check.tau}")
+    return cert
 
 
 def synth_strong_matroid(m: Matroid, cap: int = 14) -> StrongCertificate:
@@ -209,14 +239,9 @@ def synth_strong_matroid(m: Matroid, cap: int = 14) -> StrongCertificate:
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
             classes = parallel_partition(table, tmask).classes
-            witnesses[labels_of(tmask)] = CoverageWeights(n, {mask_of(c): ONE for c in classes})
+            witnesses[labels_of(tmask)] = CoverageWeights(n, {mask_of(c): 1 for c in classes})
     cert = StrongCertificate(n, witnesses)
-    check = verify_strong2cov(table, cert)
-    if not check:
-        raise InternalCheckError(
-            f"synthesized strong certificate failed verification: {check.failure} at tau={check.tau}"
-        )
-    return cert
+    return _verified(cert, verify_strong2cov(table, cert), "synthesized strong certificate")
 
 
 def synth_2cov_indicator(m: Matroid, d: int, cap: int = 14) -> TwoCoverageCertificate:
@@ -242,16 +267,12 @@ def synth_2cov_indicator(m: Matroid, d: int, cap: int = 14) -> TwoCoverageCertif
         smask = mask_of(lab for c in classes for lab in c)
         witnesses[labels_of(tmask)] = TwoCoverageWitness(
             labels_of(smask),
-            CoverageWeights(n, {mask_of(c): ONE for c in classes}),
-            tuple(ONE if smask >> b & 1 else ZERO for b in range(n)),
+            CoverageWeights(n, {mask_of(c): 1 for c in classes}),
+            tuple(smask >> b & 1 for b in range(n)),
         )
     cert = TwoCoverageCertificate(n, d, witnesses)
     check = verify_2cov(independence_indicator(table), d, cert)
-    if not check:
-        raise InternalCheckError(
-            f"synthesized indicator certificate failed verification: {check.failure} at tau={check.tau}"
-        )
-    return cert
+    return _verified(cert, check, "synthesized indicator certificate")
 
 
 def synth_strong_from_parts(inst: CoverageInstance) -> StrongCertificate:
@@ -262,21 +283,16 @@ def synth_strong_from_parts(inst: CoverageInstance) -> StrongCertificate:
     n = inst.n
     weights = inst.weights()
     table = materialize(weights)
-    x = weights.x
-    full = (1 << n) - 1
     witnesses: dict[tuple[int, ...], CoverageWeights] = {}
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
+            x = {u: v for u, v in weights.x.items() if not u & tmask}
+            common = math.gcd(weights.scale, *x.values())  # to lowest terms
             witnesses[labels_of(tmask)] = CoverageWeights(
-                n, {u: x[u] for u in submasks(full ^ tmask) if u in x}
+                n, {u: v // common for u, v in x.items()}, weights.scale // common
             )
     cert = StrongCertificate(n, witnesses)
-    check = verify_strong2cov(table, cert)
-    if not check:
-        raise InternalCheckError(
-            f"coverage-built certificate failed verification: {check.failure} at tau={check.tau}"
-        )
-    return cert
+    return _verified(cert, verify_strong2cov(table, cert), "coverage-built certificate")
 
 
 @dataclass(frozen=True)
@@ -284,7 +300,7 @@ class SearchResult:
     feasible: bool
     support: tuple[int, ...]
     g: CoverageWeights | None
-    ell: tuple[Fraction, ...] | None
+    ell: tuple[int, ...] | None  # l_i * g.scale, as in TwoCoverageWitness
     infeasibility: Fraction  # phase-1 optimum; positive certifies infeasibility
 
     def __bool__(self) -> bool:
@@ -340,7 +356,7 @@ def search_2cov_feasible(
         raise CapExceededError(f"|S|={m} exceeds cap {cap}")
     n = f.n
     if m == 0:
-        return SearchResult(True, (), CoverageWeights(n, {}), (ZERO,) * n, ZERO)
+        return SearchResult(True, (), CoverageWeights(n, {}), (0,) * n, ZERO)
     bits = [1 << (lab - 1) for lab in support]
     cols = list(submasks(smask))[-2::-1]  # x_T for T inside S ascending, then l_i, then slack_i
     num_x = len(cols)
@@ -355,7 +371,7 @@ def search_2cov_feasible(
             if pm & bit:
                 row[num_x + i] = minus_half
         rows.append(row)
-        rhs.append(value)
+        rhs.append(Fraction(value, f.scale))
     for i, bit in enumerate(bits):
         row = [1 if t & bit else 0 for t in cols] + [0] * (2 * m)
         row[num_x + i] = row[num_x + m + i] = -1
@@ -365,8 +381,8 @@ def search_2cov_feasible(
     if not result:
         return SearchResult(False, support, None, None, result.infeasibility)
     point = result.point
-    g = CoverageWeights(n, {t: v for t, v in zip(cols, point) if v != 0})
-    ell = [ZERO] * n
+    ell = [0] * n
     for i, lab in enumerate(support):
         ell[lab - 1] = point[num_x + i]
-    return SearchResult(True, support, g, tuple(ell), ZERO)
+    w = TwoCoverageWitness.of(support, n, {t: v for t, v in zip(cols, point) if v}, ell)
+    return SearchResult(True, support, w.g, w.ell, ZERO)

@@ -10,7 +10,10 @@ class NotAMatroidError(ValueError):
 
 
 class MissingWitnessError(KeyError):
-    """A certificate lacks the witness required for a contraction set."""
+    """A certificate lacks the witness for the contraction set tau, its argument."""
+
+    def __str__(self) -> str:
+        return f"no witness for tau={list(self.args[0])}"
 
 
 class InternalCheckError(RuntimeError):

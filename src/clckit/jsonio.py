@@ -34,7 +34,6 @@ from .setfn import (
     CoverageWeights,
     HARD_CAP,
     SetFunctionTable,
-    ZERO,
     exact,
 )
 
@@ -248,7 +247,7 @@ def load_joint_distribution(path: str) -> JointDistribution:
 
 
 def _weights_doc(g: CoverageWeights) -> dict:
-    return {_setkey(labels_of(t)): str(v) for t, v in sorted(g.x.items())}
+    return {_setkey(labels_of(t)): str(Fraction(v, g.scale)) for t, v in sorted(g.x.items())}
 
 
 def dump_certificate(cert) -> dict:
@@ -263,7 +262,7 @@ def dump_certificate(cert) -> dict:
                     "tau": list(tau),
                     "S": list(w.support),
                     "g": _weights_doc(w.g),
-                    "l": {str(lab): str(w.ell[lab - 1]) for lab in w.support},
+                    "l": {str(lab): str(Fraction(w.ell[lab - 1], w.g.scale)) for lab in w.support},
                 }
                 for tau, w in sorted(cert.witnesses.items())
             ],
@@ -283,24 +282,20 @@ def load_certificate(path: str):
     """A document with a top-level "d" is a two-coverage certificate;
     otherwise a strong one. The labels in g and l keys must lie in the
     witness's ground set: S for two-coverage, the complement of tau for a
-    strong certificate. Masks are kept over [n]."""
+    strong certificate. Masks are kept over [n], and numbers as integer
+    numerators over one denominator per witness."""
     doc = _load(path)
     n = _field(doc, "n", int)
     full = (1 << n) - 1
     in_n = f"n={n}"
     two_coverage = "d" in doc
-    listed = _field(doc, "witnesses", list)
     witnesses = {}
-    for k, w in enumerate(listed):
+    seen_tau: dict[int, int] = {}
+    for k, w in enumerate(_field(doc, "witnesses", list)):
         _typed(w, dict, f"witnesses[{k}]")
         labels = _field(w, "tau", at=f"witnesses[{k}].tau")
-        tmask = _subset(labels, "witnesses[{}].tau", k, full, in_n, {})
+        tmask = _subset(labels, "witnesses[{}].tau", k, full, in_n, seen_tau)
         tau = labels_of(tmask)
-        if tau in witnesses:  # found again, not indexed: an index of every tau costs memory
-            first = next(i for i, v in enumerate(listed) if tuple(sorted(v["tau"])) == tau)
-            raise ValueError(
-                f"witnesses[{k}].tau: set {w['tau']} repeats the subset of witnesses[{first}].tau"
-            )
         if two_coverage:
             labels = _field(w, "S", at=f"witnesses[{k}].S")
             ground, scope = _subset(labels, "witnesses[{}].S", k, full, in_n, {}), "S"
@@ -312,18 +307,17 @@ def load_certificate(path: str):
         g_doc = _typed(w.get("g", {}), dict, f"witnesses[{k}].g")
         for key in g_doc:
             g[_subset(_key(key, at), at, key, ground, scope, seen_g)] = _rational(g_doc, key, at.format(key))
-        weights = CoverageWeights(n, g)
         if not two_coverage:
-            witnesses[tau] = weights
+            witnesses[tau] = CoverageWeights.of(n, g)
             continue
         at = f"witnesses[{k}].l[{{!r}}]"
         seen_l: dict[int, str] = {}
-        ell = [ZERO] * n
+        ell = [0] * n
         l_doc = _typed(w.get("l", {}), dict, f"witnesses[{k}].l")
         for key in l_doc:
             bit = _subset([_key(key, at)], at, key, ground, scope, seen_l)
             ell[bit.bit_length() - 1] = _rational(l_doc, key, at.format(key))
-        witnesses[tau] = TwoCoverageWitness(labels_of(ground), weights, tuple(ell))
+        witnesses[tau] = TwoCoverageWitness.of(labels_of(ground), n, g, ell)
     if two_coverage:
         return TwoCoverageCertificate(n, _field(doc, "d", int), witnesses)
     return StrongCertificate(n, witnesses)

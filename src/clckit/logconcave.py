@@ -71,7 +71,7 @@ def inertia(matrix: Sequence[Sequence]) -> Inertia:
         raise ValueError("matrix must be square")
     a = [list(row) for row in matrix]
     if not all(type(x) is int for row in a for x in row):
-        nums, _ = integer_scaled([exact(x) for row in a for x in row])
+        nums, _ = integer_scaled([x for row in a for x in row])
         a = [nums[i : i + m] for i in range(0, m * m, m)]
     for i in range(m):
         for j in range(i + 1, m):
@@ -361,8 +361,9 @@ def mainpsd_witness(instance: CoverageInstance, cap: int = 12) -> MainPSDWitness
     m = instance.n
     if m > cap:
         raise CapExceededError(f"m={m} exceeds cap {cap}")
-    weights = instance.weights()
-    table = materialize(weights)
+    cover = instance.weights()
+    table = materialize(cover)
+    weights = {t: Fraction(v, cover.scale) for t, v in cover.x.items()}
     g1 = [table[1 << i] for i in range(m)]
     r = [[ZERO] * m for _ in range(m)]
     for i in range(m):
@@ -371,7 +372,7 @@ def mainpsd_witness(instance: CoverageInstance, cap: int = 12) -> MainPSDWitness
             pair = table[(1 << i) | (1 << j)]
             r[i][j] = r[j][i] = g1[i] + g1[j] - pair
     bsum = [[ZERO] * m for _ in range(m)]
-    for t, x in weights.x.items():
+    for t, x in weights.items():
         members = [b for b in range(m) if t >> b & 1]
         for a in members:
             for b in members:
@@ -390,6 +391,6 @@ def mainpsd_witness(instance: CoverageInstance, cap: int = 12) -> MainPSDWitness
         m=m,
         diag=tuple(g1),
         r_matrix=tuple(tuple(row) for row in r),
-        weights=weights.x,
+        weights=weights,
         r_minus_d_inertia=iner,
     )

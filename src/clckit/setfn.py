@@ -21,7 +21,6 @@ from .errors import CapExceededError, InternalCheckError
 HARD_CAP = 24
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def exact(value) -> Fraction:
@@ -41,8 +40,12 @@ def exact(value) -> Fraction:
 
 
 def integer_scaled(values: Sequence) -> tuple[list[int], int]:
-    """The integer numerators of `values` (ints or Fractions) over their
-    least common denominator L, and L: values[i] == nums[i] / L."""
+    """The integer numerators of exact `values` over their least common
+    denominator L, and L: values[i] == nums[i] / L, in lowest terms. Values
+    other than ints and Fractions go through `exact`, which refuses floats
+    and booleans."""
+    if not {int, Fraction}.issuperset(map(type, values)):
+        values = [exact(v) for v in values]
     scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
@@ -163,51 +166,62 @@ class CoverageInstance:
         x: dict[int, Fraction] = {}
         for e, w in self.universe:
             if member[e]:
-                x[member[e]] = x.get(member[e], ZERO) + w
-        return CoverageWeights(self.n, dict(sorted(x.items())))
+                x[member[e]] = x.get(member[e], 0) + w
+        return CoverageWeights.of(self.n, dict(sorted(x.items())))
 
 
 @dataclass(frozen=True)
 class CoverageWeights:
-    """Nonnegative weights x_T on nonempty subsets; f(S) = sum of x_T over T
-    meeting S. This is the one representation of a coverage function."""
+    """Nonnegative weights x_T on nonempty subsets, as integer numerators over
+    one denominator: x_T = x[T] / scale, and f(S) = sum of x_T over T meeting
+    S. This is the one representation of a coverage function. `of` builds
+    it in lowest terms; in a two-coverage witness the pair is in lowest terms
+    together with l, which shares the denominator."""
 
     n: int
-    x: Mapping[int, Fraction]  # mask -> weight, zero entries absent
+    x: Mapping[int, int]  # mask -> numerator, zero entries absent
+    scale: int = 1
 
     def __post_init__(self):
+        if type(self.scale) is not int or self.scale <= 0:
+            raise ValueError(f"scale must be a positive integer, got {self.scale!r}")
         cleaned = {}
         for mask, v in self.x.items():
             if mask == 0:
                 raise ValueError("x on the empty set is not part of the representation")
             if mask >= 1 << self.n:
                 raise ValueError(f"subset mask {mask} out of range for n={self.n}")
-            v = exact(v)
+            if type(v) is not int:
+                raise TypeError("coverage numerators must be ints")
             if v < 0:
-                raise ValueError(f"negative weight {v} on {labels_of(mask)}")
-            if v != 0:
+                raise ValueError(f"negative weight {Fraction(v, self.scale)} on {labels_of(mask)}")
+            if v:
                 cleaned[mask] = v
         object.__setattr__(self, "x", cleaned)
 
-    def value(self, mask: int) -> Fraction:
-        """f(S) = sum of x_T over T with T intersecting S."""
-        return sum((v for t, v in self.x.items() if t & mask), ZERO)
+    @classmethod
+    def of(cls, n: int, values: Mapping) -> "CoverageWeights":
+        """The weights of exact values {mask: x_T}, in lowest terms."""
+        nums, scale = integer_scaled(list(values.values()))
+        return cls(n, dict(zip(values, nums)), scale)
+
+    def num(self, mask: int) -> int:
+        """f(S) * scale: the sum of the numerators x[T] over T meeting S."""
+        return sum(v for t, v in self.x.items() if t & mask)
 
 
 def materialize(rep: CoverageWeights) -> SetFunctionTable:
     """Exhaustively evaluate a coverage function, given by its weights (an
     instance's come from `CoverageInstance.weights`), into a table (a
-    matroid's tables come from `matroids.to_setfunction`). The weights are
-    scaled to integers over one denominator and pushed through
-    `coverage_values` as ints."""
+    matroid's tables come from `matroids.to_setfunction`). The numerators
+    go through `coverage_values` as ints, over the weights' denominator."""
     n = rep.n
     if n > HARD_CAP:  # before allocating 2^n values
         raise CapExceededError(f"n={n} exceeds the hard cap {HARD_CAP}")
-    nums, scale = integer_scaled(list(rep.x.values()))
     x = [0] * (1 << n)
-    for t, v in zip(rep.x, nums):
+    for t, v in rep.x.items():
         x[t] = v
-    return SetFunctionTable(n, coverage_values(x), scale)
+    return SetFunctionTable(n, coverage_values(x), rep.scale)
 
 
 def homogeneous_restrict(f: SetFunctionTable, d: int) -> SetFunctionTable:

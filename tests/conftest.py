@@ -28,8 +28,10 @@ from clckit import (
     TwoCoverageWitness,
     UniformMatroid,
 )
-from clckit.bitsets import labels_of, mask_of
-from clckit.logconcave import Inertia
+from clckit.bitsets import labels_of, mask_of, masks_of_size
+from clckit.coverage2 import CertificateCheck
+from clckit.errors import MissingWitnessError
+from clckit.logconcave import Inertia, contraction_cells
 from clckit.matroids import ExplicitValidation
 from clckit.setfn import ZERO, exact
 from clckit.simplex import LPFeasibility
@@ -45,7 +47,7 @@ def coverage_example() -> CoverageInstance:
 
 def cardinality(n: int) -> CoverageWeights:
     """f(S) = |S|: unit weight on every singleton."""
-    return CoverageWeights(n, {1 << b: Fraction(1) for b in range(n)})
+    return CoverageWeights(n, {1 << b: 1 for b in range(n)})
 
 
 def k4() -> GraphicMatroid:
@@ -325,6 +327,116 @@ def phase1_oracle(a, b) -> LPFeasibility:
     return LPFeasibility(True, tuple(point), ZERO, pivots)
 
 
+def _weight_values(g) -> dict[int, Fraction]:
+    return {t: Fraction(v, g.scale) for t, v in g.x.items()}
+
+
+def _coverage_value(x: dict[int, Fraction], mask: int) -> Fraction:
+    return sum((v for t, v in x.items() if t & mask), ZERO)
+
+
+def verify_2cov_oracle(f: SetFunctionTable, d: int, cert) -> CertificateCheck:
+    """Two-coverage verification on Fractions, check by check the rational
+    version of `clckit.coverage2.verify_2cov`: f read entry by entry, the
+    witness numbers turned into values, every pair equation compared as
+    rationals."""
+    n = f.n
+    if d < 2:
+        raise ValueError("two-coverage needs d >= 2")
+    if cert.n != n or cert.d != d:
+        raise ValueError("certificate dimensions do not match the table")
+    checks = 0
+    for tmask, _, comps, _ in contraction_cells(f, d):
+        checks += 1
+        if len(comps) > 1:
+            return CertificateCheck(
+                False, checks, "contracted restriction is decomposable", labels_of(tmask)
+            )
+    for tmask in masks_of_size(n, d - 2):
+        tau = labels_of(tmask)
+        outside = [1 << b for b in range(n) if not tmask >> b & 1]
+        pairs: dict[int, Fraction] = {}
+        touched = 0
+        for a in range(len(outside)):
+            for b in range(a + 1, len(outside)):
+                pm = outside[a] | outside[b]
+                pairs[pm] = v = f[tmask | pm]
+                if v != 0:
+                    touched |= pm
+        witness = cert.witnesses.get(tau)
+        if witness is None:
+            if touched:
+                raise MissingWitnessError(tau)
+            checks += 1
+            continue
+        support, x = witness.support, _weight_values(witness.g)
+        ell = [Fraction(v, witness.g.scale) for v in witness.ell]
+        if len(ell) != n:
+            raise ValueError(f"witness at tau={tau} has l over {len(ell)} elements, not n={n}")
+        if any(v < 0 for v in ell):
+            raise ValueError(f"witness at tau={tau} has a negative l value {min(ell)}")
+        smask = mask_of(support)
+        off_support = any(v for b, v in enumerate(ell) if not smask >> b & 1)
+        if off_support or any(t & ~smask for t in x):
+            raise ValueError(f"witness at tau={tau} reaches outside S={support}")
+        if labels_of(touched) != support:
+            return CertificateCheck(
+                False,
+                checks + 1,
+                f"support mismatch: expected {labels_of(touched)}, witness has {support}",
+                tau,
+            )
+        for lab in support:
+            checks += 1
+            if ell[lab - 1] > _coverage_value(x, 1 << (lab - 1)):
+                return CertificateCheck(False, checks, f"l({lab}) exceeds g({lab})", tau)
+        for pm, value in pairs.items():
+            la, lb = labels_of(pm)
+            checks += 1
+            want = ZERO if pm & ~smask else _coverage_value(x, pm) - (ell[la - 1] + ell[lb - 1]) / 2
+            if value != want:
+                return CertificateCheck(
+                    False,
+                    checks,
+                    f"pair equation failed on {{{la},{lb}}}: f_tau={value}, certificate gives {want}",
+                    tau,
+                )
+    return CertificateCheck(True, checks)
+
+
+def verify_strong2cov_oracle(f: SetFunctionTable, cert) -> CertificateCheck:
+    """Strong verification on Fractions, the rational version of
+    `clckit.coverage2.verify_strong2cov`: f(tau + T) - f(tau) against g(T)
+    summed as values."""
+    n = f.n
+    if cert.n != n:
+        raise ValueError("certificate dimensions do not match the table")
+    full = (1 << n) - 1
+    checks = 0
+    for size in range(n - 1):
+        for tmask in masks_of_size(n, size):
+            tau = labels_of(tmask)
+            g = cert.witnesses.get(tau)
+            if g is None:
+                raise MissingWitnessError(tau)
+            x = _weight_values(g)
+            if any(t & ~(full ^ tmask) for t in x):
+                raise ValueError(f"witness at tau={tau} reaches outside the complement of tau")
+            outside = [b for b in range(n) if not tmask >> b & 1]
+            for ia, a in enumerate(outside):
+                checks += 1
+                if f[tmask | (1 << a)] - f[tmask] != _coverage_value(x, 1 << a):
+                    return CertificateCheck(False, checks, f"singleton equation failed at {a + 1}", tau)
+                for b in outside[ia + 1:]:
+                    pm = (1 << a) | (1 << b)
+                    checks += 1
+                    if f[tmask | pm] - f[tmask] != _coverage_value(x, pm):
+                        return CertificateCheck(
+                            False, checks, f"pair equation failed at {{{a + 1},{b + 1}}}", tau
+                        )
+    return CertificateCheck(True, checks)
+
+
 def contracted_classes(m, tau) -> list[list[int]]:
     """Parallel classes of M/tau (loops left out), asking the oracle for the
     contracted rank rk(S + tau) - rk(tau) one set at a time."""
@@ -375,7 +487,7 @@ def validate_explicit_oracle(n, family) -> ExplicitValidation:
 
 
 def _unit_classes(classes, n) -> CoverageWeights:
-    return CoverageWeights(n, {mask_of(cls): Fraction(1) for cls in classes})
+    return CoverageWeights(n, {mask_of(cls): 1 for cls in classes})
 
 
 def reference_strong_matroid(m) -> StrongCertificate:
@@ -400,7 +512,7 @@ def reference_2cov_indicator(m, d) -> TwoCoverageCertificate:
         witnesses[tau] = TwoCoverageWitness(
             support,
             _unit_classes(classes, n),
-            tuple(Fraction(e in support) for e in range(1, n + 1)),
+            tuple(int(e in support) for e in range(1, n + 1)),
         )
     return TwoCoverageCertificate(n, d, witnesses)
 

@@ -354,6 +354,45 @@ def test_malformed_strong_certificate_exit_3(tmp_path, capsys, witnesses, messag
 
 
 @pytest.mark.parametrize(
+    "argv, cert, message",
+    [
+        (["certify-strong"], {"d": 2, "n": 3, "witnesses": []},
+         "error: expected a StrongCertificate, found a TwoCoverageCertificate\n"),
+        (["certify-2cov", "--d", "2"], {"n": 3, "witnesses": []},
+         "error: expected a TwoCoverageCertificate, found a StrongCertificate\n"),
+    ],
+    ids=["two-coverage-given-to-strong", "strong-given-to-two-coverage"],
+)
+def test_wrong_certificate_kind_exit_3(tmp_path, capsys, argv, cert, message):
+    cert = _write(tmp_path, "cert.json", cert)
+    code = run([*argv, "--input", _u23_file(tmp_path, "rank"), "--cert", cert])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == message
+
+
+@pytest.mark.parametrize(
+    "argv, mode, cert, message",
+    [
+        (["certify-strong"], "rank",
+         {"n": 3, "witnesses": [{"tau": [], "g": {"[1]": "1", "[2]": "1", "[3]": "1"}}]},
+         "error: no witness for tau=[1]\n"),
+        (["certify-2cov", "--d", "2"], "indicator", {"d": 2, "n": 3, "witnesses": []},
+         "error: no witness for tau=[]\n"),
+    ],
+    ids=["strong", "two-coverage"],
+)
+def test_missing_witness_names_tau_exit_3(tmp_path, capsys, argv, mode, cert, message):
+    cert = _write(tmp_path, "cert.json", cert)
+    code = run([*argv, "--input", _u23_file(tmp_path, mode), "--cert", cert])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == message
+
+
+@pytest.mark.parametrize(
     "witness, message",
     [
         ({"S": [1, 1], "g": {}, "l": {}}, "witnesses[0].S: set [1, 1] repeats a label"),

@@ -29,7 +29,6 @@ from clckit import coverage2
 from clckit.bitsets import mask_of
 from clckit.counterexamples import budget_additive_table, triangle_table
 from clckit.errors import MissingWitnessError
-from clckit.setfn import ONE, ZERO
 from clckit.simplex import phase1
 
 from conftest import cardinality, coverage_example, k4, rand_coverage_instance, rand_partition_matroid
@@ -43,7 +42,7 @@ def test_verify_2cov_uniform_indicator():
     w = cert.witnesses[()]
     assert w.support == (1, 2, 3)
     # three singleton classes, so g(pair) = 2 and l = 1 realizes f = 2 - 1
-    assert w.g.value(0b011) == 2
+    assert Fraction(w.g.num(0b011), w.g.scale) == 2
     assert w.ell == (1, 1, 1)
 
 
@@ -53,7 +52,7 @@ def test_verify_2cov_triangle_fails_any_cert():
     witness = TwoCoverageWitness(
         (1, 2, 3),
         CoverageWeights(3, {0b001: 1, 0b010: 1, 0b100: 1}),
-        (ZERO,) * 3,
+        (0,) * 3,
     )
     check = verify_2cov(f, 2, TwoCoverageCertificate(3, 2, {(): witness}))
     assert not check.ok
@@ -79,8 +78,8 @@ def test_verify_2cov_rejects_support_padding():
     f = to_setfunction(m, "indicator")
     witness = TwoCoverageWitness(
         (1, 2),
-        CoverageWeights(2, {0b01: Fraction(1), 0b10: Fraction(1)}),
-        (ONE, ONE),
+        CoverageWeights.of(2, {0b01: Fraction(1), 0b10: Fraction(1)}),
+        (1, 1),
     )
     assert verify_2cov(f, 2, TwoCoverageCertificate(2, 2, {(): witness})).ok
     zero = SetFunctionTable.of(2, (Fraction(0),) * 4)
@@ -93,18 +92,18 @@ def test_verify_2cov_rejects_witness_outside_support():
     # U(2,3) indicator plus a fourth element in no nonzero pair: S = {1,2,3}
     f = SetFunctionTable.from_entries(4, {pair: 1 for pair in ((1, 2), (1, 3), (2, 3))})
     units = {0b001: 1, 0b010: 1, 0b100: 1}
-    ones = (ONE, ONE, ONE, ZERO)
+    ones = (1, 1, 1, 0)
     good = TwoCoverageWitness((1, 2, 3), CoverageWeights(4, units), ones)
     assert verify_2cov(f, 2, TwoCoverageCertificate(4, 2, {(): good})).ok
     for g, ell in (
         ({**units, 0b1000: 1}, ones),  # g on {4}
         ({0b1001: 1, 0b010: 1, 0b100: 1}, ones),  # g on a set leaving S
-        (units, (ONE,) * 4),  # l nonzero at 4
+        (units, (1,) * 4),  # l nonzero at 4
     ):
         bad = TwoCoverageWitness((1, 2, 3), CoverageWeights(4, g), ell)
         with pytest.raises(ValueError, match=r"witness at tau=\(\) reaches outside S=\(1, 2, 3\)"):
             verify_2cov(f, 2, TwoCoverageCertificate(4, 2, {(): bad}))
-    short = TwoCoverageWitness((1, 2, 3), CoverageWeights(4, units), (ONE,) * 3)
+    short = TwoCoverageWitness((1, 2, 3), CoverageWeights(4, units), (1,) * 3)
     with pytest.raises(ValueError, match=r"witness at tau=\(\) has l over 3 elements, not n=4"):
         verify_2cov(f, 2, TwoCoverageCertificate(4, 2, {(): short}))
 
@@ -122,14 +121,14 @@ def test_verify_strong_rejects_witness_meeting_tau():
 def test_synth_strong_uniform():
     cert = synth_strong_matroid(UniformMatroid(2, 3))
     # no parallel pairs at tau = (): three singleton classes
-    assert cert.witnesses[()].x == {0b001: 1, 0b010: 1, 0b100: 1}
+    assert cert.witnesses[()] == CoverageWeights(3, {0b001: 1, 0b010: 1, 0b100: 1})
     # after contracting 1, the rest collapses into one class
-    assert cert.witnesses[(1,)].x == {0b110: 1}
+    assert cert.witnesses[(1,)] == CoverageWeights(3, {0b110: 1})
 
 
 def test_synth_strong_u13():
     cert = synth_strong_matroid(UniformMatroid(1, 3))
-    assert cert.witnesses[()].x == {0b111: 1}
+    assert cert.witnesses[()] == CoverageWeights(3, {0b111: 1})
 
 
 def test_verify_strong_uniform_rank():
@@ -146,7 +145,7 @@ def test_strong_cardinality_disjoint_singletons():
 
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
-            witnesses[labels_of(tmask)] = CoverageWeights(
+            witnesses[labels_of(tmask)] = CoverageWeights.of(
                 n, {1 << b: Fraction(1) for b in range(n) if not tmask >> b & 1}
             )
     assert verify_strong2cov(f, StrongCertificate(n, witnesses)).ok
@@ -160,7 +159,7 @@ def test_budget_additive_not_strongly_2coverage():
 
     for size in range(f.n - 1):
         for tmask in masks_of_size(f.n, size):
-            lin_cert_wit[labels_of(tmask)] = CoverageWeights(
+            lin_cert_wit[labels_of(tmask)] = CoverageWeights.of(
                 f.n, {1 << b: Fraction(1) for b in range(f.n) if not tmask >> b & 1}
             )
     check = verify_strong2cov(f, StrongCertificate(f.n, lin_cert_wit))
@@ -222,10 +221,10 @@ def test_synth_strong_from_coverage_instance():
     cert = synth_strong_from_parts(inst)
     # tau = {2}: A_1 and A_3 are swallowed by A_2, so g vanishes
     g = cert.witnesses[(2,)]
-    assert g.value(0b001) == 0
-    assert g.value(0b100) == 0
+    assert g.num(0b001) == 0
+    assert g.num(0b100) == 0
     # tau = {}: x_{1,2} = x_{2,3} = 1 (elements a and b), read over [n]
-    assert cert.witnesses[()].x == {0b011: 1, 0b110: 1}
+    assert cert.witnesses[()] == CoverageWeights(3, {0b011: 1, 0b110: 1})
     assert verify_strong2cov(materialize(inst.weights()), cert).ok
 
 
@@ -242,7 +241,8 @@ def test_search_uniform_indicator_feasible():
     # the found witness satisfies the pair equations
     for pair in ((1, 2), (1, 3), (2, 3)):
         pm = mask_of(pair)
-        assert res.g.value(pm) - sum(res.ell[i - 1] for i in pair) / 2 == f.value_of(pair)
+        certified = Fraction(2 * res.g.num(pm) - sum(res.ell[i - 1] for i in pair), 2 * res.g.scale)
+        assert certified == f.value_of(pair)
 
 
 def test_search_witness_lives_on_support_over_n():

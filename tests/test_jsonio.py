@@ -11,6 +11,8 @@ from clckit import (
     PartitionMatroid,
     SetFunctionTable,
     StrongCertificate,
+    TwoCoverageCertificate,
+    TwoCoverageWitness,
     UniformMatroid,
     materialize,
     synth_2cov_indicator,
@@ -124,7 +126,7 @@ def test_strong_certificate_round_trip(tmp_path):
     again = jsonio.load_certificate(path)
     assert verify_strong2cov(to_setfunction(m), again).ok
     for tau in cert.witnesses:
-        assert again.witnesses[tau].x == cert.witnesses[tau].x
+        assert again.witnesses[tau] == cert.witnesses[tau]
 
 
 def test_two_coverage_certificate_round_trip(tmp_path):
@@ -176,8 +178,27 @@ def test_coverage_certificate_round_trip(tmp_path_factory, inst):
     assert _round_trip(tmp_path_factory.mktemp("coverage"), cert) == cert
 
 
+def test_two_coverage_certificate_mixed_denominators_round_trip(tmp_path):
+    # g and l over denominators 2, 3 and 6; at tau=(1,) g alone is in
+    # thirds and l brings the sixths, so the witness's one denominator is 6
+    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    cert = TwoCoverageCertificate(4, 3, {
+        (4,): TwoCoverageWitness.of((1, 2, 3), 4, {0b001: half, 0b110: third, 0b111: 5 * sixth},
+                                    [sixth, 2 * third, half, 0]),
+        (1,): TwoCoverageWitness.of((2, 4), 4, {0b1010: 7 * third}, [0, 3 * half, 0, 5 * sixth]),
+    })
+    assert (cert.witnesses[(1,)].g.scale, cert.witnesses[(1,)].ell) == (6, (0, 9, 0, 5))
+    assert json.dumps(jsonio.dump_certificate(cert), separators=(",", ":")) == (
+        '{"d":3,"n":4,"witnesses":['
+        '{"tau":[1],"S":[2,4],"g":{"[2,4]":"7/3"},"l":{"2":"3/2","4":"5/6"}},'
+        '{"tau":[4],"S":[1,2,3],"g":{"[1]":"1/2","[2,3]":"1/3","[1,2,3]":"5/6"},'
+        '"l":{"1":"1/6","2":"2/3","3":"1/2"}}]}'
+    )
+    assert _round_trip(tmp_path, cert) == cert
+
+
 def test_rationals_written_as_p_over_q(tmp_path, capsys):
-    g = CoverageWeights(2, {0b01: 3, 0b11: Fraction(1, 2)})
+    g = CoverageWeights.of(2, {0b01: 3, 0b11: Fraction(1, 2)})
     assert jsonio.dump_certificate(StrongCertificate(2, {(): g}))["witnesses"][0]["g"] == {
         "[1]": "3", "[1,2]": "1/2"
     }

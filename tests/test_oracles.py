@@ -22,6 +22,7 @@ from itertools import combinations
 from math import factorial
 
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clckit import (
     CoverageInstance,
@@ -30,6 +31,8 @@ from clckit import (
     GraphicMatroid,
     SetFunctionTable,
     StrongCertificate,
+    TwoCoverageCertificate,
+    TwoCoverageWitness,
     UniformMatroid,
     certify_clc_homogeneous,
     certify_clc_homogenization,
@@ -46,10 +49,13 @@ from clckit import (
     sample_chain,
     synth_strong_from_parts,
     transition_matrix,
+    verify_2cov,
+    verify_strong2cov,
     walk_instance,
 )
 from clckit import coverage2
 from clckit.bitsets import mask_of
+from clckit.errors import MissingWitnessError
 from clckit.jsonio import dump_certificate
 from clckit.matroids import to_setfunction
 from clckit.polynomials import scale
@@ -71,6 +77,8 @@ from conftest import (
     sample_chain_oracle,
     symmetric_matrices,
     transition_matrix_oracle,
+    verify_2cov_oracle,
+    verify_strong2cov_oracle,
 )
 
 
@@ -543,7 +551,7 @@ def reference_strong_coverage(inst):
             rest = [i for i in range(1, n + 1) if i not in tau]
             sub = CoverageInstance(inst.universe, tuple(inst.sets[i - 1] - covered for i in rest))
             x = mobius_oracle(materialize_oracle(sub))
-            witnesses[tau] = CoverageWeights(n, {expand(t, rest): v for t, v in x.items()})
+            witnesses[tau] = CoverageWeights.of(n, {expand(t, rest): v for t, v in x.items()})
     return StrongCertificate(n, witnesses)
 
 
@@ -554,7 +562,7 @@ def moebius_built_strong_coverage(inst):
     x = mobius_oracle(materialize_oracle(inst))
     full = (1 << n) - 1
     return StrongCertificate(n, {
-        tau: CoverageWeights(n, {t: v for t, v in x.items() if not t & ~(full ^ mask_of(tau))})
+        tau: CoverageWeights.of(n, {t: v for t, v in x.items() if not t & ~(full ^ mask_of(tau))})
         for size in range(n - 1)
         for tau in combinations(range(1, n + 1), size)
     })
@@ -573,6 +581,149 @@ def test_strong_coverage_synthesis_matches_per_tau_reference():
         inst = rand_coverage_instance(rng, rng.randint(1, 6), rng.randint(1, 6))
         got = dump_certificate(synth_strong_from_parts(inst))
         assert got == dump_certificate(reference_strong_coverage(inst))
+
+
+# --- integer certificate verifiers vs Fraction oracles --------------------------
+
+
+_WEIGHT = st.fractions(0, 3, max_denominator=6)
+
+
+def _outcome(verify, *args):
+    """(ok, checks, failure, tau) of one verification, or the error it raised."""
+    try:
+        check = verify(*args)
+    except (ValueError, MissingWitnessError) as exc:
+        return type(exc).__name__, str(exc)
+    return check.ok, check.checks, check.failure, check.tau
+
+
+def _values(g) -> dict:
+    return {t: Fraction(v, g.scale) for t, v in g.x.items()}
+
+
+def _perturb_g(draw, n: int, g: dict) -> dict:
+    """g with one entry changed: a weight, a mask dropped, or an extra mask
+    anywhere in [n] (possibly reaching outside the witness's ground set)."""
+    g = dict(g)
+    kind = draw(st.sampled_from(("weight", "missing", "extra"))) if g else "extra"
+    if kind == "extra":
+        g[draw(st.integers(1, (1 << n) - 1))] = draw(_WEIGHT.filter(bool))
+    else:
+        t = draw(st.sampled_from(sorted(g)))
+        if kind == "missing":
+            del g[t]
+        else:
+            old = g[t]
+            g[t] = draw(_WEIGHT.filter(lambda v: v != old))
+    return g
+
+
+def _scaled_table(f: SetFunctionTable, c: Fraction) -> SetFunctionTable:
+    return SetFunctionTable.of(f.n, [f[m] * c for m in range(1 << f.n)])
+
+
+@st.composite
+def strong_cases(draw):
+    """(table, strong certificate): a coverage instance's table and its
+    synthesized certificate, both scaled by one rational, or a random table
+    with random witnesses; either possibly with one witness entry perturbed
+    or one witness dropped."""
+    if draw(st.booleans()):
+        inst = draw(coverage_instances())
+        n, c = inst.n, draw(st.fractions(Fraction(1, 6), 3, max_denominator=6))
+        f = _scaled_table(materialize(inst.weights()), c)
+        cert = synth_strong_from_parts(inst)
+        witnesses = {tau: {t: v * c for t, v in _values(g).items()} for tau, g in cert.witnesses.items()}
+    else:
+        n = draw(st.integers(1, 4))
+        size = (1 << n) - 1
+        f = SetFunctionTable.of(n, [0] + draw(st.lists(
+            st.fractions(0, 4, max_denominator=4), min_size=size, max_size=size)))
+        witnesses = {}
+        for k in range(n - 1):
+            for tau in combinations(range(1, n + 1), k):
+                masks = [t for t in range(1, size + 1) if not t & mask_of(tau)]
+                witnesses[tau] = draw(st.dictionaries(st.sampled_from(masks), _WEIGHT, max_size=3))
+    if witnesses and draw(st.booleans()):
+        tau = draw(st.sampled_from(sorted(witnesses)))
+        if draw(st.integers(0, 3)):
+            witnesses[tau] = _perturb_g(draw, n, witnesses[tau])
+        else:
+            del witnesses[tau]
+    return f, StrongCertificate(n, {tau: CoverageWeights.of(n, g) for tau, g in witnesses.items()})
+
+
+@st.composite
+def two_coverage_cases(draw):
+    """(table, d, two-coverage certificate): a matroid indicator and its
+    synthesized certificate, or a coverage table and the witnesses found by
+    search, both scaled by one rational; or a random table with random
+    witnesses. Either possibly with one g entry or l value perturbed, or one
+    witness dropped."""
+    kind = draw(st.sampled_from(("indicator", "search", "random")))
+    c = draw(st.fractions(Fraction(1, 6), 3, max_denominator=6))
+    witnesses = {}
+    if kind == "indicator":
+        n = draw(st.integers(2, 6))
+        m = rand_partition_matroid(random.Random(draw(st.integers(0, 2**32))), n)
+        m = m if m.full_rank() >= 2 else UniformMatroid(2, n)
+        d = draw(st.integers(2, m.full_rank()))
+        f = _scaled_table(to_setfunction(m, "indicator"), c)
+        for tau, w in coverage2.synth_2cov_indicator(m, d).witnesses.items():
+            witnesses[tau] = (w.support, {t: v * c for t, v in _values(w.g).items()},
+                              [Fraction(v, w.g.scale) * c for v in w.ell])
+    elif kind == "search":
+        inst = draw(coverage_instances().filter(lambda i: i.n >= 2))
+        n = inst.n
+        d = draw(st.integers(2, min(3, n)))
+        f = _scaled_table(materialize(inst.weights()), c)
+        for tau in combinations(range(1, n + 1), d - 2):
+            found = coverage2.search_2cov_feasible(f, d, tau)
+            if found:
+                witnesses[tau] = (found.support, _values(found.g),
+                                  [Fraction(v, found.g.scale) for v in found.ell])
+    else:
+        n = draw(st.integers(2, 4))
+        d = draw(st.integers(2, min(3, n)))
+        f = SetFunctionTable.of(n, [0] + draw(st.lists(
+            st.fractions(0, 4, max_denominator=4), min_size=(1 << n) - 1, max_size=(1 << n) - 1)))
+        for tau in combinations(range(1, n + 1), d - 2):
+            rest = [lab for lab in range(1, n + 1) if lab not in tau]
+            support = tuple(sorted(draw(st.sets(st.sampled_from(rest)))))
+            masks = [t for t in range(1, 1 << n) if not t & ~mask_of(support)]
+            g = draw(st.dictionaries(st.sampled_from(masks), _WEIGHT, max_size=3)) if masks else {}
+            witnesses[tau] = (support, g, [draw(_WEIGHT) if lab in support else 0 for lab in range(1, n + 1)])
+    if witnesses and draw(st.booleans()):
+        tau = draw(st.sampled_from(sorted(witnesses)))
+        support, g, ell = witnesses[tau]
+        change = draw(st.sampled_from(("g", "l", "drop")))
+        if change == "g":
+            witnesses[tau] = (support, _perturb_g(draw, n, g), ell)
+        elif change == "l":
+            ell = list(ell)
+            ell[draw(st.integers(0, n - 1))] = draw(st.fractions(-1, 3, max_denominator=6))
+            witnesses[tau] = (support, g, ell)
+        else:
+            del witnesses[tau]
+    cert = TwoCoverageCertificate(n, d, {
+        tau: TwoCoverageWitness.of(support, n, g, ell) for tau, (support, g, ell) in witnesses.items()
+    })
+    return f, d, cert
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=strong_cases())
+def test_strong_verifier_matches_fraction_oracle(case):
+    f, cert = case
+    assert _outcome(verify_strong2cov, f, cert) == _outcome(verify_strong2cov_oracle, f, cert)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=two_coverage_cases())
+def test_two_coverage_verifier_matches_fraction_oracle(case):
+    f, d, cert = case
+    assert _outcome(verify_2cov, f, d, cert) == _outcome(verify_2cov_oracle, f, d, cert)
 
 
 # --- matroid certificates vs per-tau contracted oracles ------------------------

@@ -113,6 +113,24 @@ def test_exact_refuses(value, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "cannot parse True as a rational"),
+        (0.5, "refusing float 0.5 in an exact context; pass int, Fraction or a string"),
+    ],
+    ids=["boolean", "float"],
+)
+def test_of_constructors_refuse_inexact_values(value, message):
+    # both go through integer_scaled, which refuses what `exact` refuses
+    with pytest.raises(TypeError) as info:
+        SetFunctionTable.of(1, [0, value])
+    assert str(info.value) == message
+    with pytest.raises(TypeError) as info:
+        CoverageWeights.of(2, {0b01: 1, 0b11: value})
+    assert str(info.value) == message
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.integers(-99, 99), st.fractions(max_denominator=60)), max_size=12))
 def test_integer_scaled_numerators_over_lcm(values):
@@ -156,7 +174,7 @@ def test_instance_weights_drop_uncovered_and_zero():
         [("a", 1), ("b", "1/2"), ("c", 3), ("d", 0), ("e", 2)], [["a", "b"], ["b"], ["d"]]
     )
     # a lies in A_1 only, b in A_1 and A_2, d (weight 0) in A_3 only, c and e in no set
-    assert inst.weights().x == {0b001: 1, 0b011: Fraction(1, 2)}
+    assert inst.weights() == CoverageWeights(3, {0b001: 2, 0b011: 1}, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,10 +341,10 @@ def test_mobius_round_trip_is_identity(case):
     x = {}
     for mask, v in entries:
         x[mask] = x.get(mask, 0) + Fraction(v)
-    w = CoverageWeights(n, x)
+    w = CoverageWeights.of(n, x)
     mob = mobius_coverage_weights(materialize(w))
     assert mob.is_coverage
-    assert mob.weights == w.x
+    assert mob.weights == {t: Fraction(v, w.scale) for t, v in w.x.items()}
 
 
 def test_mobius_of_coverage_instances_is_nonnegative():
