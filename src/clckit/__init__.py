@@ -27,6 +27,7 @@ from .matroids import (
     ParallelPartition,
     PartitionMatroid,
     UniformMatroid,
+    independence_indicator,
     parallel_partition,
     to_setfunction,
     validate_explicit,
@@ -66,7 +67,6 @@ from .coverage2 import (
 from .entropy import JointDistribution, cond_entropy, entropy_decomposition, mmi
 from .walk import (
     WalkInstance,
-    is_irreducible,
     mixing_time_exact,
     sample_chain,
     transition_matrix,

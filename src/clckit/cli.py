@@ -14,8 +14,8 @@ import sys
 
 from . import counterexamples as cx
 from . import jsonio
-from .bitsets import labels_of, mask_of
-from .jsonio import _setkey
+from .bitsets import labels_of
+from .jsonio import _setkey, _subset
 from .coverage2 import (
     decide_2cov,
     synth_2cov_indicator,
@@ -344,7 +344,11 @@ def _cmd_sample(args) -> int:
     f = jsonio.load_set_function(args.input)
     w = walk_instance(f, args.d)
     if args.start:
-        start = mask_of(int(tok) for tok in args.start.split(","))
+        try:
+            labels = [int(tok) for tok in args.start.split(",")]
+        except ValueError:
+            raise _UsageError(f"--start: {args.start!r} is not a comma-separated list of integer labels") from None
+        start = _subset(labels, "--start", None, (1 << f.n) - 1, f"n={f.n}", {})
         if start not in w.index:
             raise _UsageError(f"start state {args.start} is not in the support")
     else:

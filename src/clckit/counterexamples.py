@@ -79,7 +79,7 @@ def check_budget_additive() -> CounterexampleOutcome:
 def check_triangle() -> CounterexampleOutcome:
     iner = quadratic_inertia(triangle_quadratic())
     lc = iner.n_pos <= 1
-    search = search_2cov_feasible(triangle_table(), 2, ())
+    search = search_2cov_feasible(triangle_table(), 2, 0)
     ok = iner.as_tuple() == (1, 0, 2) and lc and not search.feasible
     return CounterexampleOutcome(
         "triangle-quadratic",

@@ -17,11 +17,13 @@ set tau, witnesses that pin down the contracted pair values:
   * strongly two-coverage: for each |tau| <= n-2, a coverage g on the whole
     complement of tau with f(tau + T) = g(T) + f(tau) for |T| in {1, 2}.
 
-Every witness is indexed by bitmasks over the table's own ground set [n]:
-g is a CoverageWeights(n, ...) whose masks lie in the witness's ground set,
-and l is an n-tuple of integer numerators over g's denominator, one per
-element of [n]. Verification compares integer numerators by
-cross-multiplication; a Fraction is built only for a failure message.
+Every subset is a bitmask over the table's own ground set [n]: the
+certificate's keys tau, a witness's support S, and the masks of g, a
+CoverageWeights(n, ...) inside the witness's ground set; l is an n-tuple of
+integer numerators over g's denominator, one per element of [n].
+Verification compares integer numerators by cross-multiplication. Labels
+and Fractions are built only for what is printed: the tau of a failed
+check or decision, and the failure texts.
 
 Synthesis verifies eagerly: the constructions encode proofs, so a synthesized
 certificate that fails its own verification raises InternalCheckError.
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .bitsets import labels_of, mask_of, masks_of_size, submasks
+from .bitsets import labels_of, masks_of_size, submasks
 from .errors import CapExceededError, InternalCheckError, MissingWitnessError
 from .logconcave import contraction_cells
 from .matroids import Matroid, independence_indicator, parallel_partition, to_setfunction
@@ -50,7 +52,7 @@ from .simplex import phase1
 
 @dataclass(frozen=True)
 class TwoCoverageWitness:
-    support: tuple[int, ...]  # S, ascending labels of the ground set
+    support: int  # S, a mask over [n]
     g: CoverageWeights  # masks over [n], inside S
     ell: tuple[int, ...]  # l_i * g.scale for i in [n], zero outside S
 
@@ -59,24 +61,24 @@ class TwoCoverageWitness:
             raise TypeError("l numerators must be ints")
 
     @classmethod
-    def of(cls, support, n: int, g: Mapping, ell: Sequence) -> "TwoCoverageWitness":
-        """The witness of exact values, g as {mask: x_T} and l as n values,
-        written over one denominator in lowest terms."""
+    def of(cls, support: int, n: int, g: Mapping, ell: Sequence) -> "TwoCoverageWitness":
+        """The witness of exact values, S as a mask, g as {mask: x_T} and l
+        as n values, written over one denominator in lowest terms."""
         nums, scale = integer_scaled([*g.values(), *ell])
-        return cls(tuple(support), CoverageWeights(n, dict(zip(g, nums)), scale), tuple(nums[len(g):]))
+        return cls(support, CoverageWeights(n, dict(zip(g, nums)), scale), tuple(nums[len(g):]))
 
 
 @dataclass(frozen=True)
 class TwoCoverageCertificate:
     n: int
     d: int
-    witnesses: Mapping[tuple[int, ...], TwoCoverageWitness]  # key: sorted tau
+    witnesses: Mapping[int, TwoCoverageWitness]  # key: tau, a mask over [n]
 
 
 @dataclass(frozen=True)
 class StrongCertificate:
     n: int
-    witnesses: Mapping[tuple[int, ...], CoverageWeights]  # g: masks over [n] outside tau
+    witnesses: Mapping[int, CoverageWeights]  # tau -> g, both masks over [n], g outside tau
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class CertificateCheck:
     ok: bool
     checks: int
     failure: str | None = None
-    tau: tuple[int, ...] | None = None
+    tau: tuple[int, ...] | None = None  # labels
 
     def __bool__(self) -> bool:
         return self.ok
@@ -132,47 +134,46 @@ def verify_2cov(
                 False, checks, "contracted restriction is decomposable", labels_of(tmask)
             )
     for tmask in masks_of_size(n, d - 2):
-        tau = labels_of(tmask)
         pairs, touched = _pair_support(f, tmask)
-        witness = cert.witnesses.get(tau)
+        witness = cert.witnesses.get(tmask)
         if witness is None:
             if touched:
-                raise MissingWitnessError(tau)
+                raise MissingWitnessError(labels_of(tmask))
             checks += 1
             continue
-        support, g, ell = witness.support, witness.g, witness.ell
+        smask, g, ell = witness.support, witness.g, witness.ell
         if len(ell) != n:
-            raise ValueError(f"witness at tau={tau} has l over {len(ell)} elements, not n={n}")
+            raise ValueError(f"witness at tau={labels_of(tmask)} has l over {len(ell)} elements, not n={n}")
         if any(v < 0 for v in ell):
-            raise ValueError(f"witness at tau={tau} has a negative l value {Fraction(min(ell), g.scale)}")
-        smask = mask_of(support)
+            raise ValueError(
+                f"witness at tau={labels_of(tmask)} has a negative l value {Fraction(min(ell), g.scale)}"
+            )
         off_support = any(v for b, v in enumerate(ell) if not smask >> b & 1)
         if off_support or any(t & ~smask for t in g.x):
-            raise ValueError(f"witness at tau={tau} reaches outside S={support}")
-        if labels_of(touched) != support:
+            raise ValueError(f"witness at tau={labels_of(tmask)} reaches outside S={labels_of(smask)}")
+        if touched != smask:
             return CertificateCheck(
                 False,
                 checks + 1,
-                f"support mismatch: expected {labels_of(touched)}, witness has {support}",
-                tau,
+                f"support mismatch: expected {labels_of(touched)}, witness has {labels_of(smask)}",
+                labels_of(tmask),
             )
-        for lab in support:
-            checks += 1
-            if ell[lab - 1] > g.num(1 << (lab - 1)):
-                return CertificateCheck(
-                    False, checks, f"l({lab}) exceeds g({lab})", tau
-                )
+        for b in range(n):
+            if smask >> b & 1:
+                checks += 1
+                if ell[b] > g.num(1 << b):
+                    return CertificateCheck(False, checks, f"l({b + 1}) exceeds g({b + 1})", labels_of(tmask))
         for pm, value in pairs.items():
-            la, lb = labels_of(pm)
+            a, b = (pm & -pm).bit_length() - 1, pm.bit_length() - 1
             checks += 1
-            want = 0 if pm & ~smask else 2 * g.num(pm) - ell[la - 1] - ell[lb - 1]
+            want = 0 if pm & ~smask else 2 * g.num(pm) - ell[a] - ell[b]
             if value * 2 * g.scale != want * f.scale:
                 return CertificateCheck(
                     False,
                     checks,
-                    f"pair equation failed on {{{la},{lb}}}: f_tau={Fraction(value, f.scale)}, "
+                    f"pair equation failed on {{{a + 1},{b + 1}}}: f_tau={Fraction(value, f.scale)}, "
                     f"certificate gives {Fraction(want, 2 * g.scale)}",
-                    tau,
+                    labels_of(tmask),
                 )
     return CertificateCheck(True, checks)
 
@@ -190,19 +191,18 @@ def verify_strong2cov(
     checks = 0
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
-            tau = labels_of(tmask)
-            g = cert.witnesses.get(tau)
+            g = cert.witnesses.get(tmask)
             if g is None:
-                raise MissingWitnessError(tau)
+                raise MissingWitnessError(labels_of(tmask))
             if any(t & ~(full ^ tmask) for t in g.x):
-                raise ValueError(f"witness at tau={tau} reaches outside the complement of tau")
+                raise ValueError(f"witness at tau={labels_of(tmask)} reaches outside the complement of tau")
             outside = [b for b in range(n) if not tmask >> b & 1]
             base, gscale = nums[tmask], g.scale
             for ia, a in enumerate(outside):
                 checks += 1
                 if (nums[tmask | (1 << a)] - base) * gscale != g.num(1 << a) * scale:
                     return CertificateCheck(
-                        False, checks, f"singleton equation failed at {a + 1}", tau
+                        False, checks, f"singleton equation failed at {a + 1}", labels_of(tmask)
                     )
                 for b in outside[ia + 1:]:
                     pm = (1 << a) | (1 << b)
@@ -212,7 +212,7 @@ def verify_strong2cov(
                             False,
                             checks,
                             f"pair equation failed at {{{a + 1},{b + 1}}}",
-                            tau,
+                            labels_of(tmask),
                         )
     return CertificateCheck(True, checks)
 
@@ -234,12 +234,11 @@ def synth_strong_matroid(m: Matroid, cap: int = 14) -> StrongCertificate:
     n = len(m.elements)
     if n > cap:
         raise CapExceededError(f"{n} elements exceed cap {cap}")
-    table = to_setfunction(m, "rank")
-    witnesses: dict[tuple[int, ...], CoverageWeights] = {}
+    table = to_setfunction(m)
+    witnesses: dict[int, CoverageWeights] = {}
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
-            classes = parallel_partition(table, tmask).classes
-            witnesses[labels_of(tmask)] = CoverageWeights(n, {mask_of(c): 1 for c in classes})
+            witnesses[tmask] = CoverageWeights(n, dict.fromkeys(parallel_partition(table, tmask).classes, 1))
     cert = StrongCertificate(n, witnesses)
     return _verified(cert, verify_strong2cov(table, cert), "synthesized strong certificate")
 
@@ -256,19 +255,17 @@ def synth_2cov_indicator(m: Matroid, d: int, cap: int = 14) -> TwoCoverageCertif
     n = len(m.elements)
     if n > cap:
         raise CapExceededError(f"{n} elements exceed cap {cap}")
-    table = to_setfunction(m, "rank")
+    table = to_setfunction(m)
     full_rank = table.nums[-1]  # a rank table's scale is 1
     if not 2 <= d <= full_rank:
         raise ValueError(f"d={d} exceeds the matroid rank {full_rank}")
-    witnesses: dict[tuple[int, ...], TwoCoverageWitness] = {}
+    witnesses: dict[int, TwoCoverageWitness] = {}
     for tmask in masks_of_size(n, d - 2):
         independent = table.nums[tmask] == d - 2
         classes = parallel_partition(table, tmask).classes if independent else ()
-        smask = mask_of(lab for c in classes for lab in c)
-        witnesses[labels_of(tmask)] = TwoCoverageWitness(
-            labels_of(smask),
-            CoverageWeights(n, {mask_of(c): 1 for c in classes}),
-            tuple(smask >> b & 1 for b in range(n)),
+        smask = sum(classes)  # the classes are disjoint
+        witnesses[tmask] = TwoCoverageWitness(
+            smask, CoverageWeights(n, dict.fromkeys(classes, 1)), tuple(smask >> b & 1 for b in range(n))
         )
     cert = TwoCoverageCertificate(n, d, witnesses)
     check = verify_2cov(independence_indicator(table), d, cert)
@@ -283,12 +280,12 @@ def synth_strong_from_parts(inst: CoverageInstance) -> StrongCertificate:
     n = inst.n
     weights = inst.weights()
     table = materialize(weights)
-    witnesses: dict[tuple[int, ...], CoverageWeights] = {}
+    witnesses: dict[int, CoverageWeights] = {}
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
             x = {u: v for u, v in weights.x.items() if not u & tmask}
             common = math.gcd(weights.scale, *x.values())  # to lowest terms
-            witnesses[labels_of(tmask)] = CoverageWeights(
+            witnesses[tmask] = CoverageWeights(
                 n, {u: v // common for u, v in x.items()}, weights.scale // common
             )
     cert = StrongCertificate(n, witnesses)
@@ -298,7 +295,7 @@ def synth_strong_from_parts(inst: CoverageInstance) -> StrongCertificate:
 @dataclass(frozen=True)
 class SearchResult:
     feasible: bool
-    support: tuple[int, ...]
+    support: int  # S, a mask over [n]
     g: CoverageWeights | None
     ell: tuple[int, ...] | None  # l_i * g.scale, as in TwoCoverageWitness
     infeasibility: Fraction  # phase-1 optimum; positive certifies infeasibility
@@ -311,7 +308,7 @@ class SearchResult:
 class TwoCoverageDecision:
     two_coverage: bool
     reason: str | None = None  # "decomposable" | "infeasible"
-    tau: tuple[int, ...] | None = None
+    tau: tuple[int, ...] | None = None  # labels
     infeasibility: Fraction | None = None  # positive phase-1 optimum when infeasible
 
 
@@ -326,17 +323,16 @@ def decide_2cov(f: SetFunctionTable, d: int, cap: int = 10) -> TwoCoverageDecisi
         if len(comps) > 1:
             return TwoCoverageDecision(False, "decomposable", labels_of(tmask))
     for tmask in masks_of_size(f.n, d - 2):
-        tau = labels_of(tmask)
-        result = search_2cov_feasible(f, d, tau, cap)
+        result = search_2cov_feasible(f, d, tmask, cap)
         if not result:
-            return TwoCoverageDecision(False, "infeasible", tau, result.infeasibility)
+            return TwoCoverageDecision(False, "infeasible", labels_of(tmask), result.infeasibility)
     return TwoCoverageDecision(True)
 
 
 def search_2cov_feasible(
-    f: SetFunctionTable, d: int, tau, cap: int = 10
+    f: SetFunctionTable, d: int, tau: int, cap: int = 10
 ) -> SearchResult:
-    """Decide whether a (g, l) witness exists for this tau, by exact LP.
+    """Decide whether a (g, l) witness exists for the mask tau, by exact LP.
 
     Variables are all 2^|S| - 1 coverage weights plus the l values; the pair
     equations are equalities and l({i}) <= g({i}) gets a slack. Weights on
@@ -344,20 +340,18 @@ def search_2cov_feasible(
     search is complete and an infeasible verdict is a proof. Coefficients
     are plain ints except the -1/2 on the l values.
     """
-    tmask = mask_of(tau)
-    if tmask.bit_length() > f.n:
+    if not 0 <= tau < 1 << f.n:
         raise ValueError("tau outside the ground set")
-    if tmask.bit_count() != d - 2:
+    if tau.bit_count() != d - 2:
         raise ValueError(f"tau must have size d-2={d - 2}")
-    pairs, smask = _pair_support(f, tmask)
-    support = labels_of(smask)
-    m = len(support)
+    pairs, smask = _pair_support(f, tau)
+    n = f.n
+    bits = [1 << b for b in range(n) if smask >> b & 1]
+    m = len(bits)
     if m > cap:
         raise CapExceededError(f"|S|={m} exceeds cap {cap}")
-    n = f.n
     if m == 0:
-        return SearchResult(True, (), CoverageWeights(n, {}), (0,) * n, ZERO)
-    bits = [1 << (lab - 1) for lab in support]
+        return SearchResult(True, 0, CoverageWeights(n, {}), (0,) * n, ZERO)
     cols = list(submasks(smask))[-2::-1]  # x_T for T inside S ascending, then l_i, then slack_i
     num_x = len(cols)
     rows: list[list] = []
@@ -379,10 +373,10 @@ def search_2cov_feasible(
         rhs.append(0)
     result = phase1(rows, rhs)
     if not result:
-        return SearchResult(False, support, None, None, result.infeasibility)
+        return SearchResult(False, smask, None, None, result.infeasibility)
     point = result.point
     ell = [0] * n
-    for i, lab in enumerate(support):
-        ell[lab - 1] = point[num_x + i]
-    w = TwoCoverageWitness.of(support, n, {t: v for t, v in zip(cols, point) if v}, ell)
-    return SearchResult(True, support, w.g, w.ell, ZERO)
+    for i, bit in enumerate(bits):
+        ell[bit.bit_length() - 1] = point[num_x + i]
+    w = TwoCoverageWitness.of(smask, n, {t: v for t, v in zip(cols, point) if v}, ell)
+    return SearchResult(True, smask, w.g, w.ell, ZERO)

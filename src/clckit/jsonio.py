@@ -250,30 +250,31 @@ def _weights_doc(g: CoverageWeights) -> dict:
     return {_setkey(labels_of(t)): str(Fraction(v, g.scale)) for t, v in sorted(g.x.items())}
 
 
+def _by_tau(witnesses) -> list:
+    """(tau's labels, witness) in the order of the label tuples, which
+    fixes the order of the witnesses in a certificate file."""
+    return sorted(((labels_of(t), w) for t, w in witnesses.items()), key=lambda item: item[0])
+
+
+def _two_coverage_doc(tau: tuple[int, ...], w: TwoCoverageWitness) -> dict:
+    support = labels_of(w.support)
+    ell = {str(lab): str(Fraction(w.ell[lab - 1], w.g.scale)) for lab in support}
+    return {"tau": list(tau), "S": list(support), "g": _weights_doc(w.g), "l": ell}
+
+
 def dump_certificate(cert) -> dict:
-    """Masks over [n] are written as label lists: S, the keys of g, and
-    one key of l per label of S."""
+    """Masks over [n] are written as label lists: tau, S, the keys of g,
+    and one key of l per label of S."""
     if isinstance(cert, TwoCoverageCertificate):
         return {
             "d": cert.d,
             "n": cert.n,
-            "witnesses": [
-                {
-                    "tau": list(tau),
-                    "S": list(w.support),
-                    "g": _weights_doc(w.g),
-                    "l": {str(lab): str(Fraction(w.ell[lab - 1], w.g.scale)) for lab in w.support},
-                }
-                for tau, w in sorted(cert.witnesses.items())
-            ],
+            "witnesses": [_two_coverage_doc(tau, w) for tau, w in _by_tau(cert.witnesses)],
         }
     if isinstance(cert, StrongCertificate):
         return {
             "n": cert.n,
-            "witnesses": [
-                {"tau": list(tau), "g": _weights_doc(g)}
-                for tau, g in sorted(cert.witnesses.items())
-            ],
+            "witnesses": [{"tau": list(tau), "g": _weights_doc(g)} for tau, g in _by_tau(cert.witnesses)],
         }
     raise TypeError(f"cannot dump {type(cert).__name__}")
 
@@ -295,7 +296,6 @@ def load_certificate(path: str):
         _typed(w, dict, f"witnesses[{k}]")
         labels = _field(w, "tau", at=f"witnesses[{k}].tau")
         tmask = _subset(labels, "witnesses[{}].tau", k, full, in_n, seen_tau)
-        tau = labels_of(tmask)
         if two_coverage:
             labels = _field(w, "S", at=f"witnesses[{k}].S")
             ground, scope = _subset(labels, "witnesses[{}].S", k, full, in_n, {}), "S"
@@ -308,7 +308,7 @@ def load_certificate(path: str):
         for key in g_doc:
             g[_subset(_key(key, at), at, key, ground, scope, seen_g)] = _rational(g_doc, key, at.format(key))
         if not two_coverage:
-            witnesses[tau] = CoverageWeights.of(n, g)
+            witnesses[tmask] = CoverageWeights.of(n, g)
             continue
         at = f"witnesses[{k}].l[{{!r}}]"
         seen_l: dict[int, str] = {}
@@ -317,7 +317,7 @@ def load_certificate(path: str):
         for key in l_doc:
             bit = _subset([_key(key, at)], at, key, ground, scope, seen_l)
             ell[bit.bit_length() - 1] = _rational(l_doc, key, at.format(key))
-        witnesses[tau] = TwoCoverageWitness.of(labels_of(ground), n, g, ell)
+        witnesses[tmask] = TwoCoverageWitness.of(ground, n, g, ell)
     if two_coverage:
         return TwoCoverageCertificate(n, _field(doc, "d", int), witnesses)
     return StrongCertificate(n, witnesses)

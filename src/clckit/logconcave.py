@@ -306,15 +306,6 @@ def certify_clc_homogenization(
     return _certify(f, None)
 
 
-def two_by_two_log_concave(a, b, c, d) -> bool:
-    """Log-concavity of a + b y + c z + d y z with nonnegative coefficients
-    reduces to the single inequality 2bc >= ad."""
-    a, b, c, d = exact(a), exact(b), exact(c), exact(d)
-    if min(a, b, c, d) < 0:
-        raise ValueError("coefficients must be nonnegative")
-    return 2 * b * c >= a * d
-
-
 @dataclass(frozen=True)
 class UlcResult:
     holds: bool

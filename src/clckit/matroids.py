@@ -1,7 +1,10 @@
 """Matroid oracles: uniform, partition, graphic and explicit.
 
-Ranks are exact integers; ground elements are 1-based labels. Tables
-produced from an oracle are indexed by the labels in ascending order.
+Ranks are exact integers. The ground elements are the labels 1..n, which a
+caller hands to `Matroid.rank` and to the constructors; past that boundary
+every subset is a bitmask over [n], bit b for label b + 1: `_rank`, the
+partition blocks, the explicit listing and its rank table, the loops and
+parallel classes, and the rank table `to_setfunction` builds.
 """
 from __future__ import annotations
 
@@ -14,8 +17,18 @@ from .errors import CapExceededError, NotAMatroidError
 from .setfn import HARD_CAP, SetFunctionTable
 
 
+def _distinct(labels: Iterable[int], at: str) -> frozenset:
+    """A caller's list of labels as a set; a label listed twice is refused,
+    naming the list `at`."""
+    labels = list(labels)
+    s = frozenset(labels)
+    if len(s) != len(labels):
+        raise ValueError(f"{at}: set {labels} repeats a label")
+    return s
+
+
 class Matroid:
-    """Rank oracle over a finite ground set of 1-based labels."""
+    """Rank oracle over the ground labels 1..n."""
 
     elements: tuple[int, ...]
 
@@ -24,13 +37,14 @@ class Matroid:
         extra = s.difference(self.elements)
         if extra:
             raise ValueError(f"invalid subset: {sorted(extra)} outside the ground set")
-        return self._rank(s)
+        return self._rank(mask_of(s))
 
-    def _rank(self, s: frozenset) -> int:
+    def _rank(self, s: int) -> int:
+        """The rank of the mask s over [n]."""
         raise NotImplementedError
 
     def full_rank(self) -> int:
-        return self._rank(frozenset(self.elements))
+        return self._rank((1 << len(self.elements)) - 1)
 
 
 class UniformMatroid(Matroid):
@@ -43,8 +57,8 @@ class UniformMatroid(Matroid):
         self.n = n
         self.elements = tuple(range(1, n + 1))
 
-    def _rank(self, s: frozenset) -> int:
-        return min(len(s), self.r)
+    def _rank(self, s: int) -> int:
+        return min(s.bit_count(), self.r)
 
     def __repr__(self):
         return f"UniformMatroid(r={self.r}, n={self.n})"
@@ -54,23 +68,23 @@ class PartitionMatroid(Matroid):
     """Blocks partition [n]; rank is the capped count per block."""
 
     def __init__(self, blocks: Sequence[Iterable[int]], caps: Sequence[int]):
-        self.blocks = tuple(frozenset(b) for b in blocks)
+        sets = [_distinct(b, f"blocks[{k}]") for k, b in enumerate(blocks)]
         self.caps = tuple(int(c) for c in caps)
-        if len(self.blocks) != len(self.caps):
+        if len(sets) != len(self.caps):
             raise ValueError("need one cap per block")
         if any(c < 0 for c in self.caps):
             raise ValueError("caps must be nonnegative")
-        n = sum(len(b) for b in self.blocks)
-        covered = frozenset().union(*self.blocks) if self.blocks else frozenset()
-        if covered != frozenset(range(1, n + 1)) or len(covered) != n:
+        n = sum(len(b) for b in sets)
+        if frozenset().union(*sets) != frozenset(range(1, n + 1)):
             raise ValueError("blocks must partition {1,...,n}")
+        self.blocks = tuple(mask_of(b) for b in sets)
         self.elements = tuple(range(1, n + 1))
 
-    def _rank(self, s: frozenset) -> int:
-        return sum(min(len(s & b), c) for b, c in zip(self.blocks, self.caps))
+    def _rank(self, s: int) -> int:
+        return sum(min((s & b).bit_count(), c) for b, c in zip(self.blocks, self.caps))
 
     def __repr__(self):
-        return f"PartitionMatroid(blocks={[sorted(b) for b in self.blocks]}, caps={list(self.caps)})"
+        return f"PartitionMatroid(blocks={[list(labels_of(b)) for b in self.blocks]}, caps={list(self.caps)})"
 
 
 class GraphicMatroid(Matroid):
@@ -80,8 +94,11 @@ class GraphicMatroid(Matroid):
         if num_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
         self.num_vertices = num_vertices
-        self.edges = tuple((int(u), int(v)) for u, v in edges)
-        for u, v in self.edges:
+        self.edges = tuple(tuple(map(int, e)) for e in edges)
+        for k, e in enumerate(self.edges):
+            if len(e) != 2:
+                raise ValueError(f"edges[{k}]: an edge joins 2 vertices, found {len(e)}")
+            u, v = e
             if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
                 raise ValueError(f"edge ({u},{v}) references an unknown vertex")
         self.elements = tuple(range(1, len(self.edges) + 1))
@@ -93,7 +110,7 @@ class GraphicMatroid(Matroid):
         )
         self._touched = len(index)
 
-    def _rank(self, s: frozenset) -> int:
+    def _rank(self, s: int) -> int:
         parent = list(range(self._touched))
 
         def find(a):
@@ -103,12 +120,13 @@ class GraphicMatroid(Matroid):
             return a
 
         rank = 0
-        for e in sorted(s):
-            u, v = self._ends[e - 1]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                rank += 1
+        for b in range(s.bit_length()):
+            if s >> b & 1:
+                u, v = self._ends[b]
+                ru, rv = find(u), find(v)
+                if ru != rv:
+                    parent[ru] = rv
+                    rank += 1
         return rank
 
     def __repr__(self):
@@ -128,9 +146,8 @@ class ExplicitValidation:
 def validate_explicit(n: int, family: Iterable[Iterable[int]]) -> ExplicitValidation:
     """Check the independence axioms; violations come back as return values.
     The exchange axiom is checked on the rank table (see `_rank_table`)."""
-    fam = {frozenset(i) for i in family}
-    check = _check_listing(n, fam)
-    return _rank_table(n, fam)[1] if check else check
+    listed, check = _check_listing(n, family)
+    return _rank_table(n, listed)[1] if check else check
 
 
 def _require(check: ExplicitValidation) -> None:
@@ -138,27 +155,36 @@ def _require(check: ExplicitValidation) -> None:
         raise NotAMatroidError(f"{check.kind}: witness {check.witness}")
 
 
-def _check_listing(n: int, fam) -> ExplicitValidation:
-    """The axioms that the listing alone decides, at O(|family| n) cost: it
-    is nonempty, inside [n] and closed under taking subsets."""
-    if not fam:
-        return ExplicitValidation(False, "empty", None)
-    ground = frozenset(range(1, n + 1))
-    for i in fam:
-        if not i <= ground:
-            return ExplicitValidation(False, "out-of-range", (tuple(sorted(i)),))
-    for i in fam:
-        for e in i:
-            if i - {e} not in fam:
-                return ExplicitValidation(
-                    False, "not-downward-closed", (tuple(sorted(i)), tuple(sorted(i - {e})))
-                )
-    return ExplicitValidation(True)
+def _check_listing(n: int, family) -> tuple[dict[int, int], ExplicitValidation]:
+    """The listed sets as {mask: position in the listing}, and the axioms
+    that the listing alone decides, at O(|family| n) cost: it is nonempty,
+    inside [n] and closed under taking subsets. A label repeated within a
+    set, or a set listed twice, raises ValueError naming it independent[k]."""
+    sets = [_distinct(i, f"independent[{k}]") for k, i in enumerate(family)]
+    if not sets:
+        return {}, ExplicitValidation(False, "empty", None)
+    for i in sets:
+        if not all(0 < e <= n for e in i):
+            return {}, ExplicitValidation(False, "out-of-range", (tuple(sorted(i)),))
+    listed: dict[int, int] = {}
+    for k, i in enumerate(sets):
+        first = listed.setdefault(mask_of(i), k)
+        if first != k:
+            raise ValueError(f"independent[{k}]: set {sorted(i)} repeats the subset of independent[{first}]")
+    for m in listed:
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if m ^ low not in listed:
+                witness = (labels_of(m), labels_of(m ^ low))
+                return listed, ExplicitValidation(False, "not-downward-closed", witness)
+    return listed, ExplicitValidation(True)
 
 
-def _rank_table(n: int, fam) -> tuple[list[int] | None, ExplicitValidation]:
-    """(r, ok), where r(S) is the size of a largest listed subset of S for
-    every mask S, or (None, the first exchange failure met).
+def _rank_table(n: int, listed) -> tuple[list[int] | None, ExplicitValidation]:
+    """(r, ok), where r(S) is the size of a largest mask of `listed` inside
+    S for every mask S, or (None, the first exchange failure met).
 
     A nonempty downward-closed listing makes r grow by at most one per
     element, so it lists the independent sets of a matroid exactly when r is
@@ -170,7 +196,6 @@ def _rank_table(n: int, fam) -> tuple[list[int] | None, ExplicitValidation]:
     lowers r, are tried. The pass reaches m after every subset of it, so
     one pass fills the table and checks it at O(2^n n) cost plus the pairs.
     """
-    listed = {mask_of(i) for i in fam}
     r = [0] * (1 << n)
     for m in range(1, 1 << n):
         if m in listed:
@@ -192,7 +217,7 @@ def _rank_table(n: int, fam) -> tuple[list[int] | None, ExplicitValidation]:
     return r, ExplicitValidation(True)
 
 
-def _largest_listed(r: list[int], listed: set[int], s: int) -> tuple[int, ...]:
+def _largest_listed(r: list[int], listed, s: int) -> tuple[int, ...]:
     """The labels of a listed subset of s of size r(s), found by dropping
     elements that leave r unchanged."""
     while s not in listed:
@@ -207,19 +232,18 @@ class ExplicitMatroid(Matroid):
     exponential work."""
 
     def __init__(self, n: int, independent: Iterable[Iterable[int]]):
-        fam = frozenset(frozenset(i) for i in independent)
-        _require(_check_listing(n, fam))
+        self.family, check = _check_listing(n, independent)
+        _require(check)
         self.n = n
-        self.family = fam
         self.elements = tuple(range(1, n + 1))
         self._table: list[int] | None = None
 
-    def _rank(self, s: frozenset) -> int:
+    def _rank(self, s: int) -> int:
         if self._table is None:
             table, check = _rank_table(self.n, self.family)
             _require(check)
             self._table = table
-        return self._table[mask_of(s)]
+        return self._table[s]
 
     def __repr__(self):
         return f"ExplicitMatroid(n={self.n}, |family|={len(self.family)})"
@@ -227,10 +251,11 @@ class ExplicitMatroid(Matroid):
 
 @dataclass(frozen=True)
 class ParallelPartition:
-    """Loops plus parallel classes covering the rest of the ground set."""
+    """Loops plus parallel classes covering the rest of the ground set, each
+    a mask over [n]; the classes in the order of their lowest elements."""
 
-    loops: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
+    loops: int
+    classes: tuple[int, ...]
 
 
 def parallel_partition(rank: SetFunctionTable, tau: int = 0) -> ParallelPartition:
@@ -240,26 +265,28 @@ def parallel_partition(rank: SetFunctionTable, tau: int = 0) -> ParallelPartitio
     and nonloops i and j are parallel iff r(tau+ij) = r(tau)+1. The contracted
     pair ranks r(tau+ij) - r(tau) are then checked against the case table
     (0 loop-loop, 1 within a class or with a loop, 2 across classes) on every
-    pair. Labels are 1-based table positions.
+    pair.
     """
     r, unit = rank.nums, rank.scale
     base = r[tau]
     level = (base, base + unit, base + 2 * unit)  # r(tau) plus contracted rank 0, 1, 2
     outside = [b for b in range(rank.n) if not tau >> b & 1]
-    loops = []
-    classes: list[list[int]] = []
+    loops = 0
+    classes: list[int] = []
+    cls_of: dict[int, int] = {}  # position -> index of its class
     for b in outside:
         with_b = tau | 1 << b
         if r[with_b] == base:
-            loops.append(b)
+            loops |= 1 << b
             continue
-        for cls in classes:
-            if r[with_b | 1 << cls[0]] == level[1]:
-                cls.append(b)
+        for c, cls in enumerate(classes):
+            if r[with_b | cls & -cls] == level[1]:
                 break
         else:
-            classes.append([b])
-    cls_of = {b: idx for idx, cls in enumerate(classes) for b in cls}
+            c = len(classes)
+            classes.append(0)
+        classes[c] |= 1 << b
+        cls_of[b] = c
     for ia, a in enumerate(outside):
         ca = cls_of.get(a)
         for b in outside[ia + 1:]:
@@ -271,33 +298,22 @@ def parallel_partition(rank: SetFunctionTable, tau: int = 0) -> ParallelPartitio
                 raise NotAMatroidError(
                     f"pair rank case table violated at ({a + 1},{b + 1}): rank {actual}, expected {expected}"
                 )
-    return ParallelPartition(
-        loops=tuple(b + 1 for b in loops),
-        classes=tuple(tuple(b + 1 for b in cls) for cls in classes),
-    )
+    return ParallelPartition(loops, tuple(classes))
 
 
-def to_setfunction(m: Matroid, mode: str = "rank") -> SetFunctionTable:
-    """Rank table or 0/1 independence indicator over the sorted ground labels.
-
-    The indicator stores 0 at the empty set (the table convention wins over
-    the combinatorial value 1; degree->=1 restrictions are unaffected).
-    """
-    if mode not in ("rank", "indicator"):
-        raise ValueError(f"unknown mode {mode!r}")
-    els = tuple(sorted(m.elements))
-    k = len(els)
+def to_setfunction(m: Matroid) -> SetFunctionTable:
+    """The rank table of m over its labels 1..n; `independence_indicator`
+    reads the 0/1 independence indicator off it."""
+    k = len(m.elements)
     if k > HARD_CAP:
         raise CapExceededError(f"{k} elements exceed the materialization cap")
-    vals = [0] * (1 << k)
-    for mask in range(1, 1 << k):
-        vals[mask] = m._rank(frozenset(els[b] for b in range(k) if mask >> b & 1))
-    table = SetFunctionTable(k, vals)
-    return table if mode == "rank" else independence_indicator(table)
+    return SetFunctionTable(k, [m._rank(s) for s in range(1 << k)])
 
 
 def independence_indicator(rank: SetFunctionTable) -> SetFunctionTable:
-    """The 0/1 indicator of r(S) = |S|, read off a rank table; 0 at the empty set."""
+    """The 0/1 indicator of r(S) = |S|, read off a rank table. It stores 0
+    at the empty set: the table convention wins over the combinatorial value
+    1, and restrictions to degree >= 1 are unaffected."""
     return SetFunctionTable(
         rank.n, [1 if s and r == s.bit_count() * rank.scale else 0 for s, r in enumerate(rank.nums)]
     )

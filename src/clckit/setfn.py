@@ -103,10 +103,6 @@ class SetFunctionTable:
     def value_of(self, labels: Iterable[int]) -> Fraction:
         return self[mask_of(labels)]
 
-    def degree(self) -> int:
-        """Largest |S| with f(S) != 0; 0 for the zero function."""
-        return max((m.bit_count() for m, v in enumerate(self.nums) if v), default=0)
-
     def support(self, size: int | None = None) -> tuple[int, ...]:
         """Masks with f > 0, optionally restricted to one cardinality."""
         return tuple(

@@ -132,8 +132,7 @@ def step(w: WalkInstance, state: int, next_word: Callable[[], int], cache: dict)
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    states: tuple[int, ...]
-    rows: tuple[dict[int, Fraction], ...]  # per row: column -> nonzero entry
+    rows: tuple[dict[int, Fraction], ...]  # per row: column -> nonzero entry; both index w.support
 
 
 def transition_matrix(w: WalkInstance) -> TransitionMatrix:
@@ -166,7 +165,7 @@ def transition_matrix(w: WalkInstance) -> TransitionMatrix:
                 raise InternalCheckError(
                     f"detailed balance violated between states {min(si, ti)} and {max(si, ti)}"
                 )
-    return TransitionMatrix(w.support, tuple(sparse))
+    return TransitionMatrix(tuple(sparse))
 
 
 @dataclass(frozen=True)
@@ -286,7 +285,6 @@ class ChainResult:
     histogram: Mapping[int, int]  # state mask -> visits (start included)
     steps: int
     seed: int
-    scheme: str = RNG_SCHEME
 
 
 def sample_chain(w: WalkInstance, start: int, steps: int, seed: int) -> ChainResult:
@@ -320,19 +318,3 @@ def histogram_tv(w: WalkInstance, histogram: Mapping[int, int]) -> float:
     extra = sum(v for m, v in histogram.items() if m not in w.index)
     return (acc + extra / total) / 2.0
 
-
-def is_irreducible(w: WalkInstance) -> bool:
-    """Connectivity of the support under single-element swaps."""
-    if len(w.support) == 1:
-        return True
-    seen = {w.support[0]}
-    queue = [w.support[0]]
-    while queue:
-        s = queue.pop()
-        for drop in labels_of(s):
-            base = s & ~(1 << (drop - 1))
-            for t in _candidate_row(w, base)[0]:
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-    return len(seen) == len(w.support)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from clckit import (
     CoverageInstance,
     CoverageWeights,
+    ExplicitMatroid,
     GraphicMatroid,
     MultiaffinePolynomial,
     PartitionMatroid,
@@ -74,6 +75,28 @@ def coverage_instances(draw):
     universe = [(e, draw(st.fractions(0, 4, max_denominator=3))) for e in ids]
     sets = draw(st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=6))
     return CoverageInstance.build(universe, sets)
+
+
+@st.composite
+def matroids(draw):
+    """A uniform, partition or graphic matroid on n <= 6 elements, or an
+    explicit one listing the independent sets of such a matroid."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("uniform", "partition", "graphic", "explicit")))
+    if kind == "uniform":
+        return UniformMatroid(draw(st.integers(0, n)), n)
+    if kind == "partition":
+        labels = draw(st.permutations(range(1, n + 1)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        blocks = [labels[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        return PartitionMatroid(blocks, [draw(st.integers(1, len(b))) for b in blocks])
+    v = draw(st.integers(2, 4))
+    ends = st.integers(1, v)
+    m = GraphicMatroid(v, draw(st.lists(st.tuples(ends, ends), min_size=n, max_size=n)))
+    if kind == "graphic":
+        return m
+    listing = [s for k in range(n + 1) for s in combinations(range(1, n + 1), k) if m.rank(s) == k]
+    return ExplicitMatroid(n, draw(st.permutations(listing)))
 
 
 def rand_partition_matroid(rng: random.Random, n: int) -> PartitionMatroid:
@@ -363,13 +386,13 @@ def verify_2cov_oracle(f: SetFunctionTable, d: int, cert) -> CertificateCheck:
                 pairs[pm] = v = f[tmask | pm]
                 if v != 0:
                     touched |= pm
-        witness = cert.witnesses.get(tau)
+        witness = cert.witnesses.get(tmask)
         if witness is None:
             if touched:
                 raise MissingWitnessError(tau)
             checks += 1
             continue
-        support, x = witness.support, _weight_values(witness.g)
+        support, x = labels_of(witness.support), _weight_values(witness.g)
         ell = [Fraction(v, witness.g.scale) for v in witness.ell]
         if len(ell) != n:
             raise ValueError(f"witness at tau={tau} has l over {len(ell)} elements, not n={n}")
@@ -416,7 +439,7 @@ def verify_strong2cov_oracle(f: SetFunctionTable, cert) -> CertificateCheck:
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
             tau = labels_of(tmask)
-            g = cert.witnesses.get(tau)
+            g = cert.witnesses.get(tmask)
             if g is None:
                 raise MissingWitnessError(tau)
             x = _weight_values(g)
@@ -438,17 +461,16 @@ def verify_strong2cov_oracle(f: SetFunctionTable, cert) -> CertificateCheck:
 
 
 def contracted_classes(m, tau) -> list[list[int]]:
-    """Parallel classes of M/tau (loops left out), asking the oracle for the
-    contracted rank rk(S + tau) - rk(tau) one set at a time."""
-    t = frozenset(tau)
-    base = m._rank(t)
+    """Parallel classes of M/tau (loops left out), asking the public oracle
+    for the contracted rank rk(S + tau) - rk(tau) one set of labels at a time."""
+    base = m.rank(tau)
 
     def rank(*xs):
-        return m._rank(t | frozenset(xs)) - base
+        return m.rank(tau + xs) - base
 
     classes = []
     for x in m.elements:
-        if x in t or rank(x) == 0:
+        if x in tau or rank(x) == 0:
             continue
         for cls in classes:
             if rank(x, cls[0]) == 1:
@@ -461,16 +483,19 @@ def contracted_classes(m, tau) -> list[list[int]]:
 
 def validate_explicit_oracle(n, family) -> ExplicitValidation:
     """The independence axioms on frozensets, the exchange axiom by trying
-    every pair of listed sets of different sizes."""
-    fam = {frozenset(i) for i in family}
+    every pair of listed sets of different sizes. Sets are met in the order
+    of the listing and labels in ascending order, so the first violation and
+    its witness are those of `validate_explicit`."""
+    listing = [frozenset(i) for i in family]
+    fam = set(listing)
     if not fam:
         return ExplicitValidation(False, "empty", None)
     ground = frozenset(range(1, n + 1))
-    for i in fam:
+    for i in listing:
         if not i <= ground:
             return ExplicitValidation(False, "out-of-range", (tuple(sorted(i)),))
-    for i in fam:
-        for e in i:
+    for i in listing:
+        for e in sorted(i):
             if i - {e} not in fam:
                 return ExplicitValidation(
                     False, "not-downward-closed", (tuple(sorted(i)), tuple(sorted(i - {e})))
@@ -497,7 +522,7 @@ def reference_strong_matroid(m) -> StrongCertificate:
     witnesses = {}
     for size in range(n - 1):
         for tau in combinations(range(1, n + 1), size):
-            witnesses[tau] = _unit_classes(contracted_classes(m, tau), n)
+            witnesses[mask_of(tau)] = _unit_classes(contracted_classes(m, tau), n)
     return StrongCertificate(n, witnesses)
 
 
@@ -507,10 +532,10 @@ def reference_2cov_indicator(m, d) -> TwoCoverageCertificate:
     n = len(m.elements)
     witnesses = {}
     for tau in combinations(range(1, n + 1), d - 2):
-        classes = contracted_classes(m, tau) if m._rank(frozenset(tau)) == len(tau) else []
-        support = tuple(sorted(e for cls in classes for e in cls))
-        witnesses[tau] = TwoCoverageWitness(
-            support,
+        classes = contracted_classes(m, tau) if m.rank(tau) == len(tau) else []
+        support = [e for cls in classes for e in cls]
+        witnesses[mask_of(tau)] = TwoCoverageWitness(
+            mask_of(support),
             _unit_classes(classes, n),
             tuple(int(e in support) for e in range(1, n + 1)),
         )
@@ -602,6 +627,20 @@ def sample_chain_oracle(w, start: int, steps: int, seed: int) -> tuple[int, dict
         state = step_oracle(w, state, rng)
         hist[state] = hist.get(state, 0) + 1
     return state, hist
+
+
+def is_irreducible(w) -> bool:
+    """Connectivity of the support under single-element swaps: a step
+    reaches every support state that differs from its own in one swap."""
+    seen = {w.support[0]}
+    queue = [w.support[0]]
+    while queue:
+        s = queue.pop()
+        for t in w.support:
+            if t not in seen and (s ^ t).bit_count() == 2:
+                seen.add(t)
+                queue.append(t)
+    return len(seen) == len(w.support)
 
 
 def transition_matrix_oracle(w) -> tuple[dict[int, Fraction], ...]:

@@ -17,8 +17,8 @@ from clckit import (
     certify_clc_homogeneous,
     certify_clc_homogenization,
     homogeneous_restrict,
+    independence_indicator,
     inertia,
-    is_irreducible,
     level_sequence,
     mainpsd_witness,
     materialize,
@@ -48,6 +48,7 @@ from conftest import (
     congruence,
     contract,
     coverage_example,
+    is_irreducible,
     k4,
     rand_coverage_instance,
     rand_invertible,
@@ -101,7 +102,7 @@ def test_criterion_2_triangle_counterexample():
     with criterion(2, "triangle quadratic: inertia (1,0,2), no 2-coverage witness", 1.0):
         p = triangle_quadratic()
         assert inertia(quadratic_hessian(p)).as_tuple() == (1, 0, 2)
-        result = search_2cov_feasible(triangle_table(), 2, ())
+        result = search_2cov_feasible(triangle_table(), 2, 0)
         assert not result.feasible
         assert result.infeasibility > 0  # certified by the phase-1 optimum
 
@@ -109,7 +110,7 @@ def test_criterion_2_triangle_counterexample():
 def test_criterion_3_indicator_certificates_end_to_end():
     with criterion(3, "indicator 2-coverage certificates and certified restrictions", 10.0):
         for m in _matroid_fixtures():
-            ind = to_setfunction(m, "indicator")
+            ind = independence_indicator(to_setfunction(m))
             for d in range(2, m.full_rank() + 1):
                 cert = synth_2cov_indicator(m, d)
                 assert verify_2cov(ind, d, cert).ok
@@ -209,7 +210,8 @@ def _certified_walk_instances():
         (UniformMatroid(4, 7), "indicator", 4),
     ]
     for m, mode, d in fixtures:
-        table = to_setfunction(m, mode)
+        table = to_setfunction(m)
+        table = independence_indicator(table) if mode == "indicator" else table
         assert certify_clc_homogeneous(table, d).verdict == "certified"
         cases.append(walk_instance(homogeneous_restrict(table, d), d))
     return cases
@@ -258,7 +260,7 @@ def test_criterion_9_property_suites():
         closure_cases = [
             (to_setfunction(UniformMatroid(3, 5)), 3),
             (to_setfunction(k4()), 2),
-            (to_setfunction(k4(), "indicator"), 3),
+            (independence_indicator(to_setfunction(k4())), 3),
             (to_setfunction(rand_partition_matroid(rng, 6)), 2),
         ]
         for f, d in closure_cases:
@@ -272,8 +274,8 @@ def test_criterion_9_property_suites():
         # supports of certified restrictions satisfy basis exchange
         exchange_cases = [
             (to_setfunction(UniformMatroid(3, 5)), 3),
-            (to_setfunction(k4(), "indicator"), 3),
-            (to_setfunction(UniformMatroid(2, 6), "indicator"), 2),
+            (independence_indicator(to_setfunction(k4())), 3),
+            (independence_indicator(to_setfunction(UniformMatroid(2, 6))), 2),
             (to_setfunction(rand_partition_matroid(rng, 7)), 2),
         ]
         for f, d in exchange_cases:

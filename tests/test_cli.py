@@ -135,10 +135,10 @@ def test_certify_2cov_matroid_synthesis(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     # verify the emitted certificate against the indicator table
-    from clckit import UniformMatroid, to_setfunction, verify_2cov
+    from clckit import UniformMatroid, independence_indicator, to_setfunction, verify_2cov
 
     cert = jsonio.load_certificate(cert_path)
-    assert verify_2cov(to_setfunction(UniformMatroid(2, 3), "indicator"), 2, cert).ok
+    assert verify_2cov(independence_indicator(to_setfunction(UniformMatroid(2, 3))), 2, cert).ok
 
 
 def test_certify_strong_matroid_and_verify_round_trip(tmp_path, capsys):
@@ -196,6 +196,25 @@ def test_sample_echoes_seed(tmp_path, capsys):
     assert out["start"] == [1, 2]
 
 
+@pytest.mark.parametrize(
+    "start, message",
+    [
+        ("1,2,2", "--start: set [1, 2, 2] repeats a label"),
+        ("1,2,", "--start: '1,2,' is not a comma-separated list of integer labels"),
+        ("1,4", "--start: set [1, 4] out of range for n=3"),
+        ("0,1", "--start: set [0, 1] out of range for n=3"),
+    ],
+    ids=["repeated-label", "empty-label", "label-above-n", "label-zero"],
+)
+def test_sample_malformed_start_exit_3(tmp_path, capsys, start, message):
+    doc = {"n": 3, "entries": [{"set": pair, "value": 1} for pair in ([1, 2], [1, 3], [2, 3])]}
+    argv = ["sample", "--input", _write(tmp_path, "pairs.json", doc), "--d", "2", "--steps", "10",
+            "--seed", "7", "--start", start]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+
+
 def test_sample_requires_seed(tmp_path, capsys):
     doc = {"n": 2, "entries": [{"set": [1, 2], "value": 1}]}
     path = _write(tmp_path, "f.json", doc)
@@ -235,6 +254,29 @@ def test_input_error_exit_3(tmp_path, capsys):
     code = run(["certify-clc", "--input", str(tmp_path / "missing.json"), "--d", "2"])
     assert code == 3
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"type": "explicit", "n": 2, "independent": [[], [1], [2], [1, 1], [2]]},
+         "independent[3]: set [1, 1] repeats a label"),
+        ({"type": "explicit", "n": 2, "independent": [[], [1], [2], [2]]},
+         "independent[3]: set [2] repeats the subset of independent[2]"),
+        ({"type": "partition", "blocks": [[1, 1], [2]], "caps": [1, 1]},
+         "blocks[0]: set [1, 1] repeats a label"),
+        ({"type": "graphic", "vertices": 2, "edges": [[1, 2, 2]]},
+         "edges[0]: an edge joins 2 vertices, found 3"),
+        ({"type": "graphic", "vertices": 2, "edges": [[1, 2], [1]]},
+         "edges[1]: an edge joins 2 vertices, found 1"),
+    ],
+    ids=["explicit-repeated-label", "explicit-repeated-set", "partition-repeated-label",
+         "graphic-three-ends", "graphic-one-end"],
+)
+def test_malformed_matroid_listing_exit_3(tmp_path, capsys, doc, message):
+    code = run(["certify-strong", "--matroid", _write(tmp_path, "m.json", doc)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -316,9 +358,10 @@ def test_matroid_cap_checked_before_tabulating(tmp_path, capsys):
 
 
 def _u23_file(tmp_path, mode):
-    from clckit import UniformMatroid, to_setfunction
+    from clckit import UniformMatroid, independence_indicator, to_setfunction
 
-    table = to_setfunction(UniformMatroid(2, 3), mode)
+    table = to_setfunction(UniformMatroid(2, 3))
+    table = independence_indicator(table) if mode == "indicator" else table
     return _write(tmp_path, f"u23-{mode}.json", jsonio.dump_set_function(table))
 
 

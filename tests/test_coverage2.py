@@ -15,6 +15,7 @@ from clckit import (
     certify_clc_homogeneous,
     certify_clc_homogenization,
     decide_2cov,
+    independence_indicator,
     materialize,
     predicates,
     search_2cov_feasible,
@@ -37,10 +38,10 @@ from conftest import cardinality, coverage_example, k4, rand_coverage_instance, 
 def test_verify_2cov_uniform_indicator():
     m = UniformMatroid(2, 3)
     cert = synth_2cov_indicator(m, 2)
-    check = verify_2cov(to_setfunction(m, "indicator"), 2, cert)
+    check = verify_2cov(independence_indicator(to_setfunction(m)), 2, cert)
     assert check.ok
-    w = cert.witnesses[()]
-    assert w.support == (1, 2, 3)
+    w = cert.witnesses[0]
+    assert w.support == 0b111
     # three singleton classes, so g(pair) = 2 and l = 1 realizes f = 2 - 1
     assert Fraction(w.g.num(0b011), w.g.scale) == 2
     assert w.ell == (1, 1, 1)
@@ -50,11 +51,11 @@ def test_verify_2cov_triangle_fails_any_cert():
     f = triangle_table()
     # a plausible-looking witness: unit weights on singletons, l = 0
     witness = TwoCoverageWitness(
-        (1, 2, 3),
+        0b111,
         CoverageWeights(3, {0b001: 1, 0b010: 1, 0b100: 1}),
         (0,) * 3,
     )
-    check = verify_2cov(f, 2, TwoCoverageCertificate(3, 2, {(): witness}))
+    check = verify_2cov(f, 2, TwoCoverageCertificate(3, 2, {0: witness}))
     assert not check.ok
     assert "pair equation" in check.failure
 
@@ -66,7 +67,7 @@ def test_verify_2cov_zero_function_empty_cert():
 
 
 def test_verify_2cov_missing_witness():
-    f = to_setfunction(UniformMatroid(2, 3), "indicator")
+    f = independence_indicator(to_setfunction(UniformMatroid(2, 3)))
     with pytest.raises(MissingWitnessError):
         verify_2cov(f, 2, TwoCoverageCertificate(3, 2, {}))
 
@@ -75,15 +76,15 @@ def test_verify_2cov_rejects_support_padding():
     # a larger zero-extended S satisfies the equations literally, but the
     # verifier pins S to the elements seen in nonzero pairs
     m = UniformMatroid(2, 2)
-    f = to_setfunction(m, "indicator")
+    f = independence_indicator(to_setfunction(m))
     witness = TwoCoverageWitness(
-        (1, 2),
+        0b11,
         CoverageWeights.of(2, {0b01: Fraction(1), 0b10: Fraction(1)}),
         (1, 1),
     )
-    assert verify_2cov(f, 2, TwoCoverageCertificate(2, 2, {(): witness})).ok
+    assert verify_2cov(f, 2, TwoCoverageCertificate(2, 2, {0: witness})).ok
     zero = SetFunctionTable.of(2, (Fraction(0),) * 4)
-    check = verify_2cov(zero, 2, TwoCoverageCertificate(2, 2, {(): witness}))
+    check = verify_2cov(zero, 2, TwoCoverageCertificate(2, 2, {0: witness}))
     assert not check.ok
     assert "support mismatch" in check.failure
 
@@ -93,19 +94,19 @@ def test_verify_2cov_rejects_witness_outside_support():
     f = SetFunctionTable.from_entries(4, {pair: 1 for pair in ((1, 2), (1, 3), (2, 3))})
     units = {0b001: 1, 0b010: 1, 0b100: 1}
     ones = (1, 1, 1, 0)
-    good = TwoCoverageWitness((1, 2, 3), CoverageWeights(4, units), ones)
-    assert verify_2cov(f, 2, TwoCoverageCertificate(4, 2, {(): good})).ok
+    good = TwoCoverageWitness(0b0111, CoverageWeights(4, units), ones)
+    assert verify_2cov(f, 2, TwoCoverageCertificate(4, 2, {0: good})).ok
     for g, ell in (
         ({**units, 0b1000: 1}, ones),  # g on {4}
         ({0b1001: 1, 0b010: 1, 0b100: 1}, ones),  # g on a set leaving S
         (units, (1,) * 4),  # l nonzero at 4
     ):
-        bad = TwoCoverageWitness((1, 2, 3), CoverageWeights(4, g), ell)
+        bad = TwoCoverageWitness(0b0111, CoverageWeights(4, g), ell)
         with pytest.raises(ValueError, match=r"witness at tau=\(\) reaches outside S=\(1, 2, 3\)"):
-            verify_2cov(f, 2, TwoCoverageCertificate(4, 2, {(): bad}))
-    short = TwoCoverageWitness((1, 2, 3), CoverageWeights(4, units), (1,) * 3)
+            verify_2cov(f, 2, TwoCoverageCertificate(4, 2, {0: bad}))
+    short = TwoCoverageWitness(0b0111, CoverageWeights(4, units), (1,) * 3)
     with pytest.raises(ValueError, match=r"witness at tau=\(\) has l over 3 elements, not n=4"):
-        verify_2cov(f, 2, TwoCoverageCertificate(4, 2, {(): short}))
+        verify_2cov(f, 2, TwoCoverageCertificate(4, 2, {0: short}))
 
 
 def test_verify_strong_rejects_witness_meeting_tau():
@@ -113,7 +114,7 @@ def test_verify_strong_rejects_witness_meeting_tau():
     table = to_setfunction(m)
     cert = synth_strong_matroid(m)
     for bad in ({0b001: 1}, {0b011: 1}, {0b1000: 1}):
-        witnesses = {**cert.witnesses, (1,): CoverageWeights(4, bad)}
+        witnesses = {**cert.witnesses, 0b001: CoverageWeights(4, bad)}
         with pytest.raises(ValueError, match=r"witness at tau=\(1,\) reaches outside the complement of tau"):
             verify_strong2cov(table, StrongCertificate(3, witnesses))
 
@@ -121,14 +122,14 @@ def test_verify_strong_rejects_witness_meeting_tau():
 def test_synth_strong_uniform():
     cert = synth_strong_matroid(UniformMatroid(2, 3))
     # no parallel pairs at tau = (): three singleton classes
-    assert cert.witnesses[()] == CoverageWeights(3, {0b001: 1, 0b010: 1, 0b100: 1})
+    assert cert.witnesses[0] == CoverageWeights(3, {0b001: 1, 0b010: 1, 0b100: 1})
     # after contracting 1, the rest collapses into one class
-    assert cert.witnesses[(1,)] == CoverageWeights(3, {0b110: 1})
+    assert cert.witnesses[0b001] == CoverageWeights(3, {0b110: 1})
 
 
 def test_synth_strong_u13():
     cert = synth_strong_matroid(UniformMatroid(1, 3))
-    assert cert.witnesses[()] == CoverageWeights(3, {0b111: 1})
+    assert cert.witnesses[0] == CoverageWeights(3, {0b111: 1})
 
 
 def test_verify_strong_uniform_rank():
@@ -141,11 +142,11 @@ def test_strong_cardinality_disjoint_singletons():
     n = 4
     f = materialize(cardinality(n))
     witnesses = {}
-    from clckit.bitsets import labels_of, masks_of_size
+    from clckit.bitsets import masks_of_size
 
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
-            witnesses[labels_of(tmask)] = CoverageWeights.of(
+            witnesses[tmask] = CoverageWeights.of(
                 n, {1 << b: Fraction(1) for b in range(n) if not tmask >> b & 1}
             )
     assert verify_strong2cov(f, StrongCertificate(n, witnesses)).ok
@@ -155,11 +156,11 @@ def test_budget_additive_not_strongly_2coverage():
     f = budget_additive_table()
     # wrong certificate (built for cardinality) fails outright
     lin_cert_wit = {}
-    from clckit.bitsets import labels_of, masks_of_size
+    from clckit.bitsets import masks_of_size
 
     for size in range(f.n - 1):
         for tmask in masks_of_size(f.n, size):
-            lin_cert_wit[labels_of(tmask)] = CoverageWeights.of(
+            lin_cert_wit[tmask] = CoverageWeights.of(
                 f.n, {1 << b: Fraction(1) for b in range(f.n) if not tmask >> b & 1}
             )
     check = verify_strong2cov(f, StrongCertificate(f.n, lin_cert_wit))
@@ -200,10 +201,10 @@ def test_budget_additive_not_strongly_2coverage():
 def test_synth_2cov_k4_indicator_d3():
     m = k4()
     cert = synth_2cov_indicator(m, 3)
-    assert verify_2cov(to_setfunction(m, "indicator"), 3, cert).ok
+    assert verify_2cov(independence_indicator(to_setfunction(m)), 3, cert).ok
     # contracting e12 leaves parallel pairs {e13,e23} and {e14,e24}
-    w = cert.witnesses[(1,)]
-    assert w.support == (2, 3, 4, 5, 6)
+    w = cert.witnesses[0b000001]
+    assert w.support == 0b111110
     class_masks = sorted(w.g.x)
     assert len(class_masks) == 3
 
@@ -220,23 +221,23 @@ def test_synth_strong_from_coverage_instance():
     inst = coverage_example()
     cert = synth_strong_from_parts(inst)
     # tau = {2}: A_1 and A_3 are swallowed by A_2, so g vanishes
-    g = cert.witnesses[(2,)]
+    g = cert.witnesses[0b010]
     assert g.num(0b001) == 0
     assert g.num(0b100) == 0
     # tau = {}: x_{1,2} = x_{2,3} = 1 (elements a and b), read over [n]
-    assert cert.witnesses[()] == CoverageWeights(3, {0b011: 1, 0b110: 1})
+    assert cert.witnesses[0] == CoverageWeights(3, {0b011: 1, 0b110: 1})
     assert verify_strong2cov(materialize(inst.weights()), cert).ok
 
 
 def test_search_triangle_infeasible():
-    res = search_2cov_feasible(triangle_table(), 2, ())
+    res = search_2cov_feasible(triangle_table(), 2, 0)
     assert not res.feasible
     assert res.infeasibility > 0
 
 
 def test_search_uniform_indicator_feasible():
-    f = to_setfunction(UniformMatroid(2, 3), "indicator")
-    res = search_2cov_feasible(f, 2, ())
+    f = independence_indicator(to_setfunction(UniformMatroid(2, 3)))
+    res = search_2cov_feasible(f, 2, 0)
     assert res.feasible
     # the found witness satisfies the pair equations
     for pair in ((1, 2), (1, 3), (2, 3)):
@@ -248,13 +249,13 @@ def test_search_uniform_indicator_feasible():
 def test_search_witness_lives_on_support_over_n():
     # U(2,3) indicator contracted by {4} inside a 5-element table: S = {1,2,3}
     f = SetFunctionTable.from_entries(5, {(a, b, 4): 1 for a, b in ((1, 2), (1, 3), (2, 3))})
-    res = search_2cov_feasible(f, 3, (4,))
-    assert res.feasible and res.support == (1, 2, 3)
+    res = search_2cov_feasible(f, 3, 0b01000)
+    assert res.feasible and res.support == 0b00111
     assert res.g.n == len(res.ell) == 5
     assert all(t & ~0b00111 == 0 for t in res.g.x)
     assert res.ell[3:] == (0, 0)
     witnesses = {}
-    for tau in ((1,), (2,), (3,), (4,), (5,)):
+    for tau in (0b00001, 0b00010, 0b00100, 0b01000, 0b10000):
         found = search_2cov_feasible(f, 3, tau)
         witnesses[tau] = TwoCoverageWitness(found.support, found.g, found.ell)
     assert verify_2cov(f, 3, TwoCoverageCertificate(5, 3, witnesses)).ok
@@ -276,11 +277,11 @@ def test_search_lp_shape_and_pivots_pinned(monkeypatch):
         [("a", 1), ("b", 2), ("c", 1)], [["a"], ["a", "b"], ["b", "c"], ["c"], ["a", "c"]]
     ).weights())
     for f, d, tau in (
-        (to_setfunction(UniformMatroid(2, 7), "indicator"), 2, ()),
-        (to_setfunction(UniformMatroid(3, 7), "indicator"), 3, (2,)),
-        (triangle_table(), 2, ()),
-        (cov, 2, ()),
-        (cov, 3, (5,)),
+        (independence_indicator(to_setfunction(UniformMatroid(2, 7))), 2, 0),
+        (independence_indicator(to_setfunction(UniformMatroid(3, 7))), 3, 0b00010),
+        (triangle_table(), 2, 0),
+        (cov, 2, 0),
+        (cov, 3, 0b10000),
     ):
         coverage2.search_2cov_feasible(f, d, tau)
     assert lps == [(28, 141, 59), (21, 75, 42), (6, 13, 6), (15, 41, 22), (10, 23, 13)]
@@ -288,13 +289,13 @@ def test_search_lp_shape_and_pivots_pinned(monkeypatch):
 
 def test_search_zero_trivially_feasible():
     zero = SetFunctionTable.of(4, (Fraction(0),) * 16)
-    res = search_2cov_feasible(zero, 2, ())
+    res = search_2cov_feasible(zero, 2, 0)
     assert res.feasible
-    assert res.support == ()
+    assert res.support == 0
 
 
 def test_decide_2cov():
-    assert decide_2cov(to_setfunction(UniformMatroid(2, 4), "indicator"), 2).two_coverage
+    assert decide_2cov(independence_indicator(to_setfunction(UniformMatroid(2, 4))), 2).two_coverage
     tri = decide_2cov(triangle_table(), 2)
     assert (tri.two_coverage, tri.reason, tri.tau) == (False, "infeasible", ())
     assert tri.infeasibility > 0
@@ -311,11 +312,11 @@ def test_search_support_cap():
 
     f = materialize(cardinality(12))
     with pytest.raises(CapExceededError):
-        search_2cov_feasible(f, 2, ())
+        search_2cov_feasible(f, 2, 0)
     small = materialize(cardinality(4))
     with pytest.raises(CapExceededError):
-        search_2cov_feasible(small, 2, (), cap=3)
-    assert search_2cov_feasible(small, 2, ()).feasible
+        search_2cov_feasible(small, 2, 0, cap=3)
+    assert search_2cov_feasible(small, 2, 0).feasible
 
 
 def test_matroid_end_to_end_strong_then_homogenization():
@@ -342,7 +343,7 @@ def test_matroid_end_to_end_indicator_then_homogeneous():
     rng = random.Random(43)
     fixtures = [UniformMatroid(2, 3), UniformMatroid(3, 5), k4(), rand_partition_matroid(rng, 6)]
     for m in fixtures:
-        ind = to_setfunction(m, "indicator")
+        ind = independence_indicator(to_setfunction(m))
         for d in range(2, m.full_rank() + 1):
             cert = synth_2cov_indicator(m, d)
             assert verify_2cov(ind, d, cert).ok
@@ -374,7 +375,7 @@ def test_strong_implies_2cov_feasible():
     for m in fixtures:
         table = to_setfunction(m)
         synth_strong_matroid(m)
-        for d in range(2, table.degree() + 1):
+        for d in range(2, table.n + 1):  # every rank is nonzero on the full set
             for tmask in masks_of_size(table.n, d - 2):
-                res = search_2cov_feasible(table, d, labels_of(tmask))
+                res = search_2cov_feasible(table, d, tmask)
                 assert res.feasible, (m, d, labels_of(tmask))

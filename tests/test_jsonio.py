@@ -3,17 +3,16 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from clckit import (
     CoverageWeights,
-    GraphicMatroid,
     PartitionMatroid,
     SetFunctionTable,
     StrongCertificate,
     TwoCoverageCertificate,
     TwoCoverageWitness,
     UniformMatroid,
+    independence_indicator,
     materialize,
     synth_2cov_indicator,
     synth_strong_from_parts,
@@ -25,7 +24,7 @@ from clckit import (
 from clckit import jsonio
 from clckit.cli import run
 
-from conftest import coverage_example, coverage_instances
+from conftest import coverage_example, coverage_instances, matroids
 
 
 def _write(tmp_path, name, doc):
@@ -135,23 +134,7 @@ def test_two_coverage_certificate_round_trip(tmp_path):
     path = _write(tmp_path, "cert.json", jsonio.dump_certificate(cert))
     again = jsonio.load_certificate(path)
     assert again.d == 2
-    assert verify_2cov(to_setfunction(m, "indicator"), 2, again).ok
-
-
-@st.composite
-def matroids(draw):
-    n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(("uniform", "partition", "graphic")))
-    if kind == "uniform":
-        return UniformMatroid(draw(st.integers(0, n)), n)
-    if kind == "partition":
-        labels = draw(st.permutations(range(1, n + 1)))
-        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
-        blocks = [labels[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
-        return PartitionMatroid(blocks, [draw(st.integers(1, len(b))) for b in blocks])
-    v = draw(st.integers(2, 4))
-    ends = st.integers(1, v)
-    return GraphicMatroid(v, draw(st.lists(st.tuples(ends, ends), min_size=n, max_size=n)))
+    assert verify_2cov(independence_indicator(to_setfunction(m)), 2, again).ok
 
 
 def _round_trip(directory, cert):
@@ -183,11 +166,11 @@ def test_two_coverage_certificate_mixed_denominators_round_trip(tmp_path):
     # thirds and l brings the sixths, so the witness's one denominator is 6
     half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
     cert = TwoCoverageCertificate(4, 3, {
-        (4,): TwoCoverageWitness.of((1, 2, 3), 4, {0b001: half, 0b110: third, 0b111: 5 * sixth},
-                                    [sixth, 2 * third, half, 0]),
-        (1,): TwoCoverageWitness.of((2, 4), 4, {0b1010: 7 * third}, [0, 3 * half, 0, 5 * sixth]),
+        0b1000: TwoCoverageWitness.of(0b0111, 4, {0b001: half, 0b110: third, 0b111: 5 * sixth},
+                                      [sixth, 2 * third, half, 0]),
+        0b0001: TwoCoverageWitness.of(0b1010, 4, {0b1010: 7 * third}, [0, 3 * half, 0, 5 * sixth]),
     })
-    assert (cert.witnesses[(1,)].g.scale, cert.witnesses[(1,)].ell) == (6, (0, 9, 0, 5))
+    assert (cert.witnesses[0b0001].g.scale, cert.witnesses[0b0001].ell) == (6, (0, 9, 0, 5))
     assert json.dumps(jsonio.dump_certificate(cert), separators=(",", ":")) == (
         '{"d":3,"n":4,"witnesses":['
         '{"tau":[1],"S":[2,4],"g":{"[2,4]":"7/3"},"l":{"2":"3/2","4":"5/6"}},'
@@ -197,9 +180,23 @@ def test_two_coverage_certificate_mixed_denominators_round_trip(tmp_path):
     assert _round_trip(tmp_path, cert) == cert
 
 
+def test_strong_certificate_dump_orders_witnesses_by_tau_labels():
+    # taus (1,3) and (2,) sort one way as label tuples and the other way as
+    # masks (0b101 > 0b010); the file keeps the label-tuple order
+    cert = synth_strong_matroid(PartitionMatroid([[1, 3], [2, 4]], [1, 1]))
+    assert json.dumps(jsonio.dump_certificate(cert)) == (
+        '{"n": 4, "witnesses": [{"tau": [], "g": {"[1,3]": "1", "[2,4]": "1"}}, '
+        '{"tau": [1], "g": {"[2,4]": "1"}}, {"tau": [1, 2], "g": {}}, '
+        '{"tau": [1, 3], "g": {"[2,4]": "1"}}, {"tau": [1, 4], "g": {}}, '
+        '{"tau": [2], "g": {"[1,3]": "1"}}, {"tau": [2, 3], "g": {}}, '
+        '{"tau": [2, 4], "g": {"[1,3]": "1"}}, {"tau": [3], "g": {"[2,4]": "1"}}, '
+        '{"tau": [3, 4], "g": {}}, {"tau": [4], "g": {"[1,3]": "1"}}]}'
+    )
+
+
 def test_rationals_written_as_p_over_q(tmp_path, capsys):
     g = CoverageWeights.of(2, {0b01: 3, 0b11: Fraction(1, 2)})
-    assert jsonio.dump_certificate(StrongCertificate(2, {(): g}))["witnesses"][0]["g"] == {
+    assert jsonio.dump_certificate(StrongCertificate(2, {0: g}))["witnesses"][0]["g"] == {
         "[1]": "3", "[1,2]": "1/2"
     }
     # negative weights are written by the mobius report: U(2,3)'s rank table halved

@@ -12,6 +12,7 @@ from clckit import (
     certify_clc_homogeneous,
     certify_clc_homogenization,
     homogeneous_restrict,
+    independence_indicator,
     inertia,
     is_indecomposable,
     level_sequence,
@@ -24,7 +25,6 @@ from clckit import (
     ulc_check,
 )
 from clckit.counterexamples import budget_additive_table, triangle_quadratic
-from clckit.logconcave import two_by_two_log_concave
 
 from conftest import (
     congruence,
@@ -219,14 +219,6 @@ def test_certified_derivative_slices_stay_certified():
 # --- the 2x2 coefficient test and ULC ------------------------------------------
 
 
-def test_two_by_two():
-    assert two_by_two_log_concave(1, 1, 1, 2)
-    assert not two_by_two_log_concave(1, 1, 1, 3)
-    assert two_by_two_log_concave(0, 2, 3, 7)
-    with pytest.raises(ValueError):
-        two_by_two_log_concave(-1, 0, 0, 0)
-
-
 def test_ulc_examples():
     res = ulc_check((0, 4, 6, 2))
     assert res.holds
@@ -313,7 +305,7 @@ def test_certified_support_satisfies_basis_exchange():
 
     cases = [
         (to_setfunction(UniformMatroid(3, 5)), 3),
-        (to_setfunction(k4(), "indicator"), 3),
+        (independence_indicator(to_setfunction(k4())), 3),
         (to_setfunction(k4()), 2),
     ]
     for f, d in cases:

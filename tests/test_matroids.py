@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from clckit import (
     ExplicitMatroid,
@@ -9,15 +10,16 @@ from clckit import (
     PartitionMatroid,
     SetFunctionTable,
     UniformMatroid,
+    independence_indicator,
     parallel_partition,
     predicates,
     to_setfunction,
     validate_explicit,
 )
-from clckit.bitsets import mask_of, masks_of_size
+from clckit.bitsets import labels_of, mask_of, masks_of_size
 from clckit.errors import NotAMatroidError
 
-from conftest import k4, rand_partition_matroid, validate_explicit_oracle
+from conftest import k4, matroids, rand_partition_matroid, validate_explicit_oracle
 
 
 def test_graphic_k4_triangle_rank():
@@ -35,47 +37,47 @@ def test_explicit_contracted_rank():
     bases = [[1, 2], [1, 3], [2, 3]]
     family = [[]] + [[i] for i in (1, 2, 3)] + bases
     pp = parallel_partition(to_setfunction(ExplicitMatroid(3, family)), 0b001)
-    assert pp.loops == ()
-    assert pp.classes == ((2, 3),)
+    assert pp.loops == 0
+    assert pp.classes == (0b110,)
 
 
 def test_contract_by_empty_is_identity():
     rk = to_setfunction(UniformMatroid(2, 3))
     assert parallel_partition(rk, 0) == parallel_partition(rk)
-    assert parallel_partition(rk).classes == ((1,), (2,), (3,))
+    assert parallel_partition(rk).classes == (0b001, 0b010, 0b100)
 
 
 def test_contract_uniform_pairs():
     # every element of U(2,3) / {1} has rank 1, and every pair too
     pp = parallel_partition(to_setfunction(UniformMatroid(2, 3)), 0b001)
-    assert pp.loops == ()
-    assert pp.classes == ((2, 3),)
+    assert pp.loops == 0
+    assert pp.classes == (0b110,)
 
 
 def test_contract_k4_parallel_edges():
     # contracting e12 makes e13 (edge 2) and e23 (edge 4) parallel
     pp = parallel_partition(to_setfunction(k4()), 0b000001)
-    assert pp.loops == ()
-    assert pp.classes == ((2, 4), (3, 5), (6,))  # e13 with e23, e14 with e24
+    assert pp.loops == 0
+    assert pp.classes == (mask_of([2, 4]), mask_of([3, 5]), mask_of([6]))  # e13 with e23, e14 with e24
 
 
 def test_parallel_partition_u13():
     pp = parallel_partition(to_setfunction(UniformMatroid(1, 3)))
-    assert pp.loops == ()
-    assert pp.classes == ((1, 2, 3),)
+    assert pp.loops == 0
+    assert pp.classes == (0b111,)
 
 
 def test_parallel_partition_self_loop():
     m = GraphicMatroid(2, [(1, 1), (1, 2)])
     pp = parallel_partition(to_setfunction(m))
-    assert pp.loops == (1,)
-    assert pp.classes == ((2,),)
+    assert pp.loops == 0b01
+    assert pp.classes == (0b10,)
 
 
 def test_parallel_partition_contracted_uniform():
     # contracting a basis of U(2,3) turns every other element into a loop
     pp = parallel_partition(to_setfunction(UniformMatroid(2, 3)), 0b011)
-    assert pp.loops == (3,)
+    assert pp.loops == 0b100
     assert pp.classes == ()
 
 
@@ -108,14 +110,22 @@ def test_parallel_partition_rejects_corrupted_pair(r, n, tau, subset, value):
 def test_to_setfunction_uniform():
     rk = to_setfunction(UniformMatroid(2, 3))
     assert [rk[m] for m in range(1, 8)] == [1, 1, 2, 1, 2, 2, 2]
-    ind = to_setfunction(UniformMatroid(2, 3), "indicator")
+    ind = independence_indicator(to_setfunction(UniformMatroid(2, 3)))
     assert ind[0] == 0  # the empty set stores 0 by convention
     assert [ind.value_of(p) for p in ([1, 2], [1, 3], [2, 3])] == [1, 1, 1]
     assert ind.value_of([1, 2, 3]) == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(m=matroids())
+def test_rank_table_matches_rank_of_labels(m):
+    table = to_setfunction(m)
+    assert (table.n, table.scale) == (len(m.elements), 1)
+    assert all(table.nums[s] == m.rank(labels_of(s)) for s in range(1 << table.n))
+
+
 def test_to_setfunction_k4_triangle_dependent():
-    ind = to_setfunction(k4(), "indicator")
+    ind = independence_indicator(to_setfunction(k4()))
     assert ind.value_of([1, 2, 4]) == 0  # triangle
     assert ind.value_of([1, 2, 3]) == 1  # star at vertex 1 is a tree
 
@@ -125,11 +135,23 @@ def test_validate_explicit():
     bad = validate_explicit(2, [[], [1], [1, 2]])
     assert not bad
     assert bad.kind == "not-downward-closed"
+    # the missing subset drops the highest element
+    bad = validate_explicit(2, [[], [2], [1, 2]])
+    assert (bad.kind, bad.witness) == ("not-downward-closed", ((1, 2), (1,)))
     # bases of U_{2,3} with downward closure added
     family = [[], [1], [2], [3], [1, 2], [1, 3], [2, 3]]
     assert validate_explicit(3, family)
     with pytest.raises(NotAMatroidError):
         ExplicitMatroid(2, [[], [1], [1, 2]])
+
+
+@pytest.mark.parametrize("label", [3, 0, -1])
+def test_validate_explicit_out_of_range_labels(label):
+    # labels n + 1, 0 and negatives have no bit in a mask over [n]
+    res = validate_explicit(2, [[], [1], [label]])
+    assert (res.ok, res.kind, res.witness) == (False, "out-of-range", ((label,),))
+    with pytest.raises(NotAMatroidError, match="out-of-range"):
+        ExplicitMatroid(2, [[], [1], [label]])
 
 
 def test_validate_explicit_exchange_failure():
@@ -141,11 +163,12 @@ def test_validate_explicit_exchange_failure():
 
 def _rand_family(rng):
     """A random family on [n], n <= 5: arbitrary, or closed under subsets
-    (so only the exchange axiom can fail), sometimes with a label n + 1."""
+    (so only the exchange axiom can fail), sometimes with a label n + 1 or 0."""
     n = rng.randint(0, 5)
     top = n + (rng.random() < 0.1)
+    low = 0 if rng.random() < 0.05 else 1
     family = {frozenset(s) for _ in range(rng.randint(0, 6) if rng.random() < 0.1 else rng.randint(2, 6))
-              for s in [rng.sample(range(1, top + 1), rng.randint(0, top))]}
+              for s in [rng.sample(range(low, top + 1), rng.randint(0, top + 1 - low))]}
     if rng.random() < 0.7:
         family = {frozenset(c) for s in family for k in range(len(s) + 1) for c in combinations(s, k)}
     return n, [sorted(s) for s in family]

@@ -40,8 +40,8 @@ from clckit import (
     generating_poly,
     homogeneous_restrict,
     homogenize,
+    independence_indicator,
     inertia,
-    is_irreducible,
     materialize,
     mixing_time_exact,
     mmi,
@@ -64,6 +64,7 @@ from clckit.simplex import phase1
 from conftest import (
     coverage_instances,
     inertia_oracle,
+    is_irreducible,
     materialize_oracle,
     mixing_time_oracle,
     mobius_oracle,
@@ -296,9 +297,9 @@ def test_search_lps_match_fraction_tableau(monkeypatch):
         elif kind == "coverage":
             f = materialize(rand_coverage_instance(rng, n, universe_size=4).weights())
         else:
-            f = to_setfunction(rand_partition_matroid(rng, n), "indicator")
+            f = independence_indicator(to_setfunction(rand_partition_matroid(rng, n)))
         for tau in combinations(range(1, n + 1), d - 2):
-            coverage2.search_2cov_feasible(f, d, tau)
+            coverage2.search_2cov_feasible(f, d, mask_of(tau))
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
@@ -551,7 +552,7 @@ def reference_strong_coverage(inst):
             rest = [i for i in range(1, n + 1) if i not in tau]
             sub = CoverageInstance(inst.universe, tuple(inst.sets[i - 1] - covered for i in rest))
             x = mobius_oracle(materialize_oracle(sub))
-            witnesses[tau] = CoverageWeights.of(n, {expand(t, rest): v for t, v in x.items()})
+            witnesses[mask_of(tau)] = CoverageWeights.of(n, {expand(t, rest): v for t, v in x.items()})
     return StrongCertificate(n, witnesses)
 
 
@@ -562,9 +563,9 @@ def moebius_built_strong_coverage(inst):
     x = mobius_oracle(materialize_oracle(inst))
     full = (1 << n) - 1
     return StrongCertificate(n, {
-        tau: CoverageWeights.of(n, {t: v for t, v in x.items() if not t & ~(full ^ mask_of(tau))})
+        tmask: CoverageWeights.of(n, {t: v for t, v in x.items() if not t & ~(full ^ tmask)})
         for size in range(n - 1)
-        for tau in combinations(range(1, n + 1), size)
+        for tmask in map(mask_of, combinations(range(1, n + 1), size))
     })
 
 
@@ -642,9 +643,9 @@ def strong_cases(draw):
             st.fractions(0, 4, max_denominator=4), min_size=size, max_size=size)))
         witnesses = {}
         for k in range(n - 1):
-            for tau in combinations(range(1, n + 1), k):
-                masks = [t for t in range(1, size + 1) if not t & mask_of(tau)]
-                witnesses[tau] = draw(st.dictionaries(st.sampled_from(masks), _WEIGHT, max_size=3))
+            for tmask in map(mask_of, combinations(range(1, n + 1), k)):
+                masks = [t for t in range(1, size + 1) if not t & tmask]
+                witnesses[tmask] = draw(st.dictionaries(st.sampled_from(masks), _WEIGHT, max_size=3))
     if witnesses and draw(st.booleans()):
         tau = draw(st.sampled_from(sorted(witnesses)))
         if draw(st.integers(0, 3)):
@@ -669,7 +670,7 @@ def two_coverage_cases(draw):
         m = rand_partition_matroid(random.Random(draw(st.integers(0, 2**32))), n)
         m = m if m.full_rank() >= 2 else UniformMatroid(2, n)
         d = draw(st.integers(2, m.full_rank()))
-        f = _scaled_table(to_setfunction(m, "indicator"), c)
+        f = _scaled_table(independence_indicator(to_setfunction(m)), c)
         for tau, w in coverage2.synth_2cov_indicator(m, d).witnesses.items():
             witnesses[tau] = (w.support, {t: v * c for t, v in _values(w.g).items()},
                               [Fraction(v, w.g.scale) * c for v in w.ell])
@@ -678,10 +679,10 @@ def two_coverage_cases(draw):
         n = inst.n
         d = draw(st.integers(2, min(3, n)))
         f = _scaled_table(materialize(inst.weights()), c)
-        for tau in combinations(range(1, n + 1), d - 2):
-            found = coverage2.search_2cov_feasible(f, d, tau)
+        for tmask in map(mask_of, combinations(range(1, n + 1), d - 2)):
+            found = coverage2.search_2cov_feasible(f, d, tmask)
             if found:
-                witnesses[tau] = (found.support, _values(found.g),
+                witnesses[tmask] = (found.support, _values(found.g),
                                   [Fraction(v, found.g.scale) for v in found.ell])
     else:
         n = draw(st.integers(2, 4))
@@ -690,10 +691,10 @@ def two_coverage_cases(draw):
             st.fractions(0, 4, max_denominator=4), min_size=(1 << n) - 1, max_size=(1 << n) - 1)))
         for tau in combinations(range(1, n + 1), d - 2):
             rest = [lab for lab in range(1, n + 1) if lab not in tau]
-            support = tuple(sorted(draw(st.sets(st.sampled_from(rest)))))
-            masks = [t for t in range(1, 1 << n) if not t & ~mask_of(support)]
+            support = mask_of(draw(st.sets(st.sampled_from(rest))))
+            masks = [t for t in range(1, 1 << n) if not t & ~support]
             g = draw(st.dictionaries(st.sampled_from(masks), _WEIGHT, max_size=3)) if masks else {}
-            witnesses[tau] = (support, g, [draw(_WEIGHT) if lab in support else 0 for lab in range(1, n + 1)])
+            witnesses[mask_of(tau)] = (support, g, [draw(_WEIGHT) if support >> b & 1 else 0 for b in range(n)])
     if witnesses and draw(st.booleans()):
         tau = draw(st.sampled_from(sorted(witnesses)))
         support, g, ell = witnesses[tau]

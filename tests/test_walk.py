@@ -11,7 +11,7 @@ from clckit import (
     UniformMatroid,
     certify_clc_homogeneous,
     homogeneous_restrict,
-    is_irreducible,
+    independence_indicator,
     mixing_time_exact,
     sample_chain,
     to_setfunction,
@@ -22,7 +22,7 @@ from clckit import walk
 from clckit.errors import InternalCheckError
 from clckit.walk import _draw, histogram_tv, make_rng, philox_words, step
 
-from conftest import k4
+from conftest import is_irreducible, k4
 
 
 def uniform_pairs_of_3():
@@ -224,7 +224,7 @@ def test_detailed_balance_on_certified_instances():
     # whose restrictions were certified log-concave
     cases = []
     for m, d in ((UniformMatroid(2, 4), 2), (k4(), 3), (UniformMatroid(3, 5), 3)):
-        ind = to_setfunction(m, "indicator")
+        ind = independence_indicator(to_setfunction(m))
         assert certify_clc_homogeneous(ind, d).verdict == "certified"
         cases.append(walk_instance(homogeneous_restrict(ind, d), d))
     for w in cases:
