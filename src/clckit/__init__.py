@@ -64,7 +64,7 @@ from .coverage2 import (
     verify_2cov,
     verify_strong2cov,
 )
-from .entropy import JointDistribution, cond_entropy, entropy_decomposition, mmi
+from .entropy import JointDistribution, entropy_decomposition
 from .walk import (
     WalkInstance,
     mixing_time_exact,

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 certified/pass, 1 refuted/fail, 2 inconclusive
-(sufficient conditions failed, or a chain that did not converge), 3 input or
-usage error. Reports go to stdout as text or, with --format json, as JSON
-with rationals rendered "p/q"; identical inputs and flags produce
-byte-identical reports. Randomized commands require --seed and echo it.
+(sufficient conditions failed, or a chain that did not converge), 3 input,
+usage or OS error; an internal error ends in a traceback (exit 1). Reports
+go to stdout as text or, with --format json, as JSON with rationals rendered
+"p/q"; identical inputs and flags produce byte-identical reports.
+Randomized commands require --seed and echo it.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .coverage2 import (
     verify_2cov,
     verify_strong2cov,
 )
-from .errors import CapExceededError, MissingWitnessError
+from .errors import InputError
 from .logconcave import (
     VERDICT_CERTIFIED,
     VERDICT_CONDITIONS_FAIL,
@@ -50,13 +51,9 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise InputError(message)
 
 
 def _build_parser() -> _Parser:
@@ -169,7 +166,7 @@ def _report(report, fmt: str) -> int:
 
 def _cmd_certify_clc(args) -> int:
     if (args.input is None) == (args.poly is None):
-        raise _UsageError("provide exactly one of --input or --poly")
+        raise InputError("provide exactly one of --input or --poly")
     if args.poly is not None:
         iner = quadratic_inertia(jsonio.load_polynomial(args.poly))
         ok = iner.n_pos <= 1
@@ -187,7 +184,7 @@ def _cmd_certify_clc(args) -> int:
         )
         return EXIT_PASS if ok else EXIT_FAIL
     if args.d is None:
-        raise _UsageError("--d is required with --input")
+        raise InputError("--d is required with --input")
     f = jsonio.load_set_function(args.input)
     return _report(certify_clc_homogeneous(f, args.d, **_cap_kwargs(args)), args.format)
 
@@ -225,12 +222,12 @@ def _synth_report(cert, args, **fields) -> int:
 def _cmd_certify_2cov(args) -> int:
     modes = sum(1 for flag in (args.cert, args.matroid) if flag) + (1 if args.search else 0)
     if modes != 1:
-        raise _UsageError("provide exactly one of --cert, --search or --matroid")
+        raise InputError("provide exactly one of --cert, --search or --matroid")
     if args.matroid:
         m = jsonio.load_matroid(args.matroid)
         return _synth_report(synth_2cov_indicator(m, args.d, **_cap_kwargs(args)), args, d=args.d)
     if args.input is None:
-        raise _UsageError("--input is required with --cert/--search")
+        raise InputError("--input is required with --cert/--search")
     f = jsonio.load_set_function(args.input)
     if args.cert:
         return _check_report(verify_2cov(f, args.d, jsonio.load_certificate(args.cert)), args.format)
@@ -254,10 +251,10 @@ def _cmd_certify_2cov(args) -> int:
 def _cmd_certify_strong(args) -> int:
     modes = sum(1 for flag in (args.cert, args.matroid, args.coverage) if flag)
     if modes != 1:
-        raise _UsageError("provide exactly one of --cert, --matroid or --coverage")
+        raise InputError("provide exactly one of --cert, --matroid or --coverage")
     if args.cert:
         if args.input is None:
-            raise _UsageError("--input is required with --cert")
+            raise InputError("--input is required with --cert")
         f = jsonio.load_set_function(args.input)
         return _check_report(verify_strong2cov(f, jsonio.load_certificate(args.cert)), args.format)
     if args.matroid:
@@ -347,10 +344,10 @@ def _cmd_sample(args) -> int:
         try:
             labels = [int(tok) for tok in args.start.split(",")]
         except ValueError:
-            raise _UsageError(f"--start: {args.start!r} is not a comma-separated list of integer labels") from None
+            raise InputError(f"--start: {args.start!r} is not a comma-separated list of integer labels") from None
         start = _subset(labels, "--start", None, (1 << f.n) - 1, f"n={f.n}", {})
         if start not in w.index:
-            raise _UsageError(f"start state {args.start} is not in the support")
+            raise InputError(f"start state {args.start} is not in the support")
     else:
         start = w.support[0]
     chain = sample_chain(w, start, args.steps, args.seed)
@@ -429,14 +426,10 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (CapExceededError, MissingWitnessError, ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

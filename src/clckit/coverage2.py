@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .bitsets import labels_of, masks_of_size, submasks
-from .errors import CapExceededError, InternalCheckError, MissingWitnessError
+from .errors import CapExceededError, InputError, InternalCheckError, MissingWitnessError
 from .logconcave import contraction_cells
 from .matroids import Matroid, independence_indicator, parallel_partition, to_setfunction
 from .setfn import (
@@ -95,7 +95,7 @@ class CertificateCheck:
 def _expect(cert, kind: type) -> None:
     """Refuse a certificate of the wrong kind, naming both kinds."""
     if not isinstance(cert, kind):
-        raise ValueError(f"expected a {kind.__name__}, found a {type(cert).__name__}")
+        raise InputError(f"expected a {kind.__name__}, found a {type(cert).__name__}")
 
 
 def _pair_support(f: SetFunctionTable, tmask: int) -> tuple[dict[int, int], int]:
@@ -122,10 +122,10 @@ def verify_2cov(
     """Check both certificate conditions against f, exactly."""
     n = f.n
     if d < 2:
-        raise ValueError("two-coverage needs d >= 2")
+        raise InputError("two-coverage needs d >= 2")
     _expect(cert, TwoCoverageCertificate)
     if cert.n != n or cert.d != d:
-        raise ValueError("certificate dimensions do not match the table")
+        raise InputError("certificate dimensions do not match the table")
     checks = 0
     for tmask, _, comps, _ in contraction_cells(f, d):
         checks += 1
@@ -143,14 +143,14 @@ def verify_2cov(
             continue
         smask, g, ell = witness.support, witness.g, witness.ell
         if len(ell) != n:
-            raise ValueError(f"witness at tau={labels_of(tmask)} has l over {len(ell)} elements, not n={n}")
+            raise InputError(f"witness at tau={labels_of(tmask)} has l over {len(ell)} elements, not n={n}")
         if any(v < 0 for v in ell):
-            raise ValueError(
+            raise InputError(
                 f"witness at tau={labels_of(tmask)} has a negative l value {Fraction(min(ell), g.scale)}"
             )
         off_support = any(v for b, v in enumerate(ell) if not smask >> b & 1)
         if off_support or any(t & ~smask for t in g.x):
-            raise ValueError(f"witness at tau={labels_of(tmask)} reaches outside S={labels_of(smask)}")
+            raise InputError(f"witness at tau={labels_of(tmask)} reaches outside S={labels_of(smask)}")
         if touched != smask:
             return CertificateCheck(
                 False,
@@ -185,7 +185,7 @@ def verify_strong2cov(
     n = f.n
     _expect(cert, StrongCertificate)
     if cert.n != n:
-        raise ValueError("certificate dimensions do not match the table")
+        raise InputError("certificate dimensions do not match the table")
     full = (1 << n) - 1
     nums, scale = f.nums, f.scale
     checks = 0
@@ -195,7 +195,7 @@ def verify_strong2cov(
             if g is None:
                 raise MissingWitnessError(labels_of(tmask))
             if any(t & ~(full ^ tmask) for t in g.x):
-                raise ValueError(f"witness at tau={labels_of(tmask)} reaches outside the complement of tau")
+                raise InputError(f"witness at tau={labels_of(tmask)} reaches outside the complement of tau")
             outside = [b for b in range(n) if not tmask >> b & 1]
             base, gscale = nums[tmask], g.scale
             for ia, a in enumerate(outside):
@@ -231,7 +231,7 @@ def synth_strong_matroid(m: Matroid, cap: int = 14) -> StrongCertificate:
     weight on each class realizes the contracted rank on singletons and pairs.
     The classes are read off the rank table, which also verifies the result.
     """
-    n = len(m.elements)
+    n = m.n
     if n > cap:
         raise CapExceededError(f"{n} elements exceed cap {cap}")
     table = to_setfunction(m)
@@ -252,13 +252,13 @@ def synth_2cov_indicator(m: Matroid, d: int, cap: int = 14) -> TwoCoverageCertif
     contracted pair value vanishes. Independence, the classes and the
     indicator checked against all come from one rank table.
     """
-    n = len(m.elements)
+    n = m.n
     if n > cap:
         raise CapExceededError(f"{n} elements exceed cap {cap}")
     table = to_setfunction(m)
     full_rank = table.nums[-1]  # a rank table's scale is 1
     if not 2 <= d <= full_rank:
-        raise ValueError(f"d={d} exceeds the matroid rank {full_rank}")
+        raise InputError(f"d={d} exceeds the matroid rank {full_rank}")
     witnesses: dict[int, TwoCoverageWitness] = {}
     for tmask in masks_of_size(n, d - 2):
         independent = table.nums[tmask] == d - 2
@@ -318,7 +318,7 @@ def decide_2cov(f: SetFunctionTable, d: int, cap: int = 10) -> TwoCoverageDecisi
     admit a (g, l) witness, which search_2cov_feasible decides by exact LP.
     The first failure is reported; cap bounds each LP's support size."""
     if d < 2:
-        raise ValueError("two-coverage needs d >= 2")
+        raise InputError("two-coverage needs d >= 2")
     for tmask, _, comps, _ in contraction_cells(f, d):
         if len(comps) > 1:
             return TwoCoverageDecision(False, "decomposable", labels_of(tmask))

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
-from .bitsets import coverage_values, coverage_weights, labels_of, mask_of
-from .errors import CapExceededError
+from .bitsets import coverage_values, coverage_weights, labels_of
+from .errors import CapExceededError, InputError
 
 IDENTITY_TOL = 1e-9
 NEGATIVE_TOL = -1e-9
@@ -28,15 +28,15 @@ class JointDistribution:
     def __post_init__(self):
         for outcome, p in self.pmf.items():
             if len(outcome) != len(self.alphabets):
-                raise ValueError(f"outcome {outcome} has the wrong arity")
+                raise InputError(f"outcome {outcome} has the wrong arity")
             for v, k in zip(outcome, self.alphabets):
                 if not 0 <= v < k:
-                    raise ValueError(f"outcome {outcome} leaves the alphabet")
+                    raise InputError(f"outcome {outcome} leaves the alphabet")
             if p < 0:
-                raise ValueError(f"negative probability {p} at {outcome}")
+                raise InputError(f"negative probability {p} at {outcome}")
         total = math.fsum(self.pmf.values())
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+            raise InputError(f"probabilities sum to {total}, not 1")
 
     @property
     def n(self) -> int:
@@ -70,6 +70,8 @@ class _Entropies:
         return self.h(smask | cmask) - self.h(cmask)
 
     def mmi(self, order: tuple[int, ...], cmask: int) -> float:
+        """I(Y_t1, ..., Y_tk | Y_C) for the labels `order` and the mask C:
+        I(X_1..X_k | Z) = I(X_1..X_{k-1} | Z) - I(X_1..X_{k-1} | X_k, Z)."""
         if len(order) == 1:
             return self.cond(1 << (order[0] - 1), cmask)
         key = (order, cmask)
@@ -80,30 +82,6 @@ class _Entropies:
         value = self.mmi(head, cmask) - self.mmi(head, cmask | 1 << (last - 1))
         self._mmi[key] = value
         return value
-
-
-def cond_entropy(joint: JointDistribution, s: Iterable[int], c: Iterable[int] = ()) -> float:
-    """H(Y_S | Y_C) in bits, with the 0 log 0 = 0 convention."""
-    smask, cmask = mask_of(s), mask_of(c)
-    if smask & cmask:
-        raise ValueError("conditioned variables overlap the target set")
-    return _Entropies(joint).cond(smask, cmask)
-
-
-def mmi(joint: JointDistribution, order: Sequence[int], c: Iterable[int] = ()) -> float:
-    """Multivariate mutual information I(Y_t1, ..., Y_tk | Y_C), recursively:
-
-        I(X_1..X_k | Z) = I(X_1..X_{k-1} | Z) - I(X_1..X_{k-1} | X_k, Z)
-
-    The result does not depend on the ordering (it can be negative for k >= 3).
-    """
-    order = tuple(order)
-    if not order:
-        raise ValueError("need at least one variable")
-    cmask = mask_of(c)
-    if mask_of(order) & cmask:
-        raise ValueError("conditioned variables overlap the target set")
-    return _Entropies(joint).mmi(order, cmask)
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,13 @@ certificates.
 
 Rationals are serialized as strings "p/q" (plain "p" when integral) and
 accepted back as integers, decimal literals, or "p/q" strings; decimal
-literals in exact files are parsed exactly (never through binary64). Floats
-appear only in joint-pmf files.
+literals in exact files are kept verbatim for `exact`, which reads them
+exactly (never through binary64). Floats appear only in joint-pmf files.
 """
 from __future__ import annotations
 
 import json
 import math
-from decimal import Decimal
 from fractions import Fraction
 
 from .bitsets import labels_of
@@ -20,7 +19,7 @@ from .coverage2 import (
     TwoCoverageWitness,
 )
 from .entropy import JointDistribution
-from .errors import CapExceededError
+from .errors import CapExceededError, InputError
 from .matroids import (
     ExplicitMatroid,
     GraphicMatroid,
@@ -43,8 +42,12 @@ def _setkey(labels) -> str:
     return json.dumps(list(labels), separators=(",", ":"))
 
 
+class _Literal(str):
+    """A JSON decimal literal, kept as written."""
+
+
 _KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string",
-          bool: "a boolean", Fraction: "a decimal", float: "a decimal", type(None): "null"}
+          bool: "a boolean", _Literal: "a decimal", float: "a decimal", type(None): "null"}
 
 
 def _typed(value, kind: type, at: str):
@@ -52,8 +55,25 @@ def _typed(value, kind: type, at: str):
     is no integer, and a decimal is refused, never truncated. `at` names the
     field."""
     if type(value) is not kind:
-        raise ValueError(f"{at}: expected {_KINDS[kind]}, found {_KINDS[type(value)]}")
+        raise InputError(f"{at}: expected {_KINDS[kind]}, found {_KINDS[type(value)]}")
     return value
+
+
+def _size(value, at: str) -> int:
+    """value, a size: a JSON integer (read by `_typed`) that is not negative."""
+    if _typed(value, int, at) < 0:
+        raise InputError(f"{at}: expected a nonnegative integer, found {value}")
+    return value
+
+
+def _ground_size(doc: dict) -> int:
+    """The n of a document that holds masks over [n] (a table, polynomial,
+    certificate or explicit matroid): a size of at most HARD_CAP, the cap
+    of a table, checked before any mask over [n] is built."""
+    n = _size(_field(doc, "n"), "n")
+    if n > HARD_CAP:
+        raise CapExceededError(f"n={n} exceeds the hard cap {HARD_CAP}")
+    return n
 
 
 def _field(obj: dict, key: str, kind: type | None = None, at: str | None = None):
@@ -62,7 +82,7 @@ def _field(obj: dict, key: str, kind: type | None = None, at: str | None = None)
     default the key itself)."""
     at = key if at is None else at
     if key not in obj:
-        raise ValueError(f"{at}: missing")
+        raise InputError(f"{at}: missing")
     return obj[key] if kind is None else _typed(obj[key], kind, at)
 
 
@@ -73,7 +93,7 @@ def _rational(obj: dict, key, at: str) -> Fraction:
     try:
         return exact(value)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{at}: {exc}") from None
+        raise InputError(f"{at}: {exc}") from None
 
 
 def _ints(value, at: str) -> list[int]:
@@ -81,16 +101,19 @@ def _ints(value, at: str) -> list[int]:
     return [_typed(v, int, f"{at}[{i}]") for i, v in enumerate(_typed(value, list, at))]
 
 
-def _decimal(literal: str) -> Fraction:
-    return Fraction(Decimal(literal))
-
-
-def _load(path: str, parse_float=_decimal) -> dict:
-    """The JSON object in the file at `path`, decimals read exactly unless
-    `parse_float` says otherwise; a key repeated within one object is
-    refused, in every kind of document."""
-    with open(path) as fh:
-        doc = json.load(fh, parse_float=parse_float, object_pairs_hook=_unique_keys)
+def _load(path: str, parse_float=_Literal) -> dict:
+    """The JSON object in the file at `path`, decimals kept as written
+    unless `parse_float` says otherwise. A key repeated within one object is
+    refused, in every kind of document, and so is a file that `json` cannot
+    read: not JSON, not UTF-8, an integer literal over Python's digit limit,
+    or nesting past the recursion limit."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh, parse_float=parse_float, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise InputError("document: nested too deeply") from None
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
     return _typed(doc, dict, "document")
 
 
@@ -99,7 +122,7 @@ def _unique_keys(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) != len(pairs):
         keys = [key for key, _ in pairs]
-        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+        raise InputError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
     return obj
 
 
@@ -112,7 +135,7 @@ def _subset(labels, at: str, item, ground: int, scope: str, seen: dict) -> int:
     records the subset there.
     """
     def bad(problem):
-        return ValueError(f"{at.format(item)}: {problem}")
+        return InputError(f"{at.format(item)}: {problem}")
 
     if not isinstance(labels, list):
         raise bad(f"{labels!r} is not a list of labels")
@@ -139,15 +162,13 @@ def _key(key: str, at: str):
     locates it as in `_subset`."""
     try:
         return json.loads(key)
-    except json.JSONDecodeError:
-        raise ValueError(f"{at.format(key)}: key {key!r} is not valid JSON") from None
+    except (ValueError, RecursionError):
+        raise InputError(f"{at.format(key)}: key {key!r} is not valid JSON") from None
 
 
 def load_set_function(path: str) -> SetFunctionTable:
     doc = _load(path)
-    n = _field(doc, "n", int)
-    if n > HARD_CAP:  # before allocating 2^n values
-        raise CapExceededError(f"n={n} exceeds the hard cap {HARD_CAP}")
+    n = _ground_size(doc)
     full = (1 << n) - 1
     values = [0] * (full + 1)
     seen: dict[int, int] = {}
@@ -188,17 +209,17 @@ def load_matroid(path: str) -> Matroid:
     doc = _load(path)
     kind = _field(doc, "type", str)
     if kind == "uniform":
-        return UniformMatroid(_field(doc, "r", int), _field(doc, "n", int))
+        return UniformMatroid(_size(_field(doc, "r"), "r"), _size(_field(doc, "n"), "n"))
     if kind == "partition":
         blocks = [_ints(b, f"blocks[{k}]") for k, b in enumerate(_field(doc, "blocks", list))]
         return PartitionMatroid(blocks, _ints(_field(doc, "caps"), "caps"))
     if kind == "graphic":
         edges = [tuple(_ints(e, f"edges[{k}]")) for k, e in enumerate(_field(doc, "edges", list))]
-        return GraphicMatroid(_field(doc, "vertices", int), edges)
+        return GraphicMatroid(_size(_field(doc, "vertices"), "vertices"), edges)
     if kind == "explicit":
         family = [_ints(i, f"independent[{k}]") for k, i in enumerate(_field(doc, "independent", list))]
-        return ExplicitMatroid(_field(doc, "n", int), family)
-    raise ValueError(f"unknown matroid type {kind!r}")
+        return ExplicitMatroid(_ground_size(doc), family)
+    raise InputError(f"unknown matroid type {kind!r}")
 
 
 def load_polynomial(path: str):
@@ -206,13 +227,13 @@ def load_polynomial(path: str):
     terms all have y = 0 loads as a plain multiaffine polynomial. A (y, set)
     pair may appear in one term only."""
     doc = _load(path)
-    n = _field(doc, "n", int)
+    n = _ground_size(doc)
     full = (1 << n) - 1
     seen: dict[int, dict[int, int]] = {}
     coeffs: dict[tuple[int, int], Fraction] = {}
     for k, t in enumerate(_typed(doc.get("terms", []), list, "terms")):
         _typed(t, dict, f"terms[{k}]")
-        y = _typed(t.get("y", 0), int, f"terms[{k}].y")
+        y = _size(t.get("y", 0), f"terms[{k}].y")
         labels = _field(t, "set", at=f"terms[{k}].set")
         mask = _subset(labels, "terms[{}]", k, full, f"n={n}", seen.setdefault(y, {}))
         coeffs[y, mask] = _rational(t, "coeff", f"terms[{k}].coeff")
@@ -231,18 +252,20 @@ def load_joint_distribution(path: str) -> JointDistribution:
         _typed(row, dict, at)
         outcome = tuple(_ints(_field(row, "outcome", at=f"{at}.outcome"), f"{at}.outcome"))
         if outcome in pmf:
-            raise ValueError(f"{at}.outcome: {list(outcome)} is listed twice")
+            raise InputError(f"{at}.outcome: {list(outcome)} is listed twice")
         p = _field(row, "p", at=f"{at}.p")
         if type(p) not in (int, float):
-            raise ValueError(f"{at}.p: expected a number, found {_KINDS[type(p)]}")
+            raise InputError(f"{at}.p: expected a number, found {_KINDS[type(p)]}")
         try:
             p = float(p)
         except OverflowError:
-            raise ValueError(f"{at}.p: integer too large for a float") from None
+            raise InputError(f"{at}.p: integer too large for a float") from None
         if not math.isfinite(p):
-            raise ValueError(f"{at}.p: {p} is not a finite number")
+            raise InputError(f"{at}.p: {p} is not a finite number")
         pmf[outcome] = p
-    alphabets = tuple(_ints(_field(doc, "alphabets"), "alphabets"))
+    alphabets = tuple(
+        _size(k, f"alphabets[{i}]") for i, k in enumerate(_typed(_field(doc, "alphabets"), list, "alphabets"))
+    )
     return JointDistribution(alphabets, pmf)
 
 
@@ -286,7 +309,7 @@ def load_certificate(path: str):
     strong certificate. Masks are kept over [n], and numbers as integer
     numerators over one denominator per witness."""
     doc = _load(path)
-    n = _field(doc, "n", int)
+    n = _ground_size(doc)
     full = (1 << n) - 1
     in_n = f"n={n}"
     two_coverage = "d" in doc
@@ -319,5 +342,5 @@ def load_certificate(path: str):
             ell[bit.bit_length() - 1] = _rational(l_doc, key, at.format(key))
         witnesses[tmask] = TwoCoverageWitness.of(ground, n, g, ell)
     if two_coverage:
-        return TwoCoverageCertificate(n, _field(doc, "d", int), witnesses)
+        return TwoCoverageCertificate(n, _size(_field(doc, "d"), "d"), witnesses)
     return StrongCertificate(n, witnesses)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .bitsets import labels_of, masks_of_size
-from .errors import CapExceededError, InternalCheckError
+from .errors import CapExceededError, InputError, InternalCheckError
 from .polynomials import MultiaffinePolynomial, Polynomial, quadratic_hessian
 from .setfn import (
     CoverageInstance,
@@ -159,12 +159,12 @@ def is_indecomposable(p: Polynomial) -> IndecompResult:
 def quadratic_inertia(p: Polynomial) -> Inertia:
     """Inertia of the constant Hessian of a 2-homogeneous polynomial with
     nonnegative coefficients, which is log-concave iff n_pos <= 1 (the zero
-    polynomial included). A negative coefficient raises ValueError naming
+    polynomial included). A negative coefficient raises InputError naming
     its monomial, since the criterion does not hold for it."""
     for key, c in p.coeffs.items():
         if c < 0:
             term = labels_of(key) if isinstance(key, int) else f"(y^{key[0]}, {labels_of(key[1])})"
-            raise ValueError(f"negative coefficient {c} on monomial {term}")
+            raise InputError(f"negative coefficient {c} on monomial {term}")
     return inertia(quadratic_hessian(p))
 
 
@@ -204,7 +204,7 @@ def contraction_cells(f: SetFunctionTable, d: int | None):
         support, last = f.support(), n - 1
     else:
         if not 0 <= d <= n:
-            raise ValueError(f"degree {d} out of range for n={n}")
+            raise InputError(f"degree {d} out of range for n={n}")
         support, last = f.support(d), d - 2
     prev = {0: support}
     for size in range(last + 1):
@@ -285,7 +285,7 @@ def certify_clc_homogeneous(
     if n > cap:
         raise CapExceededError(f"n={n} exceeds cap {cap}")
     if not 2 <= d <= n:
-        raise ValueError(f"need 2 <= d <= n, got d={d}, n={n}")
+        raise InputError(f"need 2 <= d <= n, got d={d}, n={n}")
     return _certify(f, d)
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .bitsets import labels_of, mask_of
-from .errors import CapExceededError, NotAMatroidError
+from .errors import CapExceededError, InputError, NotAMatroidError
 from .setfn import HARD_CAP, SetFunctionTable
 
 
@@ -23,18 +23,23 @@ def _distinct(labels: Iterable[int], at: str) -> frozenset:
     labels = list(labels)
     s = frozenset(labels)
     if len(s) != len(labels):
-        raise ValueError(f"{at}: set {labels} repeats a label")
+        raise InputError(f"{at}: set {labels} repeats a label")
     return s
 
 
 class Matroid:
-    """Rank oracle over the ground labels 1..n."""
+    """Rank oracle over the ground labels 1..n. The elements are a range, so
+    a size n is compared with a cap before anything is allocated per element."""
 
-    elements: tuple[int, ...]
+    n: int
+
+    @property
+    def elements(self) -> range:
+        return range(1, self.n + 1)
 
     def rank(self, subset: Iterable[int]) -> int:
         s = frozenset(subset)
-        extra = s.difference(self.elements)
+        extra = {e for e in s if e not in self.elements}
         if extra:
             raise ValueError(f"invalid subset: {sorted(extra)} outside the ground set")
         return self._rank(mask_of(s))
@@ -44,7 +49,7 @@ class Matroid:
         raise NotImplementedError
 
     def full_rank(self) -> int:
-        return self._rank((1 << len(self.elements)) - 1)
+        return self._rank((1 << self.n) - 1)
 
 
 class UniformMatroid(Matroid):
@@ -52,10 +57,9 @@ class UniformMatroid(Matroid):
 
     def __init__(self, r: int, n: int):
         if not 0 <= r <= n:
-            raise ValueError("need 0 <= r <= n")
+            raise InputError("need 0 <= r <= n")
         self.r = r
         self.n = n
-        self.elements = tuple(range(1, n + 1))
 
     def _rank(self, s: int) -> int:
         return min(s.bit_count(), self.r)
@@ -71,14 +75,13 @@ class PartitionMatroid(Matroid):
         sets = [_distinct(b, f"blocks[{k}]") for k, b in enumerate(blocks)]
         self.caps = tuple(int(c) for c in caps)
         if len(sets) != len(self.caps):
-            raise ValueError("need one cap per block")
+            raise InputError("need one cap per block")
         if any(c < 0 for c in self.caps):
-            raise ValueError("caps must be nonnegative")
-        n = sum(len(b) for b in sets)
-        if frozenset().union(*sets) != frozenset(range(1, n + 1)):
-            raise ValueError("blocks must partition {1,...,n}")
+            raise InputError("caps must be nonnegative")
+        self.n = sum(len(b) for b in sets)
+        if frozenset().union(*sets) != frozenset(self.elements):
+            raise InputError("blocks must partition {1,...,n}")
         self.blocks = tuple(mask_of(b) for b in sets)
-        self.elements = tuple(range(1, n + 1))
 
     def _rank(self, s: int) -> int:
         return sum(min((s & b).bit_count(), c) for b, c in zip(self.blocks, self.caps))
@@ -92,16 +95,16 @@ class GraphicMatroid(Matroid):
 
     def __init__(self, num_vertices: int, edges: Sequence[tuple[int, int]]):
         if num_vertices < 0:
-            raise ValueError("vertex count must be nonnegative")
+            raise InputError("vertex count must be nonnegative")
         self.num_vertices = num_vertices
         self.edges = tuple(tuple(map(int, e)) for e in edges)
         for k, e in enumerate(self.edges):
             if len(e) != 2:
-                raise ValueError(f"edges[{k}]: an edge joins 2 vertices, found {len(e)}")
+                raise InputError(f"edges[{k}]: an edge joins 2 vertices, found {len(e)}")
             u, v = e
             if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
-                raise ValueError(f"edge ({u},{v}) references an unknown vertex")
-        self.elements = tuple(range(1, len(self.edges) + 1))
+                raise InputError(f"edge ({u},{v}) references an unknown vertex")
+        self.n = len(self.edges)
         # union-find runs over the endpoints only, renumbered from 0, so a
         # rank query costs the same whatever the vertex count
         index: dict[int, int] = {}
@@ -159,7 +162,7 @@ def _check_listing(n: int, family) -> tuple[dict[int, int], ExplicitValidation]:
     """The listed sets as {mask: position in the listing}, and the axioms
     that the listing alone decides, at O(|family| n) cost: it is nonempty,
     inside [n] and closed under taking subsets. A label repeated within a
-    set, or a set listed twice, raises ValueError naming it independent[k]."""
+    set, or a set listed twice, raises InputError naming it independent[k]."""
     sets = [_distinct(i, f"independent[{k}]") for k, i in enumerate(family)]
     if not sets:
         return {}, ExplicitValidation(False, "empty", None)
@@ -170,7 +173,7 @@ def _check_listing(n: int, family) -> tuple[dict[int, int], ExplicitValidation]:
     for k, i in enumerate(sets):
         first = listed.setdefault(mask_of(i), k)
         if first != k:
-            raise ValueError(f"independent[{k}]: set {sorted(i)} repeats the subset of independent[{first}]")
+            raise InputError(f"independent[{k}]: set {sorted(i)} repeats the subset of independent[{first}]")
     for m in listed:
         rest = m
         while rest:
@@ -235,7 +238,6 @@ class ExplicitMatroid(Matroid):
         self.family, check = _check_listing(n, independent)
         _require(check)
         self.n = n
-        self.elements = tuple(range(1, n + 1))
         self._table: list[int] | None = None
 
     def _rank(self, s: int) -> int:
@@ -304,10 +306,9 @@ def parallel_partition(rank: SetFunctionTable, tau: int = 0) -> ParallelPartitio
 def to_setfunction(m: Matroid) -> SetFunctionTable:
     """The rank table of m over its labels 1..n; `independence_indicator`
     reads the 0/1 independence indicator off it."""
-    k = len(m.elements)
-    if k > HARD_CAP:
-        raise CapExceededError(f"{k} elements exceed the materialization cap")
-    return SetFunctionTable(k, [m._rank(s) for s in range(1 << k)])
+    if m.n > HARD_CAP:
+        raise CapExceededError(f"{m.n} elements exceed the materialization cap")
+    return SetFunctionTable(m.n, [m._rank(s) for s in range(1 << m.n)])
 
 
 def independence_indicator(rank: SetFunctionTable) -> SetFunctionTable:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .bitsets import labels_of, mask_of
+from .errors import InputError
 from .setfn import SetFunctionTable, ZERO, exact
 
 
@@ -119,7 +120,7 @@ def quadratic_hessian(p: Polynomial) -> list[list[Fraction]]:
         h = [[ZERO] * p.n for _ in range(p.n)]
         for m, c in p.coeffs.items():
             if m.bit_count() != 2:
-                raise ValueError(f"not quadratic: monomial {labels_of(m)}")
+                raise InputError(f"not quadratic: monomial {labels_of(m)}")
             i, j = labels_of(m)
             h[i - 1][j - 1] = c
             h[j - 1][i - 1] = c
@@ -128,7 +129,7 @@ def quadratic_hessian(p: Polynomial) -> list[list[Fraction]]:
     h = [[ZERO] * dim for _ in range(dim)]
     for (ypow, m), c in p.coeffs.items():
         if ypow + m.bit_count() != 2:
-            raise ValueError(f"not quadratic: monomial (y^{ypow}, {labels_of(m)})")
+            raise InputError(f"not quadratic: monomial (y^{ypow}, {labels_of(m)})")
         if ypow == 2:
             h[0][0] = 2 * c
         elif ypow == 1:

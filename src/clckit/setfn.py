@@ -10,15 +10,17 @@ input; parse decimal strings instead.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
 from .bitsets import coverage_values, coverage_weights, labels_of, mask_of, submasks
-from .errors import CapExceededError, InternalCheckError
+from .errors import CapExceededError, InputError, InternalCheckError
 
 HARD_CAP = 24
+MAX_DIGITS = 4300  # Python's default limit on the digits of an integer string
 
 ZERO = Fraction(0)
 
@@ -26,17 +28,42 @@ ZERO = Fraction(0)
 def exact(value) -> Fraction:
     """The one coercion into Fraction: an int, a rational or a "p/q" or
     decimal string. Floats (binary64 noise has no place here) and booleans
-    are refused, and a zero denominator is a ValueError."""
+    are refused. A zero denominator is a ValueError, and so is a decimal
+    string whose numerator or denominator, written over a power of ten,
+    has more than MAX_DIGITS digits: it is refused before any big-integer
+    work, as Python refuses a longer integer string."""
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r} in an exact context; pass int, Fraction or a string"
         )
     if isinstance(value, bool) or not isinstance(value, (Rational, str)):
         raise TypeError(f"cannot parse {value!r} as a rational")
+    if isinstance(value, str) and _oversized(value):
+        raise ValueError(f"numerator or denominator exceeds {MAX_DIGITS} digits")
     try:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+
+
+_DECIMAL = re.compile(r"\s*[-+]?(\d*)(?:\.(\d*))?(?:e([-+]?)0*(\d*))?\s*", re.IGNORECASE)
+
+
+def _oversized(text: str) -> bool:
+    """Whether the decimal string `text` (digits, a point, an exponent) has
+    more than MAX_DIGITS digits in its numerator or denominator, written
+    over a power of ten; False for any other string, which Fraction reads
+    (a "p/q" string, whose integers Python bounds itself) or refuses."""
+    if len(text) <= MAX_DIGITS and "e" not in text and "E" not in text:
+        return False  # without an exponent, no part is longer than the text
+    m = _DECIMAL.fullmatch(text.replace("_", ""))
+    if m is None:
+        return False
+    whole, frac, sign, exp = m.groups(default="")
+    if len(exp) > len(str(MAX_DIGITS)):  # |exponent| >= 10^4: too long either way
+        return True
+    e = int(sign + (exp or "0")) - len(frac)
+    return len((whole + frac).lstrip("0")) + max(e, 0) > MAX_DIGITS or -e >= MAX_DIGITS
 
 
 def integer_scaled(values: Sequence) -> tuple[list[int], int]:
@@ -74,9 +101,9 @@ class SetFunctionTable:
         if not {int}.issuperset(map(type, nums)):
             raise TypeError("table numerators must be ints")
         if nums[0] != 0:
-            raise ValueError("f(empty set) must be 0")
+            raise InputError("f(empty set) must be 0")
         if min(nums) < 0:
-            raise ValueError(f"negative value {Fraction(next(v for v in nums if v < 0), scale)}")
+            raise InputError(f"negative value {Fraction(next(v for v in nums if v < 0), scale)}")
         g = math.gcd(scale, *nums)
         object.__setattr__(self, "nums", nums if g == 1 else tuple(v // g for v in nums))
         object.__setattr__(self, "scale", scale // g)
@@ -125,15 +152,15 @@ class CoverageInstance:
     def __post_init__(self):
         ids = [e for e, _ in self.universe]
         if len(set(ids)) != len(ids):
-            raise ValueError("malformed instance: duplicate universe element ids")
+            raise InputError("malformed instance: duplicate universe element ids")
         for e, w in self.universe:
             if w < 0:
-                raise ValueError(f"malformed instance: negative weight for {e!r}")
+                raise InputError(f"malformed instance: negative weight for {e!r}")
         declared = set(ids)
         for i, a in enumerate(self.sets, start=1):
             missing = a - declared
             if missing:
-                raise ValueError(
+                raise InputError(
                     f"malformed instance: A_{i} references unknown elements {sorted(missing)}"
                 )
 
@@ -144,7 +171,7 @@ class CoverageInstance:
         for k, a in enumerate(sets):
             if len(set(a)) != len(a):
                 again = next(x for i, x in enumerate(a) if x in a[:i])
-                raise ValueError(f"sets[{k}]: repeated label {again!r}")
+                raise InputError(f"sets[{k}]: repeated label {again!r}")
         return cls(uni, tuple(frozenset(a) for a in sets))
 
     @property
@@ -184,13 +211,13 @@ class CoverageWeights:
         cleaned = {}
         for mask, v in self.x.items():
             if mask == 0:
-                raise ValueError("x on the empty set is not part of the representation")
+                raise InputError("x on the empty set is not part of the representation")
             if mask >= 1 << self.n:
                 raise ValueError(f"subset mask {mask} out of range for n={self.n}")
             if type(v) is not int:
                 raise TypeError("coverage numerators must be ints")
             if v < 0:
-                raise ValueError(f"negative weight {Fraction(v, self.scale)} on {labels_of(mask)}")
+                raise InputError(f"negative weight {Fraction(v, self.scale)} on {labels_of(mask)}")
             if v:
                 cleaned[mask] = v
         object.__setattr__(self, "x", cleaned)

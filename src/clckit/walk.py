@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from .bitsets import labels_of
-from .errors import CapExceededError, InternalCheckError
+from .errors import CapExceededError, InputError, InternalCheckError
 from .setfn import SetFunctionTable, ZERO, exact, integer_scaled
 
 RNG_SCHEME = "philox4x64-10/v1"
@@ -88,10 +88,10 @@ class WalkInstance:
 
 def walk_instance(f: SetFunctionTable, d: int) -> WalkInstance:
     if not 1 <= d <= f.n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}")
+        raise InputError(f"need 1 <= d <= n, got d={d}")
     support = f.support(size=d)
     if not support:
-        raise ValueError(f"f has no nonzero sets of size {d}")
+        raise InputError(f"f has no nonzero sets of size {d}")
     weights = tuple(f.nums[m] for m in support)
     return WalkInstance(
         n=f.n,
@@ -219,7 +219,7 @@ def mixing_time_exact(
     """
     eps = exact(eps)
     if not 0 < eps < 1:
-        raise ValueError("eps must lie strictly between 0 and 1")
+        raise InputError("eps must lie strictly between 0 and 1")
     k = len(w.support)
     if k > cap:
         raise CapExceededError(f"support size {k} exceeds cap {cap}")
@@ -290,9 +290,11 @@ class ChainResult:
 def sample_chain(w: WalkInstance, start: int, steps: int, seed: int) -> ChainResult:
     """Run `steps` transitions from `start`; reproducible for a fixed seed."""
     if start not in w.index:
-        raise ValueError(f"start {labels_of(start)} is not in the support")
+        raise InputError(f"start {labels_of(start)} is not in the support")
     if steps < 0:
-        raise ValueError("steps must be nonnegative")
+        raise InputError("steps must be nonnegative")
+    if not 0 <= seed < 1 << 128:  # the Philox key
+        raise InputError(f"seed {seed} out of range [0, 2^128)")
     # the generator is private to this chain, so the words left unread in
     # its last block are never observed
     next_word = philox_words(make_rng(seed)).__next__

@@ -31,7 +31,8 @@ from clckit import (
 )
 from clckit.bitsets import labels_of, mask_of, masks_of_size
 from clckit.coverage2 import CertificateCheck
-from clckit.errors import MissingWitnessError
+from clckit.entropy import _Entropies
+from clckit.errors import InputError, MissingWitnessError
 from clckit.logconcave import Inertia, contraction_cells
 from clckit.matroids import ExplicitValidation
 from clckit.setfn import ZERO, exact
@@ -365,9 +366,9 @@ def verify_2cov_oracle(f: SetFunctionTable, d: int, cert) -> CertificateCheck:
     rationals."""
     n = f.n
     if d < 2:
-        raise ValueError("two-coverage needs d >= 2")
+        raise InputError("two-coverage needs d >= 2")
     if cert.n != n or cert.d != d:
-        raise ValueError("certificate dimensions do not match the table")
+        raise InputError("certificate dimensions do not match the table")
     checks = 0
     for tmask, _, comps, _ in contraction_cells(f, d):
         checks += 1
@@ -395,13 +396,13 @@ def verify_2cov_oracle(f: SetFunctionTable, d: int, cert) -> CertificateCheck:
         support, x = labels_of(witness.support), _weight_values(witness.g)
         ell = [Fraction(v, witness.g.scale) for v in witness.ell]
         if len(ell) != n:
-            raise ValueError(f"witness at tau={tau} has l over {len(ell)} elements, not n={n}")
+            raise InputError(f"witness at tau={tau} has l over {len(ell)} elements, not n={n}")
         if any(v < 0 for v in ell):
-            raise ValueError(f"witness at tau={tau} has a negative l value {min(ell)}")
+            raise InputError(f"witness at tau={tau} has a negative l value {min(ell)}")
         smask = mask_of(support)
         off_support = any(v for b, v in enumerate(ell) if not smask >> b & 1)
         if off_support or any(t & ~smask for t in x):
-            raise ValueError(f"witness at tau={tau} reaches outside S={support}")
+            raise InputError(f"witness at tau={tau} reaches outside S={support}")
         if labels_of(touched) != support:
             return CertificateCheck(
                 False,
@@ -433,7 +434,7 @@ def verify_strong2cov_oracle(f: SetFunctionTable, cert) -> CertificateCheck:
     summed as values."""
     n = f.n
     if cert.n != n:
-        raise ValueError("certificate dimensions do not match the table")
+        raise InputError("certificate dimensions do not match the table")
     full = (1 << n) - 1
     checks = 0
     for size in range(n - 1):
@@ -444,7 +445,7 @@ def verify_strong2cov_oracle(f: SetFunctionTable, cert) -> CertificateCheck:
                 raise MissingWitnessError(tau)
             x = _weight_values(g)
             if any(t & ~(full ^ tmask) for t in x):
-                raise ValueError(f"witness at tau={tau} reaches outside the complement of tau")
+                raise InputError(f"witness at tau={tau} reaches outside the complement of tau")
             outside = [b for b in range(n) if not tmask >> b & 1]
             for ia, a in enumerate(outside):
                 checks += 1
@@ -708,3 +709,24 @@ def mixing_time_oracle(w, eps, cap: int = 2000, max_steps: int = 10**6, max_bits
         curve.append(tv)
     ratio = t / (w.d * math.log(w.d / eps_f)) if t else 0.0
     return MixingResult(t, ratio, tuple(curve), True, switched_at)
+
+
+def cond_entropy(joint, s, c=()) -> float:
+    """H(Y_S | Y_C) in bits, with the 0 log 0 = 0 convention."""
+    smask, cmask = mask_of(s), mask_of(c)
+    if smask & cmask:
+        raise ValueError("conditioned variables overlap the target set")
+    return _Entropies(joint).cond(smask, cmask)
+
+
+def mmi(joint, order, c=()) -> float:
+    """Multivariate mutual information I(Y_t1, ..., Y_tk | Y_C), by the
+    recursion of `_Entropies.mmi`; it does not depend on the ordering (and
+    can be negative for k >= 3)."""
+    order = tuple(order)
+    if not order:
+        raise ValueError("need at least one variable")
+    cmask = mask_of(c)
+    if mask_of(order) & cmask:
+        raise ValueError("conditioned variables overlap the target set")
+    return _Entropies(joint).mmi(order, cmask)

@@ -2,6 +2,8 @@ import contextlib
 import copy
 import io
 import json
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,13 @@ from hypothesis import strategies as st
 from clckit import jsonio, materialize
 from clckit.cli import run
 from clckit.counterexamples import budget_additive_table, triangle_table
+from clckit.errors import (
+    CapExceededError,
+    InputError,
+    InternalCheckError,
+    MissingWitnessError,
+    NotAMatroidError,
+)
 
 from conftest import coverage_example
 
@@ -541,6 +550,11 @@ def _cert_args(tmp_path, doc):
          "pmf[1].outcome: [0] is listed twice"),
         ("entropy", {"alphabets": [1], "pmf": [{"outcome": [0], "p": 10**400}]},
          "pmf[0].p: integer too large for a float"),
+        ("ulc", {"n": -1, "entries": []}, "error: n: expected a nonnegative integer, found -1\n"),
+        ("poly", {"n": -1, "terms": []}, "error: n: expected a nonnegative integer, found -1\n"),
+        ("cert", {"d": 2, "n": -1, "witnesses": []}, "error: n: expected a nonnegative integer, found -1\n"),
+        ("matroid", {"type": "explicit", "n": -1, "independent": [[]]},
+         "error: n: expected a nonnegative integer, found -1\n"),
     ],
     ids=[
         "table-n-decimal", "table-n-bool", "table-n-integral-decimal", "poly-y", "uniform-r",
@@ -552,7 +566,7 @@ def _cert_args(tmp_path, doc):
         "coverage-set-repeated-label", "coverage-set-integer-label",
         "matroid-type-missing", "graphic-vertices-missing", "cert-tau-missing", "cert-support-missing",
         "pmf-outcome-missing", "alphabets-missing", "pmf-document-string", "pmf-p-nan", "pmf-outcome-repeated",
-        "pmf-p-huge-integer",
+        "pmf-p-huge-integer", "table-n-negative", "poly-n-negative", "cert-n-negative", "explicit-n-negative",
     ],
 )
 def test_malformed_size_or_shape_exit_3(tmp_path, capsys, command, doc, message):
@@ -680,12 +694,16 @@ _FUZZ_FIELDS = [
     ("entropy", ("pmf", 1, "outcome", 0), "pmf[1].outcome[0]"),
 ]
 _BAD_SCALARS = [True, None, "1/0", "x", [], {}]
+_SIZES = {"n", "terms[0].y", "r", "vertices", "d", "alphabets[0]"}  # refuse -1 too
+_FUZZ_CASES = [
+    (field, bad) for field in _FUZZ_FIELDS for bad in _BAD_SCALARS + [-1] * (field[2] in _SIZES)
+]
 
 
 @settings(max_examples=300, deadline=None)
-@given(field=st.sampled_from(_FUZZ_FIELDS), bad=st.sampled_from(_BAD_SCALARS))
-def test_loader_fuzz_bad_scalar_exit_3(tmp_path_factory, field, bad):
-    kind, path, name = field
+@given(case=st.sampled_from(_FUZZ_CASES))
+def test_loader_fuzz_bad_scalar_exit_3(tmp_path_factory, case):
+    (kind, path, name), bad = case
     doc, argv = _FUZZ_DOCS[kind]
     doc = copy.deepcopy(doc)
     node = doc
@@ -707,3 +725,128 @@ def test_usage_error_exit_3(capsys):
     assert run(["certify-clc"]) == 3
     capsys.readouterr()
     assert run(["no-such-command"]) == 3
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"[" * 100000, "error: document: nested too deeply"),
+        (b'{"n": 2, "entries": [{"set": [1], "value": "\xe9"}]}',
+         "error: 'utf-8' codec can't decode byte 0xe9 in position 44"),
+        (b'{"n": 1' + b"0" * 5000 + b"}", "error: Exceeds the limit (4300 digits) for integer string conversion"),
+        (b'{"n": 2,}', "error: Expecting property name enclosed in double quotes: line 1 column 9 (char 8)"),
+    ],
+    ids=["nested-too-deeply", "not-utf-8", "integer-over-digit-limit", "not-json"],
+)
+def test_unreadable_json_exit_3(tmp_path, capsys, raw, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    code = run(["ulc", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["ulc", "--input", "DOC"], '{"n": 2, "entries": [{"set": [1], "value": 1e10000000}]}',
+         "entries[0].value: numerator or denominator exceeds 4300 digits"),
+        (["ulc", "--input", "DOC"], '{"n": 2, "entries": [{"set": [1], "value": "0e-10000000"}]}',
+         "entries[0].value: numerator or denominator exceeds 4300 digits"),
+        (["ulc", "--input", "DOC"], '{"n": 2, "entries": [{"set": [1], "value": "1e%s"}]}' % ("1" * 5000),
+         "entries[0].value: numerator or denominator exceeds 4300 digits"),
+        (["certify-strong", "--input", "TABLE", "--cert", "DOC"],
+         '{"n": 2, "witnesses": [{"tau": [], "g": {"[1]": 1e-10000000, "[2]": "1"}}]}',
+         "witnesses[0].g['[1]']: numerator or denominator exceeds 4300 digits"),
+        (["mix", "--input", "TABLE", "--d", "1", "--epsilon", "1e-10000000"], "{}",
+         "argument --epsilon: invalid exact value: '1e-10000000'"),
+    ],
+    ids=["table-value", "table-value-string", "exponent-over-digit-limit", "certificate-g", "mix-epsilon"],
+)
+def test_exponent_bomb_exit_3_before_big_integer_work(tmp_path, capsys, argv, text, message):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    files = {"DOC": str(doc), "TABLE": _write(tmp_path, "t.json", _TABLE_U12)}
+    start = time.perf_counter()
+    code = run([files.get(a, a) for a in argv])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+    assert elapsed < 1
+
+
+_STRONG_MATROID = ["certify-strong", "--matroid", "DOC"]
+_2COV_MATROID = ["certify-2cov", "--matroid", "DOC", "--d", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (_STRONG_MATROID, {"type": "uniform", "r": 1, "n": 4 * 10**6}, "4000000 elements exceed cap 14"),
+        (_2COV_MATROID, {"type": "uniform", "r": 1, "n": 4 * 10**6}, "4000000 elements exceed cap 14"),
+        (_STRONG_MATROID, {"type": "uniform", "r": 1, "n": 10**30}, f"{10**30} elements exceed cap 14"),
+        (_2COV_MATROID, {"type": "uniform", "r": 1, "n": 10**30}, f"{10**30} elements exceed cap 14"),
+        (_STRONG_MATROID, {"type": "explicit", "n": 4 * 10**6, "independent": [[], [4 * 10**6]]},
+         "n=4000000 exceeds the hard cap 24"),
+        (_2COV_MATROID, {"type": "explicit", "n": 10**30, "independent": [[], [10**30]]},
+         f"n={10**30} exceeds the hard cap 24"),
+        (["certify-clc", "--poly", "DOC"], {"n": 4 * 10**6, "terms": []}, "n=4000000 exceeds the hard cap 24"),
+        (["certify-clc", "--poly", "DOC"], {"n": 10**30, "terms": []}, f"n={10**30} exceeds the hard cap 24"),
+        (["certify-strong", "--input", "TABLE", "--cert", "DOC"], {"n": 4 * 10**6, "witnesses": []},
+         "n=4000000 exceeds the hard cap 24"),
+    ],
+    ids=[
+        "uniform-4e6-strong", "uniform-4e6-2cov", "uniform-1e30-strong", "uniform-1e30-2cov",
+        "explicit-4e6", "explicit-1e30", "polynomial-4e6", "polynomial-1e30", "certificate-4e6",
+    ],
+)
+def test_huge_n_refused_before_allocating(tmp_path, capsys, argv, doc, message):
+    files = {"DOC": _write(tmp_path, "doc.json", doc), "TABLE": _write(tmp_path, "t.json", _TABLE_U12)}
+    tracemalloc.start()
+    try:
+        code = run([files.get(a, a) for a in argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+    assert peak < 1 << 20
+
+
+def test_input_errors_share_one_base():
+    for error in (CapExceededError, NotAMatroidError, MissingWitnessError):
+        assert issubclass(error, InputError)
+    assert issubclass(InputError, ValueError) and not issubclass(MissingWitnessError, KeyError)
+    assert not issubclass(InternalCheckError, InputError)
+
+
+# A bug inside the library must surface as itself, never as an input error
+# (exit 3): each injected exception has to propagate out of `run`.
+@pytest.mark.parametrize(
+    "error", [KeyError("pivot"), TypeError("bug"), ValueError("bug"), InternalCheckError("bug")],
+    ids=["KeyError", "TypeError", "ValueError", "InternalCheckError"],
+)
+@pytest.mark.parametrize(
+    "target, argv, doc",
+    [
+        ("clckit.logconcave.inertia", ["certify-clc", "--input", "IN", "--d", "2"],
+         jsonio.dump_set_function(budget_additive_table())),
+        ("clckit.coverage2.phase1", ["certify-2cov", "--input", "IN", "--d", "2", "--search"],
+         jsonio.dump_set_function(triangle_table())),
+        ("clckit.walk._candidate_row", ["sample", "--input", "IN", "--d", "2", "--steps", "5", "--seed", "1"],
+         PAIRS),
+    ],
+    ids=["inertia", "phase1", "candidate-row"],
+)
+def test_library_bug_propagates(tmp_path, monkeypatch, target, argv, doc, error):
+    path = _write(tmp_path, "in.json", doc)
+
+    def bug(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(target, bug)
+    with pytest.raises(type(error)) as info:
+        run([path if a == "IN" else a for a in argv])
+    assert info.value is error

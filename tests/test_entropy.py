@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from clckit import JointDistribution, cond_entropy, entropy_decomposition, mmi
+from clckit import JointDistribution, entropy_decomposition
+
+from conftest import cond_entropy, mmi
 
 TOL = 1e-9
 

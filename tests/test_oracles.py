@@ -44,7 +44,6 @@ from clckit import (
     inertia,
     materialize,
     mixing_time_exact,
-    mmi,
     quadratic_hessian,
     sample_chain,
     synth_strong_from_parts,
@@ -67,6 +66,7 @@ from conftest import (
     is_irreducible,
     materialize_oracle,
     mixing_time_oracle,
+    mmi,
     mobius_oracle,
     phase1_oracle,
     rand_coverage_instance,
