@@ -257,7 +257,9 @@ def synth_2cov_indicator(m: Matroid, d: int, cap: int = 14) -> TwoCoverageCertif
         raise CapExceededError(f"{n} elements exceed cap {cap}")
     table = to_setfunction(m)
     full_rank = table.nums[-1]  # a rank table's scale is 1
-    if not 2 <= d <= full_rank:
+    if d < 2:
+        raise InputError(f"need d >= 2, got d={d}")
+    if d > full_rank:
         raise InputError(f"d={d} exceeds the matroid rank {full_rank}")
     witnesses: dict[int, TwoCoverageWitness] = {}
     for tmask in masks_of_size(n, d - 2):

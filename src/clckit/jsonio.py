@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 from .bitsets import labels_of
@@ -32,6 +33,7 @@ from .setfn import (
     CoverageInstance,
     CoverageWeights,
     HARD_CAP,
+    MAX_DIGITS,
     SetFunctionTable,
     exact,
 )
@@ -86,14 +88,27 @@ def _field(obj: dict, key: str, kind: type | None = None, at: str | None = None)
     return obj[key] if kind is None else _typed(obj[key], kind, at)
 
 
-def _rational(obj: dict, key, at: str) -> Fraction:
-    """exact(obj[key]); a missing or unreadable value is an error naming
-    the field `at`."""
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(obj: dict, key, at: str) -> tuple[int, int]:
+    """obj[key] as integers (p, q), q > 0: a JSON integer, or a "p" or "p/q"
+    string of ASCII digits with an optional leading "-", no longer than
+    MAX_DIGITS and with q != 0, is read by `int`. Any other value goes
+    through `exact`, which reads decimals and refuses the rest; a missing or
+    unreadable value is an error naming the field `at`."""
     value = _field(obj, key, at=at)
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and len(value) <= MAX_DIGITS and (m := _RATIO.fullmatch(value)):
+        p, q = int(m[1]), int(m[2] or 1)
+        if q:
+            return p, q
     try:
-        return exact(value)
+        r = exact(value)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{at}: {exc}") from None
+    return r.numerator, r.denominator
 
 
 def _ints(value, at: str) -> list[int]:
@@ -167,17 +182,34 @@ def _key(key: str, at: str):
 
 
 def load_set_function(path: str) -> SetFunctionTable:
+    """Each value is read as integers (p, q) and refused there if negative,
+    or nonzero on the empty set; the numerators are then put over the lcm
+    of the distinct denominators, and the table reduces them to lowest
+    terms."""
     doc = _load(path)
     n = _ground_size(doc)
     full = (1 << n) - 1
-    values = [0] * (full + 1)
+    nums = [0] * (full + 1)
+    by_den: dict[int, list[int]] = {}  # q -> the masks whose value is p/q
     seen: dict[int, int] = {}
     for k, entry in enumerate(_typed(doc.get("entries", []), list, "entries")):
         _typed(entry, dict, f"entries[{k}]")
         labels = _field(entry, "set", at=f"entries[{k}].set")
         mask = _subset(labels, "entries[{}]", k, full, f"n={n}", seen)
-        values[mask] = _rational(entry, "value", f"entries[{k}].value")
-    return SetFunctionTable.of(n, values)
+        at = f"entries[{k}].value"
+        p, q = _rational(entry, "value", at)
+        if p and not mask:
+            raise InputError(f"{at}: f(empty set) must be 0")
+        if p < 0:
+            raise InputError(f"{at}: negative value {Fraction(p, q)}")
+        nums[mask] = p
+        by_den.setdefault(q, []).append(mask)
+    scale = math.lcm(*by_den)
+    for q, masks in by_den.items():
+        if q != scale:
+            for mask in masks:
+                nums[mask] *= scale // q
+    return SetFunctionTable(n, nums, scale)
 
 
 def dump_set_function(f: SetFunctionTable) -> dict:
@@ -197,7 +229,7 @@ def load_coverage_instance(path: str) -> CoverageInstance:
     for k, u in enumerate(_field(doc, "universe", list)):
         at = f"universe[{k}]"
         _typed(u, dict, at)
-        universe.append((_field(u, "id", str, f"{at}.id"), _rational(u, "weight", f"{at}.weight")))
+        universe.append((_field(u, "id", str, f"{at}.id"), Fraction(*_rational(u, "weight", f"{at}.weight"))))
     sets = [
         [_typed(x, str, f"sets[{k}][{i}]") for i, x in enumerate(_typed(a, list, f"sets[{k}]"))]
         for k, a in enumerate(_field(doc, "sets", list))
@@ -236,7 +268,7 @@ def load_polynomial(path: str):
         y = _size(t.get("y", 0), f"terms[{k}].y")
         labels = _field(t, "set", at=f"terms[{k}].set")
         mask = _subset(labels, "terms[{}]", k, full, f"n={n}", seen.setdefault(y, {}))
-        coeffs[y, mask] = _rational(t, "coeff", f"terms[{k}].coeff")
+        coeffs[y, mask] = Fraction(*_rational(t, "coeff", f"terms[{k}].coeff"))
     if all(y == 0 for y in seen):
         return MultiaffinePolynomial(n, {mask: c for (_, mask), c in coeffs.items()})
     return HomogenizedPolynomial(n, coeffs)
@@ -329,7 +361,7 @@ def load_certificate(path: str):
         g = {}
         g_doc = _typed(w.get("g", {}), dict, f"witnesses[{k}].g")
         for key in g_doc:
-            g[_subset(_key(key, at), at, key, ground, scope, seen_g)] = _rational(g_doc, key, at.format(key))
+            g[_subset(_key(key, at), at, key, ground, scope, seen_g)] = Fraction(*_rational(g_doc, key, at.format(key)))
         if not two_coverage:
             witnesses[tmask] = CoverageWeights.of(n, g)
             continue
@@ -339,7 +371,7 @@ def load_certificate(path: str):
         l_doc = _typed(w.get("l", {}), dict, f"witnesses[{k}].l")
         for key in l_doc:
             bit = _subset([_key(key, at)], at, key, ground, scope, seen_l)
-            ell[bit.bit_length() - 1] = _rational(l_doc, key, at.format(key))
+            ell[bit.bit_length() - 1] = Fraction(*_rational(l_doc, key, at.format(key)))
         witnesses[tmask] = TwoCoverageWitness.of(ground, n, g, ell)
     if two_coverage:
         return TwoCoverageCertificate(n, _size(_field(doc, "d"), "d"), witnesses)

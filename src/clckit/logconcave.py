@@ -21,6 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .bitsets import labels_of, masks_of_size
@@ -198,31 +201,46 @@ def contraction_cells(f: SetFunctionTable, d: int | None):
     zero cell). f^(d) has the cells |tau| <= d-2 with k None; q_f has
     k + |tau| <= n-1, where the monomial x^S keeps y^(n+1-|S|-k).
     `quadratic` marks the last cells, those of degree 2.
+
+    Each tau's support is bucketed by |S| once. In the cell whose top size
+    is t (t = n+1-k for q_f, t = d for f^(d)), every monomial with |S| < t
+    carries y, so together they form one component: the y bit and the OR of
+    their variables, kept cumulatively over the sizes. Only the monomials
+    of size t are merged into it one by one, and only when some variable of
+    size t lies outside it; otherwise each of them meets it, and it is the
+    cell's one component. The sweep of one tau is linear in its support.
     """
     n = f.n
     if d is None:
-        support, last = f.support(), n - 1
+        support, last, tmax = f.support(), n - 1, n + 1
     else:
         if not 0 <= d <= n:
             raise InputError(f"degree {d} out of range for n={n}")
-        support, last = f.support(d), d - 2
-    prev = {0: support}
+        support, last, tmax = f.support(d), d - 2, d
+    buckets = [[] for _ in range(tmax + 1)]  # by |S|, up to the largest top size
+    for s in support:
+        buckets[s.bit_count()].append(s)
+    prev = {0: buckets}
     for size in range(last + 1):
         level = {}
         for tmask in masks_of_size(n, size):
             top = tmask and 1 << (tmask.bit_length() - 1)
-            sup = level[tmask] = [s for s in prev[tmask ^ top] if s & top == top]
-            if d is not None:
-                yield tmask, None, _components((s ^ tmask) << 1 for s in sup), size == last
-                continue
-            for k in range(n - size):
-                ydeg = n + 1 - k
-                monos = (
-                    (s ^ tmask) << 1 | (s.bit_count() < ydeg)
-                    for s in sup
-                    if s.bit_count() <= ydeg
-                )
-                yield tmask, k, _components(monos), k == last - size
+            buckets = level[tmask] = [
+                [s for s in b if s & top == top] if b else b for b in prev[tmask ^ top]
+            ]
+            # y and the variables of each size; below[t]: the y component of the sizes < t
+            ys = [(reduce(or_, b) ^ tmask) << 1 | 1 if b else 0 for b in buckets]
+            below = [0, *accumulate(ys, or_)]
+            cells = [(None, d)] if d is not None else [(k, n + 1 - k) for k in range(n - size)]
+            for k, t in cells:
+                seed = below[t]
+                if seed and not ys[t] & ~seed:
+                    comps = [seed]  # each top monomial meets the y component
+                else:
+                    monos = [seed] if seed else []
+                    comps = _components(monos + [(s ^ tmask) << 1 for s in buckets[t]])
+                quadratic = size == last if k is None else k == last - size
+                yield tmask, k, comps, quadratic
         prev = level
 
 
@@ -290,7 +308,7 @@ def certify_clc_homogeneous(
 
 
 def certify_clc_homogenization(
-    f: SetFunctionTable, cap: int = 10
+    f: SetFunctionTable, cap: int = 12
 ) -> CertificationReport:
     """Run the sufficient conditions on the homogenization q_f of degree n+1.
 

@@ -29,11 +29,12 @@ from clckit import (
     TwoCoverageWitness,
     UniformMatroid,
 )
+from clckit import jsonio
 from clckit.bitsets import labels_of, mask_of, masks_of_size
 from clckit.coverage2 import CertificateCheck
 from clckit.entropy import _Entropies
 from clckit.errors import InputError, MissingWitnessError
-from clckit.logconcave import Inertia, contraction_cells
+from clckit.logconcave import Inertia, _components
 from clckit.matroids import ExplicitValidation
 from clckit.setfn import ZERO, exact
 from clckit.simplex import LPFeasibility
@@ -261,6 +262,59 @@ def mobius_oracle(f: SetFunctionTable) -> dict[int, Fraction]:
     return {m: v for m, v in enumerate(y) if m and v}
 
 
+def contraction_cells_oracle(f: SetFunctionTable, d: int | None):
+    """The contraction sweep of `clckit.logconcave.contraction_cells`, cell by
+    cell, with no buckets: each q_f cell (tau, k) lists every monomial of
+    its support, y on those below the top size, and merges them all."""
+    n = f.n
+    if d is None:
+        support, last = f.support(), n - 1
+    else:
+        if not 0 <= d <= n:
+            raise InputError(f"degree {d} out of range for n={n}")
+        support, last = f.support(d), d - 2
+    prev = {0: support}
+    for size in range(last + 1):
+        level = {}
+        for tmask in masks_of_size(n, size):
+            top = tmask and 1 << (tmask.bit_length() - 1)
+            sup = level[tmask] = [s for s in prev[tmask ^ top] if s & top == top]
+            if d is not None:
+                yield tmask, None, _components((s ^ tmask) << 1 for s in sup), size == last
+                continue
+            for k in range(n - size):
+                ydeg = n + 1 - k
+                monos = (
+                    (s ^ tmask) << 1 | (s.bit_count() < ydeg)
+                    for s in sup
+                    if s.bit_count() <= ydeg
+                )
+                yield tmask, k, _components(monos), k == last - size
+        prev = level
+
+
+def load_set_function_oracle(path: str) -> SetFunctionTable:
+    """`clckit.jsonio.load_set_function` on Fractions: every value through
+    `exact`, the table built by `SetFunctionTable.of`, which refuses a
+    negative value or a nonzero f(empty set) without naming the entry."""
+    doc = jsonio._load(path)
+    n = jsonio._ground_size(doc)
+    full = (1 << n) - 1
+    values = [0] * (full + 1)
+    seen: dict[int, int] = {}
+    for k, entry in enumerate(jsonio._typed(doc.get("entries", []), list, "entries")):
+        jsonio._typed(entry, dict, f"entries[{k}]")
+        labels = jsonio._field(entry, "set", at=f"entries[{k}].set")
+        mask = jsonio._subset(labels, "entries[{}]", k, full, f"n={n}", seen)
+        at = f"entries[{k}].value"
+        value = jsonio._field(entry, "value", at=at)
+        try:
+            values[mask] = exact(value)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{at}: {exc}") from None
+    return SetFunctionTable.of(n, values)
+
+
 def inertia_oracle(matrix) -> Inertia:
     """Symmetric congruence diagonalization on `Fraction`s, step by step the
     rational version of `clckit.logconcave.inertia`: the same zero-pivot swap
@@ -370,7 +424,7 @@ def verify_2cov_oracle(f: SetFunctionTable, d: int, cert) -> CertificateCheck:
     if cert.n != n or cert.d != d:
         raise InputError("certificate dimensions do not match the table")
     checks = 0
-    for tmask, _, comps, _ in contraction_cells(f, d):
+    for tmask, _, comps, _ in contraction_cells_oracle(f, d):
         checks += 1
         if len(comps) > 1:
             return CertificateCheck(

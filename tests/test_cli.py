@@ -150,6 +150,28 @@ def test_certify_2cov_matroid_synthesis(tmp_path, capsys):
     assert verify_2cov(independence_indicator(to_setfunction(UniformMatroid(2, 3))), 2, cert).ok
 
 
+@pytest.mark.parametrize(
+    "d, message", [("1", "need d >= 2, got d=1"), ("3", "d=3 exceeds the matroid rank 2")]
+)
+def test_certify_2cov_matroid_degree_out_of_range_exit_3(tmp_path, capsys, d, message):
+    mpath = _write(tmp_path, "u23.json", {"type": "uniform", "r": 2, "n": 3})
+    code = run(["certify-2cov", "--matroid", mpath, "--d", d])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+
+
+def test_certify_hom_default_cap_is_12(tmp_path, capsys):
+    doc = {"n": 12, "entries": [{"set": [1], "value": "1"}]}
+    code = run(["certify-hom", "--input", _write(tmp_path, "n12.json", doc), "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert json.loads(captured.out)["verdict"] == "certified"
+    doc["n"] = 13
+    code = run(["certify-hom", "--input", _write(tmp_path, "n13.json", doc)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", "error: n=13 exceeds cap 12\n")
+
+
 def test_certify_strong_matroid_and_verify_round_trip(tmp_path, capsys):
     mpath = _write(tmp_path, "u23.json", {"type": "uniform", "r": 2, "n": 3})
     cert_path = str(tmp_path / "cert.json")
@@ -298,10 +320,12 @@ def test_malformed_matroid_listing_exit_3(tmp_path, capsys, doc, message):
         ([[[1], "1/0"]], "entries[0].value: zero denominator in '1/0'"),
         ([[[1], True]], "entries[0].value: cannot parse True as a rational"),
         ([[[1], None]], "entries[0].value: cannot parse None as a rational"),
+        ([[[2], 1], [[1], "-1"]], "entries[1].value: negative value -1"),
+        ([[[1], 1], [[], "1/2"]], "entries[1].value: f(empty set) must be 0"),
     ],
     ids=[
         "repeated-label", "repeated-subset", "out-of-range", "non-integer-label",
-        "zero-denominator", "boolean-value", "null-value",
+        "zero-denominator", "boolean-value", "null-value", "negative-value", "empty-set-value",
     ],
 )
 def test_malformed_table_entry_exit_3(tmp_path, capsys, entries, message):
@@ -694,9 +718,13 @@ _FUZZ_FIELDS = [
     ("entropy", ("pmf", 1, "outcome", 0), "pmf[1].outcome[0]"),
 ]
 _BAD_SCALARS = [True, None, "1/0", "x", [], {}]
-_SIZES = {"n", "terms[0].y", "r", "vertices", "d", "alphabets[0]"}  # refuse -1 too
+# sizes refuse -1 too, and a table value a negative rational
+_NEGATIVES = {
+    **dict.fromkeys(["n", "terms[0].y", "r", "vertices", "d", "alphabets[0]"], [-1]),
+    "entries[0].value": ["-1", "-1/2"],
+}
 _FUZZ_CASES = [
-    (field, bad) for field in _FUZZ_FIELDS for bad in _BAD_SCALARS + [-1] * (field[2] in _SIZES)
+    (field, bad) for field in _FUZZ_FIELDS for bad in _BAD_SCALARS + _NEGATIVES.get(field[2], [])
 ]
 
 

@@ -6,7 +6,9 @@ matrices, whose roots are all real), LP feasibility via basic-solution
 enumeration, multivariate mutual information via its closed alternating-sum
 form, the homogenization quadratics via their closed entry formulas computed
 straight from the table, the support-mask contraction sweep via derived
-polynomials and a breadth-first search, strong coverage synthesis via
+polynomials and a breadth-first search, and its size buckets via the
+per-cell sweep that merges every monomial, the integer table loader via
+one `Fraction` per entry, strong coverage synthesis via
 one Moebius inversion per contraction, matroid certificates read off the
 rank table via parallel classes asked of the oracle per contraction, the
 integer phase-1 tableau via
@@ -53,17 +55,20 @@ from clckit import (
     walk_instance,
 )
 from clckit import coverage2
-from clckit.bitsets import mask_of
-from clckit.errors import MissingWitnessError
-from clckit.jsonio import dump_certificate
+from clckit.bitsets import labels_of, mask_of
+from clckit.errors import InputError, MissingWitnessError
+from clckit.logconcave import contraction_cells
+from clckit.jsonio import dump_certificate, load_set_function
 from clckit.matroids import to_setfunction
 from clckit.polynomials import scale
 from clckit.simplex import phase1
 
 from conftest import (
+    contraction_cells_oracle,
     coverage_instances,
     inertia_oracle,
     is_irreducible,
+    load_set_function_oracle,
     materialize_oracle,
     mixing_time_oracle,
     mmi,
@@ -531,6 +536,94 @@ def test_drivers_match_oracle_reference_on_mixed_denominators():
         ("conditions-fail", "inertia"),
         ("conditions-fail", "decomposable"),
     }
+
+
+@st.composite
+def sweep_tables(draw):
+    """Tables with n <= 7: zero, sparse to full supports, on every size or
+    on a few (one level included), values 1..3."""
+    n = draw(st.integers(0, 7))
+    density = draw(st.sampled_from((0.0, 0.05, 0.2, 0.5, 0.9, 1.0)))
+    sizes = draw(st.sets(st.integers(1, max(n, 1)), min_size=1)) if draw(st.booleans()) else None
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    vals = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        if (sizes is None or m.bit_count() in sizes) and rng.random() < density:
+            vals[m] = rng.randint(1, 3)
+    return SetFunctionTable(n, vals)
+
+
+def _cell_stream(cells):
+    return [(tmask, k, sorted(comps), quadratic) for tmask, k, comps, quadratic in cells]
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=sweep_tables())
+@example(f=SetFunctionTable(3, [0] * 8))
+@example(f=SetFunctionTable(4, [int(m.bit_count() == 2) for m in range(16)]))
+@example(f=SetFunctionTable(4, [int(m > 0) for m in range(16)]))
+def test_bucketed_sweep_matches_per_cell_oracle(f):
+    # the q_f sweep merges only the top size of each cell, seeded with one y
+    # component; the oracle merges every monomial of the cell
+    for d in (None, *range(f.n + 1)):
+        assert _cell_stream(contraction_cells(f, d)) == _cell_stream(contraction_cells_oracle(f, d))
+
+
+_MISSING = object()
+_SPELLINGS = st.one_of(
+    st.integers(-3, 12),
+    st.builds(
+        lambda sign, p, q, zp, zq: f"{sign}{'0' * zp}{p}/{'0' * zq}{q}",
+        st.sampled_from(("", "-")), st.integers(0, 30), st.integers(1, 12),
+        st.integers(0, 2), st.integers(0, 2),
+    ),
+    st.sampled_from([
+        "0", "-0", "7", "007", "+3", " 3", "3 ", "3_0", "1_0/2", "1/0", "0/0", "1/00", "-1/0",
+        "1 / 2", "1/-2", "--1", "1/2/3", "", "-", "/2", "x", "\u0663/\u0664",
+        "1.5", "-0.25", ".5", "1e3", "2.5E-2", "1e-1", "1e10000000",
+        "9" * 4300, "-" + "9" * 4300, "1" * 4400, "1/" + "1" * 4400,
+        0.5, 2.25, 1000.0, True, False, None, [], {}, _MISSING,
+    ]),
+)
+
+
+def _table_doc(n, entries):
+    return {"n": n, "entries": [
+        {"set": labels} | ({} if v is _MISSING else {"value": v}) for labels, v in entries
+    ]}
+
+
+def _load_outcome(load, path):
+    try:
+        f = load(path)
+    except InputError as exc:
+        return str(exc)
+    return (f.n, f.nums, f.scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    masks=st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True),
+    spellings=st.lists(_SPELLINGS, min_size=4, max_size=4),
+)
+def test_table_loader_matches_fraction_oracle(tmp_path_factory, masks, spellings):
+    # the loader reads each value as integers and refuses a negative one, or
+    # a nonzero f(empty set), at its entry; the oracle reads Fractions and
+    # leaves those two refusals to the table, so an entry it refuses alone
+    # is the first refusal of the whole table, named by the loader
+    directory = tmp_path_factory.mktemp("tables")
+    entries = [(list(labels_of(m)), v) for m, v in zip(masks, spellings)]
+    path = directory / "f.json"
+    path.write_text(json.dumps(_table_doc(3, entries)))
+    want = _load_outcome(load_set_function_oracle, str(path))
+    for k, entry in enumerate(entries):
+        (directory / "one.json").write_text(json.dumps(_table_doc(3, [entry])))
+        alone = _load_outcome(load_set_function_oracle, str(directory / "one.json"))
+        if isinstance(alone, str):
+            field, _, rest = alone.partition(": ")
+            want = f"entries[{k}].value: {rest if field == 'entries[0].value' else alone}"
+            break
+    assert _load_outcome(load_set_function, str(path)) == want
 
 
 # --- strong coverage synthesis vs per-tau sub-instances ------------------------
