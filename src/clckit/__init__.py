@@ -12,13 +12,10 @@ from .setfn import (
     CoverageInstance,
     CoverageWeights,
     MobiusResult,
-    PredicateReport,
     SetFunctionTable,
-    homogeneous_restrict,
     level_sequence,
     materialize,
     mobius_coverage_weights,
-    predicates,
 )
 from .matroids import (
     ExplicitMatroid,
@@ -30,25 +27,14 @@ from .matroids import (
     independence_indicator,
     parallel_partition,
     to_setfunction,
-    validate_explicit,
 )
-from .polynomials import (
-    HomogenizedPolynomial,
-    MultiaffinePolynomial,
-    derive,
-    generating_poly,
-    homogenize,
-    quadratic_hessian,
-)
+from .polynomials import HomogenizedPolynomial, MultiaffinePolynomial, quadratic_hessian
 from .logconcave import (
     CertificationReport,
     Inertia,
-    MainPSDWitness,
     certify_clc_homogeneous,
     certify_clc_homogenization,
     inertia,
-    is_indecomposable,
-    mainpsd_witness,
     quadratic_inertia,
     ulc_check,
 )

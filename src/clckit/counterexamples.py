@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bitsets import labels_of
 from .coverage2 import search_2cov_feasible
 from .logconcave import (
     VERDICT_REFUTED,
@@ -20,7 +21,7 @@ from .logconcave import (
     quadratic_inertia,
 )
 from .polynomials import MultiaffinePolynomial
-from .setfn import SetFunctionTable, _monotone_witness, _submodular_witness
+from .setfn import SetFunctionTable
 
 
 def budget_additive_table() -> SetFunctionTable:
@@ -41,6 +42,33 @@ def triangle_table() -> SetFunctionTable:
     """The pair values of the triangle quadratic as a degree-2 table."""
     p = triangle_quadratic()
     return SetFunctionTable.from_entries(3, dict(p.coeffs))
+
+
+def _monotone_witness(n, vals):
+    """The first (S, i) with f(S) > f(S+i) on the table values `vals`, or None."""
+    full = (1 << n) - 1
+    for s in range(full + 1):
+        rest = full & ~s
+        while rest:
+            low = rest & -rest
+            if vals[s] > vals[s | low]:
+                return (labels_of(s), low.bit_length())
+            rest ^= low
+    return None
+
+
+def _submodular_witness(n, vals):
+    """The first (S, i, j) breaking f(S+i) + f(S+j) >= f(S+i+j) + f(S), the
+    local characterization of submodularity, or None."""
+    full = (1 << n) - 1
+    for s in range(full + 1):
+        out = [b for b in range(n) if not s >> b & 1]
+        for a in range(len(out)):
+            for b in range(a + 1, len(out)):
+                i, j = 1 << out[a], 1 << out[b]
+                if vals[s | i] + vals[s | j] < vals[s | i | j] + vals[s]:
+                    return (labels_of(s), out[a] + 1, out[b] + 1)
+    return None
 
 
 @dataclass(frozen=True)

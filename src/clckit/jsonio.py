@@ -111,6 +111,14 @@ def _rational(obj: dict, key, at: str) -> tuple[int, int]:
     return r.numerator, r.denominator
 
 
+def _weight(obj: dict, key, at: str) -> Fraction:
+    """obj[key], read by `_rational`, refused if negative."""
+    p, q = _rational(obj, key, at)
+    if p < 0:
+        raise InputError(f"{at}: negative weight {Fraction(p, q)}")
+    return Fraction(p, q)
+
+
 def _ints(value, at: str) -> list[int]:
     """The JSON list of integers at `at`, each read by `_typed`."""
     return [_typed(v, int, f"{at}[{i}]") for i, v in enumerate(_typed(value, list, at))]
@@ -212,24 +220,13 @@ def load_set_function(path: str) -> SetFunctionTable:
     return SetFunctionTable(n, nums, scale)
 
 
-def dump_set_function(f: SetFunctionTable) -> dict:
-    return {
-        "n": f.n,
-        "entries": [
-            {"set": list(labels_of(m)), "value": str(f[m])}
-            for m, v in enumerate(f.nums)
-            if v
-        ],
-    }
-
-
 def load_coverage_instance(path: str) -> CoverageInstance:
     doc = _load(path)
     universe = []
     for k, u in enumerate(_field(doc, "universe", list)):
         at = f"universe[{k}]"
         _typed(u, dict, at)
-        universe.append((_field(u, "id", str, f"{at}.id"), Fraction(*_rational(u, "weight", f"{at}.weight"))))
+        universe.append((_field(u, "id", str, f"{at}.id"), _weight(u, "weight", f"{at}.weight")))
     sets = [
         [_typed(x, str, f"sets[{k}][{i}]") for i, x in enumerate(_typed(a, list, f"sets[{k}]"))]
         for k, a in enumerate(_field(doc, "sets", list))
@@ -244,10 +241,17 @@ def load_matroid(path: str) -> Matroid:
         return UniformMatroid(_size(_field(doc, "r"), "r"), _size(_field(doc, "n"), "n"))
     if kind == "partition":
         blocks = [_ints(b, f"blocks[{k}]") for k, b in enumerate(_field(doc, "blocks", list))]
-        return PartitionMatroid(blocks, _ints(_field(doc, "caps"), "caps"))
+        caps = [_size(c, f"caps[{k}]") for k, c in enumerate(_field(doc, "caps", list))]
+        return PartitionMatroid(blocks, caps)
     if kind == "graphic":
-        edges = [tuple(_ints(e, f"edges[{k}]")) for k, e in enumerate(_field(doc, "edges", list))]
-        return GraphicMatroid(_size(_field(doc, "vertices"), "vertices"), edges)
+        vertices = _size(_field(doc, "vertices"), "vertices")
+        edges = []
+        for k, e in enumerate(_field(doc, "edges", list)):
+            edge = _ints(e, f"edges[{k}]")
+            if not all(1 <= v <= vertices for v in edge):
+                raise InputError(f"edges[{k}]: edge {edge} references an unknown vertex")
+            edges.append(tuple(edge))
+        return GraphicMatroid(vertices, edges)
     if kind == "explicit":
         family = [_ints(i, f"independent[{k}]") for k, i in enumerate(_field(doc, "independent", list))]
         return ExplicitMatroid(_ground_size(doc), family)
@@ -276,7 +280,8 @@ def load_polynomial(path: str):
 
 def load_joint_distribution(path: str) -> JointDistribution:
     """Each `p` must be a finite JSON number (int or float, never a bool)
-    and each outcome a list of integers, listed once."""
+    and each outcome a list of integers, listed once, with one entry per
+    alphabet and inside it."""
     doc = _load(path, parse_float=float)
     pmf = {}
     for k, row in enumerate(_field(doc, "pmf", list)):
@@ -298,6 +303,12 @@ def load_joint_distribution(path: str) -> JointDistribution:
     alphabets = tuple(
         _size(k, f"alphabets[{i}]") for i, k in enumerate(_typed(_field(doc, "alphabets"), list, "alphabets"))
     )
+    for k, outcome in enumerate(pmf):  # in the order of the rows
+        at = f"pmf[{k}].outcome"
+        if len(outcome) != len(alphabets):
+            raise InputError(f"{at}: {list(outcome)} has {len(outcome)} entries, not one per alphabet")
+        if not all(0 <= v < a for v, a in zip(outcome, alphabets)):
+            raise InputError(f"{at}: {list(outcome)} leaves the alphabet")
     return JointDistribution(alphabets, pmf)
 
 
@@ -338,7 +349,8 @@ def load_certificate(path: str):
     """A document with a top-level "d" is a two-coverage certificate;
     otherwise a strong one. The labels in g and l keys must lie in the
     witness's ground set: S for two-coverage, the complement of tau for a
-    strong certificate. Masks are kept over [n], and numbers as integer
+    strong certificate, and g carries no weight on the empty set and no
+    negative weight. Masks are kept over [n], and numbers as integer
     numerators over one denominator per witness."""
     doc = _load(path)
     n = _ground_size(doc)
@@ -361,7 +373,10 @@ def load_certificate(path: str):
         g = {}
         g_doc = _typed(w.get("g", {}), dict, f"witnesses[{k}].g")
         for key in g_doc:
-            g[_subset(_key(key, at), at, key, ground, scope, seen_g)] = Fraction(*_rational(g_doc, key, at.format(key)))
+            mask = _subset(_key(key, at), at, key, ground, scope, seen_g)
+            if not mask:
+                raise InputError(f"{at.format(key)}: g on the empty set is not part of the representation")
+            g[mask] = _weight(g_doc, key, at.format(key))
         if not two_coverage:
             witnesses[tmask] = CoverageWeights.of(n, g)
             continue

@@ -20,23 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from operator import or_
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .bitsets import labels_of, masks_of_size
-from .errors import CapExceededError, InputError, InternalCheckError
+from .errors import CapExceededError, InputError
 from .polynomials import MultiaffinePolynomial, Polynomial, quadratic_hessian
-from .setfn import (
-    CoverageInstance,
-    SetFunctionTable,
-    ZERO,
-    exact,
-    integer_scaled,
-    materialize,
-)
+from .setfn import SetFunctionTable, exact, integer_scaled
 
 VERDICT_CERTIFIED = "certified"
 VERDICT_CONDITIONS_FAIL = "conditions-fail"
@@ -349,57 +341,3 @@ def ulc_check(sequence: Sequence) -> UlcResult:
         if lhs < rhs:
             return UlcResult(False, k)
     return UlcResult(True, None)
-
-
-@dataclass(frozen=True)
-class MainPSDWitness:
-    """Exact witness that R := (DJ + JD) - Hess(p_{g^(2)}) dominates D.
-
-    The decomposition R = sum_T x_T B_T + D (with B_T the all-ones block on
-    T) is verified entrywise, and the inertia of R - D has no negative part.
-    """
-
-    m: int
-    diag: tuple[Fraction, ...]
-    r_matrix: tuple[tuple[Fraction, ...], ...]
-    weights: Mapping[int, Fraction]
-    r_minus_d_inertia: Inertia
-
-
-def mainpsd_witness(instance: CoverageInstance, cap: int = 12) -> MainPSDWitness:
-    m = instance.n
-    if m > cap:
-        raise CapExceededError(f"m={m} exceeds cap {cap}")
-    cover = instance.weights()
-    table = materialize(cover)
-    weights = {t: Fraction(v, cover.scale) for t, v in cover.x.items()}
-    g1 = [table[1 << i] for i in range(m)]
-    r = [[ZERO] * m for _ in range(m)]
-    for i in range(m):
-        r[i][i] = 2 * g1[i]
-        for j in range(i + 1, m):
-            pair = table[(1 << i) | (1 << j)]
-            r[i][j] = r[j][i] = g1[i] + g1[j] - pair
-    bsum = [[ZERO] * m for _ in range(m)]
-    for t, x in weights.items():
-        members = [b for b in range(m) if t >> b & 1]
-        for a in members:
-            for b in members:
-                bsum[a][b] += x
-    for i in range(m):
-        for j in range(m):
-            expected = bsum[i][j] + (g1[i] if i == j else ZERO)
-            if r[i][j] != expected:
-                raise InternalCheckError(
-                    f"witness identity failed at ({i + 1},{j + 1}): {r[i][j]} != {expected}"
-                )
-    iner = inertia(bsum)  # R - D, by the identity just checked
-    if iner.n_neg != 0:
-        raise InternalCheckError(f"R - D came out indefinite: {iner}")
-    return MainPSDWitness(
-        m=m,
-        diag=tuple(g1),
-        r_matrix=tuple(tuple(row) for row in r),
-        weights=weights,
-        r_minus_d_inertia=iner,
-    )

@@ -1,8 +1,8 @@
 """Matroid oracles: uniform, partition, graphic and explicit.
 
 Ranks are exact integers. The ground elements are the labels 1..n, which a
-caller hands to `Matroid.rank` and to the constructors; past that boundary
-every subset is a bitmask over [n], bit b for label b + 1: `_rank`, the
+caller hands to the constructors; past that boundary every subset is a
+bitmask over [n], bit b for label b + 1: the argument of `Matroid.rank`, the
 partition blocks, the explicit listing and its rank table, the loops and
 parallel classes, and the rank table `to_setfunction` builds.
 """
@@ -28,8 +28,9 @@ def _distinct(labels: Iterable[int], at: str) -> frozenset:
 
 
 class Matroid:
-    """Rank oracle over the ground labels 1..n. The elements are a range, so
-    a size n is compared with a cap before anything is allocated per element."""
+    """Rank oracle over the ground labels 1..n, queried by bitmask. The
+    elements are a range, so a size n is compared with a cap before anything
+    is allocated per element."""
 
     n: int
 
@@ -37,19 +38,9 @@ class Matroid:
     def elements(self) -> range:
         return range(1, self.n + 1)
 
-    def rank(self, subset: Iterable[int]) -> int:
-        s = frozenset(subset)
-        extra = {e for e in s if e not in self.elements}
-        if extra:
-            raise ValueError(f"invalid subset: {sorted(extra)} outside the ground set")
-        return self._rank(mask_of(s))
-
-    def _rank(self, s: int) -> int:
+    def rank(self, s: int) -> int:
         """The rank of the mask s over [n]."""
         raise NotImplementedError
-
-    def full_rank(self) -> int:
-        return self._rank((1 << self.n) - 1)
 
 
 class UniformMatroid(Matroid):
@@ -61,7 +52,7 @@ class UniformMatroid(Matroid):
         self.r = r
         self.n = n
 
-    def _rank(self, s: int) -> int:
+    def rank(self, s: int) -> int:
         return min(s.bit_count(), self.r)
 
     def __repr__(self):
@@ -83,7 +74,7 @@ class PartitionMatroid(Matroid):
             raise InputError("blocks must partition {1,...,n}")
         self.blocks = tuple(mask_of(b) for b in sets)
 
-    def _rank(self, s: int) -> int:
+    def rank(self, s: int) -> int:
         return sum(min((s & b).bit_count(), c) for b, c in zip(self.blocks, self.caps))
 
     def __repr__(self):
@@ -113,7 +104,7 @@ class GraphicMatroid(Matroid):
         )
         self._touched = len(index)
 
-    def _rank(self, s: int) -> int:
+    def rank(self, s: int) -> int:
         parent = list(range(self._touched))
 
         def find(a):
@@ -144,13 +135,6 @@ class ExplicitValidation:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def validate_explicit(n: int, family: Iterable[Iterable[int]]) -> ExplicitValidation:
-    """Check the independence axioms; violations come back as return values.
-    The exchange axiom is checked on the rank table (see `_rank_table`)."""
-    listed, check = _check_listing(n, family)
-    return _rank_table(n, listed)[1] if check else check
 
 
 def _require(check: ExplicitValidation) -> None:
@@ -240,7 +224,7 @@ class ExplicitMatroid(Matroid):
         self.n = n
         self._table: list[int] | None = None
 
-    def _rank(self, s: int) -> int:
+    def rank(self, s: int) -> int:
         if self._table is None:
             table, check = _rank_table(self.n, self.family)
             _require(check)
@@ -308,7 +292,7 @@ def to_setfunction(m: Matroid) -> SetFunctionTable:
     reads the 0/1 independence indicator off it."""
     if m.n > HARD_CAP:
         raise CapExceededError(f"{m.n} elements exceed the materialization cap")
-    return SetFunctionTable(m.n, [m._rank(s) for s in range(1 << m.n)])
+    return SetFunctionTable(m.n, [m.rank(s) for s in range(1 << m.n)])
 
 
 def independence_indicator(rank: SetFunctionTable) -> SetFunctionTable:

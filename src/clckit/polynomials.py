@@ -35,12 +35,6 @@ class MultiaffinePolynomial:
                 cleaned[mask] = c
         object.__setattr__(self, "coeffs", cleaned)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degrees(self) -> set[int]:
-        return {m.bit_count() for m in self.coeffs}
-
 
 @dataclass(frozen=True)
 class HomogenizedPolynomial:
@@ -58,12 +52,6 @@ class HomogenizedPolynomial:
             if c != 0:
                 cleaned[(ypow, mask)] = c
         object.__setattr__(self, "coeffs", cleaned)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degrees(self) -> set[int]:
-        return {ypow + m.bit_count() for ypow, m in self.coeffs}
 
 
 Polynomial = Union[MultiaffinePolynomial, HomogenizedPolynomial]

@@ -16,7 +16,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
-from .bitsets import coverage_values, coverage_weights, labels_of, mask_of, submasks
+from .bitsets import coverage_values, coverage_weights, labels_of, mask_of
 from .errors import CapExceededError, InputError, InternalCheckError
 
 HARD_CAP = 24
@@ -138,9 +138,6 @@ class SetFunctionTable:
             if v and (size is None or m.bit_count() == size)
         )
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
 
 @dataclass(frozen=True)
 class CoverageInstance:
@@ -253,97 +250,6 @@ def homogeneous_restrict(f: SetFunctionTable, d: int) -> SetFunctionTable:
         raise ValueError(f"degree {d} out of range for n={f.n}")
     nums = [v if m.bit_count() == d else 0 for m, v in enumerate(f.nums)]
     return SetFunctionTable(f.n, nums, f.scale)
-
-
-@dataclass(frozen=True)
-class PredicateReport:
-    monotone: bool
-    submodular: bool
-    log_submodular: bool
-    almost_log_submodular: bool
-    witnesses: Mapping[str, tuple]  # failed flag -> first violating witness
-
-
-def predicates(f: SetFunctionTable) -> PredicateReport:
-    """Check the four structural predicates, exhaustively and exactly.
-
-    Log-submodularity is checked multiplicatively, f(S+i) f(T) >= f(T+i) f(S)
-    for S inside T, so zero values need no special casing.
-    """
-    n, vals = f.n, f.nums  # every inequality is homogeneous in f
-    witnesses: dict[str, tuple] = {}
-
-    mono = _monotone_witness(n, vals)
-    if mono:
-        witnesses["monotone"] = mono
-    sub = _submodular_witness(n, vals)
-    if sub:
-        witnesses["submodular"] = sub
-    logsub = _log_submodular_witness(n, vals)
-    if logsub:
-        witnesses["log_submodular"] = logsub
-    almost = _almost_witness(n, vals)
-    if almost:
-        witnesses["almost_log_submodular"] = almost
-
-    return PredicateReport(
-        monotone=mono is None,
-        submodular=sub is None,
-        log_submodular=logsub is None,
-        almost_log_submodular=almost is None,
-        witnesses=witnesses,
-    )
-
-
-def _monotone_witness(n, vals):
-    full = (1 << n) - 1
-    for s in range(full + 1):
-        rest = full & ~s
-        while rest:
-            low = rest & -rest
-            if vals[s] > vals[s | low]:
-                return (labels_of(s), low.bit_length())
-            rest ^= low
-    return None
-
-
-def _submodular_witness(n, vals):
-    # local characterization: f(S+i) + f(S+j) >= f(S+i+j) + f(S)
-    full = (1 << n) - 1
-    for s in range(full + 1):
-        out = [b for b in range(n) if not s >> b & 1]
-        for a in range(len(out)):
-            for b in range(a + 1, len(out)):
-                i, j = 1 << out[a], 1 << out[b]
-                if vals[s | i] + vals[s | j] < vals[s | i | j] + vals[s]:
-                    return (labels_of(s), out[a] + 1, out[b] + 1)
-    return None
-
-
-def _log_submodular_witness(n, vals):
-    # f(S+i) f(T) >= f(T+i) f(S) for all S inside T, i outside T
-    full = (1 << n) - 1
-    for t in range(full + 1):
-        out = [b for b in range(n) if not t >> b & 1]
-        for s in submasks(t):
-            for b in out:
-                i = 1 << b
-                if vals[s | i] * vals[t] < vals[t | i] * vals[s]:
-                    return (labels_of(s), labels_of(t), b + 1)
-    return None
-
-
-def _almost_witness(n, vals):
-    # 2 f(S+i) f(S+j) >= f(S) f(S+i+j)
-    full = (1 << n) - 1
-    for s in range(full + 1):
-        out = [b for b in range(n) if not s >> b & 1]
-        for a in range(len(out)):
-            for b in range(a + 1, len(out)):
-                i, j = 1 << out[a], 1 << out[b]
-                if 2 * vals[s | i] * vals[s | j] < vals[s] * vals[s | i | j]:
-                    return (labels_of(s), out[a] + 1, out[b] + 1)
-    return None
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,14 @@ suite draw from the same families.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
+from pathlib import Path
+from typing import Mapping, NamedTuple
 
 import numpy as np
 import pytest
@@ -29,16 +32,29 @@ from clckit import (
     TwoCoverageWitness,
     UniformMatroid,
 )
-from clckit import jsonio
-from clckit.bitsets import labels_of, mask_of, masks_of_size
+from clckit import inertia, jsonio, materialize
+from clckit.bitsets import labels_of, mask_of, masks_of_size, submasks
+from clckit.counterexamples import _monotone_witness, _submodular_witness
 from clckit.coverage2 import CertificateCheck
 from clckit.entropy import _Entropies
-from clckit.errors import InputError, MissingWitnessError
+from clckit.errors import InputError, InternalCheckError, MissingWitnessError
 from clckit.logconcave import Inertia, _components
-from clckit.matroids import ExplicitValidation
+from clckit.matroids import ExplicitValidation, _check_listing, _rank_table
 from clckit.setfn import ZERO, exact
 from clckit.simplex import LPFeasibility
 from clckit.walk import MixingResult, make_rng
+
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def layer_functions() -> dict[str, tuple[str, ...]]:
+    """The clckit functions the benchmark traces, {module: names}, read from
+    perfbench/tracing.py by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.LAYER_FUNCTIONS
 
 
 def coverage_example() -> CoverageInstance:
@@ -97,7 +113,7 @@ def matroids(draw):
     m = GraphicMatroid(v, draw(st.lists(st.tuples(ends, ends), min_size=n, max_size=n)))
     if kind == "graphic":
         return m
-    listing = [s for k in range(n + 1) for s in combinations(range(1, n + 1), k) if m.rank(s) == k]
+    listing = [s for k in range(n + 1) for s in combinations(range(1, n + 1), k) if m.rank(mask_of(s)) == k]
     return ExplicitMatroid(n, draw(st.permutations(listing)))
 
 
@@ -517,11 +533,12 @@ def verify_strong2cov_oracle(f: SetFunctionTable, cert) -> CertificateCheck:
 
 def contracted_classes(m, tau) -> list[list[int]]:
     """Parallel classes of M/tau (loops left out), asking the public oracle
-    for the contracted rank rk(S + tau) - rk(tau) one set of labels at a time."""
-    base = m.rank(tau)
+    for the contracted rank rk(S + tau) - rk(tau) one set of labels, as its
+    mask, at a time."""
+    base = m.rank(mask_of(tau))
 
     def rank(*xs):
-        return m.rank(tau + xs) - base
+        return m.rank(mask_of(tau + xs)) - base
 
     classes = []
     for x in m.elements:
@@ -587,7 +604,7 @@ def reference_2cov_indicator(m, d) -> TwoCoverageCertificate:
     n = len(m.elements)
     witnesses = {}
     for tau in combinations(range(1, n + 1), d - 2):
-        classes = contracted_classes(m, tau) if m.rank(tau) == len(tau) else []
+        classes = contracted_classes(m, tau) if m.rank(mask_of(tau)) == len(tau) else []
         support = [e for cls in classes for e in cls]
         witnesses[mask_of(tau)] = TwoCoverageWitness(
             mask_of(support),
@@ -784,3 +801,133 @@ def mmi(joint, order, c=()) -> float:
     if mask_of(order) & cmask:
         raise ValueError("conditioned variables overlap the target set")
     return _Entropies(joint).mmi(order, cmask)
+
+
+# --- library code that no command runs -------------------------------------------
+
+
+def dump_set_function(f: SetFunctionTable) -> dict:
+    """The table file of f: one entry per nonzero value, written "p/q"."""
+    return {
+        "n": f.n,
+        "entries": [
+            {"set": list(labels_of(m)), "value": str(f[m])}
+            for m, v in enumerate(f.nums)
+            if v
+        ],
+    }
+
+
+@dataclass(frozen=True)
+class PredicateReport:
+    monotone: bool
+    submodular: bool
+    log_submodular: bool
+    almost_log_submodular: bool
+    witnesses: Mapping[str, tuple]  # failed flag -> first violating witness
+
+
+def predicates(f: SetFunctionTable) -> PredicateReport:
+    """Check the four structural predicates, exhaustively and exactly; the
+    monotone and submodular checks are the ones `clckit counterexamples` runs.
+
+    Log-submodularity is checked multiplicatively, f(S+i) f(T) >= f(T+i) f(S)
+    for S inside T, so zero values need no special casing.
+    """
+    n, vals = f.n, f.nums  # every inequality is homogeneous in f
+    found = {
+        "monotone": _monotone_witness(n, vals),
+        "submodular": _submodular_witness(n, vals),
+        "log_submodular": _log_submodular_witness(n, vals),
+        "almost_log_submodular": _almost_witness(n, vals),
+    }
+    return PredicateReport(
+        **{flag: witness is None for flag, witness in found.items()},
+        witnesses={flag: witness for flag, witness in found.items() if witness},
+    )
+
+
+def _log_submodular_witness(n, vals):
+    # f(S+i) f(T) >= f(T+i) f(S) for all S inside T, i outside T
+    full = (1 << n) - 1
+    for t in range(full + 1):
+        out = [b for b in range(n) if not t >> b & 1]
+        for s in submasks(t):
+            for b in out:
+                i = 1 << b
+                if vals[s | i] * vals[t] < vals[t | i] * vals[s]:
+                    return (labels_of(s), labels_of(t), b + 1)
+    return None
+
+
+def _almost_witness(n, vals):
+    # 2 f(S+i) f(S+j) >= f(S) f(S+i+j)
+    full = (1 << n) - 1
+    for s in range(full + 1):
+        out = [b for b in range(n) if not s >> b & 1]
+        for a in range(len(out)):
+            for b in range(a + 1, len(out)):
+                i, j = 1 << out[a], 1 << out[b]
+                if 2 * vals[s | i] * vals[s | j] < vals[s] * vals[s | i | j]:
+                    return (labels_of(s), out[a] + 1, out[b] + 1)
+    return None
+
+
+@dataclass(frozen=True)
+class MainPSDWitness:
+    """Exact witness that R := (DJ + JD) - Hess(p_{g^(2)}) dominates D.
+
+    The decomposition R = sum_T x_T B_T + D (with B_T the all-ones block on
+    T) is verified entrywise, and the inertia of R - D has no negative part.
+    """
+
+    m: int
+    diag: tuple[Fraction, ...]
+    r_matrix: tuple[tuple[Fraction, ...], ...]
+    weights: Mapping[int, Fraction]
+    r_minus_d_inertia: Inertia
+
+
+def mainpsd_witness(instance: CoverageInstance) -> MainPSDWitness:
+    m = instance.n
+    cover = instance.weights()
+    table = materialize(cover)
+    weights = {t: Fraction(v, cover.scale) for t, v in cover.x.items()}
+    g1 = [table[1 << i] for i in range(m)]
+    r = [[ZERO] * m for _ in range(m)]
+    for i in range(m):
+        r[i][i] = 2 * g1[i]
+        for j in range(i + 1, m):
+            pair = table[(1 << i) | (1 << j)]
+            r[i][j] = r[j][i] = g1[i] + g1[j] - pair
+    bsum = [[ZERO] * m for _ in range(m)]
+    for t, x in weights.items():
+        members = [b for b in range(m) if t >> b & 1]
+        for a in members:
+            for b in members:
+                bsum[a][b] += x
+    for i in range(m):
+        for j in range(m):
+            expected = bsum[i][j] + (g1[i] if i == j else ZERO)
+            if r[i][j] != expected:
+                raise InternalCheckError(
+                    f"witness identity failed at ({i + 1},{j + 1}): {r[i][j]} != {expected}"
+                )
+    iner = inertia(bsum)  # R - D, by the identity just checked
+    if iner.n_neg != 0:
+        raise InternalCheckError(f"R - D came out indefinite: {iner}")
+    return MainPSDWitness(
+        m=m,
+        diag=tuple(g1),
+        r_matrix=tuple(tuple(row) for row in r),
+        weights=weights,
+        r_minus_d_inertia=iner,
+    )
+
+
+def validate_explicit(n: int, family) -> ExplicitValidation:
+    """The independence axioms on a listing, by the two checks that
+    `ExplicitMatroid` runs: the listing's own axioms, then the exchange axiom
+    on the rank table. Violations come back as return values."""
+    listed, check = _check_listing(n, family)
+    return _rank_table(n, listed)[1] if check else check

@@ -11,20 +11,18 @@ from time import perf_counter
 import pytest
 
 from clckit import (
+    CertificationReport,
     CoverageWeights,
     SetFunctionTable,
     UniformMatroid,
     certify_clc_homogeneous,
     certify_clc_homogenization,
-    homogeneous_restrict,
     independence_indicator,
     inertia,
     level_sequence,
-    mainpsd_witness,
     materialize,
     mixing_time_exact,
     mobius_coverage_weights,
-    predicates,
     quadratic_hessian,
     search_2cov_feasible,
     synth_2cov_indicator,
@@ -33,27 +31,36 @@ from clckit import (
     to_setfunction,
     transition_matrix,
     ulc_check,
-    validate_explicit,
     verify_2cov,
     verify_strong2cov,
     walk_instance,
 )
 from clckit.bitsets import labels_of, submasks
 from clckit.cli import run
-from clckit.counterexamples import budget_additive_table, triangle_quadratic, triangle_table
+from clckit.counterexamples import (
+    _monotone_witness,
+    _submodular_witness,
+    budget_additive_table,
+    triangle_quadratic,
+    triangle_table,
+)
 from clckit.entropy import JointDistribution, entropy_decomposition
-from clckit.jsonio import dump_set_function
+from clckit.setfn import homogeneous_restrict
 
 from conftest import (
     congruence,
     contract,
     coverage_example,
+    dump_set_function,
     is_irreducible,
     k4,
+    mainpsd_witness,
+    predicates,
     rand_coverage_instance,
     rand_invertible,
     rand_partition_matroid,
     rand_symmetric,
+    validate_explicit,
 )
 
 
@@ -98,6 +105,23 @@ def test_criterion_1_budget_additive_counterexample(tmp_path, capsys):
         assert code == 1
 
 
+def test_budget_additive_counterexample_on_eleven_elements():
+    # min(sum w_i, 2) with w = (0, 1^7, 2^3): one element fewer than
+    # counterexample A, with the same verdict; f^(3), f^(4), f^(5) certify
+    weights = (0,) + (1,) * 7 + (2,) * 3
+    f = SetFunctionTable(
+        len(weights),
+        [min(sum(w for b, w in enumerate(weights) if s >> b & 1), 2) for s in range(1 << len(weights))],
+    )
+    assert _monotone_witness(f.n, f.nums) is None
+    assert _submodular_witness(f.n, f.nums) is None
+    report = certify_clc_homogeneous(f, 2)
+    assert (report.verdict, report.checks) == ("refuted", 2)
+    assert (report.failure.reason, report.failure.n_pos, report.failure.tau) == ("inertia", 2, ())
+    for d, checks in ((3, 23), (4, 122), (5, 397)):
+        assert certify_clc_homogeneous(f, d) == CertificationReport("certified", checks)
+
+
 def test_criterion_2_triangle_counterexample():
     with criterion(2, "triangle quadratic: inertia (1,0,2), no 2-coverage witness", 1.0):
         p = triangle_quadratic()
@@ -111,7 +135,7 @@ def test_criterion_3_indicator_certificates_end_to_end():
     with criterion(3, "indicator 2-coverage certificates and certified restrictions", 10.0):
         for m in _matroid_fixtures():
             ind = independence_indicator(to_setfunction(m))
-            for d in range(2, m.full_rank() + 1):
+            for d in range(2, m.rank((1 << m.n) - 1) + 1):
                 cert = synth_2cov_indicator(m, d)
                 assert verify_2cov(ind, d, cert).ok
                 assert certify_clc_homogeneous(ind, d).verdict == "certified"
@@ -130,7 +154,7 @@ def test_criterion_4_homogenization_end_to_end():
         while drawn < 20:
             inst = rand_coverage_instance(rng, rng.randint(2, 6))
             table = materialize(inst.weights())
-            if table.is_zero():
+            if not any(table.nums):
                 continue
             drawn += 1
             cert = synth_strong_from_parts(inst)
@@ -267,7 +291,7 @@ def test_criterion_9_property_suites():
             assert certify_clc_homogeneous(f, d).verdict == "certified"
             for i in range(1, f.n + 1):
                 sliced = homogeneous_restrict(contract(f, [i]).table, d - 1)
-                if sliced.is_zero() or d - 1 < 2:
+                if not any(sliced.nums) or d - 1 < 2:
                     continue
                 assert certify_clc_homogeneous(sliced, d - 1).verdict == "certified"
 

@@ -20,7 +20,7 @@ from clckit.errors import (
     NotAMatroidError,
 )
 
-from conftest import coverage_example
+from conftest import coverage_example, dump_set_function
 
 
 def _write(tmp_path, name, doc):
@@ -31,13 +31,13 @@ def _write(tmp_path, name, doc):
 
 def _budget_file(tmp_path):
     return _write(
-        tmp_path, "budget.json", jsonio.dump_set_function(budget_additive_table())
+        tmp_path, "budget.json", dump_set_function(budget_additive_table())
     )
 
 
 def _coverage_table_file(tmp_path):
     return _write(
-        tmp_path, "cov.json", jsonio.dump_set_function(materialize(coverage_example().weights()))
+        tmp_path, "cov.json", dump_set_function(materialize(coverage_example().weights()))
     )
 
 
@@ -111,7 +111,7 @@ def test_certify_hom_coverage_example(tmp_path, capsys):
 
 
 def test_certify_2cov_search_triangle(tmp_path, capsys):
-    path = _write(tmp_path, "tri.json", jsonio.dump_set_function(triangle_table()))
+    path = _write(tmp_path, "tri.json", dump_set_function(triangle_table()))
     code = run(["certify-2cov", "--input", path, "--d", "2", "--search", "--format", "json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -121,7 +121,7 @@ def test_certify_2cov_search_triangle(tmp_path, capsys):
 
 @pytest.mark.parametrize("d", ["1", "0"])
 def test_certify_2cov_search_rejects_degree_below_2(tmp_path, capsys, d):
-    path = _write(tmp_path, "tri.json", jsonio.dump_set_function(triangle_table()))
+    path = _write(tmp_path, "tri.json", dump_set_function(triangle_table()))
     code = run(["certify-2cov", "--input", path, "--d", d, "--search"])
     assert code == 3
     assert capsys.readouterr().err == "error: two-coverage needs d >= 2\n"
@@ -180,7 +180,7 @@ def test_certify_strong_matroid_and_verify_round_trip(tmp_path, capsys):
     from clckit import UniformMatroid, to_setfunction
 
     fpath = _write(
-        tmp_path, "rk.json", jsonio.dump_set_function(to_setfunction(UniformMatroid(2, 3)))
+        tmp_path, "rk.json", dump_set_function(to_setfunction(UniformMatroid(2, 3)))
     )
     code = run(["certify-strong", "--input", fpath, "--cert", cert_path, "--format", "json"])
     out = json.loads(capsys.readouterr().out)
@@ -300,9 +300,13 @@ def test_input_error_exit_3(tmp_path, capsys):
          "edges[0]: an edge joins 2 vertices, found 3"),
         ({"type": "graphic", "vertices": 2, "edges": [[1, 2], [1]]},
          "edges[1]: an edge joins 2 vertices, found 1"),
+        ({"type": "graphic", "vertices": 2, "edges": [[1, 2], [1, 3]]},
+         "edges[1]: edge [1, 3] references an unknown vertex"),
+        ({"type": "partition", "blocks": [[1], [2]], "caps": [1, -1]},
+         "caps[1]: expected a nonnegative integer, found -1"),
     ],
     ids=["explicit-repeated-label", "explicit-repeated-set", "partition-repeated-label",
-         "graphic-three-ends", "graphic-one-end"],
+         "graphic-three-ends", "graphic-one-end", "graphic-unknown-vertex", "partition-negative-cap"],
 )
 def test_malformed_matroid_listing_exit_3(tmp_path, capsys, doc, message):
     code = run(["certify-strong", "--matroid", _write(tmp_path, "m.json", doc)])
@@ -395,7 +399,7 @@ def _u23_file(tmp_path, mode):
 
     table = to_setfunction(UniformMatroid(2, 3))
     table = independence_indicator(table) if mode == "indicator" else table
-    return _write(tmp_path, f"u23-{mode}.json", jsonio.dump_set_function(table))
+    return _write(tmp_path, f"u23-{mode}.json", dump_set_function(table))
 
 
 @pytest.mark.parametrize(
@@ -414,10 +418,14 @@ def _u23_file(tmp_path, mode):
         ({"tau": [], "g": {}}, "witnesses: expected a list, found an object"),
         ([[]], "witnesses[0]: expected an object, found a list"),
         ([{"tau": [], "g": {"[1]": "1/0"}}], "witnesses[0].g['[1]']: zero denominator in '1/0'"),
+        ([{"tau": [], "g": {"[1]": "-1"}}], "witnesses[0].g['[1]']: negative weight -1"),
+        ([{"tau": [], "g": {"[]": "1"}}],
+         "witnesses[0].g['[]']: g on the empty set is not part of the representation"),
     ],
     ids=[
         "repeated-label", "repeated-subset", "inside-tau", "repeated-tau", "non-integer-label",
         "g-not-object", "witnesses-not-list", "witness-not-object", "g-zero-denominator",
+        "g-negative", "g-empty-set",
     ],
 )
 def test_malformed_strong_certificate_exit_3(tmp_path, capsys, witnesses, message):
@@ -481,10 +489,11 @@ def test_missing_witness_names_tau_exit_3(tmp_path, capsys, argv, mode, cert, me
         ({"S": [1, 2], "g": {}, "l": "1"}, "witnesses[0].l: expected an object, found a string"),
         ({"S": [1, 2, 3], "g": {"[1,2,3]": "1"}, "l": {"2": "-1/2"}},
          "witness at tau=() has a negative l value -1/2"),
+        ({"S": [1, 2], "g": {"[1,2]": "-1/2"}, "l": {}}, "witnesses[0].g['[1,2]']: negative weight -1/2"),
     ],
     ids=[
         "repeated-support-label", "g-outside-support", "l-outside-support",
-        "g-not-object", "l-not-object", "l-string", "negative-l",
+        "g-not-object", "l-not-object", "l-string", "negative-l", "negative-g",
     ],
 )
 def test_malformed_two_coverage_certificate_exit_3(tmp_path, capsys, witness, message):
@@ -545,6 +554,8 @@ def _cert_args(tmp_path, doc):
         ("ulc", {"n": 2, "entries": [{"set": [1]}]}, "entries[0].value: missing"),
         ("coverage", {"universe": [{"id": "a", "weight": "1/0"}], "sets": [["a"]]},
          "universe[0].weight: zero denominator in '1/0'"),
+        ("coverage", {"universe": [{"id": "a", "weight": "1"}, {"id": "b", "weight": "-1"}], "sets": [["a"]]},
+         "universe[1].weight: negative weight -1"),
         ("matroid", {"type": "partition", "blocks": [1, 2], "caps": [1, 1]},
          "blocks[0]: expected a list, found an integer"),
         ("matroid", {"type": "graphic", "vertices": 3, "edges": [1, 2]},
@@ -574,6 +585,10 @@ def _cert_args(tmp_path, doc):
          "pmf[1].outcome: [0] is listed twice"),
         ("entropy", {"alphabets": [1], "pmf": [{"outcome": [0], "p": 10**400}]},
          "pmf[0].p: integer too large for a float"),
+        ("entropy", {"alphabets": [2], "pmf": [{"outcome": [0], "p": 0.5}, {"outcome": [5], "p": 0.5}]},
+         "pmf[1].outcome: [5] leaves the alphabet"),
+        ("entropy", {"alphabets": [2], "pmf": [{"outcome": [0, 1], "p": 1.0}]},
+         "pmf[0].outcome: [0, 1] has 2 entries, not one per alphabet"),
         ("ulc", {"n": -1, "entries": []}, "error: n: expected a nonnegative integer, found -1\n"),
         ("poly", {"n": -1, "terms": []}, "error: n: expected a nonnegative integer, found -1\n"),
         ("cert", {"d": 2, "n": -1, "witnesses": []}, "error: n: expected a nonnegative integer, found -1\n"),
@@ -584,13 +599,14 @@ def _cert_args(tmp_path, doc):
         "table-n-decimal", "table-n-bool", "table-n-integral-decimal", "poly-y", "uniform-r",
         "uniform-n-string", "graphic-vertices", "explicit-n", "cert-d", "cert-n", "alphabet",
         "table-entries-object", "table-entry-list", "poly-terms-object", "poly-term-list",
-        "table-value-missing", "coverage-weight-zero-denominator", "partition-block-integer",
+        "table-value-missing", "coverage-weight-zero-denominator", "coverage-weight-negative",
+        "partition-block-integer",
         "graphic-edge-integer", "coverage-universe-object", "table-n-missing",
         "table-set-missing", "table-document-list", "poly-set-missing", "coverage-universe-missing",
         "coverage-set-repeated-label", "coverage-set-integer-label",
         "matroid-type-missing", "graphic-vertices-missing", "cert-tau-missing", "cert-support-missing",
         "pmf-outcome-missing", "alphabets-missing", "pmf-document-string", "pmf-p-nan", "pmf-outcome-repeated",
-        "pmf-p-huge-integer", "table-n-negative", "poly-n-negative", "cert-n-negative", "explicit-n-negative",
+        "pmf-p-huge-integer", "pmf-outcome-outside-alphabet", "pmf-outcome-arity", "table-n-negative", "poly-n-negative", "cert-n-negative", "explicit-n-negative",
     ],
 )
 def test_malformed_size_or_shape_exit_3(tmp_path, capsys, command, doc, message):
@@ -718,9 +734,11 @@ _FUZZ_FIELDS = [
     ("entropy", ("pmf", 1, "outcome", 0), "pmf[1].outcome[0]"),
 ]
 _BAD_SCALARS = [True, None, "1/0", "x", [], {}]
-# sizes refuse -1 too, and a table value a negative rational
+# sizes and caps refuse -1 too, and a table value, a coverage weight and a
+# certificate's g a negative rational
 _NEGATIVES = {
-    **dict.fromkeys(["n", "terms[0].y", "r", "vertices", "d", "alphabets[0]"], [-1]),
+    **dict.fromkeys(["n", "terms[0].y", "r", "vertices", "d", "alphabets[0]", "caps[0]"], [-1]),
+    **dict.fromkeys(["universe[0].weight", "witnesses[0].g['[2]']", "witnesses[0].g['[1,2]']"], ["-1/2"]),
     "entries[0].value": ["-1", "-1/2"],
 }
 _FUZZ_CASES = [
@@ -860,9 +878,9 @@ def test_input_errors_share_one_base():
     "target, argv, doc",
     [
         ("clckit.logconcave.inertia", ["certify-clc", "--input", "IN", "--d", "2"],
-         jsonio.dump_set_function(budget_additive_table())),
+         dump_set_function(budget_additive_table())),
         ("clckit.coverage2.phase1", ["certify-2cov", "--input", "IN", "--d", "2", "--search"],
-         jsonio.dump_set_function(triangle_table())),
+         dump_set_function(triangle_table())),
         ("clckit.walk._candidate_row", ["sample", "--input", "IN", "--d", "2", "--steps", "5", "--seed", "1"],
          PAIRS),
     ],

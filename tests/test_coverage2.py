@@ -17,7 +17,6 @@ from clckit import (
     decide_2cov,
     independence_indicator,
     materialize,
-    predicates,
     search_2cov_feasible,
     synth_2cov_indicator,
     synth_strong_from_parts,
@@ -32,7 +31,7 @@ from clckit.counterexamples import budget_additive_table, triangle_table
 from clckit.errors import MissingWitnessError
 from clckit.simplex import phase1
 
-from conftest import cardinality, coverage_example, k4, rand_coverage_instance, rand_partition_matroid
+from conftest import cardinality, coverage_example, k4, predicates, rand_coverage_instance, rand_partition_matroid
 
 
 def test_verify_2cov_uniform_indicator():
@@ -344,7 +343,7 @@ def test_matroid_end_to_end_indicator_then_homogeneous():
     fixtures = [UniformMatroid(2, 3), UniformMatroid(3, 5), k4(), rand_partition_matroid(rng, 6)]
     for m in fixtures:
         ind = independence_indicator(to_setfunction(m))
-        for d in range(2, m.full_rank() + 1):
+        for d in range(2, m.rank((1 << m.n) - 1) + 1):
             cert = synth_2cov_indicator(m, d)
             assert verify_2cov(ind, d, cert).ok
             assert certify_clc_homogeneous(ind, d).verdict == "certified"

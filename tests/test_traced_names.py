@@ -5,20 +5,16 @@ workloads for minutes; this one reads the traced-name list from
 perfbench/tracing.py and only imports.
 """
 import importlib
-import importlib.util
-from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from conftest import layer_functions
 
 
 def test_traced_layer_functions_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    traced = layer_functions()
     missing = [
         f"clckit.{mod}.{fn}"
-        for mod, fns in tracing.LAYER_FUNCTIONS.items()
+        for mod, fns in traced.items()
         for fn in fns
         if not callable(getattr(importlib.import_module(f"clckit.{mod}"), fn, None))
     ]
-    assert tracing.LAYER_FUNCTIONS and not missing, missing
+    assert traced and not missing, missing

@@ -10,7 +10,6 @@ from clckit import (
     SetFunctionTable,
     UniformMatroid,
     certify_clc_homogeneous,
-    homogeneous_restrict,
     independence_indicator,
     mixing_time_exact,
     sample_chain,
@@ -20,6 +19,7 @@ from clckit import (
 )
 from clckit import walk
 from clckit.errors import InternalCheckError
+from clckit.setfn import homogeneous_restrict
 from clckit.walk import _draw, histogram_tv, make_rng, philox_words, step
 
 from conftest import is_irreducible, k4
