@@ -9,7 +9,6 @@ and runs the down-up sampling walk with exact mixing diagnostics.
 """
 
 from .setfn import (
-    CoverageInstance,
     CoverageWeights,
     MobiusResult,
     SetFunctionTable,

@@ -39,14 +39,7 @@ from .bitsets import labels_of, masks_of_size, submasks
 from .errors import CapExceededError, InputError, InternalCheckError, MissingWitnessError
 from .logconcave import contraction_cells
 from .matroids import Matroid, independence_indicator, parallel_partition, to_setfunction
-from .setfn import (
-    CoverageInstance,
-    CoverageWeights,
-    SetFunctionTable,
-    ZERO,
-    integer_scaled,
-    materialize,
-)
+from .setfn import CoverageWeights, SetFunctionTable, ZERO, integer_scaled, materialize
 from .simplex import phase1
 
 
@@ -274,13 +267,12 @@ def synth_2cov_indicator(m: Matroid, d: int, cap: int = 14) -> TwoCoverageCertif
     return _verified(cert, check, "synthesized indicator certificate")
 
 
-def synth_strong_from_parts(inst: CoverageInstance) -> StrongCertificate:
-    """Strong certificate of a coverage instance, verified against its own
-    materialization. The instance's weights x serve every tau: since
+def synth_strong_from_parts(weights: CoverageWeights) -> StrongCertificate:
+    """Strong certificate of a coverage function, verified against its own
+    materialization. The weights x serve every tau: since
     f(tau + T) - f(tau) = sum of x_U over U missing tau and meeting T, the
     witness at tau is x restricted to the complement of tau."""
-    n = inst.n
-    weights = inst.weights()
+    n = weights.n
     table = materialize(weights)
     witnesses: dict[int, CoverageWeights] = {}
     for size in range(n - 1):
@@ -296,11 +288,12 @@ def synth_strong_from_parts(inst: CoverageInstance) -> StrongCertificate:
 
 @dataclass(frozen=True)
 class SearchResult:
-    feasible: bool
-    support: int  # S, a mask over [n]
-    g: CoverageWeights | None
-    ell: tuple[int, ...] | None  # l_i * g.scale, as in TwoCoverageWitness
+    witness: TwoCoverageWitness | None  # None when no witness exists
     infeasibility: Fraction  # phase-1 optimum; positive certifies infeasibility
+
+    @property
+    def feasible(self) -> bool:
+        return self.witness is not None
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -353,7 +346,7 @@ def search_2cov_feasible(
     if m > cap:
         raise CapExceededError(f"|S|={m} exceeds cap {cap}")
     if m == 0:
-        return SearchResult(True, 0, CoverageWeights(n, {}), (0,) * n, ZERO)
+        return SearchResult(TwoCoverageWitness(0, CoverageWeights(n, {}), (0,) * n), ZERO)
     cols = list(submasks(smask))[-2::-1]  # x_T for T inside S ascending, then l_i, then slack_i
     num_x = len(cols)
     rows: list[list] = []
@@ -375,10 +368,10 @@ def search_2cov_feasible(
         rhs.append(0)
     result = phase1(rows, rhs)
     if not result:
-        return SearchResult(False, smask, None, None, result.infeasibility)
+        return SearchResult(None, result.infeasibility)
     point = result.point
     ell = [0] * n
     for i, bit in enumerate(bits):
         ell[bit.bit_length() - 1] = point[num_x + i]
-    w = TwoCoverageWitness.of(smask, n, {t: v for t, v in zip(cols, point) if v}, ell)
-    return SearchResult(True, smask, w.g, w.ell, ZERO)
+    g = {t: v for t, v in zip(cols, point) if v}
+    return SearchResult(TwoCoverageWitness.of(smask, n, g, ell), ZERO)

@@ -30,7 +30,6 @@ from .matroids import (
 )
 from .polynomials import HomogenizedPolynomial, MultiaffinePolynomial
 from .setfn import (
-    CoverageInstance,
     CoverageWeights,
     HARD_CAP,
     MAX_DIGITS,
@@ -220,18 +219,39 @@ def load_set_function(path: str) -> SetFunctionTable:
     return SetFunctionTable(n, nums, scale)
 
 
-def load_coverage_instance(path: str) -> CoverageInstance:
+def load_coverage_instance(path: str) -> CoverageWeights:
+    """A weighted universe and sets A_1..A_n of its ids, read straight into
+    coverage weights: each element adds its weight at the mask of the sets
+    that contain it, so x_T is the weight of the elements lying in exactly
+    the sets A_i, i in T. An id listed twice, a label repeated within a set
+    and an element outside the universe are refused, naming the field."""
     doc = _load(path)
-    universe = []
+    weight: dict[str, Fraction] = {}
     for k, u in enumerate(_field(doc, "universe", list)):
         at = f"universe[{k}]"
         _typed(u, dict, at)
-        universe.append((_field(u, "id", str, f"{at}.id"), _weight(u, "weight", f"{at}.weight")))
+        e = _field(u, "id", str, f"{at}.id")
+        w = _weight(u, "weight", f"{at}.weight")
+        if e in weight:
+            raise InputError(f"{at}.id: {e!r} is listed twice")
+        weight[e] = w
     sets = [
         [_typed(x, str, f"sets[{k}][{i}]") for i, x in enumerate(_typed(a, list, f"sets[{k}]"))]
         for k, a in enumerate(_field(doc, "sets", list))
     ]
-    return CoverageInstance.build(universe, sets)
+    member = dict.fromkeys(weight, 0)  # id -> the mask of the sets holding it
+    for k, a in enumerate(sets):
+        for i, e in enumerate(a):
+            if e not in member:
+                raise InputError(f"sets[{k}][{i}]: unknown element {e!r}")
+            if member[e] >> k & 1:
+                raise InputError(f"sets[{k}]: repeated label {e!r}")
+            member[e] |= 1 << k
+    x: dict[int, Fraction] = {}
+    for e, m in member.items():
+        if m:
+            x[m] = x.get(m, 0) + weight[e]
+    return CoverageWeights.of(len(sets), dict(sorted(x.items())))
 
 
 def load_matroid(path: str) -> Matroid:
@@ -279,9 +299,9 @@ def load_polynomial(path: str):
 
 
 def load_joint_distribution(path: str) -> JointDistribution:
-    """Each `p` must be a finite JSON number (int or float, never a bool)
-    and each outcome a list of integers, listed once, with one entry per
-    alphabet and inside it."""
+    """Each `p` must be a finite, nonnegative JSON number (int or float,
+    never a bool) and each outcome a list of integers, listed once, with one
+    entry per alphabet and inside it."""
     doc = _load(path, parse_float=float)
     pmf = {}
     for k, row in enumerate(_field(doc, "pmf", list)):
@@ -299,6 +319,8 @@ def load_joint_distribution(path: str) -> JointDistribution:
             raise InputError(f"{at}.p: integer too large for a float") from None
         if not math.isfinite(p):
             raise InputError(f"{at}.p: {p} is not a finite number")
+        if p < 0:
+            raise InputError(f"{at}.p: negative probability {p}")
         pmf[outcome] = p
     alphabets = tuple(
         _size(k, f"alphabets[{i}]") for i, k in enumerate(_typed(_field(doc, "alphabets"), list, "alphabets"))
@@ -349,8 +371,8 @@ def load_certificate(path: str):
     """A document with a top-level "d" is a two-coverage certificate;
     otherwise a strong one. The labels in g and l keys must lie in the
     witness's ground set: S for two-coverage, the complement of tau for a
-    strong certificate, and g carries no weight on the empty set and no
-    negative weight. Masks are kept over [n], and numbers as integer
+    strong certificate; g carries no weight on the empty set, and neither g
+    nor l a negative one. Masks are kept over [n], and numbers as integer
     numerators over one denominator per witness."""
     doc = _load(path)
     n = _ground_size(doc)
@@ -386,7 +408,7 @@ def load_certificate(path: str):
         l_doc = _typed(w.get("l", {}), dict, f"witnesses[{k}].l")
         for key in l_doc:
             bit = _subset([_key(key, at)], at, key, ground, scope, seen_l)
-            ell[bit.bit_length() - 1] = Fraction(*_rational(l_doc, key, at.format(key)))
+            ell[bit.bit_length() - 1] = _weight(l_doc, key, at.format(key))
         witnesses[tmask] = TwoCoverageWitness.of(ground, n, g, ell)
     if two_coverage:
         return TwoCoverageCertificate(n, _size(_field(doc, "d"), "d"), witnesses)

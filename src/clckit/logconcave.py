@@ -277,7 +277,8 @@ def _certify(f: SetFunctionTable, d: int | None) -> CertificationReport:
                     labels_of(tmask), k, "decomposable", components=_component_labels(comps)
                 ),
             )
-    return CertificationReport(VERDICT_CERTIFIED, checks)
+    # no cell at all: n = 0, where q_f = f(empty) y is the zero polynomial
+    return CertificationReport(VERDICT_CERTIFIED if checks else VERDICT_VACUOUS, checks)
 
 
 def certify_clc_homogeneous(

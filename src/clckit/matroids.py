@@ -127,32 +127,18 @@ class GraphicMatroid(Matroid):
         return f"GraphicMatroid(V={self.num_vertices}, edges={list(self.edges)})"
 
 
-@dataclass(frozen=True)
-class ExplicitValidation:
-    ok: bool
-    kind: str | None = None  # "empty" | "out-of-range" | "not-downward-closed" | "exchange-failure"
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _require(check: ExplicitValidation) -> None:
-    if not check:
-        raise NotAMatroidError(f"{check.kind}: witness {check.witness}")
-
-
-def _check_listing(n: int, family) -> tuple[dict[int, int], ExplicitValidation]:
-    """The listed sets as {mask: position in the listing}, and the axioms
-    that the listing alone decides, at O(|family| n) cost: it is nonempty,
-    inside [n] and closed under taking subsets. A label repeated within a
-    set, or a set listed twice, raises InputError naming it independent[k]."""
+def _check_listing(n: int, family) -> dict[int, int]:
+    """The listed sets as {mask: position in the listing}, once the axioms
+    that the listing alone decides hold, at O(|family| n) cost: it is
+    nonempty, inside [n] and closed under taking subsets; a violation raises
+    NotAMatroidError. A label repeated within a set, or a set listed twice,
+    raises InputError naming it independent[k]."""
     sets = [_distinct(i, f"independent[{k}]") for k, i in enumerate(family)]
     if not sets:
-        return {}, ExplicitValidation(False, "empty", None)
+        raise NotAMatroidError("empty: witness None")
     for i in sets:
         if not all(0 < e <= n for e in i):
-            return {}, ExplicitValidation(False, "out-of-range", (tuple(sorted(i)),))
+            raise NotAMatroidError(f"out-of-range: witness {(tuple(sorted(i)),)}")
     listed: dict[int, int] = {}
     for k, i in enumerate(sets):
         first = listed.setdefault(mask_of(i), k)
@@ -165,13 +151,13 @@ def _check_listing(n: int, family) -> tuple[dict[int, int], ExplicitValidation]:
             rest ^= low
             if m ^ low not in listed:
                 witness = (labels_of(m), labels_of(m ^ low))
-                return listed, ExplicitValidation(False, "not-downward-closed", witness)
-    return listed, ExplicitValidation(True)
+                raise NotAMatroidError(f"not-downward-closed: witness {witness}")
+    return listed
 
 
-def _rank_table(n: int, listed) -> tuple[list[int] | None, ExplicitValidation]:
-    """(r, ok), where r(S) is the size of a largest mask of `listed` inside
-    S for every mask S, or (None, the first exchange failure met).
+def _rank_table(n: int, listed) -> list[int]:
+    """r, where r(S) is the size of a largest mask of `listed` inside S for
+    every mask S; the first exchange failure met raises NotAMatroidError.
 
     A nonempty downward-closed listing makes r grow by at most one per
     element, so it lists the independent sets of a matroid exactly when r is
@@ -200,8 +186,8 @@ def _rank_table(n: int, listed) -> tuple[list[int] | None, ExplicitValidation]:
                 s = m ^ i ^ j
                 if r[s] == top - 1:
                     witness = (_largest_listed(r, listed, s), _largest_listed(r, listed, m))
-                    return None, ExplicitValidation(False, "exchange-failure", witness)
-    return r, ExplicitValidation(True)
+                    raise NotAMatroidError(f"exchange-failure: witness {witness}")
+    return r
 
 
 def _largest_listed(r: list[int], listed, s: int) -> tuple[int, ...]:
@@ -219,16 +205,13 @@ class ExplicitMatroid(Matroid):
     exponential work."""
 
     def __init__(self, n: int, independent: Iterable[Iterable[int]]):
-        self.family, check = _check_listing(n, independent)
-        _require(check)
+        self.family = _check_listing(n, independent)
         self.n = n
         self._table: list[int] | None = None
 
     def rank(self, s: int) -> int:
         if self._table is None:
-            table, check = _rank_table(self.n, self.family)
-            _require(check)
-            self._table = table
+            self._table = _rank_table(self.n, self.family)
         return self._table[s]
 
     def __repr__(self):

@@ -140,57 +140,6 @@ class SetFunctionTable:
 
 
 @dataclass(frozen=True)
-class CoverageInstance:
-    """Weighted universe plus n subsets A_1..A_n; f(T) = w(union of A_i, i in T)."""
-
-    universe: tuple[tuple[str, Fraction], ...]  # (element id, nonnegative weight)
-    sets: tuple[frozenset[str], ...]
-
-    def __post_init__(self):
-        ids = [e for e, _ in self.universe]
-        if len(set(ids)) != len(ids):
-            raise InputError("malformed instance: duplicate universe element ids")
-        for e, w in self.universe:
-            if w < 0:
-                raise InputError(f"malformed instance: negative weight for {e!r}")
-        declared = set(ids)
-        for i, a in enumerate(self.sets, start=1):
-            missing = a - declared
-            if missing:
-                raise InputError(
-                    f"malformed instance: A_{i} references unknown elements {sorted(missing)}"
-                )
-
-    @classmethod
-    def build(cls, universe, sets) -> "CoverageInstance":
-        uni = tuple((str(e), exact(w)) for e, w in universe)
-        sets = [[str(x) for x in a] for a in sets]
-        for k, a in enumerate(sets):
-            if len(set(a)) != len(a):
-                again = next(x for i, x in enumerate(a) if x in a[:i])
-                raise InputError(f"sets[{k}]: repeated label {again!r}")
-        return cls(uni, tuple(frozenset(a) for a in sets))
-
-    @property
-    def n(self) -> int:
-        return len(self.sets)
-
-    def weights(self) -> "CoverageWeights":
-        """The instance as coverage weights: each universe element adds its
-        weight at the mask of the sets that contain it, so x_T is the weight
-        of the elements lying in exactly the sets A_i, i in T."""
-        member = dict.fromkeys((e for e, _ in self.universe), 0)
-        for i, a in enumerate(self.sets):
-            for e in a:
-                member[e] |= 1 << i
-        x: dict[int, Fraction] = {}
-        for e, w in self.universe:
-            if member[e]:
-                x[member[e]] = x.get(member[e], 0) + w
-        return CoverageWeights.of(self.n, dict(sorted(x.items())))
-
-
-@dataclass(frozen=True)
 class CoverageWeights:
     """Nonnegative weights x_T on nonempty subsets, as integer numerators over
     one denominator: x_T = x[T] / scale, and f(S) = sum of x_T over T meeting
@@ -231,10 +180,10 @@ class CoverageWeights:
 
 
 def materialize(rep: CoverageWeights) -> SetFunctionTable:
-    """Exhaustively evaluate a coverage function, given by its weights (an
-    instance's come from `CoverageInstance.weights`), into a table (a
-    matroid's tables come from `matroids.to_setfunction`). The numerators
-    go through `coverage_values` as ints, over the weights' denominator."""
+    """Exhaustively evaluate a coverage function, given by its weights, into
+    a table (a matroid's tables come from `matroids.to_setfunction`). The
+    numerators go through `coverage_values` as ints, over the weights'
+    denominator."""
     n = rep.n
     if n > HARD_CAP:  # before allocating 2^n values
         raise CapExceededError(f"n={n} exceeds the hard cap {HARD_CAP}")

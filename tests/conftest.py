@@ -16,11 +16,9 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 import numpy as np
-import pytest
 from hypothesis import strategies as st
 
 from clckit import (
-    CoverageInstance,
     CoverageWeights,
     ExplicitMatroid,
     GraphicMatroid,
@@ -37,9 +35,9 @@ from clckit.bitsets import labels_of, mask_of, masks_of_size, submasks
 from clckit.counterexamples import _monotone_witness, _submodular_witness
 from clckit.coverage2 import CertificateCheck
 from clckit.entropy import _Entropies
-from clckit.errors import InputError, InternalCheckError, MissingWitnessError
+from clckit.errors import InputError, InternalCheckError, MissingWitnessError, NotAMatroidError
 from clckit.logconcave import Inertia, _components
-from clckit.matroids import ExplicitValidation, _check_listing, _rank_table
+from clckit.matroids import _check_listing, _rank_table
 from clckit.setfn import ZERO, exact
 from clckit.simplex import LPFeasibility
 from clckit.walk import MixingResult, make_rng
@@ -55,6 +53,39 @@ def layer_functions() -> dict[str, tuple[str, ...]]:
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing.LAYER_FUNCTIONS
+
+
+@dataclass(frozen=True)
+class CoverageInstance:
+    """A weighted universe plus n subsets A_1..A_n of it, f(T) = w(union of
+    A_i, i in T): the union form the oracles evaluate. The library reads a
+    coverage file straight into its weights (`jsonio.load_coverage_instance`);
+    `weights()` is the same conversion, done here on the instance."""
+
+    universe: tuple[tuple[str, Fraction], ...]  # (element id, nonnegative weight)
+    sets: tuple[frozenset[str], ...]
+
+    @classmethod
+    def build(cls, universe, sets) -> "CoverageInstance":
+        uni = tuple((str(e), exact(w)) for e, w in universe)
+        return cls(uni, tuple(frozenset(map(str, a)) for a in sets))
+
+    @property
+    def n(self) -> int:
+        return len(self.sets)
+
+    def weights(self) -> CoverageWeights:
+        """Each universe element adds its weight at the mask of the sets
+        that contain it."""
+        member = dict.fromkeys((e for e, _ in self.universe), 0)
+        for i, a in enumerate(self.sets):
+            for e in a:
+                member[e] |= 1 << i
+        x: dict[int, Fraction] = {}
+        for e, w in self.universe:
+            if member[e]:
+                x[member[e]] = x.get(member[e], 0) + w
+        return CoverageWeights.of(self.n, dict(sorted(x.items())))
 
 
 def coverage_example() -> CoverageInstance:
@@ -553,34 +584,32 @@ def contracted_classes(m, tau) -> list[list[int]]:
     return classes
 
 
-def validate_explicit_oracle(n, family) -> ExplicitValidation:
+def validate_explicit_oracle(n, family) -> str | None:
     """The independence axioms on frozensets, the exchange axiom by trying
-    every pair of listed sets of different sizes. Sets are met in the order
-    of the listing and labels in ascending order, so the first violation and
-    its witness are those of `validate_explicit`."""
+    every pair of listed sets of different sizes: the text of the first
+    violation, "kind: witness ...", or None. Sets are met in the order of
+    the listing and labels in ascending order, so the first violation and
+    its witness are those of `validate_explicit`, except for the witness
+    of an exchange failure."""
     listing = [frozenset(i) for i in family]
     fam = set(listing)
     if not fam:
-        return ExplicitValidation(False, "empty", None)
+        return "empty: witness None"
     ground = frozenset(range(1, n + 1))
     for i in listing:
         if not i <= ground:
-            return ExplicitValidation(False, "out-of-range", (tuple(sorted(i)),))
+            return f"out-of-range: witness {(tuple(sorted(i)),)}"
     for i in listing:
         for e in sorted(i):
             if i - {e} not in fam:
-                return ExplicitValidation(
-                    False, "not-downward-closed", (tuple(sorted(i)), tuple(sorted(i - {e})))
-                )
+                return f"not-downward-closed: witness {(tuple(sorted(i)), tuple(sorted(i - {e})))}"
     members = sorted(fam, key=lambda s: (len(s), sorted(s)))
     for a in members:
         for b in members:
             if len(a) < len(b):
                 if not any(a | {x} in fam for x in b - a):
-                    return ExplicitValidation(
-                        False, "exchange-failure", (tuple(sorted(a)), tuple(sorted(b)))
-                    )
-    return ExplicitValidation(True)
+                    return f"exchange-failure: witness {(tuple(sorted(a)), tuple(sorted(b)))}"
+    return None
 
 
 def _unit_classes(classes, n) -> CoverageWeights:
@@ -925,9 +954,13 @@ def mainpsd_witness(instance: CoverageInstance) -> MainPSDWitness:
     )
 
 
-def validate_explicit(n: int, family) -> ExplicitValidation:
+def validate_explicit(n: int, family) -> str | None:
     """The independence axioms on a listing, by the two checks that
     `ExplicitMatroid` runs: the listing's own axioms, then the exchange axiom
-    on the rank table. Violations come back as return values."""
-    listed, check = _check_listing(n, family)
-    return _rank_table(n, listed)[1] if check else check
+    on the rank table. The text of the NotAMatroidError they raise, or
+    None."""
+    try:
+        _rank_table(n, _check_listing(n, family))
+    except NotAMatroidError as exc:
+        return str(exc)
+    return None

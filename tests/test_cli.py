@@ -172,6 +172,13 @@ def test_certify_hom_default_cap_is_12(tmp_path, capsys):
     assert (code, captured.out, captured.err) == (3, "", "error: n=13 exceeds cap 12\n")
 
 
+def test_certify_hom_without_elements_is_vacuous(tmp_path, capsys):
+    # q_f = f(empty) y = 0 when n = 0, as for a zero table at any n
+    code = run(["certify-hom", "--input", _write(tmp_path, "n0.json", {"n": 0, "entries": []})])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, "verdict: vacuous\nchecks: 0\n", "")
+
+
 def test_certify_strong_matroid_and_verify_round_trip(tmp_path, capsys):
     mpath = _write(tmp_path, "u23.json", {"type": "uniform", "r": 2, "n": 3})
     cert_path = str(tmp_path / "cert.json")
@@ -488,7 +495,7 @@ def test_missing_witness_names_tau_exit_3(tmp_path, capsys, argv, mode, cert, me
         ({"S": [1, 2], "g": {}, "l": ["1"]}, "witnesses[0].l: expected an object, found a list"),
         ({"S": [1, 2], "g": {}, "l": "1"}, "witnesses[0].l: expected an object, found a string"),
         ({"S": [1, 2, 3], "g": {"[1,2,3]": "1"}, "l": {"2": "-1/2"}},
-         "witness at tau=() has a negative l value -1/2"),
+         "error: witnesses[0].l['2']: negative weight -1/2\n"),
         ({"S": [1, 2], "g": {"[1,2]": "-1/2"}, "l": {}}, "witnesses[0].g['[1,2]']: negative weight -1/2"),
     ],
     ids=[
@@ -594,6 +601,12 @@ def _cert_args(tmp_path, doc):
         ("cert", {"d": 2, "n": -1, "witnesses": []}, "error: n: expected a nonnegative integer, found -1\n"),
         ("matroid", {"type": "explicit", "n": -1, "independent": [[]]},
          "error: n: expected a nonnegative integer, found -1\n"),
+        ("coverage", {"universe": [{"id": "a", "weight": "1"}, {"id": "a", "weight": "2"}], "sets": [["a"]]},
+         "error: universe[1].id: 'a' is listed twice\n"),
+        ("coverage", {"universe": [{"id": "a", "weight": "1"}], "sets": [["a"], ["z"]]},
+         "error: sets[1][0]: unknown element 'z'\n"),
+        ("entropy", {"alphabets": [2], "pmf": [{"outcome": [0], "p": -0.5}, {"outcome": [1], "p": 1.5}]},
+         "error: pmf[0].p: negative probability -0.5\n"),
     ],
     ids=[
         "table-n-decimal", "table-n-bool", "table-n-integral-decimal", "poly-y", "uniform-r",
@@ -607,6 +620,7 @@ def _cert_args(tmp_path, doc):
         "matroid-type-missing", "graphic-vertices-missing", "cert-tau-missing", "cert-support-missing",
         "pmf-outcome-missing", "alphabets-missing", "pmf-document-string", "pmf-p-nan", "pmf-outcome-repeated",
         "pmf-p-huge-integer", "pmf-outcome-outside-alphabet", "pmf-outcome-arity", "table-n-negative", "poly-n-negative", "cert-n-negative", "explicit-n-negative",
+        "coverage-id-listed-twice", "coverage-unknown-element", "pmf-p-negative",
     ],
 )
 def test_malformed_size_or_shape_exit_3(tmp_path, capsys, command, doc, message):
@@ -734,11 +748,13 @@ _FUZZ_FIELDS = [
     ("entropy", ("pmf", 1, "outcome", 0), "pmf[1].outcome[0]"),
 ]
 _BAD_SCALARS = [True, None, "1/0", "x", [], {}]
-# sizes and caps refuse -1 too, and a table value, a coverage weight and a
-# certificate's g a negative rational
+# sizes and caps refuse -1 too; a table value, a coverage weight and a
+# certificate's g and l a negative rational; a pmf's p a negative float
 _NEGATIVES = {
     **dict.fromkeys(["n", "terms[0].y", "r", "vertices", "d", "alphabets[0]", "caps[0]"], [-1]),
-    **dict.fromkeys(["universe[0].weight", "witnesses[0].g['[2]']", "witnesses[0].g['[1,2]']"], ["-1/2"]),
+    **dict.fromkeys(["universe[0].weight", "witnesses[0].g['[2]']", "witnesses[0].g['[1,2]']",
+                     "witnesses[0].l['1']"], ["-1/2"]),
+    "pmf[0].p": [-0.5],
     "entries[0].value": ["-1", "-1/2"],
 }
 _FUZZ_CASES = [

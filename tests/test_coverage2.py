@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from clckit import (
-    CoverageInstance,
     CoverageWeights,
     GraphicMatroid,
     SetFunctionTable,
@@ -31,7 +30,7 @@ from clckit.counterexamples import budget_additive_table, triangle_table
 from clckit.errors import MissingWitnessError
 from clckit.simplex import phase1
 
-from conftest import cardinality, coverage_example, k4, predicates, rand_coverage_instance, rand_partition_matroid
+from conftest import CoverageInstance, cardinality, coverage_example, k4, predicates, rand_partition_matroid
 
 
 def test_verify_2cov_uniform_indicator():
@@ -218,7 +217,7 @@ def test_synth_2cov_uniform_rank_d():
 
 def test_synth_strong_from_coverage_instance():
     inst = coverage_example()
-    cert = synth_strong_from_parts(inst)
+    cert = synth_strong_from_parts(inst.weights())
     # tau = {2}: A_1 and A_3 are swallowed by A_2, so g vanishes
     g = cert.witnesses[0b010]
     assert g.num(0b001) == 0
@@ -236,27 +235,23 @@ def test_search_triangle_infeasible():
 
 def test_search_uniform_indicator_feasible():
     f = independence_indicator(to_setfunction(UniformMatroid(2, 3)))
-    res = search_2cov_feasible(f, 2, 0)
-    assert res.feasible
+    w = search_2cov_feasible(f, 2, 0).witness
     # the found witness satisfies the pair equations
     for pair in ((1, 2), (1, 3), (2, 3)):
         pm = mask_of(pair)
-        certified = Fraction(2 * res.g.num(pm) - sum(res.ell[i - 1] for i in pair), 2 * res.g.scale)
+        certified = Fraction(2 * w.g.num(pm) - sum(w.ell[i - 1] for i in pair), 2 * w.g.scale)
         assert certified == f.value_of(pair)
 
 
 def test_search_witness_lives_on_support_over_n():
     # U(2,3) indicator contracted by {4} inside a 5-element table: S = {1,2,3}
     f = SetFunctionTable.from_entries(5, {(a, b, 4): 1 for a, b in ((1, 2), (1, 3), (2, 3))})
-    res = search_2cov_feasible(f, 3, 0b01000)
-    assert res.feasible and res.support == 0b00111
-    assert res.g.n == len(res.ell) == 5
-    assert all(t & ~0b00111 == 0 for t in res.g.x)
-    assert res.ell[3:] == (0, 0)
-    witnesses = {}
-    for tau in (0b00001, 0b00010, 0b00100, 0b01000, 0b10000):
-        found = search_2cov_feasible(f, 3, tau)
-        witnesses[tau] = TwoCoverageWitness(found.support, found.g, found.ell)
+    w = search_2cov_feasible(f, 3, 0b01000).witness
+    assert w.support == 0b00111
+    assert w.g.n == len(w.ell) == 5
+    assert all(t & ~0b00111 == 0 for t in w.g.x)
+    assert w.ell[3:] == (0, 0)
+    witnesses = {tau: search_2cov_feasible(f, 3, tau).witness for tau in (1, 2, 4, 8, 16)}
     assert verify_2cov(f, 3, TwoCoverageCertificate(5, 3, witnesses)).ok
 
 
@@ -290,7 +285,7 @@ def test_search_zero_trivially_feasible():
     zero = SetFunctionTable.of(4, (Fraction(0),) * 16)
     res = search_2cov_feasible(zero, 2, 0)
     assert res.feasible
-    assert res.support == 0
+    assert res.witness == TwoCoverageWitness(0, CoverageWeights(4, {}), (0, 0, 0, 0))
 
 
 def test_decide_2cov():

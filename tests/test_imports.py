@@ -1,0 +1,68 @@
+"""Every module-level import is read by its module.
+
+The scan covers the library modules in `src/clckit` (except `__init__.py`,
+whose imports are the exports) and the test modules, conftest.py included.
+A name bound by `import` or `from ... import` in a module's top-level body
+must be read somewhere in that module, as a bare name or as the base of an
+attribute (`np.array`); `from __future__` imports are exempt. A name that
+conftest.py imports also counts as read when a test module imports it from
+conftest.
+"""
+import ast
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "clckit"
+
+
+def _bound(tree) -> dict[str, int]:
+    """{name: line} of the names the module's top-level imports bind."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _read(tree) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _from_conftest(tree) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "conftest"
+        for alias in node.names
+    }
+
+
+def unused_imports(paths) -> list[str]:
+    """"path:line name" for each import that its module never reads."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    reexported = set().union(*(_from_conftest(tree) for tree in trees.values()))
+    unused = []
+    for path, tree in trees.items():
+        read = _read(tree) | (reexported if path.name == "conftest.py" else set())
+        unused += [f"{path.name}:{line} {name}" for name, line in _bound(tree).items() if name not in read]
+    return unused
+
+
+def test_every_import_is_read():
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"] + sorted(TESTS.glob("*.py"))
+    assert len(paths) > 20
+    unused = unused_imports(paths)
+    assert not unused, f"imported but never read: {unused}"
+
+
+def test_scan_finds_an_unread_import(tmp_path):
+    # the scan itself: an unread import is reported, a read one, an
+    # attribute base and a conftest name imported by a test are not
+    (tmp_path / "conftest.py").write_text("from os import path, sep\nimport json\n")
+    (tmp_path / "test_x.py").write_text("from conftest import path\nimport math\nprint(math.pi, path.sep)\n")
+    paths = [tmp_path / "conftest.py", tmp_path / "test_x.py"]
+    assert unused_imports(paths) == ["conftest.py:1 sep", "conftest.py:2 json"]

@@ -66,8 +66,21 @@ def test_coverage_instance(tmp_path):
         "universe": [{"id": "a", "weight": "1"}, {"id": "b", "weight": "1"}],
         "sets": [["a"], ["a", "b"], ["b"]],
     }
-    inst = jsonio.load_coverage_instance(_write(tmp_path, "c.json", doc))
-    assert materialize(inst.weights()) == materialize(coverage_example().weights())
+    weights = jsonio.load_coverage_instance(_write(tmp_path, "c.json", doc))
+    assert weights == coverage_example().weights()
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=coverage_instances())
+def test_coverage_loader_matches_instance_weights(tmp_path_factory, inst):
+    # the loader reads the file straight into weights; the test-side
+    # instance converts the same data through `weights()`
+    doc = {
+        "universe": [{"id": e, "weight": str(w)} for e, w in inst.universe],
+        "sets": [sorted(a) for a in inst.sets],
+    }
+    path = _write(tmp_path_factory.mktemp("coverage"), "c.json", doc)
+    assert jsonio.load_coverage_instance(path) == inst.weights()
 
 
 def test_matroid_loaders(tmp_path):
@@ -157,7 +170,7 @@ def test_matroid_certificates_round_trip(tmp_path_factory, m):
 @settings(max_examples=40, deadline=None)
 @given(inst=coverage_instances())
 def test_coverage_certificate_round_trip(tmp_path_factory, inst):
-    cert = synth_strong_from_parts(inst)
+    cert = synth_strong_from_parts(inst.weights())
     assert _round_trip(tmp_path_factory.mktemp("coverage"), cert) == cert
 
 

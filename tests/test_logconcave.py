@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from clckit import (
-    CoverageInstance,
     HomogenizedPolynomial,
     MultiaffinePolynomial,
     SetFunctionTable,
@@ -15,7 +14,6 @@ from clckit import (
     inertia,
     level_sequence,
     materialize,
-    mobius_coverage_weights,
     quadratic_hessian,
     quadratic_inertia,
     to_setfunction,
@@ -26,6 +24,7 @@ from clckit.logconcave import is_indecomposable
 from clckit.setfn import homogeneous_restrict
 
 from conftest import (
+    CoverageInstance,
     congruence,
     contract,
     coverage_example,
@@ -183,6 +182,8 @@ def test_certify_vacuous():
     zero = SetFunctionTable.of(4, (Fraction(0),) * 16)
     assert certify_clc_homogeneous(zero, 2).verdict == "vacuous"
     assert certify_clc_homogenization(zero).verdict == "vacuous"
+    # n = 0: the sweep has no cell, and q_f = f(empty) y is the zero polynomial
+    assert certify_clc_homogenization(SetFunctionTable(0, (0,))).verdict == "vacuous"
 
 
 def test_certify_homogenization_uniform_rank():
@@ -315,4 +316,4 @@ def test_certified_support_satisfies_basis_exchange():
         for s in supports:
             for sub in submasks(s):
                 closure.add(labels_of(sub))
-        assert validate_explicit(f.n, closure)
+        assert validate_explicit(f.n, closure) is None

@@ -1,3 +1,4 @@
+import ast
 import random
 from itertools import combinations
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from clckit import (
     ExplicitMatroid,
     GraphicMatroid,
-    PartitionMatroid,
     SetFunctionTable,
     UniformMatroid,
     independence_indicator,
@@ -140,16 +140,15 @@ def test_to_setfunction_k4_triangle_dependent():
 
 
 def test_validate_explicit():
-    assert validate_explicit(2, [[], [1], [2]])
+    assert validate_explicit(2, [[], [1], [2]]) is None
     bad = validate_explicit(2, [[], [1], [1, 2]])
-    assert not bad
-    assert bad.kind == "not-downward-closed"
+    assert bad.startswith("not-downward-closed: ")
     # the missing subset drops the highest element
     bad = validate_explicit(2, [[], [2], [1, 2]])
-    assert (bad.kind, bad.witness) == ("not-downward-closed", ((1, 2), (1,)))
+    assert bad == "not-downward-closed: witness ((1, 2), (1,))"
     # bases of U_{2,3} with downward closure added
     family = [[], [1], [2], [3], [1, 2], [1, 3], [2, 3]]
-    assert validate_explicit(3, family)
+    assert validate_explicit(3, family) is None
     with pytest.raises(NotAMatroidError):
         ExplicitMatroid(2, [[], [1], [1, 2]])
 
@@ -157,8 +156,7 @@ def test_validate_explicit():
 @pytest.mark.parametrize("label", [3, 0, -1])
 def test_validate_explicit_out_of_range_labels(label):
     # labels n + 1, 0 and negatives have no bit in a mask over [n]
-    res = validate_explicit(2, [[], [1], [label]])
-    assert (res.ok, res.kind, res.witness) == (False, "out-of-range", ((label,),))
+    assert validate_explicit(2, [[], [1], [label]]) == f"out-of-range: witness (({label},),)"
     with pytest.raises(NotAMatroidError, match="out-of-range"):
         ExplicitMatroid(2, [[], [1], [label]])
 
@@ -166,8 +164,16 @@ def test_validate_explicit_out_of_range_labels(label):
 def test_validate_explicit_exchange_failure():
     # {1,2} and {3} independent but neither {1,3} nor {2,3}: exchange fails
     res = validate_explicit(3, [[], [1], [2], [3], [1, 2]])
-    assert not res
-    assert res.kind == "exchange-failure"
+    assert res == "exchange-failure: witness ((3,), (1, 2))"
+
+
+def _violation(text):
+    """(kind, witness) of a violation text "kind: witness ...", or
+    (None, None)."""
+    if text is None:
+        return None, None
+    kind, _, witness = text.partition(": witness ")
+    return kind, ast.literal_eval(witness)
 
 
 def _rand_family(rng):
@@ -189,16 +195,17 @@ def test_validate_explicit_matches_pairwise_exchange_oracle():
     for _ in range(400):
         n, family = _rand_family(rng)
         got, want = validate_explicit(n, family), validate_explicit_oracle(n, family)
-        assert (got.ok, got.kind) == (want.ok, want.kind), (n, family)
-        kinds.add(got.kind)
-        if got.kind == "exchange-failure":
+        kind, witness = _violation(got)
+        assert kind == _violation(want)[0], (n, family)
+        kinds.add(kind)
+        if kind == "exchange-failure":
             # the witness is a genuine augmentation failure
             listed = {frozenset(s) for s in family}
-            a, b = map(frozenset, got.witness)
+            a, b = map(frozenset, witness)
             assert a in listed and b in listed and len(a) < len(b)
             assert not any(a | {x} in listed for x in b - a)
-        elif got.kind is not None:
-            assert got.witness == want.witness
+        else:
+            assert got == want
     assert kinds == {None, "empty", "out-of-range", "not-downward-closed", "exchange-failure"}
 
 

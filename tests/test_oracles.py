@@ -27,7 +27,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clckit import (
-    CoverageInstance,
     CoverageWeights,
     ExplicitMatroid,
     GraphicMatroid,
@@ -61,6 +60,7 @@ from clckit.setfn import homogeneous_restrict
 from clckit.simplex import phase1
 
 from conftest import (
+    CoverageInstance,
     contraction_cells_oracle,
     coverage_instances,
     inertia_oracle,
@@ -662,7 +662,7 @@ def moebius_built_strong_coverage(inst):
 @settings(max_examples=60, deadline=None)
 @given(inst=coverage_instances())
 def test_strong_coverage_certificate_bytes_match_moebius_built(inst):
-    got = json.dumps(dump_certificate(synth_strong_from_parts(inst)), indent=2)
+    got = json.dumps(dump_certificate(synth_strong_from_parts(inst.weights())), indent=2)
     assert got == json.dumps(dump_certificate(moebius_built_strong_coverage(inst)), indent=2)
 
 
@@ -670,7 +670,7 @@ def test_strong_coverage_synthesis_matches_per_tau_reference():
     rng = random.Random(47)
     for _ in range(36):
         inst = rand_coverage_instance(rng, rng.randint(1, 6), rng.randint(1, 6))
-        got = dump_certificate(synth_strong_from_parts(inst))
+        got = dump_certificate(synth_strong_from_parts(inst.weights()))
         assert got == dump_certificate(reference_strong_coverage(inst))
 
 
@@ -724,7 +724,7 @@ def strong_cases(draw):
         inst = draw(coverage_instances())
         n, c = inst.n, draw(st.fractions(Fraction(1, 6), 3, max_denominator=6))
         f = _scaled_table(materialize(inst.weights()), c)
-        cert = synth_strong_from_parts(inst)
+        cert = synth_strong_from_parts(inst.weights())
         witnesses = {tau: {t: v * c for t, v in _values(g).items()} for tau, g in cert.witnesses.items()}
     else:
         n = draw(st.integers(1, 4))
@@ -770,7 +770,7 @@ def two_coverage_cases(draw):
         d = draw(st.integers(2, min(3, n)))
         f = _scaled_table(materialize(inst.weights()), c)
         for tmask in map(mask_of, combinations(range(1, n + 1), d - 2)):
-            found = coverage2.search_2cov_feasible(f, d, tmask)
+            found = coverage2.search_2cov_feasible(f, d, tmask).witness
             if found:
                 witnesses[tmask] = (found.support, _values(found.g),
                                   [Fraction(v, found.g.scale) for v in found.ell])

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clckit import (
-    CoverageInstance,
     CoverageWeights,
     SetFunctionTable,
     UniformMatroid,
@@ -25,6 +24,7 @@ from clckit.setfn import ZERO, exact, homogeneous_restrict, integer_scaled
 from clckit.counterexamples import budget_additive_table
 
 from conftest import (
+    CoverageInstance,
     cardinality,
     contract,
     coverage_example,
@@ -217,9 +217,13 @@ def test_materialize_budget_additive_values():
     assert f.value_of([1]) == 1
 
 
-def test_materialize_rejects_unknown_elements():
-    with pytest.raises(ValueError, match="malformed"):
-        CoverageInstance.build([("a", 1)], [["a", "z"]])
+def test_materialize_rejects_unknown_elements(tmp_path):
+    # a coverage file is read straight into weights; the loader refuses an
+    # element outside the universe, naming its field
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"universe": [{"id": "a", "weight": "1"}], "sets": [["a", "z"]]}))
+    with pytest.raises(ValueError, match=r"^sets\[0\]\[1\]: unknown element 'z'$"):
+        jsonio.load_coverage_instance(str(path))
 
 
 def test_contract_cardinality():

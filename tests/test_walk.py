@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 
 from clckit import (
-    GraphicMatroid,
     SetFunctionTable,
     UniformMatroid,
     certify_clc_homogeneous,
