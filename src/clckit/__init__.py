@@ -20,7 +20,6 @@ from .matroids import (
     ExplicitMatroid,
     GraphicMatroid,
     Matroid,
-    ParallelPartition,
     PartitionMatroid,
     UniformMatroid,
     independence_indicator,

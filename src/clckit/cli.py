@@ -16,7 +16,6 @@ import sys
 from . import counterexamples as cx
 from . import jsonio
 from .bitsets import labels_of
-from .jsonio import _setkey, _subset
 from .coverage2 import (
     decide_2cov,
     synth_2cov_indicator,
@@ -25,7 +24,9 @@ from .coverage2 import (
     verify_2cov,
     verify_strong2cov,
 )
+from .entropy import IDENTITY_TOL, entropy_decomposition
 from .errors import InputError
+from .jsonio import read_subset, subset_key
 from .logconcave import (
     VERDICT_CERTIFIED,
     VERDICT_CONDITIONS_FAIL,
@@ -62,14 +63,17 @@ def _build_parser() -> _Parser:
 
     def common(p, cap=True):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if cap:
-            p.add_argument("--cap", type=int, default=None, help="override the enumeration cap (with a warning)")
+        if cap:  # True, or the group of a mode flag that --cap cannot go with
+            (p if cap is True else cap).add_argument(
+                "--cap", type=int, default=None, help="override the enumeration cap (with a warning)"
+            )
 
     p = sub.add_parser("certify-clc", help="sufficient conditions on a degree-d restriction")
     p.add_argument("--input", help="set-function JSON")
-    p.add_argument("--poly", help="quadratic polynomial JSON (decides log-concavity exactly)")
+    uncapped = p.add_mutually_exclusive_group()
+    uncapped.add_argument("--poly", help="quadratic polynomial JSON (decides log-concavity exactly)")
     p.add_argument("--d", type=int)
-    common(p)
+    common(p, uncapped)
 
     p = sub.add_parser("certify-hom", help="sufficient conditions on the homogenization")
     p.add_argument("--input", required=True)
@@ -77,20 +81,22 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("certify-2cov", help="verify/synthesize/search two-coverage witnesses")
     p.add_argument("--input", help="set-function JSON (with --cert or --search)")
-    p.add_argument("--cert", help="certificate JSON to verify")
+    uncapped = p.add_mutually_exclusive_group()
+    uncapped.add_argument("--cert", help="certificate JSON to verify")
     p.add_argument("--search", action="store_true", help="decide witness feasibility by exact LP")
     p.add_argument("--matroid", help="matroid JSON: synthesize for its independence indicator")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--output", help="write the synthesized certificate here")
-    common(p)
+    common(p, uncapped)
 
     p = sub.add_parser("certify-strong", help="verify/synthesize strong certificates")
     p.add_argument("--input", help="set-function JSON (with --cert)")
-    p.add_argument("--cert", help="certificate JSON to verify")
+    uncapped = p.add_mutually_exclusive_group()
+    uncapped.add_argument("--cert", help="certificate JSON to verify")
     p.add_argument("--matroid", help="matroid JSON: synthesize for its rank function")
     p.add_argument("--coverage", help="coverage-instance JSON: synthesize directly")
     p.add_argument("--output", help="write the synthesized certificate here")
-    common(p)
+    common(p, uncapped)
 
     p = sub.add_parser("mobius", help="coverage weights by Moebius inversion")
     p.add_argument("--input", required=True)
@@ -212,8 +218,7 @@ def _check_report(check, fmt: str) -> int:
 def _synth_report(cert, args, **fields) -> int:
     """Write a synthesized certificate to --output, if given, and report it."""
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(jsonio.dump_certificate(cert), fh, indent=2)
+        jsonio.write_certificate(args.output, cert)
     payload = {"synthesized": True, **fields, "witnesses": len(cert.witnesses)}
     _emit(payload, [f"synthesized and verified: {len(cert.witnesses)} witnesses"], args.format)
     return EXIT_PASS
@@ -260,17 +265,14 @@ def _cmd_certify_strong(args) -> int:
     if args.matroid:
         cert = synth_strong_matroid(jsonio.load_matroid(args.matroid), **_cap_kwargs(args))
     else:
-        cert = synth_strong_from_parts(jsonio.load_coverage_instance(args.coverage))
+        cert = synth_strong_from_parts(jsonio.load_coverage_instance(args.coverage), **_cap_kwargs(args))
     return _synth_report(cert, args)
 
 
 def _cmd_mobius(args) -> int:
     f = jsonio.load_set_function(args.input)
     result = mobius_coverage_weights(f)
-    weights = {
-        _setkey(labels_of(t)): str(v)
-        for t, v in sorted(result.weights.items())
-    }
+    weights = {subset_key(t): str(v) for t, v in sorted(result.weights.items())}
     payload = {
         "is_coverage": result.is_coverage,
         "min_weight": str(result.min_weight),
@@ -304,18 +306,12 @@ def _cmd_ulc(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    from .entropy import IDENTITY_TOL, entropy_decomposition
-
     joint = jsonio.load_joint_distribution(args.input)
     dec = entropy_decomposition(joint, **_cap_kwargs(args))
     payload = {
         "n": dec.n,
-        "entropies": {
-            _setkey(labels_of(m)): dec.values[m] for m in range(1, 1 << dec.n)
-        },
-        "weights": {
-            _setkey(labels_of(t)): w for t, w in sorted(dec.weights.items())
-        },
+        "entropies": {subset_key(m): dec.values[m] for m in range(1, 1 << dec.n)},
+        "weights": {subset_key(t): w for t, w in sorted(dec.weights.items())},
         "max_identity_residual": dec.max_identity_residual,
         "mobius_max_diff": dec.mobius_max_diff,
         "min_weight": dec.min_weight,
@@ -330,9 +326,7 @@ def _cmd_entropy(args) -> int:
             "note: a negative weight is present; the decomposition is exact but "
             "is not a nonnegative coverage witness for this distribution"
         )
-    lines += [
-        f"x{_setkey(labels_of(t))} = {w}" for t, w in sorted(dec.weights.items())
-    ]
+    lines += [f"x{subset_key(t)} = {w}" for t, w in sorted(dec.weights.items())]
     _emit(payload, lines, args.format)
     return EXIT_PASS if dec.max_identity_residual <= IDENTITY_TOL else EXIT_FAIL
 
@@ -345,9 +339,7 @@ def _cmd_sample(args) -> int:
             labels = [int(tok) for tok in args.start.split(",")]
         except ValueError:
             raise InputError(f"--start: {args.start!r} is not a comma-separated list of integer labels") from None
-        start = _subset(labels, "--start", None, (1 << f.n) - 1, f"n={f.n}", {})
-        if start not in w.index:
-            raise InputError(f"start state {args.start} is not in the support")
+        start = read_subset(labels, f.n, "--start")
     else:
         start = w.support[0]
     chain = sample_chain(w, start, args.steps, args.seed)
@@ -359,9 +351,7 @@ def _cmd_sample(args) -> int:
         "start": list(labels_of(start)),
         "final": list(labels_of(chain.final)),
         "histogram_tv": tv,
-        "histogram": {
-            _setkey(labels_of(m)): c for m, c in sorted(chain.histogram.items())
-        },
+        "histogram": {subset_key(m): c for m, c in sorted(chain.histogram.items())},
     }
     lines = [
         f"seed: {chain.seed} ({RNG_SCHEME})",

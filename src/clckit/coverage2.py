@@ -231,7 +231,7 @@ def synth_strong_matroid(m: Matroid, cap: int = 14) -> StrongCertificate:
     witnesses: dict[int, CoverageWeights] = {}
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
-            witnesses[tmask] = CoverageWeights(n, dict.fromkeys(parallel_partition(table, tmask).classes, 1))
+            witnesses[tmask] = CoverageWeights(n, dict.fromkeys(parallel_partition(table, tmask), 1))
     cert = StrongCertificate(n, witnesses)
     return _verified(cert, verify_strong2cov(table, cert), "synthesized strong certificate")
 
@@ -257,7 +257,7 @@ def synth_2cov_indicator(m: Matroid, d: int, cap: int = 14) -> TwoCoverageCertif
     witnesses: dict[int, TwoCoverageWitness] = {}
     for tmask in masks_of_size(n, d - 2):
         independent = table.nums[tmask] == d - 2
-        classes = parallel_partition(table, tmask).classes if independent else ()
+        classes = parallel_partition(table, tmask) if independent else ()
         smask = sum(classes)  # the classes are disjoint
         witnesses[tmask] = TwoCoverageWitness(
             smask, CoverageWeights(n, dict.fromkeys(classes, 1)), tuple(smask >> b & 1 for b in range(n))
@@ -267,12 +267,14 @@ def synth_2cov_indicator(m: Matroid, d: int, cap: int = 14) -> TwoCoverageCertif
     return _verified(cert, check, "synthesized indicator certificate")
 
 
-def synth_strong_from_parts(weights: CoverageWeights) -> StrongCertificate:
+def synth_strong_from_parts(weights: CoverageWeights, cap: int = 14) -> StrongCertificate:
     """Strong certificate of a coverage function, verified against its own
     materialization. The weights x serve every tau: since
     f(tau + T) - f(tau) = sum of x_U over U missing tau and meeting T, the
-    witness at tau is x restricted to the complement of tau."""
+    witness at tau is x restricted to the complement of tau (n <= cap)."""
     n = weights.n
+    if n > cap:
+        raise CapExceededError(f"{n} elements exceed cap {cap}")
     table = materialize(weights)
     witnesses: dict[int, CoverageWeights] = {}
     for size in range(n - 1):
@@ -345,8 +347,6 @@ def search_2cov_feasible(
     m = len(bits)
     if m > cap:
         raise CapExceededError(f"|S|={m} exceeds cap {cap}")
-    if m == 0:
-        return SearchResult(TwoCoverageWitness(0, CoverageWeights(n, {}), (0,) * n), ZERO)
     cols = list(submasks(smask))[-2::-1]  # x_T for T inside S ascending, then l_i, then slack_i
     num_x = len(cols)
     rows: list[list] = []

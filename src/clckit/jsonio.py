@@ -38,9 +38,9 @@ from .setfn import (
 )
 
 
-def _setkey(labels) -> str:
-    """Subset dict keys are compact JSON arrays, e.g. "[2,3]"."""
-    return json.dumps(list(labels), separators=(",", ":"))
+def subset_key(mask: int) -> str:
+    """The key of a subset in files and reports: a compact label list, "[2,3]"."""
+    return json.dumps(list(labels_of(mask)), separators=(",", ":"))
 
 
 class _Literal(str):
@@ -177,6 +177,11 @@ def _subset(labels, at: str, item, ground: int, scope: str, seen: dict) -> int:
         raise bad(f"set {labels} repeats the subset of {at.format(seen[mask])}")
     seen[mask] = item
     return mask
+
+
+def read_subset(labels, n: int, at: str) -> int:
+    """The mask of a label list over [n], checked as `_subset` checks a set."""
+    return _subset(labels, "{}", at, (1 << n) - 1, f"n={n}", {})
 
 
 def _key(key: str, at: str):
@@ -335,7 +340,7 @@ def load_joint_distribution(path: str) -> JointDistribution:
 
 
 def _weights_doc(g: CoverageWeights) -> dict:
-    return {_setkey(labels_of(t)): str(Fraction(v, g.scale)) for t, v in sorted(g.x.items())}
+    return {subset_key(t): str(Fraction(v, g.scale)) for t, v in sorted(g.x.items())}
 
 
 def _by_tau(witnesses) -> list:
@@ -365,6 +370,12 @@ def dump_certificate(cert) -> dict:
             "witnesses": [{"tau": list(tau), "g": _weights_doc(g)} for tau, g in _by_tau(cert.witnesses)],
         }
     raise TypeError(f"cannot dump {type(cert).__name__}")
+
+
+def write_certificate(path: str, cert) -> None:
+    """Write `dump_certificate(cert)` to `path`: JSON indented by 2, no final newline."""
+    with open(path, "w") as fh:
+        json.dump(dump_certificate(cert), fh, indent=2)
 
 
 def load_certificate(path: str):

@@ -3,12 +3,11 @@
 Ranks are exact integers. The ground elements are the labels 1..n, which a
 caller hands to the constructors; past that boundary every subset is a
 bitmask over [n], bit b for label b + 1: the argument of `Matroid.rank`, the
-partition blocks, the explicit listing and its rank table, the loops and
-parallel classes, and the rank table `to_setfunction` builds.
+partition blocks, the explicit listing and its rank table, the parallel
+classes, and the rank table `to_setfunction` builds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -218,17 +217,9 @@ class ExplicitMatroid(Matroid):
         return f"ExplicitMatroid(n={self.n}, |family|={len(self.family)})"
 
 
-@dataclass(frozen=True)
-class ParallelPartition:
-    """Loops plus parallel classes covering the rest of the ground set, each
-    a mask over [n]; the classes in the order of their lowest elements."""
-
-    loops: int
-    classes: tuple[int, ...]
-
-
-def parallel_partition(rank: SetFunctionTable, tau: int = 0) -> ParallelPartition:
-    """Loops and parallel classes of M/tau, read off the rank table of M.
+def parallel_partition(rank: SetFunctionTable, tau: int = 0) -> tuple[int, ...]:
+    """The parallel classes of M/tau, masks in the order of their lowest
+    elements, read off the rank table of M.
 
     Over the positions outside the mask tau, i is a loop iff r(tau+i) = r(tau),
     and nonloops i and j are parallel iff r(tau+ij) = r(tau)+1. The contracted
@@ -240,13 +231,11 @@ def parallel_partition(rank: SetFunctionTable, tau: int = 0) -> ParallelPartitio
     base = r[tau]
     level = (base, base + unit, base + 2 * unit)  # r(tau) plus contracted rank 0, 1, 2
     outside = [b for b in range(rank.n) if not tau >> b & 1]
-    loops = 0
     classes: list[int] = []
     cls_of: dict[int, int] = {}  # position -> index of its class
     for b in outside:
         with_b = tau | 1 << b
-        if r[with_b] == base:
-            loops |= 1 << b
+        if r[with_b] == base:  # a loop
             continue
         for c, cls in enumerate(classes):
             if r[with_b | cls & -cls] == level[1]:
@@ -267,7 +256,7 @@ def parallel_partition(rank: SetFunctionTable, tau: int = 0) -> ParallelPartitio
                 raise NotAMatroidError(
                     f"pair rank case table violated at ({a + 1},{b + 1}): rank {actual}, expected {expected}"
                 )
-    return ParallelPartition(loops, tuple(classes))
+    return tuple(classes)
 
 
 def to_setfunction(m: Matroid) -> SetFunctionTable:

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .bitsets import coverage_values, coverage_weights, labels_of, mask_of
 from .errors import CapExceededError, InputError, InternalCheckError
@@ -82,7 +82,7 @@ class SetFunctionTable:
     """f: 2^[n] -> Q>=0, indexed by subset bitmask, as integer numerators over
     one denominator: f(S) = nums[S] / scale. The pair is kept in lowest terms
     (gcd(scale, *nums) == 1), so tables of one function compare equal.
-    Indexing and `value_of` return Fractions; integer kernels read `nums`."""
+    Indexing returns Fractions; integer kernels read `nums`."""
 
     n: int
     nums: tuple[int, ...]
@@ -126,9 +126,6 @@ class SetFunctionTable:
 
     def __getitem__(self, mask: int) -> Fraction:
         return Fraction(self.nums[mask], self.scale)
-
-    def value_of(self, labels: Iterable[int]) -> Fraction:
-        return self[mask_of(labels)]
 
     def support(self, size: int | None = None) -> tuple[int, ...]:
         """Masks with f > 0, optionally restricted to one cardinality."""

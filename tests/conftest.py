@@ -46,6 +46,11 @@ from clckit.walk import MixingResult, make_rng
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
+def value_of(f: SetFunctionTable, labels) -> Fraction:
+    """f at the subset of these 1-based labels."""
+    return f[mask_of(labels)]
+
+
 def layer_functions() -> dict[str, tuple[str, ...]]:
     """The clckit functions the benchmark traces, {module: names}, read from
     perfbench/tracing.py by path."""

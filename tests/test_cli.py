@@ -839,6 +839,87 @@ def test_exponent_bomb_exit_3_before_big_integer_work(tmp_path, capsys, argv, te
     assert elapsed < 1
 
 
+def _coverage_file(tmp_path, sets: int):
+    doc = {"universe": [{"id": str(k), "weight": 1} for k in range(sets)], "sets": [[str(k)] for k in range(sets)]}
+    return _write(tmp_path, "coverage.json", doc)
+
+
+def test_coverage_synthesis_honours_cap(tmp_path, capsys):
+    path = _coverage_file(tmp_path, 4)
+    assert run(["certify-strong", "--coverage", path, "--cap", "3"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "warning: enumeration cap overridden to 3\nerror: 4 elements exceed cap 3\n"
+    )
+    assert run(["certify-strong", "--coverage", path, "--cap", "4"]) == 0
+    assert capsys.readouterr().out == "synthesized and verified: 11 witnesses\n"
+
+
+def test_coverage_synthesis_default_cap_is_14(tmp_path, capsys):
+    code = run(["certify-strong", "--coverage", _coverage_file(tmp_path, 15)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", "error: 15 elements exceed cap 14\n")
+
+
+@pytest.mark.parametrize(
+    "argv, mode",
+    [
+        (["certify-clc", "--poly", "p.json"], "--poly"),
+        (["certify-2cov", "--cert", "c.json", "--input", "f.json", "--d", "2"], "--cert"),
+        (["certify-strong", "--input", "f.json", "--cert", "c.json"], "--cert"),
+    ],
+    ids=["clc-poly", "2cov-cert", "strong-cert"],
+)
+def test_cap_refused_where_nothing_is_capped(capsys, argv, mode):
+    # refused before any file is opened: none of these paths exists
+    code = run(argv + ["--cap", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: argument --cap: not allowed with argument {mode}\n")
+
+
+def test_sample_start_outside_support_exit_3(tmp_path, capsys):
+    doc = {"n": 3, "entries": [{"set": [1, 2], "value": 1}, {"set": [2, 3], "value": 1}]}
+    argv = ["sample", "--input", _write(tmp_path, "pairs.json", doc), "--d", "2", "--steps", "10",
+            "--seed", "7", "--start", "1,3"]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", "error: start (1, 3) is not in the support\n")
+
+
+def test_strong_certificate_file_bytes(tmp_path):
+    # weights over the denominators 2, 3 and 4; the file is JSON indented by
+    # 2 with no newline at the end, and g's keys follow the mask order
+    doc = {
+        "universe": [{"id": "a", "weight": "1/2"}, {"id": "b", "weight": "1/3"},
+                     {"id": "c", "weight": 2}, {"id": "d", "weight": "3/4"}],
+        "sets": [["a", "b"], ["b", "c"], ["c", "d"]],
+    }
+    out = tmp_path / "strong.json"
+    assert run(["certify-strong", "--coverage", _write(tmp_path, "cov.json", doc), "--output", str(out)]) == 0
+    expected = {"n": 3, "witnesses": [
+        {"tau": [], "g": {"[1]": "1/2", "[1,2]": "1/3", "[3]": "3/4", "[2,3]": "2"}},
+        {"tau": [1], "g": {"[3]": "3/4", "[2,3]": "2"}},
+        {"tau": [2], "g": {"[1]": "1/2", "[3]": "3/4"}},
+        {"tau": [3], "g": {"[1]": "1/2", "[1,2]": "1/3"}},
+    ]}
+    assert out.read_bytes() == json.dumps(expected, indent=2).encode()
+
+
+def test_two_coverage_certificate_file_bytes(tmp_path):
+    # d=3 on a partition matroid whose elements 1 and 2 are parallel
+    doc = {"type": "partition", "blocks": [[1, 2], [3], [4]], "caps": [1, 1, 1]}
+    out = tmp_path / "twocov.json"
+    assert run(["certify-2cov", "--matroid", _write(tmp_path, "m.json", doc), "--d", "3", "--output", str(out)]) == 0
+    units = {"[3]": "1", "[4]": "1"}
+    expected = {"d": 3, "n": 4, "witnesses": [
+        {"tau": [1], "S": [3, 4], "g": units, "l": {"3": "1", "4": "1"}},
+        {"tau": [2], "S": [3, 4], "g": units, "l": {"3": "1", "4": "1"}},
+        {"tau": [3], "S": [1, 2, 4], "g": {"[1,2]": "1", "[4]": "1"}, "l": {"1": "1", "2": "1", "4": "1"}},
+        {"tau": [4], "S": [1, 2, 3], "g": {"[1,2]": "1", "[3]": "1"}, "l": {"1": "1", "2": "1", "3": "1"}},
+    ]}
+    assert out.read_bytes() == json.dumps(expected, indent=2).encode()
+
+
 _STRONG_MATROID = ["certify-strong", "--matroid", "DOC"]
 _2COV_MATROID = ["certify-2cov", "--matroid", "DOC", "--d", "2"]
 

@@ -30,7 +30,15 @@ from clckit.counterexamples import budget_additive_table, triangle_table
 from clckit.errors import MissingWitnessError
 from clckit.simplex import phase1
 
-from conftest import CoverageInstance, cardinality, coverage_example, k4, predicates, rand_partition_matroid
+from conftest import (
+    CoverageInstance,
+    cardinality,
+    coverage_example,
+    k4,
+    predicates,
+    rand_partition_matroid,
+    value_of,
+)
 
 
 def test_verify_2cov_uniform_indicator():
@@ -169,9 +177,9 @@ def test_budget_additive_not_strongly_2coverage():
     # nonnegative weights; any full witness for tau = () would restrict to
     # one on E by aggregating weights, so infeasible here is infeasible there
     labels = [1, 2, 3, 7]
-    singles = {i: f.value_of([i]) for i in labels}
+    singles = {i: value_of(f, [i]) for i in labels}
     pairs = {
-        (a, b): f.value_of([a, b])
+        (a, b): value_of(f, [a, b])
         for ai, a in enumerate(labels)
         for b in labels[ai + 1:]
     }
@@ -240,7 +248,7 @@ def test_search_uniform_indicator_feasible():
     for pair in ((1, 2), (1, 3), (2, 3)):
         pm = mask_of(pair)
         certified = Fraction(2 * w.g.num(pm) - sum(w.ell[i - 1] for i in pair), 2 * w.g.scale)
-        assert certified == f.value_of(pair)
+        assert certified == value_of(f, pair)
 
 
 def test_search_witness_lives_on_support_over_n():

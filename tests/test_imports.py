@@ -7,6 +7,10 @@ must be read somewhere in that module, as a bare name or as the base of an
 attribute (`np.array`); `from __future__` imports are exempt. A name that
 conftest.py imports also counts as read when a test module imports it from
 conftest.
+
+Between library modules the boundary is the public name: no module imports
+a `_name` from another clckit module, or reads one off an imported clckit
+module (`jsonio._load`), anywhere in its body.
 """
 import ast
 from pathlib import Path
@@ -52,6 +56,31 @@ def unused_imports(paths) -> list[str]:
     return unused
 
 
+def private_imports(paths) -> list[str]:
+    """"path:line name" for each `_name` a module imports from a relative
+    or `clckit` module, or reads as an attribute of a clckit module it
+    imported (`from . import jsonio`)."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # names bound to clckit modules
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not (node.level or node.module.split(".")[0] == "clckit"):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{path.name}:{node.lineno} {alias.name}")
+                if node.level and node.module is None:
+                    modules.add(alias.asname or alias.name)
+        found += [
+            f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__")
+            and isinstance(node.value, ast.Name) and node.value.id in modules
+        ]
+    return found
+
+
 def test_every_import_is_read():
     paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"] + sorted(TESTS.glob("*.py"))
     assert len(paths) > 20
@@ -66,3 +95,25 @@ def test_scan_finds_an_unread_import(tmp_path):
     (tmp_path / "test_x.py").write_text("from conftest import path\nimport math\nprint(math.pi, path.sep)\n")
     paths = [tmp_path / "conftest.py", tmp_path / "test_x.py"]
     assert unused_imports(paths) == ["conftest.py:1 sep", "conftest.py:2 json"]
+
+
+def test_no_private_name_crosses_a_library_module():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 10
+    crossing = private_imports(paths)
+    assert not crossing, f"private names imported from another clckit module: {crossing}"
+
+
+def test_scan_finds_a_private_import(tmp_path):
+    # the scan itself: a private name imported or read off a sibling module
+    # is reported, in a function body too; a public one, a dunder and a
+    # private name from another package are not
+    (tmp_path / "m.py").write_text(
+        "from . import jsonio as j\n"
+        "from .setfn import ZERO, _scaled\n"
+        "from json import _default_decoder\n"
+        "def f():\n"
+        "    from clckit.bitsets import _low\n"
+        "    return j._load, j.load, j.__name__\n"
+    )
+    assert private_imports([tmp_path / "m.py"]) == ["m.py:2 _scaled", "m.py:5 _low", "m.py:6 j._load"]

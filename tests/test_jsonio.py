@@ -24,7 +24,7 @@ from clckit import (
 from clckit import jsonio
 from clckit.cli import run
 
-from conftest import coverage_example, coverage_instances, dump_set_function, matroids
+from conftest import coverage_example, coverage_instances, dump_set_function, matroids, value_of
 
 
 def _write(tmp_path, name, doc):
@@ -50,15 +50,15 @@ def test_set_function_accepts_value_spellings(tmp_path):
         ],
     }
     f = jsonio.load_set_function(_write(tmp_path, "f.json", doc))
-    assert f.value_of([2]) == Fraction(1, 2)
-    assert f.value_of([1, 2]) == Fraction(5, 2)  # decimal literal parsed exactly
+    assert value_of(f, [2]) == Fraction(1, 2)
+    assert value_of(f, [1, 2]) == Fraction(5, 2)  # decimal literal parsed exactly
 
 
 def test_missing_sets_default_to_zero(tmp_path):
     doc = {"n": 3, "entries": [{"set": [1, 2], "value": "2"}]}
     f = jsonio.load_set_function(_write(tmp_path, "f.json", doc))
-    assert f.value_of([1, 2]) == 2
-    assert f.value_of([3]) == 0
+    assert value_of(f, [1, 2]) == 2
+    assert value_of(f, [3]) == 0
 
 
 def test_coverage_instance(tmp_path):

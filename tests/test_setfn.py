@@ -34,6 +34,7 @@ from conftest import (
     mobius_oracle,
     predicates,
     rand_coverage_instance,
+    value_of,
 )
 
 
@@ -198,10 +199,10 @@ def test_materialize_cap():
 
 def test_materialize_coverage_example():
     f = materialize(coverage_example().weights())
-    assert f.value_of([1]) == 1
-    assert f.value_of([2]) == 2
-    assert f.value_of([1, 3]) == 2
-    assert f.value_of([1, 2, 3]) == 2
+    assert value_of(f, [1]) == 1
+    assert value_of(f, [2]) == 2
+    assert value_of(f, [1, 3]) == 2
+    assert value_of(f, [1, 2, 3]) == 2
 
 
 def test_materialize_linear_is_cardinality():
@@ -212,9 +213,9 @@ def test_materialize_linear_is_cardinality():
 
 def test_materialize_budget_additive_values():
     f = budget_additive_table()
-    assert f.value_of([7, 8]) == 2
-    assert f.value_of([11, 12]) == 0
-    assert f.value_of([1]) == 1
+    assert value_of(f, [7, 8]) == 2
+    assert value_of(f, [11, 12]) == 0
+    assert value_of(f, [1]) == 1
 
 
 def test_materialize_rejects_unknown_elements(tmp_path):
@@ -232,8 +233,8 @@ def test_contract_cardinality():
     assert c.base == 1
     assert c.elements == (2, 3)
     # g(S) = f(S + tau): positions 1,2 of the contracted table are labels 2,3
-    assert c.table.value_of([1]) == 2
-    assert c.table.value_of([1, 2]) == 3
+    assert value_of(c.table, [1]) == 2
+    assert value_of(c.table, [1, 2]) == 3
 
 
 def test_contract_empty_is_identity():
@@ -247,8 +248,8 @@ def test_contract_uniform_rank():
     rk = to_setfunction(UniformMatroid(2, 3))
     c = contract(rk, [1])
     assert c.base == 1
-    assert c.table.value_of([1]) == 2  # rk({1,2})
-    assert c.table.value_of([1, 2]) == 2
+    assert value_of(c.table, [1]) == 2  # rk({1,2})
+    assert value_of(c.table, [1, 2]) == 2
 
 
 def test_homogeneous_restrict():
@@ -259,8 +260,8 @@ def test_homogeneous_restrict():
     )
     assert not any(homogeneous_restrict(f, 0).nums)
     f2 = homogeneous_restrict(materialize(coverage_example().weights()), 2)
-    assert [f2.value_of(s) for s in ([1, 2], [1, 3], [2, 3])] == [2, 2, 2]
-    assert f2.value_of([1]) == 0
+    assert [value_of(f2, s) for s in ([1, 2], [1, 3], [2, 3])] == [2, 2, 2]
+    assert value_of(f2, [1]) == 0
 
 
 def test_predicates_budget_additive():
