@@ -10,6 +10,7 @@ Randomized commands require --seed and echo it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -57,7 +58,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of a process, built at the first `run`: parsing leaves
+    it unchanged, so every later call reuses it."""
     parser = _Parser(prog="clckit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -334,7 +338,7 @@ def _cmd_entropy(args) -> int:
 def _cmd_sample(args) -> int:
     f = jsonio.load_set_function(args.input)
     w = walk_instance(f, args.d)
-    if args.start:
+    if args.start is not None:
         try:
             labels = [int(tok) for tok in args.start.split(",")]
         except ValueError:

@@ -21,9 +21,10 @@ Every subset is a bitmask over the table's own ground set [n]: the
 certificate's keys tau, a witness's support S, and the masks of g, a
 CoverageWeights(n, ...) inside the witness's ground set; l is an n-tuple of
 integer numerators over g's denominator, one per element of [n].
-Verification compares integer numerators by cross-multiplication. Labels
-and Fractions are built only for what is printed: the tau of a failed
-check or decision, and the failure texts.
+Verification reads g through its per-tau singleton sums and pair overlaps,
+so each equation is O(1), and compares integer numerators by
+cross-multiplication. Labels and Fractions are built only for what is
+printed: the tau of a failed check or decision, and the failure texts.
 
 Synthesis verifies eagerly: the constructions encode proofs, so a synthesized
 certificate that fails its own verification raises InternalCheckError.
@@ -109,6 +110,25 @@ def _pair_support(f: SetFunctionTable, tmask: int) -> tuple[dict[int, int], int]
     return pairs, touched
 
 
+def _sums(g: CoverageWeights, n: int) -> tuple[list[int], dict[int, int]]:
+    """One pass over g's weights: the singleton sums a[i] = sum of x[T] over
+    T holding i, for i in [n], and the pair overlaps {pair mask: sum of x[T]
+    over T holding the pair}, nonzero pairs only. Then g({i}) = a[i] and
+    g({i, j}) = a[i] + a[j] - overlap, each in O(1)."""
+    a = [0] * n
+    overlap: dict[int, int] = {}
+    for t, v in g.x.items():
+        bits = []
+        while t:
+            low = t & -t
+            a[low.bit_length() - 1] += v
+            for bit in bits:
+                overlap[bit | low] = overlap.get(bit | low, 0) + v
+            bits.append(low)
+            t ^= low
+    return a, overlap
+
+
 def verify_2cov(
     f: SetFunctionTable, d: int, cert: TwoCoverageCertificate
 ) -> CertificateCheck:
@@ -151,15 +171,19 @@ def verify_2cov(
                 f"support mismatch: expected {labels_of(touched)}, witness has {labels_of(smask)}",
                 labels_of(tmask),
             )
+        single, overlap = _sums(g, n)
         for b in range(n):
             if smask >> b & 1:
                 checks += 1
-                if ell[b] > g.num(1 << b):
+                if ell[b] > single[b]:
                     return CertificateCheck(False, checks, f"l({b + 1}) exceeds g({b + 1})", labels_of(tmask))
         for pm, value in pairs.items():
             a, b = (pm & -pm).bit_length() - 1, pm.bit_length() - 1
             checks += 1
-            want = 0 if pm & ~smask else 2 * g.num(pm) - ell[a] - ell[b]
+            if pm & ~smask:
+                want = 0
+            else:
+                want = 2 * (single[a] + single[b] - overlap.get(pm, 0)) - ell[a] - ell[b]
             if value * 2 * g.scale != want * f.scale:
                 return CertificateCheck(
                     False,
@@ -191,16 +215,20 @@ def verify_strong2cov(
                 raise InputError(f"witness at tau={labels_of(tmask)} reaches outside the complement of tau")
             outside = [b for b in range(n) if not tmask >> b & 1]
             base, gscale = nums[tmask], g.scale
+            single, overlap = _sums(g, n)
             for ia, a in enumerate(outside):
+                ta, ga = tmask | (1 << a), single[a]
                 checks += 1
-                if (nums[tmask | (1 << a)] - base) * gscale != g.num(1 << a) * scale:
+                if (nums[ta] - base) * gscale != ga * scale:
                     return CertificateCheck(
                         False, checks, f"singleton equation failed at {a + 1}", labels_of(tmask)
                     )
                 for b in outside[ia + 1:]:
-                    pm = (1 << a) | (1 << b)
                     checks += 1
-                    if (nums[tmask | pm] - base) * gscale != g.num(pm) * scale:
+                    pair = ga + single[b]
+                    if overlap:
+                        pair -= overlap.get((1 << a) | (1 << b), 0)
+                    if (nums[ta | (1 << b)] - base) * gscale != pair * scale:
                         return CertificateCheck(
                             False,
                             checks,

@@ -8,6 +8,7 @@ exactly (never through binary64). Floats appear only in joint-pmf files.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -51,11 +52,12 @@ _KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string",
           bool: "a boolean", _Literal: "a decimal", float: "a decimal", type(None): "null"}
 
 
-def _typed(value, kind: type, at: str):
+def _typed(value, kind: type, at: str, item=None):
     """value, if its JSON type is exactly `kind` (int, list or dict): a bool
     is no integer, and a decimal is refused, never truncated. `at` names the
-    field."""
+    field, or with `item` is its template, formatted on the error path."""
     if type(value) is not kind:
+        at = at if item is None else at.format(item)
         raise InputError(f"{at}: expected {_KINDS[kind]}, found {_KINDS[type(value)]}")
     return value
 
@@ -77,14 +79,14 @@ def _ground_size(doc: dict) -> int:
     return n
 
 
-def _field(obj: dict, key: str, kind: type | None = None, at: str | None = None):
+def _field(obj: dict, key: str, kind: type | None = None, at: str | None = None, item=None):
     """obj[key], read by `_typed` when `kind` is given; every required key
     is read here, so a missing one is an error naming the field `at` (by
-    default the key itself)."""
+    default the key itself; with `item`, `at` is a template as in `_typed`)."""
     at = key if at is None else at
     if key not in obj:
-        raise InputError(f"{at}: missing")
-    return obj[key] if kind is None else _typed(obj[key], kind, at)
+        raise InputError(f"{at if item is None else at.format(item)}: missing")
+    return obj[key] if kind is None else _typed(obj[key], kind, at, item)
 
 
 _RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -110,12 +112,26 @@ def _rational(obj: dict, key, at: str) -> tuple[int, int]:
     return r.numerator, r.denominator
 
 
-def _weight(obj: dict, key, at: str) -> Fraction:
-    """obj[key], read by `_rational`, refused if negative."""
-    p, q = _rational(obj, key, at)
+def _cached_rational(obj: dict, key, at: str, item, cache: dict) -> tuple[int, int]:
+    """obj[key] as integers (p, q) in lowest terms, as `_rational` reads it
+    with the field named `at.format(item)`; a string is read once per file
+    and kept in `cache`, so its next sightings cost one lookup."""
+    value = obj.get(key)
+    if type(value) is str and value in cache:
+        return cache[value]
+    p, q = _rational(obj, key, at.format(item))
+    c = math.gcd(p, q)
+    if type(value) is str:
+        cache[value] = p // c, q // c
+    return p // c, q // c
+
+
+def _weight(obj: dict, key, at: str, item, cache: dict) -> tuple[int, int]:
+    """obj[key] read by `_cached_rational`, refused if negative."""
+    p, q = _cached_rational(obj, key, at, item, cache)
     if p < 0:
-        raise InputError(f"{at}: negative weight {Fraction(p, q)}")
-    return Fraction(p, q)
+        raise InputError(f"{at.format(item)}: negative weight {Fraction(p, q)}")
+    return p, q
 
 
 def _ints(value, at: str) -> list[int]:
@@ -184,6 +200,21 @@ def read_subset(labels, n: int, at: str) -> int:
     return _subset(labels, "{}", at, (1 << n) - 1, f"n={n}", {})
 
 
+def _cached_subset(key: str, at: str, ground: int, scope: str, seen: dict, masks: dict, label=False) -> int:
+    """The mask of the object key `key`, a JSON label list (or, with
+    `label`, one label), checked as `_subset` checks it. `masks` keeps each
+    key's mask over [n] for the rest of the file; `_subset` reads the key
+    again whenever its kept mask leaves `ground` or repeats in `seen`, so
+    every refusal has its own message."""
+    mask = masks.get(key)
+    if mask is None or mask & ~ground or mask in seen:
+        labels = _key(key, at)
+        mask = masks[key] = _subset([labels] if label else labels, at, key, ground, scope, seen)
+    else:
+        seen[mask] = key
+    return mask
+
+
 def _key(key: str, at: str):
     """A JSON-encoded dict key (a label list, or one label) decoded; `at`
     locates it as in `_subset`."""
@@ -201,19 +232,19 @@ def load_set_function(path: str) -> SetFunctionTable:
     doc = _load(path)
     n = _ground_size(doc)
     full = (1 << n) - 1
+    in_n = f"n={n}"
     nums = [0] * (full + 1)
     by_den: dict[int, list[int]] = {}  # q -> the masks whose value is p/q
     seen: dict[int, int] = {}
+    ratios: dict[str, tuple[int, int]] = {}
     for k, entry in enumerate(_typed(doc.get("entries", []), list, "entries")):
-        _typed(entry, dict, f"entries[{k}]")
-        labels = _field(entry, "set", at=f"entries[{k}].set")
-        mask = _subset(labels, "entries[{}]", k, full, f"n={n}", seen)
-        at = f"entries[{k}].value"
-        p, q = _rational(entry, "value", at)
+        _typed(entry, dict, "entries[{}]", k)
+        mask = _subset(_field(entry, "set", at="entries[{}].set", item=k), "entries[{}]", k, full, in_n, seen)
+        p, q = _cached_rational(entry, "value", "entries[{}].value", k, ratios)
         if p and not mask:
-            raise InputError(f"{at}: f(empty set) must be 0")
+            raise InputError(f"entries[{k}].value: f(empty set) must be 0")
         if p < 0:
-            raise InputError(f"{at}: negative value {Fraction(p, q)}")
+            raise InputError(f"entries[{k}].value: negative value {Fraction(p, q)}")
         nums[mask] = p
         by_den.setdefault(q, []).append(mask)
     scale = math.lcm(*by_den)
@@ -232,11 +263,12 @@ def load_coverage_instance(path: str) -> CoverageWeights:
     and an element outside the universe are refused, naming the field."""
     doc = _load(path)
     weight: dict[str, Fraction] = {}
+    ratios: dict[str, tuple[int, int]] = {}
     for k, u in enumerate(_field(doc, "universe", list)):
         at = f"universe[{k}]"
         _typed(u, dict, at)
         e = _field(u, "id", str, f"{at}.id")
-        w = _weight(u, "weight", f"{at}.weight")
+        w = Fraction(*_weight(u, "weight", "universe[{}].weight", k, ratios))
         if e in weight:
             raise InputError(f"{at}.id: {e!r} is listed twice")
         weight[e] = w
@@ -339,8 +371,14 @@ def load_joint_distribution(path: str) -> JointDistribution:
     return JointDistribution(alphabets, pmf)
 
 
-def _weights_doc(g: CoverageWeights) -> dict:
-    return {subset_key(t): str(Fraction(v, g.scale)) for t, v in sorted(g.x.items())}
+def _ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, from one integer gcd."""
+    c = math.gcd(p, q)
+    return str(p // c) if c == q else f"{p // c}/{q // c}"
+
+
+def _weights_doc(g: CoverageWeights, key) -> dict:
+    return {key(t): _ratio(v, g.scale) for t, v in sorted(g.x.items())}
 
 
 def _by_tau(witnesses) -> list:
@@ -349,33 +387,78 @@ def _by_tau(witnesses) -> list:
     return sorted(((labels_of(t), w) for t, w in witnesses.items()), key=lambda item: item[0])
 
 
-def _two_coverage_doc(tau: tuple[int, ...], w: TwoCoverageWitness) -> dict:
+def _two_coverage_doc(tau: tuple[int, ...], w: TwoCoverageWitness, key) -> dict:
     support = labels_of(w.support)
-    ell = {str(lab): str(Fraction(w.ell[lab - 1], w.g.scale)) for lab in support}
-    return {"tau": list(tau), "S": list(support), "g": _weights_doc(w.g), "l": ell}
+    ell = {str(lab): _ratio(w.ell[lab - 1], w.g.scale) for lab in support}
+    return {"tau": list(tau), "S": list(support), "g": _weights_doc(w.g, key), "l": ell}
 
 
 def dump_certificate(cert) -> dict:
     """Masks over [n] are written as label lists: tau, S, the keys of g,
     and one key of l per label of S."""
+    key = functools.cache(subset_key)  # masks repeat across witnesses
     if isinstance(cert, TwoCoverageCertificate):
         return {
             "d": cert.d,
             "n": cert.n,
-            "witnesses": [_two_coverage_doc(tau, w) for tau, w in _by_tau(cert.witnesses)],
+            "witnesses": [_two_coverage_doc(tau, w, key) for tau, w in _by_tau(cert.witnesses)],
         }
     if isinstance(cert, StrongCertificate):
         return {
             "n": cert.n,
-            "witnesses": [{"tau": list(tau), "g": _weights_doc(g)} for tau, g in _by_tau(cert.witnesses)],
+            "witnesses": [{"tau": list(tau), "g": _weights_doc(g, key)} for tau, g in _by_tau(cert.witnesses)],
         }
     raise TypeError(f"cannot dump {type(cert).__name__}")
 
 
+_quote = json.encoder.encode_basestring_ascii  # json's own string encoder
+
+
+def _indented(value, pad: str = "\n") -> str:
+    """`json.dumps(value, indent=2)` for the dicts, lists, ints and strings
+    of a certificate document; `pad` opens each line of value's items. The
+    items of one container are joined at once, which the encoder's
+    token-by-token walk does not do."""
+    if type(value) is str:
+        return _quote(value)
+    if type(value) is int:
+        return str(value)
+    inner = pad + "  "
+    if type(value) is dict:
+        items = [f"{_quote(k)}: {_quote(v) if type(v) is str else _indented(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    elif type(value) is list:
+        if {int}.issuperset(map(type, value)):  # tau and S
+            items = list(map(str, value))
+        else:
+            items = [_indented(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"unexpected {type(value).__name__} in a certificate document")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 def write_certificate(path: str, cert) -> None:
-    """Write `dump_certificate(cert)` to `path`: JSON indented by 2, no final newline."""
+    """Write `dump_certificate(cert)` to `path` with the bytes of
+    `json.dump(..., indent=2)`: JSON indented by 2, no final newline. The
+    text goes out one top-level field, or one witness, at a time."""
+    doc = dump_certificate(cert)
     with open(path, "w") as fh:
-        json.dump(dump_certificate(cert), fh, indent=2)
+        opener = "{"
+        for key, value in doc.items():
+            fh.write(f"{opener}\n  {_quote(key)}: ")
+            opener = ","
+            if key != "witnesses" or not value:
+                fh.write(_indented(value, "\n  "))
+                continue
+            bracket, pad = "[", "\n    "
+            for w in value:
+                fh.write(f"{bracket}{pad}{_indented(w, pad)}")
+                bracket = ","
+            fh.write("\n  ]")
+        fh.write("\n}")
 
 
 def load_certificate(path: str):
@@ -384,7 +467,9 @@ def load_certificate(path: str):
     witness's ground set: S for two-coverage, the complement of tau for a
     strong certificate; g carries no weight on the empty set, and neither g
     nor l a negative one. Masks are kept over [n], and numbers as integer
-    numerators over one denominator per witness."""
+    numerators over one denominator per witness, in lowest terms. Each key
+    and value string is read once per file (`_cached_subset`,
+    `_cached_rational`)."""
     doc = _load(path)
     n = _ground_size(doc)
     full = (1 << n) - 1
@@ -392,35 +477,44 @@ def load_certificate(path: str):
     two_coverage = "d" in doc
     witnesses = {}
     seen_tau: dict[int, int] = {}
+    g_masks: dict[str, int] = {}
+    l_masks: dict[str, int] = {}
+    ratios: dict[str, tuple[int, int]] = {}
     for k, w in enumerate(_field(doc, "witnesses", list)):
-        _typed(w, dict, f"witnesses[{k}]")
-        labels = _field(w, "tau", at=f"witnesses[{k}].tau")
+        _typed(w, dict, "witnesses[{}]", k)
+        labels = _field(w, "tau", at="witnesses[{}].tau", item=k)
         tmask = _subset(labels, "witnesses[{}].tau", k, full, in_n, seen_tau)
         if two_coverage:
-            labels = _field(w, "S", at=f"witnesses[{k}].S")
+            labels = _field(w, "S", at="witnesses[{}].S", item=k)
             ground, scope = _subset(labels, "witnesses[{}].S", k, full, in_n, {}), "S"
         else:
             ground, scope = full & ~tmask, "the complement of tau"
         at = f"witnesses[{k}].g[{{!r}}]"
         seen_g: dict[int, str] = {}
         g = {}
-        g_doc = _typed(w.get("g", {}), dict, f"witnesses[{k}].g")
+        g_doc = _typed(w.get("g", {}), dict, "witnesses[{}].g", k)
         for key in g_doc:
-            mask = _subset(_key(key, at), at, key, ground, scope, seen_g)
+            mask = _cached_subset(key, at, ground, scope, seen_g, g_masks)
             if not mask:
                 raise InputError(f"{at.format(key)}: g on the empty set is not part of the representation")
-            g[mask] = _weight(g_doc, key, at.format(key))
+            g[mask] = _weight(g_doc, key, at, key, ratios)
         if not two_coverage:
-            witnesses[tmask] = CoverageWeights.of(n, g)
+            scale = math.lcm(*(q for _, q in g.values()))
+            witnesses[tmask] = CoverageWeights(n, {t: p * (scale // q) for t, (p, q) in g.items()}, scale)
             continue
         at = f"witnesses[{k}].l[{{!r}}]"
         seen_l: dict[int, str] = {}
-        ell = [0] * n
-        l_doc = _typed(w.get("l", {}), dict, f"witnesses[{k}].l")
+        ell = [(0, 1)] * n
+        l_doc = _typed(w.get("l", {}), dict, "witnesses[{}].l", k)
         for key in l_doc:
-            bit = _subset([_key(key, at)], at, key, ground, scope, seen_l)
-            ell[bit.bit_length() - 1] = _weight(l_doc, key, at.format(key))
-        witnesses[tmask] = TwoCoverageWitness.of(ground, n, g, ell)
+            bit = _cached_subset(key, at, ground, scope, seen_l, l_masks, label=True)
+            ell[bit.bit_length() - 1] = _weight(l_doc, key, at, key, ratios)
+        scale = math.lcm(*(q for _, q in g.values()), *(q for _, q in ell))
+        witnesses[tmask] = TwoCoverageWitness(
+            ground,
+            CoverageWeights(n, {t: p * (scale // q) for t, (p, q) in g.items()}, scale),
+            tuple(p * (scale // q) for p, q in ell),
+        )
     if two_coverage:
         return TwoCoverageCertificate(n, _size(_field(doc, "d"), "d"), witnesses)
     return StrongCertificate(n, witnesses)

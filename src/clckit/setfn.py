@@ -171,10 +171,6 @@ class CoverageWeights:
         nums, scale = integer_scaled(list(values.values()))
         return cls(n, dict(zip(values, nums)), scale)
 
-    def num(self, mask: int) -> int:
-        """f(S) * scale: the sum of the numerators x[T] over T meeting S."""
-        return sum(v for t, v in self.x.items() if t & mask)
-
 
 def materialize(rep: CoverageWeights) -> SetFunctionTable:
     """Exhaustively evaluate a coverage function, given by its weights, into

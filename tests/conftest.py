@@ -457,6 +457,12 @@ def phase1_oracle(a, b) -> LPFeasibility:
     return LPFeasibility(True, tuple(point), ZERO, pivots)
 
 
+def coverage_num(g: CoverageWeights, mask: int) -> int:
+    """g(S) * g.scale by the definition: the sum of the numerators x[T]
+    over T meeting S."""
+    return sum(v for t, v in g.x.items() if t & mask)
+
+
 def _weight_values(g) -> dict[int, Fraction]:
     return {t: Fraction(v, g.scale) for t, v in g.x.items()}
 

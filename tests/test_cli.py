@@ -2,8 +2,12 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -241,8 +245,9 @@ def test_sample_echoes_seed(tmp_path, capsys):
         ("1,2,", "--start: '1,2,' is not a comma-separated list of integer labels"),
         ("1,4", "--start: set [1, 4] out of range for n=3"),
         ("0,1", "--start: set [0, 1] out of range for n=3"),
+        ("", "--start: '' is not a comma-separated list of integer labels"),
     ],
-    ids=["repeated-label", "empty-label", "label-above-n", "label-zero"],
+    ids=["repeated-label", "empty-label", "label-above-n", "label-zero", "empty-value"],
 )
 def test_sample_malformed_start_exit_3(tmp_path, capsys, start, message):
     doc = {"n": 3, "entries": [{"set": pair, "value": 1} for pair in ([1, 2], [1, 3], [2, 3])]}
@@ -787,6 +792,34 @@ def test_usage_error_exit_3(capsys):
     assert run(["certify-clc"]) == 3
     capsys.readouterr()
     assert run(["no-such-command"]) == 3
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_run(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `clckit argv` in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-m", "clckit.cli", *argv], capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_runs_in_one_process_match_fresh_runs(tmp_path, capsys):
+    # the parser is built once per process; a usage error and then two
+    # different commands through it each report what a new process reports
+    table = _coverage_table_file(tmp_path)
+    argvs = [
+        ["sample", "--input", table, "--d", "two", "--steps", "5", "--seed", "1"],
+        ["ulc", "--input", table],
+        ["certify-clc", "--input", table, "--d", "2", "--format", "json"],
+    ]
+    results = []
+    for argv in argvs:
+        code = run(argv)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in results] == [3, 0, 0]
+    assert results == [_fresh_run(argv) for argv in argvs]
 
 
 @pytest.mark.parametrize(

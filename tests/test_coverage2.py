@@ -34,6 +34,7 @@ from conftest import (
     CoverageInstance,
     cardinality,
     coverage_example,
+    coverage_num,
     k4,
     predicates,
     rand_partition_matroid,
@@ -49,7 +50,7 @@ def test_verify_2cov_uniform_indicator():
     w = cert.witnesses[0]
     assert w.support == 0b111
     # three singleton classes, so g(pair) = 2 and l = 1 realizes f = 2 - 1
-    assert Fraction(w.g.num(0b011), w.g.scale) == 2
+    assert Fraction(coverage_num(w.g, 0b011), w.g.scale) == 2
     assert w.ell == (1, 1, 1)
 
 
@@ -228,8 +229,8 @@ def test_synth_strong_from_coverage_instance():
     cert = synth_strong_from_parts(inst.weights())
     # tau = {2}: A_1 and A_3 are swallowed by A_2, so g vanishes
     g = cert.witnesses[0b010]
-    assert g.num(0b001) == 0
-    assert g.num(0b100) == 0
+    assert coverage_num(g, 0b001) == 0
+    assert coverage_num(g, 0b100) == 0
     # tau = {}: x_{1,2} = x_{2,3} = 1 (elements a and b), read over [n]
     assert cert.witnesses[0] == CoverageWeights(3, {0b011: 1, 0b110: 1})
     assert verify_strong2cov(materialize(inst.weights()), cert).ok
@@ -247,7 +248,7 @@ def test_search_uniform_indicator_feasible():
     # the found witness satisfies the pair equations
     for pair in ((1, 2), (1, 3), (2, 3)):
         pm = mask_of(pair)
-        certified = Fraction(2 * w.g.num(pm) - sum(w.ell[i - 1] for i in pair), 2 * w.g.scale)
+        certified = Fraction(2 * coverage_num(w.g, pm) - sum(w.ell[i - 1] for i in pair), 2 * w.g.scale)
         assert certified == value_of(f, pair)
 
 

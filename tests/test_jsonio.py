@@ -2,7 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clckit import (
     CoverageWeights,
@@ -23,6 +24,7 @@ from clckit import (
 )
 from clckit import jsonio
 from clckit.cli import run
+from clckit.errors import InputError
 
 from conftest import coverage_example, coverage_instances, dump_set_function, matroids, value_of
 
@@ -219,3 +221,95 @@ def test_rationals_written_as_p_over_q(tmp_path, capsys):
                 "--format", "json"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["weights"]["[1,2,3]"] == out["min_weight"] == "-1/2"
+
+
+_WEIGHTS = st.fractions(min_value=0, max_value=4, max_denominator=12)
+
+
+def _inside(draw, ground: int) -> dict:
+    """{mask: weight} on a few nonempty subsets of the mask `ground`."""
+    masks = [t for t in range(1, ground + 1) if t & ground == t]
+    if not masks:
+        return {}
+    return draw(st.dictionaries(st.sampled_from(masks), _WEIGHTS, max_size=4))
+
+
+@st.composite
+def certificates(draw):
+    """A strong or a two-coverage certificate on n <= 5 elements whose
+    numbers need not verify: the witnesses of a few taus, each g over mixed
+    denominators inside its ground set, S any subset of the complement of
+    tau, the empty one included."""
+    n = draw(st.integers(0, 5))
+    full = (1 << n) - 1
+    taus = draw(st.sets(st.integers(0, full), max_size=5))
+    if draw(st.booleans()):
+        return StrongCertificate(n, {tau: CoverageWeights.of(n, _inside(draw, full & ~tau)) for tau in taus})
+    witnesses = {}
+    for tau in taus:
+        support = draw(st.integers(0, full)) & ~tau
+        ell = [draw(_WEIGHTS) if support >> b & 1 else 0 for b in range(n)]
+        witnesses[tau] = TwoCoverageWitness.of(support, n, _inside(draw, support), ell)
+    return TwoCoverageCertificate(n, draw(st.integers(2, 6)), witnesses)
+
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cert=certificates())
+@example(cert=StrongCertificate(2, {0: CoverageWeights.of(2, {0b01: _HALF, 0b11: _THIRD}), 0b01: CoverageWeights(2, {})}))
+@example(cert=TwoCoverageCertificate(3, 3, {
+    0b001: TwoCoverageWitness.of(0, 3, {}, [0, 0, 0]),
+    0b010: TwoCoverageWitness.of(0b101, 3, {0b101: _THIRD, 0b001: 2}, [_HALF, 0, Fraction(1, 4)]),
+}))
+@example(cert=StrongCertificate(0, {}))
+def test_written_certificate_is_json_indented_by_2(tmp_path_factory, cert):
+    # the writer lays out the document itself; its bytes are the encoder's,
+    # for empty tau, empty g (an all-loop contraction), a two-coverage
+    # witness with empty S, g and l (a dependent tau) and mixed denominators
+    path = tmp_path_factory.mktemp("written") / "cert.json"
+    jsonio.write_certificate(str(path), cert)
+    assert path.read_bytes() == json.dumps(jsonio.dump_certificate(cert), indent=2).encode()
+
+
+def _strong_file(tmp_path, witnesses) -> str:
+    return _write(tmp_path, "cert.json", {"n": 3, "witnesses": witnesses})
+
+
+def test_cached_key_outside_a_later_witness_is_refused(tmp_path, capsys):
+    # "[1]" lies in the complement of tau at witness 0, not at witness 1
+    cert = _strong_file(tmp_path, [{"tau": [], "g": {"[1]": "1"}}, {"tau": [1], "g": {"[1]": "1"}}])
+    table = _write(tmp_path, "f.json", {"n": 3, "entries": []})
+    assert run(["certify-strong", "--input", table, "--cert", cert]) == 3
+    assert capsys.readouterr().err == (
+        "error: witnesses[1].g['[1]']: set [1] out of range for the complement of tau\n"
+    )
+
+
+@pytest.mark.parametrize("earlier", [[], [{"tau": [3], "g": {"[1,2]": "1"}}]], ids=["first-sighting", "cached"])
+def test_one_subset_spelled_twice_is_refused(tmp_path, earlier):
+    # with an earlier witness, "[1,2]" is read from the cache the second time
+    cert = _strong_file(tmp_path, earlier + [{"tau": [], "g": {"[2,1]": "1", "[1,2]": "1"}}])
+    k = len(earlier)
+    with pytest.raises(InputError) as exc:
+        jsonio.load_certificate(cert)
+    assert str(exc.value) == (
+        f"witnesses[{k}].g['[1,2]']: set [1, 2] repeats the subset of witnesses[{k}].g['[2,1]']"
+    )
+
+
+def test_unreduced_values_load_in_lowest_terms(tmp_path):
+    strong = jsonio.load_certificate(_strong_file(tmp_path, [
+        {"tau": [], "g": {"[1]": "2/4", "[2]": "1/2", "[1,2,3]": "3"}},
+        {"tau": [1], "g": {"[2]": "1/2", "[3]": "2/4"}},
+    ]))
+    assert strong.witnesses == {
+        0b000: CoverageWeights(3, {0b001: 1, 0b010: 1, 0b111: 6}, 2),
+        0b001: CoverageWeights(3, {0b010: 1, 0b100: 1}, 2),
+    }
+    assert strong.witnesses[0] == CoverageWeights.of(3, {0b001: _HALF, 0b010: _HALF, 0b111: 3})
+    two = jsonio.load_certificate(_write(tmp_path, "two.json", {"d": 2, "n": 2, "witnesses": [
+        {"tau": [], "S": [1, 2], "g": {"[1,2]": "2/4"}, "l": {"1": "1/2", "2": "4/8"}},
+    ]}))
+    assert two.witnesses == {0: TwoCoverageWitness(0b11, CoverageWeights(2, {0b11: 1}, 2), (1, 1))}
