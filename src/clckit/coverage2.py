@@ -256,10 +256,12 @@ def synth_strong_matroid(m: Matroid, cap: int = 14) -> StrongCertificate:
     if n > cap:
         raise CapExceededError(f"{n} elements exceed cap {cap}")
     table = to_setfunction(m)
+    empty = CoverageWeights(n, {})  # the witness of every tau that spans M
     witnesses: dict[int, CoverageWeights] = {}
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
-            witnesses[tmask] = CoverageWeights(n, dict.fromkeys(parallel_partition(table, tmask), 1))
+            classes = parallel_partition(table, tmask)
+            witnesses[tmask] = CoverageWeights(n, dict.fromkeys(classes, 1)) if classes else empty
     cert = StrongCertificate(n, witnesses)
     return _verified(cert, verify_strong2cov(table, cert), "synthesized strong certificate")
 
@@ -304,6 +306,7 @@ def synth_strong_from_parts(weights: CoverageWeights, cap: int = 14) -> StrongCe
     if n > cap:
         raise CapExceededError(f"{n} elements exceed cap {cap}")
     table = materialize(weights)
+    empty = CoverageWeights(n, {})  # the witness of every tau meeting each weight
     witnesses: dict[int, CoverageWeights] = {}
     for size in range(n - 1):
         for tmask in masks_of_size(n, size):
@@ -311,7 +314,7 @@ def synth_strong_from_parts(weights: CoverageWeights, cap: int = 14) -> StrongCe
             common = math.gcd(weights.scale, *x.values())  # to lowest terms
             witnesses[tmask] = CoverageWeights(
                 n, {u: v // common for u, v in x.items()}, weights.scale // common
-            )
+            ) if x else empty
     cert = StrongCertificate(n, witnesses)
     return _verified(cert, verify_strong2cov(table, cert), "coverage-built certificate")
 

@@ -476,6 +476,7 @@ def load_certificate(path: str):
     in_n = f"n={n}"
     two_coverage = "d" in doc
     witnesses = {}
+    empty = CoverageWeights(n, {})  # one strong witness for every empty g
     seen_tau: dict[int, int] = {}
     g_masks: dict[str, int] = {}
     l_masks: dict[str, int] = {}
@@ -500,7 +501,8 @@ def load_certificate(path: str):
             g[mask] = _weight(g_doc, key, at, key, ratios)
         if not two_coverage:
             scale = math.lcm(*(q for _, q in g.values()))
-            witnesses[tmask] = CoverageWeights(n, {t: p * (scale // q) for t, (p, q) in g.items()}, scale)
+            g = {t: p * (scale // q) for t, (p, q) in g.items()}
+            witnesses[tmask] = CoverageWeights(n, g, scale) if g else empty
             continue
         at = f"witnesses[{k}].l[{{!r}}]"
         seen_l: dict[int, str] = {}

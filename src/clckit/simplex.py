@@ -1,24 +1,20 @@
 """Exact rational linear feasibility via phase-1 simplex with Bland's rule.
 
 Bland's pivoting (smallest eligible entering index; leaving row whose basic
-variable has the smallest index among the minimum ratios) guarantees
-termination, so feasibility and infeasibility verdicts are both certificates:
-the phase-1 optimum is zero exactly when the system A x = b, x >= 0 has a
-solution.
+variable has the smallest index among the minimum ratios) terminates, so
+both verdicts are certificates: the phase-1 optimum is zero exactly when
+A x = b, x >= 0 has a solution.
 
-The tableau holds Python ints over one common denominator. The
-sign-normalised rows [A | b] are multiplied by one lcm L of all their
-denominators (one factor for every row, so the phase-1 objective is only
-scaled), the artificial columns stay unit columns, and the denominator D
-starts at 1. A pivot on P = T[r][c] > 0 applies the integer-preserving rule
-of Edmonds and Bareiss, T'[i][j] = (T[i][j] * P - T[i][c] * T[r][j]) // D
-(an exact division by Sylvester's identity) to every row but r, objective
-row included, and sets D = P. Every entry is then D times the rational
-tableau of the scaled system, whose signs and ratios are those of the
-unscaled one, so the pivots, the point and the optimum are exactly those of
-the rational simplex. Each verdict is re-checked before it is returned: a
-point against the caller's rows, an infeasible optimum through the Farkas
-vector read off the final objective row.
+The simplex is revised, on ints over one denominator D (first 1), with the
+sign-normalised rows [A | b] scaled by the lcm of their denominators. Only
+D B^-1, D B^-1 b and their part z of the objective row are kept. Column j's
+price is -sum_i pi_i A_ij with pi_i = D - z[i]; the first negative one in
+Bland's order, artificials last, enters as the exact product D B^-1 A_j. A
+pivot on P applies T'[i][k] = (T[i][k] * P - T[i][c] * T[r][k]) // D (the
+Edmonds/Bareiss rule, exact by Sylvester's identity) to the kept columns
+and sets D = P. Each entry is D times the full rational tableau's, so the
+pivots, point and optimum are the rational simplex's. A point is re-checked
+against the caller's rows, an infeasible optimum through its Farkas vector.
 """
 from __future__ import annotations
 
@@ -57,50 +53,48 @@ def phase1(a: Sequence[Sequence], b: Sequence) -> LPFeasibility:
     scaled = [flat[i : i + n + 1] for i in range(0, len(flat), n + 1)]
     signs = [-1 if row[n] < 0 else 1 for row in scaled]
 
-    total = n + m  # artificial variable n+i sits on row i
-    tableau = []
-    for i, row in enumerate(scaled):
-        if signs[i] < 0:
-            row = [-v for v in row]
-        art = [0] * m
-        art[i] = 1
-        tableau.append(row[:n] + art + row[n:])
-    basis = list(range(n, total))
-    # objective row for min(sum of artificials), priced out over the basis:
-    # z[j] = c_j - sum_i T[i][j], which is 0 on the artificial columns
-    z = [-sum(col) for col in zip(*tableau)]
-    z[n:total] = [0] * m
+    columns = []  # each sign-normalised column's nonzeros: rows, values
+    for col in zip(*([s * v for v in row[:n]] for s, row in zip(signs, scaled))):
+        columns.append(([i for i, v in enumerate(col) if v], [v for v in col if v]))
+    block = [[0] * m + [s * row[n]] for s, row in zip(signs, scaled)]  # [D B^-1 | D B^-1 b]
+    for i, row in enumerate(block):
+        row[i] = 1  # artificial variable n+i sits on row i
+    z = [0] * m + [-sum(row[m] for row in block)]  # for min(sum of artificials)
+    basis = list(range(n, n + m))
 
-    denom = 1
-    pivots = 0
+    denom, pivots = 1, 0
     while True:
-        enter = next((j for j in range(total) if z[j] < 0), None)
-        if enter is None:
-            break
+        pi = [denom - v for v in z[:m]]
+        for enter, (nz, vals) in enumerate(columns):
+            price = sum(map(mul, map(pi.__getitem__, nz), vals))  # -z_j
+            if price > 0:
+                column = [sum(map(mul, map(row.__getitem__, nz), vals)) for row in block] + [-price]
+                break
+        else:
+            enter = next((i for i in range(m) if z[i] < 0), None)
+            if enter is None:
+                break
+            column = [row[enter] for row in block] + [z[enter]]
+            enter += n
         leave = None
-        for i, row in enumerate(tableau):
-            coef = row[enter]
-            if coef > 0:
-                # ratio row[total] / coef against num / den, cross-multiplied
-                if leave is None:
-                    leave, num, den = i, row[total], coef
-                    continue
-                lhs, rhs = row[total] * den, num * coef
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, num, den = i, row[total], coef
+        for i, (row, coef) in enumerate(zip(block, column)):
+            # ratio row[m] / coef against num / den, cross-multiplied
+            if coef > 0 and (leave is None or row[m] * den < num * coef or (
+                row[m] * den == num * coef and basis[i] < basis[leave]
+            )):
+                leave, num, den = i, row[m], coef
         if leave is None:
             raise InternalCheckError("phase-1 objective is bounded; no ratio row found")
-        denom = _pivot(tableau, z, leave, enter, denom)
+        denom = _pivot(block, z, leave, column, denom)
         basis[leave] = enter
         pivots += 1
 
-    optimum = -z[total]  # D * L times the phase-1 optimum
+    optimum = -z[m]  # D * L times the phase-1 optimum
     if optimum < 0:
         raise InternalCheckError("phase-1 optimum below zero")
     if optimum > 0:
-        # y_i = 1 - z[n+i] / D solves the sign-normalised dual; flipping the
-        # negated rows back gives y^T A <= 0 < y^T b on the caller's rows
-        y = [s * (denom - z[n + i]) for i, s in enumerate(signs)]
+        # pi / D solves the sign-normalised dual: y^T A <= 0 < y^T b on A's rows
+        y = list(map(mul, signs, pi))
         yb = sum(map(mul, y, (row[n] for row in scaled)))
         if yb != optimum or any(
             sum(map(mul, y, col)) > 0 for col in zip(*(row[:n] for row in scaled))
@@ -110,7 +104,7 @@ def phase1(a: Sequence[Sequence], b: Sequence) -> LPFeasibility:
     point = [ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
-            point[var] = Fraction(tableau[i][total], denom)
+            point[var] = Fraction(block[i][m], denom)
     used = [j for j in range(n) if point[j]]
     if any(point[j] < 0 for j in used) or any(
         sum(row[j] * point[j] for j in used) != row[n] for row in rows
@@ -119,15 +113,14 @@ def phase1(a: Sequence[Sequence], b: Sequence) -> LPFeasibility:
     return LPFeasibility(True, tuple(point), ZERO, pivots)
 
 
-def _pivot(tableau, z, row, col, denom) -> int:
-    """Integer-preserving pivot on tableau[row][col]; returns the new
-    common denominator."""
-    prow = tableau[row]
-    p = prow[col]
-    for other in (*tableau, z):
+def _pivot(block, z, row, column, denom) -> int:
+    """Integer-preserving pivot on column[row] (column[-1] is z's entry);
+    returns the new common denominator."""
+    prow = block[row]
+    p = column[row]
+    for other, factor in zip((*block, z), column):
         if other is prow:
             continue
-        factor = other[col]
         if factor:
             other[:] = [(x * p - factor * y) // denom for x, y in zip(other, prow)]
         elif p != denom:

@@ -408,9 +408,10 @@ def inertia_oracle(matrix) -> Inertia:
     return Inertia(pos, zero, neg)
 
 
-def phase1_oracle(a, b) -> LPFeasibility:
+def phase1_oracle(a, b, entered: list | None = None) -> LPFeasibility:
     """Phase-1 simplex with Bland's rule on a `Fraction` tableau, pivot by
-    pivot the rational version of `clckit.simplex.phase1`."""
+    pivot the rational version of `clckit.simplex.phase1`. The entering
+    column of each pivot is appended to `entered` when one is given."""
     m = len(a)
     if m == 0:
         return LPFeasibility(True, (), ZERO)
@@ -448,6 +449,8 @@ def phase1_oracle(a, b) -> LPFeasibility:
                 other[:] = [v - factor * p for v, p in zip(other, prow)]
         basis[leave] = enter
         pivots += 1
+        if entered is not None:
+            entered.append(enter)
     if z[total] < 0:
         return LPFeasibility(False, None, -z[total], pivots)
     point = [ZERO] * n

@@ -11,7 +11,7 @@ per-cell sweep that merges every monomial, the integer table loader via
 one `Fraction` per entry, strong coverage synthesis via
 one Moebius inversion per contraction, matroid certificates read off the
 rank table via parallel classes asked of the oracle per contraction, the
-integer phase-1 tableau via
+integer revised phase-1 simplex via
 the same pivots on a Fraction tableau, and the walk's integer kernels via
 dense Fraction powering and a per-step Fraction candidate rebuild drawing
 one `rng.bytes` call per draw.
@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -219,7 +220,7 @@ def test_phase1_matches_brute_force():
     assert agree_feasible and agree_infeasible  # both branches exercised
 
 
-# --- integer phase-1 tableau vs the Fraction tableau -----------------------------
+# --- integer revised phase-1 simplex vs the Fraction tableau ---------------------
 
 
 def rand_lp(rng):
@@ -275,6 +276,21 @@ def test_integer_phase1_matches_fraction_tableau():
         infeasible += not got.feasible
         ties += first_pivot_ties(a, b)
     assert feasible >= 100 and infeasible >= 100 and ties >= 30
+
+
+@pytest.mark.parametrize(
+    "a, b, entered",
+    [
+        # rand_lp(random.Random(4)) draws 156 and 251: row 0's and row 2's
+        # artificial leave the basis and enter it again
+        ([[1, 0], [1, 1], [0, 2]], [2, 2, 0], [0, 1, 2]),
+        ([[2, 1, 1], [1, 0, 2], [1, 2, 0], [0, 0, 1]], [1, 2, 1, 2], [0, 1, 2, 5]),
+    ],
+)
+def test_artificial_reentry_matches_fraction_tableau(a, b, entered):
+    seen = []
+    assert phase1(a, b) == phase1_oracle(a, b, seen)
+    assert seen == entered  # the last pivot brings an artificial column back
 
 
 def test_search_lps_match_fraction_tableau(monkeypatch):

@@ -70,23 +70,23 @@ def test_pivot_count_and_optimum_denominator():
 
 
 def _corrupt_pivot(monkeypatch, at, corrupt):
-    """Let pivot number `at` (1-based) leave a corrupted tableau behind."""
+    """Let pivot number `at` (1-based) leave a corrupted block behind."""
     real = simplex._pivot
     count = [0]
 
-    def pivot(tableau, z, row, col, denom):
-        new = real(tableau, z, row, col, denom)
+    def pivot(block, z, row, column, denom):
+        new = real(block, z, row, column, denom)
         count[0] += 1
         if count[0] == at:
-            corrupt(tableau, z, new)
+            corrupt(block, z, new)
         return new
 
     monkeypatch.setattr(simplex, "_pivot", pivot)
 
 
 def test_feasible_point_is_rechecked(monkeypatch):
-    def shift_rhs(tableau, z, denom):
-        tableau[0][-1] += denom  # one unit more on row 0's basic variable
+    def shift_rhs(block, z, denom):
+        block[0][-1] += denom  # one unit more on row 0's basic variable
 
     _corrupt_pivot(monkeypatch, 2, shift_rhs)  # the last of the two pivots
     with pytest.raises(InternalCheckError, match="does not solve"):
@@ -94,8 +94,8 @@ def test_feasible_point_is_rechecked(monkeypatch):
 
 
 def test_farkas_vector_is_rechecked(monkeypatch):
-    def shift_dual(tableau, z, denom):
-        z[2] += denom  # reduced cost of row 0's artificial: y_0 one less
+    def shift_dual(block, z, denom):
+        z[0] += denom  # reduced cost of row 0's artificial: y_0 one less
 
     _corrupt_pivot(monkeypatch, 1, shift_dual)  # the only pivot
     with pytest.raises(InternalCheckError, match="Farkas"):
