@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping
 
 from .bitsets import coverage_values, coverage_weights, labels_of
@@ -55,13 +56,15 @@ class _Entropies:
         got = self._h.get(mask)
         if got is not None:
             return got
-        marg: dict[tuple[int, ...], float] = {}
-        idx = [b for b in range(self.joint.n) if mask >> b & 1]
+        # one index makes itemgetter return a bare value, not a 1-tuple;
+        # either keys the marginal, and mask 0 never reaches here
+        marg: dict = {}
+        key = itemgetter(*(b for b in range(self.joint.n) if mask >> b & 1))
         for outcome, p in self.joint.pmf.items():
             if p == 0.0:
                 continue
-            key = tuple(outcome[b] for b in idx)
-            marg[key] = marg.get(key, 0.0) + p
+            k = key(outcome)
+            marg[k] = marg.get(k, 0.0) + p
         value = -math.fsum(p * math.log2(p) for p in marg.values() if p > 0.0)
         self._h[mask] = value
         return value

@@ -9,9 +9,10 @@ rather than assuming them.
 
 Each base R has one candidate row: its targets and their cumulative
 weights, the table's numerators divided by gcd(scale, row). A sampled chain
-caches the row of each base it visits, so a step is two rejection draws and
-a bisection; the transition matrix is read off the row of every base.
-Mixing powers integer rows over one common denominator.
+caches the row of each base it visits and, per state, the rows of its d
+bases, with the rejection masks of both draws, so a step is two one-word
+rejection draws and a bisection. The transition matrix is read off the row of every base as
+integer rows over one common denominator, and mixing powers those rows.
 
 Randomness comes from numpy's Philox4x64-10 counter-based generator, scheme
 "philox4x64-10/v1": the key is the user seed, an n-byte draw is the first n
@@ -33,7 +34,7 @@ import numpy as np
 
 from .bitsets import labels_of
 from .errors import CapExceededError, InputError, InternalCheckError
-from .setfn import SetFunctionTable, ZERO, exact, integer_scaled
+from .setfn import SetFunctionTable, exact
 
 RNG_SCHEME = "philox4x64-10/v1"
 WORD_BLOCK = 1024  # uint32 words drawn from the generator per numpy call
@@ -60,19 +61,6 @@ def _draw(next_word: Callable[[], int], nbytes: int) -> int:
     for shift in range(32, 8 * nbytes, 32):
         r |= next_word() << shift
     return r & ((1 << 8 * nbytes) - 1)
-
-
-def _uniform_below(next_word: Callable[[], int], bound: int) -> int:
-    """Exact uniform integer in [0, bound) via rejection on raw bytes."""
-    if bound == 1:
-        return 0
-    bits = (bound - 1).bit_length()
-    nbytes = (bits + 7) // 8
-    mask = (1 << bits) - 1
-    while True:
-        r = _draw(next_word, nbytes) & mask
-        if r < bound:
-            return r
 
 
 @dataclass(frozen=True)
@@ -116,56 +104,105 @@ def _candidate_row(w: WalkInstance, base: int) -> tuple[tuple[int, ...], list[in
     return targets, list(accumulate(v // g for v in row))
 
 
+def _state_rows(w: WalkInstance, state: int, cache: dict) -> tuple:
+    """The rows of the d bases state - {i} in label order, padded with None
+    to a power of two, so that a word masked to the length indexes it and
+    draws a dropped element below d by rejection. Each base's row is its
+    `_candidate_row` and the rejection mask below the row's total, cached
+    once per base and shared by the states above it."""
+    rows = []
+    rest = state
+    while rest:
+        base = state ^ (low := rest & -rest)
+        row = cache.get(base)
+        if row is None:
+            targets, cumulative = _candidate_row(w, base)
+            row = cache[base] = targets, cumulative, (1 << (cumulative[-1] - 1).bit_length()) - 1
+        rows.append(row)
+        rest ^= low
+    return (*rows, *[None] * ((1 << (len(rows) - 1).bit_length()) - len(rows)))
+
+
 def step(w: WalkInstance, state: int, next_word: Callable[[], int], cache: dict) -> int:
     """One down-up transition; deterministic given the chain's word stream.
 
-    `cache` maps each base the chain has visited to its `_candidate_row`.
+    `cache` maps each state the chain has visited to its `_state_rows` and
+    each base below them to its row; a state has d members and a base d - 1,
+    so the keys never collide. A mask is all ones over the bits of
+    bound - 1. A draw below a bound of at most 2^32 reads one word and keeps
+    the mask's bits of it, which is the n-byte draw for n <= 4, and a bound
+    of 1 reads nothing; wider bounds read n-byte draws. The drop draw is
+    below d <= 24, so it is one word.
     """
-    drop = labels_of(state)[_uniform_below(next_word, w.d)]
-    base = state & ~(1 << (drop - 1))
-    row = cache.get(base)
-    if row is None:
-        row = cache[base] = _candidate_row(w, base)
-    targets, cumulative = row
-    return targets[bisect_right(cumulative, _uniform_below(next_word, cumulative[-1]))]
+    rows = cache.get(state)
+    if rows is None:
+        rows = cache[state] = _state_rows(w, state, cache)
+    mask = len(rows) - 1
+    row = rows[next_word() & mask] if mask else rows[0]
+    while row is None:
+        row = rows[next_word() & mask]
+    targets, cumulative, mask = row
+    bound = cumulative[-1]
+    if mask >> 32:
+        nbytes = (mask.bit_length() + 7) // 8
+        r = _draw(next_word, nbytes) & mask
+        while r >= bound:
+            r = _draw(next_word, nbytes) & mask
+    elif mask:
+        r = next_word() & mask
+        while r >= bound:
+            r = next_word() & mask
+    else:
+        return targets[0]
+    return targets[bisect_right(cumulative, r)]
 
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    rows: tuple[dict[int, Fraction], ...]  # per row: column -> nonzero entry; both index w.support
+    """P = rows / scale: per row, column -> nonzero integer numerator, both
+    indexing w.support; scale is the lcm of the entries' reduced denominators."""
+
+    rows: tuple[dict[int, int], ...]
+    scale: int
 
 
 def transition_matrix(w: WalkInstance) -> TransitionMatrix:
-    """Exact transition matrix, built base by base.
+    """Exact transition matrix, built base by base in integers.
 
     P(S, T) = (1/d) sum over bases R inside S and T of c_T / C_R, with c the
     candidate row of R and C_R its total, so each distinct base R adds
-    c_T / (d C_R) to the entry of every ordered pair of its targets. Row sums
-    and detailed balance are re-verified over every nonzero entry before
-    returning (a pair that is zero both ways balances trivially; one nonzero
-    either way is seen from its row)."""
-    sparse: list[dict[int, Fraction]] = [{} for _ in w.support]
+    c_T L' / (d C_R) to the numerator of every ordered pair of its targets,
+    over L' = lcm of the d C_R. Dividing L' and every numerator by their gcd
+    leaves the lcm of the entries' reduced denominators. Row sums and
+    detailed balance (w_S N_ST = w_T N_TS) are re-verified over every nonzero
+    entry before returning (a pair that is zero both ways balances
+    trivially; one nonzero either way is seen from its row)."""
     bases = {s & ~(1 << (drop - 1)) for s in w.support for drop in labels_of(s)}
-    for base in sorted(bases):
-        targets, cumulative = _candidate_row(w, base)
-        denom = w.d * cumulative[-1]
-        probs = [
-            (w.index[t], Fraction(c, denom))
+    rows = [_candidate_row(w, base) for base in sorted(bases)]
+    common = math.lcm(*(w.d * cumulative[-1] for _, cumulative in rows))
+    sparse: list[dict[int, int]] = [{} for _ in w.support]
+    for targets, cumulative in rows:
+        factor = common // (w.d * cumulative[-1])
+        nums = [
+            (w.index[t], c * factor)
             for t, c in zip(targets, map(sub, cumulative, [0, *cumulative]))
         ]
-        for si, _ in probs:
+        for si, _ in nums:
             row = sparse[si]
-            for ti, p in probs:
-                row[ti] = row[ti] + p if ti in row else p
+            for ti, v in nums:
+                row[ti] = row.get(ti, 0) + v
+    g = math.gcd(common, *(v for row in sparse for v in row.values()))
+    scale = common // g
+    sparse = [{ti: v // g for ti, v in row.items()} for row in sparse]
     for si, row in enumerate(sparse):
-        if sum(row.values(), ZERO) != 1:
+        if sum(row.values()) != scale:
             raise InternalCheckError(f"row {si} does not sum to 1")
-        for ti, p in row.items():
-            if w.weights[si] * p != w.weights[ti] * sparse[ti].get(si, ZERO):
+        for ti, v in row.items():
+            if w.weights[si] * v != w.weights[ti] * sparse[ti].get(si, 0):
                 raise InternalCheckError(
                     f"detailed balance violated between states {min(si, ti)} and {max(si, ti)}"
                 )
-    return TransitionMatrix(tuple(sparse))
+    return TransitionMatrix(tuple(sparse), scale)
 
 
 @dataclass(frozen=True)
@@ -224,14 +261,12 @@ def mixing_time_exact(
     if k > cap:
         raise CapExceededError(f"support size {k} exceeds cap {cap}")
     tm = transition_matrix(w)
-    entries, big_l = integer_scaled([v for row in tm.rows for v in row.values()])
     # column j of N as (row indices, integer entries)
     cols = [([], []) for _ in range(k)]
-    numerators = iter(entries)
     for i, row in enumerate(tm.rows):
-        for j in row:
+        for j, v in row.items():
             cols[j][0].append(i)
-            cols[j][1].append(next(numerators))
+            cols[j][1].append(v)
     rows = [[int(i == j) for j in range(k)] for i in range(k)]
     scale = 1  # L^t
     exact_mode = True
@@ -252,7 +287,7 @@ def mixing_time_exact(
         if exact_mode:
             for i, row in enumerate(rows):
                 rows[i] = [sum(map(mul, map(row.__getitem__, idx), vals)) for idx, vals in cols]
-            scale *= big_l
+            scale *= tm.scale
             t += 1
             new_tv = _exact_tv(rows, scale, w)
             if new_tv > tv:
@@ -262,7 +297,7 @@ def mixing_time_exact(
                 p = np.zeros((k, k))
                 for i, row in enumerate(tm.rows):
                     for j, v in row.items():
-                        p[i, j] = float(v)
+                        p[i, j] = v / tm.scale
                 mu = np.array([wt / w.total for wt in w.weights])
                 exact_mode = False
                 switched_at = t
@@ -290,7 +325,7 @@ class ChainResult:
 def sample_chain(w: WalkInstance, start: int, steps: int, seed: int) -> ChainResult:
     """Run `steps` transitions from `start`; reproducible for a fixed seed."""
     if start not in w.index:
-        raise InputError(f"start {labels_of(start)} is not in the support")
+        raise InputError(f"start {list(labels_of(start))} is not in the support")
     if steps < 0:
         raise InputError("steps must be nonnegative")
     if not 0 <= seed < 1 << 128:  # the Philox key

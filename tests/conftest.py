@@ -758,6 +758,11 @@ def is_irreducible(w) -> bool:
     return len(seen) == len(w.support)
 
 
+def fraction_rows(tm) -> tuple[dict[int, Fraction], ...]:
+    """A TransitionMatrix's rows as Fractions: each numerator over tm.scale."""
+    return tuple({j: Fraction(v, tm.scale) for j, v in row.items()} for row in tm.rows)
+
+
 def transition_matrix_oracle(w) -> tuple[dict[int, Fraction], ...]:
     """Sparse rows of the transition matrix, summed state by state and drop
     by drop in Fractions: P(S, T) = (1/d) sum over i in S of f(T) / (sum of

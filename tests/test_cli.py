@@ -911,12 +911,14 @@ def test_cap_refused_where_nothing_is_capped(capsys, argv, mode):
 
 
 def test_sample_start_outside_support_exit_3(tmp_path, capsys):
+    # a start off the level, or of the wrong size, is named as a label list
     doc = {"n": 3, "entries": [{"set": [1, 2], "value": 1}, {"set": [2, 3], "value": 1}]}
-    argv = ["sample", "--input", _write(tmp_path, "pairs.json", doc), "--d", "2", "--steps", "10",
-            "--seed", "7", "--start", "1,3"]
-    code = run(argv)
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (3, "", "error: start (1, 3) is not in the support\n")
+    path = _write(tmp_path, "pairs.json", doc)
+    for start, labels in (("1,3", "[1, 3]"), ("1,2,3", "[1, 2, 3]")):
+        argv = ["sample", "--input", path, "--d", "2", "--steps", "10", "--seed", "7", "--start", start]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", f"error: start {labels} is not in the support\n")
 
 
 def test_strong_certificate_file_bytes(tmp_path):

@@ -21,7 +21,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -59,11 +59,13 @@ from clckit.matroids import to_setfunction
 from clckit.polynomials import derive, generating_poly, homogenize, scale
 from clckit.setfn import homogeneous_restrict
 from clckit.simplex import phase1
+from clckit.walk import make_rng, philox_words, step
 
 from conftest import (
     CoverageInstance,
     contraction_cells_oracle,
     coverage_instances,
+    fraction_rows,
     inertia_oracle,
     is_irreducible,
     load_set_function_oracle,
@@ -79,6 +81,7 @@ from conftest import (
     reference_2cov_indicator,
     reference_strong_matroid,
     sample_chain_oracle,
+    step_oracle,
     symmetric_matrices,
     transition_matrix_oracle,
     verify_2cov_oracle,
@@ -897,7 +900,7 @@ def test_walk_kernels_match_fraction_reference():
     switched = exact_only = unconverged = 0
     for _ in range(110):
         w = rand_walk_instance(rng)
-        assert transition_matrix(w).rows == transition_matrix_oracle(w)
+        assert fraction_rows(transition_matrix(w)) == transition_matrix_oracle(w)
         eps = Fraction(1, rng.choice((2, 5, 10, 100)))
         max_steps = 10**6 if is_irreducible(w) else rng.choice((3, 12))
         for max_bits in (32, 64, 200, 4096):
@@ -916,3 +919,60 @@ def test_walk_kernels_match_fraction_reference():
         chain = sample_chain(w, start, 300, seed)
         assert (chain.final, chain.histogram) == sample_chain_oracle(w, start, 300, seed)
     assert switched >= 20 and exact_only >= 20 and unconverged >= 20, (switched, exact_only, unconverged)
+
+
+def test_transition_matrix_scale_is_lcm_of_oracle_denominators():
+    rng = random.Random(59)
+    for _ in range(60):
+        w = rand_walk_instance(rng)
+        want = lcm(*(v.denominator for row in transition_matrix_oracle(w) for v in row.values()))
+        assert transition_matrix(w).scale == want
+
+
+# A draw below a bound of at most 2^32 reads one word, a wider one two: the
+# totals put the rejection mask on both sides of the 1-, 3- and 4-byte widths
+@pytest.mark.parametrize("total", [2**8 - 1, 2**8 + 1, 2**24 - 1, 2**24 + 1, 2**32 - 1, 2**32, 2**32 + 1])
+def test_sample_chain_draw_widths_match_oracle(total):
+    half, rest = total // 2, total - total // 2
+    # d = 1: the one base is empty, of row total `total`; d = 2: bases {1}
+    # and {2} have row total `total`, base {3} total `total` or `total` + 1
+    for n, d, entries in (
+        (2, 1, {(1,): half, (2,): rest}),
+        (3, 2, {(1, 2): half, (1, 3): rest, (2, 3): rest}),
+    ):
+        w = walk_instance(SetFunctionTable.from_entries(n, entries), d)
+        for seed in (0, 3, 2**40 + 1):
+            chain = sample_chain(w, w.support[-1], 400, seed)
+            assert (chain.final, chain.histogram) == sample_chain_oracle(w, w.support[-1], 400, seed)
+
+
+def test_sample_chain_single_candidate_rows_match_oracle():
+    # base {2} holds the one candidate {1,2} at row total 1 and draws nothing;
+    # base {3} holds {1,3} alone at total 3 and still draws below 3. With
+    # d = 1 the drop draws nothing either
+    for n, d, entries in (
+        (3, 2, {(1, 2): 1, (1, 3): 3}),
+        (1, 1, {(1,): 5}),
+        (1, 1, {(1,): 1}),
+        (3, 1, {(1,): 2, (2,): 3, (3,): 1}),
+    ):
+        w = walk_instance(SetFunctionTable.from_entries(n, entries), d)
+        for start in w.support:
+            chain = sample_chain(w, start, 300, 17)
+            assert (chain.final, chain.histogram) == sample_chain_oracle(w, start, 300, 17)
+
+
+def test_step_with_fresh_cache_matches_step_oracle():
+    # a new cache per step builds the rows of the state's bases every time
+    w = walk_instance(
+        SetFunctionTable.from_entries(
+            6, {p: Fraction(p[0] * p[1] + p[2], p[0] + 3) for p in combinations(range(1, 7), 3)}
+        ),
+        3,
+    )
+    next_word, rng = philox_words(make_rng(41)).__next__, make_rng(41)
+    state = w.support[0]
+    for _ in range(500):
+        want = step_oracle(w, state, rng)
+        state = step(w, state, next_word, {})
+        assert state == want
