@@ -174,9 +174,18 @@ def _report(report, fmt: str) -> int:
     return EXIT_FAIL if report.verdict == VERDICT_REFUTED else EXIT_INCONCLUSIVE
 
 
+def _unread(args, *pairs: tuple[str, str]) -> None:
+    """Refuse each (flag, mode) pair given together: the mode never reads
+    the flag. The words are those argparse uses for --cap beside --cert."""
+    for flag, mode in pairs:
+        if getattr(args, flag[2:]) is not None and getattr(args, mode[2:]):
+            raise InputError(f"argument {flag}: not allowed with argument {mode}")
+
+
 def _cmd_certify_clc(args) -> int:
     if (args.input is None) == (args.poly is None):
         raise InputError("provide exactly one of --input or --poly")
+    _unread(args, ("--d", "--poly"))
     if args.poly is not None:
         iner = quadratic_inertia(jsonio.load_polynomial(args.poly))
         ok = iner.n_pos <= 1
@@ -232,6 +241,7 @@ def _cmd_certify_2cov(args) -> int:
     modes = sum(1 for flag in (args.cert, args.matroid) if flag) + (1 if args.search else 0)
     if modes != 1:
         raise InputError("provide exactly one of --cert, --search or --matroid")
+    _unread(args, ("--output", "--cert"), ("--output", "--search"), ("--input", "--matroid"))
     if args.matroid:
         m = jsonio.load_matroid(args.matroid)
         return _synth_report(synth_2cov_indicator(m, args.d, **_cap_kwargs(args)), args, d=args.d)
@@ -261,6 +271,7 @@ def _cmd_certify_strong(args) -> int:
     modes = sum(1 for flag in (args.cert, args.matroid, args.coverage) if flag)
     if modes != 1:
         raise InputError("provide exactly one of --cert, --matroid or --coverage")
+    _unread(args, ("--output", "--cert"), ("--input", "--matroid"), ("--input", "--coverage"))
     if args.cert:
         if args.input is None:
             raise InputError("--input is required with --cert")

@@ -132,13 +132,17 @@ def _sums(g: CoverageWeights, n: int) -> tuple[list[int], dict[int, int]]:
 def verify_2cov(
     f: SetFunctionTable, d: int, cert: TwoCoverageCertificate
 ) -> CertificateCheck:
-    """Check both certificate conditions against f, exactly."""
+    """Check both certificate conditions against f, exactly. A witness at a
+    tau of a size other than d-2 is refused, as a missing one is."""
     n = f.n
     if d < 2:
         raise InputError("two-coverage needs d >= 2")
     _expect(cert, TwoCoverageCertificate)
     if cert.n != n or cert.d != d:
         raise InputError("certificate dimensions do not match the table")
+    stray = next((t for t in cert.witnesses if t.bit_count() != d - 2), None)
+    if stray is not None:
+        raise InputError(f"witness at tau={list(labels_of(stray))}: |tau| is not d-2={d - 2}")
     checks = 0
     for tmask, _, comps, _ in contraction_cells(f, d):
         checks += 1
@@ -198,11 +202,15 @@ def verify_2cov(
 def verify_strong2cov(
     f: SetFunctionTable, cert: StrongCertificate
 ) -> CertificateCheck:
-    """Check f(tau + T) = g_tau(T) + f(tau) on all |T| in {1, 2}, all |tau| <= n-2."""
+    """Check f(tau + T) = g_tau(T) + f(tau) on all |T| in {1, 2}, all |tau| <= n-2;
+    a witness at a larger tau is refused, as a missing one is."""
     n = f.n
     _expect(cert, StrongCertificate)
     if cert.n != n:
         raise InputError("certificate dimensions do not match the table")
+    stray = next((t for t in cert.witnesses if t.bit_count() > n - 2), None)
+    if stray is not None:
+        raise InputError(f"witness at tau={list(labels_of(stray))}: |tau| exceeds n-2={n - 2}")
     full = (1 << n) - 1
     nums, scale = f.nums, f.scale
     checks = 0
@@ -250,7 +258,12 @@ def synth_strong_matroid(m: Matroid, cap: int = 14) -> StrongCertificate:
 
     After contracting tau, elements fall into loops and parallel classes; unit
     weight on each class realizes the contracted rank on singletons and pairs.
-    The classes are read off the rank table, which also verifies the result.
+    The classes are read off the rank table and not checked on their own:
+    verifying the certificate against that table is the one check. With unit
+    class weights, g(ab) is 0 for two loops, 1 within a class or with a
+    loop and 2 across classes, so the pair equations over |tau| <= n-2 are
+    the case table of the contracted pair ranks, and a failure (a rank
+    oracle that is no matroid's) raises InternalCheckError.
     """
     n = m.n
     if n > cap:
@@ -273,7 +286,9 @@ def synth_2cov_indicator(m: Matroid, d: int, cap: int = 14) -> TwoCoverageCertif
     contraction, g puts unit weight on each parallel class, and l is one on
     the support; dependent tau get the empty witness since every
     contracted pair value vanishes. Independence, the classes and the
-    indicator checked against all come from one rank table.
+    indicator checked against all come from one rank table; verifying the
+    certificate against that indicator is the one check of the classes, and
+    a failure raises InternalCheckError.
     """
     n = m.n
     if n > cap:

@@ -92,43 +92,39 @@ def _field(obj: dict, key: str, kind: type | None = None, at: str | None = None,
 _RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _rational(obj: dict, key, at: str) -> tuple[int, int]:
-    """obj[key] as integers (p, q), q > 0: a JSON integer, or a "p" or "p/q"
-    string of ASCII digits with an optional leading "-", no longer than
-    MAX_DIGITS and with q != 0, is read by `int`. Any other value goes
-    through `exact`, which reads decimals and refuses the rest; a missing or
-    unreadable value is an error naming the field `at`."""
-    value = _field(obj, key, at=at)
-    if type(value) is int:
-        return value, 1
-    if type(value) is str and len(value) <= MAX_DIGITS and (m := _RATIO.fullmatch(value)):
-        p, q = int(m[1]), int(m[2] or 1)
-        if q:
-            return p, q
-    try:
-        r = exact(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{at}: {exc}") from None
-    return r.numerator, r.denominator
-
-
-def _cached_rational(obj: dict, key, at: str, item, cache: dict) -> tuple[int, int]:
-    """obj[key] as integers (p, q) in lowest terms, as `_rational` reads it
-    with the field named `at.format(item)`; a string is read once per file
-    and kept in `cache`, so its next sightings cost one lookup."""
+def _rational(obj: dict, key, at: str, item, cache: dict) -> tuple[int, int]:
+    """obj[key] as integers (p, q) in lowest terms, q > 0: a JSON integer, or
+    a "p" or "p/q" string of ASCII digits with an optional leading "-", no
+    longer than MAX_DIGITS and with q != 0, is read by `int`. Any other value
+    goes through `exact`, which reads decimals and refuses the rest; a
+    missing or unreadable value is an error naming the field
+    `at.format(item)`. A string is read once per file and kept in `cache`,
+    so its next sightings cost one lookup."""
     value = obj.get(key)
     if type(value) is str and value in cache:
         return cache[value]
-    p, q = _rational(obj, key, at.format(item))
-    c = math.gcd(p, q)
+    if type(value) is int:
+        return value, 1
+    value = _field(obj, key, at=at, item=item)  # a missing key is refused here
+    m = _RATIO.fullmatch(value) if type(value) is str and len(value) <= MAX_DIGITS else None
+    p, q = (int(m[1]), int(m[2] or 1)) if m else (0, 0)
+    if q:
+        c = math.gcd(p, q)
+        p, q = p // c, q // c
+    else:
+        try:
+            r = exact(value)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{at.format(item)}: {exc}") from None
+        p, q = r.numerator, r.denominator
     if type(value) is str:
-        cache[value] = p // c, q // c
-    return p // c, q // c
+        cache[value] = p, q
+    return p, q
 
 
 def _weight(obj: dict, key, at: str, item, cache: dict) -> tuple[int, int]:
-    """obj[key] read by `_cached_rational`, refused if negative."""
-    p, q = _cached_rational(obj, key, at, item, cache)
+    """obj[key] read by `_rational`, refused if negative."""
+    p, q = _rational(obj, key, at, item, cache)
     if p < 0:
         raise InputError(f"{at.format(item)}: negative weight {Fraction(p, q)}")
     return p, q
@@ -203,25 +199,19 @@ def read_subset(labels, n: int, at: str) -> int:
 def _cached_subset(key: str, at: str, ground: int, scope: str, seen: dict, masks: dict, label=False) -> int:
     """The mask of the object key `key`, a JSON label list (or, with
     `label`, one label), checked as `_subset` checks it. `masks` keeps each
-    key's mask over [n] for the rest of the file; `_subset` reads the key
-    again whenever its kept mask leaves `ground` or repeats in `seen`, so
-    every refusal has its own message."""
+    key's mask over [n] for the rest of the file; the key is decoded and
+    `_subset` reads it again whenever its kept mask leaves `ground` or
+    repeats in `seen`, so every refusal has its own message."""
     mask = masks.get(key)
     if mask is None or mask & ~ground or mask in seen:
-        labels = _key(key, at)
+        try:
+            labels = json.loads(key)
+        except (ValueError, RecursionError):
+            raise InputError(f"{at.format(key)}: key {key!r} is not valid JSON") from None
         mask = masks[key] = _subset([labels] if label else labels, at, key, ground, scope, seen)
     else:
         seen[mask] = key
     return mask
-
-
-def _key(key: str, at: str):
-    """A JSON-encoded dict key (a label list, or one label) decoded; `at`
-    locates it as in `_subset`."""
-    try:
-        return json.loads(key)
-    except (ValueError, RecursionError):
-        raise InputError(f"{at.format(key)}: key {key!r} is not valid JSON") from None
 
 
 def load_set_function(path: str) -> SetFunctionTable:
@@ -240,7 +230,7 @@ def load_set_function(path: str) -> SetFunctionTable:
     for k, entry in enumerate(_typed(doc.get("entries", []), list, "entries")):
         _typed(entry, dict, "entries[{}]", k)
         mask = _subset(_field(entry, "set", at="entries[{}].set", item=k), "entries[{}]", k, full, in_n, seen)
-        p, q = _cached_rational(entry, "value", "entries[{}].value", k, ratios)
+        p, q = _rational(entry, "value", "entries[{}].value", k, ratios)
         if p and not mask:
             raise InputError(f"entries[{k}].value: f(empty set) must be 0")
         if p < 0:
@@ -324,12 +314,13 @@ def load_polynomial(path: str):
     full = (1 << n) - 1
     seen: dict[int, dict[int, int]] = {}
     coeffs: dict[tuple[int, int], Fraction] = {}
+    ratios: dict[str, tuple[int, int]] = {}
     for k, t in enumerate(_typed(doc.get("terms", []), list, "terms")):
         _typed(t, dict, f"terms[{k}]")
         y = _size(t.get("y", 0), f"terms[{k}].y")
         labels = _field(t, "set", at=f"terms[{k}].set")
         mask = _subset(labels, "terms[{}]", k, full, f"n={n}", seen.setdefault(y, {}))
-        coeffs[y, mask] = Fraction(*_rational(t, "coeff", f"terms[{k}].coeff"))
+        coeffs[y, mask] = Fraction(*_rational(t, "coeff", "terms[{}].coeff", k, ratios))
     if all(y == 0 for y in seen):
         return MultiaffinePolynomial(n, {mask: c for (_, mask), c in coeffs.items()})
     return HomogenizedPolynomial(n, coeffs)
@@ -428,10 +419,7 @@ def _indented(value, pad: str = "\n") -> str:
         items = [f"{_quote(k)}: {_quote(v) if type(v) is str else _indented(v, inner)}" for k, v in value.items()]
         brackets = "{}"
     elif type(value) is list:
-        if {int}.issuperset(map(type, value)):  # tau and S
-            items = list(map(str, value))
-        else:
-            items = [_indented(v, inner) for v in value]
+        items = [_indented(v, inner) for v in value]
         brackets = "[]"
     else:
         raise TypeError(f"unexpected {type(value).__name__} in a certificate document")
@@ -442,23 +430,11 @@ def _indented(value, pad: str = "\n") -> str:
 
 def write_certificate(path: str, cert) -> None:
     """Write `dump_certificate(cert)` to `path` with the bytes of
-    `json.dump(..., indent=2)`: JSON indented by 2, no final newline. The
-    text goes out one top-level field, or one witness, at a time."""
-    doc = dump_certificate(cert)
+    `json.dump(..., indent=2)`: JSON indented by 2, no final newline, laid
+    out by `_indented`."""
+    text = _indented(dump_certificate(cert))
     with open(path, "w") as fh:
-        opener = "{"
-        for key, value in doc.items():
-            fh.write(f"{opener}\n  {_quote(key)}: ")
-            opener = ","
-            if key != "witnesses" or not value:
-                fh.write(_indented(value, "\n  "))
-                continue
-            bracket, pad = "[", "\n    "
-            for w in value:
-                fh.write(f"{bracket}{pad}{_indented(w, pad)}")
-                bracket = ","
-            fh.write("\n  ]")
-        fh.write("\n}")
+        fh.write(text)
 
 
 def load_certificate(path: str):
@@ -468,15 +444,14 @@ def load_certificate(path: str):
     strong certificate; g carries no weight on the empty set, and neither g
     nor l a negative one. Masks are kept over [n], and numbers as integer
     numerators over one denominator per witness, in lowest terms. Each key
-    and value string is read once per file (`_cached_subset`,
-    `_cached_rational`)."""
+    and value string is read once per file (`_cached_subset`, `_rational`)."""
     doc = _load(path)
     n = _ground_size(doc)
     full = (1 << n) - 1
     in_n = f"n={n}"
     two_coverage = "d" in doc
     witnesses = {}
-    empty = CoverageWeights(n, {})  # one strong witness for every empty g
+    empty = CoverageWeights(n, {})  # one g for every witness with no weight over denominator 1
     seen_tau: dict[int, int] = {}
     g_masks: dict[str, int] = {}
     l_masks: dict[str, int] = {}
@@ -499,24 +474,18 @@ def load_certificate(path: str):
             if not mask:
                 raise InputError(f"{at.format(key)}: g on the empty set is not part of the representation")
             g[mask] = _weight(g_doc, key, at, key, ratios)
-        if not two_coverage:
-            scale = math.lcm(*(q for _, q in g.values()))
-            g = {t: p * (scale // q) for t, (p, q) in g.items()}
-            witnesses[tmask] = CoverageWeights(n, g, scale) if g else empty
-            continue
-        at = f"witnesses[{k}].l[{{!r}}]"
-        seen_l: dict[int, str] = {}
-        ell = [(0, 1)] * n
-        l_doc = _typed(w.get("l", {}), dict, "witnesses[{}].l", k)
-        for key in l_doc:
-            bit = _cached_subset(key, at, ground, scope, seen_l, l_masks, label=True)
-            ell[bit.bit_length() - 1] = _weight(l_doc, key, at, key, ratios)
+        ell = [(0, 1)] * n if two_coverage else []
+        if two_coverage:
+            at = f"witnesses[{k}].l[{{!r}}]"
+            seen_l: dict[int, str] = {}
+            l_doc = _typed(w.get("l", {}), dict, "witnesses[{}].l", k)
+            for key in l_doc:
+                bit = _cached_subset(key, at, ground, scope, seen_l, l_masks, label=True)
+                ell[bit.bit_length() - 1] = _weight(l_doc, key, at, key, ratios)
         scale = math.lcm(*(q for _, q in g.values()), *(q for _, q in ell))
-        witnesses[tmask] = TwoCoverageWitness(
-            ground,
-            CoverageWeights(n, {t: p * (scale // q) for t, (p, q) in g.items()}, scale),
-            tuple(p * (scale // q) for p, q in ell),
-        )
+        x = CoverageWeights(n, {t: p * (scale // q) for t, (p, q) in g.items()}, scale) if g or scale > 1 else empty
+        ell = tuple(p * (scale // q) for p, q in ell)
+        witnesses[tmask] = TwoCoverageWitness(ground, x, ell) if two_coverage else x
     if two_coverage:
         return TwoCoverageCertificate(n, _size(_field(doc, "d"), "d"), witnesses)
     return StrongCertificate(n, witnesses)

@@ -910,6 +910,49 @@ def test_cap_refused_where_nothing_is_capped(capsys, argv, mode):
     assert (code, captured.out, captured.err) == (3, "", f"error: argument --cap: not allowed with argument {mode}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, flag, mode",
+    [
+        (["certify-2cov", "--input", "IND", "--cert", "C2", "--d", "2", "--output", "OUT"], "--output", "--cert"),
+        (["certify-2cov", "--input", "IND", "--search", "--d", "2", "--output", "OUT"], "--output", "--search"),
+        (["certify-2cov", "--matroid", "M", "--d", "2", "--input", "IND"], "--input", "--matroid"),
+        (["certify-strong", "--input", "RANK", "--cert", "CS", "--output", "OUT"], "--output", "--cert"),
+        (["certify-strong", "--matroid", "M", "--input", "MISSING"], "--input", "--matroid"),
+        (["certify-strong", "--coverage", "COV", "--input", "RANK"], "--input", "--coverage"),
+        (["certify-clc", "--poly", "POLY", "--d", "7"], "--d", "--poly"),
+    ],
+    ids=["2cov-cert-output", "2cov-search-output", "2cov-matroid-input", "strong-cert-output",
+         "strong-matroid-input", "strong-coverage-input", "clc-poly-d"],
+)
+def test_flag_refused_where_its_mode_never_reads_it(tmp_path, capsys, argv, flag, mode):
+    # each run succeeds without the flag; with it, the flag is refused
+    # before anything is read or written, instead of being passed over
+    from clckit import UniformMatroid, independence_indicator, synth_2cov_indicator, synth_strong_matroid, to_setfunction
+
+    m = UniformMatroid(2, 3)
+    files = {
+        "M": _write(tmp_path, "m.json", {"type": "uniform", "r": 2, "n": 3}),
+        "IND": _write(tmp_path, "ind.json", dump_set_function(independence_indicator(to_setfunction(m)))),
+        "RANK": _write(tmp_path, "rank.json", dump_set_function(to_setfunction(m))),
+        "COV": _write(tmp_path, "cov.json", {"universe": [{"id": "a", "weight": 1}], "sets": [["a"], ["a"]]}),
+        "POLY": _write(tmp_path, "p.json", {"n": 2, "terms": [{"set": [1, 2], "coeff": "1"}]}),
+        "C2": str(tmp_path / "c2.json"),
+        "CS": str(tmp_path / "cs.json"),
+        "OUT": str(tmp_path / "out.json"),
+        "MISSING": str(tmp_path / "nonexistent.json"),
+    }
+    jsonio.write_certificate(files["C2"], synth_2cov_indicator(m, 2))
+    jsonio.write_certificate(files["CS"], synth_strong_matroid(m))
+    argv = [files.get(a, a) for a in argv]
+    cut = argv.index(flag)
+    assert run(argv[:cut] + argv[cut + 2:]) == 0
+    capsys.readouterr()
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: argument {flag}: not allowed with argument {mode}\n")
+    assert not os.path.exists(files["OUT"])
+
+
 def test_sample_start_outside_support_exit_3(tmp_path, capsys):
     # a start off the level, or of the wrong size, is named as a label list
     doc = {"n": 3, "entries": [{"set": [1, 2], "value": 1}, {"set": [2, 3], "value": 1}]}

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from clckit import (
     CoverageWeights,
     GraphicMatroid,
+    Matroid,
+    PartitionMatroid,
     SetFunctionTable,
     StrongCertificate,
     TwoCoverageCertificate,
@@ -27,7 +30,7 @@ from clckit import (
 from clckit import coverage2
 from clckit.bitsets import mask_of
 from clckit.counterexamples import budget_additive_table, triangle_table
-from clckit.errors import MissingWitnessError
+from clckit.errors import InputError, InternalCheckError, MissingWitnessError
 from clckit.simplex import phase1
 
 from conftest import (
@@ -124,6 +127,78 @@ def test_verify_strong_rejects_witness_meeting_tau():
         witnesses = {**cert.witnesses, 0b001: CoverageWeights(4, bad)}
         with pytest.raises(ValueError, match=r"witness at tau=\(1,\) reaches outside the complement of tau"):
             verify_strong2cov(table, StrongCertificate(3, witnesses))
+
+
+class _RankList(Matroid):
+    """A rank oracle that reads its ranks off a list, checked by nothing."""
+
+    def __init__(self, n, ranks):
+        self.n, self.ranks = n, ranks
+
+    def rank(self, s):
+        return self.ranks[s]
+
+
+def _corrupted(m, subset, value) -> Matroid:
+    """m's rank oracle with the rank of one set of labels changed."""
+    ranks = [m.rank(s) for s in range(1 << m.n)]
+    ranks[mask_of(subset)] = value
+    return _RankList(m.n, ranks)
+
+
+@pytest.mark.parametrize(
+    "r, n, subset, value, pair, tau",
+    [
+        (1, 3, (2, 3), 2, "{2,3}", ()),
+        (1, 3, (1, 2), 0, "{1,2}", ()),
+        (2, 4, (1, 2, 4), 3, "{3,4}", (1,)),
+        (2, 4, (1, 2, 3), 1, "{2,3}", (1,)),
+    ],
+    ids=["transitivity", "nonloops-rank-0", "contracted-transitivity", "contracted-rank-drop"],
+)
+def test_synth_strong_matroid_rejects_corrupted_pair(r, n, subset, value, pair, tau):
+    # U(r,n) with the rank of one set tau + pair changed; singletons keep
+    # theirs. The classes are read off the corrupted table unchecked, and the
+    # certificate's verification, the one check, fails: a library bug
+    message = f"synthesized strong certificate failed verification: pair equation failed at {pair} at tau={tau}"
+    with pytest.raises(InternalCheckError, match=re.escape(message)):
+        synth_strong_matroid(_corrupted(UniformMatroid(r, n), subset, value))
+
+
+def test_synth_2cov_indicator_rejects_corrupted_independence():
+    # 1, 2 and 3 are parallel, but the corrupted oracle makes {2,3}
+    # independent: the classes still join 2 and 3, so the certificate gives
+    # the pair {2,3} the value 0 where the indicator reads 1
+    m = _corrupted(PartitionMatroid([[1, 2, 3], [4]], [1, 1]), (2, 3), 2)
+    message = (
+        "synthesized indicator certificate failed verification: "
+        "pair equation failed on {2,3}: f_tau=1, certificate gives 0 at tau=()"
+    )
+    with pytest.raises(InternalCheckError, match=re.escape(message)):
+        synth_2cov_indicator(m, 2)
+
+
+def test_verify_2cov_refuses_stray_witness():
+    # d=2 checks tau=() only; a witness at tau=[1] is not part of the
+    # certificate, and is refused rather than passed over
+    m = UniformMatroid(2, 3)
+    f = independence_indicator(to_setfunction(m))
+    cert = synth_2cov_indicator(m, 2)
+    assert verify_2cov(f, 2, cert).ok
+    stray = TwoCoverageWitness(0b110, CoverageWeights(3, {0b110: 1}), (0, 1, 1))
+    with pytest.raises(InputError, match=re.escape("witness at tau=[1]: |tau| is not d-2=0")):
+        verify_2cov(f, 2, TwoCoverageCertificate(3, 2, {**cert.witnesses, 0b001: stray}))
+
+
+def test_verify_strong_refuses_stray_witness():
+    # n=3 checks |tau| <= 1; a witness at tau=[1,2] is refused
+    m = UniformMatroid(2, 3)
+    table = to_setfunction(m)
+    cert = synth_strong_matroid(m)
+    assert verify_strong2cov(table, cert).ok
+    witnesses = {**cert.witnesses, 0b011: CoverageWeights(3, {})}
+    with pytest.raises(InputError, match=re.escape("witness at tau=[1, 2]: |tau| exceeds n-2=1")):
+        verify_strong2cov(table, StrongCertificate(3, witnesses))
 
 
 def test_synth_strong_uniform():

@@ -2,11 +2,11 @@
 
 The scan covers the library modules in `src/clckit` (except `__init__.py`,
 whose imports are the exports) and the test modules, conftest.py included.
-A name bound by `import` or `from ... import` in a module's top-level body
-must be read somewhere in that module, as a bare name or as the base of an
-attribute (`np.array`); `from __future__` imports are exempt. A name that
-conftest.py imports also counts as read when a test module imports it from
-conftest.
+A name bound by `import` or `from ... import`, at the top level or inside a
+function, must be read somewhere in that module, as a bare name or as the
+base of an attribute (`np.array`); `from __future__` imports are exempt. A
+name that conftest.py imports also counts as read when a test module
+imports it from conftest.
 
 Between library modules the boundary is the public name: no module imports
 a `_name` from another clckit module, or reads one off an imported clckit
@@ -20,9 +20,9 @@ SRC = TESTS.parent / "src" / "clckit"
 
 
 def _bound(tree) -> dict[str, int]:
-    """{name: line} of the names the module's top-level imports bind."""
+    """{name: line} of the names the module's imports bind, wherever they are."""
     bound = {}
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -92,9 +92,12 @@ def test_scan_finds_an_unread_import(tmp_path):
     # the scan itself: an unread import is reported, a read one, an
     # attribute base and a conftest name imported by a test are not
     (tmp_path / "conftest.py").write_text("from os import path, sep\nimport json\n")
-    (tmp_path / "test_x.py").write_text("from conftest import path\nimport math\nprint(math.pi, path.sep)\n")
+    (tmp_path / "test_x.py").write_text(
+        "from conftest import path\nimport math\nprint(math.pi, path.sep)\n"
+        "def f():\n    from fractions import Fraction\n    import re\n    return re\n"
+    )
     paths = [tmp_path / "conftest.py", tmp_path / "test_x.py"]
-    assert unused_imports(paths) == ["conftest.py:1 sep", "conftest.py:2 json"]
+    assert unused_imports(paths) == ["conftest.py:1 sep", "conftest.py:2 json", "test_x.py:5 Fraction"]
 
 
 def test_no_private_name_crosses_a_library_module():

@@ -178,17 +178,21 @@ def test_coverage_certificate_round_trip(tmp_path_factory, inst):
 
 def test_two_coverage_certificate_mixed_denominators_round_trip(tmp_path):
     # g and l over denominators 2, 3 and 6; at tau=(1,) g alone is in
-    # thirds and l brings the sixths, so the witness's one denominator is 6
+    # thirds and l brings the sixths, so the witness's one denominator is 6;
+    # at tau=(2,) g is empty and l alone sets the denominator 2
     half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
     cert = TwoCoverageCertificate(4, 3, {
         0b1000: TwoCoverageWitness.of(0b0111, 4, {0b001: half, 0b110: third, 0b111: 5 * sixth},
                                       [sixth, 2 * third, half, 0]),
         0b0001: TwoCoverageWitness.of(0b1010, 4, {0b1010: 7 * third}, [0, 3 * half, 0, 5 * sixth]),
+        0b0010: TwoCoverageWitness.of(0b0001, 4, {}, [half, 0, 0, 0]),
     })
     assert (cert.witnesses[0b0001].g.scale, cert.witnesses[0b0001].ell) == (6, (0, 9, 0, 5))
+    assert (cert.witnesses[0b0010].g.scale, cert.witnesses[0b0010].ell) == (2, (1, 0, 0, 0))
     assert json.dumps(jsonio.dump_certificate(cert), separators=(",", ":")) == (
         '{"d":3,"n":4,"witnesses":['
         '{"tau":[1],"S":[2,4],"g":{"[2,4]":"7/3"},"l":{"2":"3/2","4":"5/6"}},'
+        '{"tau":[2],"S":[1],"g":{},"l":{"1":"1/2"}},'
         '{"tau":[4],"S":[1,2,3],"g":{"[1]":"1/2","[2,3]":"1/3","[1,2,3]":"5/6"},'
         '"l":{"1":"1/6","2":"2/3","3":"1/2"}}]}'
     )
