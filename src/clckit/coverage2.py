@@ -380,8 +380,8 @@ def search_2cov_feasible(
     Variables are all 2^|S| - 1 coverage weights plus the l values; the pair
     equations are equalities and l({i}) <= g({i}) gets a slack. Weights on
     sets of size >= 3 matter (they feed several pair overlaps at once), so the
-    search is complete and an infeasible verdict is a proof. Coefficients
-    are plain ints except the -1/2 on the l values.
+    search is complete and an infeasible verdict is a proof. Every row is
+    scaled by c = 2 f.scale into integers; the optimum is divided by c.
     """
     if not 0 <= tau < 1 << f.n:
         raise ValueError("tau outside the ground set")
@@ -394,30 +394,21 @@ def search_2cov_feasible(
     if m > cap:
         raise CapExceededError(f"|S|={m} exceeds cap {cap}")
     cols = list(submasks(smask))[-2::-1]  # x_T for T inside S ascending, then l_i, then slack_i
-    num_x = len(cols)
-    rows: list[list] = []
-    rhs: list = []
-    minus_half = Fraction(-1, 2)
-    for pm, value in pairs.items():
-        if pm & ~smask:
-            continue  # pair values off the support are zero by construction
-        row = [1 if t & pm else 0 for t in cols] + [0] * (2 * m)
-        for i, bit in enumerate(bits):
-            if pm & bit:
-                row[num_x + i] = minus_half
-        rows.append(row)
-        rhs.append(Fraction(value, f.scale))
-    for i, bit in enumerate(bits):
-        row = [1 if t & bit else 0 for t in cols] + [0] * (2 * m)
-        row[num_x + i] = row[num_x + m + i] = -1
-        rows.append(row)
-        rhs.append(0)
-    result = phase1(rows, rhs)
+    pair_rows = [pm for pm in pairs if not pm & ~smask]  # pair values off S are zero
+    rows = pair_rows + bits  # x_T meets the pair and singleton rows T meets
+    singles = range(len(pair_rows), len(rows))
+    c = 2 * f.scale  # every row is scaled by c
+    columns = [(nz, [c] * len(nz)) for nz in ([r for r, rm in enumerate(rows) if t & rm] for t in cols)]
+    for s, bit in zip(singles, bits):  # l_i
+        nz = [r for r, pm in enumerate(pair_rows) if pm & bit]
+        columns.append((nz + [s], [-f.scale] * len(nz) + [-c]))
+    columns += [([s], [-c]) for s in singles]  # slack_i
+    result = phase1(columns, [2 * pairs[pm] for pm in pair_rows] + [0] * m)
     if not result:
-        return SearchResult(None, result.infeasibility)
+        return SearchResult(None, result.infeasibility / c)
     point = result.point
     ell = [0] * n
     for i, bit in enumerate(bits):
-        ell[bit.bit_length() - 1] = point[num_x + i]
+        ell[bit.bit_length() - 1] = point[len(cols) + i]
     g = {t: v for t, v in zip(cols, point) if v}
     return SearchResult(TwoCoverageWitness.of(smask, n, g, ell), ZERO)

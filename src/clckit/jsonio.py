@@ -89,6 +89,14 @@ def _field(obj: dict, key: str, kind: type | None = None, at: str | None = None,
     return obj[key] if kind is None else _typed(obj[key], kind, at, item)
 
 
+def _closed(obj: dict, keys: tuple, at: str, item=None) -> dict:
+    """obj, refused if it holds a key outside `keys`: its size against the `keys` it holds."""
+    if len(obj) != sum(map(obj.__contains__, keys)):
+        at = at if item is None else at.format(item)
+        raise InputError(f"{at}: unknown key {next(k for k in obj if k not in keys)!r}")
+    return obj
+
+
 _RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -135,12 +143,12 @@ def _ints(value, at: str) -> list[int]:
     return [_typed(v, int, f"{at}[{i}]") for i, v in enumerate(_typed(value, list, at))]
 
 
-def _load(path: str, parse_float=_Literal) -> dict:
+def _load(path: str, keys: tuple | None = None, parse_float=_Literal) -> dict:
     """The JSON object in the file at `path`, decimals kept as written
-    unless `parse_float` says otherwise. A key repeated within one object is
-    refused, in every kind of document, and so is a file that `json` cannot
-    read: not JSON, not UTF-8, an integer literal over Python's digit limit,
-    or nesting past the recursion limit."""
+    unless `parse_float` says otherwise, refused by `_closed` for a key
+    outside `keys`. A key repeated within one object is refused, and so is
+    a file that `json` cannot read: not JSON, not UTF-8, an integer literal
+    over Python's digit limit, or nesting past the recursion limit."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_float=parse_float, object_pairs_hook=_unique_keys)
@@ -148,7 +156,8 @@ def _load(path: str, parse_float=_Literal) -> dict:
             raise InputError("document: nested too deeply") from None
         except ValueError as exc:
             raise InputError(str(exc)) from None
-    return _typed(doc, dict, "document")
+    doc = _typed(doc, dict, "document")
+    return doc if keys is None else _closed(doc, keys, "document")
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -219,7 +228,7 @@ def load_set_function(path: str) -> SetFunctionTable:
     or nonzero on the empty set; the numerators are then put over the lcm
     of the distinct denominators, and the table reduces them to lowest
     terms."""
-    doc = _load(path)
+    doc = _load(path, ("n", "entries"))
     n = _ground_size(doc)
     full = (1 << n) - 1
     in_n = f"n={n}"
@@ -231,6 +240,8 @@ def load_set_function(path: str) -> SetFunctionTable:
         _typed(entry, dict, "entries[{}]", k)
         mask = _subset(_field(entry, "set", at="entries[{}].set", item=k), "entries[{}]", k, full, in_n, seen)
         p, q = _rational(entry, "value", "entries[{}].value", k, ratios)
+        if len(entry) != 2:  # both keys were read
+            _closed(entry, ("set", "value"), "entries[{}]", k)
         if p and not mask:
             raise InputError(f"entries[{k}].value: f(empty set) must be 0")
         if p < 0:
@@ -251,12 +262,12 @@ def load_coverage_instance(path: str) -> CoverageWeights:
     that contain it, so x_T is the weight of the elements lying in exactly
     the sets A_i, i in T. An id listed twice, a label repeated within a set
     and an element outside the universe are refused, naming the field."""
-    doc = _load(path)
+    doc = _load(path, ("universe", "sets"))
     weight: dict[str, Fraction] = {}
     ratios: dict[str, tuple[int, int]] = {}
     for k, u in enumerate(_field(doc, "universe", list)):
         at = f"universe[{k}]"
-        _typed(u, dict, at)
+        _closed(_typed(u, dict, at), ("id", "weight"), at)
         e = _field(u, "id", str, f"{at}.id")
         w = Fraction(*_weight(u, "weight", "universe[{}].weight", k, ratios))
         if e in weight:
@@ -285,12 +296,15 @@ def load_matroid(path: str) -> Matroid:
     doc = _load(path)
     kind = _field(doc, "type", str)
     if kind == "uniform":
+        _closed(doc, ("type", "r", "n"), "document")
         return UniformMatroid(_size(_field(doc, "r"), "r"), _size(_field(doc, "n"), "n"))
     if kind == "partition":
+        _closed(doc, ("type", "blocks", "caps"), "document")
         blocks = [_ints(b, f"blocks[{k}]") for k, b in enumerate(_field(doc, "blocks", list))]
         caps = [_size(c, f"caps[{k}]") for k, c in enumerate(_field(doc, "caps", list))]
         return PartitionMatroid(blocks, caps)
     if kind == "graphic":
+        _closed(doc, ("type", "vertices", "edges"), "document")
         vertices = _size(_field(doc, "vertices"), "vertices")
         edges = []
         for k, e in enumerate(_field(doc, "edges", list)):
@@ -300,6 +314,7 @@ def load_matroid(path: str) -> Matroid:
             edges.append(tuple(edge))
         return GraphicMatroid(vertices, edges)
     if kind == "explicit":
+        _closed(doc, ("type", "n", "independent"), "document")
         family = [_ints(i, f"independent[{k}]") for k, i in enumerate(_field(doc, "independent", list))]
         return ExplicitMatroid(_ground_size(doc), family)
     raise InputError(f"unknown matroid type {kind!r}")
@@ -309,14 +324,14 @@ def load_polynomial(path: str):
     """Terms carry a y-power, a variable set and a coefficient; a file whose
     terms all have y = 0 loads as a plain multiaffine polynomial. A (y, set)
     pair may appear in one term only."""
-    doc = _load(path)
+    doc = _load(path, ("n", "terms"))
     n = _ground_size(doc)
     full = (1 << n) - 1
     seen: dict[int, dict[int, int]] = {}
     coeffs: dict[tuple[int, int], Fraction] = {}
     ratios: dict[str, tuple[int, int]] = {}
     for k, t in enumerate(_typed(doc.get("terms", []), list, "terms")):
-        _typed(t, dict, f"terms[{k}]")
+        _closed(_typed(t, dict, f"terms[{k}]"), ("y", "set", "coeff"), f"terms[{k}]")
         y = _size(t.get("y", 0), f"terms[{k}].y")
         labels = _field(t, "set", at=f"terms[{k}].set")
         mask = _subset(labels, "terms[{}]", k, full, f"n={n}", seen.setdefault(y, {}))
@@ -330,11 +345,11 @@ def load_joint_distribution(path: str) -> JointDistribution:
     """Each `p` must be a finite, nonnegative JSON number (int or float,
     never a bool) and each outcome a list of integers, listed once, with one
     entry per alphabet and inside it."""
-    doc = _load(path, parse_float=float)
+    doc = _load(path, ("alphabets", "pmf"), parse_float=float)
     pmf = {}
     for k, row in enumerate(_field(doc, "pmf", list)):
         at = f"pmf[{k}]"
-        _typed(row, dict, at)
+        _closed(_typed(row, dict, at), ("outcome", "p"), at)
         outcome = tuple(_ints(_field(row, "outcome", at=f"{at}.outcome"), f"{at}.outcome"))
         if outcome in pmf:
             raise InputError(f"{at}.outcome: {list(outcome)} is listed twice")
@@ -431,10 +446,15 @@ def _indented(value, pad: str = "\n") -> str:
 def write_certificate(path: str, cert) -> None:
     """Write `dump_certificate(cert)` to `path` with the bytes of
     `json.dump(..., indent=2)`: JSON indented by 2, no final newline, laid
-    out by `_indented`."""
-    text = _indented(dump_certificate(cert))
+    out by `_indented`, one witness at a time."""
+    doc = dump_certificate(cert)
+    witnesses, doc["witnesses"] = doc["witnesses"], []
+    text = _indented(doc)  # ends with the empty list's and the document's brackets, "[]\n}"
+    inner = "\n    "
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(text[:-3])
+        fh.writelines(("," if k else "") + inner + _indented(w, inner) for k, w in enumerate(witnesses))
+        fh.write(("\n  " if witnesses else "") + text[-3:])
 
 
 def load_certificate(path: str):
@@ -445,11 +465,12 @@ def load_certificate(path: str):
     nor l a negative one. Masks are kept over [n], and numbers as integer
     numerators over one denominator per witness, in lowest terms. Each key
     and value string is read once per file (`_cached_subset`, `_rational`)."""
-    doc = _load(path)
+    doc = _load(path, ("d", "n", "witnesses"))
     n = _ground_size(doc)
     full = (1 << n) - 1
     in_n = f"n={n}"
     two_coverage = "d" in doc
+    fields = ("tau", "S", "g", "l") if two_coverage else ("tau", "g")
     witnesses = {}
     empty = CoverageWeights(n, {})  # one g for every witness with no weight over denominator 1
     seen_tau: dict[int, int] = {}
@@ -457,7 +478,7 @@ def load_certificate(path: str):
     l_masks: dict[str, int] = {}
     ratios: dict[str, tuple[int, int]] = {}
     for k, w in enumerate(_field(doc, "witnesses", list)):
-        _typed(w, dict, "witnesses[{}]", k)
+        _closed(_typed(w, dict, "witnesses[{}]", k), fields, "witnesses[{}]", k)
         labels = _field(w, "tau", at="witnesses[{}].tau", item=k)
         tmask = _subset(labels, "witnesses[{}].tau", k, full, in_n, seen_tau)
         if two_coverage:

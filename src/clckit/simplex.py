@@ -5,16 +5,16 @@ variable has the smallest index among the minimum ratios) terminates, so
 both verdicts are certificates: the phase-1 optimum is zero exactly when
 A x = b, x >= 0 has a solution.
 
-The simplex is revised, on ints over one denominator D (first 1), with the
-sign-normalised rows [A | b] scaled by the lcm of their denominators. Only
-D B^-1, D B^-1 b and their part z of the objective row are kept. Column j's
-price is -sum_i pi_i A_ij with pi_i = D - z[i]; the first negative one in
-Bland's order, artificials last, enters as the exact product D B^-1 A_j. A
-pivot on P applies T'[i][k] = (T[i][k] * P - T[i][c] * T[r][k]) // D (the
-Edmonds/Bareiss rule, exact by Sylvester's identity) to the kept columns
-and sets D = P. Each entry is D times the full rational tableau's, so the
-pivots, point and optimum are the rational simplex's. A point is re-checked
-against the caller's rows, an infeasible optimum through its Farkas vector.
+The simplex is revised, on ints over one denominator D (first 1), with A
+as sparse integer columns and rows with b_i < 0 negated. Only D B^-1, D B^-1 b
+and their part z of the objective row are kept. Column j's price is
+-sum_i pi_i A_ij with pi_i = D - z[i]; the first negative one in Bland's
+order, artificials last, enters as the exact product D B^-1 A_j. A pivot on
+P applies T'[i][k] = (T[i][k] * P - T[i][c] * T[r][k]) // D (the Edmonds/
+Bareiss rule, exact by Sylvester's identity) to the kept columns and sets
+D = P. Each entry is D times the full rational tableau's, so the pivots and
+point are the rational simplex's; a uniform c > 0 on A and b scales only the
+optimum. The point is re-checked on the columns, a positive optimum by Farkas.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import InternalCheckError
-from .setfn import ZERO, exact, integer_scaled
+from .setfn import ZERO
 
 
 @dataclass(frozen=True)
@@ -38,34 +38,23 @@ class LPFeasibility:
         return self.feasible
 
 
-def phase1(a: Sequence[Sequence], b: Sequence) -> LPFeasibility:
-    """Decide whether A x = b has a nonnegative solution, exactly."""
-    m = len(a)
-    if m == 0:
-        return LPFeasibility(True, (), ZERO)
-    n = len(a[0])
-    rows = []  # the caller's rows [A | b]; ints stay ints
-    for i in range(m):
-        if len(a[i]) != n:
-            raise ValueError("ragged constraint matrix")
-        rows.append([v if type(v) is int else exact(v) for v in (*a[i], b[i])])
-    flat, scale = integer_scaled([v for row in rows for v in row])
-    scaled = [flat[i : i + n + 1] for i in range(0, len(flat), n + 1)]
-    signs = [-1 if row[n] < 0 else 1 for row in scaled]
-
-    columns = []  # each sign-normalised column's nonzeros: rows, values
-    for col in zip(*([s * v for v in row[:n]] for s, row in zip(signs, scaled))):
-        columns.append(([i for i, v in enumerate(col) if v], [v for v in col if v]))
-    block = [[0] * m + [s * row[n]] for s, row in zip(signs, scaled)]  # [D B^-1 | D B^-1 b]
+def phase1(columns: Sequence[tuple[list[int], list[int]]], b: Sequence[int]) -> LPFeasibility:
+    """Decide whether A x = b has a nonnegative solution, exactly. A is an
+    integer matrix given by its columns, columns[j] the nonzeros of column j
+    as (row indices, values); b is a list of ints."""
+    m, n = len(b), len(columns)
+    signs = [-1 if v < 0 else 1 for v in b]  # cols: A with the rows where b_i < 0 negated
+    cols = [(nz, [signs[i] * v for i, v in zip(nz, vals)]) for nz, vals in columns] if -1 in signs else columns
+    block = [[0] * m + [abs(v)] for v in b]  # [D B^-1 | D B^-1 b]
     for i, row in enumerate(block):
         row[i] = 1  # artificial variable n+i sits on row i
-    z = [0] * m + [-sum(row[m] for row in block)]  # for min(sum of artificials)
+    z = [0] * m + [-sum(map(abs, b))]  # for min(sum of artificials)
     basis = list(range(n, n + m))
 
     denom, pivots = 1, 0
     while True:
         pi = [denom - v for v in z[:m]]
-        for enter, (nz, vals) in enumerate(columns):
+        for enter, (nz, vals) in enumerate(cols):
             price = sum(map(mul, map(pi.__getitem__, nz), vals))  # -z_j
             if price > 0:
                 column = [sum(map(mul, map(row.__getitem__, nz), vals)) for row in block] + [-price]
@@ -89,26 +78,24 @@ def phase1(a: Sequence[Sequence], b: Sequence) -> LPFeasibility:
         basis[leave] = enter
         pivots += 1
 
-    optimum = -z[m]  # D * L times the phase-1 optimum
+    optimum = -z[m]  # D times the phase-1 optimum
     if optimum < 0:
         raise InternalCheckError("phase-1 optimum below zero")
     if optimum > 0:
-        # pi / D solves the sign-normalised dual: y^T A <= 0 < y^T b on A's rows
+        # pi / D solves the sign-normalised dual: y^T A <= 0 < y^T b
         y = list(map(mul, signs, pi))
-        yb = sum(map(mul, y, (row[n] for row in scaled)))
-        if yb != optimum or any(
-            sum(map(mul, y, col)) > 0 for col in zip(*(row[:n] for row in scaled))
+        if sum(map(mul, y, b)) != optimum or any(
+            sum(map(mul, map(y.__getitem__, nz), vals)) > 0 for nz, vals in columns
         ):
             raise InternalCheckError("phase-1 Farkas vector does not certify infeasibility")
-        return LPFeasibility(False, None, Fraction(optimum, denom * scale), pivots)
-    point = [ZERO] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            point[var] = Fraction(block[i][m], denom)
-    used = [j for j in range(n) if point[j]]
-    if any(point[j] < 0 for j in used) or any(
-        sum(row[j] * point[j] for j in used) != row[n] for row in rows
-    ):
+        return LPFeasibility(False, None, Fraction(optimum, denom), pivots)
+    point, ax = [ZERO] * n, [0] * m  # ax: A times the point's numerators over D
+    for row, var in zip(block, basis):
+        if var < n and row[m]:
+            point[var] = Fraction(row[m], denom)
+            for k, v in zip(*columns[var]):
+                ax[k] += v * row[m]
+    if ax != [v * denom for v in b] or any(row[m] < 0 for row in block):
         raise InternalCheckError("phase-1 point does not solve A x = b, x >= 0")
     return LPFeasibility(True, tuple(point), ZERO, pivots)
 

@@ -6,6 +6,7 @@ suite draw from the same families.
 """
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import math
 import random
@@ -38,8 +39,8 @@ from clckit.entropy import _Entropies
 from clckit.errors import InputError, InternalCheckError, MissingWitnessError, NotAMatroidError
 from clckit.logconcave import Inertia, _components
 from clckit.matroids import _check_listing, _rank_table
-from clckit.setfn import ZERO, exact
-from clckit.simplex import LPFeasibility
+from clckit.setfn import ZERO, exact, integer_scaled
+from clckit.simplex import LPFeasibility, phase1
 from clckit.walk import MixingResult, make_rng
 
 
@@ -51,13 +52,18 @@ def value_of(f: SetFunctionTable, labels) -> Fraction:
     return f[mask_of(labels)]
 
 
-def layer_functions() -> dict[str, tuple[str, ...]]:
-    """The clckit functions the benchmark traces, {module: names}, read from
-    perfbench/tracing.py by path."""
+def perfbench_tracing():
+    """A fresh copy of the benchmark's tracing module, perfbench/tracing.py,
+    loaded by path."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.LAYER_FUNCTIONS
+    return tracing
+
+
+def layer_functions() -> dict[str, tuple[str, ...]]:
+    """The clckit functions the benchmark traces, {module: names}."""
+    return perfbench_tracing().LAYER_FUNCTIONS
 
 
 @dataclass(frozen=True)
@@ -406,6 +412,35 @@ def inertia_oracle(matrix) -> Inertia:
                     if rowk[j]:
                         rowi[j] -= f * rowk[j]
     return Inertia(pos, zero, neg)
+
+
+def int_columns(a, b) -> tuple[list[tuple[list[int], list[int]]], list[int], int]:
+    """The integer system `phase1` takes for the dense rational A x = b:
+    (columns, b, scale), every entry times `scale`, the lcm of the entries'
+    denominators, and each column of A as the (row indices, values) of its
+    nonzeros."""
+    m, n = len(a), len(a[0]) if a else 0
+    nums, scale = integer_scaled([v for row in a for v in row] + list(b))
+    rows = [nums[i * n : (i + 1) * n] for i in range(m)]
+    columns = [([i for i, v in enumerate(col) if v], [v for v in col if v]) for col in zip(*rows)]
+    return columns, nums[m * n :], scale
+
+
+def dense_phase1(a, b) -> LPFeasibility:
+    """`phase1` on the dense rational A x = b through `int_columns`, the
+    optimum divided by the scale: the result for A x = b itself."""
+    columns, b, scale = int_columns(a, b)
+    res = phase1(columns, b)
+    return dataclasses.replace(res, infeasibility=res.infeasibility / scale)
+
+
+def dense_of(columns, b) -> list[list[int]]:
+    """The dense rows of the matrix given by `phase1`'s columns over len(b) rows."""
+    a = [[0] * len(columns) for _ in b]
+    for j, (nz, vals) in enumerate(columns):
+        for i, v in zip(nz, vals):
+            a[i][j] = v
+    return a
 
 
 def phase1_oracle(a, b, entered: list | None = None) -> LPFeasibility:

@@ -38,6 +38,7 @@ from conftest import (
     cardinality,
     coverage_example,
     coverage_num,
+    dense_phase1,
     k4,
     predicates,
     rand_partition_matroid,
@@ -276,7 +277,7 @@ def test_budget_additive_not_strongly_2coverage():
                 row[t - 1] = Fraction(1)
         rows.append(row)
         rhs.append(val)
-    res = phase1(rows, rhs)
+    res = dense_phase1(rows, rhs)
     assert not res.feasible
 
 
@@ -345,9 +346,9 @@ def test_search_lp_shape_and_pivots_pinned(monkeypatch):
     # order moves the pivots
     lps = []
 
-    def spy(a, b):
-        result = phase1(a, b)
-        lps.append((len(a), len(a[0]), result.pivots))
+    def spy(columns, b):
+        result = phase1(columns, b)
+        lps.append((len(b), len(columns), result.pivots))
         return result
 
     monkeypatch.setattr(coverage2, "phase1", spy)

@@ -317,3 +317,39 @@ def test_unreduced_values_load_in_lowest_terms(tmp_path):
         {"tau": [], "S": [1, 2], "g": {"[1,2]": "2/4"}, "l": {"1": "1/2", "2": "4/8"}},
     ]}))
     assert two.witnesses == {0: TwoCoverageWitness(0b11, CoverageWeights(2, {0b11: 1}, 2), (1, 1))}
+
+
+@pytest.mark.parametrize(
+    "loader, doc, message",
+    [
+        ("load_set_function", {"n": 2, "entries": [{"set": [1, 2], "value": "1", "vlaue": "5"}]},
+         "entries[0]: unknown key 'vlaue'"),
+        ("load_set_function", {"n": 2, "entries": [], "entires": []}, "document: unknown key 'entires'"),
+        ("load_polynomial", {"n": 2, "terms": [{"set": [1], "coeff": "1"}, {"Y": 1, "set": [1, 2], "coeff": "1"}]},
+         "terms[1]: unknown key 'Y'"),
+        ("load_polynomial", {"n": 2, "terms": [], "y": 1}, "document: unknown key 'y'"),
+        ("load_certificate", {"n": 3, "witnesses": [{"tau": [], "g": {"[1]": "1"}, "l": {}}]},
+         "witnesses[0]: unknown key 'l'"),
+        ("load_certificate", {"d": 2, "n": 2, "witnesses": [{"tau": [], "S": [1], "g": {}, "l": {}, "s": []}]},
+         "witnesses[0]: unknown key 's'"),
+        ("load_certificate", {"n": 2, "witnesses": [], "D": 2}, "document: unknown key 'D'"),
+        ("load_matroid", {"type": "uniform", "r": 1, "n": 2, "vertices": 2}, "document: unknown key 'vertices'"),
+        ("load_coverage_instance", {"universe": [{"id": "a", "weight": "1", "w": "2"}], "sets": [["a"]]},
+         "universe[0]: unknown key 'w'"),
+        ("load_joint_distribution", {"alphabets": [2], "pmf": [{"outcome": [0], "p": 1, "q": 0}]},
+         "pmf[0]: unknown key 'q'"),
+    ],
+    ids=["entry", "table", "term", "polynomial", "strong-witness", "witness", "certificate", "matroid",
+         "universe-item", "pmf-row"],
+)
+def test_unknown_key_is_refused(tmp_path, loader, doc, message):
+    # a misspelt key is never read as absent: "Y" would load the term at y = 0
+    with pytest.raises(InputError) as exc:
+        getattr(jsonio, loader)(_write(tmp_path, "doc.json", doc))
+    assert str(exc.value) == message
+
+
+def test_unknown_key_exits_3(tmp_path, capsys):
+    table = _write(tmp_path, "f.json", {"n": 2, "entries": [{"set": [1, 2], "value": "1", "vlaue": "5"}]})
+    assert run(["certify-clc", "--input", table, "--d", "2"]) == 3
+    assert capsys.readouterr().err == "error: entries[0]: unknown key 'vlaue'\n"

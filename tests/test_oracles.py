@@ -65,7 +65,10 @@ from conftest import (
     CoverageInstance,
     contraction_cells_oracle,
     coverage_instances,
+    dense_of,
+    dense_phase1,
     fraction_rows,
+    int_columns,
     inertia_oracle,
     is_irreducible,
     load_set_function_oracle,
@@ -211,7 +214,7 @@ def test_phase1_matches_brute_force():
         n = rng.randint(1, 5)
         a = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
         b = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
-        exact = phase1(a, b)
+        exact = dense_phase1(a, b)
         brute = brute_feasible(a, b)
         assert exact.feasible == brute
         if brute:
@@ -273,12 +276,28 @@ def test_integer_phase1_matches_fraction_tableau():
     feasible = infeasible = ties = 0
     for _ in range(400):
         a, b = rand_lp(rng)
-        got = phase1(a, b)
+        got = dense_phase1(a, b)
         assert got == phase1_oracle(a, b)  # verdict, point, optimum and pivots
         feasible += got.feasible
         infeasible += not got.feasible
         ties += first_pivot_ties(a, b)
     assert feasible >= 100 and infeasible >= 100 and ties >= 30
+
+
+def test_phase1_scaling_keeps_pivots_and_point():
+    # Bland's rule reads only signs and ratios, which a uniform c > 0 keeps
+    rng = random.Random(12)
+    feasible = infeasible = 0
+    for _ in range(200):
+        columns, b, _ = int_columns(*rand_lp(rng))
+        c = rng.randint(2, 60)
+        got = phase1(columns, b)
+        scaled = phase1([(nz, [c * v for v in vals]) for nz, vals in columns], [c * v for v in b])
+        assert (scaled.feasible, scaled.point, scaled.pivots) == (got.feasible, got.point, got.pivots)
+        assert scaled.infeasibility == c * got.infeasibility
+        feasible += got.feasible
+        infeasible += not got.feasible
+    assert feasible >= 50 and infeasible >= 50
 
 
 @pytest.mark.parametrize(
@@ -292,7 +311,7 @@ def test_integer_phase1_matches_fraction_tableau():
 )
 def test_artificial_reentry_matches_fraction_tableau(a, b, entered):
     seen = []
-    assert phase1(a, b) == phase1_oracle(a, b, seen)
+    assert dense_phase1(a, b) == phase1_oracle(a, b, seen)
     assert seen == entered  # the last pivot brings an artificial column back
 
 
@@ -300,9 +319,9 @@ def test_search_lps_match_fraction_tableau(monkeypatch):
     rng = random.Random(9)
     verdicts = []
 
-    def both(a, b):
-        got = phase1(a, b)
-        assert got == phase1_oracle(a, b)
+    def both(columns, b):
+        got = phase1(columns, b)
+        assert got == phase1_oracle(dense_of(columns, b), b)
         verdicts.append(got.feasible)
         return got
 

@@ -5,37 +5,49 @@ import pytest
 from clckit import simplex
 from clckit.errors import InternalCheckError
 from clckit.simplex import phase1
+from conftest import dense_phase1
+
+
+def test_integer_columns():
+    # x1 + x2 = 4, -x1 + x2 = -2 as sparse columns, the second row negated
+    res = phase1([([0, 1], [1, -1]), ([0, 1], [1, 1])], [4, -2])
+    assert res.feasible and res.point == (3, 1)
+    # x1 + x2 = 2, -x1 + x2 = -4 needs x2 = -1
+    res = phase1([([0, 1], [1, -1]), ([0, 1], [1, 1])], [2, -4])
+    assert not res.feasible and res.infeasibility > 0
+    # no rows: every x >= 0 solves the empty system, and x = 0 comes back
+    assert phase1([([], []), ([], [])], []).point == (0, 0)
 
 
 def test_feasible_simple():
     # x1 + x2 = 2, x1 - x2 = 0 -> x = (1, 1)
-    res = phase1([[1, 1], [1, -1]], [2, 0])
+    res = dense_phase1([[1, 1], [1, -1]], [2, 0])
     assert res.feasible
     assert res.point == (1, 1)
 
 
 def test_infeasible_negative_requirement():
     # x1 + x2 = -1 has no nonnegative solution
-    res = phase1([[1, 1]], [-1])
+    res = dense_phase1([[1, 1]], [-1])
     assert not res.feasible
     assert res.infeasibility == 1
 
 
 def test_infeasible_conflicting_rows():
-    res = phase1([[1, 0], [1, 0]], [1, 2])
+    res = dense_phase1([[1, 0], [1, 0]], [1, 2])
     assert not res.feasible
     assert res.infeasibility > 0
 
 
 def test_degenerate_and_redundant_rows():
-    res = phase1([[1, 1], [2, 2]], [3, 6])
+    res = dense_phase1([[1, 1], [2, 2]], [3, 6])
     assert res.feasible
     x = res.point
     assert x[0] + x[1] == 3
 
 
 def test_exact_fractions():
-    res = phase1([[Fraction(1, 3), Fraction(1, 6)]], [Fraction(1, 2)])
+    res = dense_phase1([[Fraction(1, 3), Fraction(1, 6)]], [Fraction(1, 2)])
     assert res.feasible
     x = res.point
     assert Fraction(1, 3) * x[0] + Fraction(1, 6) * x[1] == Fraction(1, 2)
@@ -51,7 +63,7 @@ def test_solution_satisfies_system_randomized():
         # build a guaranteed-feasible rhs from a random nonnegative point
         x0 = [Fraction(rng.randint(0, 3)) for _ in range(n)]
         b = [sum(a[i][j] * x0[j] for j in range(n)) for i in range(m)]
-        res = phase1(a, b)
+        res = dense_phase1(a, b)
         assert res.feasible
         for i in range(m):
             assert sum(a[i][j] * res.point[j] for j in range(n)) == b[i]
@@ -60,11 +72,11 @@ def test_solution_satisfies_system_randomized():
 
 def test_pivot_count_and_optimum_denominator():
     # x1 + x2 = 2, x1 - x2 = 0: two pivots bring x1 and x2 into the basis
-    res = phase1([[1, 1], [1, -1]], [2, 0])
+    res = dense_phase1([[1, 1], [1, -1]], [2, 0])
     assert res.pivots == 2
-    assert phase1([], []).pivots == 0
-    # the optimum comes back over the caller's denominators, not L or D
-    res = phase1([[Fraction(2, 3), 1], [Fraction(2, 3), 1]], [Fraction(1, 5), Fraction(1, 7)])
+    assert dense_phase1([], []).pivots == 0
+    # the optimum comes back over the system's own denominators, not D
+    res = dense_phase1([[Fraction(2, 3), 1], [Fraction(2, 3), 1]], [Fraction(1, 5), Fraction(1, 7)])
     assert not res.feasible
     assert res.infeasibility == Fraction(1, 5) - Fraction(1, 7)
 
@@ -90,7 +102,7 @@ def test_feasible_point_is_rechecked(monkeypatch):
 
     _corrupt_pivot(monkeypatch, 2, shift_rhs)  # the last of the two pivots
     with pytest.raises(InternalCheckError, match="does not solve"):
-        phase1([[1, 1], [1, -1]], [2, 0])
+        dense_phase1([[1, 1], [1, -1]], [2, 0])
 
 
 def test_farkas_vector_is_rechecked(monkeypatch):
@@ -99,4 +111,4 @@ def test_farkas_vector_is_rechecked(monkeypatch):
 
     _corrupt_pivot(monkeypatch, 1, shift_dual)  # the only pivot
     with pytest.raises(InternalCheckError, match="Farkas"):
-        phase1([[1, 0], [1, 0]], [1, 2])
+        dense_phase1([[1, 0], [1, 0]], [1, 2])
