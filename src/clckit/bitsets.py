@@ -7,6 +7,7 @@ the shared vocabulary for tables, polynomials and matroid conversions.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 
@@ -73,15 +74,21 @@ def coverage_weights(f: Sequence) -> list:
 def subset_transform(values: list, inverse: bool = False) -> list:
     """Zeta transform in place over a list of length 2^n (values[m] becomes
     the sum of values[t] over t inside m), or its Moebius inversion; returns
-    the list. Bits run outermost and masks ascending, so float inputs always
-    see the same sequence of additions."""
+    the list. One pass per bit adds (subtracts) values[m - bit] into every m
+    holding the bit. Within a pass those updates are independent, so they
+    run as slice operations: strided over the masks of one residue mod
+    2*bit while the bit is small, else over each run of bit consecutive
+    masks. Float inputs see the same additions whatever the grouping."""
     size = len(values)
+    op = sub if inverse else add
     bit = 1
     while bit < size:
-        for m in range(size):
-            if m & bit:
-                low = values[m ^ bit]
-                values[m] = values[m] - low if inverse else values[m] + low
-        bit <<= 1
+        step = 2 * bit
+        if bit * step < size:
+            for hi in range(bit, step):
+                values[hi::step] = map(op, values[hi::step], values[hi - bit :: step])
+        else:
+            for hi in range(bit, size, step):
+                values[hi : hi + bit] = map(op, values[hi : hi + bit], values[hi - bit : hi])
+        bit = step
     return values
-

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -65,13 +65,12 @@ def inertia(matrix: Sequence[Sequence]) -> Inertia:
     if any(len(row) != m for row in matrix):
         raise ValueError("matrix must be square")
     a = [list(row) for row in matrix]
-    if not all(type(x) is int for row in a for x in row):
-        nums, _ = integer_scaled([x for row in a for x in row])
+    if not {int}.issuperset(map(type, chain.from_iterable(a))):
+        nums, _ = integer_scaled(list(chain.from_iterable(a)))
         a = [nums[i : i + m] for i in range(0, m * m, m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if a[i][j] != a[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i},{j})")
+    if list(map(tuple, a)) != list(zip(*a)):
+        i, j = next((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j] != a[j][i])
+        raise ValueError(f"matrix is not symmetric at ({i},{j})")
 
     pos = zero = 0
     prev = 1
@@ -253,8 +252,13 @@ def _quadratic_hessian(vals: Sequence[int], n: int, tmask: int, k: int | None) -
 
 
 def _certify(f: SetFunctionTable, d: int | None) -> CertificationReport:
-    """Both drivers: the sufficient conditions on f^(d), or on q_f when d is None."""
+    """Both drivers: the sufficient conditions on f^(d), or on q_f when d is None.
+
+    Saturated tables repeat their Hessians across tau, so each distinct one
+    is diagonalized once per sweep: `n_pos_of` maps a Hessian's exact
+    integer rows to its n_pos and lives only for this call."""
     checks = 0
+    n_pos_of: dict[tuple[tuple[int, ...], ...], int] = {}
     for tmask, k, comps, quadratic in contraction_cells(f, d):
         if not checks and not comps:
             # the first cell is the polynomial itself
@@ -262,7 +266,10 @@ def _certify(f: SetFunctionTable, d: int | None) -> CertificationReport:
         checks += 1
         # a plain quadratic (d = 2) is decided by its Hessian even when decomposable
         if comps and quadratic and (d == 2 or len(comps) == 1):
-            n_pos = inertia(_quadratic_hessian(f.nums, f.n, tmask, k)).n_pos
+            h = tuple(map(tuple, _quadratic_hessian(f.nums, f.n, tmask, k)))
+            n_pos = n_pos_of.get(h)
+            if n_pos is None:
+                n_pos = n_pos_of[h] = inertia(h).n_pos
             checks += 1
             if n_pos > 1:
                 verdict = VERDICT_REFUTED if d == 2 else VERDICT_CONDITIONS_FAIL

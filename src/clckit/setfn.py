@@ -210,11 +210,10 @@ def mobius_coverage_weights(f: SetFunctionTable) -> MobiusResult:
     """
     x = coverage_weights(f.nums)
     # independent re-check: zeta(x) must reproduce f through the defining sums
-    for s, (got, want) in enumerate(zip(coverage_values(x), f.nums)):
-        if got != want:
-            raise InternalCheckError(
-                f"Moebius reconstruction failed at S={labels_of(s)}"
-            )
+    rebuilt = coverage_values(x)
+    if rebuilt != list(f.nums):
+        s = next(s for s, (got, want) in enumerate(zip(rebuilt, f.nums)) if got != want)
+        raise InternalCheckError(f"Moebius reconstruction failed at S={labels_of(s)}")
     min_weight = Fraction(min(x[1:]), f.scale) if f.n else ZERO
     weights = {m: Fraction(v, f.scale) for m, v in enumerate(x) if m and v}
     return MobiusResult(weights, min_weight >= 0, min_weight)

@@ -37,7 +37,15 @@ from clckit.counterexamples import _monotone_witness, _submodular_witness
 from clckit.coverage2 import CertificateCheck
 from clckit.entropy import _Entropies
 from clckit.errors import InputError, InternalCheckError, MissingWitnessError, NotAMatroidError
-from clckit.logconcave import Inertia, _components
+from clckit.logconcave import (
+    CertFailure,
+    CertificationReport,
+    Inertia,
+    _components,
+    _component_labels,
+    _quadratic_hessian,
+    contraction_cells,
+)
 from clckit.matroids import _check_listing, _rank_table
 from clckit.setfn import ZERO, exact, integer_scaled
 from clckit.simplex import LPFeasibility, phase1
@@ -318,6 +326,59 @@ def mobius_oracle(f: SetFunctionTable) -> dict[int, Fraction]:
                 y[m] -= y[m ^ bit]
         bit <<= 1
     return {m: v for m, v in enumerate(y) if m and v}
+
+
+def budget_additive_eleven() -> SetFunctionTable:
+    """min(sum of w_i over S, 2) with w = (0, 1^7, 2^3): counterexample A
+    with one element fewer."""
+    weights = (0,) + (1,) * 7 + (2,) * 3
+    return SetFunctionTable(
+        len(weights),
+        [min(sum(w for b, w in enumerate(weights) if s >> b & 1), 2) for s in range(1 << len(weights))],
+    )
+
+
+def subset_transform_oracle(values: list, inverse: bool = False) -> list:
+    """`clckit.bitsets.subset_transform` one mask at a time: bits outermost,
+    masks ascending, each mask holding the bit updated by the mask without
+    it."""
+    size = len(values)
+    bit = 1
+    while bit < size:
+        for m in range(size):
+            if m & bit:
+                low = values[m ^ bit]
+                values[m] = values[m] - low if inverse else values[m] + low
+        bit <<= 1
+    return values
+
+
+def certify_oracle(f: SetFunctionTable, d: int | None, hessians: list | None = None):
+    """The sweep of `clckit.logconcave._certify` with no memo: `inertia` on
+    the Hessian of every quadratic cell of `contraction_cells` it reaches,
+    each appended to `hessians` when given."""
+    checks = 0
+    for tmask, k, comps, quadratic in contraction_cells(f, d):
+        if not checks and not comps:
+            return CertificationReport("vacuous", 0)
+        checks += 1
+        if comps and quadratic and (d == 2 or len(comps) == 1):
+            h = _quadratic_hessian(f.nums, f.n, tmask, k)
+            if hessians is not None:
+                hessians.append(h)
+            n_pos = inertia(h).n_pos
+            checks += 1
+            if n_pos > 1:
+                verdict = "refuted" if d == 2 else "conditions-fail"
+                return CertificationReport(
+                    verdict, checks, CertFailure(labels_of(tmask), k, "inertia", n_pos=n_pos)
+                )
+        if len(comps) > 1:
+            failure = CertFailure(
+                labels_of(tmask), k, "decomposable", components=_component_labels(comps)
+            )
+            return CertificationReport("conditions-fail", checks, failure)
+    return CertificationReport("certified" if checks else "vacuous", checks)
 
 
 def contraction_cells_oracle(f: SetFunctionTable, d: int | None):

@@ -45,6 +45,7 @@ from clckit.entropy import JointDistribution, entropy_decomposition
 from clckit.setfn import homogeneous_restrict
 
 from conftest import (
+    budget_additive_eleven,
     congruence,
     contract,
     dump_set_function,
@@ -102,13 +103,9 @@ def test_criterion_1_budget_additive_counterexample(tmp_path, capsys):
 
 
 def test_budget_additive_counterexample_on_eleven_elements():
-    # min(sum w_i, 2) with w = (0, 1^7, 2^3): one element fewer than
-    # counterexample A, with the same verdict; f^(3), f^(4), f^(5) certify
-    weights = (0,) + (1,) * 7 + (2,) * 3
-    f = SetFunctionTable(
-        len(weights),
-        [min(sum(w for b, w in enumerate(weights) if s >> b & 1), 2) for s in range(1 << len(weights))],
-    )
+    # one element fewer than counterexample A, with the same verdict;
+    # f^(3), f^(4), f^(5) certify
+    f = budget_additive_eleven()
     assert _monotone_witness(f.n, f.nums) is None
     assert _submodular_witness(f.n, f.nums) is None
     report = certify_clc_homogeneous(f, 2)

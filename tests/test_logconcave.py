@@ -19,12 +19,14 @@ from clckit import (
     to_setfunction,
     ulc_check,
 )
+from clckit import logconcave
 from clckit.counterexamples import budget_additive_table, triangle_quadratic
 from clckit.logconcave import is_indecomposable
 from clckit.setfn import homogeneous_restrict
 
 from conftest import (
     CoverageInstance,
+    certify_oracle,
     congruence,
     contract,
     coverage_example,
@@ -64,8 +66,14 @@ def test_inertia_zero_and_hyperbolic():
 
 
 def test_inertia_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
+    with pytest.raises(ValueError, match=r"symmetric at \(0,1\)$"):
         inertia([[0, 1], [2, 0]])
+    # the first mismatch in row order, on ints and after scaling rationals
+    for h in ([[1, 2, 3], [2, 1, 4], [3, 5, 1]], [[1, 2, 3], [2, 1, Fraction(4, 3)], [3, "5/3", 1]]):
+        with pytest.raises(ValueError, match=r"symmetric at \(1,2\)$"):
+            inertia(h)
+    with pytest.raises(ValueError, match=r"symmetric at \(0,3\)$"):
+        inertia([[0, 0, 0, 1], [0, 0, 1, 0], [0, 2, 0, 0], [2, 0, 0, 0]])
 
 
 def test_inertia_input_checks():
@@ -203,6 +211,27 @@ def test_certify_homogenization_budget_additive_fails():
     report = certify_clc_homogenization(f, cap=12)
     assert report.verdict == "conditions-fail"
     assert report.failure.reason == "inertia"
+
+
+@pytest.mark.parametrize("d", [None, 4])
+def test_sweep_diagonalizes_each_distinct_hessian_once(monkeypatch, d):
+    # U(4,10) rank saturates once tau spans, so its contracted Hessians
+    # repeat; each distinct one is diagonalized once per call, and a second
+    # call starts from nothing
+    f = to_setfunction(UniformMatroid(4, 10))
+    hessians = []
+    want = certify_oracle(f, d, hessians)
+    distinct = {tuple(map(tuple, h)) for h in hessians}
+    assert want.verdict == "certified" and len(distinct) < len(hessians)
+    calls = []
+    real = logconcave.inertia
+    monkeypatch.setattr(logconcave, "inertia", lambda h: calls.append(h) or real(h))
+    for _ in range(2):
+        calls.clear()
+        got = certify_clc_homogenization(f) if d is None else certify_clc_homogeneous(f, d)
+        assert got == want
+        assert len(calls) == len(distinct)
+        assert {tuple(map(tuple, h)) for h in calls} == distinct
 
 
 def test_certified_derivative_slices_stay_certified():

@@ -7,7 +7,9 @@ enumeration, multivariate mutual information via its closed alternating-sum
 form, the homogenization quadratics via their closed entry formulas computed
 straight from the table, the support-mask contraction sweep via derived
 polynomials and a breadth-first search, and its size buckets via the
-per-cell sweep that merges every monomial, the integer table loader via
+per-cell sweep that merges every monomial, the drivers' per-sweep inertia
+memo via a sweep that diagonalizes every quadratic cell, the sliced
+zeta/Moebius kernel via the per-mask loop, the integer table loader via
 one `Fraction` per entry, strong coverage synthesis via
 one Moebius inversion per contraction, matroid certificates read off the
 rank table via parallel classes asked of the oracle per contraction, the
@@ -51,7 +53,7 @@ from clckit import (
     walk_instance,
 )
 from clckit import coverage2
-from clckit.bitsets import labels_of, mask_of
+from clckit.bitsets import labels_of, mask_of, subset_transform
 from clckit.errors import InputError, MissingWitnessError
 from clckit.logconcave import contraction_cells
 from clckit.jsonio import dump_certificate, load_set_function
@@ -63,6 +65,8 @@ from clckit.walk import make_rng, philox_words, step
 
 from conftest import (
     CoverageInstance,
+    budget_additive_eleven,
+    certify_oracle,
     contraction_cells_oracle,
     coverage_instances,
     dense_of,
@@ -85,6 +89,7 @@ from conftest import (
     reference_strong_matroid,
     sample_chain_oracle,
     step_oracle,
+    subset_transform_oracle,
     symmetric_matrices,
     transition_matrix_oracle,
     verify_2cov_oracle,
@@ -602,6 +607,36 @@ def test_bucketed_sweep_matches_per_cell_oracle(f):
     # component; the oracle merges every monomial of the cell
     for d in (None, *range(f.n + 1)):
         assert _cell_stream(contraction_cells(f, d)) == _cell_stream(contraction_cells_oracle(f, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=sweep_tables())
+@example(f=SetFunctionTable(4, [min(m.bit_count(), 2) for m in range(16)]))
+@example(f=budget_additive_eleven())
+def test_drivers_match_memo_free_reference(f):
+    # the drivers diagonalize each distinct Hessian once per sweep; the
+    # reference diagonalizes every quadratic cell it reaches
+    assert certify_clc_homogenization(f) == certify_oracle(f, None)
+    for d in range(2, f.n + 1):
+        assert certify_clc_homogeneous(f, d) == certify_oracle(f, d)
+
+
+_TRANSFORM_VALUES = {"int": st.integers(-(10**6), 10**6), "float": st.floats(-1e6, 1e6)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(0, 8),
+    inverse=st.booleans(),
+    kind=st.sampled_from(sorted(_TRANSFORM_VALUES)),
+)
+def test_sliced_subset_transform_matches_per_mask_loop(data, n, inverse, kind):
+    values = data.draw(st.lists(_TRANSFORM_VALUES[kind], min_size=1 << n, max_size=1 << n))
+    got = subset_transform(list(values), inverse)
+    want = subset_transform_oracle(list(values), inverse)
+    # repr tells every float apart, -0.0 from 0.0 included: bit for bit
+    assert list(map(repr, got)) == list(map(repr, want))
 
 
 _MISSING = object()

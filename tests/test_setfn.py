@@ -18,7 +18,8 @@ from clckit import (
 )
 from clckit import jsonio
 from clckit.bitsets import coverage_values, coverage_weights, labels_of, mask_of
-from clckit.errors import CapExceededError
+from clckit import setfn
+from clckit.errors import CapExceededError, InternalCheckError
 from clckit.setfn import ZERO, exact, homogeneous_restrict, integer_scaled
 
 from clckit.counterexamples import budget_additive_table
@@ -190,6 +191,20 @@ def test_mobius_matches_fraction_oracle(rest):
     assert mob.weights == x
     lowest = min((x.get(m, ZERO) for m in range(1, 1 << n)), default=ZERO)
     assert (mob.min_weight, mob.is_coverage) == (lowest, lowest >= 0)
+
+
+def test_mobius_reconstruction_failure_names_the_first_wrong_set(monkeypatch):
+    real = setfn.coverage_values
+
+    def broken(x):
+        out = real(x)
+        out[0b101] += 1
+        out[0b110] += 1
+        return out
+
+    monkeypatch.setattr(setfn, "coverage_values", broken)
+    with pytest.raises(InternalCheckError, match=r"^Moebius reconstruction failed at S=\(1, 3\)$"):
+        mobius_coverage_weights(to_setfunction(UniformMatroid(2, 3)))
 
 
 def test_materialize_cap():
