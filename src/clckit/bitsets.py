@@ -12,11 +12,13 @@ from typing import Iterable, Iterator, Sequence
 
 
 def mask_of(labels: Iterable[int]) -> int:
-    """Pack 1-based element labels into a bitmask."""
+    """Pack distinct 1-based element labels into a bitmask."""
     m = 0
     for e in labels:
         if e < 1:
             raise ValueError(f"element labels are 1-based, got {e}")
+        if m >> (e - 1) & 1:
+            raise ValueError(f"label {e} is repeated")
         m |= 1 << (e - 1)
     return m
 

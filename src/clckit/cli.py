@@ -67,17 +67,15 @@ def _build_parser() -> _Parser:
 
     def common(p, cap=True):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if cap:  # True, or the group of a mode flag that --cap cannot go with
-            (p if cap is True else cap).add_argument(
-                "--cap", type=int, default=None, help="override the enumeration cap (with a warning)"
-            )
+        if cap:
+            p.add_argument("--cap", type=int, default=None, help="override the enumeration cap (with a warning)")
 
     p = sub.add_parser("certify-clc", help="sufficient conditions on a degree-d restriction")
-    p.add_argument("--input", help="set-function JSON")
-    uncapped = p.add_mutually_exclusive_group()
-    uncapped.add_argument("--poly", help="quadratic polynomial JSON (decides log-concavity exactly)")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--input", help="set-function JSON")
+    mode.add_argument("--poly", help="quadratic polynomial JSON (decides log-concavity exactly)")
     p.add_argument("--d", type=int)
-    common(p, uncapped)
+    common(p)
 
     p = sub.add_parser("certify-hom", help="sufficient conditions on the homogenization")
     p.add_argument("--input", required=True)
@@ -85,22 +83,22 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("certify-2cov", help="verify/synthesize/search two-coverage witnesses")
     p.add_argument("--input", help="set-function JSON (with --cert or --search)")
-    uncapped = p.add_mutually_exclusive_group()
-    uncapped.add_argument("--cert", help="certificate JSON to verify")
-    p.add_argument("--search", action="store_true", help="decide witness feasibility by exact LP")
-    p.add_argument("--matroid", help="matroid JSON: synthesize for its independence indicator")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--cert", help="certificate JSON to verify")
+    mode.add_argument("--search", action="store_true", default=None, help="decide witness feasibility by exact LP")
+    mode.add_argument("--matroid", help="matroid JSON: synthesize for its independence indicator")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--output", help="write the synthesized certificate here")
-    common(p, uncapped)
+    common(p)
 
     p = sub.add_parser("certify-strong", help="verify/synthesize strong certificates")
     p.add_argument("--input", help="set-function JSON (with --cert)")
-    uncapped = p.add_mutually_exclusive_group()
-    uncapped.add_argument("--cert", help="certificate JSON to verify")
-    p.add_argument("--matroid", help="matroid JSON: synthesize for its rank function")
-    p.add_argument("--coverage", help="coverage-instance JSON: synthesize directly")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--cert", help="certificate JSON to verify")
+    mode.add_argument("--matroid", help="matroid JSON: synthesize for its rank function")
+    mode.add_argument("--coverage", help="coverage-instance JSON: synthesize directly")
     p.add_argument("--output", help="write the synthesized certificate here")
-    common(p, uncapped)
+    common(p)
 
     p = sub.add_parser("mobius", help="coverage weights by Moebius inversion")
     p.add_argument("--input", required=True)
@@ -176,16 +174,14 @@ def _report(report, fmt: str) -> int:
 
 def _unread(args, *pairs: tuple[str, str]) -> None:
     """Refuse each (flag, mode) pair given together: the mode never reads
-    the flag. The words are those argparse uses for --cap beside --cert."""
+    the flag. The words are those argparse uses for two exclusive flags."""
     for flag, mode in pairs:
-        if getattr(args, flag[2:]) is not None and getattr(args, mode[2:]):
+        if getattr(args, flag[2:]) is not None and getattr(args, mode[2:]) is not None:
             raise InputError(f"argument {flag}: not allowed with argument {mode}")
 
 
 def _cmd_certify_clc(args) -> int:
-    if (args.input is None) == (args.poly is None):
-        raise InputError("provide exactly one of --input or --poly")
-    _unread(args, ("--d", "--poly"))
+    _unread(args, ("--cap", "--poly"), ("--d", "--poly"))
     if args.poly is not None:
         iner = quadratic_inertia(jsonio.load_polynomial(args.poly))
         ok = iner.n_pos <= 1
@@ -230,7 +226,7 @@ def _check_report(check, fmt: str) -> int:
 
 def _synth_report(cert, args, **fields) -> int:
     """Write a synthesized certificate to --output, if given, and report it."""
-    if args.output:
+    if args.output is not None:
         jsonio.write_certificate(args.output, cert)
     payload = {"synthesized": True, **fields, "witnesses": len(cert.witnesses)}
     _emit(payload, [f"synthesized and verified: {len(cert.witnesses)} witnesses"], args.format)
@@ -238,17 +234,14 @@ def _synth_report(cert, args, **fields) -> int:
 
 
 def _cmd_certify_2cov(args) -> int:
-    modes = sum(1 for flag in (args.cert, args.matroid) if flag) + (1 if args.search else 0)
-    if modes != 1:
-        raise InputError("provide exactly one of --cert, --search or --matroid")
-    _unread(args, ("--output", "--cert"), ("--output", "--search"), ("--input", "--matroid"))
-    if args.matroid:
+    _unread(args, ("--cap", "--cert"), ("--output", "--cert"), ("--output", "--search"), ("--input", "--matroid"))
+    if args.matroid is not None:
         m = jsonio.load_matroid(args.matroid)
         return _synth_report(synth_2cov_indicator(m, args.d, **_cap_kwargs(args)), args, d=args.d)
     if args.input is None:
         raise InputError("--input is required with --cert/--search")
     f = jsonio.load_set_function(args.input)
-    if args.cert:
+    if args.cert is not None:
         return _check_report(verify_2cov(f, args.d, jsonio.load_certificate(args.cert)), args.format)
     decision = decide_2cov(f, args.d, **_cap_kwargs(args))
     if decision.two_coverage:
@@ -268,16 +261,13 @@ def _cmd_certify_2cov(args) -> int:
 
 
 def _cmd_certify_strong(args) -> int:
-    modes = sum(1 for flag in (args.cert, args.matroid, args.coverage) if flag)
-    if modes != 1:
-        raise InputError("provide exactly one of --cert, --matroid or --coverage")
-    _unread(args, ("--output", "--cert"), ("--input", "--matroid"), ("--input", "--coverage"))
-    if args.cert:
+    _unread(args, ("--cap", "--cert"), ("--output", "--cert"), ("--input", "--matroid"), ("--input", "--coverage"))
+    if args.cert is not None:
         if args.input is None:
             raise InputError("--input is required with --cert")
         f = jsonio.load_set_function(args.input)
         return _check_report(verify_strong2cov(f, jsonio.load_certificate(args.cert)), args.format)
-    if args.matroid:
+    if args.matroid is not None:
         cert = synth_strong_matroid(jsonio.load_matroid(args.matroid), **_cap_kwargs(args))
     else:
         cert = synth_strong_from_parts(jsonio.load_coverage_instance(args.coverage), **_cap_kwargs(args))

@@ -7,12 +7,13 @@ base, so the choice is cosmetic.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping
 
-from .bitsets import coverage_values, coverage_weights, labels_of
+from .bitsets import coverage_values, coverage_weights
 from .errors import CapExceededError, InputError
 
 IDENTITY_TOL = 1e-9
@@ -33,6 +34,8 @@ class JointDistribution:
             for v, k in zip(outcome, self.alphabets):
                 if not 0 <= v < k:
                     raise InputError(f"outcome {outcome} leaves the alphabet")
+            if math.isnan(p):
+                raise InputError(f"probability {p} at {outcome} is not a number")
             if p < 0:
                 raise InputError(f"negative probability {p} at {outcome}")
         total = math.fsum(self.pmf.values())
@@ -44,47 +47,18 @@ class JointDistribution:
         return len(self.alphabets)
 
 
-class _Entropies:
-    """Marginal entropies by mask, with memoized conditional MMI recursion."""
-
-    def __init__(self, joint: JointDistribution):
-        self.joint = joint
-        self._h: dict[int, float] = {0: 0.0}
-        self._mmi: dict[tuple[tuple[int, ...], int], float] = {}
-
-    def h(self, mask: int) -> float:
-        got = self._h.get(mask)
-        if got is not None:
-            return got
-        # one index makes itemgetter return a bare value, not a 1-tuple;
-        # either keys the marginal, and mask 0 never reaches here
-        marg: dict = {}
-        key = itemgetter(*(b for b in range(self.joint.n) if mask >> b & 1))
-        for outcome, p in self.joint.pmf.items():
-            if p == 0.0:
-                continue
-            k = key(outcome)
-            marg[k] = marg.get(k, 0.0) + p
-        value = -math.fsum(p * math.log2(p) for p in marg.values() if p > 0.0)
-        self._h[mask] = value
-        return value
-
-    def cond(self, smask: int, cmask: int) -> float:
-        return self.h(smask | cmask) - self.h(cmask)
-
-    def mmi(self, order: tuple[int, ...], cmask: int) -> float:
-        """I(Y_t1, ..., Y_tk | Y_C) for the labels `order` and the mask C:
-        I(X_1..X_k | Z) = I(X_1..X_{k-1} | Z) - I(X_1..X_{k-1} | X_k, Z)."""
-        if len(order) == 1:
-            return self.cond(1 << (order[0] - 1), cmask)
-        key = (order, cmask)
-        got = self._mmi.get(key)
-        if got is not None:
-            return got
-        head, last = order[:-1], order[-1]
-        value = self.mmi(head, cmask) - self.mmi(head, cmask | 1 << (last - 1))
-        self._mmi[key] = value
-        return value
+def _entropy(joint: JointDistribution, mask: int) -> float:
+    """H(Y_S) in bits for the nonempty mask S, with 0 log 0 = 0."""
+    # one index makes itemgetter return a bare value, not a 1-tuple;
+    # either keys the marginal
+    marg: dict = {}
+    key = itemgetter(*(b for b in range(joint.n) if mask >> b & 1))
+    for outcome, p in joint.pmf.items():
+        if p == 0.0:
+            continue
+        k = key(outcome)
+        marg[k] = marg.get(k, 0.0) + p
+    return -math.fsum(p * math.log2(p) for p in marg.values() if p > 0.0)
 
 
 @dataclass(frozen=True)
@@ -111,13 +85,20 @@ def entropy_decomposition(joint: JointDistribution, cap: int = 8) -> EntropyDeco
     n = joint.n
     if n > cap:
         raise CapExceededError(f"n={n} exceeds cap {cap}")
-    calc = _Entropies(joint)
     size = 1 << n
     full = size - 1
-    values = tuple(calc.h(m) for m in range(size))
-    weights = {
-        t: calc.mmi(labels_of(t), full ^ t) for t in range(1, size)
-    }
+    values = (0.0,) + tuple(_entropy(joint, m) for m in range(1, size))
+
+    @functools.cache
+    def mmi(t: int, c: int) -> float:
+        """I(Y_T | Y_C) for the masks T and C, peeling T's highest label X:
+        I(Y_T | Y_C) = I(Y_{T-X} | Y_C) - I(Y_{T-X} | X, Y_C)."""
+        if not t & (t - 1):
+            return values[t | c] - values[c]
+        top = 1 << (t.bit_length() - 1)
+        return mmi(t ^ top, c) - mmi(t ^ top, c | top)
+
+    weights = {t: mmi(t, full ^ t) for t in range(1, size)}
     rebuilt = coverage_values([0.0] + [weights[t] for t in range(1, size)])
     residual = max(abs(v - r) for v, r in zip(values, rebuilt))
     # uniqueness cross-check: the Moebius inversion of the entropy table must

@@ -306,13 +306,7 @@ def load_matroid(path: str) -> Matroid:
     if kind == "graphic":
         _closed(doc, ("type", "vertices", "edges"), "document")
         vertices = _size(_field(doc, "vertices"), "vertices")
-        edges = []
-        for k, e in enumerate(_field(doc, "edges", list)):
-            edge = _ints(e, f"edges[{k}]")
-            if not all(1 <= v <= vertices for v in edge):
-                raise InputError(f"edges[{k}]: edge {edge} references an unknown vertex")
-            edges.append(tuple(edge))
-        return GraphicMatroid(vertices, edges)
+        return GraphicMatroid(vertices, [_ints(e, f"edges[{k}]") for k, e in enumerate(_field(doc, "edges", list))])
     if kind == "explicit":
         _closed(doc, ("type", "n", "independent"), "document")
         family = [_ints(i, f"independent[{k}]") for k, i in enumerate(_field(doc, "independent", list))]

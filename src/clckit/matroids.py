@@ -25,6 +25,14 @@ def _distinct(labels: Iterable[int], at: str) -> frozenset:
     return s
 
 
+def _count(value, at: str) -> int:
+    """A caller's nonnegative integer, in the file loader's words when it is
+    not one: a bool or a float is refused, never truncated."""
+    if type(value) is not int or value < 0:
+        raise InputError(f"{at}: expected a nonnegative integer, found {value!r}")
+    return value
+
+
 class Matroid:
     """Rank oracle over the ground labels 1..n, queried by bitmask. The
     elements are a range, so a size n is compared with a cap before anything
@@ -45,7 +53,7 @@ class UniformMatroid(Matroid):
     """U_{r,n}: every set of size at most r is independent."""
 
     def __init__(self, r: int, n: int):
-        if not 0 <= r <= n:
+        if _count(r, "r") > _count(n, "n"):
             raise InputError("need 0 <= r <= n")
         self.r = r
         self.n = n
@@ -62,11 +70,9 @@ class PartitionMatroid(Matroid):
 
     def __init__(self, blocks: Sequence[Iterable[int]], caps: Sequence[int]):
         sets = [_distinct(b, f"blocks[{k}]") for k, b in enumerate(blocks)]
-        self.caps = tuple(int(c) for c in caps)
+        self.caps = tuple(_count(c, f"caps[{k}]") for k, c in enumerate(caps))
         if len(sets) != len(self.caps):
             raise InputError("need one cap per block")
-        if any(c < 0 for c in self.caps):
-            raise InputError("caps must be nonnegative")
         self.n = sum(len(b) for b in sets)
         if frozenset().union(*sets) != frozenset(self.elements):
             raise InputError("blocks must partition {1,...,n}")
@@ -83,16 +89,18 @@ class GraphicMatroid(Matroid):
     """Cycle matroid of a multigraph; self-loop edges are matroid loops."""
 
     def __init__(self, num_vertices: int, edges: Sequence[tuple[int, int]]):
-        if num_vertices < 0:
-            raise InputError("vertex count must be nonnegative")
-        self.num_vertices = num_vertices
-        self.edges = tuple(tuple(map(int, e)) for e in edges)
+        self.num_vertices = _count(num_vertices, "num_vertices")
+        self.edges = tuple(map(tuple, edges))
+        # every edge's endpoints before any edge's length: the file loader's
+        # order, which checked the endpoints of each edge as it read it
+        for k, e in enumerate(self.edges):
+            if not all(type(v) is int for v in e):
+                raise InputError(f"edges[{k}]: edge {list(e)} has an endpoint that is not an integer")
+            if not all(1 <= v <= num_vertices for v in e):
+                raise InputError(f"edges[{k}]: edge {list(e)} references an unknown vertex")
         for k, e in enumerate(self.edges):
             if len(e) != 2:
                 raise InputError(f"edges[{k}]: an edge joins 2 vertices, found {len(e)}")
-            u, v = e
-            if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
-                raise InputError(f"edge ({u},{v}) references an unknown vertex")
         self.n = len(self.edges)
         # union-find runs over the endpoints only, renumbered from 0, so a
         # rank query costs the same whatever the vertex count

@@ -10,11 +10,13 @@ import dataclasses
 import importlib.util
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from typing import Mapping, NamedTuple
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
@@ -35,7 +37,6 @@ from clckit import inertia, jsonio, materialize
 from clckit.bitsets import labels_of, mask_of, masks_of_size, submasks
 from clckit.counterexamples import _monotone_witness, _submodular_witness
 from clckit.coverage2 import CertificateCheck
-from clckit.entropy import _Entropies
 from clckit.errors import InputError, InternalCheckError, MissingWitnessError, NotAMatroidError
 from clckit.logconcave import (
     CertFailure,
@@ -52,7 +53,7 @@ from clckit.simplex import LPFeasibility, phase1
 from clckit.walk import MixingResult, make_rng
 
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def value_of(f: SetFunctionTable, labels) -> Fraction:
@@ -60,13 +61,25 @@ def value_of(f: SetFunctionTable, labels) -> Fraction:
     return f[mask_of(labels)]
 
 
+def _perfbench_module(name: str, **siblings):
+    """A fresh copy of perfbench/<name>.py, loaded by path, with `siblings`
+    importable under their names while it loads."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module, **siblings}):
+        spec.loader.exec_module(module)
+    return module
+
+
 def perfbench_tracing():
-    """A fresh copy of the benchmark's tracing module, perfbench/tracing.py,
-    loaded by path."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    """A fresh copy of the benchmark's tracing module, perfbench/tracing.py."""
+    return _perfbench_module("tracing")
+
+
+def perfbench_workloads():
+    """A fresh copy of the benchmark's workloads, perfbench/workloads.py,
+    whose `build(workload, seed, root)` writes a batch's input files."""
+    return _perfbench_module("workloads", inputs=_perfbench_module("inputs"))
 
 
 def layer_functions() -> dict[str, tuple[str, ...]]:
@@ -926,25 +939,54 @@ def mixing_time_oracle(w, eps, cap: int = 2000, max_steps: int = 10**6, max_bits
     return MixingResult(t, ratio, tuple(curve), True, switched_at)
 
 
+def marginal_entropies(joint) -> list[float]:
+    """H(Y_S) in bits for every mask S, each marginal summed from the pmf,
+    with the 0 log 0 = 0 convention."""
+    out = []
+    for mask in range(1 << joint.n):
+        idx = [b for b in range(joint.n) if mask >> b & 1]
+        marg: dict = {}
+        for outcome, p in joint.pmf.items():
+            key = tuple(outcome[b] for b in idx)
+            marg[key] = marg.get(key, 0.0) + p
+        out.append(-math.fsum(p * math.log2(p) for p in marg.values() if p > 0))
+    return out
+
+
+def _inclusion_exclusion(h, tmask: int, cmask: int) -> float:
+    """I(Y_T | Y_C) = -sum over nonempty U in T of (-1)^|U| H(Y_U | Y_C),
+    from the marginal entropies h by mask."""
+    return -math.fsum((-1) ** u.bit_count() * (h[u | cmask] - h[cmask]) for u in submasks(tmask) if u)
+
+
 def cond_entropy(joint, s, c=()) -> float:
     """H(Y_S | Y_C) in bits, with the 0 log 0 = 0 convention."""
     smask, cmask = mask_of(s), mask_of(c)
     if smask & cmask:
         raise ValueError("conditioned variables overlap the target set")
-    return _Entropies(joint).cond(smask, cmask)
+    h = marginal_entropies(joint)
+    return h[smask | cmask] - h[cmask]
 
 
 def mmi(joint, order, c=()) -> float:
-    """Multivariate mutual information I(Y_t1, ..., Y_tk | Y_C), by the
-    recursion of `_Entropies.mmi`; it does not depend on the ordering (and
-    can be negative for k >= 3)."""
-    order = tuple(order)
-    if not order:
+    """Multivariate mutual information I(Y_t1, ..., Y_tk | Y_C), by
+    inclusion-exclusion over the marginals, so it does not read the
+    library's recursion; it does not depend on the ordering (and can be
+    negative for k >= 3)."""
+    tmask, cmask = mask_of(order), mask_of(c)
+    if not tmask:
         raise ValueError("need at least one variable")
-    cmask = mask_of(c)
-    if mask_of(order) & cmask:
+    if tmask & cmask:
         raise ValueError("conditioned variables overlap the target set")
-    return _Entropies(joint).mmi(order, cmask)
+    return _inclusion_exclusion(marginal_entropies(joint), tmask, cmask)
+
+
+def interaction_weights(joint) -> dict[int, float]:
+    """I(Y_T | Y_rest) for every nonempty mask T, by `mmi`'s
+    inclusion-exclusion over one table of marginals."""
+    h = marginal_entropies(joint)
+    full = len(h) - 1
+    return {t: _inclusion_exclusion(h, t, full ^ t) for t in range(1, len(h))}
 
 
 # --- library code that no command runs -------------------------------------------

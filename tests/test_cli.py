@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -908,6 +909,66 @@ def test_cap_refused_where_nothing_is_capped(capsys, argv, mode):
     code = run(argv + ["--cap", "3"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (3, "", f"error: argument --cap: not allowed with argument {mode}\n")
+
+
+# command: (arguments every run needs, its mode flags in the order the
+# parser lists them, the (flag, mode) pairs its handler refuses, --cap first)
+_MODES = {
+    "certify-clc": ([], ("--input", "--poly"), (("--cap", "--poly"), ("--d", "--poly"))),
+    "certify-2cov": (["--d", "2"], ("--cert", "--search", "--matroid"),
+                     (("--cap", "--cert"), ("--output", "--cert"), ("--output", "--search"), ("--input", "--matroid"))),
+    "certify-strong": ([], ("--cert", "--matroid", "--coverage"),
+                       (("--cap", "--cert"), ("--output", "--cert"), ("--input", "--matroid"), ("--input", "--coverage"))),
+}
+
+
+def _given(flag: str) -> list[str]:
+    """The flag with a value: a number for --cap and --d, else a path that
+    names no file (the placeholder FILE)."""
+    if flag == "--search":
+        return [flag]
+    return [flag, "3" if flag in ("--cap", "--d") else "FILE"]
+
+
+def _mode_cases():
+    for command, (base, modes, pairs) in _MODES.items():
+        yield [command, *base], f"one of the arguments {' '.join(modes)} is required"
+        for first, second in combinations(modes, 2):
+            yield [command, *base, *_given(first), *_given(second)], f"argument {second}: not allowed with argument {first}"
+        for flag, mode in pairs:
+            yield [command, *base, *_given(mode), *_given(flag)], f"argument {flag}: not allowed with argument {mode}"
+        # --cap is refused before any other flag its mode never reads
+        cap_mode = pairs[0][1]
+        others = [a for flag, mode in pairs[1:] if mode == cap_mode for a in _given(flag)]
+        yield [command, *base, *_given(cap_mode), *others, "--cap", "3"], f"argument --cap: not allowed with argument {cap_mode}"
+
+
+_MODE_CASES = list(_mode_cases())
+
+
+@pytest.mark.parametrize("argv, message", _MODE_CASES, ids=[" ".join(argv) for argv, _ in _MODE_CASES])
+def test_mode_errors_before_any_file_is_opened(tmp_path, capsys, monkeypatch, argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"opened {args[0]!r}")
+
+    monkeypatch.setattr("builtins.open", refuse)
+    code = run([str(tmp_path / "file.json") if a == "FILE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["certify-strong", "--cert", "", "--input", "RANK"], ["certify-strong", "--matroid", "M", "--output", ""]],
+    ids=["cert", "output"],
+)
+def test_empty_path_is_a_path(tmp_path, capsys, argv):
+    # an empty value names no file; it is neither another mode nor no output
+    files = {"M": _write(tmp_path, "m.json", {"type": "uniform", "r": 2, "n": 3}), "RANK": _u23_file(tmp_path, "rank")}
+    code = run([files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", "error: [Errno 2] No such file or directory: ''\n")
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clckit import JointDistribution, entropy_decomposition
+from clckit import JointDistribution, entropy_decomposition, jsonio
+from clckit.errors import InputError
 
-from conftest import cond_entropy, mmi
+from conftest import cond_entropy, interaction_weights, mmi, perfbench_workloads
 
 TOL = 1e-9
 
@@ -54,6 +57,39 @@ def test_mmi_examples():
     assert mmi(independent_bits(), (1, 2)) == pytest.approx(0.0, abs=TOL)
     assert mmi(independent_bits(), (1,), [2]) == pytest.approx(1.0, abs=TOL)
     assert mmi(xor_triple(), (1, 2, 3)) == pytest.approx(-1.0, abs=TOL)
+
+
+@st.composite
+def joints(draw):
+    """A pmf over 1..5 variables of alphabets 1..3, some outcomes of mass 0."""
+    n = draw(st.integers(1, 5))
+    alphabets = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    outcomes = list(itertools.product(*map(range, alphabets)))
+    counts = draw(st.lists(st.integers(0, 9), min_size=len(outcomes), max_size=len(outcomes)).filter(any))
+    total = sum(counts)
+    return JointDistribution(alphabets, {o: c / total for o, c in zip(outcomes, counts)})
+
+
+def assert_weights_match_oracle(joint):
+    dec = entropy_decomposition(joint)
+    oracle = interaction_weights(joint)
+    assert dec.weights.keys() == oracle.keys()
+    for t, w in oracle.items():
+        assert dec.weights[t] == pytest.approx(w, abs=TOL), t
+
+
+@settings(max_examples=80, deadline=None)
+@given(joint=joints())
+def test_weights_match_inclusion_exclusion_oracle(joint):
+    assert_weights_match_oracle(joint)
+
+
+def test_weights_match_oracle_on_benchmark_pmf(tmp_path):
+    # the n = 8 pmf of the certify workload's seed-1 batch
+    perfbench_workloads().build("certify", 1, tmp_path)
+    joint = jsonio.load_joint_distribution(str(tmp_path / "pmf-8.json"))
+    assert joint.n == 8
+    assert_weights_match_oracle(joint)
 
 
 def test_mmi_order_invariance():
@@ -133,3 +169,10 @@ def test_pmf_validation():
         JointDistribution((2,), {(0,): 1.5, (1,): -0.5})
     with pytest.raises(ValueError):
         JointDistribution((2,), {(2,): 1.0})
+
+
+def test_nan_probability_refused():
+    # abs(nan - 1) > 1e-12 is False, so the sum check alone would pass it
+    # and the decomposition would report H = 0.5 bits
+    with pytest.raises(InputError, match=r"probability nan at \(0,\) is not a number"):
+        JointDistribution((2,), {(0,): float("nan"), (1,): 0.5})

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from clckit import (
     ExplicitMatroid,
     GraphicMatroid,
+    PartitionMatroid,
     UniformMatroid,
     independence_indicator,
     parallel_partition,
     to_setfunction,
 )
 from clckit.bitsets import labels_of, mask_of, masks_of_size
-from clckit.errors import NotAMatroidError
+from clckit.errors import InputError, NotAMatroidError
 
 from conftest import (
     contracted_classes,
@@ -115,6 +116,31 @@ def test_validate_explicit():
     assert validate_explicit(3, family) is None
     with pytest.raises(NotAMatroidError):
         ExplicitMatroid(2, [[], [1], [1, 2]])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GraphicMatroid(2, [(1, 2), (1.9, 2)]), "edges[1]: edge [1.9, 2] has an endpoint that is not an integer"),
+        (lambda: GraphicMatroid(2, [(True, 2)]), "edges[0]: edge [True, 2] has an endpoint that is not an integer"),
+        (lambda: GraphicMatroid(2.0, [(1, 2)]), "num_vertices: expected a nonnegative integer, found 2.0"),
+        (lambda: PartitionMatroid([[1], [2]], [1.5, 1]), "caps[0]: expected a nonnegative integer, found 1.5"),
+        (lambda: PartitionMatroid([[1], [2]], [1, True]), "caps[1]: expected a nonnegative integer, found True"),
+        (lambda: PartitionMatroid([[1], [2]], [1, -1]), "caps[1]: expected a nonnegative integer, found -1"),
+        (lambda: UniformMatroid(True, 2), "r: expected a nonnegative integer, found True"),
+        (lambda: UniformMatroid(1, 2.0), "n: expected a nonnegative integer, found 2.0"),
+        # every range before any length, as the file loader reports them
+        (lambda: GraphicMatroid(2, [(1, 2, 2), (1, 3)]), "edges[1]: edge [1, 3] references an unknown vertex"),
+        (lambda: GraphicMatroid(2, [(1, 2, 2), (1, 2)]), "edges[0]: an edge joins 2 vertices, found 3"),
+    ],
+    ids=["graphic-float-end", "graphic-bool-end", "graphic-float-vertices", "partition-float-cap",
+         "partition-bool-cap", "partition-negative-cap", "uniform-bool-rank", "uniform-float-size",
+         "graphic-range-first", "graphic-length"],
+)
+def test_constructors_refuse_what_they_would_truncate(build, message):
+    with pytest.raises(InputError) as err:
+        build()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("label", [3, 0, -1])

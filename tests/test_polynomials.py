@@ -65,6 +65,13 @@ def test_derive_x():
     assert dp.coeffs == {0b010: 3, 0b100: 1}
 
 
+def test_derive_refuses_a_repeated_label():
+    # the multiaffine d1 d1 p is 0; a merged (1, 1) would return d1 p
+    p = MultiaffinePolynomial(2, {0b01: 1, 0b11: 2})
+    with pytest.raises(ValueError, match="^label 1 is repeated$"):
+        derive(p, (1, 1))
+
+
 def test_derive_homogenized_cardinality():
     q = homogenize(cardinality_table(2))
     dq = derive(q, (), 1)

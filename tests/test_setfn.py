@@ -100,6 +100,14 @@ def test_table_rejects_floats():
         SetFunctionTable.from_entries(2, {(1,): 0.5})
 
 
+def test_repeated_label_refused_not_merged():
+    # (1, 1) would pack to the mask of (1,) and overwrite f({1}) = 2 with 5
+    with pytest.raises(ValueError, match="^label 1 is repeated$"):
+        mask_of([1, 2, 1])
+    with pytest.raises(ValueError, match="^label 1 is repeated$"):
+        SetFunctionTable.from_entries(2, {(1,): 2, (1, 1): 5})
+
+
 @pytest.mark.parametrize(
     "value, error, message",
     [
