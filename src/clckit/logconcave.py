@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate, chain
+from bisect import bisect_left
+from itertools import accumulate, chain, combinations, repeat
 from operator import or_
 from typing import Iterable, Sequence
 
-from .bitsets import labels_of, masks_of_size
+from .bitsets import labels_of
 from .errors import CapExceededError, InputError
 from .polynomials import MultiaffinePolynomial, Polynomial, quadratic_hessian
 from .setfn import SetFunctionTable, exact, integer_scaled
@@ -181,58 +181,115 @@ class CertificationReport:
         return self.verdict in (VERDICT_CERTIFIED, VERDICT_VACUOUS)
 
 
+def _grows_to_one(seed: int, columns: list[int]) -> bool:
+    """Whether a cell is one component. Monomials are bits of a support
+    bitset, `columns` holds each variable's monomials in the cell, and
+    `seed` is one of them: its component grows by ORing in every column
+    that meets it, until every column is in or a pass adds none."""
+    while columns:
+        rest = []
+        for col in columns:
+            if col & seed:
+                seed |= col
+            else:
+                rest.append(col)
+        if len(rest) == len(columns):
+            return False
+        columns = rest
+    return True
+
+
+def _supports(cols: list[int], n: int, size: int, everything: int):
+    """(tau mask, support bitset) for the taus of one size in masks_of_size
+    order: the AND of tau's columns. The taus that share all but their top
+    element come in one run, and the AND of that head is taken once."""
+    if not size:
+        yield 0, everything
+        return
+    for head in combinations(range(n - 1), size - 1):
+        hmask, hcell = 0, everything
+        for b in head:
+            hmask |= 1 << b
+            hcell &= cols[b]
+        for top in range(head[-1] + 1 if head else 0, n):
+            yield hmask | 1 << top, hcell & cols[top]
+
+
 def contraction_cells(f: SetFunctionTable, d: int | None):
     """Sweep the contracted derivatives of f^(d), or of q_f when d is None.
 
     Yields (tau mask, k, components, quadratic) per cell: contraction sets tau
     by increasing size in masks_of_size order and, for q_f, the y-orders k of
-    d^tau d_y^k q_f nested inside. Only supports are tracked: a cell's support
-    is its parent's (tau minus its largest element) filtered by that element,
-    and `components` lists the cell's connected variable masks (empty for a
-    zero cell). f^(d) has the cells |tau| <= d-2 with k None; q_f has
-    k + |tau| <= n-1, where the monomial x^S keeps y^(n+1-|S|-k).
-    `quadratic` marks the last cells, those of degree 2.
+    d^tau d_y^k q_f nested inside. `components` lists the cell's connected
+    variable masks, bit 0 for y and bit i for x_i (empty for a zero cell).
+    f^(d) has the cells |tau| <= d-2 with k None; q_f has k + |tau| <= n-1,
+    where the monomial x^S keeps y^(n+1-|S|-k). `quadratic` marks the last
+    cells, those of degree 2.
 
-    Each tau's support is bucketed by |S| once. In the cell whose top size
-    is t (t = n+1-k for q_f, t = d for f^(d)), every monomial with |S| < t
-    carries y, so together they form one component: the y bit and the OR of
-    their variables, kept cumulatively over the sizes. Only the monomials
-    of size t are merged into it one by one, and only when some variable of
-    size t lies outside it; otherwise each of them meets it, and it is the
-    cell's one component. The sweep of one tau is linear in its support.
+    Supports are bitsets over the support list, which is ordered by |S| so
+    that each size is one contiguous bit range; the column of x_i holds the
+    monomials containing i. In the cell whose top size is t (t = n+1-k for
+    q_f, t = d for f^(d)), the monomials with |S| < t carry y, and a
+    variable's first size is that of the lowest bit of its column within
+    tau's support. So the cell is one component when some monomial lies
+    below t and no variable first appears at t. Otherwise `_grows_to_one`
+    decides, and `_components` lists the components of a decomposable cell.
     """
     n = f.n
     if d is None:
-        support, last, tmax = f.support(), n - 1, n + 1
+        support, last = sorted(f.support(), key=int.bit_count), n - 1
     else:
         if not 0 <= d <= n:
             raise InputError(f"degree {d} out of range for n={n}")
-        support, last, tmax = f.support(d), d - 2, d
-    buckets = [[] for _ in range(tmax + 1)]  # by |S|, up to the largest top size
-    for s in support:
-        buckets[s.bit_count()].append(s)
-    prev = {0: buckets}
+        support, last = f.support(d), d - 2
+    sizes = [s.bit_count() for s in support]
+    below = [(1 << bisect_left(sizes, t)) - 1 for t in range(n + 3)]  # the monomials of size < t
+    cols = []  # cols[i]: bit j set iff i is in support[j], read off one byte of the masks at a time
+    for lo in range(0, n, 8):
+        octets = bytes([s >> lo & 255 for s in reversed(support)])
+        for b in range(min(8, n - lo)):
+            digit_of = bytes(b"01"[x >> b & 1] for x in range(256))
+            cols.append(int(octets.translate(digit_of) or b"0", 2))
     for size in range(last + 1):
-        level = {}
-        for tmask in masks_of_size(n, size):
-            top = tmask and 1 << (tmask.bit_length() - 1)
-            buckets = level[tmask] = [
-                [s for s in b if s & top == top] if b else b for b in prev[tmask ^ top]
+        cells = [(None, d)] if d is not None else [(k, n + 1 - k) for k in range(n - size)]
+        for tmask, cell in _supports(cols, n, size, below[-1]):
+            low = cell & -cell
+            c0 = sizes[low.bit_length() - 1] if cell else n + 2  # the smallest size in the cell
+            found = [
+                (2 << v, col) for v in range(n) if not tmask >> v & 1 and (col := cols[v] & cell)
             ]
-            # y and the variables of each size; below[t]: the y component of the sizes < t
-            ys = [(reduce(or_, b) ^ tmask) << 1 | 1 if b else 0 for b in buckets]
-            below = [0, *accumulate(ys, or_)]
-            cells = [(None, d)] if d is not None else [(k, n + 1 - k) for k in range(n - size)]
+            if d is None:
+                firsts = [sizes[(col & -col).bit_length() - 1] for _, col in found]
+                first = [0] * (n + 2)  # first[s]: the variables whose first size is s
+                for (bit, _), s in zip(found, firsts):
+                    first[s] |= bit
+                upto = list(accumulate(first, or_))  # upto[t]: the variables of sizes <= t
+            else:  # one size: a nonzero cell has c0 = t = d, so only upto[d] is read
+                firsts = repeat(d)
+                first = upto = [0] * d + [sum(bit for bit, _ in found)]
             for k, t in cells:
-                seed = below[t]
-                if seed and not ys[t] & ~seed:
-                    comps = [seed]  # each top monomial meets the y component
+                if c0 > t:
+                    comps = []
+                elif c0 < t and not first[t]:
+                    comps = [upto[t] | 1]  # each top monomial meets the y component
                 else:
-                    monos = [seed] if seed else []
-                    comps = _components(monos + [(s ^ tmask) << 1 for s in buckets[t]])
-                quadratic = size == last if k is None else k == last - size
-                yield tmask, k, comps, quadratic
-        prev = level
+                    within = below[t + 1]
+                    trim = cell > within
+                    columns = [
+                        col & within if trim else col for (_, col), s in zip(found, firsts) if s <= t
+                    ]
+                    if c0 < t:
+                        columns.append(cell & below[t])  # the column of y
+                    if _grows_to_one(low, columns):
+                        comps = [upto[t] | (c0 < t)]
+                    else:
+                        bits = bin(cell & within)[:1:-1]
+                        comps = _components(
+                            (support[j] ^ tmask) << 1 | (sizes[j] < t)
+                            for j, bit in enumerate(bits)
+                            if bit == "1"
+                        )
+                yield tmask, k, comps, size == last if k is None else k == last - size
 
 
 def _quadratic_hessian(vals: Sequence[int], n: int, tmask: int, k: int | None) -> list[list[int]]:
@@ -255,10 +312,13 @@ def _certify(f: SetFunctionTable, d: int | None) -> CertificationReport:
     """Both drivers: the sufficient conditions on f^(d), or on q_f when d is None.
 
     Saturated tables repeat their Hessians across tau, so each distinct one
-    is diagonalized once per sweep: `n_pos_of` maps a Hessian's exact
-    integer rows to its n_pos and lives only for this call."""
+    is built and diagonalized once per sweep: `n_pos_of` maps a Hessian's
+    key, the table numerators of its upper triangle (and, for q_f, of its y
+    row), to its n_pos and lives only for this call. The key's length fixes
+    the dimension, so equal keys are equal Hessians."""
+    n, nums = f.n, f.nums
     checks = 0
-    n_pos_of: dict[tuple[tuple[int, ...], ...], int] = {}
+    n_pos_of: dict[tuple[int, ...], int] = {}
     for tmask, k, comps, quadratic in contraction_cells(f, d):
         if not checks and not comps:
             # the first cell is the polynomial itself
@@ -266,10 +326,13 @@ def _certify(f: SetFunctionTable, d: int | None) -> CertificationReport:
         checks += 1
         # a plain quadratic (d = 2) is decided by its Hessian even when decomposable
         if comps and quadratic and (d == 2 or len(comps) == 1):
-            h = tuple(map(tuple, _quadratic_hessian(f.nums, f.n, tmask, k)))
-            n_pos = n_pos_of.get(h)
+            rest = [tmask | 1 << b for b in range(n) if not tmask >> b & 1]
+            key = tuple([nums[a | b] for a, b in combinations(rest, 2)])
+            if k is not None:
+                key += (nums[tmask], *[nums[a] for a in rest])
+            n_pos = n_pos_of.get(key)
             if n_pos is None:
-                n_pos = n_pos_of[h] = inertia(h).n_pos
+                n_pos = n_pos_of[key] = inertia(_quadratic_hessian(nums, n, tmask, k)).n_pos
             checks += 1
             if n_pos > 1:
                 verdict = VERDICT_REFUTED if d == 2 else VERDICT_CONDITIONS_FAIL

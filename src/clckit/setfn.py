@@ -115,12 +115,20 @@ class SetFunctionTable:
 
     @classmethod
     def from_entries(cls, n: int, entries: Mapping) -> "SetFunctionTable":
-        """Build from {labels-or-mask: value}; unspecified subsets default to 0."""
+        """Build from {labels-or-mask: value}; unspecified subsets default to 0.
+        A bool key, a mask outside [0, 2^n) and two keys naming one subset
+        are refused."""
         vals = [0] * (1 << n)
+        key_of: dict[int, object] = {}
         for key, v in entries.items():
+            if isinstance(key, bool):
+                raise ValueError(f"subset key {key!r} is a bool, not a mask or labels")
             mask = key if isinstance(key, int) else mask_of(key)
-            if mask >= 1 << n:
+            if not 0 <= mask < 1 << n:
                 raise ValueError(f"subset {key} out of range for n={n}")
+            if mask in key_of:
+                raise ValueError(f"subset {key} repeats the subset of {key_of[mask]}")
+            key_of[mask] = key
             vals[mask] = exact(v)
         return cls.of(n, vals)
 

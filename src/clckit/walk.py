@@ -28,19 +28,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul, sub
-from typing import Callable, Iterator, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from .bitsets import labels_of
 from .errors import CapExceededError, InputError, InternalCheckError
 from .setfn import SetFunctionTable, exact
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RNG_SCHEME = "philox4x64-10/v1"
 WORD_BLOCK = 1024  # uint32 words drawn from the generator per numpy call
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    import numpy as np  # only the walk needs numpy, so importing clckit does not load it
+
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -51,6 +54,8 @@ def philox_words(rng: np.random.Generator) -> Iterator[int]:
     as little-endian bytes cut to n, and those words continue one stream
     across calls, so reading the words in blocks yields the same stream.
     """
+    import numpy as np
+
     while True:
         yield from rng.integers(0, 2**32, size=WORD_BLOCK, dtype=np.uint32).tolist()
 
@@ -293,6 +298,8 @@ def mixing_time_exact(
             if new_tv > tv:
                 raise InternalCheckError("TV increased during exact powering")
             if scale.bit_length() > max_bits and _exceeds_bits(rows, scale, max_bits):
+                import numpy as np
+
                 rows = np.array([[a / scale for a in row] for row in rows])
                 p = np.zeros((k, k))
                 for i, row in enumerate(tm.rows):
@@ -305,7 +312,7 @@ def mixing_time_exact(
         else:
             rows = rows @ p
             t += 1
-            new_tv = float(np.max(np.abs(rows - mu).sum(axis=1)) / 2.0)
+            new_tv = float(abs(rows - mu).sum(axis=1).max() / 2.0)
             if new_tv > float(tv) + 1e-12:
                 raise InternalCheckError("TV increased during float powering")
         tv = new_tv

@@ -396,8 +396,9 @@ def certify_oracle(f: SetFunctionTable, d: int | None, hessians: list | None = N
 
 def contraction_cells_oracle(f: SetFunctionTable, d: int | None):
     """The contraction sweep of `clckit.logconcave.contraction_cells`, cell by
-    cell, with no buckets: each q_f cell (tau, k) lists every monomial of
-    its support, y on those below the top size, and merges them all."""
+    cell, on lists of masks: each cell (tau, k) lists every monomial of its
+    support, for q_f with y on those below the top size, and merges them
+    all into components."""
     n = f.n
     if d is None:
         support, last = f.support(), n - 1

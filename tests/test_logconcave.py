@@ -234,6 +234,46 @@ def test_sweep_diagonalizes_each_distinct_hessian_once(monkeypatch, d):
         assert {tuple(map(tuple, h)) for h in calls} == distinct
 
 
+@pytest.mark.parametrize("d", [None, 4])
+def test_sweep_builds_each_distinct_hessian_once(monkeypatch, d):
+    # the memo is keyed by the table numerators a Hessian is read from, so a
+    # matrix is built only on a miss: once per distinct Hessian and call
+    f = to_setfunction(UniformMatroid(4, 10))
+    hessians = []
+    want = certify_oracle(f, d, hessians)
+    distinct = {tuple(map(tuple, h)) for h in hessians}
+    built = []
+    real = logconcave._quadratic_hessian
+    monkeypatch.setattr(
+        logconcave, "_quadratic_hessian", lambda *args: built.append(real(*args)) or built[-1]
+    )
+    for _ in range(2):
+        built.clear()
+        got = certify_clc_homogenization(f) if d is None else certify_clc_homogeneous(f, d)
+        assert got == want
+        assert len(built) == len(distinct)
+        assert {tuple(map(tuple, h)) for h in built} == distinct
+
+
+@pytest.mark.parametrize(
+    "f, d",
+    [
+        (independence_indicator(to_setfunction(UniformMatroid(5, 14))), 5),
+        (to_setfunction(UniformMatroid(4, 10)), None),
+    ],
+    ids=["U(5,14) indicator, d=5", "U(4,10) rank, q_f"],
+)
+def test_certified_sweep_lists_no_components(monkeypatch, f, d):
+    # one-component cells are told by the bitset growth alone; the explicit
+    # component lists are built only for a decomposable cell's failure record
+    calls = []
+    real = logconcave._components
+    monkeypatch.setattr(logconcave, "_components", lambda monos: calls.append(1) or real(monos))
+    report = certify_clc_homogenization(f) if d is None else certify_clc_homogeneous(f, d)
+    assert report.verdict == "certified"
+    assert calls == []
+
+
 def test_certified_derivative_slices_stay_certified():
     # single-coordinate derivative of a certified restriction is certified
     for m, d in ((k4(), 3), (UniformMatroid(3, 5), 3)):

@@ -6,7 +6,7 @@ matrices, whose roots are all real), LP feasibility via basic-solution
 enumeration, multivariate mutual information via its closed alternating-sum
 form, the homogenization quadratics via their closed entry formulas computed
 straight from the table, the support-mask contraction sweep via derived
-polynomials and a breadth-first search, and its size buckets via the
+polynomials and a breadth-first search, and its support bitsets via the
 per-cell sweep that merges every monomial, the drivers' per-sweep inertia
 memo via a sweep that diagonalizes every quadratic cell, the sliced
 zeta/Moebius kernel via the per-mask loop, the integer table loader via
@@ -597,16 +597,68 @@ def _cell_stream(cells):
     return [(tmask, k, sorted(comps), quadratic) for tmask, k, comps, quadratic in cells]
 
 
+def direct_sum_ten() -> SetFunctionTable:
+    """g + h on the disjoint variable sets {1..5} and {6..10}: g(S) = |S| on
+    the sets of size <= 3 in the first, h = 1 on the 3-sets of the second.
+    f^(d) splits at tau = {} for d = 3, and so does the q_f cell with top
+    size 3, where the y component holds only g's variables."""
+    low, high = 0b11111, 0b11111 << 5
+    return SetFunctionTable(
+        10,
+        [
+            m.bit_count() if m and not m & high and m.bit_count() <= 3
+            else int(not m & low and m.bit_count() == 3)
+            for m in range(1 << 10)
+        ],
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(f=sweep_tables())
 @example(f=SetFunctionTable(3, [0] * 8))
 @example(f=SetFunctionTable(4, [int(m.bit_count() == 2) for m in range(16)]))
 @example(f=SetFunctionTable(4, [int(m > 0) for m in range(16)]))
+@example(f=to_setfunction(UniformMatroid(4, 10)))
+@example(f=SetFunctionTable(9, [int(m.bit_count() == 5) for m in range(1 << 9)]))
+@example(f=direct_sum_ten())
 def test_bucketed_sweep_matches_per_cell_oracle(f):
-    # the q_f sweep merges only the top size of each cell, seeded with one y
-    # component; the oracle merges every monomial of the cell
+    # the sweep tells one-component cells from support bitsets and lists
+    # components only for a decomposable cell; the oracle merges every
+    # monomial of every cell
     for d in (None, *range(f.n + 1)):
         assert _cell_stream(contraction_cells(f, d)) == _cell_stream(contraction_cells_oracle(f, d))
+
+
+def test_direct_sum_reaches_the_decomposable_path():
+    f = direct_sum_ten()
+    assert len(next(contraction_cells(f, 3))[2]) == 2
+    k, comps = next((k, comps) for tmask, k, comps, _ in contraction_cells(f, None) if k == 8)
+    assert sorted(comps) == [0b11111 << 1 | 1, 0b11111 << 6]
+
+
+def decomposable_oracle(f: SetFunctionTable, d: int):
+    """The first decomposable cell of f^(d) in the per-cell sweep, as
+    ("decomposable", tau labels), or None."""
+    for tmask, _, comps, _ in contraction_cells_oracle(f, d):
+        if len(comps) > 1:
+            return "decomposable", labels_of(tmask)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=sweep_tables(), data=st.data())
+@example(f=direct_sum_ten(), data=None)
+def test_decide_2cov_decomposable_outcome_matches_oracle(f, data):
+    # a decomposable cell ends the decision before any LP runs
+    if f.n < 2:
+        return
+    d = 3 if data is None else data.draw(st.integers(2, f.n), label="d")
+    want = decomposable_oracle(f, d)
+    got = coverage2.decide_2cov(f, d)
+    if want is None:
+        assert got.reason != "decomposable"
+    else:
+        assert (got.two_coverage, got.reason, got.tau) == (False, *want)
 
 
 @settings(max_examples=200, deadline=None)

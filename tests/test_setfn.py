@@ -108,6 +108,26 @@ def test_repeated_label_refused_not_merged():
         SetFunctionTable.from_entries(2, {(1,): 2, (1, 1): 5})
 
 
+def test_repeated_subset_refused_not_overwritten():
+    # (1, 2), (2, 1) and the mask 3 name one subset; the last value used to win
+    with pytest.raises(ValueError, match=r"^subset \(2, 1\) repeats the subset of \(1, 2\)$"):
+        SetFunctionTable.from_entries(2, {(1, 2): 1, (2, 1): 3})
+    with pytest.raises(ValueError, match=r"^subset 3 repeats the subset of \(1, 2\)$"):
+        SetFunctionTable.from_entries(2, {(1, 2): 1, 3: 7})
+
+
+def test_negative_mask_refused_not_wrapped():
+    # -1 used to index the last entry, f({1, 2})
+    with pytest.raises(ValueError, match=r"^subset -1 out of range for n=2$"):
+        SetFunctionTable.from_entries(2, {-1: 5})
+
+
+def test_bool_key_refused_not_read_as_a_mask():
+    # True used to set f({1})
+    with pytest.raises(ValueError, match=r"^subset key True is a bool, not a mask or labels$"):
+        SetFunctionTable.from_entries(2, {True: 5})
+
+
 @pytest.mark.parametrize(
     "value, error, message",
     [

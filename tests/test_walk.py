@@ -1,7 +1,11 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -252,3 +256,17 @@ def test_float_switch_still_converges():
     assert res.converged
     assert res.switched_to_float_at is not None
     assert res.t_mix >= 1
+
+
+def test_numpy_loads_only_where_the_walk_runs():
+    # a new interpreter, since this suite imports numpy itself (tests/conftest.py)
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys, clckit, clckit.cli\n"
+        "assert 'numpy' not in sys.modules, 'importing clckit loaded numpy'\n"
+        "clckit.walk.make_rng(1)\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
