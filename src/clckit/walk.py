@@ -39,6 +39,8 @@ if TYPE_CHECKING:
 
 RNG_SCHEME = "philox4x64-10/v1"
 WORD_BLOCK = 1024  # uint32 words drawn from the generator per numpy call
+MAX_STEPS = 10**6  # powering steps before mixing reports no convergence
+MAX_BITS = 4096  # widest exact entry, in bits, before powering turns to binary64
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -226,38 +228,36 @@ def _exact_tv(rows: list[list[int]], scale: int, w: WalkInstance) -> Fraction:
     return Fraction(worst, 2 * scale * w.total)
 
 
-def _exceeds_bits(rows: list[list[int]], scale: int, max_bits: int) -> bool:
+def _exceeds_bits(rows: list[list[int]], scale: int) -> bool:
     """Whether some nonzero a / scale in lowest terms has a numerator or
-    denominator of more than max_bits bits."""
+    denominator of more than MAX_BITS bits; never while scale fits, since
+    every a is at most scale."""
+    if scale.bit_length() <= MAX_BITS:
+        return False
     for row in rows:
         for a in row:
             if a:
                 g = math.gcd(a, scale)
-                if max((a // g).bit_length(), (scale // g).bit_length()) > max_bits:
+                if max((a // g).bit_length(), (scale // g).bit_length()) > MAX_BITS:
                     return True
     return False
 
 
-def mixing_time_exact(
-    w: WalkInstance,
-    eps,
-    cap: int = 2000,
-    max_steps: int = 10**6,
-    max_bits: int = 4096,
-) -> MixingResult:
+def mixing_time_exact(w: WalkInstance, eps, cap: int = 2000) -> MixingResult:
     """Smallest t with max-over-starts TV(P^t(S0, .), mu) <= eps.
 
     P is written N / L, with L the lcm of its entries' denominators and N
-    sparse integer rows (at most d(n-d)+1 nonzeros each). Powering keeps the
-    integer rows N^t over the one denominator L^t, and the TV after t steps
-    is the exact ratio max_i sum_j |N^t[i][j] W - L^t w_j| / (2 L^t W), with
-    w the integer weights and W their sum (the ratio is homogeneous in w).
-    Powering stays exact until some entry N^t[i][j] / L^t, in lowest terms,
-    has a numerator or denominator of more than max_bits bits (never while
-    L^t itself fits in max_bits), then switches to binary64 with 1e-12 slack
-    on the eps comparison. The TV curve must be nonincreasing; in exact mode a
-    violation raises (it would be a bug), in float mode a 1e-12 wobble is
-    tolerated.
+    sparse integer rows (at most d(n-d)+1 nonzeros each). The exact loop
+    keeps the integer rows N^t over the one denominator L^t, and the TV
+    after t steps is the exact ratio max_i sum_j |N^t[i][j] W - L^t w_j| /
+    (2 L^t W), with w the integer weights and W their sum (the ratio is
+    homogeneous in w). Once some entry N^t[i][j] / L^t, in lowest terms, has
+    a numerator or denominator of more than MAX_BITS bits, the float loop
+    takes over in binary64 with 1e-12 slack on the eps comparison; the TV of
+    the switch step is the float of its exact value. The TV curve must be
+    nonincreasing: in the exact loop a violation raises (it would be a bug),
+    in the float loop a 1e-12 wobble is tolerated. After MAX_STEPS steps
+    the run is reported unconverged.
     """
     eps = exact(eps)
     if not 0 < eps < 1:
@@ -274,49 +274,44 @@ def mixing_time_exact(
             cols[j][1].append(v)
     rows = [[int(i == j) for j in range(k)] for i in range(k)]
     scale = 1  # L^t
-    exact_mode = True
-    switched_at = None
     t = 0
     tv = _exact_tv(rows, scale, w)
     curve = [tv]
+    switched_at = None
+    while tv > eps and switched_at is None:
+        if t >= MAX_STEPS:
+            return MixingResult(None, None, tuple(curve), False, None)
+        for i, row in enumerate(rows):
+            rows[i] = [sum(map(mul, map(row.__getitem__, idx), vals)) for idx, vals in cols]
+        scale *= tm.scale
+        t += 1
+        new_tv = _exact_tv(rows, scale, w)
+        if new_tv > tv:
+            raise InternalCheckError("TV increased during exact powering")
+        tv = new_tv
+        if _exceeds_bits(rows, scale):
+            switched_at, tv = t, float(tv)
+        curve.append(tv)
     eps_f = float(eps)
+    if switched_at is not None:
+        import numpy as np
 
-    def done(value) -> bool:
-        if exact_mode:
-            return value <= eps
-        return value <= eps_f + 1e-12
-
-    while not done(tv):
-        if t >= max_steps:
-            return MixingResult(None, None, tuple(curve), False, switched_at)
-        if exact_mode:
-            for i, row in enumerate(rows):
-                rows[i] = [sum(map(mul, map(row.__getitem__, idx), vals)) for idx, vals in cols]
-            scale *= tm.scale
-            t += 1
-            new_tv = _exact_tv(rows, scale, w)
-            if new_tv > tv:
-                raise InternalCheckError("TV increased during exact powering")
-            if scale.bit_length() > max_bits and _exceeds_bits(rows, scale, max_bits):
-                import numpy as np
-
-                rows = np.array([[a / scale for a in row] for row in rows])
-                p = np.zeros((k, k))
-                for i, row in enumerate(tm.rows):
-                    for j, v in row.items():
-                        p[i, j] = v / tm.scale
-                mu = np.array([wt / w.total for wt in w.weights])
-                exact_mode = False
-                switched_at = t
-                new_tv = float(new_tv)
-        else:
+        rows = np.array([[a / scale for a in row] for row in rows])
+        p = np.zeros((k, k))
+        for i, row in enumerate(tm.rows):
+            for j, v in row.items():
+                p[i, j] = v / tm.scale
+        mu = np.array([wt / w.total for wt in w.weights])
+        while tv > eps_f + 1e-12:
+            if t >= MAX_STEPS:
+                return MixingResult(None, None, tuple(curve), False, switched_at)
             rows = rows @ p
             t += 1
             new_tv = float(abs(rows - mu).sum(axis=1).max() / 2.0)
-            if new_tv > float(tv) + 1e-12:
+            if new_tv > tv + 1e-12:
                 raise InternalCheckError("TV increased during float powering")
-        tv = new_tv
-        curve.append(tv)
+            tv = new_tv
+            curve.append(tv)
     ratio = t / (w.d * math.log(w.d / eps_f)) if t else 0.0
     return MixingResult(t, ratio, tuple(curve), True, switched_at)
 

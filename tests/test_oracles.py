@@ -52,7 +52,7 @@ from clckit import (
     verify_strong2cov,
     walk_instance,
 )
-from clckit import coverage2
+from clckit import coverage2, walk
 from clckit.bitsets import labels_of, mask_of, subset_transform
 from clckit.errors import InputError, MissingWitnessError
 from clckit.logconcave import contraction_cells
@@ -999,7 +999,7 @@ def rand_walk_instance(rng):
     return walk_instance(SetFunctionTable.from_entries(n, entries), d)
 
 
-def test_walk_kernels_match_fraction_reference():
+def test_walk_kernels_match_fraction_reference(monkeypatch):
     rng = random.Random(53)
     switched = exact_only = unconverged = 0
     for _ in range(110):
@@ -1007,8 +1007,10 @@ def test_walk_kernels_match_fraction_reference():
         assert fraction_rows(transition_matrix(w)) == transition_matrix_oracle(w)
         eps = Fraction(1, rng.choice((2, 5, 10, 100)))
         max_steps = 10**6 if is_irreducible(w) else rng.choice((3, 12))
+        monkeypatch.setattr(walk, "MAX_STEPS", max_steps)
         for max_bits in (32, 64, 200, 4096):
-            got = mixing_time_exact(w, eps, max_steps=max_steps, max_bits=max_bits)
+            monkeypatch.setattr(walk, "MAX_BITS", max_bits)
+            got = mixing_time_exact(w, eps)
             want = mixing_time_oracle(w, eps, max_steps=max_steps, max_bits=max_bits)
             assert (got.t_mix, got.converged, got.switched_to_float_at, got.ratio) == (
                 want.t_mix, want.converged, want.switched_to_float_at, want.ratio

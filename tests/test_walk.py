@@ -194,11 +194,12 @@ def test_mixing_d1_one_step():
     assert res.t_mix <= 1
 
 
-def test_mixing_reducible_reports_no_convergence():
+def test_mixing_reducible_reports_no_convergence(monkeypatch):
     f = SetFunctionTable.from_entries(4, {(1, 2): 1, (3, 4): 1})
     w = walk_instance(f, 2)
     assert not is_irreducible(w)
-    res = mixing_time_exact(w, Fraction(1, 10), max_steps=50)
+    monkeypatch.setattr(walk, "MAX_STEPS", 50)
+    res = mixing_time_exact(w, Fraction(1, 10))
     assert not res.converged
     assert res.t_mix is None
 
@@ -242,7 +243,7 @@ def test_empirical_tv_shrinks_with_time():
     assert histogram_tv(w, long.histogram) <= histogram_tv(w, short.histogram) + 0.01
 
 
-def test_float_switch_still_converges():
+def test_float_switch_still_converges(monkeypatch):
     # an asymmetric 6-state chain driven past the bit cap switches to floats
     rng = random.Random(3)
     entries = {}
@@ -252,7 +253,8 @@ def test_float_switch_still_converges():
         entries[pair] = Fraction(rng.randint(1, 7), rng.randint(1, 5))
     f = SetFunctionTable.from_entries(4, entries)
     w = walk_instance(f, 2)
-    res = mixing_time_exact(w, Fraction(1, 10**6), max_bits=64)
+    monkeypatch.setattr(walk, "MAX_BITS", 64)
+    res = mixing_time_exact(w, Fraction(1, 10**6))
     assert res.converged
     assert res.switched_to_float_at is not None
     assert res.t_mix >= 1
