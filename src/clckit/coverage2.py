@@ -359,16 +359,22 @@ def decide_2cov(f: SetFunctionTable, d: int, cap: int = 10) -> TwoCoverageDecisi
     """Decide two-coverage at degree d completely: every contracted derivative
     down to the quadratics must be indecomposable, and every |tau| = d-2 must
     admit a (g, l) witness, which search_2cov_feasible decides by exact LP.
-    The first failure is reported; cap bounds each LP's support size."""
+    The first failure is reported; cap bounds each LP's support size. The
+    witnesses found are verified as one certificate, so a wrong LP column
+    raises InternalCheckError rather than certifying."""
     if d < 2:
         raise InputError("two-coverage needs d >= 2")
     for tmask, _, comps, _ in contraction_cells(f, d):
         if len(comps) > 1:
             return TwoCoverageDecision(False, "decomposable", labels_of(tmask))
+    witnesses = {}
     for tmask in masks_of_size(f.n, d - 2):
         result = search_2cov_feasible(f, d, tmask, cap)
         if not result:
             return TwoCoverageDecision(False, "infeasible", labels_of(tmask), result.infeasibility)
+        witnesses[tmask] = result.witness
+    cert = TwoCoverageCertificate(f.n, d, witnesses)
+    _verified(cert, verify_2cov(f, d, cert), "searched two-coverage certificate")
     return TwoCoverageDecision(True)
 
 

@@ -243,6 +243,26 @@ def _exceeds_bits(rows: list[list[int]], scale: int) -> bool:
     return False
 
 
+def _tv_floor(w: WalkInstance, tm: TransitionMatrix) -> Fraction:
+    """L = 1 - min over classes C of mu(C), with the classes the connected
+    components of P's rows (symmetric by detailed balance). A step never
+    leaves the class C of its start, so P^t(S, C) = 1 and the TV from S is
+    at least P^t(S, C) - mu(C) = 1 - mu(C) at every t; the max over starts
+    is at least L, which is 0 exactly when the walk is irreducible."""
+    unseen = set(range(len(tm.rows)))
+    lightest = w.total
+    while unseen:
+        stack, mass = [unseen.pop()], 0
+        while stack:
+            i = stack.pop()
+            mass += w.weights[i]
+            reached = unseen.intersection(tm.rows[i])
+            unseen -= reached
+            stack += reached
+        lightest = min(lightest, mass)
+    return 1 - Fraction(lightest, w.total)
+
+
 def mixing_time_exact(w: WalkInstance, eps, cap: int = 2000) -> MixingResult:
     """Smallest t with max-over-starts TV(P^t(S0, .), mu) <= eps.
 
@@ -256,8 +276,9 @@ def mixing_time_exact(w: WalkInstance, eps, cap: int = 2000) -> MixingResult:
     takes over in binary64 with 1e-12 slack on the eps comparison; the TV of
     the switch step is the float of its exact value. The TV curve must be
     nonincreasing: in the exact loop a violation raises (it would be a bug),
-    in the float loop a 1e-12 wobble is tolerated. After MAX_STEPS steps
-    the run is reported unconverged.
+    in the float loop a 1e-12 wobble is tolerated. The run is reported
+    unconverged after MAX_STEPS steps, or before any step when eps is below
+    the floor L of `_tv_floor` that no power of P goes under.
     """
     eps = exact(eps)
     if not 0 < eps < 1:
@@ -277,6 +298,8 @@ def mixing_time_exact(w: WalkInstance, eps, cap: int = 2000) -> MixingResult:
     t = 0
     tv = _exact_tv(rows, scale, w)
     curve = [tv]
+    if eps < _tv_floor(w, tm):
+        return MixingResult(None, None, (tv,), False, None)
     switched_at = None
     while tv > eps and switched_at is None:
         if t >= MAX_STEPS:

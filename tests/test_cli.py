@@ -285,6 +285,21 @@ def test_mix_uniform_pairs(tmp_path, capsys):
     assert all(a >= b for a, b in zip(curve, curve[1:]))
 
 
+def test_mix_reducible_support_stops_before_powering(tmp_path, capsys):
+    # {1,2} and {3,4} never reach each other: the TV from either stays 1/2
+    doc = {"n": 4, "entries": [{"set": [1, 2], "value": 1}, {"set": [3, 4], "value": 1}]}
+    path = _write(tmp_path, "split.json", doc)
+    argv = ["mix", "--input", path, "--d", "2", "--epsilon", "1/10"]
+    assert run([*argv, "--format", "json"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert (out["converged"], out["t_mix"], out["tv_curve"]) == (False, None, [0.5])
+    assert run(argv) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "epsilon: 1/10",
+        "did not converge within the step budget (reducible or periodic support?)",
+    ]
+
+
 def test_byte_identical_reports(tmp_path, capsys):
     path = _coverage_table_file(tmp_path)
     run(["certify-hom", "--input", path, "--format", "json"])

@@ -386,6 +386,24 @@ def test_decide_2cov():
             decide_2cov(split, d)
 
 
+def test_decide_2cov_verifies_the_witnesses_found(monkeypatch):
+    # a search whose witness is off by one in a g weight must not certify
+    search = coverage2.search_2cov_feasible
+
+    def off_by_one(f, d, tau, cap=10):
+        w = search(f, d, tau, cap).witness
+        g = {t: Fraction(v, w.g.scale) for t, v in w.g.x.items()}
+        g[next(iter(g))] += 1
+        ell = [Fraction(v, w.g.scale) for v in w.ell]
+        return coverage2.SearchResult(TwoCoverageWitness.of(w.support, f.n, g, ell), Fraction(0))
+
+    f = independence_indicator(to_setfunction(UniformMatroid(2, 4)))
+    assert decide_2cov(f, 2).two_coverage
+    monkeypatch.setattr(coverage2, "search_2cov_feasible", off_by_one)
+    with pytest.raises(InternalCheckError, match="pair equation failed"):
+        decide_2cov(f, 2)
+
+
 def test_search_support_cap():
     from clckit.errors import CapExceededError
 

@@ -1001,10 +1001,12 @@ def rand_walk_instance(rng):
 
 def test_walk_kernels_match_fraction_reference(monkeypatch):
     rng = random.Random(53)
-    switched = exact_only = unconverged = 0
+    switched = exact_only = unconverged = early = 0
     for _ in range(110):
         w = rand_walk_instance(rng)
         assert fraction_rows(transition_matrix(w)) == transition_matrix_oracle(w)
+        floor = walk._tv_floor(w, transition_matrix(w))
+        assert (floor == 0) == is_irreducible(w)
         eps = Fraction(1, rng.choice((2, 5, 10, 100)))
         max_steps = 10**6 if is_irreducible(w) else rng.choice((3, 12))
         monkeypatch.setattr(walk, "MAX_STEPS", max_steps)
@@ -1012,6 +1014,12 @@ def test_walk_kernels_match_fraction_reference(monkeypatch):
             monkeypatch.setattr(walk, "MAX_BITS", max_bits)
             got = mixing_time_exact(w, eps)
             want = mixing_time_oracle(w, eps, max_steps=max_steps, max_bits=max_bits)
+            if eps < floor:  # stopped before powering: the oracle never gets below eps
+                assert (got.t_mix, got.ratio, got.converged, got.switched_to_float_at) == (None, None, False, None)
+                assert got.tv_curve == want.tv_curve[:1] and type(got.tv_curve[0]) is Fraction
+                assert not want.converged and min(want.tv_curve) > eps
+                early += 1
+                continue
             assert (got.t_mix, got.converged, got.switched_to_float_at, got.ratio) == (
                 want.t_mix, want.converged, want.switched_to_float_at, want.ratio
             )
@@ -1024,7 +1032,29 @@ def test_walk_kernels_match_fraction_reference(monkeypatch):
         seed = rng.randrange(2**32)
         chain = sample_chain(w, start, 300, seed)
         assert (chain.final, chain.histogram) == sample_chain_oracle(w, start, 300, seed)
-    assert switched >= 20 and exact_only >= 20 and unconverged >= 20, (switched, exact_only, unconverged)
+    assert switched >= 20 and exact_only >= 20 and early >= 20, (switched, exact_only, early)
+
+
+def test_step_budget_stops_as_the_oracle_does(monkeypatch):
+    # irreducible chains cut off by MAX_STEPS, in the exact loop and after
+    # the switch to binary64
+    rng = random.Random(61)
+    cut = {"exact": 0, "float": 0}
+    while min(cut.values()) < 10:
+        w = rand_walk_instance(rng)
+        if not is_irreducible(w):
+            continue
+        max_steps = rng.randint(1, 4)
+        monkeypatch.setattr(walk, "MAX_STEPS", max_steps)
+        for max_bits in (16, 4096):
+            monkeypatch.setattr(walk, "MAX_BITS", max_bits)
+            got = mixing_time_exact(w, Fraction(1, 1000))
+            want = mixing_time_oracle(w, Fraction(1, 1000), max_steps=max_steps, max_bits=max_bits)
+            assert got == want
+            assert [type(v) for v in got.tv_curve] == [type(v) for v in want.tv_curve]
+            if not got.converged:
+                assert len(got.tv_curve) == max_steps + 1
+                cut["float" if got.switched_to_float_at else "exact"] += 1
 
 
 def test_transition_matrix_scale_is_lcm_of_oracle_denominators():

@@ -202,6 +202,10 @@ def test_mixing_reducible_reports_no_convergence(monkeypatch):
     res = mixing_time_exact(w, Fraction(1, 10))
     assert not res.converged
     assert res.t_mix is None
+    # each state is its own class of mass 1/2, so no step gets the TV below
+    # 1/2 and the run stops before powering
+    assert walk._tv_floor(w, transition_matrix(w)) == Fraction(1, 2)
+    assert res.tv_curve == (Fraction(1, 2),)
 
 
 def test_sample_chain_zero_steps_and_determinism():
