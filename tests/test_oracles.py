@@ -1001,7 +1001,7 @@ def rand_walk_instance(rng):
 
 def test_walk_kernels_match_fraction_reference(monkeypatch):
     rng = random.Random(53)
-    switched = exact_only = unconverged = early = 0
+    switched = exact_only = early = 0
     for _ in range(110):
         w = rand_walk_instance(rng)
         assert fraction_rows(transition_matrix(w)) == transition_matrix_oracle(w)
@@ -1027,7 +1027,6 @@ def test_walk_kernels_match_fraction_reference(monkeypatch):
             assert [type(v) for v in got.tv_curve] == [type(v) for v in want.tv_curve]
             switched += got.switched_to_float_at is not None
             exact_only += got.switched_to_float_at is None and bool(got.t_mix)
-            unconverged += not got.converged
         start = w.support[rng.randrange(len(w.support))]
         seed = rng.randrange(2**32)
         chain = sample_chain(w, start, 300, seed)
