@@ -12,6 +12,7 @@ submodular extension that is nonnegative on nonempty sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .bitsets import labels_of
 from .coverage2 import search_2cov_feasible
@@ -60,14 +61,10 @@ def _monotone_witness(n, vals):
 def _submodular_witness(n, vals):
     """The first (S, i, j) breaking f(S+i) + f(S+j) >= f(S+i+j) + f(S), the
     local characterization of submodularity, or None."""
-    full = (1 << n) - 1
-    for s in range(full + 1):
-        out = [b for b in range(n) if not s >> b & 1]
-        for a in range(len(out)):
-            for b in range(a + 1, len(out)):
-                i, j = 1 << out[a], 1 << out[b]
-                if vals[s | i] + vals[s | j] < vals[s | i | j] + vals[s]:
-                    return (labels_of(s), out[a] + 1, out[b] + 1)
+    for s in range(1 << n):
+        for i, j in combinations([1 << b for b in range(n) if not s >> b & 1], 2):
+            if vals[s | i] + vals[s | j] < vals[s | i | j] + vals[s]:
+                return (labels_of(s), i.bit_length(), j.bit_length())
     return None
 
 

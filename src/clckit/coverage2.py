@@ -134,11 +134,10 @@ def verify_2cov(
 ) -> CertificateCheck:
     """Check both certificate conditions against f, exactly. A witness at a
     tau of a size other than d-2 is refused, as a missing one is."""
-    n = f.n
     if d < 2:
         raise InputError("two-coverage needs d >= 2")
     _expect(cert, TwoCoverageCertificate)
-    if cert.n != n or cert.d != d:
+    if cert.n != f.n or cert.d != d:
         raise InputError("certificate dimensions do not match the table")
     stray = next((t for t in cert.witnesses if t.bit_count() != d - 2), None)
     if stray is not None:
@@ -150,6 +149,13 @@ def verify_2cov(
             return CertificateCheck(
                 False, checks, "contracted restriction is decomposable", labels_of(tmask)
             )
+    return _witnesses_hold(f, d, cert, checks)
+
+
+def _witnesses_hold(f: SetFunctionTable, d: int, cert, checks: int) -> CertificateCheck:
+    """The witness conditions of `verify_2cov`, tau by tau, counted on from
+    `checks`; the caller has checked the certificate's shape."""
+    n = f.n
     for tmask in masks_of_size(n, d - 2):
         pairs, touched = _pair_support(f, tmask)
         witness = cert.witnesses.get(tmask)
@@ -374,7 +380,7 @@ def decide_2cov(f: SetFunctionTable, d: int, cap: int = 10) -> TwoCoverageDecisi
             return TwoCoverageDecision(False, "infeasible", labels_of(tmask), result.infeasibility)
         witnesses[tmask] = result.witness
     cert = TwoCoverageCertificate(f.n, d, witnesses)
-    _verified(cert, verify_2cov(f, d, cert), "searched two-coverage certificate")
+    _verified(cert, _witnesses_hold(f, d, cert, 0), "searched two-coverage certificate")
     return TwoCoverageDecision(True)
 
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from bisect import bisect_left
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, chain, combinations
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bitsets import labels_of
 from .errors import CapExceededError, InputError
@@ -110,20 +110,27 @@ class IndecompResult:
         return self.indecomposable
 
 
-def _components(monomials: Iterable[int]) -> list[int]:
-    """Connected components of the variable co-occurrence graph, as variable
-    masks: each monomial merges every component it overlaps. A monomial is
-    the mask of its variables, with bit 0 for y and bit i for x_i."""
-    comps: list[int] = []
-    for m in monomials:
-        keep = []
-        for c in comps:
-            if c & m:
-                m |= c
-            else:
-                keep.append(c)
-        keep.append(m)
-        comps = keep
+def _components(columns: list[tuple[int, int]]) -> list[int]:
+    """Connected components of a cell, as variable masks (bit 0 for y, bit i
+    for x_i). Monomials are bits of a support bitset, and `columns` pairs each
+    variable's bit with its column, the monomials that hold it. A component
+    starts from one column and ORs in every column that meets the monomials
+    reached so far, until a pass adds none; the columns left start the next."""
+    comps = []
+    while columns:
+        (comp, reached), *columns = columns
+        while columns:
+            rest = []
+            for bit, col in columns:
+                if col & reached:
+                    reached |= col
+                    comp |= bit
+                else:
+                    rest.append((bit, col))
+            if len(rest) == len(columns):
+                break
+            columns = rest
+        comps.append(comp)
     return comps
 
 
@@ -144,7 +151,9 @@ def is_indecomposable(p: Polynomial) -> IndecompResult:
     degrees = {ypow + m.bit_count() for ypow, m in keys}
     if len(degrees) > 1:
         raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degrees)}")
-    comps = _components(m << 1 | (ypow > 0) for ypow, m in keys)
+    monos = [m << 1 | (ypow > 0) for ypow, m in keys]
+    columns = [sum(1 << j for j, mono in enumerate(monos) if mono >> v & 1) for v in range(p.n + 1)]
+    comps = _components([(1 << v, col) for v, col in enumerate(columns) if col])
     if len(comps) <= 1:
         return IndecompResult(True, ())
     return IndecompResult(False, _component_labels(comps))
@@ -181,24 +190,6 @@ class CertificationReport:
         return self.verdict in (VERDICT_CERTIFIED, VERDICT_VACUOUS)
 
 
-def _grows_to_one(seed: int, columns: list[int]) -> bool:
-    """Whether a cell is one component. Monomials are bits of a support
-    bitset, `columns` holds each variable's monomials in the cell, and
-    `seed` is one of them: its component grows by ORing in every column
-    that meets it, until every column is in or a pass adds none."""
-    while columns:
-        rest = []
-        for col in columns:
-            if col & seed:
-                seed |= col
-            else:
-                rest.append(col)
-        if len(rest) == len(columns):
-            return False
-        columns = rest
-    return True
-
-
 def _supports(cols: list[int], n: int, size: int, everything: int):
     """(tau mask, support bitset) for the taus of one size in masks_of_size
     order: the AND of tau's columns. The taus that share all but their top
@@ -228,12 +219,14 @@ def contraction_cells(f: SetFunctionTable, d: int | None):
 
     Supports are bitsets over the support list, which is ordered by |S| so
     that each size is one contiguous bit range; the column of x_i holds the
-    monomials containing i. In the cell whose top size is t (t = n+1-k for
-    q_f, t = d for f^(d)), the monomials with |S| < t carry y, and a
-    variable's first size is that of the lowest bit of its column within
-    tau's support. So the cell is one component when some monomial lies
-    below t and no variable first appears at t. Otherwise `_grows_to_one`
-    decides, and `_components` lists the components of a decomposable cell.
+    monomials containing i, and `_components` grows the components from the
+    columns within tau's support. An f^(d) cell holds only monomials of size
+    d, so its columns go to `_components` as they are. In the q_f cell whose
+    top size is t = n+1-k, the monomials with |S| < t carry y, and a
+    variable's first size is that of the lowest bit of its column. So the
+    cell is one component when some monomial lies below t and no variable
+    first appears at t; otherwise its columns, trimmed to sizes <= t, and
+    the column of y go to `_components`.
     """
     n = f.n
     if d is None:
@@ -251,45 +244,35 @@ def contraction_cells(f: SetFunctionTable, d: int | None):
             digit_of = bytes(b"01"[x >> b & 1] for x in range(256))
             cols.append(int(octets.translate(digit_of) or b"0", 2))
     for size in range(last + 1):
-        cells = [(None, d)] if d is not None else [(k, n + 1 - k) for k in range(n - size)]
         for tmask, cell in _supports(cols, n, size, below[-1]):
-            low = cell & -cell
-            c0 = sizes[low.bit_length() - 1] if cell else n + 2  # the smallest size in the cell
             found = [
                 (2 << v, col) for v in range(n) if not tmask >> v & 1 and (col := cols[v] & cell)
             ]
-            if d is None:
-                firsts = [sizes[(col & -col).bit_length() - 1] for _, col in found]
-                first = [0] * (n + 2)  # first[s]: the variables whose first size is s
-                for (bit, _), s in zip(found, firsts):
-                    first[s] |= bit
-                upto = list(accumulate(first, or_))  # upto[t]: the variables of sizes <= t
-            else:  # one size: a nonzero cell has c0 = t = d, so only upto[d] is read
-                firsts = repeat(d)
-                first = upto = [0] * d + [sum(bit for bit, _ in found)]
-            for k, t in cells:
-                if c0 > t:
-                    comps = []
-                elif c0 < t and not first[t]:
+            if d is not None:  # every monomial has size d: the columns are the cell's
+                yield tmask, None, _components(found), size == last
+                continue
+            c0 = sizes[(cell & -cell).bit_length() - 1] if cell else n + 2  # smallest size in it
+            firsts = [sizes[(col & -col).bit_length() - 1] for _, col in found]
+            first = [0] * (n + 2)  # first[s]: the variables whose first size is s
+            for (bit, _), s in zip(found, firsts):
+                first[s] |= bit
+            upto = list(accumulate(first, or_))  # upto[t]: the variables of sizes <= t
+            for k in range(n - size):
+                t = n + 1 - k
+                if c0 < t and not first[t]:
                     comps = [upto[t] | 1]  # each top monomial meets the y component
                 else:
                     within = below[t + 1]
                     trim = cell > within
                     columns = [
-                        col & within if trim else col for (_, col), s in zip(found, firsts) if s <= t
+                        (bit, col & within if trim else col)
+                        for (bit, col), s in zip(found, firsts)
+                        if s <= t
                     ]
                     if c0 < t:
-                        columns.append(cell & below[t])  # the column of y
-                    if _grows_to_one(low, columns):
-                        comps = [upto[t] | (c0 < t)]
-                    else:
-                        bits = bin(cell & within)[:1:-1]
-                        comps = _components(
-                            (support[j] ^ tmask) << 1 | (sizes[j] < t)
-                            for j, bit in enumerate(bits)
-                            if bit == "1"
-                        )
-                yield tmask, k, comps, size == last if k is None else k == last - size
+                        columns.append((1, cell & below[t]))  # the column of y
+                    comps = _components(columns)
+                yield tmask, k, comps, k == last - size
 
 
 def _quadratic_hessian(vals: Sequence[int], n: int, tmask: int, k: int | None) -> list[list[int]]:

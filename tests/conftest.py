@@ -42,7 +42,6 @@ from clckit.logconcave import (
     CertFailure,
     CertificationReport,
     Inertia,
-    _components,
     _component_labels,
     _quadratic_hessian,
     contraction_cells,
@@ -394,11 +393,29 @@ def certify_oracle(f: SetFunctionTable, d: int | None, hessians: list | None = N
     return CertificationReport("certified" if checks else "vacuous", checks)
 
 
+def merged_components(monomials) -> list[int]:
+    """Connected components of the variable co-occurrence graph, as variable
+    masks: each monomial merges every component it overlaps. A monomial is
+    the mask of its variables, with bit 0 for y and bit i for x_i."""
+    comps: list[int] = []
+    for m in monomials:
+        keep = []
+        for c in comps:
+            if c & m:
+                m |= c
+            else:
+                keep.append(c)
+        keep.append(m)
+        comps = keep
+    return comps
+
+
 def contraction_cells_oracle(f: SetFunctionTable, d: int | None):
     """The contraction sweep of `clckit.logconcave.contraction_cells`, cell by
     cell, on lists of masks: each cell (tau, k) lists every monomial of its
     support, for q_f with y on those below the top size, and merges them
-    all into components."""
+    all into components by `merged_components`, not by the library's
+    growth over bitset columns."""
     n = f.n
     if d is None:
         support, last = f.support(), n - 1
@@ -413,7 +430,7 @@ def contraction_cells_oracle(f: SetFunctionTable, d: int | None):
             top = tmask and 1 << (tmask.bit_length() - 1)
             sup = level[tmask] = [s for s in prev[tmask ^ top] if s & top == top]
             if d is not None:
-                yield tmask, None, _components((s ^ tmask) << 1 for s in sup), size == last
+                yield tmask, None, merged_components((s ^ tmask) << 1 for s in sup), size == last
                 continue
             for k in range(n - size):
                 ydeg = n + 1 - k
@@ -422,7 +439,7 @@ def contraction_cells_oracle(f: SetFunctionTable, d: int | None):
                     for s in sup
                     if s.bit_count() <= ydeg
                 )
-                yield tmask, k, _components(monos), k == last - size
+                yield tmask, k, merged_components(monos), k == last - size
         prev = level
 
 

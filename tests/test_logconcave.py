@@ -255,22 +255,15 @@ def test_sweep_builds_each_distinct_hessian_once(monkeypatch, d):
         assert {tuple(map(tuple, h)) for h in built} == distinct
 
 
-@pytest.mark.parametrize(
-    "f, d",
-    [
-        (independence_indicator(to_setfunction(UniformMatroid(5, 14))), 5),
-        (to_setfunction(UniformMatroid(4, 10)), None),
-    ],
-    ids=["U(5,14) indicator, d=5", "U(4,10) rank, q_f"],
-)
-def test_certified_sweep_lists_no_components(monkeypatch, f, d):
-    # one-component cells are told by the bitset growth alone; the explicit
-    # component lists are built only for a decomposable cell's failure record
+@pytest.mark.parametrize("f", [to_setfunction(UniformMatroid(4, 10))], ids=["U(4,10) rank, q_f"])
+def test_certified_sweep_lists_no_components(monkeypatch, f):
+    # on a full support every q_f cell has a monomial below its top size and
+    # no variable first appearing there, so the shortcut names its one
+    # component and no cell grows components from its columns
     calls = []
     real = logconcave._components
-    monkeypatch.setattr(logconcave, "_components", lambda monos: calls.append(1) or real(monos))
-    report = certify_clc_homogenization(f) if d is None else certify_clc_homogeneous(f, d)
-    assert report.verdict == "certified"
+    monkeypatch.setattr(logconcave, "_components", lambda columns: calls.append(1) or real(columns))
+    assert certify_clc_homogenization(f).verdict == "certified"
     assert calls == []
 
 

@@ -55,10 +55,17 @@ from clckit import (
 from clckit import coverage2, walk
 from clckit.bitsets import labels_of, mask_of, subset_transform
 from clckit.errors import InputError, MissingWitnessError
-from clckit.logconcave import contraction_cells
+from clckit.logconcave import contraction_cells, is_indecomposable
 from clckit.jsonio import dump_certificate, load_set_function
 from clckit.matroids import to_setfunction
-from clckit.polynomials import derive, generating_poly, homogenize, scale
+from clckit.polynomials import (
+    HomogenizedPolynomial,
+    MultiaffinePolynomial,
+    derive,
+    generating_poly,
+    homogenize,
+    scale,
+)
 from clckit.setfn import homogeneous_restrict
 from clckit.simplex import phase1
 from clckit.walk import make_rng, philox_words, step
@@ -548,6 +555,29 @@ def test_sweep_matches_polynomial_reference():
     }
 
 
+def test_is_indecomposable_matches_bfs_components():
+    # multiaffine and homogenized polynomials with a few monomials of one
+    # degree: the verdict and the component labels against the search
+    rng = random.Random(61)
+    split = 0
+    for _ in range(1000):
+        n = rng.randint(1, 7)
+        if rng.random() < 0.5:
+            degree = rng.randint(1, n)
+            pool = [m for m in range(1 << n) if m.bit_count() == degree]
+            make = MultiaffinePolynomial
+        else:
+            degree = rng.randint(1, n + 1)
+            pool = [(degree - m.bit_count(), m) for m in range(1 << n) if m.bit_count() <= degree]
+            make = HomogenizedPolynomial
+        p = make(n, dict.fromkeys(rng.sample(pool, rng.randint(0, min(6, len(pool)))), 1))
+        got, want = is_indecomposable(p), bfs_components(p)
+        assert got.indecomposable == (len(want) <= 1)
+        assert got.components == (() if got else want)
+        split += not got
+    assert split >= 100
+
+
 def test_drivers_match_oracle_reference_on_mixed_denominators():
     # the drivers scale each table to integers once, over the lcm of values
     # with several denominators; the reference reads the Fraction Hessians
@@ -622,9 +652,9 @@ def direct_sum_ten() -> SetFunctionTable:
 @example(f=SetFunctionTable(9, [int(m.bit_count() == 5) for m in range(1 << 9)]))
 @example(f=direct_sum_ten())
 def test_bucketed_sweep_matches_per_cell_oracle(f):
-    # the sweep tells one-component cells from support bitsets and lists
-    # components only for a decomposable cell; the oracle merges every
-    # monomial of every cell
+    # the sweep grows each cell's components from its bitset columns (a q_f
+    # cell that the first sizes show to be one component skips the growth);
+    # the oracle merges every monomial of every cell
     for d in (None, *range(f.n + 1)):
         assert _cell_stream(contraction_cells(f, d)) == _cell_stream(contraction_cells_oracle(f, d))
 
