@@ -411,44 +411,37 @@ def dump_certificate(cert) -> dict:
     raise TypeError(f"cannot dump {type(cert).__name__}")
 
 
-_quote = json.encoder.encode_basestring_ascii  # json's own string encoder
-
-
-def _indented(value, pad: str = "\n") -> str:
-    """`json.dumps(value, indent=2)` for the dicts, lists, ints and strings
-    of a certificate document; `pad` opens each line of value's items. The
-    items of one container are joined at once, which the encoder's
-    token-by-token walk does not do."""
-    if type(value) is str:
-        return _quote(value)
-    if type(value) is int:
-        return str(value)
+def _block(items: list, pad: str, brackets: str) -> str:
+    """`items` as `json.dumps(..., indent=2)` nests them in `brackets` after `pad`."""
     inner = pad + "  "
-    if type(value) is dict:
-        items = [f"{_quote(k)}: {_quote(v) if type(v) is str else _indented(v, inner)}" for k, v in value.items()]
-        brackets = "{}"
-    elif type(value) is list:
-        items = [_indented(v, inner) for v in value]
-        brackets = "[]"
-    else:
-        raise TypeError(f"unexpected {type(value).__name__} in a certificate document")
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1] if items else brackets
 
 
 def write_certificate(path: str, cert) -> None:
-    """Write `dump_certificate(cert)` to `path` with the bytes of
-    `json.dump(..., indent=2)`: JSON indented by 2, no final newline, laid
-    out by `_indented`, one witness at a time."""
-    doc = dump_certificate(cert)
-    witnesses, doc["witnesses"] = doc["witnesses"], []
-    text = _indented(doc)  # ends with the empty list's and the document's brackets, "[]\n}"
-    inner = "\n    "
+    """Write the bytes `json.dump(dump_certificate(cert), indent=2)` writes
+    to `path`, each witness laid out from `cert` in turn, no document built."""
+    two = isinstance(cert, TwoCoverageCertificate)
+    if not two and not isinstance(cert, StrongCertificate):
+        raise TypeError(f"cannot dump {type(cert).__name__}")
+    key = functools.cache(lambda t: f'"{subset_key(t)}": "')  # one key string per mask
+    pad = "\n      "  # before a witness's fields
     with open(path, "w") as fh:
-        fh.write(text[:-3])
-        fh.writelines(("," if k else "") + inner + _indented(w, inner) for k, w in enumerate(witnesses))
-        fh.write(("\n  " if witnesses else "") + text[-3:])
+        fh.write((f'{{\n  "d": {cert.d},' if two else "{") + f'\n  "n": {cert.n},\n  "witnesses": [')
+        sep = "\n    {"
+        for tau, w in _by_tau(cert.witnesses):
+            g = w.g if two else w
+            text = f'{sep}{pad}"tau": {_block([*map(str, tau)], pad, "[]")}'
+            if two:
+                s = labels_of(w.support)
+                text += f',{pad}"S": {_block([*map(str, s)], pad, "[]")}'
+            x = [f'{key(t)}{_ratio(v, g.scale)}"' for t, v in sorted(g.x.items())]
+            text += f',{pad}"g": {_block(x, pad, "{}")}'
+            if two:
+                ell = [f'"{i}": "{_ratio(w.ell[i - 1], g.scale)}"' for i in s]
+                text += f',{pad}"l": {_block(ell, pad, "{}")}'
+            fh.write(text + "\n    }")
+            sep = ",\n    {"
+        fh.write("\n  ]\n}" if cert.witnesses else "]\n}")
 
 
 def load_certificate(path: str):

@@ -9,7 +9,9 @@ The simplex is revised, on ints over one denominator D (first 1), with A
 as sparse integer columns and rows with b_i < 0 negated. Only D B^-1, D B^-1 b
 and their part z of the objective row are kept. Column j's price is
 -sum_i pi_i A_ij with pi_i = D - z[i]; the first negative one in Bland's
-order, artificials last, enters as the exact product D B^-1 A_j. A pivot on
+order, artificials last, enters as the exact product D B^-1 A_j; both are
+one product, v times a sum over rows, when A_j's nonzeros share one value v
+after the negation, as every x_T column of the LP searches does. A pivot on
 P applies T'[i][k] = (T[i][k] * P - T[i][c] * T[r][k]) // D (the Edmonds/
 Bareiss rule, exact by Sylvester's identity) to the kept columns and sets
 D = P. Each entry is D times the full rational tableau's, so the pivots and
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .errors import InternalCheckError
@@ -51,13 +53,23 @@ def phase1(columns: Sequence[tuple[list[int], list[int]]], b: Sequence[int]) -> 
     z = [0] * m + [-sum(map(abs, b))]  # for min(sum of artificials)
     basis = list(range(n, n + m))
 
+    # v: the one value two or more nonzeros share, get: their rows; else v = 0
+    priced = [
+        (vals[0], itemgetter(*nz), nz, vals) if len(nz) > 1 and vals.count(vals[0]) == len(vals)
+        else (0, None, nz, vals)
+        for nz, vals in cols
+    ]
     denom, pivots = 1, 0
     while True:
         pi = [denom - v for v in z[:m]]
-        for enter, (nz, vals) in enumerate(cols):
-            price = sum(map(mul, map(pi.__getitem__, nz), vals))  # -z_j
+        for enter, (v, get, nz, vals) in enumerate(priced):
+            price = v * sum(get(pi)) if v else sum(map(mul, map(pi.__getitem__, nz), vals))  # -z_j
             if price > 0:
-                column = [sum(map(mul, map(row.__getitem__, nz), vals)) for row in block] + [-price]
+                if v:
+                    column = [v * sum(get(row)) for row in block]
+                else:
+                    column = [sum(map(mul, map(row.__getitem__, nz), vals)) for row in block]
+                column.append(-price)
                 break
         else:
             enter = next((i for i in range(m) if z[i] < 0), None)

@@ -268,10 +268,14 @@ _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
     0b010: TwoCoverageWitness.of(0b101, 3, {0b101: _THIRD, 0b001: 2}, [_HALF, 0, Fraction(1, 4)]),
 }))
 @example(cert=StrongCertificate(0, {}))
+@example(cert=TwoCoverageCertificate(4, 2, {}))
+@example(cert=TwoCoverageCertificate(2, 2, {0: TwoCoverageWitness.of(0, 2, {}, [0, 0])}))
+@example(cert=StrongCertificate(3, {0b001: CoverageWeights(3, {0b110: 2, 0b010: 4, 0b100: 3}, 4)}))
 def test_written_certificate_is_json_indented_by_2(tmp_path_factory, cert):
-    # the writer lays out the document itself; its bytes are the encoder's,
-    # for empty tau, empty g (an all-loop contraction), a two-coverage
-    # witness with empty S, g and l (a dependent tau) and mixed denominators
+    # the writer lays out each witness itself; its bytes are the encoder's,
+    # for no witnesses, empty tau, empty g (an all-loop contraction), a
+    # two-coverage witness with empty S, g and l (a dependent tau, or tau
+    # empty), mixed denominators and a scale that g's values reduce
     path = tmp_path_factory.mktemp("written") / "cert.json"
     jsonio.write_certificate(str(path), cert)
     assert path.read_bytes() == json.dumps(jsonio.dump_certificate(cert), indent=2).encode()

@@ -283,11 +283,25 @@ def first_pivot_ties(a, b) -> bool:
     return len(ratios) > 1 and ratios[0] == ratios[1]
 
 
+# Each column shape `phase1` prices apart, entered by a pivot: one nonzero
+# (columns 0 and 1 of the first), a uniform column made mixed by a row with
+# b_i < 0 (column 0 of the second and third), a uniform negative column
+# (column 3 of the fourth) and a mixed column made uniform (column 1 of the
+# fifth); the third and fifth hold an all-zero column, ([], []) in
+# `int_columns`.
+PRICING_SHAPES = [
+    ([[0, 0, -2, 0], [2, -1, -2, -2]], [-1, -1]),
+    ([[1, 0], [1, -1]], [2, -2]),
+    ([[-1, 2, 0], [0, 1, 0], [-1, -1, 0]], [2, 3, -1]),
+    ([[-1, 3, 1, 2], [-1, 0, 0, 2], [-1, 0, 1, 0]], [-2, -1, -2]),
+    ([[-1, -1, 0], [2, 1, 0], [2, 0, 0]], [-2, 3, 1]),
+]
+
+
 def test_integer_phase1_matches_fraction_tableau():
     rng = random.Random(4)
     feasible = infeasible = ties = 0
-    for _ in range(400):
-        a, b = rand_lp(rng)
+    for a, b in [*PRICING_SHAPES, *(rand_lp(rng) for _ in range(400))]:
         got = dense_phase1(a, b)
         assert got == phase1_oracle(a, b)  # verdict, point, optimum and pivots
         feasible += got.feasible

@@ -27,7 +27,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "clckit"
 # Members kept although the library never reads them, each with its reason.
 UNREAD_MEMBERS = {
     # the LP pivot count: test_oracles compares it with the phase-1 oracle,
-    # and the planned --stats flag reports it (ROADMAP item 7)
+    # and the planned --stats flag reports it (ROADMAP item 4)
     ("simplex", "LPFeasibility", "pivots"),
 }
 
