@@ -26,12 +26,10 @@ def mask_of(labels: Iterable[int]) -> int:
 def labels_of(mask: int) -> tuple[int, ...]:
     """Unpack a bitmask into ascending 1-based labels."""
     out = []
-    i = 1
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 

@@ -1,42 +1,24 @@
 """JSON formats for tables, instances, matroids, polynomials, pmfs and
-certificates.
-
-Rationals are serialized as strings "p/q" (plain "p" when integral) and
-accepted back as integers, decimal literals, or "p/q" strings; decimal
-literals in exact files are kept verbatim for `exact`, which reads them
-exactly (never through binary64). Floats appear only in joint-pmf files.
+certificates. Rationals are written "p/q" (plain "p" when integral) and read
+from integers, "p/q" strings and decimal literals, kept as written for
+`exact` (never binary64). Floats appear only in pmf files.
 """
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 import re
 from fractions import Fraction
 
 from .bitsets import labels_of
-from .coverage2 import (
-    StrongCertificate,
-    TwoCoverageCertificate,
-    TwoCoverageWitness,
-)
+from .coverage2 import StrongCertificate, TwoCoverageCertificate, TwoCoverageWitness
 from .entropy import JointDistribution
 from .errors import CapExceededError, InputError
-from .matroids import (
-    ExplicitMatroid,
-    GraphicMatroid,
-    Matroid,
-    PartitionMatroid,
-    UniformMatroid,
-)
+from .matroids import ExplicitMatroid, GraphicMatroid, Matroid, PartitionMatroid, UniformMatroid
 from .polynomials import HomogenizedPolynomial, MultiaffinePolynomial
-from .setfn import (
-    CoverageWeights,
-    HARD_CAP,
-    MAX_DIGITS,
-    SetFunctionTable,
-    exact,
-)
+from .setfn import HARD_CAP, MAX_DIGITS, CoverageWeights, SetFunctionTable, exact
 
 
 def subset_key(mask: int) -> str:
@@ -48,31 +30,32 @@ class _Literal(str):
     """A JSON decimal literal, kept as written."""
 
 
-_KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string",
+_KINDS = {int: "an integer", list: "a list", dict: "an object", tuple: "an object", str: "a string",
           bool: "a boolean", _Literal: "a decimal", float: "a decimal", type(None): "null"}
 
 
 def _typed(value, kind: type, at: str, item=None):
     """value, if its JSON type is exactly `kind` (int, list or dict): a bool
-    is no integer, and a decimal is refused, never truncated. `at` names the
-    field, or with `item` is its template, formatted on the error path."""
+    is no integer, and a decimal is refused, never truncated; an object's
+    pairs become a dict. `at` names the field, or with `item` is its template."""
     if type(value) is not kind:
+        if kind is dict and type(value) is tuple:
+            return _unique_keys(value)
         at = at if item is None else at.format(item)
         raise InputError(f"{at}: expected {_KINDS[kind]}, found {_KINDS[type(value)]}")
     return value
 
 
 def _size(value, at: str) -> int:
-    """value, a size: a JSON integer (read by `_typed`) that is not negative."""
+    """value, a nonnegative JSON integer."""
     if _typed(value, int, at) < 0:
         raise InputError(f"{at}: expected a nonnegative integer, found {value}")
     return value
 
 
 def _ground_size(doc: dict) -> int:
-    """The n of a document that holds masks over [n] (a table, polynomial,
-    certificate or explicit matroid): a size of at most HARD_CAP, the cap
-    of a table, checked before any mask over [n] is built."""
+    """The n of a document holding masks over [n], at most HARD_CAP: checked
+    before any mask is built."""
     n = _size(_field(doc, "n"), "n")
     if n > HARD_CAP:
         raise CapExceededError(f"n={n} exceeds the hard cap {HARD_CAP}")
@@ -80,9 +63,8 @@ def _ground_size(doc: dict) -> int:
 
 
 def _field(obj: dict, key: str, kind: type | None = None, at: str | None = None, item=None):
-    """obj[key], read by `_typed` when `kind` is given; every required key
-    is read here, so a missing one is an error naming the field `at` (by
-    default the key itself; with `item`, `at` is a template as in `_typed`)."""
+    """obj[key], read by `_typed` when `kind` is given; a missing key is
+    refused, naming `at` (by default the key)."""
     at = key if at is None else at
     if key not in obj:
         raise InputError(f"{at if item is None else at.format(item)}: missing")
@@ -90,7 +72,7 @@ def _field(obj: dict, key: str, kind: type | None = None, at: str | None = None,
 
 
 def _closed(obj: dict, keys: tuple, at: str, item=None) -> dict:
-    """obj, refused if it holds a key outside `keys`: its size against the `keys` it holds."""
+    """obj, refused if it holds a key outside `keys`."""
     if len(obj) != sum(map(obj.__contains__, keys)):
         at = at if item is None else at.format(item)
         raise InputError(f"{at}: unknown key {next(k for k in obj if k not in keys)!r}")
@@ -100,20 +82,18 @@ def _closed(obj: dict, keys: tuple, at: str, item=None) -> dict:
 _RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _rational(obj: dict, key, at: str, item, cache: dict) -> tuple[int, int]:
-    """obj[key] as integers (p, q) in lowest terms, q > 0: a JSON integer, or
-    a "p" or "p/q" string of ASCII digits with an optional leading "-", no
-    longer than MAX_DIGITS and with q != 0, is read by `int`. Any other value
-    goes through `exact`, which reads decimals and refuses the rest; a
-    missing or unreadable value is an error naming the field
-    `at.format(item)`. A string is read once per file and kept in `cache`,
-    so its next sightings cost one lookup."""
-    value = obj.get(key)
+def _rational(value, at: str, item, cache: dict) -> tuple[int, int]:
+    """value as integers (p, q) in lowest terms, q > 0: a JSON integer, or a
+    "p" or "p/q" string of ASCII digits (an optional "-", q != 0, at most
+    MAX_DIGITS) read by `int`, else read by `exact`. A missing (`...`) or
+    unreadable value is refused, naming `at.format(item)`. `cache` keeps each
+    string's reading for the file."""
     if type(value) is str and value in cache:
         return cache[value]
     if type(value) is int:
         return value, 1
-    value = _field(obj, key, at=at, item=item)  # a missing key is refused here
+    if value is ...:
+        raise InputError(f"{at.format(item)}: missing")
     m = _RATIO.fullmatch(value) if type(value) is str and len(value) <= MAX_DIGITS else None
     p, q = (int(m[1]), int(m[2] or 1)) if m else (0, 0)
     if q:
@@ -130,9 +110,9 @@ def _rational(obj: dict, key, at: str, item, cache: dict) -> tuple[int, int]:
     return p, q
 
 
-def _weight(obj: dict, key, at: str, item, cache: dict) -> tuple[int, int]:
-    """obj[key] read by `_rational`, refused if negative."""
-    p, q = _rational(obj, key, at, item, cache)
+def _weight(value, at: str, item, cache: dict) -> tuple[int, int]:
+    """value read by `_rational`, refused if negative."""
+    p, q = _rational(value, at, item, cache)
     if p < 0:
         raise InputError(f"{at.format(item)}: negative weight {Fraction(p, q)}")
     return p, q
@@ -143,21 +123,27 @@ def _ints(value, at: str) -> list[int]:
     return [_typed(v, int, f"{at}[{i}]") for i, v in enumerate(_typed(value, list, at))]
 
 
-def _load(path: str, keys: tuple | None = None, parse_float=_Literal) -> dict:
-    """The JSON object in the file at `path`, decimals kept as written
-    unless `parse_float` says otherwise, refused by `_closed` for a key
-    outside `keys`. A key repeated within one object is refused, and so is
-    a file that `json` cannot read: not JSON, not UTF-8, an integer literal
-    over Python's digit limit, or nesting past the recursion limit."""
-    with open(path, encoding="utf-8") as fh:
+def _load(path: str, read, keys: tuple | None = None, parse_float=_Literal):
+    """read(doc) for the JSON object in the file at `path`, refused by
+    `_closed` for a key outside `keys`. Objects arrive as (key, value) pair
+    tuples; a refused file is decoded again with dicts (`_unique_keys`) and
+    read again, so a repeated key is named first and objects print as dicts.
+    A file `json` cannot read is refused: not JSON or UTF-8, too deep, or an
+    integer over Python's digit limit."""
+    for hook in tuple, _unique_keys:
         try:
-            doc = json.load(fh, parse_float=parse_float, object_pairs_hook=_unique_keys)
-        except RecursionError:
-            raise InputError("document: nested too deeply") from None
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-    doc = _typed(doc, dict, "document")
-    return doc if keys is None else _closed(doc, keys, "document")
+            with open(path, encoding="utf-8") as fh:
+                try:
+                    doc = json.load(fh, parse_float=parse_float, object_pairs_hook=hook)
+                except RecursionError:
+                    raise InputError("document: nested too deeply") from None
+                except ValueError as exc:
+                    raise InputError(str(exc)) from None
+            doc = _typed(doc, dict, "document")
+            return read(doc if keys is None else _closed(doc, keys, "document"))
+        except InputError:
+            if hook is not tuple:
+                raise
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -170,13 +156,9 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _subset(labels, at: str, item, ground: int, scope: str, seen: dict) -> int:
-    """Bitmask of the JSON list of 1-based labels found at `at.format(item)`.
-
-    Rejects a label that is not an integer, lies outside the mask `ground`
-    (named by `scope` in the message) or repeats, and a subset already in
-    `seen`, which maps each subset read from the same field to its item;
-    records the subset there.
-    """
+    """Bitmask of the JSON list of 1-based labels at `at.format(item)`,
+    refused for a label that is no integer, outside `ground` (named by
+    `scope`) or repeated, or a subset already in `seen`, where it is kept."""
     def bad(problem):
         return InputError(f"{at.format(item)}: {problem}")
 
@@ -207,10 +189,8 @@ def read_subset(labels, n: int, at: str) -> int:
 
 def _cached_subset(key: str, at: str, ground: int, scope: str, seen: dict, masks: dict, label=False) -> int:
     """The mask of the object key `key`, a JSON label list (or, with
-    `label`, one label), checked as `_subset` checks it. `masks` keeps each
-    key's mask over [n] for the rest of the file; the key is decoded and
-    `_subset` reads it again whenever its kept mask leaves `ground` or
-    repeats in `seen`, so every refusal has its own message."""
+    `label`, one label), read by `_subset` once per file (`masks`) and again
+    when its mask leaves `ground` or repeats in `seen`, to name the fault."""
     mask = masks.get(key)
     if mask is None or mask & ~ground or mask in seen:
         try:
@@ -224,52 +204,67 @@ def _cached_subset(key: str, at: str, ground: int, scope: str, seen: dict, masks
 
 
 def load_set_function(path: str) -> SetFunctionTable:
-    """Each value is read as integers (p, q) and refused there if negative,
-    or nonzero on the empty set; the numerators are then put over the lcm
-    of the distinct denominators, and the table reduces them to lowest
-    terms."""
-    doc = _load(path, ("n", "entries"))
+    """Each value is read as integers (p, q), refused if negative or nonzero
+    on the empty set, and put over the lcm of the denominators. An entry is
+    read from its two pairs, in either order, and its labels summed from
+    their bits; any other is read by `_typed` and `_subset`."""
+    return _load(path, _set_function, ("n", "entries"))
+
+
+def _set_function(doc: dict) -> SetFunctionTable:
     n = _ground_size(doc)
     full = (1 << n) - 1
-    in_n = f"n={n}"
     nums = [0] * (full + 1)
-    by_den: dict[int, list[int]] = {}  # q -> the masks whose value is p/q
+    dens: dict[int, int] = {}  # mask -> q > 1 of its value p/q
     seen: dict[int, int] = {}
     ratios: dict[str, tuple[int, int]] = {}
+    bit = {lab: 1 << lab - 1 for lab in range(1, n + 1)}.__getitem__
     for k, entry in enumerate(_typed(doc.get("entries", []), list, "entries")):
-        _typed(entry, dict, "entries[{}]", k)
-        mask = _subset(_field(entry, "set", at="entries[{}].set", item=k), "entries[{}]", k, full, in_n, seen)
-        p, q = _rational(entry, "value", "entries[{}].value", k, ratios)
-        if len(entry) != 2:  # both keys were read
+        (a, labels), (b, value) = entry if type(entry) is tuple and len(entry) == 2 else ((0, 0),) * 2
+        if a == "value" and b == "set":
+            labels, value = value, labels
+        elif a != "set" or b != "value":
+            entry = _typed(entry, dict, "entries[{}]", k)
+            labels, value = _field(entry, "set", at="entries[{}].set", item=k), entry.get("value", ...)
+        try:  # no decimal is a float here, but True reads as 1
+            mask = sum(map(bit, labels)) if type(labels) is list else -1
+        except (KeyError, TypeError):
+            mask = -1
+        if mask < 0 or mask.bit_count() != len(labels) or mask in seen or mask & 1 and labels[labels.index(1)] is True:
+            mask = _subset(labels, "entries[{}]", k, full, f"n={n}", seen)  # refused there
+        seen[mask] = k
+        p, q = _rational(value, "entries[{}].value", k, ratios)
+        if len(entry) != 2:  # an object that holds both keys
             _closed(entry, ("set", "value"), "entries[{}]", k)
         if p and not mask:
             raise InputError(f"entries[{k}].value: f(empty set) must be 0")
         if p < 0:
             raise InputError(f"entries[{k}].value: negative value {Fraction(p, q)}")
         nums[mask] = p
-        by_den.setdefault(q, []).append(mask)
-    scale = math.lcm(*by_den)
-    for q, masks in by_den.items():
-        if q != scale:
-            for mask in masks:
-                nums[mask] *= scale // q
+        if q > 1:
+            dens[mask] = q
+    scale = math.lcm(*set(dens.values()))
+    if scale > 1:
+        for mask in seen:
+            nums[mask] *= scale // dens.get(mask, 1)
     return SetFunctionTable(n, nums, scale)
 
 
 def load_coverage_instance(path: str) -> CoverageWeights:
-    """A weighted universe and sets A_1..A_n of its ids, read straight into
-    coverage weights: each element adds its weight at the mask of the sets
-    that contain it, so x_T is the weight of the elements lying in exactly
-    the sets A_i, i in T. An id listed twice, a label repeated within a set
-    and an element outside the universe are refused, naming the field."""
-    doc = _load(path, ("universe", "sets"))
+    """A weighted universe and sets A_1..A_n of its ids as coverage weights:
+    x_T weighs the elements in exactly the sets A_i, i in T. An id listed
+    twice, a label repeated in a set and an unknown element are refused."""
+    return _load(path, _coverage_instance, ("universe", "sets"))
+
+
+def _coverage_instance(doc: dict) -> CoverageWeights:
     weight: dict[str, Fraction] = {}
     ratios: dict[str, tuple[int, int]] = {}
     for k, u in enumerate(_field(doc, "universe", list)):
         at = f"universe[{k}]"
-        _closed(_typed(u, dict, at), ("id", "weight"), at)
+        u = _closed(_typed(u, dict, at), ("id", "weight"), at)
         e = _field(u, "id", str, f"{at}.id")
-        w = Fraction(*_weight(u, "weight", "universe[{}].weight", k, ratios))
+        w = Fraction(*_weight(u.get("weight", ...), "universe[{}].weight", k, ratios))
         if e in weight:
             raise InputError(f"{at}.id: {e!r} is listed twice")
         weight[e] = w
@@ -293,7 +288,10 @@ def load_coverage_instance(path: str) -> CoverageWeights:
 
 
 def load_matroid(path: str) -> Matroid:
-    doc = _load(path)
+    return _load(path, _matroid)
+
+
+def _matroid(doc: dict) -> Matroid:
     kind = _field(doc, "type", str)
     if kind == "uniform":
         _closed(doc, ("type", "r", "n"), "document")
@@ -315,35 +313,38 @@ def load_matroid(path: str) -> Matroid:
 
 
 def load_polynomial(path: str):
-    """Terms carry a y-power, a variable set and a coefficient; a file whose
-    terms all have y = 0 loads as a plain multiaffine polynomial. A (y, set)
-    pair may appear in one term only."""
-    doc = _load(path, ("n", "terms"))
+    """Terms carry a y-power, a set and a coefficient, one term per (y, set);
+    with every y = 0 the file loads as a multiaffine polynomial."""
+    return _load(path, _polynomial, ("n", "terms"))
+
+
+def _polynomial(doc: dict):
     n = _ground_size(doc)
     full = (1 << n) - 1
     seen: dict[int, dict[int, int]] = {}
     coeffs: dict[tuple[int, int], Fraction] = {}
     ratios: dict[str, tuple[int, int]] = {}
     for k, t in enumerate(_typed(doc.get("terms", []), list, "terms")):
-        _closed(_typed(t, dict, f"terms[{k}]"), ("y", "set", "coeff"), f"terms[{k}]")
+        t = _closed(_typed(t, dict, f"terms[{k}]"), ("y", "set", "coeff"), f"terms[{k}]")
         y = _size(t.get("y", 0), f"terms[{k}].y")
-        labels = _field(t, "set", at=f"terms[{k}].set")
-        mask = _subset(labels, "terms[{}]", k, full, f"n={n}", seen.setdefault(y, {}))
-        coeffs[y, mask] = Fraction(*_rational(t, "coeff", "terms[{}].coeff", k, ratios))
+        mask = _subset(_field(t, "set", at=f"terms[{k}].set"), "terms[{}]", k, full, f"n={n}", seen.setdefault(y, {}))
+        coeffs[y, mask] = Fraction(*_rational(t.get("coeff", ...), "terms[{}].coeff", k, ratios))
     if all(y == 0 for y in seen):
         return MultiaffinePolynomial(n, {mask: c for (_, mask), c in coeffs.items()})
     return HomogenizedPolynomial(n, coeffs)
 
 
 def load_joint_distribution(path: str) -> JointDistribution:
-    """Each `p` must be a finite, nonnegative JSON number (int or float,
-    never a bool) and each outcome a list of integers, listed once, with one
-    entry per alphabet and inside it."""
-    doc = _load(path, ("alphabets", "pmf"), parse_float=float)
+    """Each `p` is a finite, nonnegative JSON number (never a bool), each
+    outcome a list of integers, listed once, one per alphabet and inside it."""
+    return _load(path, _joint_distribution, ("alphabets", "pmf"), parse_float=float)
+
+
+def _joint_distribution(doc: dict) -> JointDistribution:
     pmf = {}
     for k, row in enumerate(_field(doc, "pmf", list)):
         at = f"pmf[{k}]"
-        _closed(_typed(row, dict, at), ("outcome", "p"), at)
+        row = _closed(_typed(row, dict, at), ("outcome", "p"), at)
         outcome = tuple(_ints(_field(row, "outcome", at=f"{at}.outcome"), f"{at}.outcome"))
         if outcome in pmf:
             raise InputError(f"{at}.outcome: {list(outcome)} is listed twice")
@@ -359,9 +360,7 @@ def load_joint_distribution(path: str) -> JointDistribution:
         if p < 0:
             raise InputError(f"{at}.p: negative probability {p}")
         pmf[outcome] = p
-    alphabets = tuple(
-        _size(k, f"alphabets[{i}]") for i, k in enumerate(_typed(_field(doc, "alphabets"), list, "alphabets"))
-    )
+    alphabets = tuple(_size(k, f"alphabets[{i}]") for i, k in enumerate(_field(doc, "alphabets", list)))
     for k, outcome in enumerate(pmf):  # in the order of the rows
         at = f"pmf[{k}].outcome"
         if len(outcome) != len(alphabets):
@@ -377,38 +376,10 @@ def _ratio(p: int, q: int) -> str:
     return str(p // c) if c == q else f"{p // c}/{q // c}"
 
 
-def _weights_doc(g: CoverageWeights, key) -> dict:
-    return {key(t): _ratio(v, g.scale) for t, v in sorted(g.x.items())}
-
-
 def _by_tau(witnesses) -> list:
-    """(tau's labels, witness) in the order of the label tuples, which
-    fixes the order of the witnesses in a certificate file."""
-    return sorted(((labels_of(t), w) for t, w in witnesses.items()), key=lambda item: item[0])
-
-
-def _two_coverage_doc(tau: tuple[int, ...], w: TwoCoverageWitness, key) -> dict:
-    support = labels_of(w.support)
-    ell = {str(lab): _ratio(w.ell[lab - 1], w.g.scale) for lab in support}
-    return {"tau": list(tau), "S": list(support), "g": _weights_doc(w.g, key), "l": ell}
-
-
-def dump_certificate(cert) -> dict:
-    """Masks over [n] are written as label lists: tau, S, the keys of g,
-    and one key of l per label of S."""
-    key = functools.cache(subset_key)  # masks repeat across witnesses
-    if isinstance(cert, TwoCoverageCertificate):
-        return {
-            "d": cert.d,
-            "n": cert.n,
-            "witnesses": [_two_coverage_doc(tau, w, key) for tau, w in _by_tau(cert.witnesses)],
-        }
-    if isinstance(cert, StrongCertificate):
-        return {
-            "n": cert.n,
-            "witnesses": [{"tau": list(tau), "g": _weights_doc(g, key)} for tau, g in _by_tau(cert.witnesses)],
-        }
-    raise TypeError(f"cannot dump {type(cert).__name__}")
+    """(tau's labels, witness) in the order of the labels: a file's order.
+    The taus differ, so no two witnesses are compared."""
+    return sorted((labels_of(t), w) for t, w in witnesses.items())
 
 
 def _block(items: list, pad: str, brackets: str) -> str:
@@ -417,79 +388,98 @@ def _block(items: list, pad: str, brackets: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1] if items else brackets
 
 
-def write_certificate(path: str, cert) -> None:
-    """Write the bytes `json.dump(dump_certificate(cert), indent=2)` writes
-    to `path`, each witness laid out from `cert` in turn, no document built."""
-    two = isinstance(cert, TwoCoverageCertificate)
-    if not two and not isinstance(cert, StrongCertificate):
+def _two(cert) -> bool:
+    """Whether `cert` is a two-coverage certificate, not a strong one."""
+    if not isinstance(cert, (TwoCoverageCertificate, StrongCertificate)):
         raise TypeError(f"cannot dump {type(cert).__name__}")
+    return isinstance(cert, TwoCoverageCertificate)
+
+
+def _write(fh, cert) -> None:
+    """Write to `fh` the bytes `json.dumps(..., indent=2)` gives for the
+    document of `cert`'s file, witness by witness straight from `cert`: masks
+    over [n] as label lists (tau, S, the keys of g), one key of l per label
+    of S, and numbers as "p/q"."""
+    two = _two(cert)
     key = functools.cache(lambda t: f'"{subset_key(t)}": "')  # one key string per mask
     pad = "\n      "  # before a witness's fields
+    fh.write((f'{{\n  "d": {cert.d},' if two else "{") + f'\n  "n": {cert.n},\n  "witnesses": [')
+    sep = "\n    {"
+    for tau, w in _by_tau(cert.witnesses):
+        g = w.g if two else w
+        text = f'{sep}{pad}"tau": {_block([*map(str, tau)], pad, "[]")}'
+        if two:
+            s = labels_of(w.support)
+            text += f',{pad}"S": {_block([*map(str, s)], pad, "[]")}'
+        x = [f'{key(t)}{_ratio(v, g.scale)}"' for t, v in sorted(g.x.items())]
+        text += f',{pad}"g": {_block(x, pad, "{}")}'
+        if two:
+            ell = [f'"{i}": "{_ratio(w.ell[i - 1], g.scale)}"' for i in s]
+            text += f',{pad}"l": {_block(ell, pad, "{}")}'
+        fh.write(text + "\n    }")
+        sep = ",\n    {"
+    fh.write("\n  ]\n}" if cert.witnesses else "]\n}")
+
+
+def dump_certificate(cert) -> dict:
+    """The document of `cert`'s file, as `write_certificate` writes it."""
+    fh = io.StringIO()
+    _write(fh, cert)
+    return json.loads(fh.getvalue())
+
+
+def write_certificate(path: str, cert) -> None:
+    """Write `cert` to `path` as JSON indented by 2, with no final newline."""
+    _two(cert)  # refused before the file is opened
     with open(path, "w") as fh:
-        fh.write((f'{{\n  "d": {cert.d},' if two else "{") + f'\n  "n": {cert.n},\n  "witnesses": [')
-        sep = "\n    {"
-        for tau, w in _by_tau(cert.witnesses):
-            g = w.g if two else w
-            text = f'{sep}{pad}"tau": {_block([*map(str, tau)], pad, "[]")}'
-            if two:
-                s = labels_of(w.support)
-                text += f',{pad}"S": {_block([*map(str, s)], pad, "[]")}'
-            x = [f'{key(t)}{_ratio(v, g.scale)}"' for t, v in sorted(g.x.items())]
-            text += f',{pad}"g": {_block(x, pad, "{}")}'
-            if two:
-                ell = [f'"{i}": "{_ratio(w.ell[i - 1], g.scale)}"' for i in s]
-                text += f',{pad}"l": {_block(ell, pad, "{}")}'
-            fh.write(text + "\n    }")
-            sep = ",\n    {"
-        fh.write("\n  ]\n}" if cert.witnesses else "]\n}")
+        _write(fh, cert)
 
 
 def load_certificate(path: str):
-    """A document with a top-level "d" is a two-coverage certificate;
-    otherwise a strong one. The labels in g and l keys must lie in the
-    witness's ground set: S for two-coverage, the complement of tau for a
-    strong certificate; g carries no weight on the empty set, and neither g
-    nor l a negative one. Masks are kept over [n], and numbers as integer
-    numerators over one denominator per witness, in lowest terms. Each key
-    and value string is read once per file (`_cached_subset`, `_rational`)."""
-    doc = _load(path, ("d", "n", "witnesses"))
+    """A document with a top-level "d" is a two-coverage certificate, else a
+    strong one. The labels of g and l keys lie in S, or in the complement of
+    tau for a strong one; g has no weight on the empty set, and neither g nor
+    l a negative one. Numbers are kept over one denominator per witness."""
+    return _load(path, _certificate, ("d", "n", "witnesses"))
+
+
+def _certificate(doc: dict):
     n = _ground_size(doc)
     full = (1 << n) - 1
     in_n = f"n={n}"
     two_coverage = "d" in doc
     fields = ("tau", "S", "g", "l") if two_coverage else ("tau", "g")
     witnesses = {}
-    empty = CoverageWeights(n, {})  # one g for every witness with no weight over denominator 1
+    empty = CoverageWeights(n, {})  # every g of no weight over denominator 1
     seen_tau: dict[int, int] = {}
     g_masks: dict[str, int] = {}
     l_masks: dict[str, int] = {}
     ratios: dict[str, tuple[int, int]] = {}
     for k, w in enumerate(_field(doc, "witnesses", list)):
-        _closed(_typed(w, dict, "witnesses[{}]", k), fields, "witnesses[{}]", k)
-        labels = _field(w, "tau", at="witnesses[{}].tau", item=k)
-        tmask = _subset(labels, "witnesses[{}].tau", k, full, in_n, seen_tau)
+        w = _closed(_typed(w, dict, "witnesses[{}]", k), fields, "witnesses[{}]", k)
+        tmask = _subset(_field(w, "tau", at="witnesses[{}].tau", item=k), "witnesses[{}].tau", k, full, in_n, seen_tau)
         if two_coverage:
-            labels = _field(w, "S", at="witnesses[{}].S", item=k)
-            ground, scope = _subset(labels, "witnesses[{}].S", k, full, in_n, {}), "S"
+            ground = _subset(_field(w, "S", at="witnesses[{}].S", item=k), "witnesses[{}].S", k, full, in_n, {})
+            scope = "S"
         else:
             ground, scope = full & ~tmask, "the complement of tau"
         at = f"witnesses[{k}].g[{{!r}}]"
         seen_g: dict[int, str] = {}
         g = {}
         g_doc = _typed(w.get("g", {}), dict, "witnesses[{}].g", k)
-        for key in g_doc:
+        for key, value in g_doc.items():
             mask = _cached_subset(key, at, ground, scope, seen_g, g_masks)
             if not mask:
                 raise InputError(f"{at.format(key)}: g on the empty set is not part of the representation")
-            g[mask] = _weight(g_doc, key, at, key, ratios)
+            g[mask] = _weight(value, at, key, ratios)
         ell = [(0, 1)] * n if two_coverage else []
         if two_coverage:
             at = f"witnesses[{k}].l[{{!r}}]"
             seen_l: dict[int, str] = {}
             l_doc = _typed(w.get("l", {}), dict, "witnesses[{}].l", k)
-            for key in l_doc:
+            for key, value in l_doc.items():
                 bit = _cached_subset(key, at, ground, scope, seen_l, l_masks, label=True)
-                ell[bit.bit_length() - 1] = _weight(l_doc, key, at, key, ratios)
+                ell[bit.bit_length() - 1] = _weight(value, at, key, ratios)
         scale = math.lcm(*(q for _, q in g.values()), *(q for _, q in ell))
         x = CoverageWeights(n, {t: p * (scale // q) for t, (p, q) in g.items()}, scale) if g or scale > 1 else empty
         ell = tuple(p * (scale // q) for p, q in ell)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import json
 import math
 import random
 import sys
@@ -447,13 +448,16 @@ def load_set_function_oracle(path: str) -> SetFunctionTable:
     """`clckit.jsonio.load_set_function` on Fractions: every value through
     `exact`, the table built by `SetFunctionTable.of`, which refuses a
     negative value or a nonzero f(empty set) without naming the entry."""
-    doc = jsonio._load(path)
+    return jsonio._load(path, _table_oracle)
+
+
+def _table_oracle(doc: dict) -> SetFunctionTable:
     n = jsonio._ground_size(doc)
     full = (1 << n) - 1
     values = [0] * (full + 1)
     seen: dict[int, int] = {}
     for k, entry in enumerate(jsonio._typed(doc.get("entries", []), list, "entries")):
-        jsonio._typed(entry, dict, f"entries[{k}]")
+        entry = jsonio._typed(entry, dict, f"entries[{k}]")
         labels = jsonio._field(entry, "set", at=f"entries[{k}].set")
         mask = jsonio._subset(labels, "entries[{}]", k, full, f"n={n}", seen)
         at = f"entries[{k}].value"
@@ -1020,6 +1024,28 @@ def dump_set_function(f: SetFunctionTable) -> dict:
             if v
         ],
     }
+
+
+def certificate_doc(cert) -> dict:
+    """The document of a certificate file, built as a dict straight from
+    `cert`: the oracle of `jsonio.write_certificate`'s bytes. Labels are
+    unpacked bit by bit here, not by `labels_of`."""
+    def labels(mask):
+        return [b + 1 for b in range(mask.bit_length()) if mask >> b & 1]
+
+    def weights(g):
+        return {json.dumps(labels(t), separators=(",", ":")): str(Fraction(v, g.scale)) for t, v in sorted(g.x.items())}
+
+    two = isinstance(cert, TwoCoverageCertificate)
+    witnesses = []
+    for tau, w in sorted(cert.witnesses.items(), key=lambda item: labels(item[0])):
+        if two:
+            s = labels(w.support)
+            ell = {str(i): str(Fraction(w.ell[i - 1], w.g.scale)) for i in s}
+            witnesses.append({"tau": labels(tau), "S": s, "g": weights(w.g), "l": ell})
+        else:
+            witnesses.append({"tau": labels(tau), "g": weights(w)})
+    return {**({"d": cert.d} if two else {}), "n": cert.n, "witnesses": witnesses}
 
 
 @dataclass(frozen=True)

@@ -354,14 +354,33 @@ def test_malformed_matroid_listing_exit_3(tmp_path, capsys, doc, message):
         ([[[1], None]], "entries[0].value: cannot parse None as a rational"),
         ([[[2], 1], [[1], "-1"]], "entries[1].value: negative value -1"),
         ([[[1], 1], [[], "1/2"]], "entries[1].value: f(empty set) must be 0"),
+        # each fault again after valid entries, some written value first
+        ([{"value": "1/2", "set": [1]}, [[2], 1], [[1, 2], 2], [[2, 2], 1]], "entries[3]: set [2, 2] repeats a label"),
+        ([{"value": "1/2", "set": [1]}, [[2], 1], [[1, 2], 2], [[1], 1]],
+         "entries[3]: set [1] repeats the subset of entries[0]"),
+        ([[[2], 1], {"value": 2, "set": [1, 2]}, [[], 0], [[2, 3], 1]], "entries[3]: set [2, 3] out of range for n=2"),
+        ([[[2], 1], {"value": 2, "set": [1, 2]}, [[2, "1"], 1]], "entries[2]: label '1' is not an integer"),
+        ([[[2], 1], {"value": 2, "set": [1, 2]}, [[True], 1]], "entries[2]: label True is not an integer"),
+        ([[[2], 1], {"value": 2, "set": [1, 2]}, [[2, True], 1]], "entries[2]: label True is not an integer"),
+        ([[[1], 1], {"value": "1", "set": [2]}, [[1, 2], "1/0"]], "entries[2].value: zero denominator in '1/0'"),
+        ([[[1], 1], {"value": "1", "set": [2]}, [[1, 2], True]], "entries[2].value: cannot parse True as a rational"),
+        ([[[1], 1], {"value": "1", "set": [2]}, [[1, 2], None]], "entries[2].value: cannot parse None as a rational"),
+        ([[[1], 1], [[1, 2], 3], {"value": "-1", "set": [2]}], "entries[2].value: negative value -1"),
+        ([[[1], 1], {"value": "1/3", "set": [2]}, [[1, 2], 1], [[], "1/2"]],
+         "entries[3].value: f(empty set) must be 0"),
     ],
     ids=[
         "repeated-label", "repeated-subset", "out-of-range", "non-integer-label",
         "zero-denominator", "boolean-value", "null-value", "negative-value", "empty-set-value",
+        "repeated-label-later", "repeated-subset-later", "out-of-range-later", "non-integer-label-later",
+        "true-label-later", "true-label-with-2-later", "zero-denominator-later", "boolean-value-later",
+        "null-value-later", "negative-value-first-later", "empty-set-value-later",
     ],
 )
 def test_malformed_table_entry_exit_3(tmp_path, capsys, entries, message):
-    doc = {"n": 2, "entries": [{"set": labels, "value": v} for labels, v in entries]}
+    # an entry given as a dict is written as it is, keys in its order
+    entries = [e if isinstance(e, dict) else {"set": e[0], "value": e[1]} for e in entries]
+    doc = {"n": 2, "entries": entries}
     code = run(["mobius", "--input", _write(tmp_path, "bad.json", doc)])
     captured = capsys.readouterr()
     assert code == 3
@@ -396,8 +415,15 @@ def test_certificate_repeated_key_exit_3(tmp_path, capsys):
          "p"),
         (["certify-2cov", "--input", "TABLE", "--d", "2", "--cert", "DOC"],
          '{"d": 2, "n": 2, "d": 3, "witnesses": []}', "d"),
+        (["mobius", "--input", "DOC"],
+         '{"n": 2, "entries": [{"set": [1], "value": "1"}, {"set": [2, {"a": 1, "a": 2}], "value": "1"}]}', "a"),
+        (["mobius", "--input", "DOC"],
+         '{"n": 2, "entries": [{"value": "1", "set": [1]}, {"set": [2], "value": {"b": [], "b": 1}}]}', "b"),
+        (["mobius", "--input", "DOC"],
+         '{"n": 2, "entries": [{"set": [3], "value": "1"}, {"set": [1], "value": {"c": 1, "c": 2}}]}', "c"),
     ],
-    ids=["table-n", "table-value", "poly-coeff", "uniform-r", "coverage-weight", "pmf-p", "cert-d"],
+    ids=["table-n", "table-value", "poly-coeff", "uniform-r", "coverage-weight", "pmf-p", "cert-d",
+         "table-label-object", "table-value-object", "table-key-after-fault"],
 )
 def test_repeated_key_exit_3_in_every_loader(tmp_path, capsys, argv, text, key):
     doc = tmp_path / "doc.json"

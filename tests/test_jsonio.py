@@ -26,7 +26,7 @@ from clckit import jsonio
 from clckit.cli import run
 from clckit.errors import InputError
 
-from conftest import coverage_example, coverage_instances, dump_set_function, matroids, value_of
+from conftest import certificate_doc, coverage_example, coverage_instances, dump_set_function, matroids, value_of
 
 
 def _write(tmp_path, name, doc):
@@ -61,6 +61,49 @@ def test_missing_sets_default_to_zero(tmp_path):
     f = jsonio.load_set_function(_write(tmp_path, "f.json", doc))
     assert value_of(f, [1, 2]) == 2
     assert value_of(f, [3]) == 0
+
+
+def _spellings(v: Fraction) -> list[str]:
+    """JSON spellings of v: an integer when integral, "p/q" (also unreduced)
+    and a decimal literal when v has one."""
+    out = [f'"{v.numerator}/{v.denominator}"', f'"{3 * v.numerator}/{3 * v.denominator}"']
+    if v.denominator == 1:
+        out += [str(v.numerator), f"{v.numerator}.0"]
+    for k in range(1, 4):
+        if (v * 10**k).denominator == 1:
+            m = int(v * 10**k)
+            out.append(f"{m // 10**k}.{m % 10**k:0{k}d}")
+    return out
+
+
+@st.composite
+def table_texts(draw):
+    """A table and the text of a file of it: entries in any order, each with
+    its keys in either order and its value in any spelling, zero values
+    listed or left out, the layout compact or indented."""
+    n = draw(st.integers(0, 4))
+    values = [Fraction(0)] + [draw(st.fractions(0, 12, max_denominator=8)) for _ in range(1, 1 << n)]
+    compact = draw(st.booleans())
+    sep, pad = ("", "") if compact else (" ", "\n    ")
+    entries = []
+    for m in draw(st.permutations(range(1 << n))):
+        if values[m] or draw(st.booleans()):
+            labels = f'"set":{sep}[{",".join(str(b + 1) for b in range(n) if m >> b & 1)}]'
+            value = f'"value":{sep}{draw(st.sampled_from(_spellings(values[m])))}'
+            pair = (labels, value) if draw(st.booleans()) else (value, labels)
+            entries.append(f"{{{pair[0]},{sep}{pair[1]}}}")
+    text = f'{{"n":{sep}{n},{sep}"entries":{sep}[{pad}{("," + pad).join(entries)}{pad[:1]}]}}'
+    return n, values, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=table_texts())
+def test_table_file_shapes_load_as_the_table(tmp_path_factory, table):
+    n, values, text = table
+    path = tmp_path_factory.mktemp("shapes") / "f.json"
+    path.write_text(text)
+    assert json.loads(text)["n"] == n  # the text is JSON
+    assert jsonio.load_set_function(str(path)) == SetFunctionTable.of(n, values)
 
 
 def test_coverage_instance(tmp_path):
@@ -272,13 +315,23 @@ _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 @example(cert=TwoCoverageCertificate(2, 2, {0: TwoCoverageWitness.of(0, 2, {}, [0, 0])}))
 @example(cert=StrongCertificate(3, {0b001: CoverageWeights(3, {0b110: 2, 0b010: 4, 0b100: 3}, 4)}))
 def test_written_certificate_is_json_indented_by_2(tmp_path_factory, cert):
-    # the writer lays out each witness itself; its bytes are the encoder's,
-    # for no witnesses, empty tau, empty g (an all-loop contraction), a
-    # two-coverage witness with empty S, g and l (a dependent tau, or tau
-    # empty), mixed denominators and a scale that g's values reduce
+    # the writer lays out each witness itself; its bytes are the encoder's
+    # on the dict oracle, for no witnesses, empty tau, empty g (an all-loop
+    # contraction), a two-coverage witness with empty S, g and l (a dependent
+    # tau, or tau empty), mixed denominators and a scale that g's values reduce
     path = tmp_path_factory.mktemp("written") / "cert.json"
     jsonio.write_certificate(str(path), cert)
     assert path.read_bytes() == json.dumps(jsonio.dump_certificate(cert), indent=2).encode()
+    assert path.read_bytes() == json.dumps(certificate_doc(cert), indent=2).encode()
+
+
+def test_non_certificate_is_refused_before_the_file_is_opened(tmp_path):
+    path = tmp_path / "cert.json"
+    with pytest.raises(TypeError, match="cannot dump dict"):
+        jsonio.write_certificate(str(path), {})
+    assert not path.exists()
+    with pytest.raises(TypeError, match="cannot dump list"):
+        jsonio.dump_certificate([])
 
 
 def _strong_file(tmp_path, witnesses) -> str:
