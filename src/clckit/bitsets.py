@@ -52,6 +52,30 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+def components(columns: list[tuple[int, int]]) -> list[int]:
+    """Connected components of variables linked through shared items, as
+    masks of the variables' bits. `columns` pairs each variable's bit with
+    its column, the bitset of the items that hold it. A component starts
+    from one column and ORs in every column that meets the items reached so
+    far, until a pass adds none; the columns left start the next."""
+    comps = []
+    while columns:
+        (comp, reached), *columns = columns
+        while columns:
+            rest = []
+            for bit, col in columns:
+                if col & reached:
+                    reached |= col
+                    comp |= bit
+                else:
+                    rest.append((bit, col))
+            if len(rest) == len(columns):
+                break
+            columns = rest
+        comps.append(comp)
+    return comps
+
+
 def coverage_values(x: Sequence) -> list:
     """f(S) = sum of x[T] over the T meeting S, for every mask S, where x has
     length 2^n and is indexed by mask: the zeta transform of x, read over

@@ -25,7 +25,7 @@ from itertools import accumulate, chain, combinations
 from operator import or_
 from typing import Sequence
 
-from .bitsets import labels_of
+from .bitsets import components, labels_of
 from .errors import CapExceededError, InputError
 from .polynomials import MultiaffinePolynomial, Polynomial, quadratic_hessian
 from .setfn import SetFunctionTable, exact, integer_scaled
@@ -110,30 +110,6 @@ class IndecompResult:
         return self.indecomposable
 
 
-def _components(columns: list[tuple[int, int]]) -> list[int]:
-    """Connected components of a cell, as variable masks (bit 0 for y, bit i
-    for x_i). Monomials are bits of a support bitset, and `columns` pairs each
-    variable's bit with its column, the monomials that hold it. A component
-    starts from one column and ORs in every column that meets the monomials
-    reached so far, until a pass adds none; the columns left start the next."""
-    comps = []
-    while columns:
-        (comp, reached), *columns = columns
-        while columns:
-            rest = []
-            for bit, col in columns:
-                if col & reached:
-                    reached |= col
-                    comp |= bit
-                else:
-                    rest.append((bit, col))
-            if len(rest) == len(columns):
-                break
-            columns = rest
-        comps.append(comp)
-    return comps
-
-
 def _component_labels(comps: list[int]) -> tuple[tuple[int, ...], ...]:
     """Variable indices (0 = y) per component, components by smallest index."""
     return tuple(
@@ -153,7 +129,7 @@ def is_indecomposable(p: Polynomial) -> IndecompResult:
         raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degrees)}")
     monos = [m << 1 | (ypow > 0) for ypow, m in keys]
     columns = [sum(1 << j for j, mono in enumerate(monos) if mono >> v & 1) for v in range(p.n + 1)]
-    comps = _components([(1 << v, col) for v, col in enumerate(columns) if col])
+    comps = components([(1 << v, col) for v, col in enumerate(columns) if col])
     if len(comps) <= 1:
         return IndecompResult(True, ())
     return IndecompResult(False, _component_labels(comps))
@@ -209,9 +185,9 @@ def _supports(cols: list[int], n: int, size: int, everything: int):
 def contraction_cells(f: SetFunctionTable, d: int | None):
     """Sweep the contracted derivatives of f^(d), or of q_f when d is None.
 
-    Yields (tau mask, k, components, quadratic) per cell: contraction sets tau
+    Yields (tau mask, k, comps, quadratic) per cell: contraction sets tau
     by increasing size in masks_of_size order and, for q_f, the y-orders k of
-    d^tau d_y^k q_f nested inside. `components` lists the cell's connected
+    d^tau d_y^k q_f nested inside. `comps` lists the cell's connected
     variable masks, bit 0 for y and bit i for x_i (empty for a zero cell).
     f^(d) has the cells |tau| <= d-2 with k None; q_f has k + |tau| <= n-1,
     where the monomial x^S keeps y^(n+1-|S|-k). `quadratic` marks the last
@@ -219,14 +195,14 @@ def contraction_cells(f: SetFunctionTable, d: int | None):
 
     Supports are bitsets over the support list, which is ordered by |S| so
     that each size is one contiguous bit range; the column of x_i holds the
-    monomials containing i, and `_components` grows the components from the
-    columns within tau's support. An f^(d) cell holds only monomials of size
-    d, so its columns go to `_components` as they are. In the q_f cell whose
-    top size is t = n+1-k, the monomials with |S| < t carry y, and a
-    variable's first size is that of the lowest bit of its column. So the
-    cell is one component when some monomial lies below t and no variable
-    first appears at t; otherwise its columns, trimmed to sizes <= t, and
-    the column of y go to `_components`.
+    monomials containing i, and `bitsets.components` grows the components
+    from the columns within tau's support. An f^(d) cell holds only
+    monomials of size d, so its columns go to `components` as they are. In
+    the q_f cell whose top size is t = n+1-k, the monomials with |S| < t
+    carry y, and a variable's first size is that of the lowest bit of its
+    column. So the cell is one component when some monomial lies below t
+    and no variable first appears at t; otherwise its columns, trimmed to
+    sizes <= t, and the column of y go to `components`.
     """
     n = f.n
     if d is None:
@@ -249,7 +225,7 @@ def contraction_cells(f: SetFunctionTable, d: int | None):
                 (2 << v, col) for v in range(n) if not tmask >> v & 1 and (col := cols[v] & cell)
             ]
             if d is not None:  # every monomial has size d: the columns are the cell's
-                yield tmask, None, _components(found), size == last
+                yield tmask, None, components(found), size == last
                 continue
             c0 = sizes[(cell & -cell).bit_length() - 1] if cell else n + 2  # smallest size in it
             firsts = [sizes[(col & -col).bit_length() - 1] for _, col in found]
@@ -271,7 +247,7 @@ def contraction_cells(f: SetFunctionTable, d: int | None):
                     ]
                     if c0 < t:
                         columns.append((1, cell & below[t]))  # the column of y
-                    comps = _components(columns)
+                    comps = components(columns)
                 yield tmask, k, comps, k == last - size
 
 

@@ -30,7 +30,7 @@ from itertools import accumulate, repeat
 from operator import mul, sub
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
-from .bitsets import labels_of
+from .bitsets import components, labels_of
 from .errors import CapExceededError, InputError, InternalCheckError
 from .setfn import SetFunctionTable, exact
 
@@ -245,21 +245,14 @@ def _exceeds_bits(rows: list[list[int]], scale: int) -> bool:
 
 def _tv_floor(w: WalkInstance, tm: TransitionMatrix) -> Fraction:
     """L = 1 - min over classes C of mu(C), with the classes the connected
-    components of P's rows (symmetric by detailed balance). A step never
-    leaves the class C of its start, so P^t(S, C) = 1 and the TV from S is
-    at least P^t(S, C) - mu(C) = 1 - mu(C) at every t; the max over starts
-    is at least L, which is 0 exactly when the walk is irreducible."""
-    unseen = set(range(len(tm.rows)))
-    lightest = w.total
-    while unseen:
-        stack, mass = [unseen.pop()], 0
-        while stack:
-            i = stack.pop()
-            mass += w.weights[i]
-            reached = unseen.intersection(tm.rows[i])
-            unseen -= reached
-            stack += reached
-        lightest = min(lightest, mass)
+    components of P's rows (symmetric by detailed balance): state i's column
+    is the support of its row, which holds i itself since re-adding the
+    dropped element has positive weight. A step never leaves the class C of
+    its start, so P^t(S, C) = 1 and the TV from S is at least
+    P^t(S, C) - mu(C) = 1 - mu(C) at every t; the max over starts is at
+    least L, which is 0 exactly when the walk is irreducible."""
+    classes = components([(1 << i, sum(1 << j for j in row)) for i, row in enumerate(tm.rows)])
+    lightest = min(sum(w.weights[i - 1] for i in labels_of(c)) for c in classes)
     return 1 - Fraction(lightest, w.total)
 
 

@@ -394,6 +394,29 @@ def certify_oracle(f: SetFunctionTable, d: int | None, hessians: list | None = N
     return CertificationReport("certified" if checks else "vacuous", checks)
 
 
+def components_oracle(columns) -> list[int]:
+    """`clckit.bitsets.components` by union-find: every variable whose column
+    holds an item joins the first variable seen to hold it, so two bits share
+    a component exactly when their columns are linked through shared items."""
+    parent = {bit: bit for bit, _ in columns}
+
+    def find(b):
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        return b
+
+    holder: dict[int, int] = {}
+    for bit, col in columns:
+        for item in labels_of(col):
+            parent[find(bit)] = find(holder.setdefault(item, bit))
+    comps: dict[int, int] = {}
+    for bit in parent:
+        root = find(bit)
+        comps[root] = comps.get(root, 0) | bit
+    return list(comps.values())
+
+
 def merged_components(monomials) -> list[int]:
     """Connected components of the variable co-occurrence graph, as variable
     masks: each monomial merges every component it overlaps. A monomial is
@@ -875,18 +898,31 @@ def sample_chain_oracle(w, start: int, steps: int, seed: int) -> tuple[int, dict
     return state, hist
 
 
+def swap_classes(w) -> list[list[int]]:
+    """The support's classes under single-element swaps, as lists of state
+    masks, by breadth-first search: a step reaches every support state that
+    differs from its own in one swap."""
+    classes = []
+    unseen = set(w.support)
+    for first in w.support:
+        if first not in unseen:
+            continue
+        unseen.discard(first)
+        cls, queue = [first], [first]
+        while queue:
+            s = queue.pop()
+            for t in w.support:
+                if t in unseen and (s ^ t).bit_count() == 2:
+                    unseen.discard(t)
+                    cls.append(t)
+                    queue.append(t)
+        classes.append(cls)
+    return classes
+
+
 def is_irreducible(w) -> bool:
-    """Connectivity of the support under single-element swaps: a step
-    reaches every support state that differs from its own in one swap."""
-    seen = {w.support[0]}
-    queue = [w.support[0]]
-    while queue:
-        s = queue.pop()
-        for t in w.support:
-            if t not in seen and (s ^ t).bit_count() == 2:
-                seen.add(t)
-                queue.append(t)
-    return len(seen) == len(w.support)
+    """Exactly one swap class: the walk reaches every state from every other."""
+    return len(swap_classes(w)) == 1
 
 
 def fraction_rows(tm) -> tuple[dict[int, Fraction], ...]:

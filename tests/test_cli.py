@@ -300,6 +300,16 @@ def test_mix_reducible_support_stops_before_powering(tmp_path, capsys):
     ]
 
 
+def test_mix_three_classes_stops_at_the_lightest_class(tmp_path, capsys):
+    # classes of mass 3, 5 and 1 out of 9: the TV from {6,7} stays 8/9
+    sets = ([1, 2], [1, 3], [2, 3], [4, 5], [6, 7])
+    doc = {"n": 7, "entries": [{"set": s, "value": v} for s, v in zip(sets, (1, 1, 1, 5, 1))]}
+    path = _write(tmp_path, "classes.json", doc)
+    assert run(["mix", "--input", path, "--d", "2", "--epsilon", "1/2", "--format", "json"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert (out["converged"], out["t_mix"], out["tv_curve"]) == (False, None, [8 / 9])
+
+
 def test_byte_identical_reports(tmp_path, capsys):
     path = _coverage_table_file(tmp_path)
     run(["certify-hom", "--input", path, "--format", "json"])

@@ -261,8 +261,8 @@ def test_certified_sweep_lists_no_components(monkeypatch, f):
     # no variable first appearing there, so the shortcut names its one
     # component and no cell grows components from its columns
     calls = []
-    real = logconcave._components
-    monkeypatch.setattr(logconcave, "_components", lambda columns: calls.append(1) or real(columns))
+    real = logconcave.components
+    monkeypatch.setattr(logconcave, "components", lambda columns: calls.append(1) or real(columns))
     assert certify_clc_homogenization(f).verdict == "certified"
     assert calls == []
 

@@ -16,7 +16,8 @@ rank table via parallel classes asked of the oracle per contraction, the
 integer revised phase-1 simplex via
 the same pivots on a Fraction tableau, and the walk's integer kernels via
 dense Fraction powering and a per-step Fraction candidate rebuild drawing
-one `rng.bytes` call per draw.
+one `rng.bytes` call per draw, the mixing floor via the swap classes of
+a breadth-first search, and `bitsets.components` via union-find.
 """
 import json
 import random
@@ -53,7 +54,7 @@ from clckit import (
     walk_instance,
 )
 from clckit import coverage2, walk
-from clckit.bitsets import labels_of, mask_of, subset_transform
+from clckit.bitsets import components, labels_of, mask_of, subset_transform
 from clckit.errors import InputError, MissingWitnessError
 from clckit.logconcave import contraction_cells, is_indecomposable
 from clckit.jsonio import dump_certificate, load_set_function
@@ -74,6 +75,7 @@ from conftest import (
     CoverageInstance,
     budget_additive_eleven,
     certify_oracle,
+    components_oracle,
     contraction_cells_oracle,
     coverage_instances,
     dense_of,
@@ -97,6 +99,7 @@ from conftest import (
     sample_chain_oracle,
     step_oracle,
     subset_transform_oracle,
+    swap_classes,
     symmetric_matrices,
     transition_matrix_oracle,
     verify_2cov_oracle,
@@ -567,6 +570,46 @@ def test_sweep_matches_polynomial_reference():
         ("conditions-fail", "inertia"),
         ("conditions-fail", "decomposable"),
     }
+
+
+def chain_far_to_near(k):
+    """k columns, the i-th holding items i and i+1, listed as the first and
+    then from the far end, so that each pass of the growth adds one column."""
+    columns = [(1 << i, 3 << i) for i in range(k)]
+    return columns[:1] + columns[:0:-1]
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [],
+        [(1, 0)],
+        [(4, 0b11), (1, 0), (2, 0b110)],
+        [(8, 0b101)],
+        [(1 << i, 1 << i) for i in range(40)],
+        chain_far_to_near(40),
+    ],
+    ids=["none", "zero", "zero-among-linked", "single", "singletons", "chain-far-to-near"],
+)
+def test_components_matches_union_find_on_fixed_columns(columns):
+    assert sorted(components(columns)) == sorted(components_oracle(columns))
+
+
+def test_components_matches_union_find():
+    # variables on scattered bits, columns over a few items, some of them zero
+    rng = random.Random(67)
+    sizes = set()
+    for _ in range(2000):
+        bits = [1 << b for b in rng.sample(range(24), rng.randint(0, 12))]
+        items = rng.randint(1, 16)
+        density = rng.choice((0.05, 0.15, 0.4))
+        columns = [
+            (bit, sum(1 << j for j in range(items) if rng.random() < density)) for bit in bits
+        ]
+        got = components(columns)
+        assert sorted(got) == sorted(components_oracle(columns))
+        sizes.add(len(got))
+    assert set(range(13)) <= sizes
 
 
 def test_is_indecomposable_matches_bfs_components():
@@ -1051,6 +1094,8 @@ def test_walk_kernels_match_fraction_reference(monkeypatch):
         assert fraction_rows(transition_matrix(w)) == transition_matrix_oracle(w)
         floor = walk._tv_floor(w, transition_matrix(w))
         assert (floor == 0) == is_irreducible(w)
+        lightest = min(sum(w.weights[w.index[s]] for s in c) for c in swap_classes(w))
+        assert floor == 1 - Fraction(lightest, w.total)
         eps = Fraction(1, rng.choice((2, 5, 10, 100)))
         max_steps = 10**6 if is_irreducible(w) else rng.choice((3, 12))
         monkeypatch.setattr(walk, "MAX_STEPS", max_steps)

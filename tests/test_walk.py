@@ -25,7 +25,7 @@ from clckit.errors import InternalCheckError
 from clckit.setfn import homogeneous_restrict
 from clckit.walk import _draw, histogram_tv, make_rng, philox_words, step
 
-from conftest import fraction_rows, is_irreducible, k4
+from conftest import fraction_rows, is_irreducible, k4, swap_classes
 
 
 def uniform_pairs_of_3():
@@ -208,6 +208,16 @@ def test_mixing_reducible_reports_no_convergence(monkeypatch):
     assert res.tv_curve == (Fraction(1, 2),)
 
 
+def test_floor_of_three_classes_is_one_minus_the_lightest():
+    # classes of mass 3, 5 and 1 out of 9: from {6,7} the TV stays 8/9
+    entries = {(1, 2): 1, (1, 3): 1, (2, 3): 1, (4, 5): 5, (6, 7): 1}
+    w = walk_instance(SetFunctionTable.from_entries(7, entries), 2)
+    assert len(swap_classes(w)) == 3
+    assert walk._tv_floor(w, transition_matrix(w)) == Fraction(8, 9)
+    res = mixing_time_exact(w, Fraction(1, 2))
+    assert (res.converged, res.t_mix, res.tv_curve) == (False, None, (Fraction(8, 9),))
+
+
 def test_sample_chain_zero_steps_and_determinism():
     w = uniform_pairs_of_3()
     start = w.support[1]
@@ -238,6 +248,14 @@ def test_detailed_balance_on_certified_instances():
     for w in cases:
         transition_matrix(w)
         assert is_irreducible(w)
+
+
+def test_histogram_tv_counts_visits_off_the_support():
+    # mu = (1/4, 3/4) on {1}, {2}; a quarter of the visits land on {1,2},
+    # outside the support: (|1/2 - 1/4| + |1/4 - 3/4| + 1/4) / 2 = 1/2
+    w = walk_instance(SetFunctionTable.from_entries(2, {(1,): 1, (2,): 3}), 1)
+    assert histogram_tv(w, {0b01: 2, 0b10: 1, 0b11: 1}) == 0.5
+    assert histogram_tv(w, {0b11: 3}) == 1.0
 
 
 def test_empirical_tv_shrinks_with_time():
